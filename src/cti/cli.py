@@ -5,7 +5,7 @@ Every run that consumes an input directory writes a manifest next to the
 reports, listing the content hash of each consumed file and the effective
 configuration. Reports are deterministic: identical inputs and flags give
 byte-identical files. Exit codes: 0 success, 2 missing input file, 3 parse
-error, 4 computation error.
+error, 4 computation error, 5 option value unparsable or out of range.
 """
 from __future__ import annotations
 
@@ -25,11 +25,30 @@ from .model import ComputationError, MetricReport, ParseError
 EXIT_MISSING_FILE = 2
 EXIT_PARSE_ERROR = 3
 EXIT_COMPUTE_ERROR = 4
+EXIT_BAD_OPTION = 5
+
+
+class OptionError(ValueError):
+    """An option value that is unparsable or outside its valid range."""
+
+
+def _option(name: str, text: str, parse=Fraction, valid=lambda v: 0 <= v <= 1, bounds="[0, 1]"):
+    """Parse an option value that ``valid`` accepts; it lies in ``bounds``."""
+    try:
+        value = parse(text)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or not valid(value):
+        raise OptionError(f"{name} {text!r} must be a number in {bounds}")
+    return value
 
 
 def _guarded(action: Callable[[], None]) -> None:
     try:
         action()
+    except OptionError as exc:
+        click.echo(f"bad option: {exc}", err=True)
+        sys.exit(EXIT_BAD_OPTION)
     except FileNotFoundError as exc:
         click.echo(f"missing input file: {exc}", err=True)
         sys.exit(EXIT_MISSING_FILE)
@@ -94,21 +113,25 @@ def main() -> None:
 @_COUNTRY
 @_OUTPUT
 @_FORMAT
-@click.option("--min-hosts", default=outlier.DEFAULT_MIN_HOSTS, show_default=True)
-@click.option("--trim", default="1/10", show_default=True, help="Outlier tail fraction.")
+@click.option("--min-hosts", default=str(outlier.DEFAULT_MIN_HOSTS), show_default=True)
+@click.option("--trim", default="1/10", show_default=True, help="Outlier tail fraction, < 1/2.")
 @click.option("--no-outlier", is_flag=True, help="Skip the per-host outlier filter.")
 def cti_command(
-    input_dir: str, country: str, output: str, fmt: str, min_hosts: int, trim: str, no_outlier: bool
+    input_dir: str, country: str, output: str, fmt: str, min_hosts: str, trim: str, no_outlier: bool
 ) -> None:
     """Per-AS transit influence toward one country."""
 
     def action() -> None:
+        outlier_min_hosts = _option("--min-hosts", min_hosts, int, lambda v: v >= 1, "[1, inf)")
+        outlier_trim = _option(
+            "--trim", trim, Fraction, lambda v: 0 <= v < Fraction(1, 2), "[0, 1/2)"
+        )
         sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
         report = pipeline.cti_report(
             sub,
             country,
-            outlier_min_hosts=min_hosts,
-            outlier_trim=Fraction(trim),
+            outlier_min_hosts=outlier_min_hosts,
+            outlier_trim=outlier_trim,
             apply_outlier=not no_outlier,
         )
         path = _emit_report(report, output, f"cti_{country}", fmt)
@@ -119,7 +142,7 @@ def cti_command(
             {
                 "country": country,
                 "format": fmt,
-                "min_hosts": min_hosts,
+                "min_hosts": outlier_min_hosts,
                 "trim": trim,
                 "outlier": not no_outlier,
             },
@@ -174,10 +197,9 @@ def org_command(input_dir: str, country: str, output: str, marginal_threshold: s
     """Organization-level score sums (upper bound over sibling ASes)."""
 
     def action() -> None:
+        threshold = _option("--marginal-threshold", marginal_threshold)
         sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
-        aggregates = pipeline.org_aggregates(
-            sub, country, marginal_threshold=Fraction(marginal_threshold)
-        )
+        aggregates = pipeline.org_aggregates(sub, country, marginal_threshold=threshold)
         os.makedirs(output, exist_ok=True)
         path = os.path.join(output, f"org_{country}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as out:
@@ -207,6 +229,7 @@ def transit_fraction_command(input_dir: str, country: str, output: str, threshol
     """Address-weighted foreign-transit fraction and dominance verdict."""
 
     def action() -> None:
+        cutoff = _option("--threshold", threshold)
         traceroute_path = os.path.join(input_dir, ingest.FILE_NAMES["traceroutes"])
         if not os.path.exists(traceroute_path):
             raise FileNotFoundError(traceroute_path)
@@ -214,7 +237,7 @@ def transit_fraction_command(input_dir: str, country: str, output: str, threshol
         with open(traceroute_path, encoding="utf-8") as handle:
             traceroutes, _rejections = transit_dominance.parse_traceroutes(handle)
         value = pipeline.transit_fraction(sub, traceroutes, country)
-        dominant = transit_dominance.classify_transit_dominant(value, Fraction(threshold))
+        dominant = transit_dominance.classify_transit_dominant(value, cutoff)
         os.makedirs(output, exist_ok=True)
         path = os.path.join(output, f"transit_fraction_{country}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as out:
@@ -239,10 +262,9 @@ def candidates_command(
     """Peering-test verdicts for the country's significant domestic origins."""
 
     def action() -> None:
+        floor = _option("--origination-floor", origination_floor)
         sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
-        results = pipeline.candidate_results(
-            sub, country, origination_floor=Fraction(origination_floor)
-        )
+        results = pipeline.candidate_results(sub, country, origination_floor=floor)
         os.makedirs(output, exist_ok=True)
         path = os.path.join(output, f"candidates_{country}.csv")
         with open(path, "w", encoding="utf-8", newline="\n") as out:
@@ -398,10 +420,9 @@ def check_one_seed(seed: int) -> str | None:
         if pipe_cti.entries != oracle_cti.entries:
             return f"cti mismatch for {country}"
 
-        cs = pipeline.build_country_substrate(sub, country)
         if members:
             group = Conglomerate(label="state", members=members, country=country)
-            pipe_ctin = compute_ctin(group, cs.observations, cs.weights, sub.geo, cs.monitors)
+            pipe_ctin = compute_ctin(group, pipeline.build_country_substrate(sub, country))
             oracle_ctin = synth_oracle.naive_ctin(topo, paths, country, members)
             if pipe_ctin != oracle_ctin:
                 return f"ctin mismatch for {country}"

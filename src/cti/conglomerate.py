@@ -11,9 +11,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .cti_core import WeightTable
+from .cti_core import HostTable
 from .geo import GeoTable, Nationality
-from .model import MetricReport, MonitorId, Observation, Prefix
+from .model import MetricReport
 
 DEFAULT_MARGINAL_THRESHOLD = Fraction(1, 20)  # 0.05
 
@@ -45,52 +45,25 @@ def state_conglomerates(
     }
 
 
-def compute_ctin(
-    conglomerate: Conglomerate,
-    observations: Sequence[Observation],
-    weights: WeightTable,
-    geo: GeoTable,
-    monitors: Sequence[MonitorId],
-) -> Fraction:
-    """Set-level transit score: min member distance per (monitor, prefix),
-    zero for prefixes originated by any member."""
-    country = conglomerate.country
-    total_addresses = geo.country_total(country)
-    active_ids = {m.id for m in monitors}
-    n_monitors = len(monitors)
-
-    best_distance: dict[tuple[str, Prefix], int] = {}
-    for obs in observations:
-        if obs.monitor.id not in active_ids or obs.transit not in conglomerate.members:
+def compute_ctin(conglomerate: Conglomerate, table: HostTable) -> Fraction:
+    """Set-level transit score over the country's kernel: one term per path
+    at the first (minimum-distance) member, zero for paths toward prefixes
+    originated by any member."""
+    members = conglomerate.members
+    numerator = 0
+    for path, mass, n in table.paths:
+        if path.origin in members:
             continue
-        if geo.origin_of.get(obs.prefix) in conglomerate.members:
-            continue
-        key = (obs.monitor.id, obs.prefix)
-        if key not in best_distance or obs.distance < best_distance[key]:
-            best_distance[key] = obs.distance
-
-    host_of = {m.id: m.host_asn for m in monitors}
-    score = Fraction(0)
-    for (monitor_id, prefix), distance in best_distance.items():
-        mass = geo.mass.get((prefix, country), 0)
-        if mass == 0:
-            continue
-        weight = weights[(host_of[monitor_id], prefix)]
-        score += (
-            Fraction(weight, n_monitors)
-            * Fraction(mass, total_addresses)
-            * Fraction(1, distance)
-        )
-    return score
+        for distance, transit in enumerate(path.segment[1:], start=1):
+            if transit in members:
+                numerator += table.numerator(mass, n, distance)
+                break
+    return table.score(numerator, table.n_monitors)
 
 
 def compute_footprint(conglomerate: Conglomerate, geo: GeoTable, ctin: Fraction) -> Fraction:
     """Pure-transit score plus the members' directly originated fraction."""
-    total_addresses = geo.country_total(conglomerate.country)
-    originated = sum(
-        geo.originated.get((asn, conglomerate.country), 0) for asn in conglomerate.members
-    )
-    return ctin + Fraction(originated, total_addresses)
+    return ctin + originated_fraction(conglomerate, geo)
 
 
 def originated_fraction(conglomerate: Conglomerate, geo: GeoTable) -> Fraction:

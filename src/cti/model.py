@@ -183,22 +183,6 @@ class RelationshipTable:
         return iter(self._by_pair.values())
 
 
-@dataclass(frozen=True)
-class Observation:
-    """One (monitor, prefix, transit AS, hop distance) aggregation unit."""
-
-    monitor: MonitorId
-    prefix: Prefix
-    transit: int
-    distance: int
-
-    def __post_init__(self) -> None:
-        if self.distance < 1:
-            raise ValueError("observation distance must be >= 1")
-        if self.transit == self.monitor.host_asn:
-            raise ValueError("transit AS must differ from the monitor host AS")
-
-
 def _subject_key(subject: Subject) -> tuple[int, int | str]:
     # ASNs sort numerically before string labels; keeps report order deterministic.
     if isinstance(subject, int):

@@ -1,58 +1,29 @@
 """Per-host-AS outlier filter.
 
-The score of each transit AS in each country is recomputed using the
-monitors of every hosting AS independently; when ten or more hosts produce a
-value, the hosts in the bottom and top decile are excluded and the score is
-recomputed over the surviving monitors.
+Each transit AS is also scored from every monitor-hosting AS's monitors
+alone. When ten or more hosts produce such a score, the hosts in the bottom
+and top decile are excluded and the score is recomputed over the surviving
+monitors. All three scores are reductions over the country's kernel.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .cti_core import WeightTable, compute_cti
-from .geo import GeoTable
-from .model import MetricReport, MonitorId, Observation
+from .cti_core import HostTable, compute_cti
+from .model import MetricReport
 
 DEFAULT_MIN_HOSTS = 10
 DEFAULT_TRIM = Fraction(1, 10)
 
 
-@dataclass
-class HostCtiProfile:
-    """Per-host scores for one (transit AS, country) subject.
-
-    Hosts appear only when at least one of their monitors observed the
-    transit AS toward the country.
-    """
-
-    subject: tuple[int, str]
-    values: dict[int, Fraction] = field(default_factory=dict)
-
-
-def per_host_cti(
-    observations: Sequence[Observation],
-    weights: WeightTable,
-    geo: GeoTable,
-    monitors: Sequence[MonitorId],
-    country: str,
-) -> dict[tuple[int, str], HostCtiProfile]:
-    """Score each transit AS using each monitor-hosting AS in isolation."""
-    by_host: dict[int, list[MonitorId]] = {}
-    for monitor in monitors:
-        by_host.setdefault(monitor.host_asn, []).append(monitor)
-
-    profiles: dict[tuple[int, str], HostCtiProfile] = {}
-    for host, host_monitors in by_host.items():
-        host_ids = {m.id for m in host_monitors}
-        host_obs = [o for o in observations if o.monitor.id in host_ids]
-        report = compute_cti(host_obs, weights, geo, host_monitors, country)
-        for (_country, transit), value in report.entries.items():
-            subject = (transit, country)
-            profiles.setdefault(subject, HostCtiProfile(subject=subject))
-            profiles[subject].values[host] = value
-    return profiles
+def per_host_cti(table: HostTable, transit: int) -> dict[int, Fraction]:
+    """The transit AS's score from each host AS in isolation, for every host
+    with at least one monitor observing it."""
+    return {
+        host: table.score(numerator, table.host_monitors[host])
+        for host, numerator in table.cells[transit].items()
+    }
 
 
 @dataclass
@@ -62,36 +33,41 @@ class FilteredScore:
 
 
 def apply_outlier_filter(
-    profile: HostCtiProfile,
-    observations: Sequence[Observation],
-    weights: WeightTable,
-    geo: GeoTable,
-    monitors: Sequence[MonitorId],
+    table: HostTable,
+    transit: int,
     min_hosts: int = DEFAULT_MIN_HOSTS,
     trim: Fraction = DEFAULT_TRIM,
 ) -> FilteredScore:
     """Trim the per-tail decile of hosts and recompute over the survivors.
 
-    With fewer than ``min_hosts`` hosts the unfiltered score is returned
-    unchanged. The per-tail count is floor(trim * H); ties are broken by
-    ascending host ASN so the exclusion set is deterministic.
+    With fewer than ``min_hosts`` hosts nothing is excluded and the value is
+    the unfiltered score. The per-tail count is floor(trim * H); ties are
+    broken by ascending host ASN so the exclusion set is deterministic. With
+    0 <= trim < 1/2 at least one host, and so one monitor, survives.
     """
-    transit, country = profile.subject
-    unfiltered = compute_cti(observations, weights, geo, monitors, country).get(country, transit)
-    host_count = len(profile.values)
-    if host_count < min_hosts:
-        return FilteredScore(value=unfiltered, excluded=[])
-
-    per_tail = int(trim * host_count)
-    if per_tail == 0:
-        return FilteredScore(value=unfiltered, excluded=[])
-
-    ranked = sorted(profile.values.items(), key=lambda kv: (kv[1], kv[0]))
-    excluded_pairs = ranked[:per_tail] + ranked[-per_tail:]
-    excluded_hosts = {host for host, _value in excluded_pairs}
-    surviving = [m for m in monitors if m.host_asn not in excluded_hosts]
-    filtered = compute_cti(observations, weights, geo, surviving, country).get(country, transit)
-    return FilteredScore(
-        value=filtered,
-        excluded=[(host, value) for host, value in excluded_pairs],
+    row = table.cells[transit]
+    per_tail = int(trim * len(row)) if len(row) >= min_hosts else 0
+    excluded: list[tuple[int, Fraction]] = []
+    if per_tail > 0:
+        ranked = sorted(per_host_cti(table, transit).items(), key=lambda kv: (kv[1], kv[0]))
+        excluded = ranked[:per_tail] + ranked[-per_tail:]
+    hosts = {host for host, _value in excluded}
+    value = table.score(
+        sum(numerator for host, numerator in row.items() if host not in hosts),
+        table.n_monitors - sum(table.host_monitors[host] for host in hosts),
     )
+    return FilteredScore(value=value, excluded=excluded)
+
+
+def filtered_cti(
+    table: HostTable,
+    min_hosts: int = DEFAULT_MIN_HOSTS,
+    trim: Fraction = DEFAULT_TRIM,
+) -> MetricReport:
+    """The cti report with every subject's score passed through the filter."""
+    report = compute_cti(table)
+    for transit in table.cells:
+        result = apply_outlier_filter(table, transit, min_hosts, trim)
+        if result.excluded:
+            report.set(table.country, transit, result.value)
+    return report

@@ -56,7 +56,8 @@ def sanitize(
     clique: frozenset[int],
     reserved: frozenset[int],
 ) -> PathRecord | PathRejection:
-    """Collapse prepending, then reject loops, reserved ASes and poisoned paths."""
+    """Collapse prepending, then reject reserved ASes, loops and poisoned paths;
+    a return to the monitor's host AS after the first hop is a loop too."""
     collapsed: list[int] = []
     for asn in path.hops:
         if not collapsed or collapsed[-1] != asn:
@@ -82,6 +83,9 @@ def sanitize(
                     path.prefix,
                     f"non-clique ASN {collapsed[i]} between clique ASes",
                 )
+    if path.monitor.host_asn in collapsed[1:]:
+        reason = f"monitor host ASN {path.monitor.host_asn} after the first hop"
+        return PathRejection(RejectCategory.LOOP, path.monitor.id, path.prefix, reason)
     if tuple(collapsed) == path.hops:
         return path
     return PathRecord(monitor=path.monitor, prefix=path.prefix, hops=tuple(collapsed))

@@ -1,14 +1,14 @@
 """End-to-end orchestration from a parsed dataset bundle to metric reports.
 
 The substrate (sanitized paths, origin map, geo table) is built once per
-bundle; per-country steps (inbound retention, observation extraction,
-weights, scores) reuse it. The origin of a prefix is taken from the
+bundle; per-country steps (inbound retention, the contribution kernel, and
+the scores reduced from it) reuse it. The origin of a prefix is taken from the
 sanitized path corpus itself, so the geo table and the scores always agree
 on who announces what.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -18,7 +18,6 @@ from .ingest import DatasetBundle, RowRejection
 from .model import (
     ComputationError,
     MetricReport,
-    MonitorId,
     PathRecord,
     Prefix,
     RelationshipTable,
@@ -71,32 +70,12 @@ def build_substrate(bundle: DatasetBundle) -> Substrate:
     )
 
 
-@dataclass
-class CountrySubstrate:
-    country: str
-    monitors: list[MonitorId]  # active set: every monitor outside the country
-    retained: list[pathprep.RetainedPath]
-    rejections: list[pathprep.PathRejection]
-    observations: list
-    weights: cti_core.WeightTable = field(default_factory=dict)
-
-
-def build_country_substrate(sub: Substrate, country: str) -> CountrySubstrate:
-    monitors = sorted(
-        (m for m in sub.bundle.monitors.values() if m.country != country),
-        key=lambda m: m.id,
-    )
-    retained, rejections = pathprep.retain_for_country(sub.sanitized, country, sub.geo, sub.rels)
-    observations = cti_core.extract_observations(retained)
-    weights = cti_core.compute_weights(observations)
-    return CountrySubstrate(
-        country=country,
-        monitors=monitors,
-        retained=retained,
-        rejections=rejections,
-        observations=observations,
-        weights=weights,
-    )
+def build_country_substrate(sub: Substrate, country: str) -> cti_core.HostTable:
+    """The country's kernel over its active monitor set: every monitor
+    outside the country, blind ones included."""
+    monitors = [m for m in sub.bundle.monitors.values() if m.country != country]
+    retained, _no_peak = pathprep.retain_for_country(sub.sanitized, country, sub.geo, sub.rels)
+    return cti_core.extract_observations(retained, sub.geo, monitors, country)
 
 
 def cti_report(
@@ -106,25 +85,10 @@ def cti_report(
     outlier_trim: Fraction = outlier.DEFAULT_TRIM,
     apply_outlier: bool = True,
 ) -> MetricReport:
-    cs = build_country_substrate(sub, country)
-    base = cti_core.compute_cti(cs.observations, cs.weights, sub.geo, cs.monitors, country)
+    table = build_country_substrate(sub, country)
     if not apply_outlier:
-        return base
-    profiles = outlier.per_host_cti(cs.observations, cs.weights, sub.geo, cs.monitors, country)
-    report = MetricReport(metric_name="cti")
-    for (c, transit), _value in base.entries.items():
-        profile = profiles[(transit, c)]
-        filtered = outlier.apply_outlier_filter(
-            profile,
-            cs.observations,
-            cs.weights,
-            sub.geo,
-            cs.monitors,
-            min_hosts=outlier_min_hosts,
-            trim=outlier_trim,
-        )
-        report.set(c, transit, filtered.value)
-    return report
+        return cti_core.compute_cti(table)
+    return outlier.filtered_cti(table, outlier_min_hosts, outlier_trim)
 
 
 def state_footprint_reports(
@@ -139,8 +103,7 @@ def state_footprint_reports(
     group = conglomerates.get(country)
     if group is None:
         return ctin_report, footprint_report
-    cs = build_country_substrate(sub, country)
-    ctin = conglomerate.compute_ctin(group, cs.observations, cs.weights, sub.geo, cs.monitors)
+    ctin = conglomerate.compute_ctin(group, build_country_substrate(sub, country))
     footprint = conglomerate.compute_footprint(group, sub.geo, ctin)
     ctin_report.set(country, group.label, ctin)
     footprint_report.set(country, group.label, footprint)

@@ -11,6 +11,7 @@ equivalence between the two is the correctness oracle.
 from __future__ import annotations
 
 import heapq
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -465,7 +466,7 @@ def _oracle_substrate(
     dict[tuple[int, Prefix], int],
     dict[tuple[Prefix, str], int],
     int,
-    int,
+    list[MonitorId],
 ]:
     origin_of = {p.prefix: _oracle_collapse(p.hops)[-1] for p in paths}
     mass = _oracle_masses(topo, origin_of)
@@ -490,26 +491,70 @@ def _oracle_substrate(
     for key, ids in seen.items():
         observer_counts[key] = len(ids)
 
-    return retained, observer_counts, mass, total, len(active)
+    return retained, observer_counts, mass, total, active
 
 
-def naive_cti(topo: SynthTopology, paths: Sequence[PathRecord], country: str) -> MetricReport:
-    """Literal evaluation: for every monitor and prefix, walk the retained
-    segment and accumulate each transit AS's weighted, distance-discounted
-    address share."""
-    retained, observers, mass, total, n_monitors = _oracle_substrate(topo, paths, country)
-    report = MetricReport(metric_name="cti")
-    if total == 0 or n_monitors == 0:
-        return report
+def _naive_scores(
+    substrate: tuple, country: str, monitors: Sequence[MonitorId]
+) -> dict[int, Fraction]:
+    """For every path of the given monitors, walk the retained segment and
+    accumulate each transit AS's weighted, distance-discounted address share."""
+    retained, observers, mass, total, _active = substrate
+    ids = {m.id for m in monitors}
     scores: dict[int, Fraction] = {}
     for (monitor, prefix), segment in retained.items():
+        if monitor.id not in ids:
+            continue
         n = observers[(monitor.host_asn, prefix)]
         share = Fraction(mass[(prefix, country)], total)
         for distance in range(1, len(segment)):
             transit = segment[distance]
-            term = Fraction(1, n) * Fraction(1, n_monitors) * share * Fraction(1, distance)
+            term = Fraction(1, n) * Fraction(1, len(monitors)) * share * Fraction(1, distance)
             scores[transit] = scores.get(transit, Fraction(0)) + term
-    for transit, value in scores.items():
+    return scores
+
+
+def naive_cti(topo: SynthTopology, paths: Sequence[PathRecord], country: str) -> MetricReport:
+    """Literal evaluation over every active monitor."""
+    substrate = _oracle_substrate(topo, paths, country)
+    *_, total, active = substrate
+    report = MetricReport(metric_name="cti")
+    if total == 0 or not active:
+        return report
+    for transit, value in _naive_scores(substrate, country, active).items():
+        report.set(country, transit, value)
+    return report
+
+
+def naive_outlier_cti(
+    topo: SynthTopology,
+    paths: Sequence[PathRecord],
+    country: str,
+    min_hosts: int,
+    trim: Fraction,
+) -> MetricReport:
+    """Literal per-host outlier filter: score every transit AS from each host
+    AS's monitors alone; when at least ``min_hosts`` hosts score it, drop
+    floor(trim * H) hosts per tail (ties by host ASN) and rescore over the
+    surviving monitors."""
+    substrate = _oracle_substrate(topo, paths, country)
+    *_, total, active = substrate
+    report = MetricReport(metric_name="cti")
+    if total == 0 or not active:
+        return report
+
+    def scores_from(monitors: Sequence[MonitorId]) -> dict[int, Fraction]:
+        return _naive_scores(substrate, country, monitors)
+
+    hosts = {m.host_asn for m in active}
+    per_host = {h: scores_from([m for m in active if m.host_asn == h]) for h in hosts}
+    for transit, value in scores_from(active).items():
+        host_values = {host: s[transit] for host, s in per_host.items() if transit in s}
+        per_tail = math.floor(trim * len(host_values)) if len(host_values) >= min_hosts else 0
+        if per_tail > 0:
+            ranked = sorted(host_values, key=lambda host: (host_values[host], host))
+            dropped = set(ranked[:per_tail] + ranked[-per_tail:])
+            value = scores_from([m for m in active if m.host_asn not in dropped])[transit]
         report.set(country, transit, value)
     return report
 
@@ -522,8 +567,8 @@ def naive_ctin(
 ) -> Fraction:
     """Set-level score: one term per (monitor, prefix) at the minimum member
     distance; prefixes originated by a member contribute nothing."""
-    retained, observers, mass, total, n_monitors = _oracle_substrate(topo, paths, country)
-    if total == 0 or n_monitors == 0:
+    retained, observers, mass, total, active = _oracle_substrate(topo, paths, country)
+    if total == 0 or not active:
         return Fraction(0)
     score = Fraction(0)
     for (monitor, prefix), segment in retained.items():
@@ -534,7 +579,7 @@ def naive_ctin(
             continue
         n = observers[(monitor.host_asn, prefix)]
         share = Fraction(mass[(prefix, country)], total)
-        score += Fraction(1, n) * Fraction(1, n_monitors) * share * Fraction(1, min(distances))
+        score += Fraction(1, n) * Fraction(1, len(active)) * share * Fraction(1, min(distances))
     return score
 
 

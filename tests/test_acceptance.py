@@ -11,7 +11,8 @@ from cti.clh_compare import compare_reports
 from cti.conglomerate import Conglomerate, compute_ctin, compute_footprint, state_conglomerates
 from cti.geo import Nationality, build_geo_table, classify_nationality
 from cti.model import MetricReport, MonitorId, Prefix, RelKind, Relationship, RelationshipTable
-from cti.pathprep import RejectCategory, prepare_paths
+from cti.pathprep import RejectCategory, RetainedPath, prepare_paths
+from cti.synth_oracle import SynthParams
 
 ORACLE_SEEDS = range(1, 501)
 
@@ -125,8 +126,7 @@ def test_criterion_5_footprint_consistency():
         nationality = classify_nationality(sub.geo)
         groups = state_conglomerates(sub.bundle.aux.state_owned, nationality)
         group = groups["AA"]
-        cs = pipeline.build_country_substrate(sub, "AA")
-        ctin = compute_ctin(group, cs.observations, cs.weights, sub.geo, cs.monitors)
+        ctin = compute_ctin(group, pipeline.build_country_substrate(sub, "AA"))
         footprint = compute_footprint(group, sub.geo, ctin)
         assert ctin == Fraction(1, 3)
         assert footprint == Fraction(1, 3) + Fraction(1, 3)
@@ -144,22 +144,26 @@ def test_criterion_5_footprint_consistency():
             for country in topo.params.countries:
                 if seed_sub.geo.total.get(country, 0) <= 0:
                     continue
-                seed_cs = pipeline.build_country_substrate(seed_sub, country)
+                seed_table = pipeline.build_country_substrate(seed_sub, country)
                 seed_group = Conglomerate("state", members, country)
                 value = compute_footprint(
-                    seed_group,
-                    seed_sub.geo,
-                    compute_ctin(
-                        seed_group, seed_cs.observations, seed_cs.weights, seed_sub.geo, seed_cs.monitors
-                    ),
+                    seed_group, seed_sub.geo, compute_ctin(seed_group, seed_table)
                 )
                 assert 0 <= value <= 1
 
     _verdict(5, "footprint equals q + r exactly and stays in [0, 1]", check)
 
 
+# A trim of 1/3 drops one host per tail from three hosts on; at the default
+# 1/10 no instance with fewer than ten hosts would engage the filter.
+ENGAGING_TRIM = Fraction(1, 3)
+# Seed 1 of this size has 13 and 12 foreign host ASes toward AA and BB.
+MANY_HOSTS = SynthParams(n_clique=3, n_mid=15, n_stub=30, n_monitors=20)
+
+
 def test_criterion_6_filter_properties():
     def check():
+        engaged = 0
         for seed in ORACLE_SEEDS:
             topo = synth_oracle.generate_topology(seed)
             paths = synth_oracle.propagate_routes(topo)
@@ -169,37 +173,61 @@ def test_criterion_6_filter_properties():
             for country in topo.params.countries:
                 if sub.geo.total.get(country, 0) <= 0:
                     continue
-                cs = pipeline.build_country_substrate(sub, country)
+                table = pipeline.build_country_substrate(sub, country)
                 # (c) weights sum to one per (host AS, prefix)
                 observers = {}
-                for obs in cs.observations:
-                    observers.setdefault((obs.monitor.host_asn, obs.prefix), set()).add(
-                        obs.monitor.id
-                    )
-                for key, ids in observers.items():
-                    assert cs.weights[key] * len(ids) == 1
+                for path, _mass, n in table.paths:
+                    key = (path.monitor.host_asn, path.prefix)
+                    observers.setdefault(key, (n, set()))[1].add(path.monitor.id)
+                for n, ids in observers.values():
+                    assert Fraction(1, n) * len(ids) == 1
                 # (a) every host count here is < 10, so the filter is a no-op
                 unfiltered = pipeline.cti_report(sub, country, apply_outlier=False)
                 filtered = pipeline.cti_report(sub, country, apply_outlier=True)
                 assert unfiltered.entries == filtered.entries
+                # (d) the engaged filter equals the naive per-host oracle
+                for min_hosts in (2, 3):
+                    engaged_report = pipeline.cti_report(
+                        sub, country, outlier_min_hosts=min_hosts, outlier_trim=ENGAGING_TRIM
+                    )
+                    oracle = synth_oracle.naive_outlier_cti(
+                        topo, paths, country, min_hosts, ENGAGING_TRIM
+                    )
+                    assert engaged_report.entries == oracle.entries, (seed, country, min_hosts)
+                    engaged += engaged_report.entries != unfiltered.entries
+        assert engaged > 0
+
+        # (d) ... and at the defaults on an instance with at least ten hosts
+        topo = synth_oracle.generate_topology(1, MANY_HOSTS)
+        paths = synth_oracle.propagate_routes(topo)
+        sub = pipeline.build_substrate(
+            ingest.load_bundle_from_texts(synth_oracle.emit_files(topo, paths))
+        )
+        for country in topo.params.countries:
+            assert len({m.host_asn for m in topo.monitors if m.country != country}) >= 10
+            filtered = pipeline.cti_report(sub, country)
+            oracle = synth_oracle.naive_outlier_cti(
+                topo, paths, country, outlier.DEFAULT_MIN_HOSTS, outlier.DEFAULT_TRIM
+            )
+            assert filtered.entries == oracle.entries
+            assert filtered.entries != pipeline.cti_report(sub, country, apply_outlier=False).entries
 
         # (b) with ten equal-valued hosts, filtered equals unfiltered
-        geo, _ = build_geo_table([(Prefix.parse("10.0.0.0/24"), "CU", 256)], [], {})
         prefix = Prefix.parse("10.0.0.0/24")
+        geo, _ = build_geo_table([(prefix, "CU", 256)], [], {})
         monitors = [MonitorId(f"m{i}", 1000 + i, "US") for i in range(10)]
-        from cti.model import Observation
-
-        observations = [Observation(m, prefix, 500, 1) for m in monitors]
-        weights = cti_core.compute_weights(observations)
-        profiles = outlier.per_host_cti(observations, weights, geo, monitors, "CU")
-        result = outlier.apply_outlier_filter(
-            profiles[(500, "CU")], observations, weights, geo, monitors
-        )
-        unfiltered = cti_core.compute_cti(observations, weights, geo, monitors, "CU")
-        assert result.value == unfiltered.get("CU", 500)
+        retained = [RetainedPath(m, prefix, (900, 500)) for m in monitors]
+        table = cti_core.extract_observations(retained, geo, monitors, "CU")
+        result = outlier.apply_outlier_filter(table, 500)
+        assert result.value == cti_core.compute_cti(table).get("CU", 500)
         assert len(result.excluded) == 2
 
-    _verdict(6, "outlier no-op under 10 hosts, equal-host identity, unit weights", check)
+    _verdict(
+        6,
+        "outlier no-op under 10 hosts, engaged filter equals oracle, equal-host identity, "
+        "unit weights",
+        check,
+    )
 
 
 def test_criterion_7_stability_tooling():

@@ -181,3 +181,59 @@ def test_oracle_check_command(tmp_path):
     result = runner.invoke(main, ["oracle-check", "--seeds", "5"])
     assert result.exit_code == 0, result.output
     assert "ok" in result.output
+
+
+def test_host_asn_in_mid_path_is_rejected_not_fatal(tmp_path):
+    runner = CliRunner()
+    reports = []
+    for name, extra_path in (("clean", ""), ("looped", "m2|10.0.3.0/24|10 20 30 102\n")):
+        files = _write_toy(tmp_path / name)
+        with open(tmp_path / name / "monitors.csv", "a", encoding="utf-8") as out:
+            out.write("m2,20,US\n")
+        with open(tmp_path / name / "paths.txt", "w", encoding="utf-8") as out:
+            out.write(files["paths.txt"] + extra_path)
+        out_dir = str(tmp_path / name / "out")
+        result = runner.invoke(
+            main, ["cti", "--input", str(tmp_path / name), "--country", "CU", "--output", out_dir]
+        )
+        assert result.exit_code == 0, result.output
+        reports.append((tmp_path / name / "out" / "cti_CU.csv").read_text())
+    # m2 dilutes both runs as a blind monitor; its looping path adds nothing
+    assert reports[0] == reports[1]
+    assert "CU,40,0.250000000000" in reports[0]
+
+
+def test_bad_option_values_exit_5(tmp_path):
+    _write_toy(tmp_path / "in")
+    runner = CliRunner()
+    base = ["--input", str(tmp_path / "in"), "--country", "CU", "--output", str(tmp_path / "out")]
+    for args in (
+        ["cti", "--trim", "abc"],
+        ["cti", "--trim", "1/0"],
+        ["cti", "--trim", "1"],
+        ["cti", "--trim", "1/2"],
+        ["cti", "--trim", "-1/2"],
+        ["cti", "--min-hosts", "0"],
+        ["cti", "--min-hosts", "two"],
+        ["org", "--marginal-threshold", "7"],
+        ["org", "--marginal-threshold", "-1/20"],
+        ["transit-fraction", "--threshold", "3/2"],
+        ["candidates", "--origination-floor", "2"],
+    ):
+        result = runner.invoke(main, args + base)
+        assert result.exit_code == 5, (args, result.output)
+        assert result.output.startswith("bad option: ") and result.output.count("\n") == 1
+
+
+def test_boundary_option_values_are_accepted(tmp_path):
+    _write_toy(tmp_path / "in")
+    runner = CliRunner()
+    base = ["--input", str(tmp_path / "in"), "--country", "CU", "--output", str(tmp_path / "out")]
+    for args in (
+        ["cti", "--trim", "0", "--min-hosts", "1"],
+        ["cti", "--trim", "49/100"],
+        ["org", "--marginal-threshold", "1"],
+        ["candidates", "--origination-floor", "0"],
+    ):
+        result = runner.invoke(main, args + base)
+        assert result.exit_code == 0, (args, result.output)

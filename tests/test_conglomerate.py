@@ -4,7 +4,8 @@ import pytest
 
 from cti import conglomerate, cti_core
 from cti.geo import build_geo_table, classify_nationality
-from cti.model import MetricReport, MonitorId, Observation, Prefix
+from cti.model import MetricReport, MonitorId, Prefix
+from cti.pathprep import RetainedPath
 
 P1 = Prefix.parse("10.0.0.0/24")
 P2 = Prefix.parse("10.0.1.0/24")
@@ -30,24 +31,21 @@ def test_state_conglomerates_filter_by_nationality():
 def test_ctin_uses_minimum_member_distance():
     geo, _ = build_geo_table([(P1, "CU", 256)], [], {P1: 900})
     group = conglomerate.Conglomerate("state", frozenset({20, 15}), "CU")
-    observations = [
-        Observation(M1, P1, 20, 1),
-        Observation(M1, P1, 15, 2),  # second member farther on the same path
-    ]
-    weights = cti_core.compute_weights(observations)
-    ctin = conglomerate.compute_ctin(group, observations, weights, geo, [M1])
+    # second member 15 farther on the same path
+    table = cti_core.extract_observations([RetainedPath(M1, P1, (900, 20, 15))], geo, [M1], "CU")
+    ctin = conglomerate.compute_ctin(group, table)
     assert ctin == Fraction(1)  # one term at distance 1, not two
 
 
 def test_ctin_skips_prefixes_originated_by_members():
     geo, _ = build_geo_table([(P1, "CU", 256), (P2, "CU", 256)], [], {P1: 100, P2: 900})
     group = conglomerate.Conglomerate("state", frozenset({100, 20}), "CU")
-    observations = [
-        Observation(M1, P1, 20, 1),  # toward a member-originated prefix: skipped
-        Observation(M1, P2, 20, 1),
+    retained = [
+        RetainedPath(M1, P1, (100, 20)),  # toward a member-originated prefix: skipped
+        RetainedPath(M1, P2, (900, 20)),
     ]
-    weights = cti_core.compute_weights(observations)
-    ctin = conglomerate.compute_ctin(group, observations, weights, geo, [M1])
+    table = cti_core.extract_observations(retained, geo, [M1], "CU")
+    ctin = conglomerate.compute_ctin(group, table)
     assert ctin == Fraction(1, 2)
 
 

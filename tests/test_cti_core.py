@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 
 from cti import cti_core
 from cti.geo import build_geo_table
-from cti.model import MonitorId, Observation, Prefix
+from cti.model import MonitorId, Prefix
 from cti.pathprep import RetainedPath
 
 P1 = Prefix.parse("10.0.0.0/24")
@@ -15,75 +15,75 @@ M2 = MonitorId("m2", 10, "US")  # same host AS as m1
 M3 = MonitorId("m3", 77, "DE")
 
 
+def _cti(retained, geo, monitors, country="CU"):
+    return cti_core.compute_cti(cti_core.extract_observations(retained, geo, monitors, country))
+
+
 def test_extract_observations_skips_origin():
+    geo, _ = build_geo_table([(P1, "CU", 256)], [], {})
     retained = [RetainedPath(M1, P1, (30, 20, 15))]
-    obs = cti_core.extract_observations(retained)
-    assert [(o.transit, o.distance) for o in obs] == [(20, 1), (15, 2)]
-    assert all(o.monitor is M1 and o.prefix == P1 for o in obs)
+    table = cti_core.extract_observations(retained, geo, [M1], "CU")
+    assert len(table) == 1
+    assert table.lcm == 2  # n = 1, d in {1, 2}
+    # origin 30 gets no entry; 20 at distance 1, 15 at distance 2
+    assert table.cells == {20: {10: 256 * 2}, 15: {10: 256 * 1}}
 
 
 def test_weights_single_observer():
-    obs = [Observation(M1, P1, 20, 1)]
-    assert cti_core.compute_weights(obs) == {(10, P1): Fraction(1)}
+    observers = cti_core.compute_weights([RetainedPath(M1, P1, (30, 20))])
+    assert observers == {(10, P1): 1}  # weight 1/1
 
 
 def test_weights_split_between_same_host_observers():
-    obs = [Observation(M1, P1, 20, 1), Observation(M2, P1, 25, 1)]
-    assert cti_core.compute_weights(obs)[(10, P1)] == Fraction(1, 2)
+    retained = [RetainedPath(M1, P1, (30, 20)), RetainedPath(M2, P1, (30, 25))]
+    assert Fraction(1, cti_core.compute_weights(retained)[(10, P1)]) == Fraction(1, 2)
 
 
 def test_weights_not_diluted_by_blind_sibling():
     # m2 shares m1's host AS but sees only the other prefix
-    obs = [Observation(M1, P1, 20, 1), Observation(M2, P2, 20, 1)]
-    weights = cti_core.compute_weights(obs)
-    assert weights[(10, P1)] == Fraction(1)
-    assert weights[(10, P2)] == Fraction(1)
+    retained = [RetainedPath(M1, P1, (30, 20)), RetainedPath(M2, P2, (30, 20))]
+    observers = cti_core.compute_weights(retained)
+    assert observers[(10, P1)] == 1
+    assert observers[(10, P2)] == 1
 
 
 def test_compute_cti_single_observation():
     geo, _ = build_geo_table([(P1, "CU", 256), (P2, "CU", 256)], [], {})
-    obs = [Observation(M1, P1, 20, 1)]
-    weights = cti_core.compute_weights(obs)
-    report = cti_core.compute_cti(obs, weights, geo, [M1], "CU")
+    report = _cti([RetainedPath(M1, P1, (30, 20))], geo, [M1])
     assert report.get("CU", 20) == Fraction(1, 2)  # 1 * (256/512) * 1
 
 
 def test_compute_cti_blind_monitor_dilutes():
     # m3 is active but observes nothing; |M| = 2 halves the score
     geo, _ = build_geo_table([(P1, "CU", 256)], [], {})
-    obs = [Observation(M1, P1, 20, 1)]
-    weights = cti_core.compute_weights(obs)
-    report = cti_core.compute_cti(obs, weights, geo, [M1, M3], "CU")
+    report = _cti([RetainedPath(M1, P1, (30, 20))], geo, [M1, M3])
     assert report.get("CU", 20) == Fraction(1, 2)
 
 
 def test_compute_cti_distance_discount():
     geo, _ = build_geo_table([(P1, "CU", 256)], [], {})
-    obs = [Observation(M1, P1, 20, 1), Observation(M1, P1, 15, 2)]
-    weights = cti_core.compute_weights(obs)
-    report = cti_core.compute_cti(obs, weights, geo, [M1], "CU")
+    report = _cti([RetainedPath(M1, P1, (30, 20, 15))], geo, [M1])
     assert report.get("CU", 20) == Fraction(1)
     assert report.get("CU", 15) == Fraction(1, 2)
 
 
 def test_compute_cti_ignores_inactive_monitors_and_foreign_mass():
     geo, _ = build_geo_table([(P1, "CU", 256), (P2, "AR", 256)], [], {})
-    obs = [Observation(M1, P1, 20, 1), Observation(M3, P2, 20, 1)]
-    weights = cti_core.compute_weights(obs)
-    report = cti_core.compute_cti(obs, weights, geo, [M1], "CU")
-    # only m1's observation counts; P2 has no CU mass anyway
+    retained = [RetainedPath(M1, P1, (30, 20)), RetainedPath(M3, P2, (30, 20))]
+    report = _cti(retained, geo, [M1])
+    # only m1's path counts; P2 has no CU mass anyway
     assert report.get("CU", 20) == Fraction(1)
 
 
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=6))
 def test_weights_sum_to_one_per_host_prefix(observer_counts):
-    observations = []
+    retained = []
     for idx, n in enumerate(observer_counts):
         prefix = Prefix(base=(10 << 24) | (idx << 8), length=24)
         for j in range(n):
             monitor = MonitorId(f"m{idx}-{j}", 10, "US")
-            observations.append(Observation(monitor, prefix, 20, 1))
-    weights = cti_core.compute_weights(observations)
+            retained.append(RetainedPath(monitor, prefix, (30, 20)))
+    observers = cti_core.compute_weights(retained)
     for idx, n in enumerate(observer_counts):
         prefix = Prefix(base=(10 << 24) | (idx << 8), length=24)
-        assert weights[(10, prefix)] * n == 1
+        assert Fraction(1, observers[(10, prefix)]) * n == 1

@@ -1,0 +1,99 @@
+"""Metamorphic properties of the contribution kernel on small synthetic
+instances."""
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from cti import conglomerate, ingest, outlier, pipeline, synth_oracle
+from cti.geo import classify_nationality
+
+SEEDS = st.integers(min_value=1, max_value=500)
+FEW = settings(max_examples=25, deadline=None)
+ENGAGING_TRIM = Fraction(1, 3)
+
+
+def _files(seed):
+    topo = synth_oracle.generate_topology(seed)
+    return synth_oracle.emit_files(topo, synth_oracle.propagate_routes(topo))
+
+
+def _substrate(files):
+    return pipeline.build_substrate(ingest.load_bundle_from_texts(files))
+
+
+def _countries(sub):
+    return [c for c in ("AA", "BB") if sub.geo.total.get(c, 0) > 0]
+
+
+def _state_ctin(sub, country):
+    ctin, _footprint = pipeline.state_footprint_reports(sub, country)
+    return ctin
+
+
+@FEW
+@given(SEEDS, st.sampled_from([11, 101, 64500]))
+def test_blind_monitor_scales_every_score(seed, host):
+    files = _files(seed)
+    sub = _substrate(files)
+    blind = dict(files, **{"monitors.csv": files["monitors.csv"] + f"blind,{host},MM\n"})
+    blind_sub = _substrate(blind)
+    for country in _countries(sub):
+        size = len([m for m in sub.bundle.monitors.values() if m.country != country])
+        scale = Fraction(size, size + 1)
+        before = pipeline.cti_report(sub, country, apply_outlier=False)
+        after = pipeline.cti_report(blind_sub, country, apply_outlier=False)
+        assert after.entries == {key: value * scale for key, value in before.entries.items()}
+        ctin_before = _state_ctin(sub, country).entries
+        assert _state_ctin(blind_sub, country).entries == {
+            key: value * scale for key, value in ctin_before.items()
+        }
+
+
+@FEW
+@given(SEEDS, st.randoms(use_true_random=False))
+def test_scores_ignore_path_row_order(seed, rng):
+    files = _files(seed)
+    lines = files["paths.txt"].splitlines(keepends=True)
+    rng.shuffle(lines)
+    sub = _substrate(files)
+    shuffled = _substrate(dict(files, **{"paths.txt": "".join(lines)}))
+    for country in _countries(sub):
+        for min_hosts in (3, outlier.DEFAULT_MIN_HOSTS):
+            assert (
+                pipeline.cti_report(sub, country, min_hosts, ENGAGING_TRIM).entries
+                == pipeline.cti_report(shuffled, country, min_hosts, ENGAGING_TRIM).entries
+            )
+        assert _state_ctin(sub, country).entries == _state_ctin(shuffled, country).entries
+
+
+@FEW
+@given(SEEDS)
+def test_every_score_lies_in_unit_interval(seed):
+    sub = _substrate(_files(seed))
+    for country in _countries(sub):
+        table = pipeline.build_country_substrate(sub, country)
+        values = list(pipeline.cti_report(sub, country, 2, ENGAGING_TRIM).entries.values())
+        for transit in table.cells:
+            values.extend(outlier.per_host_cti(table, transit).values())
+            values.append(outlier.apply_outlier_filter(table, transit, 2, ENGAGING_TRIM).value)
+        for report in pipeline.state_footprint_reports(sub, country):
+            values.extend(report.entries.values())
+        assert all(0 <= value <= 1 for value in values)
+
+
+@FEW
+@given(SEEDS)
+def test_footprint_is_ctin_plus_originated_share(seed):
+    sub = _substrate(_files(seed))
+    groups = conglomerate.state_conglomerates(
+        sub.bundle.aux.state_owned, classify_nationality(sub.geo)
+    )
+    for country in _countries(sub):
+        ctin, footprint = pipeline.state_footprint_reports(sub, country)
+        group = groups.get(country)
+        if group is None:
+            assert ctin.entries == footprint.entries == {}
+            continue
+        originated = conglomerate.originated_fraction(group, sub.geo)
+        assert footprint.get(country, group.label) == ctin.get(country, group.label) + originated

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from cti.model import (
     MetricReport,
     MonitorId,
-    Observation,
     ParseError,
     PathRecord,
     Prefix,
@@ -97,15 +96,6 @@ def test_path_record_needs_hops():
         PathRecord(m, Prefix.parse("10.0.0.0/24"), ())
     path = PathRecord(m, Prefix.parse("10.0.0.0/24"), (10, 20, 30))
     assert path.origin == 30
-
-
-def test_observation_validation():
-    m = MonitorId("m1", 10, "US")
-    p = Prefix.parse("10.0.0.0/24")
-    with pytest.raises(ValueError):
-        Observation(m, p, transit=20, distance=0)
-    with pytest.raises(ValueError):
-        Observation(m, p, transit=10, distance=1)
 
 
 def test_metric_report_bounds_and_sorting():

@@ -2,7 +2,8 @@ from fractions import Fraction
 
 from cti import cti_core, outlier
 from cti.geo import build_geo_table
-from cti.model import MonitorId, Observation, Prefix
+from cti.model import MonitorId, Prefix
+from cti.pathprep import RetainedPath
 
 P1 = Prefix.parse("10.0.0.0/24")
 
@@ -11,69 +12,55 @@ def _setup(host_count, distances=None):
     """One monitor per host AS, all observing transit 500 on prefix P1."""
     geo, _ = build_geo_table([(P1, "CU", 256)], [], {})
     monitors = [MonitorId(f"m{i}", 1000 + i, "US") for i in range(host_count)]
-    observations = [
-        Observation(m, P1, 500, (distances or {}).get(i, 1))
-        for i, m in enumerate(monitors)
-    ]
-    weights = cti_core.compute_weights(observations)
-    return geo, monitors, observations, weights
+    retained = []
+    for i, m in enumerate(monitors):
+        distance = (distances or {}).get(i, 1)
+        retained.append(RetainedPath(m, P1, tuple(range(900, 900 + distance)) + (500,)))
+    table = cti_core.extract_observations(retained, geo, monitors, "CU")
+    return geo, monitors, retained, table
 
 
 def test_per_host_profiles():
-    geo, monitors, observations, weights = _setup(3, distances={2: 2})
-    profiles = outlier.per_host_cti(observations, weights, geo, monitors, "CU")
-    profile = profiles[(500, "CU")]
-    assert profile.values[1000] == Fraction(1)
-    assert profile.values[1002] == Fraction(1, 2)
+    _geo, _monitors, _retained, table = _setup(3, distances={2: 2})
+    values = outlier.per_host_cti(table, 500)
+    assert values[1000] == Fraction(1)
+    assert values[1002] == Fraction(1, 2)
 
 
 def test_filter_is_noop_below_min_hosts():
-    geo, monitors, observations, weights = _setup(9)
-    profiles = outlier.per_host_cti(observations, weights, geo, monitors, "CU")
-    result = outlier.apply_outlier_filter(
-        profiles[(500, "CU")], observations, weights, geo, monitors
-    )
-    unfiltered = cti_core.compute_cti(observations, weights, geo, monitors, "CU").get("CU", 500)
+    _geo, _monitors, _retained, table = _setup(9)
+    result = outlier.apply_outlier_filter(table, 500)
+    unfiltered = cti_core.compute_cti(table).get("CU", 500)
     assert result.value == unfiltered
     assert result.excluded == []
 
 
 def test_filter_with_equal_hosts_preserves_value():
-    geo, monitors, observations, weights = _setup(10)
-    profiles = outlier.per_host_cti(observations, weights, geo, monitors, "CU")
-    result = outlier.apply_outlier_filter(
-        profiles[(500, "CU")], observations, weights, geo, monitors
-    )
-    unfiltered = cti_core.compute_cti(observations, weights, geo, monitors, "CU").get("CU", 500)
+    _geo, _monitors, _retained, table = _setup(10)
+    result = outlier.apply_outlier_filter(table, 500)
+    unfiltered = cti_core.compute_cti(table).get("CU", 500)
     assert result.value == unfiltered == Fraction(1)
     assert len(result.excluded) == 2  # one per tail, ties broken by host ASN
 
 
 def test_filter_excludes_extreme_hosts():
-    # hosts 0..9; host 9 sees the transit at distance 1 only on a tiny share
-    geo, monitors, observations, weights = _setup(10, distances={9: 4, 0: 2})
-    profiles = outlier.per_host_cti(observations, weights, geo, monitors, "CU")
-    result = outlier.apply_outlier_filter(
-        profiles[(500, "CU")], observations, weights, geo, monitors
-    )
+    # hosts 0..9; host 9 sees the transit at distance 4, host 0 at distance 2
+    geo, monitors, retained, table = _setup(10, distances={9: 4, 0: 2})
+    result = outlier.apply_outlier_filter(table, 500)
     excluded_hosts = {host for host, _ in result.excluded}
     # bottom tail: host 1009 (value 1/4); top tail: highest-ASN of the value-1 ties
     assert excluded_hosts == {1009, 1008}
     # recomputed over the 8 surviving monitors with |M'| = 8
     survivors = [m for m in monitors if m.host_asn not in excluded_hosts]
-    expected = cti_core.compute_cti(observations, weights, geo, survivors, "CU").get("CU", 500)
-    assert result.value == expected
+    survivor_table = cti_core.extract_observations(retained, geo, survivors, "CU")
+    expected = cti_core.compute_cti(survivor_table).get("CU", 500)
+    assert result.value == expected == Fraction(15, 16)
 
 
 def test_exclusion_tiebreak_is_deterministic():
-    geo, monitors, observations, weights = _setup(10)
-    profiles = outlier.per_host_cti(observations, weights, geo, monitors, "CU")
-    first = outlier.apply_outlier_filter(
-        profiles[(500, "CU")], observations, weights, geo, monitors
-    )
-    second = outlier.apply_outlier_filter(
-        profiles[(500, "CU")], observations, weights, geo, monitors
-    )
+    _geo, _monitors, _retained, table = _setup(10)
+    first = outlier.apply_outlier_filter(table, 500)
+    second = outlier.apply_outlier_filter(table, 500)
     assert first.excluded == second.excluded == [
         (1000, Fraction(1)),
         (1009, Fraction(1)),

@@ -57,6 +57,21 @@ def test_loop_precedes_poison_classification():
     assert result.category is RejectCategory.LOOP
 
 
+def test_sanitize_rejects_host_asn_after_first_hop():
+    # the host AS 10 may lead the path, prepended or not, but never reappear
+    accepted = pathprep.sanitize(PathRecord(M_US, P, (10, 10, 20, 30)), frozenset(), frozenset())
+    assert accepted.hops == (10, 20, 30)
+    for hops in ((20, 10, 30), (40, 20, 30, 10)):
+        result = pathprep.sanitize(PathRecord(M_US, P, hops), frozenset(), frozenset())
+        assert isinstance(result, PathRejection)
+        assert result.category is RejectCategory.LOOP
+    # a poisoned path wedging the host AS stays Poisoned
+    wedged = pathprep.sanitize(
+        PathRecord(MonitorId("m5", 99, "US"), P, (10, 99, 11, 30)), CLIQUE, frozenset()
+    )
+    assert wedged.category is RejectCategory.POISONED
+
+
 def test_truncate_strips_host_and_finds_peak():
     rels = _rels((10, 20), (20, 30))
     result = pathprep.truncate_to_peak(PathRecord(M_US, P, (10, 20, 30)), rels)
