@@ -5,7 +5,9 @@ Every run that consumes an input directory writes a manifest next to the
 reports, listing the content hash of each consumed file and the effective
 configuration. Reports are deterministic: identical inputs and flags give
 byte-identical files. Exit codes: 0 success, 2 missing input file, 3 parse
-error, 4 computation error, 5 option value unparsable or out of range.
+error, 4 computation error, 5 bad usage: an option value unparsable or out of
+range, or a usage error Click reports (unknown option or command, missing
+required option, value of the wrong type). Each failure prints one line.
 """
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Callable
+from functools import partial
+from typing import Callable, TypeVar
 
 import click
 
@@ -28,7 +31,10 @@ EXIT_COMPUTE_ERROR = 4
 EXIT_BAD_OPTION = 5
 
 
-class OptionError(ValueError):
+T = TypeVar("T")
+
+
+class OptionError(click.UsageError):
     """An option value that is unparsable or outside its valid range."""
 
 
@@ -43,11 +49,11 @@ def _option(name: str, text: str, parse=Fraction, valid=lambda v: 0 <= v <= 1, b
     return value
 
 
-def _guarded(action: Callable[[], None]) -> None:
+def _guarded(action: Callable[[], T]) -> T:
     try:
-        action()
-    except OptionError as exc:
-        click.echo(f"bad option: {exc}", err=True)
+        return action()
+    except click.UsageError as exc:
+        click.echo(f"bad option: {exc.format_message()}", err=True)
         sys.exit(EXIT_BAD_OPTION)
     except FileNotFoundError as exc:
         click.echo(f"missing input file: {exc}", err=True)
@@ -103,7 +109,22 @@ _FORMAT = click.option(
 )
 
 
-@click.group()
+class _Group(click.Group):
+    """Maps Click's own usage errors, raised while parsing the group's or a
+    subcommand's arguments, to EXIT_BAD_OPTION, with or without
+    ``standalone_mode``."""
+
+    def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
+        if not args:  # a bare ``cti`` prints the help, as ``cti --help`` does
+            click.echo(ctx.get_help())
+            ctx.exit()
+        return _guarded(partial(super().parse_args, ctx, args))
+
+    def invoke(self, ctx: click.Context):
+        return _guarded(partial(super().invoke, ctx))
+
+
+@click.group(cls=_Group)
 def main() -> None:
     """Country-level transit influence toolkit."""
 

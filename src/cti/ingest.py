@@ -11,7 +11,7 @@ import ipaddress
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import IO, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, TypeVar
 
 from .model import (
     MAX_PREFIX_LENGTH,
@@ -52,6 +52,31 @@ def _parse_asn_token(token: str) -> int:
     return validate_asn(int(token))
 
 
+T = TypeVar("T")
+
+
+class _Memo(dict):
+    """Results of ``parse`` keyed by input text, filled on first lookup. A
+    text whose parse raises is not stored, so it raises again every time."""
+
+    def __init__(self, parse: Callable[[str], object]) -> None:
+        super().__init__()
+        self.parse = parse
+
+    def __missing__(self, text: str) -> object:
+        value = self[text] = self.parse(text)
+        return value
+
+
+def _memoized(parse: Callable[[str], T]) -> Callable[[str], T]:
+    """``parse`` run once per distinct text for as long as the returned
+    function lives. Each parser makes its own per call, so nothing outlives
+    the call. A path corpus repeats every prefix and ASN about once per
+    monitor; each repeat gets the value parsed from the first occurrence, so
+    the repeats of a prefix share one ``Prefix`` object."""
+    return _Memo(parse).__getitem__
+
+
 def parse_paths(
     reader: Iterable[str],
     monitors: Mapping[str, MonitorId],
@@ -66,7 +91,9 @@ def parse_paths(
     """
     records: list[PathRecord] = []
     rejections: list[RowRejection] = []
-    seen: dict[tuple[str, Prefix], tuple[tuple[int, ...], int]] = {}
+    seen: dict[tuple[str, int, int], tuple[tuple[int, ...], int]] = {}
+    parse_prefix = _memoized(Prefix.parse)
+    parse_asn = _memoized(_parse_asn_token)
     for line_no, line in _data_lines(reader):
         parts = line.split("|")
         if len(parts) != 3:
@@ -80,7 +107,7 @@ def parse_paths(
             rejections.append(RowRejection(line_no, line, "as-set"))
             continue
         try:
-            prefix = Prefix.parse(prefix_text)
+            prefix = parse_prefix(prefix_text)
         except ValueError as exc:
             if "length" in str(exc):
                 rejections.append(RowRejection(line_no, line, "length>24"))
@@ -91,14 +118,14 @@ def parse_paths(
             rejections.append(RowRejection(line_no, line, "multi-origin prefix"))
             continue
         try:
-            hops = tuple(_parse_asn_token(tok) for tok in hops_text.split())
+            hops = tuple(map(parse_asn, hops_text.split()))
         except ValueError:
             rejections.append(RowRejection(line_no, line, "malformed ASN"))
             continue
         if not hops:
             rejections.append(RowRejection(line_no, line, "empty path"))
             continue
-        key = (monitor_id, prefix)
+        key = (monitor_id, prefix.base, prefix.length)
         if key in seen:
             prev_hops, prev_line = seen[key]
             if prev_hops != hops:
@@ -115,13 +142,14 @@ def parse_paths(
 def parse_relationships(reader: Iterable[str]) -> RelationshipTable:
     """Parse ``a|b|-1`` (a provider of b) and ``a|b|0`` (peers) rows."""
     table = RelationshipTable()
+    parse_asn = _memoized(_parse_asn_token)
     for line_no, line in _data_lines(reader):
         parts = line.split("|")
         if len(parts) != 3:
             raise ParseError(f"line {line_no}: expected a|b|code, got {line!r}")
         try:
-            a = _parse_asn_token(parts[0])
-            b = _parse_asn_token(parts[1])
+            a = parse_asn(parts[0])
+            b = parse_asn(parts[1])
         except ValueError as exc:
             raise ParseError(f"line {line_no}: {exc}") from None
         if a == b:
@@ -408,7 +436,9 @@ def load_bundle(directory: str) -> DatasetBundle:
             raise FileNotFoundError(path)
 
     files: dict[str, str] = {}
-    for name in FILE_NAMES.values():
+    for key, name in FILE_NAMES.items():
+        if key == "traceroutes":
+            continue  # parsed only by transit-fraction, which reads it itself
         path = os.path.join(directory, name)
         if os.path.exists(path):
             with open(path, encoding="utf-8") as handle:

@@ -144,7 +144,8 @@ def prepare_paths(
             rejections.append(result)
         else:
             accepted.append(result)
-    accepted.sort(key=lambda p: (p.monitor.id, p.prefix))
+    # plain values sort in Prefix order (base, length) without its Python-level __lt__
+    accepted.sort(key=lambda p: (p.monitor.id, p.prefix.base, p.prefix.length))
     return accepted, rejections
 
 

@@ -1,6 +1,7 @@
 import json
 import os
 
+import pytest
 from click.testing import CliRunner
 
 from cti import synth_oracle as so
@@ -237,3 +238,23 @@ def test_boundary_option_values_are_accepted(tmp_path):
     ):
         result = runner.invoke(main, args + base)
         assert result.exit_code == 0, (args, result.output)
+
+
+def test_click_usage_errors_exit_5(tmp_path):
+    _write_toy(tmp_path / "in")
+    base = ["--input", str(tmp_path / "in"), "--country", "CU", "--output", str(tmp_path / "out")]
+    for args in (
+        ["oracle-check", "--seeds", "abc"],
+        ["cti", "--bogus"] + base,
+        ["--bogus"],
+        ["no-such-command"],
+        ["cti", "--country", "CU"],
+        ["cti", "--format", "xml"] + base,
+    ):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 5, (args, result.output)
+        assert result.output.startswith("bad option: ") and result.output.count("\n") == 1
+        with pytest.raises(SystemExit) as exc:
+            main(args, standalone_mode=False)
+        assert exc.value.code == 5, args
+    assert CliRunner().invoke(main, []).exit_code == 0  # a bare command prints the help

@@ -1,9 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cti import ingest
-from cti.model import MonitorId, ParseError, Prefix
+from cti import ingest, transit_dominance
+from cti.model import MonitorId, ParseError, PathRecord, Prefix
 
 MONITORS = {
     "m1": MonitorId("m1", 10, "US"),
@@ -54,6 +56,40 @@ def test_parse_paths_duplicates():
     assert len(records) == 1
     with pytest.raises(ParseError, match="lines 1 and 2"):
         ingest.parse_paths(["m1|10.0.0.0/24|10 20", "m1|10.0.0.0/24|10 30"], MONITORS)
+
+
+def test_repeated_bad_rows_are_each_rejected():
+    lines = [
+        "m1|bogus|10 20",
+        "m2|bogus|10 20",
+        "m1|10.0.0.0/24|10 x",
+        "m1|10.0.1.0/24|10 x",
+        "m2|10.0.0.0/25|10 20",
+        "m1|10.0.0.0/25|10 20",
+    ]
+    records, rejections = ingest.parse_paths(lines, MONITORS)
+    assert records == []
+    assert [(r.line_no, r.reason) for r in rejections] == [
+        (1, "unparsable prefix"),
+        (2, "unparsable prefix"),
+        (3, "malformed ASN"),
+        (4, "malformed ASN"),
+        (5, "length>24"),
+        (6, "length>24"),
+    ]
+
+
+def test_repeated_prefix_texts_share_one_prefix():
+    records, _ = ingest.parse_paths(
+        ["m1|10.0.0.0/24|10 20", "m2|10.0.0.0/24|20 30", "m2|10.0.1.0/24|20 30"], MONITORS
+    )
+    first, second, other = (r.prefix for r in records)
+    assert first == second == Prefix.parse("10.0.0.0/24")
+    assert first is second
+    assert other == Prefix.parse("10.0.1.0/24")
+    # a different text for the same prefix is still the same (monitor, prefix) key
+    with pytest.raises(ParseError, match="lines 1 and 2"):
+        ingest.parse_paths(["m1|10.0.0.7/24|10 20", "m1|10.0.0.0/24|10 30"], MONITORS)
 
 
 def test_parse_paths_malformed_structure():
@@ -154,3 +190,117 @@ def test_load_bundle_from_directory(tmp_path):
     (tmp_path / "geo.csv").unlink()
     with pytest.raises(FileNotFoundError):
         ingest.load_bundle(str(tmp_path))
+
+
+def _reference_parse_paths(lines, monitors, multi_origin=frozenset()):
+    """Row-by-row parse with no memo: every field validated from scratch."""
+    records, rejections, seen = [], [], {}
+    for line_no, line in ingest._data_lines(lines):
+        parts = line.split("|")
+        if len(parts) != 3:
+            raise ParseError(f"line {line_no}: expected monitor_id|prefix|hops, got {line!r}")
+        monitor_id, prefix_text, hops_text = parts
+        monitor = monitors.get(monitor_id)
+        reason = None
+        if monitor is None:
+            reason = "unknown monitor"
+        elif "{" in hops_text or "}" in hops_text:
+            reason = "as-set"
+        else:
+            try:
+                prefix = Prefix.parse(prefix_text)
+            except ValueError as exc:
+                reason = "length>24" if "length" in str(exc) else "unparsable prefix"
+        if reason is None and prefix in multi_origin:
+            reason = "multi-origin prefix"
+        if reason is None:
+            try:
+                hops = tuple(ingest._parse_asn_token(tok) for tok in hops_text.split())
+            except ValueError:
+                reason = "malformed ASN"
+        if reason is None and not hops:
+            reason = "empty path"
+        if reason is not None:
+            rejections.append(ingest.RowRejection(line_no, line, reason))
+            continue
+        if (monitor_id, prefix) in seen:
+            prev_hops, prev_line = seen[(monitor_id, prefix)]
+            if prev_hops != hops:
+                raise ParseError(
+                    f"conflicting paths for ({monitor_id}, {prefix}) "
+                    f"at lines {prev_line} and {line_no}"
+                )
+            continue
+        seen[(monitor_id, prefix)] = (hops, line_no)
+        records.append(PathRecord(monitor=monitor, prefix=prefix, hops=hops))
+    return records, rejections
+
+
+def _reference_parse_traceroutes(lines):
+    paths, rejections = [], []
+    for line_no, line in ingest._data_lines(lines):
+        parts = line.split("|")
+        if len(parts) != 3:
+            raise ParseError(f"traceroute line {line_no}: expected probe_id|prefix|hops")
+        try:
+            prefix = Prefix.parse(parts[1])
+        except ValueError:
+            rejections.append(ingest.RowRejection(line_no, line, "unparsable prefix"))
+            continue
+        try:
+            raw_hops = [ingest._parse_asn_token(tok) for tok in parts[2].split()]
+        except ValueError:
+            rejections.append(ingest.RowRejection(line_no, line, "malformed ASN"))
+            continue
+        if not raw_hops:
+            rejections.append(ingest.RowRejection(line_no, line, "empty path"))
+            continue
+        hops = [asn for i, asn in enumerate(raw_hops) if i == 0 or raw_hops[i - 1] != asn]
+        paths.append(transit_dominance.TraceroutePath(parts[0], prefix, tuple(hops)))
+    return paths, rejections
+
+
+def _outcome(parse, *args):
+    """The parse result, or the ParseError message; any other exception escapes."""
+    try:
+        return parse(*args)
+    except ParseError as exc:
+        return f"ParseError: {exc}"
+
+
+# Fields drawn mostly from small pools, so rows repeat prefixes and ASNs the
+# way a corpus does, with arbitrary text mixed in.
+_PREFIX_TEXT = st.one_of(
+    st.sampled_from(["10.0.0.0/24", "10.0.0.7/24", " 10.0.0.0/24", "10.0.1.0/24"]),
+    st.sampled_from(["10.0.0.0/25", "::/0", "bogus", ""]),
+    st.text(max_size=12),
+)
+_ASN_TOKEN = st.one_of(
+    st.sampled_from(["10", "20", "30"]),
+    st.sampled_from(["0", "4294967296", "x", "{10,20}", "²", "007"]),
+    st.text(alphabet="0123456789 x", max_size=6),
+)
+_HOPS_TEXT = st.lists(_ASN_TOKEN, min_size=1, max_size=3).map(" ".join) | st.just("")
+_ROW = st.tuples(st.sampled_from(["m1", "m2", "mX"]), _PREFIX_TEXT, _HOPS_TEXT).map("|".join)
+_LINE = st.one_of(
+    _ROW,
+    _ROW,
+    st.lists(st.text(max_size=8), min_size=1, max_size=4).map("|".join),
+    st.sampled_from(["", "# comment"]),
+)
+_FUZZ = settings(max_examples=300, deadline=None)
+
+
+@_FUZZ
+@given(st.lists(_LINE, max_size=16), st.booleans())
+def test_parse_paths_matches_row_by_row_reference(lines, exclude):
+    multi_origin = frozenset({Prefix.parse("10.0.1.0/24")}) if exclude else frozenset()
+    expected = _outcome(_reference_parse_paths, lines, MONITORS, multi_origin)
+    assert _outcome(ingest.parse_paths, lines, MONITORS, multi_origin) == expected
+
+
+@_FUZZ
+@given(st.lists(_LINE, max_size=16))
+def test_parse_traceroutes_matches_row_by_row_reference(lines):
+    expected = _outcome(_reference_parse_traceroutes, lines)
+    assert _outcome(transit_dominance.parse_traceroutes, lines) == expected
