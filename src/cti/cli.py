@@ -110,8 +110,9 @@ _FORMAT = click.option(
 
 
 class _Group(click.Group):
-    """Maps Click's own usage errors, raised while parsing the group's or a
-    subcommand's arguments, to EXIT_BAD_OPTION, with or without
+    """The one place failures become exit codes: parsing the group's
+    arguments, and invoking a subcommand (which parses its own arguments and
+    runs its body), both go through ``_guarded``, with or without
     ``standalone_mode``."""
 
     def parse_args(self, ctx: click.Context, args: list[str]) -> list[str]:
@@ -141,36 +142,30 @@ def cti_command(
     input_dir: str, country: str, output: str, fmt: str, min_hosts: str, trim: str, no_outlier: bool
 ) -> None:
     """Per-AS transit influence toward one country."""
-
-    def action() -> None:
-        outlier_min_hosts = _option("--min-hosts", min_hosts, int, lambda v: v >= 1, "[1, inf)")
-        outlier_trim = _option(
-            "--trim", trim, Fraction, lambda v: 0 <= v < Fraction(1, 2), "[0, 1/2)"
-        )
-        sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
-        report = pipeline.cti_report(
-            sub,
-            country,
-            outlier_min_hosts=outlier_min_hosts,
-            outlier_trim=outlier_trim,
-            apply_outlier=not no_outlier,
-        )
-        path = _emit_report(report, output, f"cti_{country}", fmt)
-        _write_manifest(
-            output,
-            "cti",
-            input_dir,
-            {
-                "country": country,
-                "format": fmt,
-                "min_hosts": outlier_min_hosts,
-                "trim": trim,
-                "outlier": not no_outlier,
-            },
-        )
-        click.echo(path)
-
-    _guarded(action)
+    outlier_min_hosts = _option("--min-hosts", min_hosts, int, lambda v: v >= 1, "[1, inf)")
+    outlier_trim = _option("--trim", trim, Fraction, lambda v: 0 <= v < Fraction(1, 2), "[0, 1/2)")
+    sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
+    report = pipeline.cti_report(
+        sub,
+        country,
+        outlier_min_hosts=outlier_min_hosts,
+        outlier_trim=outlier_trim,
+        apply_outlier=not no_outlier,
+    )
+    path = _emit_report(report, output, f"cti_{country}", fmt)
+    _write_manifest(
+        output,
+        "cti",
+        input_dir,
+        {
+            "country": country,
+            "format": fmt,
+            "min_hosts": outlier_min_hosts,
+            "trim": trim,
+            "outlier": not no_outlier,
+        },
+    )
+    click.echo(path)
 
 
 @main.command("ctin")
@@ -180,15 +175,11 @@ def cti_command(
 @_FORMAT
 def ctin_command(input_dir: str, country: str, output: str, fmt: str) -> None:
     """State-conglomerate transit score for one country."""
-
-    def action() -> None:
-        sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
-        ctin_report, _footprint = pipeline.state_footprint_reports(sub, country)
-        path = _emit_report(ctin_report, output, f"ctin_{country}", fmt)
-        _write_manifest(output, "ctin", input_dir, {"country": country, "format": fmt})
-        click.echo(path)
-
-    _guarded(action)
+    sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
+    ctin_report, _footprint = pipeline.state_footprint_reports(sub, country)
+    path = _emit_report(ctin_report, output, f"ctin_{country}", fmt)
+    _write_manifest(output, "ctin", input_dir, {"country": country, "format": fmt})
+    click.echo(path)
 
 
 @main.command("footprint")
@@ -198,15 +189,11 @@ def ctin_command(input_dir: str, country: str, output: str, fmt: str) -> None:
 @_FORMAT
 def footprint_command(input_dir: str, country: str, output: str, fmt: str) -> None:
     """State footprint: conglomerate transit score plus originated share."""
-
-    def action() -> None:
-        sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
-        _ctin, footprint_report = pipeline.state_footprint_reports(sub, country)
-        path = _emit_report(footprint_report, output, f"footprint_{country}", fmt)
-        _write_manifest(output, "footprint", input_dir, {"country": country, "format": fmt})
-        click.echo(path)
-
-    _guarded(action)
+    sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
+    _ctin, footprint_report = pipeline.state_footprint_reports(sub, country)
+    path = _emit_report(footprint_report, output, f"footprint_{country}", fmt)
+    _write_manifest(output, "footprint", input_dir, {"country": country, "format": fmt})
+    click.echo(path)
 
 
 @main.command("org")
@@ -216,29 +203,25 @@ def footprint_command(input_dir: str, country: str, output: str, fmt: str) -> No
 @click.option("--marginal-threshold", default="1/20", show_default=True)
 def org_command(input_dir: str, country: str, output: str, marginal_threshold: str) -> None:
     """Organization-level score sums (upper bound over sibling ASes)."""
-
-    def action() -> None:
-        threshold = _option("--marginal-threshold", marginal_threshold)
-        sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
-        aggregates = pipeline.org_aggregates(sub, country, marginal_threshold=threshold)
-        os.makedirs(output, exist_ok=True)
-        path = os.path.join(output, f"org_{country}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as out:
-            out.write("# org_id,country,cti_sum,top_asn,top_share,marginal\n")
-            for agg in aggregates:
-                out.write(
-                    f"{agg.org_id},{agg.country},{float(agg.cti_sum):.12f},"
-                    f"{agg.top_asn},{float(agg.top_share):.12f},{int(agg.marginal)}\n"
-                )
-        _write_manifest(
-            output,
-            "org",
-            input_dir,
-            {"country": country, "marginal_threshold": marginal_threshold},
-        )
-        click.echo(path)
-
-    _guarded(action)
+    threshold = _option("--marginal-threshold", marginal_threshold)
+    sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
+    aggregates = pipeline.org_aggregates(sub, country, marginal_threshold=threshold)
+    os.makedirs(output, exist_ok=True)
+    path = os.path.join(output, f"org_{country}.csv")
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write("# org_id,country,cti_sum,top_asn,top_share,marginal\n")
+        for agg in aggregates:
+            out.write(
+                f"{agg.org_id},{agg.country},{float(agg.cti_sum):.12f},"
+                f"{agg.top_asn},{float(agg.top_share):.12f},{int(agg.marginal)}\n"
+            )
+    _write_manifest(
+        output,
+        "org",
+        input_dir,
+        {"country": country, "marginal_threshold": marginal_threshold},
+    )
+    click.echo(path)
 
 
 @main.command("transit-fraction")
@@ -248,28 +231,24 @@ def org_command(input_dir: str, country: str, output: str, marginal_threshold: s
 @click.option("--threshold", default="12/25", show_default=True, help="Dominance cutoff.")
 def transit_fraction_command(input_dir: str, country: str, output: str, threshold: str) -> None:
     """Address-weighted foreign-transit fraction and dominance verdict."""
-
-    def action() -> None:
-        cutoff = _option("--threshold", threshold)
-        traceroute_path = os.path.join(input_dir, ingest.FILE_NAMES["traceroutes"])
-        if not os.path.exists(traceroute_path):
-            raise FileNotFoundError(traceroute_path)
-        sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
-        with open(traceroute_path, encoding="utf-8") as handle:
-            traceroutes, _rejections = transit_dominance.parse_traceroutes(handle)
-        value = pipeline.transit_fraction(sub, traceroutes, country)
-        dominant = transit_dominance.classify_transit_dominant(value, cutoff)
-        os.makedirs(output, exist_ok=True)
-        path = os.path.join(output, f"transit_fraction_{country}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as out:
-            out.write("# country,transit_fraction,dominant\n")
-            out.write(f"{country},{float(value):.12f},{int(dominant)}\n")
-        _write_manifest(
-            output, "transit-fraction", input_dir, {"country": country, "threshold": threshold}
-        )
-        click.echo(path)
-
-    _guarded(action)
+    cutoff = _option("--threshold", threshold)
+    traceroute_path = os.path.join(input_dir, ingest.FILE_NAMES["traceroutes"])
+    if not os.path.exists(traceroute_path):
+        raise FileNotFoundError(traceroute_path)
+    sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
+    with open(traceroute_path, encoding="utf-8") as handle:
+        traceroutes, _rejections = transit_dominance.parse_traceroutes(handle)
+    value = pipeline.transit_fraction(sub, traceroutes, country)
+    dominant = transit_dominance.classify_transit_dominant(value, cutoff)
+    os.makedirs(output, exist_ok=True)
+    path = os.path.join(output, f"transit_fraction_{country}.csv")
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write("# country,transit_fraction,dominant\n")
+        out.write(f"{country},{float(value):.12f},{int(dominant)}\n")
+    _write_manifest(
+        output, "transit-fraction", input_dir, {"country": country, "threshold": threshold}
+    )
+    click.echo(path)
 
 
 @main.command("candidates")
@@ -277,32 +256,24 @@ def transit_fraction_command(input_dir: str, country: str, output: str, threshol
 @_COUNTRY
 @_OUTPUT
 @click.option("--origination-floor", default="1/2000", show_default=True)
-def candidates_command(
-    input_dir: str, country: str, output: str, origination_floor: str
-) -> None:
+def candidates_command(input_dir: str, country: str, output: str, origination_floor: str) -> None:
     """Peering-test verdicts for the country's significant domestic origins."""
-
-    def action() -> None:
-        floor = _option("--origination-floor", origination_floor)
-        sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
-        results = pipeline.candidate_results(sub, country, origination_floor=floor)
-        os.makedirs(output, exist_ok=True)
-        path = os.path.join(output, f"candidates_{country}.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as out:
-            out.write("# asn,candidate,failed_tests\n")
-            for result in results:
-                out.write(
-                    f"{result.asn},{int(result.candidate)},{';'.join(result.failed_tests)}\n"
-                )
-        _write_manifest(
-            output,
-            "candidates",
-            input_dir,
-            {"country": country, "origination_floor": origination_floor},
-        )
-        click.echo(path)
-
-    _guarded(action)
+    floor = _option("--origination-floor", origination_floor)
+    sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
+    results = pipeline.candidate_results(sub, country, origination_floor=floor)
+    os.makedirs(output, exist_ok=True)
+    path = os.path.join(output, f"candidates_{country}.csv")
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write("# asn,candidate,failed_tests\n")
+        for result in results:
+            out.write(f"{result.asn},{int(result.candidate)},{';'.join(result.failed_tests)}\n")
+    _write_manifest(
+        output,
+        "candidates",
+        input_dir,
+        {"country": country, "origination_floor": origination_floor},
+    )
+    click.echo(path)
 
 
 @main.command("clh")
@@ -312,15 +283,11 @@ def candidates_command(
 @_FORMAT
 def clh_command(input_dir: str, country: str, output: str, fmt: str) -> None:
     """Origination-weighted hegemony baseline for one country."""
-
-    def action() -> None:
-        sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
-        report = pipeline.clh_report(sub, country)
-        path = _emit_report(report, output, f"clh_{country}", fmt)
-        _write_manifest(output, "clh", input_dir, {"country": country, "format": fmt})
-        click.echo(path)
-
-    _guarded(action)
+    sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
+    report = pipeline.clh_report(sub, country)
+    path = _emit_report(report, output, f"clh_{country}", fmt)
+    _write_manifest(output, "clh", input_dir, {"country": country, "format": fmt})
+    click.echo(path)
 
 
 @main.command("compare")
@@ -337,20 +304,17 @@ def compare_command(path_a: str, path_b: str, output: str) -> None:
             return MetricReport.from_json(text)
         return MetricReport.from_csv(text.splitlines())
 
-    def action() -> None:
-        stats = clh_compare.compare_reports(load(path_a), load(path_b))
-        os.makedirs(output, exist_ok=True)
-        path = os.path.join(output, "compare.csv")
-        with open(path, "w", encoding="utf-8", newline="\n") as out:
-            out.write("# n,mean,p25,median,p75\n")
-            out.write(
-                f"{stats.n},{float(stats.mean):.12f},{float(stats.p25):.12f},"
-                f"{float(stats.median):.12f},{float(stats.p75):.12f}\n"
-            )
-        _write_manifest(output, "compare", None, {"a": path_a, "b": path_b})
-        click.echo(path)
-
-    _guarded(action)
+    stats = clh_compare.compare_reports(load(path_a), load(path_b))
+    os.makedirs(output, exist_ok=True)
+    path = os.path.join(output, "compare.csv")
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write("# n,mean,p25,median,p75\n")
+        out.write(
+            f"{stats.n},{float(stats.mean):.12f},{float(stats.p25):.12f},"
+            f"{float(stats.median):.12f},{float(stats.p75):.12f}\n"
+        )
+    _write_manifest(output, "compare", None, {"a": path_a, "b": path_b})
+    click.echo(path)
 
 
 @main.command("synth")
@@ -364,43 +328,37 @@ def synth_command(
     seed: int, preset: str | None, output: str, loops: int, prepends: int, poisons: int
 ) -> None:
     """Generate a synthetic instance in the standard input formats."""
-
-    def action() -> None:
-        if preset is not None:
-            topo = synth_oracle.preset_topology(preset)
-        else:
-            topo = synth_oracle.generate_topology(seed)
-        paths = synth_oracle.propagate_routes(topo)
-        manifest = {"Loop": 0, "Prepending": 0, "Poisoned": 0}
-        if loops or prepends or poisons:
-            paths, manifest = synth_oracle.inject_path_anomalies(
-                paths, topo.clique, seed, n_loops=loops, n_prepends=prepends, n_poisons=poisons
-            )
-        files = synth_oracle.emit_files(topo, paths)
-        os.makedirs(output, exist_ok=True)
-        for name, content in files.items():
-            with open(os.path.join(output, name), "w", encoding="utf-8", newline="\n") as out:
-                out.write(content)
-        with open(
-            os.path.join(output, "injection_manifest.json"), "w", encoding="utf-8"
-        ) as out:
-            json.dump(manifest, out, indent=2, sort_keys=True)
-            out.write("\n")
-        _write_manifest(
-            output,
-            "synth",
-            None,
-            {
-                "seed": seed,
-                "preset": preset,
-                "loops": loops,
-                "prepends": prepends,
-                "poisons": poisons,
-            },
+    if preset is not None:
+        topo = synth_oracle.preset_topology(preset)
+    else:
+        topo = synth_oracle.generate_topology(seed)
+    paths = synth_oracle.propagate_routes(topo)
+    manifest = {"Loop": 0, "Prepending": 0, "Poisoned": 0}
+    if loops or prepends or poisons:
+        paths, manifest = synth_oracle.inject_path_anomalies(
+            paths, topo.clique, seed, n_loops=loops, n_prepends=prepends, n_poisons=poisons
         )
-        click.echo(output)
-
-    _guarded(action)
+    files = synth_oracle.emit_files(topo, paths)
+    os.makedirs(output, exist_ok=True)
+    for name, content in files.items():
+        with open(os.path.join(output, name), "w", encoding="utf-8", newline="\n") as out:
+            out.write(content)
+    with open(os.path.join(output, "injection_manifest.json"), "w", encoding="utf-8") as out:
+        json.dump(manifest, out, indent=2, sort_keys=True)
+        out.write("\n")
+    _write_manifest(
+        output,
+        "synth",
+        None,
+        {
+            "seed": seed,
+            "preset": preset,
+            "loops": loops,
+            "prepends": prepends,
+            "poisons": poisons,
+        },
+    )
+    click.echo(output)
 
 
 @main.command("oracle-check")
@@ -409,15 +367,11 @@ def synth_command(
 def oracle_check_command(seeds: int, start_seed: int) -> None:
     """Generate, propagate, run the pipeline and the naive oracle, and fail
     on any disagreement."""
-
-    def action() -> None:
-        for seed in range(start_seed, start_seed + seeds):
-            mismatch = check_one_seed(seed)
-            if mismatch:
-                raise ComputationError(f"seed {seed}: {mismatch}")
-        click.echo(f"ok: {seeds} instances, pipeline matches oracle exactly")
-
-    _guarded(action)
+    for seed in range(start_seed, start_seed + seeds):
+        mismatch = check_one_seed(seed)
+        if mismatch:
+            raise ComputationError(f"seed {seed}: {mismatch}")
+    click.echo(f"ok: {seeds} instances, pipeline matches oracle exactly")
 
 
 def check_one_seed(seed: int) -> str | None:

@@ -7,11 +7,12 @@ semantic rejects (bad country codes, out-of-range scores, excluded prefixes).
 """
 from __future__ import annotations
 
+import functools
 import ipaddress
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Mapping, TypeVar
+from typing import Iterable, Mapping
 
 from .model import (
     MAX_PREFIX_LENGTH,
@@ -52,31 +53,6 @@ def _parse_asn_token(token: str) -> int:
     return validate_asn(int(token))
 
 
-T = TypeVar("T")
-
-
-class _Memo(dict):
-    """Results of ``parse`` keyed by input text, filled on first lookup. A
-    text whose parse raises is not stored, so it raises again every time."""
-
-    def __init__(self, parse: Callable[[str], object]) -> None:
-        super().__init__()
-        self.parse = parse
-
-    def __missing__(self, text: str) -> object:
-        value = self[text] = self.parse(text)
-        return value
-
-
-def _memoized(parse: Callable[[str], T]) -> Callable[[str], T]:
-    """``parse`` run once per distinct text for as long as the returned
-    function lives. Each parser makes its own per call, so nothing outlives
-    the call. A path corpus repeats every prefix and ASN about once per
-    monitor; each repeat gets the value parsed from the first occurrence, so
-    the repeats of a prefix share one ``Prefix`` object."""
-    return _Memo(parse).__getitem__
-
-
 def parse_paths(
     reader: Iterable[str],
     monitors: Mapping[str, MonitorId],
@@ -92,8 +68,11 @@ def parse_paths(
     records: list[PathRecord] = []
     rejections: list[RowRejection] = []
     seen: dict[tuple[str, int, int], tuple[tuple[int, ...], int]] = {}
-    parse_prefix = _memoized(Prefix.parse)
-    parse_asn = _memoized(_parse_asn_token)
+    # A corpus repeats each prefix and ASN about once per monitor: parse each
+    # distinct text once per call, so repeats share one ``Prefix``. A parse
+    # that raises is not cached, so every bad row gets its own rejection.
+    parse_prefix = functools.cache(Prefix.parse)
+    parse_asn = functools.cache(_parse_asn_token)
     for line_no, line in _data_lines(reader):
         parts = line.split("|")
         if len(parts) != 3:
@@ -142,7 +121,7 @@ def parse_paths(
 def parse_relationships(reader: Iterable[str]) -> RelationshipTable:
     """Parse ``a|b|-1`` (a provider of b) and ``a|b|0`` (peers) rows."""
     table = RelationshipTable()
-    parse_asn = _memoized(_parse_asn_token)
+    parse_asn = functools.cache(_parse_asn_token)
     for line_no, line in _data_lines(reader):
         parts = line.split("|")
         if len(parts) != 3:

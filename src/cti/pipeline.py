@@ -144,7 +144,6 @@ def candidate_results(
     """Candidate classification for every domestic origin AS holding at
     least the floor fraction of the country's addresses."""
     nationality = transit_nationality(sub)
-    memberships = transit_dominance.index_memberships(sub.bundle.aux.memberships)
     total = sub.geo.country_total(country)
     results = []
     for origin in sorted({asn for (asn, c) in sub.geo.originated if c == country}):
@@ -153,7 +152,9 @@ def candidate_results(
         if Fraction(sub.geo.originated[(origin, country)], total) < origination_floor:
             continue
         results.append(
-            transit_dominance.classify_candidate(origin, sub.rels, memberships, nationality)
+            transit_dominance.classify_candidate(
+                origin, sub.rels, sub.bundle.aux.memberships, nationality
+            )
         )
     return results
 

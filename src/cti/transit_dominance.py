@@ -9,12 +9,13 @@ p2c link by the origin's share of the country's address space.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .geo import GeoTable, Nationality
-from .ingest import RowRejection, _data_lines, _memoized, _parse_asn_token
+from .ingest import RowRejection, _data_lines, _parse_asn_token
 from .model import ParseError, Prefix, RelKind, RelationshipTable
 
 DEFAULT_DOMINANCE_THRESHOLD = Fraction(12, 25)  # 0.48
@@ -53,8 +54,8 @@ def parse_traceroutes(
     """
     paths: list[TraceroutePath] = []
     rejections: list[RowRejection] = []
-    parse_prefix = _memoized(Prefix.parse)
-    parse_asn = _memoized(_parse_asn_token)
+    parse_prefix = functools.cache(Prefix.parse)
+    parse_asn = functools.cache(_parse_asn_token)
     for line_no, line in _data_lines(reader):
         parts = line.split("|")
         if len(parts) != 3:
@@ -93,26 +94,10 @@ TEST_FOREIGN_FACILITY_MEMBER = "foreign-facility-member"
 TEST_NO_NATIONALITY = "no-domestic-nationality"
 
 
-@dataclass(frozen=True)
-class MembershipIndex:
-    """Facility membership rows indexed both ways, built once per run."""
-
-    facilities_of: dict[int, set[str]]  # ASN -> the facilities it is a member of
-    rows_at: dict[str, set[tuple[str, int]]]  # facility -> its rows' (country, ASN)
-
-
-def index_memberships(memberships: Iterable[tuple[str, str, int]]) -> MembershipIndex:
-    index = MembershipIndex({}, {})
-    for facility, country, asn in memberships:
-        index.facilities_of.setdefault(asn, set()).add(facility)
-        index.rows_at.setdefault(facility, set()).add((country, asn))
-    return index
-
-
 def classify_candidate(
     origin: int,
     rels: RelationshipTable,
-    memberships: MembershipIndex,
+    memberships: Sequence[tuple[str, str, int]],
     nationality: Nationality,
 ) -> CandidateResult:
     """An origin AS is a candidate when it has no foreign BGP peers, belongs
@@ -128,18 +113,16 @@ def classify_candidate(
             failed.append(TEST_FOREIGN_PEER)
             break
 
-    shared_rows = [
-        row
-        for facility in memberships.facilities_of.get(origin, ())
-        for row in memberships.rows_at[facility]
-    ]
-    if any(country != home for country, _member in shared_rows):
-        failed.append(TEST_FOREIGN_FACILITY)
-    if any(
-        member != origin and nationality.domestic_country(member) != home
-        for _country, member in shared_rows
-    ):
-        failed.append(TEST_FOREIGN_FACILITY_MEMBER)
+    own_facilities = {fac for fac, _country, asn in memberships if asn == origin}
+    for facility, country, _asn in memberships:
+        if facility in own_facilities and country != home:
+            failed.append(TEST_FOREIGN_FACILITY)
+            break
+    for facility, _country, member in memberships:
+        if facility in own_facilities and member != origin:
+            if nationality.domestic_country(member) != home:
+                failed.append(TEST_FOREIGN_FACILITY_MEMBER)
+                break
 
     return CandidateResult(origin, not failed, tuple(failed))
 

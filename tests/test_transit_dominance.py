@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -54,48 +53,11 @@ def test_parse_traceroutes_rejects_each_repeated_bad_row():
         td.parse_traceroutes(["probe-1|bogus|50", "only|two"])
 
 
-def _brute_force_candidate(origin, rels, memberships, nationality):
-    """Scan every membership row per test, as the paper states the tests."""
-    home = nationality.domestic_country(origin)
-    if home is None:
-        return td.CandidateResult(origin, False, (td.TEST_NO_NATIONALITY,))
-    failed = []
-    if any(nationality.domestic_country(peer) != home for peer in rels.peers_of(origin)):
-        failed.append(td.TEST_FOREIGN_PEER)
-    own = {fac for fac, _country, asn in memberships if asn == origin}
-    if any(fac in own and country != home for fac, country, _asn in memberships):
-        failed.append(td.TEST_FOREIGN_FACILITY)
-    if any(
-        fac in own and asn != origin and nationality.domestic_country(asn) != home
-        for fac, _country, asn in memberships
-    ):
-        failed.append(td.TEST_FOREIGN_FACILITY_MEMBER)
-    return td.CandidateResult(origin, not failed, tuple(failed))
-
-
-@pytest.mark.parametrize("seed", range(20))
-def test_indexed_candidates_equal_brute_force_scan(seed):
-    rng = random.Random(seed)
-    asns = list(range(100, 130))
-    nationality = Nationality({asn: rng.choice(["CU", "CU", "US"]) for asn in asns[:25]})
-    pairs = {tuple(sorted(rng.sample(asns, 2))) for _ in range(15)}
-    rels = _rels(*((a, b, RelKind.P2P) for a, b in sorted(pairs)))
-    memberships = [
-        (f"fac-{rng.randrange(8)}", rng.choice(["CU", "CU", "CU", "US"]), rng.choice(asns))
-        for _ in range(rng.randrange(40))
-    ]
-    index = td.index_memberships(memberships)
-    verdicts = [td.classify_candidate(asn, rels, index, nationality) for asn in asns]
-    assert verdicts == [_brute_force_candidate(a, rels, memberships, nationality) for a in asns]
-    assert len({v.failed_tests for v in verdicts}) > 2  # the table exercises several tests
-
-
-def test_toy_candidates_equal_brute_force_scan():
+def test_toy_candidate_verdicts():
     topo = synth_oracle.preset_topology("toy-fig1")
     files = synth_oracle.emit_files(topo, synth_oracle.propagate_routes(topo))
     files["memberships.csv"] = "fac-1,CU,101\nfac-1,CU,102\nfac-2,US,103\nfac-3,CU,104\nfac-3,CU,10\n"
     sub = pipeline.build_substrate(ingest.load_bundle_from_texts(files))
-    nationality = pipeline.transit_nationality(sub)
     results = pipeline.candidate_results(sub, "CU", origination_floor=Fraction(0))
     assert [r.failed_tests for r in results] == [
         (),
@@ -103,18 +65,12 @@ def test_toy_candidates_equal_brute_force_scan():
         (td.TEST_FOREIGN_FACILITY,),
         (td.TEST_FOREIGN_FACILITY_MEMBER,),
     ]
-    assert results == [
-        _brute_force_candidate(r.asn, sub.rels, sub.bundle.aux.memberships, nationality)
-        for r in results
-    ]
 
 
 def test_candidate_passes_when_fully_domestic():
     nationality = Nationality({900: "CU", 901: "CU"})
     rels = _rels((901, 900, RelKind.P2P))
-    result = td.classify_candidate(
-        900, rels, td.index_memberships([("fac-1", "CU", 900), ("fac-1", "CU", 901)]), nationality
-    )
+    result = td.classify_candidate(900, rels, [("fac-1", "CU", 900), ("fac-1", "CU", 901)], nationality)
     assert result.candidate
     assert result.failed_tests == ()
 
@@ -122,29 +78,27 @@ def test_candidate_passes_when_fully_domestic():
 def test_candidate_fails_on_foreign_peer():
     nationality = Nationality({900: "CU"})
     rels = _rels((50, 900, RelKind.P2P))
-    result = td.classify_candidate(900, rels, td.index_memberships([]), nationality)
+    result = td.classify_candidate(900, rels, [], nationality)
     assert not result.candidate
     assert td.TEST_FOREIGN_PEER in result.failed_tests
 
 
 def test_candidate_fails_on_foreign_facility():
     nationality = Nationality({900: "CU"})
-    result = td.classify_candidate(
-        900, _rels(), td.index_memberships([("fac-1", "US", 900)]), nationality
-    )
+    result = td.classify_candidate(900, _rels(), [("fac-1", "US", 900)], nationality)
     assert result.failed_tests == (td.TEST_FOREIGN_FACILITY,)
 
 
 def test_candidate_fails_on_foreign_facility_member():
     nationality = Nationality({900: "CU"})
     result = td.classify_candidate(
-        900, _rels(), td.index_memberships([("fac-1", "CU", 900), ("fac-1", "CU", 77)]), nationality
+        900, _rels(), [("fac-1", "CU", 900), ("fac-1", "CU", 77)], nationality
     )
     assert result.failed_tests == (td.TEST_FOREIGN_FACILITY_MEMBER,)
 
 
 def test_candidate_requires_domestic_nationality():
-    result = td.classify_candidate(900, _rels(), td.index_memberships([]), Nationality({}))
+    result = td.classify_candidate(900, _rels(), [], Nationality({}))
     assert result.failed_tests == (td.TEST_NO_NATIONALITY,)
 
 
