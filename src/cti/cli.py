@@ -2,9 +2,9 @@
 generator and the oracle self-check.
 
 Every run that consumes an input directory writes a manifest next to the
-reports, listing the content hash of each consumed file and the effective
-configuration. Reports are deterministic: identical inputs and flags give
-byte-identical files. Exit codes: 0 success, 2 missing input file, 3 parse
+reports, listing the content hash of each file the command read and the
+effective configuration. Reports are deterministic: identical inputs and
+flags give byte-identical files. Exit codes: 0 success, 2 missing input file, 3 parse
 error, 4 computation error, 5 bad usage: an option value unparsable or out of
 range, or a usage error Click reports (unknown option or command, missing
 required option, value of the wrong type). Each failure prints one line.
@@ -73,10 +73,18 @@ def _sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(output: str, command: str, input_dir: str | None, config: dict) -> None:
+def _write_manifest(
+    output: str,
+    command: str,
+    input_dir: str | None,
+    config: dict,
+    consumed: tuple[str, ...] = ingest.BUNDLE_FILES,
+) -> None:
+    """Write the command's manifest; it hashes each file of ``consumed``
+    that ``input_dir`` holds."""
     inputs: dict[str, str] = {}
     if input_dir is not None:
-        for name in sorted(ingest.FILE_NAMES.values()):
+        for name in sorted(consumed):
             path = os.path.join(input_dir, name)
             if os.path.exists(path):
                 inputs[name] = _sha256(path)
@@ -246,7 +254,11 @@ def transit_fraction_command(input_dir: str, country: str, output: str, threshol
         out.write("# country,transit_fraction,dominant\n")
         out.write(f"{country},{float(value):.12f},{int(dominant)}\n")
     _write_manifest(
-        output, "transit-fraction", input_dir, {"country": country, "threshold": threshold}
+        output,
+        "transit-fraction",
+        input_dir,
+        {"country": country, "threshold": threshold},
+        (*ingest.BUNDLE_FILES, ingest.FILE_NAMES["traceroutes"]),
     )
     click.echo(path)
 
@@ -321,22 +333,31 @@ def compare_command(path_a: str, path_b: str, output: str) -> None:
 @click.option("--seed", default=1, show_default=True, type=int)
 @click.option("--preset", default=None, help="toy-fig1 or toy-fig1-indirect.")
 @_OUTPUT
-@click.option("--loops", default=0, show_default=True, type=int)
-@click.option("--prepends", default=0, show_default=True, type=int)
-@click.option("--poisons", default=0, show_default=True, type=int)
+@click.option("--loops", default="0", show_default=True)
+@click.option("--prepends", default="0", show_default=True)
+@click.option("--poisons", default="0", show_default=True)
 def synth_command(
-    seed: int, preset: str | None, output: str, loops: int, prepends: int, poisons: int
+    seed: int, preset: str | None, output: str, loops: str, prepends: str, poisons: str
 ) -> None:
     """Generate a synthetic instance in the standard input formats."""
+    counts = {
+        name: _option(f"--{name}", text, int, lambda v: v >= 0, "[0, inf)")
+        for name, text in (("loops", loops), ("prepends", prepends), ("poisons", poisons))
+    }
     if preset is not None:
         topo = synth_oracle.preset_topology(preset)
     else:
         topo = synth_oracle.generate_topology(seed)
     paths = synth_oracle.propagate_routes(topo)
     manifest = {"Loop": 0, "Prepending": 0, "Poisoned": 0}
-    if loops or prepends or poisons:
+    if any(counts.values()):
         paths, manifest = synth_oracle.inject_path_anomalies(
-            paths, topo.clique, seed, n_loops=loops, n_prepends=prepends, n_poisons=poisons
+            paths,
+            topo.clique,
+            seed,
+            n_loops=counts["loops"],
+            n_prepends=counts["prepends"],
+            n_poisons=counts["poisons"],
         )
     files = synth_oracle.emit_files(topo, paths)
     os.makedirs(output, exist_ok=True)
@@ -350,28 +371,23 @@ def synth_command(
         output,
         "synth",
         None,
-        {
-            "seed": seed,
-            "preset": preset,
-            "loops": loops,
-            "prepends": prepends,
-            "poisons": poisons,
-        },
+        {"seed": seed, "preset": preset, **counts},
     )
     click.echo(output)
 
 
 @main.command("oracle-check")
-@click.option("--seeds", default=25, show_default=True, type=int)
+@click.option("--seeds", default="25", show_default=True)
 @click.option("--start-seed", default=1, show_default=True, type=int)
-def oracle_check_command(seeds: int, start_seed: int) -> None:
+def oracle_check_command(seeds: str, start_seed: int) -> None:
     """Generate, propagate, run the pipeline and the naive oracle, and fail
     on any disagreement."""
-    for seed in range(start_seed, start_seed + seeds):
+    count = _option("--seeds", seeds, int, lambda v: v >= 1, "[1, inf)")
+    for seed in range(start_seed, start_seed + count):
         mismatch = check_one_seed(seed)
         if mismatch:
             raise ComputationError(f"seed {seed}: {mismatch}")
-    click.echo(f"ok: {seeds} instances, pipeline matches oracle exactly")
+    click.echo(f"ok: {count} instances, pipeline matches oracle exactly")
 
 
 def check_one_seed(seed: int) -> str | None:

@@ -93,7 +93,7 @@ def parse_paths(
             else:
                 rejections.append(RowRejection(line_no, line, "unparsable prefix"))
             continue
-        if prefix in multi_origin:
+        if multi_origin and prefix in multi_origin:
             rejections.append(RowRejection(line_no, line, "multi-origin prefix"))
             continue
         try:
@@ -294,7 +294,7 @@ def parse_aux_tables(
             origin = _parse_asn_token(parts[0])
             transit = _parse_asn_token(parts[1])
             score = Fraction(parts[2])
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"hegemony line {line_no}: {exc}") from None
         if not 0 <= score <= 1:
             aux.rejections.append(RowRejection(line_no, line, "hegemony score outside [0,1]"))
@@ -323,7 +323,7 @@ def parse_aux_tables(
 def parse_reserved_asns(reader: Iterable[str]) -> frozenset[int]:
     reserved: set[int] = set()
     for line_no, line in _data_lines(reader):
-        if not line.isdigit():
+        if not line.isdecimal():
             raise ParseError(f"reserved-ASN line {line_no}: malformed ASN {line!r}")
         reserved.add(int(line))
     return frozenset(reserved)
@@ -362,6 +362,9 @@ FILE_NAMES = {
 }
 
 REQUIRED_FILES = ("paths", "relationships", "geo", "monitors")
+
+# The files ``load_bundle`` reads; only transit-fraction reads the traceroutes.
+BUNDLE_FILES = tuple(name for key, name in FILE_NAMES.items() if key != "traceroutes")
 
 
 def load_bundle_from_texts(files: Mapping[str, str]) -> DatasetBundle:
@@ -415,9 +418,7 @@ def load_bundle(directory: str) -> DatasetBundle:
             raise FileNotFoundError(path)
 
     files: dict[str, str] = {}
-    for key, name in FILE_NAMES.items():
-        if key == "traceroutes":
-            continue  # parsed only by transit-fraction, which reads it itself
+    for name in BUNDLE_FILES:
         path = os.path.join(directory, name)
         if os.path.exists(path):
             with open(path, encoding="utf-8") as handle:

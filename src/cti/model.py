@@ -232,31 +232,42 @@ class MetricReport:
 
     @classmethod
     def from_csv(cls, lines: Iterable[str], metric_name: str = "") -> "MetricReport":
+        """Parse ``country,subject,score`` rows; a malformed row raises
+        ``ParseError`` naming its line."""
         report = cls(metric_name=metric_name)
-        for raw in lines:
+        for line_no, raw in enumerate(lines, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             parts = line.split(",")
             if len(parts) != 3:
-                raise ParseError(f"malformed report row: {line!r}")
+                raise ParseError(f"line {line_no}: malformed report row {line!r}")
             country, subject_text, value_text = parts
-            subject: Subject = int(subject_text) if subject_text.isdigit() else subject_text
             try:
-                value = Fraction(value_text)
-            except ValueError:
-                raise ParseError(f"malformed score in report row: {line!r}") from None
-            report.set(validate_country(country), subject, value)
+                subject: Subject = int(subject_text) if subject_text.isdigit() else subject_text
+                report.set(validate_country(country), subject, Fraction(value_text))
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ParseError(f"line {line_no}: malformed report row {line!r}: {exc}") from None
         return report
 
     @classmethod
     def from_json(cls, text: str) -> "MetricReport":
-        payload = json.loads(text)
-        report = cls(metric_name=payload["metric"])
-        for entry in payload["entries"]:
-            report.set(
-                entry["country"],
-                entry["subject"],
-                Fraction(entry["numerator"], entry["denominator"]),
-            )
+        """Parse the ``to_json`` layout; malformed JSON or a missing or
+        ill-typed field raises ``ParseError``."""
+        try:
+            payload = json.loads(text)
+        except ValueError as exc:  # the message names the line and column
+            raise ParseError(f"malformed JSON report: {exc}") from None
+        try:
+            report = cls(metric_name=payload["metric"])
+            for entry in payload["entries"]:
+                report.set(
+                    entry["country"],
+                    entry["subject"],
+                    Fraction(entry["numerator"], entry["denominator"]),
+                )
+        except KeyError as exc:
+            raise ParseError(f"JSON report lacks the field {exc}") from None
+        except (TypeError, ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"malformed JSON report: {exc}") from None
         return report

@@ -10,6 +10,7 @@ equivalence between the two is the correctness oracle.
 """
 from __future__ import annotations
 
+import functools
 import heapq
 import math
 import random
@@ -215,7 +216,8 @@ def preset_topology(name: str) -> SynthTopology:
 def _customer_first_order(ases: Sequence[int], rels: RelationshipTable) -> list[int]:
     """Topological order of the p2c DAG with every customer before its
     providers; ties resolve by ascending ASN."""
-    pending = {asn: len(rels.customers_of(asn) & set(ases)) for asn in ases}
+    members = set(ases)
+    pending = {asn: len(rels.customers_of(asn) & members) for asn in ases}
     heap = [asn for asn, count in pending.items() if count == 0]
     heapq.heapify(heap)
     order: list[int] = []
@@ -232,6 +234,28 @@ def _customer_first_order(ases: Sequence[int], rels: RelationshipTable) -> list[
     return order
 
 
+@dataclass(frozen=True)
+class RoutePlan:
+    """What route propagation needs of a topology, whatever the origin: the
+    customer-first order and each AS's providers and peers, sorted and
+    restricted to the topology's ASes."""
+
+    order: list[int]
+    providers: dict[int, tuple[int, ...]]
+    peers: dict[int, tuple[int, ...]]
+
+    @classmethod
+    def of(cls, topo: SynthTopology) -> "RoutePlan":
+        ases = topo.ases
+        members = set(ases)
+        rels = topo.rels
+        return cls(
+            order=_customer_first_order(ases, rels),
+            providers={asn: tuple(sorted(rels.providers_of(asn) & members)) for asn in ases},
+            peers={asn: tuple(sorted(rels.peers_of(asn) & members)) for asn in ases},
+        )
+
+
 def _best(
     current: tuple[int, ...] | None,
     candidate: tuple[int, ...],
@@ -244,64 +268,65 @@ def _best(
     return current
 
 
-def routes_for_prefix(topo: SynthTopology, origin: int) -> dict[int, tuple[int, ...]]:
+def routes_for_prefix(
+    topo: SynthTopology, origin: int, plan: RoutePlan | None = None
+) -> dict[int, tuple[int, ...]]:
     """Per-AS preferred route to one origin under standard export policy:
     customer routes beat peer routes beat provider routes, then shortest
     path, then lowest next-hop ASN; customer routes are exported to every
-    neighbor, peer and provider routes only to customers."""
-    ases = topo.ases
-    rels = topo.rels
-    order = _customer_first_order(ases, rels)
+    neighbor, peer and provider routes only to customers.
 
+    ``plan`` is ``RoutePlan.of(topo)``, built here when not given; pass it
+    when routing many origins over one topology.
+    """
+    plan = plan or RoutePlan.of(topo)
+
+    # The customer and peer stages push each customer route to the
+    # neighbours that import it. Within a stage every candidate an AS
+    # receives comes from a different neighbour, which is the candidate's
+    # next hop, and ``_best`` ranks by (length, next-hop ASN): no two
+    # candidates tie, so the winner does not depend on the order in which
+    # they arrive. In customer-first order all customers of an AS have
+    # pushed to it before it pushes its own route on.
     from_customer: dict[int, tuple[int, ...]] = {origin: (origin,)}
-    for asn in order:
-        if asn == origin:
+    for asn in plan.order:
+        route = from_customer.get(asn)
+        if route is None:
             continue
-        chosen = None
-        for customer in sorted(rels.customers_of(asn)):
-            route = from_customer.get(customer)
-            if route is not None:
-                chosen = _best(chosen, (asn,) + route)
-        if chosen is not None:
-            from_customer[asn] = chosen
-
-    from_peer: dict[int, tuple[int, ...]] = {}
-    for asn in ases:
-        chosen = None
-        for peer in sorted(rels.peers_of(asn)):
-            route = from_customer.get(peer)
-            if route is not None:
-                chosen = _best(chosen, (asn,) + route)
-        if chosen is not None:
-            from_peer[asn] = chosen
+        for provider in plan.providers[asn]:
+            if provider != origin:
+                from_customer[provider] = _best(from_customer.get(provider), (provider,) + route)
 
     selected: dict[int, tuple[int, ...]] = dict(from_customer)
-    for asn, route in from_peer.items():
-        selected.setdefault(asn, route)
+    for asn, route in from_customer.items():
+        for peer in plan.peers[asn]:
+            if peer not in from_customer:
+                selected[peer] = _best(selected.get(peer), (peer,) + route)
 
-    from_provider: dict[int, tuple[int, ...]] = {}
-    for asn in reversed(order):
+    # Provider routes are pulled, providers first: an AS without a customer
+    # or peer route takes the best route any of its providers selected.
+    for asn in reversed(plan.order):
         if asn in selected:
             continue
         chosen = None
-        for provider in sorted(rels.providers_of(asn)):
-            route = selected.get(provider) or from_provider.get(provider)
+        for provider in plan.providers[asn]:
+            route = selected.get(provider)
             if route is not None:
                 chosen = _best(chosen, (asn,) + route)
         if chosen is not None:
-            from_provider[asn] = chosen
-    selected.update(from_provider)
+            selected[asn] = chosen
     return selected
 
 
 def propagate_routes(topo: SynthTopology) -> list[PathRecord]:
     """One preferred path per (monitor, prefix) where the host AS has a route."""
+    plan = RoutePlan.of(topo)
     routes_by_origin: dict[int, dict[int, tuple[int, ...]]] = {}
     paths: list[PathRecord] = []
     for prefix in sorted(topo.origin_of):
         origin = topo.origin_of[prefix]
         if origin not in routes_by_origin:
-            routes_by_origin[origin] = routes_for_prefix(topo, origin)
+            routes_by_origin[origin] = routes_for_prefix(topo, origin, plan)
         routes = routes_by_origin[origin]
         for monitor in topo.monitors:
             route = routes.get(monitor.host_asn)
@@ -312,9 +337,11 @@ def propagate_routes(topo: SynthTopology) -> list[PathRecord]:
 
 def emit_files(topo: SynthTopology, paths: Sequence[PathRecord]) -> dict[str, str]:
     """Render the instance in the standard input file formats."""
-    path_lines = [
-        f"{p.monitor.id}|{p.prefix}|{' '.join(str(h) for h in p.hops)}" for p in paths
-    ]
+    # A corpus repeats each prefix once per monitor and each route once per
+    # prefix of its origin: render each distinct one once.
+    prefix_text = functools.cache(str)
+    hops_text = functools.cache(lambda hops: " ".join(map(str, hops)))
+    path_lines = [f"{p.monitor.id}|{prefix_text(p.prefix)}|{hops_text(p.hops)}" for p in paths]
     rel_lines = sorted(
         f"{rel.a}|{rel.b}|{'-1' if rel.kind is RelKind.P2C else '0'}" for rel in topo.rels
     )
@@ -324,9 +351,7 @@ def emit_files(topo: SynthTopology, paths: Sequence[PathRecord]) -> dict[str, st
         for country, base, count in topo.delegations
     ]
     monitor_lines = [f"{m.id},{m.host_asn},{m.country}" for m in topo.monitors]
-    traceroute_lines = [
-        f"t-{p.monitor.id}|{p.prefix}|{' '.join(str(h) for h in p.hops)}" for p in paths
-    ]
+    traceroute_lines = [f"t-{line}" for line in path_lines]
     files = {
         "paths.txt": _joined(path_lines),
         "relationships.txt": _joined(rel_lines),

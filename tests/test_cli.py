@@ -73,15 +73,17 @@ def test_reruns_are_byte_identical(tmp_path):
 def test_manifest_lists_consumed_inputs(tmp_path):
     files = _write_toy(tmp_path / "in")
     runner = CliRunner()
-    result = runner.invoke(
-        main,
-        ["cti", "--input", str(tmp_path / "in"), "--country", "CU", "--output", str(tmp_path / "out")],
-    )
-    assert result.exit_code == 0, result.output
-    manifest = json.loads((tmp_path / "out" / "manifest_cti.json").read_text())
-    assert set(files) <= set(manifest["inputs"])
-    assert all(len(digest) == 64 for digest in manifest["inputs"].values())
-    assert manifest["config"]["country"] == "CU"
+    base = ["--input", str(tmp_path / "in"), "--country", "CU", "--output", str(tmp_path / "out")]
+    for command, consumed in (
+        ("cti", set(files) - {"traceroutes.txt"}),  # cti never reads the traceroutes
+        ("transit-fraction", set(files)),
+    ):
+        result = runner.invoke(main, [command] + base)
+        assert result.exit_code == 0, result.output
+        manifest = json.loads((tmp_path / "out" / f"manifest_{command}.json").read_text())
+        assert set(manifest["inputs"]) == consumed, command
+        assert all(len(digest) == 64 for digest in manifest["inputs"].values())
+        assert manifest["config"]["country"] == "CU"
 
 
 def test_missing_input_file_exits_2(tmp_path):
@@ -103,6 +105,43 @@ def test_parse_error_exits_3(tmp_path):
         main, ["cti", "--input", str(tmp_path / "in"), "--country", "CU", "--output", str(tmp_path / "out")]
     )
     assert result.exit_code == 3
+
+
+def test_malformed_input_files_exit_3_with_one_line(tmp_path):
+    files = _write_toy(tmp_path / "in")
+    runner = CliRunner()
+    base = ["--input", str(tmp_path / "in"), "--country", "CU", "--output", str(tmp_path / "out")]
+    for name, body, line_no in (
+        ("hegemony.csv", "101,10,1/2\n101,20,1/0\n", 2),
+        ("reserved_asns.txt", "# reserved\n\u00b2\n", 2),
+    ):
+        (tmp_path / "in" / name).write_text(body, encoding="utf-8")
+        result = runner.invoke(main, ["cti"] + base)
+        assert result.exit_code == 3, (name, result.output)
+        assert result.output.startswith("parse error: ") and result.output.count("\n") == 1
+        assert f"line {line_no}:" in result.output, result.output
+        os.remove(tmp_path / "in" / name)
+
+    good = tmp_path / "good.csv"
+    good.write_text("# country,subject,cti\nCU,40,0.5\n")
+    for name, body, where in (
+        ("bad.csv", "# country,subject,cti\nAA,\u00b2,0.5\n", "line 2:"),
+        ("bad.csv", "AA,40,1/0\n", "line 1:"),
+        ("bad.csv", "A1,40,0.5\n", "line 1:"),
+        ("bad.csv", "AA,40,3/2\n", "line 1:"),
+        ("bad.json", '{"entries": []}\n', "'metric'"),
+        ("bad.json", '{"metric": "cti",\n "entries": [\n', "line 3"),
+        ("bad.json", '{"metric": "cti", "entries": [{"country": "AA", "subject": 4, '
+         '"numerator": 1, "denominator": 0}]}', "malformed JSON report"),
+        ("bad.json", "[1, 2]", "malformed JSON report"),
+    ):
+        (tmp_path / name).write_text(body, encoding="utf-8")
+        result = runner.invoke(
+            main, ["compare", "--a", str(good), "--b", str(tmp_path / name), "--output", str(tmp_path / "cmp")]
+        )
+        assert result.exit_code == 3, (body, result.output)
+        assert result.output.startswith("parse error: ") and result.output.count("\n") == 1
+        assert where in result.output, (body, result.output)
 
 
 def test_computation_error_exits_4(tmp_path):
@@ -224,6 +263,32 @@ def test_bad_option_values_exit_5(tmp_path):
         result = runner.invoke(main, args + base)
         assert result.exit_code == 5, (args, result.output)
         assert result.output.startswith("bad option: ") and result.output.count("\n") == 1
+
+
+def test_generator_count_options_exit_5(tmp_path):
+    runner = CliRunner()
+    out = ["--output", str(tmp_path / "synth")]
+    for args in (
+        ["oracle-check", "--seeds", "-3"],
+        ["oracle-check", "--seeds", "0"],
+        ["synth", "--loops", "-2"] + out,
+        ["synth", "--loops", "-1", "--prepends", "2"] + out,
+        ["synth", "--prepends", "-1"] + out,
+        ["synth", "--poisons", "-1"] + out,
+        ["synth", "--poisons", "one"] + out,
+    ):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 5, (args, result.output)
+        assert result.output.startswith("bad option: ") and result.output.count("\n") == 1
+    assert not (tmp_path / "synth").exists()
+    result = runner.invoke(main, ["oracle-check", "--seeds", "1"])
+    assert result.exit_code == 0 and result.output.startswith("ok: 1 instances"), result.output
+    result = runner.invoke(main, ["synth", "--seed", "3", "--loops", "0", "--prepends", "2"] + out)
+    assert result.exit_code == 0, result.output
+    injected = json.loads((tmp_path / "synth" / "injection_manifest.json").read_text())
+    assert injected == {"Loop": 0, "Poisoned": 0, "Prepending": 2}
+    config = json.loads((tmp_path / "synth" / "manifest_synth.json").read_text())["config"]
+    assert (config["loops"], config["prepends"], config["poisons"]) == (0, 2, 0)
 
 
 def test_boundary_option_values_are_accepted(tmp_path):

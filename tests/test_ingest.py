@@ -304,3 +304,95 @@ def test_parse_paths_matches_row_by_row_reference(lines, exclude):
 def test_parse_traceroutes_matches_row_by_row_reference(lines):
     expected = _outcome(_reference_parse_traceroutes, lines)
     assert _outcome(transit_dominance.parse_traceroutes, lines) == expected
+
+
+# Every other parser, fed arbitrary lines, either returns (recording semantic
+# rejects) or raises ParseError; any other exception escapes and fails.
+_ASN_FIELD = st.one_of(
+    st.sampled_from(["10", "20", "0", "4294967296", "²", "٣", "x", "007", ""]),
+    st.text(alphabet="0123456789²٣ x-", max_size=5),
+)
+_COUNTRY_FIELD = st.sampled_from(["CU", "AA", "cu", "C1", "", "ZZZ"]) | st.text(max_size=3)
+_COUNT_FIELD = st.sampled_from(["0", "256", "-1", "257", "1e3", "x"]) | st.text(max_size=4)
+_SCORE_FIELD = st.one_of(
+    st.sampled_from(["0.5", "1", "1/0", "3/2", "-0", "nan", "inf", "1e-3", "0/0"]),
+    st.text(alphabet="0123456789./-e", max_size=6),
+)
+
+
+def _lines(*fields, sep):
+    row = st.tuples(*fields).map(sep.join)
+    line = st.one_of(row, row, row, st.text(max_size=12), st.sampled_from(["", "# c"]))
+    return st.lists(line, max_size=12)
+
+
+def _data_line_numbers(lines):
+    return [line_no for line_no, _line in ingest._data_lines(lines)]
+
+
+@_FUZZ
+@given(_lines(_ASN_FIELD, _ASN_FIELD, st.sampled_from(["-1", "0", "1"]) | st.text(max_size=2), sep="|"))
+def test_parse_relationships_raises_only_parse_error(lines):
+    table = _outcome(ingest.parse_relationships, lines)
+    if not isinstance(table, str):
+        assert len(table) <= len(_data_line_numbers(lines))
+
+
+@_FUZZ
+@given(
+    _lines(_PREFIX_TEXT, _COUNTRY_FIELD, _COUNT_FIELD, sep=","),
+    _lines(
+        st.just("synth"),
+        _COUNTRY_FIELD,
+        st.sampled_from(["ipv4", "ipv6", "asn"]),
+        st.sampled_from(["10.0.0.0", "10.0.0.256", "x", ""]) | st.text(max_size=8),
+        _COUNT_FIELD,
+        st.just("20200101"),
+        st.just("allocated"),
+        sep="|",
+    ),
+)
+def test_parse_geo_and_delegations_rejects_or_raises_parse_error(geo_lines, delegation_lines):
+    geo = _outcome(ingest.parse_geo_and_delegations, geo_lines, [])
+    if not isinstance(geo, str):
+        rows, _delegations, rejections = geo
+        assert len(rows) + len(rejections) == len(_data_line_numbers(geo_lines))
+        assert {r.line_no for r in rejections} <= set(_data_line_numbers(geo_lines))
+    delegated = _outcome(ingest.parse_geo_and_delegations, [], delegation_lines)
+    if not isinstance(delegated, str):
+        _rows, delegations, rejections = delegated
+        ipv4 = [line for _no, line in ingest._data_lines(delegation_lines) if line.split("|")[2] == "ipv4"]
+        assert len(delegations) + len(rejections) == len(ipv4)
+
+
+@_FUZZ
+@given(_lines(st.sampled_from(["m1", "m2", ""]) | st.text(max_size=3), _ASN_FIELD, _COUNTRY_FIELD, sep=","))
+def test_parse_monitors_raises_only_parse_error(lines):
+    monitors = _outcome(ingest.parse_monitors, lines)
+    if not isinstance(monitors, str):
+        assert len(monitors) == len(_data_line_numbers(lines))
+
+
+@_FUZZ
+@given(
+    _lines(_ASN_FIELD, _COUNTRY_FIELD, sep=","),
+    _lines(_ASN_FIELD, st.text(max_size=6), sep="|"),
+    _lines(st.text(max_size=4), _COUNTRY_FIELD, _ASN_FIELD, sep=","),
+    _lines(_ASN_FIELD, _ASN_FIELD, _SCORE_FIELD, sep=","),
+    _lines(_ASN_FIELD, sep=""),
+    _lines(_PREFIX_TEXT, sep=""),
+)
+def test_parse_aux_tables_rejects_or_raises_parse_error(state, org, membership, hegemony, clique, multi):
+    readers = (state, org, membership, hegemony, clique, multi)
+    aux = _outcome(ingest.parse_aux_tables, *readers)
+    if not isinstance(aux, str):
+        assert all(0 <= score <= 1 for score in aux.hegemony.values())
+        assert {r.line_no for r in aux.rejections} <= set(_data_line_numbers(hegemony))
+
+
+@_FUZZ
+@given(_lines(_ASN_FIELD, sep=""))
+def test_parse_reserved_asns_raises_only_parse_error(lines):
+    reserved = _outcome(ingest.parse_reserved_asns, lines)
+    if not isinstance(reserved, str):
+        assert all(isinstance(asn, int) for asn in reserved)

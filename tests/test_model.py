@@ -1,7 +1,8 @@
+import json
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cti.model import (
@@ -141,3 +142,54 @@ def test_metric_report_json_roundtrip_property(entries):
     for (country, subject), value in entries.items():
         report.set(country, subject, value)
     assert MetricReport.from_json(report.to_json()).entries == report.entries
+
+
+def _report_or_error(parse, *args):
+    """The parsed report, or None on ParseError; any other exception escapes."""
+    try:
+        return parse(*args)
+    except ParseError:
+        return None
+
+
+_REPORT_ROW = st.tuples(
+    st.sampled_from(["CU", "AA", "cu", "A1", ""]) | st.text(max_size=3),
+    st.sampled_from(["40", "state", "²", "", "007"]) | st.text(max_size=4),
+    st.sampled_from(["0.5", "1", "1/0", "3/2", "-1", "nan", "1e-3"]) | st.text(max_size=5),
+).map(",".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(_REPORT_ROW, _REPORT_ROW, st.text(max_size=12)), max_size=10))
+def test_report_from_csv_raises_only_parse_error(lines):
+    report = _report_or_error(MetricReport.from_csv, lines, "cti")
+    if report is not None:
+        assert all(0 <= value <= 1 for value in report.entries.values())
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+_ENTRY = st.fixed_dictionaries(
+    {},
+    optional={
+        "country": st.sampled_from(["CU", "AA"]) | _JSON,
+        "subject": st.sampled_from([40, "state"]) | _JSON,
+        "numerator": st.integers(-2, 3) | _JSON,
+        "denominator": st.integers(-1, 3) | _JSON,
+    },
+)
+_PAYLOAD = st.fixed_dictionaries(
+    {},
+    optional={"metric": st.just("cti") | _JSON, "entries": st.lists(_ENTRY, max_size=3) | _JSON},
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(_PAYLOAD.map(json.dumps), _JSON.map(json.dumps), st.text(max_size=20)))
+def test_report_from_json_raises_only_parse_error(text):
+    report = _report_or_error(MetricReport.from_json, text)
+    if report is not None:
+        assert all(0 <= value <= 1 for value in report.entries.values())

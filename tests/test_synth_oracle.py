@@ -1,3 +1,4 @@
+import heapq
 from fractions import Fraction
 
 import pytest
@@ -151,3 +152,117 @@ def test_injection_needs_two_clique_ases_for_poisoning():
     paths = so.propagate_routes(topo)
     with pytest.raises(ComputationError):
         so.inject_path_anomalies(paths, topo.clique, seed=1, n_poisons=1)
+
+
+# Route propagation as it was first written: every AS pulls from all of its
+# customers, then from all of its peers, then from its providers, with the
+# customer-first order rebuilt for each origin. Kept as the reference that
+# the push-based ``routes_for_prefix`` must match route for route.
+
+
+def _reference_customer_first_order(ases, rels):
+    pending = {asn: len(rels.customers_of(asn) & set(ases)) for asn in ases}
+    heap = [asn for asn, count in pending.items() if count == 0]
+    heapq.heapify(heap)
+    order = []
+    while heap:
+        asn = heapq.heappop(heap)
+        order.append(asn)
+        for provider in rels.providers_of(asn):
+            if provider in pending:
+                pending[provider] -= 1
+                if pending[provider] == 0:
+                    heapq.heappush(heap, provider)
+    assert len(order) == len(ases)
+    return order
+
+
+def _reference_routes_for_prefix(topo, origin):
+    ases = topo.ases
+    rels = topo.rels
+    order = _reference_customer_first_order(ases, rels)
+
+    from_customer = {origin: (origin,)}
+    for asn in order:
+        if asn == origin:
+            continue
+        chosen = None
+        for customer in sorted(rels.customers_of(asn)):
+            route = from_customer.get(customer)
+            if route is not None:
+                chosen = so._best(chosen, (asn,) + route)
+        if chosen is not None:
+            from_customer[asn] = chosen
+
+    from_peer = {}
+    for asn in ases:
+        chosen = None
+        for peer in sorted(rels.peers_of(asn)):
+            route = from_customer.get(peer)
+            if route is not None:
+                chosen = so._best(chosen, (asn,) + route)
+        if chosen is not None:
+            from_peer[asn] = chosen
+
+    selected = dict(from_customer)
+    for asn, route in from_peer.items():
+        selected.setdefault(asn, route)
+
+    from_provider = {}
+    for asn in reversed(order):
+        if asn in selected:
+            continue
+        chosen = None
+        for provider in sorted(rels.providers_of(asn)):
+            route = selected.get(provider) or from_provider.get(provider)
+            if route is not None:
+                chosen = so._best(chosen, (asn,) + route)
+        if chosen is not None:
+            from_provider[asn] = chosen
+    selected.update(from_provider)
+    return selected
+
+
+_LARGER = (
+    so.SynthParams(n_clique=3, n_mid=12, n_stub=60, n_monitors=8),
+    so.SynthParams(n_clique=5, n_mid=20, n_stub=80, n_monitors=10, prefixes_per_stub=3),
+    so.SynthParams(n_clique=4, n_mid=30, n_stub=120, n_monitors=16),
+)
+
+
+def _instances():
+    for seed in range(1, 121):
+        yield so.generate_topology(seed)
+    for index, params in enumerate(_LARGER):
+        yield so.generate_topology(7 + index, params)
+    for name in ("toy-fig1", "toy-fig1-indirect"):
+        yield so.preset_topology(name)
+
+
+def test_push_propagation_equals_pull_reference():
+    for topo in _instances():
+        plan = so.RoutePlan.of(topo)
+        for origin in topo.ases:
+            expected = _reference_routes_for_prefix(topo, origin)
+            assert so.routes_for_prefix(topo, origin, plan) == expected, (topo.seed, origin)
+        origin = max(topo.origin_of.values())
+        assert so.routes_for_prefix(topo, origin) == _reference_routes_for_prefix(topo, origin)
+
+
+def _reference_emitted_paths(paths):
+    path_lines = [f"{p.monitor.id}|{p.prefix}|{' '.join(str(h) for h in p.hops)}" for p in paths]
+    traceroute_lines = [
+        f"t-{p.monitor.id}|{p.prefix}|{' '.join(str(h) for h in p.hops)}" for p in paths
+    ]
+    return so._joined(path_lines), so._joined(traceroute_lines)
+
+
+def test_emit_files_renders_each_path_as_the_per_path_reference():
+    for topo in _instances():
+        paths = so.propagate_routes(topo)
+        if topo.seed % 4 == 0 and len(topo.clique) > 1:
+            paths, _manifest = so.inject_path_anomalies(
+                paths, topo.clique, topo.seed, n_loops=1, n_prepends=2, n_poisons=1
+            )
+        files = so.emit_files(topo, paths)
+        assert (files["paths.txt"], files["traceroutes.txt"]) == _reference_emitted_paths(paths)
