@@ -21,7 +21,7 @@ from typing import Callable, TypeVar
 
 import click
 
-from . import clh_compare, ingest, outlier, pipeline, synth_oracle, transit_dominance
+from . import clh_compare, cti_core, ingest, outlier, pipeline, synth_oracle, transit_dominance
 from .conglomerate import Conglomerate, compute_ctin
 from .model import ComputationError, MetricReport, ParseError
 
@@ -244,8 +244,9 @@ def transit_fraction_command(input_dir: str, country: str, output: str, threshol
     if not os.path.exists(traceroute_path):
         raise FileNotFoundError(traceroute_path)
     sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
-    with open(traceroute_path, encoding="utf-8") as handle:
-        traceroutes, _rejections = transit_dominance.parse_traceroutes(handle)
+    traceroutes, _rejections = transit_dominance.parse_traceroutes(
+        ingest.read_lines(traceroute_path)
+    )
     value = pipeline.transit_fraction(sub, traceroutes, country)
     dominant = transit_dominance.classify_transit_dominant(value, cutoff)
     os.makedirs(output, exist_ok=True)
@@ -310,8 +311,7 @@ def compare_command(path_a: str, path_b: str, output: str) -> None:
     """Entrywise absolute differences between two reports."""
 
     def load(path: str) -> MetricReport:
-        with open(path, encoding="utf-8") as handle:
-            text = handle.read()
+        text = ingest.read_text(path)
         if path.endswith(".json"):
             return MetricReport.from_json(text)
         return MetricReport.from_csv(text.splitlines())
@@ -392,7 +392,10 @@ def oracle_check_command(seeds: str, start_seed: int) -> None:
 
 def check_one_seed(seed: int) -> str | None:
     """Compare pipeline and oracle on one generated instance; return a
-    description of the first mismatch, or None when they agree exactly."""
+    description of the first mismatch, or None when they agree exactly.
+
+    Each country's kernel is built once and reduces to both cti (outlier
+    filter off) and ctin; the transit nationality is classified once."""
     topo = synth_oracle.generate_topology(seed)
     paths = synth_oracle.propagate_routes(topo)
     files = synth_oracle.emit_files(topo, paths)
@@ -403,22 +406,26 @@ def check_one_seed(seed: int) -> str | None:
         files["traceroutes.txt"].splitlines()
     )
     members = frozenset(asn for asn, _c in topo.state_owned)
+    nationality = pipeline.transit_nationality(sub)
     for country in topo.params.countries:
         if sub.geo.total.get(country, 0) <= 0:
             continue
-        pipe_cti = pipeline.cti_report(sub, country, apply_outlier=False)
+        table = pipeline.build_country_substrate(sub, country)
+        pipe_cti = cti_core.compute_cti(table)
         oracle_cti = synth_oracle.naive_cti(topo, paths, country)
         if pipe_cti.entries != oracle_cti.entries:
             return f"cti mismatch for {country}"
 
         if members:
             group = Conglomerate(label="state", members=members, country=country)
-            pipe_ctin = compute_ctin(group, pipeline.build_country_substrate(sub, country))
+            pipe_ctin = compute_ctin(group, table)
             oracle_ctin = synth_oracle.naive_ctin(topo, paths, country, members)
             if pipe_ctin != oracle_ctin:
                 return f"ctin mismatch for {country}"
 
-        pipe_t = pipeline.transit_fraction(sub, parsed_traceroutes, country)
+        pipe_t = transit_dominance.compute_transit_fraction(
+            parsed_traceroutes, sub.rels, nationality, sub.geo, country
+        )
         oracle_t = synth_oracle.naive_transit_fraction(topo, paths, raw_traceroutes, country)
         if pipe_t != oracle_t:
             return f"transit fraction mismatch for {country}"

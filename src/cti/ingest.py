@@ -7,12 +7,13 @@ semantic rejects (bad country codes, out-of-range scores, excluded prefixes).
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import ipaddress
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .model import (
     MAX_PREFIX_LENGTH,
@@ -67,12 +68,14 @@ def parse_paths(
     """
     records: list[PathRecord] = []
     rejections: list[RowRejection] = []
-    seen: dict[tuple[str, int, int], tuple[tuple[int, ...], int]] = {}
-    # A corpus repeats each prefix and ASN about once per monitor: parse each
-    # distinct text once per call, so repeats share one ``Prefix``. A parse
+    first_of: dict[tuple[str, int, int], int] = {}  # (monitor, prefix) -> index in records
+    record_lines: list[int] = []
+    # A corpus repeats each prefix about once per monitor, and each route once
+    # per prefix of its origin: parse each distinct prefix and hop text once
+    # per call, so repeats share one ``Prefix`` and one hop tuple. A parse
     # that raises is not cached, so every bad row gets its own rejection.
     parse_prefix = functools.cache(Prefix.parse)
-    parse_asn = functools.cache(_parse_asn_token)
+    parse_hops = _hops_parser()
     for line_no, line in _data_lines(reader):
         parts = line.split("|")
         if len(parts) != 3:
@@ -97,25 +100,42 @@ def parse_paths(
             rejections.append(RowRejection(line_no, line, "multi-origin prefix"))
             continue
         try:
-            hops = tuple(map(parse_asn, hops_text.split()))
+            hops = parse_hops(hops_text)
         except ValueError:
             rejections.append(RowRejection(line_no, line, "malformed ASN"))
             continue
         if not hops:
             rejections.append(RowRejection(line_no, line, "empty path"))
             continue
-        key = (monitor_id, prefix.base, prefix.length)
-        if key in seen:
-            prev_hops, prev_line = seen[key]
-            if prev_hops != hops:
+        # a key of plain values, which the garbage collector stops tracking
+        index = first_of.setdefault((monitor_id, prefix.base, prefix.length), len(records))
+        if index < len(records):
+            if records[index].hops != hops:
                 raise ParseError(
                     f"conflicting paths for ({monitor_id}, {prefix}) "
-                    f"at lines {prev_line} and {line_no}"
+                    f"at lines {record_lines[index]} and {line_no}"
                 )
             continue  # identical duplicate
-        seen[key] = (hops, line_no)
-        records.append(PathRecord(monitor=monitor, prefix=prefix, hops=hops))
+        records.append(PathRecord(monitor, prefix, hops))
+        record_lines.append(line_no)
     return records, rejections
+
+
+def _hops_parser(collapse: bool = False) -> Callable[[str], tuple[int, ...]]:
+    """A cache, made for one parser call, of the parse of a space-separated
+    ASN list, with consecutive repeats collapsed when ``collapse`` is set.
+    Each distinct ASN token is validated once too; a malformed one raises
+    ``ValueError``, which is not cached."""
+    parse_asn = functools.cache(_parse_asn_token)
+
+    @functools.cache
+    def parse_hops(text: str) -> tuple[int, ...]:
+        hops = tuple(map(parse_asn, text.split()))
+        if collapse and len(set(hops)) != len(hops):
+            return tuple(asn for i, asn in enumerate(hops) if i == 0 or hops[i - 1] != asn)
+        return hops
+
+    return parse_hops
 
 
 def parse_relationships(reader: Iterable[str]) -> RelationshipTable:
@@ -421,6 +441,27 @@ def load_bundle(directory: str) -> DatasetBundle:
     for name in BUNDLE_FILES:
         path = os.path.join(directory, name)
         if os.path.exists(path):
-            with open(path, encoding="utf-8") as handle:
-                files[name] = handle.read()
+            files[name] = read_text(path)
     return load_bundle_from_texts(files)
+
+
+def read_text(path: str) -> str:
+    """The whole file as UTF-8 text; other bytes raise ``ParseError`` naming
+    the file."""
+    with _utf8_only(path), open(path, encoding="utf-8") as handle:
+        return handle.read()
+
+
+def read_lines(path: str) -> Iterator[str]:
+    """The file's lines as UTF-8 text, read as they are consumed; other bytes
+    raise ``ParseError`` naming the file."""
+    with _utf8_only(path), open(path, encoding="utf-8") as handle:
+        yield from handle
+
+
+@contextlib.contextmanager
+def _utf8_only(path: str) -> Iterator[None]:
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from None

@@ -3,6 +3,13 @@
 All types are immutable after construction and safe to share between
 concurrent workers. Scores are kept as exact rationals internally and
 converted to fixed-point decimals only at serialization time.
+
+The per-path records (``Prefix``, ``PathRecord`` and, in their modules,
+``RetainedPath`` and ``TraceroutePath``) are tuples of their fields, so that
+hashing, equality and ordering run in C: a corpus builds one per row and
+hashes a ``Prefix`` at every address-mass lookup. Like tuples, a record
+equals any tuple of the same field values, a record of another type
+included; the program never mixes them in one container.
 """
 from __future__ import annotations
 
@@ -12,6 +19,7 @@ import re
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Iterator, Mapping
 
 MAX_ASN = 2**32 - 1
@@ -47,20 +55,44 @@ def validate_country(code: str) -> str:
     return code
 
 
-@dataclass(frozen=True, order=True)
-class Prefix:
-    """An IPv4 prefix in canonical form (host bits zero, length <= 24)."""
+class Record(tuple):
+    """An immutable record stored as the tuple of its ``_fields``.
 
-    base: int
-    length: int
+    A subclass declares ``__slots__ = ()``, validates in ``__new__`` and
+    reads each field with an ``itemgetter`` property.
+    """
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.length <= MAX_PREFIX_LENGTH:
-            raise ValueError(f"prefix length {self.length} out of range 0..{MAX_PREFIX_LENGTH}")
-        if self.base & (self.size - 1):
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __getnewargs__(self) -> tuple:
+        return tuple(self)  # copy and pickle call __new__ with the fields
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
+        return f"{type(self).__name__}({fields})"
+
+
+class Prefix(Record):
+    """An IPv4 prefix in canonical form (host bits zero, length <= 24).
+
+    Prefixes order by ``(base, length)``.
+    """
+
+    __slots__ = ()
+    _fields = ("base", "length")
+
+    def __new__(cls, base: int, length: int) -> "Prefix":
+        if not 0 <= length <= MAX_PREFIX_LENGTH:
+            raise ValueError(f"prefix length {length} out of range 0..{MAX_PREFIX_LENGTH}")
+        if base & ((1 << (32 - length)) - 1):
             raise ValueError("prefix base has host bits set")
-        if not 0 <= self.base <= 0xFFFFFFFF:
+        if not 0 <= base <= 0xFFFFFFFF:
             raise ValueError("prefix base out of IPv4 range")
+        return tuple.__new__(cls, (base, length))
+
+    base = property(itemgetter(0))
+    length = property(itemgetter(1))
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
@@ -89,20 +121,23 @@ class MonitorId:
     country: str
 
 
-@dataclass(frozen=True)
-class PathRecord:
+class PathRecord(Record):
     """One monitor's preferred AS-level route to one prefix.
 
     Hops are ordered monitor-nearest first; the origin AS is last.
     """
 
-    monitor: MonitorId
-    prefix: Prefix
-    hops: tuple[int, ...]
+    __slots__ = ()
+    _fields = ("monitor", "prefix", "hops")
 
-    def __post_init__(self) -> None:
-        if not self.hops:
+    def __new__(cls, monitor: MonitorId, prefix: Prefix, hops: tuple[int, ...]) -> "PathRecord":
+        if not hops:
             raise ValueError("path must have at least one hop")
+        return tuple.__new__(cls, (monitor, prefix, hops))
+
+    monitor = property(itemgetter(0))
+    prefix = property(itemgetter(1))
+    hops = property(itemgetter(2))
 
     @property
     def origin(self) -> int:
@@ -258,6 +293,8 @@ class MetricReport:
             payload = json.loads(text)
         except ValueError as exc:  # the message names the line and column
             raise ParseError(f"malformed JSON report: {exc}") from None
+        except RecursionError:
+            raise ParseError("malformed JSON report: nested too deeply") from None
         try:
             report = cls(metric_name=payload["metric"])
             for entry in payload["entries"]:

@@ -12,25 +12,29 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from .geo import GeoTable, Nationality
-from .ingest import RowRejection, _data_lines, _parse_asn_token
-from .model import ParseError, Prefix, RelKind, RelationshipTable
+from .ingest import RowRejection, _data_lines, _hops_parser
+from .model import ParseError, Prefix, Record, RelKind, RelationshipTable
 
 DEFAULT_DOMINANCE_THRESHOLD = Fraction(12, 25)  # 0.48
 DEFAULT_ORIGINATION_FLOOR = Fraction(1, 2000)  # 0.05% of the country's addresses
 
 
-@dataclass(frozen=True)
-class TraceroutePath:
-    probe_id: str
-    prefix: Prefix
-    hops: tuple[int, ...]  # probe-first; last element is the last observed AS
+class TraceroutePath(Record):
+    __slots__ = ()
+    _fields = ("probe_id", "prefix", "hops")
 
-    def __post_init__(self) -> None:
-        if not self.hops:
+    def __new__(cls, probe_id: str, prefix: Prefix, hops: tuple[int, ...]) -> "TraceroutePath":
+        if not hops:
             raise ValueError("traceroute path must have at least one hop")
+        return tuple.__new__(cls, (probe_id, prefix, hops))
+
+    probe_id = property(itemgetter(0))
+    prefix = property(itemgetter(1))
+    hops = property(itemgetter(2))  # probe-first; last element is the last observed AS
 
     @property
     def last_as(self) -> int:
@@ -54,8 +58,9 @@ def parse_traceroutes(
     """
     paths: list[TraceroutePath] = []
     rejections: list[RowRejection] = []
+    # each distinct prefix and hop text is parsed (and collapsed) once per call
     parse_prefix = functools.cache(Prefix.parse)
-    parse_asn = functools.cache(_parse_asn_token)
+    parse_hops = _hops_parser(collapse=True)
     for line_no, line in _data_lines(reader):
         parts = line.split("|")
         if len(parts) != 3:
@@ -66,18 +71,14 @@ def parse_traceroutes(
             rejections.append(RowRejection(line_no, line, "unparsable prefix"))
             continue
         try:
-            raw_hops = list(map(parse_asn, parts[2].split()))
+            hops = parse_hops(parts[2])
         except ValueError:
             rejections.append(RowRejection(line_no, line, "malformed ASN"))
             continue
-        if not raw_hops:
+        if not hops:
             rejections.append(RowRejection(line_no, line, "empty path"))
             continue
-        hops: list[int] = []
-        for asn in raw_hops:
-            if not hops or hops[-1] != asn:
-                hops.append(asn)
-        paths.append(TraceroutePath(probe_id=parts[0], prefix=prefix, hops=tuple(hops)))
+        paths.append(TraceroutePath(parts[0], prefix, hops))
     return paths, rejections
 
 
@@ -167,13 +168,19 @@ def compute_transit_fraction(
 
     reached: dict[int, int] = {}
     crossed: dict[int, int] = {}
+    # traceroutes repeat routes: classify each distinct one's border once
+    crosses_p2c: dict[tuple[int, ...], bool] = {}
     for path in paths:
-        origin = path.last_as
+        hops = path.hops
+        origin = hops[-1]
         if not nationality.is_domestic(origin, country):
             continue
         reached[origin] = reached.get(origin, 0) + 1
-        border = find_border(path, nationality, country, rels)
-        if border is not None and border.kind is RelKind.P2C:
+        crosses = crosses_p2c.get(hops)
+        if crosses is None:
+            border = find_border(path, nationality, country, rels)
+            crosses = crosses_p2c[hops] = border is not None and border.kind is RelKind.P2C
+        if crosses:
             crossed[origin] = crossed.get(origin, 0) + 1
 
     fraction = Fraction(0)

@@ -144,6 +144,40 @@ def test_malformed_input_files_exit_3_with_one_line(tmp_path):
         assert where in result.output, (body, result.output)
 
 
+def test_non_utf8_input_exits_3_naming_the_file(tmp_path):
+    _write_toy(tmp_path / "in")
+    runner = CliRunner()
+    base = ["--input", str(tmp_path / "in"), "--country", "CU", "--output", str(tmp_path / "out")]
+    for command, name in (("cti", "geo.csv"), ("transit-fraction", "traceroutes.txt")):
+        path = tmp_path / "in" / name
+        good = path.read_bytes()
+        path.write_bytes(good + b"\xff\xfe")
+        result = runner.invoke(main, [command] + base)
+        assert result.exit_code == 3, (command, result.output)
+        assert result.output.startswith("parse error: ") and result.output.count("\n") == 1
+        assert f"{path}: not UTF-8 text" in result.output, result.output
+        path.write_bytes(good)
+
+    report = tmp_path / "report.csv"
+    report.write_bytes(b"# country,subject,cti\nCU,40,0.5\n\xff\xfe\n")
+    result = runner.invoke(
+        main, ["compare", "--a", str(report), "--b", str(report), "--output", str(tmp_path / "cmp")]
+    )
+    assert result.exit_code == 3, result.output
+    assert result.output == f"parse error: {report}: not UTF-8 text (invalid start byte)\n"
+
+
+def test_deeply_nested_json_report_exits_3(tmp_path):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000)
+    runner = CliRunner()
+    result = runner.invoke(
+        main, ["compare", "--a", str(deep), "--b", str(deep), "--output", str(tmp_path / "cmp")]
+    )
+    assert result.exit_code == 3, result.output
+    assert result.output == "parse error: malformed JSON report: nested too deeply\n"
+
+
 def test_computation_error_exits_4(tmp_path):
     _write_toy(tmp_path / "in")
     runner = CliRunner()

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,8 @@ from cti.model import (
     validate_asn,
     validate_country,
 )
+from cti.pathprep import RetainedPath
+from cti.transit_dominance import TraceroutePath
 
 
 def test_prefix_parse_and_size():
@@ -193,3 +197,87 @@ def test_report_from_json_raises_only_parse_error(text):
     report = _report_or_error(MetricReport.from_json, text)
     if report is not None:
         assert all(0 <= value <= 1 for value in report.entries.values())
+
+
+def test_from_json_rejects_deep_nesting():
+    with pytest.raises(ParseError, match="nested too deeply"):
+        MetricReport.from_json("[" * 100000)
+
+
+# The per-path records are tuples of their fields (see the model docstring).
+M = MonitorId("m1", 10, "US")
+P24 = Prefix.parse("10.1.2.0/24")
+RECORDS = [
+    P24,
+    PathRecord(monitor=M, prefix=P24, hops=(10, 20)),
+    RetainedPath(monitor=M, prefix=P24, segment=(20, 10)),
+    TraceroutePath(probe_id="t-m1", prefix=P24, hops=(10, 20)),
+]
+
+
+def test_records_take_keyword_fields():
+    assert (P24.base, P24.length) == (167838208, 24)
+    path, retained, trace = RECORDS[1:]
+    assert (path.monitor, path.prefix, path.hops, path.origin) == (M, P24, (10, 20), 20)
+    assert (retained.monitor, retained.prefix, retained.segment, retained.origin) == (
+        M, P24, (20, 10), 20
+    )
+    assert (trace.probe_id, trace.prefix, trace.hops, trace.last_as) == ("t-m1", P24, (10, 20), 20)
+    assert Prefix(base=P24.base, length=24) == Prefix(P24.base, 24) == P24
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: Prefix(base=0, length=25), "length 25 out of range"),
+        (lambda: Prefix(base=1, length=24), "host bits"),
+        (lambda: Prefix(base=2**32, length=0), "out of IPv4 range"),
+        (lambda: PathRecord(monitor=M, prefix=P24, hops=()), "at least one hop"),
+        (lambda: RetainedPath(monitor=M, prefix=P24, segment=(20,)), "origin plus one transit"),
+        (lambda: TraceroutePath(probe_id="t", prefix=P24, hops=()), "at least one hop"),
+    ],
+)
+def test_records_validate_on_construction(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+def test_records_are_immutable(record):
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert copy.deepcopy(record) == record
+    assert pickle.loads(pickle.dumps(record)) == record
+
+
+def test_prefix_orders_by_base_then_length():
+    a8, a16 = Prefix.parse("10.0.0.0/8"), Prefix.parse("10.0.0.0/16")
+    b24 = Prefix.parse("10.0.1.0/24")
+    c24 = Prefix.parse("9.255.255.0/24")
+    assert sorted([b24, a16, a8, c24]) == [c24, a8, a16, b24]
+    assert a8 < a16 < b24 and max(a8, b24) == b24
+
+
+def test_record_str_and_repr_are_unchanged():
+    assert str(P24) == "10.1.2.0/24"
+    assert repr(P24) == "Prefix(base=167838208, length=24)"
+    prefix = "prefix=Prefix(base=167838208, length=24)"
+    monitor = "monitor=MonitorId(id='m1', host_asn=10, country='US')"
+    assert [str(r) for r in RECORDS[1:]] == [repr(r) for r in RECORDS[1:]] == [
+        f"PathRecord({monitor}, {prefix}, hops=(10, 20))",
+        f"RetainedPath({monitor}, {prefix}, segment=(20, 10))",
+        f"TraceroutePath(probe_id='t-m1', {prefix}, hops=(10, 20))",
+    ]
+
+
+def test_records_equal_tuples_of_their_fields():
+    # the chosen semantics: tuple equality and hashing, whatever the type
+    assert P24 == (167838208, 24) and hash(P24) == hash((167838208, 24))
+    path = PathRecord(M, P24, (20, 10))
+    same_fields = RetainedPath(M, P24, (20, 10))
+    assert path == same_fields == (M, P24, (20, 10))
+    assert len({path, same_fields, (M, P24, (20, 10))}) == 1
+    assert path != PathRecord(M, P24, (10, 20))

@@ -114,11 +114,19 @@ def test_truncate_rejects_host_only_path():
 
 def test_inbound_filter():
     geo, _ = build_geo_table([(P, "CU", 256)], [], {})
-    assert pathprep.drop_inbound_ineligible(PathRecord(M_US, P, (10, 20)), "CU", geo)
+    rels = _rels((20, 30))
+
+    def kept(monitor, country):
+        path = PathRecord(monitor, P, (20, 30))
+        retained, rejections = pathprep.retain_for_country([path], country, geo, rels)
+        assert rejections == []
+        return len(retained) == 1
+
+    assert kept(M_US, "CU")
     # monitor inside the destination country
-    assert not pathprep.drop_inbound_ineligible(PathRecord(M_CU, P, (10, 20)), "CU", geo)
+    assert not kept(M_CU, "CU")
     # prefix with no mass in the destination country
-    assert not pathprep.drop_inbound_ineligible(PathRecord(M_US, P, (10, 20)), "AR", geo)
+    assert not kept(M_US, "AR")
 
 
 def test_prepare_paths_sorts_and_splits():

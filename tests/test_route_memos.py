@@ -1,0 +1,238 @@
+"""The per-call route memos against the same work done row by row.
+
+``parse_paths`` and ``parse_traceroutes`` parse each distinct hop text once,
+``prepare_paths`` and ``retain_for_country`` judge each distinct
+(host AS, hops) pair once, and ``compute_transit_fraction`` classifies each
+distinct route's border once. The corpora here repeat routes across prefixes,
+give several monitors one host AS, and mix in every rejection category,
+prepending that collapses and bad rows that repeat, so a memo keyed on too
+little (the hops without the host AS, say) gives a different answer.
+"""
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from test_ingest import _outcome, _reference_parse_paths, _reference_parse_traceroutes
+
+from cti import ingest, pathprep
+from cti import transit_dominance as td
+from cti.geo import Nationality, build_geo_table
+from cti.model import MonitorId, PathRecord, Prefix, RelKind, Relationship, RelationshipTable
+from cti.pathprep import PathRejection, RejectCategory
+
+CLIQUE = frozenset({1, 2})
+RESERVED = frozenset({64512})
+ASNS = (1, 2, 3, 4, 5, 6, 7)
+# two host ASes, each hosting monitors on both sides of the AA border
+MONITORS = tuple(MonitorId(f"m{i}", 3 + i % 2, "AA" if i < 2 else "BB") for i in range(6))
+PREFIXES = tuple(Prefix((10 << 24) | (i << 8), 24) for i in range(6))
+# Routes that reach every verdict, whichever of hosts 3 and 4 sees them.
+SPECIAL_ROUTES = (
+    (3, 5, 5, 6),  # prepending collapses; host 3 leads it
+    (5, 6, 5),  # Loop
+    (5, 64512, 6),  # Unallocated
+    (1, 7, 2, 6),  # Poisoned
+    (5, 3, 6),  # Loop for host 3 only: its AS after the first hop
+    (4, 5, 6),  # host 4 leads it
+    (3,),  # NoPeak for host 3: no transit AS once it is stripped
+    (7, 6),  # NoPeak unless 7 is drawn as 6's provider
+)
+# host 3 provides transit to 5, so its segment depends on whether it leads
+BASE_EDGES = ((5, 6, RelKind.P2C), (3, 5, RelKind.P2C), (1, 5, RelKind.P2C), (2, 1, RelKind.P2P))
+# bad rows, each repeated across the corpus
+BAD_PATH_ROWS = (
+    "m1|10.0.0.0/24|5 x",
+    "m9|10.0.0.0/24|5 6",
+    "m1|bogus|5 6",
+    "m1|10.0.0.0/25|5 6",
+    "m1|10.0.0.0/24|5 {6,7}",
+    "m1|10.0.0.0/24|",
+    "m1|10.0.0.0/24|0 6",
+)
+BAD_TRACEROUTE_ROWS = ("t-m1|10.0.0.0/24|5 x", "t-m1|bogus|5 6", "t-m1|10.0.0.0/24|")
+
+_route = st.lists(st.sampled_from(ASNS), min_size=1, max_size=5).map(tuple)
+
+
+@st.composite
+def corpora(draw):
+    """Paths unique per (monitor, prefix) over a small pool of routes."""
+    pool = list(SPECIAL_ROUTES) + draw(st.lists(_route, min_size=1, max_size=4))
+    cells = draw(
+        st.dictionaries(
+            st.tuples(st.sampled_from(MONITORS), st.sampled_from(PREFIXES)),
+            st.sampled_from(pool),
+            max_size=30,
+        )
+    )
+    return [PathRecord(monitor, prefix, hops) for (monitor, prefix), hops in cells.items()]
+
+
+@st.composite
+def relationships(draw):
+    table = RelationshipTable()
+    for a, b, kind in BASE_EDGES:
+        table.add(Relationship(a, b, kind))
+    pairs = st.tuples(st.sampled_from(ASNS), st.sampled_from(ASNS)).filter(lambda p: p[0] != p[1])
+    for (a, b), kind in draw(st.dictionaries(pairs, st.sampled_from(RelKind), max_size=8)).items():
+        if table.lookup(a, b) is None:
+            table.add(Relationship(a, b, kind))
+    return table
+
+
+@st.composite
+def geo_tables(draw):
+    rows = [(PREFIXES[0], "AA", 256)]  # AA always has address mass
+    for prefix in PREFIXES[1:]:
+        for country in draw(st.sets(st.sampled_from(["AA", "BB"]))):
+            rows.append((prefix, country, draw(st.sampled_from([1, 256]))))
+    origins = dict(zip(PREFIXES, draw(st.lists(st.sampled_from(ASNS), min_size=6, max_size=6))))
+    geo, _rejections = build_geo_table(rows, [], origins)
+    return geo
+
+
+def _reference_sanitize(path, clique, reserved):
+    """The per-path hygiene check, literally, as it was before the route memo."""
+    collapsed = []
+    for asn in path.hops:
+        if not collapsed or collapsed[-1] != asn:
+            collapsed.append(asn)
+    for asn in collapsed:
+        if asn in reserved:
+            return PathRejection(
+                RejectCategory.UNALLOCATED, path.monitor.id, path.prefix, f"reserved ASN {asn}"
+            )
+    if len(set(collapsed)) != len(collapsed):
+        return PathRejection(
+            RejectCategory.LOOP, path.monitor.id, path.prefix, "ASN repeats non-consecutively"
+        )
+    clique_positions = [i for i, asn in enumerate(collapsed) if asn in clique]
+    if clique_positions:
+        lo, hi = clique_positions[0], clique_positions[-1]
+        for i in range(lo + 1, hi):
+            if collapsed[i] not in clique:
+                return PathRejection(
+                    RejectCategory.POISONED,
+                    path.monitor.id,
+                    path.prefix,
+                    f"non-clique ASN {collapsed[i]} between clique ASes",
+                )
+    if path.monitor.host_asn in collapsed[1:]:
+        reason = f"monitor host ASN {path.monitor.host_asn} after the first hop"
+        return PathRejection(RejectCategory.LOOP, path.monitor.id, path.prefix, reason)
+    return PathRecord(path.monitor, path.prefix, tuple(collapsed))
+
+
+def _reference_prepare(paths):
+    results = [pathprep.sanitize(path, CLIQUE, RESERVED) for path in paths]
+    accepted = [r for r in results if not isinstance(r, PathRejection)]
+    accepted.sort(key=lambda p: (p.monitor.id, p.prefix.base, p.prefix.length))
+    return accepted, [r for r in results if isinstance(r, PathRejection)]
+
+
+def _reference_retain(sanitized, country, geo, rels):
+    retained, rejections = [], []
+    for path in sanitized:
+        if geo.mass.get((path.prefix, country), 0) == 0 or path.monitor.country == country:
+            continue
+        result = pathprep.truncate_to_peak(path, rels)
+        (rejections if isinstance(result, PathRejection) else retained).append(result)
+    return retained, rejections
+
+
+def _reference_transit_fraction(paths, rels, nationality, geo, country):
+    reached, crossed = {}, {}
+    for path in paths:
+        if not nationality.is_domestic(path.last_as, country):
+            continue
+        reached[path.last_as] = reached.get(path.last_as, 0) + 1
+        border = td.find_border(path, nationality, country, rels)
+        if border is not None and border.kind is RelKind.P2C:
+            crossed[path.last_as] = crossed.get(path.last_as, 0) + 1
+    total = geo.country_total(country)
+    fraction = Fraction(0)
+    for origin, n in reached.items():
+        share = Fraction(geo.originated.get((origin, country), 0), total)
+        fraction += Fraction(crossed.get(origin, 0), n) * share
+    return fraction
+
+
+_SETTINGS = settings(max_examples=200, deadline=None)
+
+
+@_SETTINGS
+@given(corpora(), st.data())
+def test_parsers_match_row_by_row(corpus, data):
+    def text(path, probe=""):
+        return f"{probe}{path.monitor.id}|{path.prefix}|{' '.join(map(str, path.hops))}"
+
+    path_lines = [text(p) for p in corpus]
+    trace_lines = [text(p, "t-") for p in corpus]
+    for lines, bad in ((path_lines, BAD_PATH_ROWS), (trace_lines, BAD_TRACEROUTE_ROWS)):
+        for row in data.draw(st.lists(st.sampled_from(bad), max_size=10)):
+            lines.insert(data.draw(st.integers(0, len(lines))), row)
+        if lines:
+            lines[:0] = data.draw(st.lists(st.sampled_from(lines), max_size=3))  # identical repeats
+    monitors = {m.id: m for m in MONITORS}
+    assert _outcome(ingest.parse_paths, path_lines, monitors) == _outcome(
+        _reference_parse_paths, path_lines, monitors
+    )
+    assert _outcome(td.parse_traceroutes, trace_lines) == _outcome(
+        _reference_parse_traceroutes, trace_lines
+    )
+
+
+@_SETTINGS
+@given(corpora())
+def test_prepare_paths_matches_per_path_sanitize(corpus):
+    for path in corpus:
+        assert pathprep.sanitize(path, CLIQUE, RESERVED) == _reference_sanitize(
+            path, CLIQUE, RESERVED
+        )
+    for paths in (corpus, corpus[::-1]):
+        assert pathprep.prepare_paths(paths, CLIQUE, RESERVED) == _reference_prepare(paths)
+
+
+@_SETTINGS
+@given(corpora(), relationships(), geo_tables())
+def test_retain_for_country_matches_per_path_truncation(corpus, rels, geo):
+    sanitized, _rejections = pathprep.prepare_paths(corpus, CLIQUE, RESERVED)
+    for country in ("AA", "BB"):
+        expected = _reference_retain(sanitized, country, geo, rels)
+        assert pathprep.retain_for_country(sanitized, country, geo, rels) == expected
+
+
+@_SETTINGS
+@given(
+    corpora(),
+    relationships(),
+    geo_tables(),
+    st.lists(st.sampled_from(["AA", "BB", None]), min_size=len(ASNS), max_size=len(ASNS)),
+)
+def test_transit_fraction_matches_per_path_borders(corpus, rels, geo, labels):
+    nationality = Nationality(dict(zip(ASNS, labels)))
+    traceroutes = [td.TraceroutePath(f"t-{p.monitor.id}", p.prefix, p.hops) for p in corpus]
+    expected = _reference_transit_fraction(traceroutes, rels, nationality, geo, "AA")
+    assert td.compute_transit_fraction(traceroutes, rels, nationality, geo, "AA") == expected
+
+
+def test_special_routes_reach_every_verdict():
+    corpus = [
+        PathRecord(monitor, PREFIXES[0], hops)
+        for monitor in MONITORS[2:4]  # hosts 3 and 4, both outside AA
+        for hops in SPECIAL_ROUTES
+    ]
+    rels = RelationshipTable()
+    for a, b, kind in BASE_EDGES:
+        rels.add(Relationship(a, b, kind))
+    geo, _rejections = build_geo_table([(PREFIXES[0], "AA", 256)], [], {})
+    sanitized, rejections = pathprep.prepare_paths(corpus, CLIQUE, RESERVED)
+    retained, no_peak = pathprep.retain_for_country(sanitized, "AA", geo, rels)
+    reasons = {(r.category, r.reason) for r in rejections + no_peak}
+    assert {category for category, _reason in reasons} == set(RejectCategory)
+    assert (RejectCategory.LOOP, "monitor host ASN 3 after the first hop") in reasons
+    assert (5, 3, 6) in [p.hops for p in sanitized]  # kept for host 4
+    assert (3, 5, 6) in [p.hops for p in sanitized]  # collapsed
+    # one route, two segments: host 3 is stripped, host 4 keeps AS 3 as the peak
+    assert {p.segment for p in retained if p.monitor.host_asn == 3} >= {(6, 5)}
+    assert (6, 5, 3) in {p.segment for p in retained if p.monitor.host_asn == 4}
