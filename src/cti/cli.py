@@ -4,10 +4,13 @@ generator and the oracle self-check.
 Every run that consumes an input directory writes a manifest next to the
 reports, listing the content hash of each file the command read and the
 effective configuration. Reports are deterministic: identical inputs and
-flags give byte-identical files. Exit codes: 0 success, 2 missing input file, 3 parse
-error, 4 computation error, 5 bad usage: an option value unparsable or out of
-range, or a usage error Click reports (unknown option or command, missing
-required option, value of the wrong type). Each failure prints one line.
+flags give byte-identical files. Exit codes: 0 success, 2 a file that cannot
+be read or written (a missing input file, a directory or unreadable file given
+as an input, an ``--output`` that names a file), 3 parse error, 4 computation
+error, 5 bad usage: an option value unparsable or out of range (a
+``--country`` that is not two capital letters included), or a usage error
+Click reports (unknown option or command, missing required option, value of
+the wrong type). Each failure prints one line.
 """
 from __future__ import annotations
 
@@ -23,9 +26,9 @@ import click
 
 from . import clh_compare, cti_core, ingest, outlier, pipeline, synth_oracle, transit_dominance
 from .conglomerate import Conglomerate, compute_ctin
-from .model import ComputationError, MetricReport, ParseError
+from .model import ComputationError, MetricReport, ParseError, validate_country
 
-EXIT_MISSING_FILE = 2
+EXIT_FILE_ERROR = 2
 EXIT_PARSE_ERROR = 3
 EXIT_COMPUTE_ERROR = 4
 EXIT_BAD_OPTION = 5
@@ -57,7 +60,10 @@ def _guarded(action: Callable[[], T]) -> T:
         sys.exit(EXIT_BAD_OPTION)
     except FileNotFoundError as exc:
         click.echo(f"missing input file: {exc}", err=True)
-        sys.exit(EXIT_MISSING_FILE)
+        sys.exit(EXIT_FILE_ERROR)
+    except OSError as exc:
+        click.echo(f"file error: {exc}", err=True)
+        sys.exit(EXIT_FILE_ERROR)
     except ParseError as exc:
         click.echo(f"parse error: {exc}", err=True)
         sys.exit(EXIT_PARSE_ERROR)
@@ -104,8 +110,17 @@ def _emit_report(report: MetricReport, output: str, stem: str, fmt: str) -> str:
     return path
 
 
+def _country(_ctx: click.Context, _param: click.Parameter, code: str) -> str:
+    try:
+        return validate_country(code)
+    except ValueError:
+        raise OptionError(f"--country {code!r} must be an ISO alpha-2 code in capitals") from None
+
+
 _INPUT = click.option("--input", "input_dir", required=True, help="Input data directory.")
-_COUNTRY = click.option("--country", required=True, help="Destination country (ISO alpha-2).")
+_COUNTRY = click.option(
+    "--country", required=True, callback=_country, help="Destination country (ISO alpha-2)."
+)
 _OUTPUT = click.option("--output", default=".", show_default=True, help="Report directory.")
 _FORMAT = click.option(
     "--format",

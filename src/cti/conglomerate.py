@@ -48,15 +48,16 @@ def state_conglomerates(
 def compute_ctin(conglomerate: Conglomerate, table: HostTable) -> Fraction:
     """Set-level transit score over the country's kernel: one term per path
     at the first (minimum-distance) member, zero for paths toward prefixes
-    originated by any member."""
+    originated by any member. The paths of one (host AS, segment) group
+    share that distance, so each group adds its summed term once."""
     members = conglomerate.members
     numerator = 0
-    for path, mass, n in table.paths:
-        if path.origin in members:
+    for (_host, segment), weight in table.groups.items():
+        if segment[0] in members:
             continue
-        for distance, transit in enumerate(path.segment[1:], start=1):
+        for distance, transit in enumerate(segment[1:], start=1):
             if transit in members:
-                numerator += table.numerator(mass, n, distance)
+                numerator += table.numerator(weight, distance)
                 break
     return table.score(numerator, table.n_monitors)
 

@@ -18,7 +18,11 @@ L*A*|monitors|:
 - ctin of an AS set = one term per path not originated by a member, at the
   first member's distance d, over L*A*|M|
 
-An empty monitor set gives 0. Arithmetic is exact and order-independent.
+Paths of one host AS along one segment share every d, so the kernel sums
+W = sum of mass * L/n once per such group and adds W/d to S[t][h] for the
+transit t at each distance d. That division is exact: L is a multiple of
+every n*d, so each term mass * L/(n*d) is an integer. An empty monitor set
+gives 0. Arithmetic is exact and order-independent.
 """
 from __future__ import annotations
 
@@ -29,8 +33,8 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .geo import GeoTable
-from .model import MetricReport, MonitorId, Prefix
-from .pathprep import RetainedPath
+from .model import MetricReport, MonitorId, Prefix, Route
+from .pathprep import RetainedRow
 
 
 @dataclass
@@ -42,15 +46,16 @@ class HostTable:
     denominator: int  # L * A
     n_monitors: int  # |M|
     host_monitors: Counter[int]  # |M_h| per host AS in M
-    paths: list[tuple[RetainedPath, int, int]]  # (path, mass, n) per counted path
+    n_paths: int  # counted paths
+    groups: dict[tuple[int, Route], int]  # W per (host AS, segment)
     cells: dict[int, dict[int, int]] = field(default_factory=dict)  # S[transit][host]
 
     def __len__(self) -> int:
-        return len(self.paths)
+        return self.n_paths
 
-    def numerator(self, mass: int, n: int, distance: int) -> int:
-        """One term, mass/(n*d), as a numerator over L."""
-        return mass * (self.lcm // (n * distance))
+    def numerator(self, weight: int, distance: int) -> int:
+        """A group's term at hop distance d, W/d, as a numerator over L."""
+        return weight // distance
 
     def score(self, numerator: int, monitors: int) -> Fraction:
         """A sum of numerators normalized by ``monitors`` monitors."""
@@ -59,52 +64,55 @@ class HostTable:
         return Fraction(numerator, self.denominator * monitors)
 
 
-def compute_weights(retained: Iterable[RetainedPath]) -> Counter[tuple[int, Prefix]]:
+def compute_weights(retained: Iterable[RetainedRow]) -> Counter[tuple[int, Prefix]]:
     """n per (host AS, prefix): how many of that AS's monitors observe the prefix.
 
     A monitor's weight is 1/n. Monitors of an AS that do not observe the
     prefix do not count toward n, so the weights of the observing monitors
     always sum to 1. Paths are unique per (monitor, prefix).
     """
-    return Counter((path.monitor.host_asn, path.prefix) for path in retained)
+    return Counter((host, prefix) for host, _segment, prefix in retained)
 
 
 def extract_observations(
-    retained: Iterable[RetainedPath],
+    retained: Iterable[RetainedRow],
     geo: GeoTable,
     monitors: Sequence[MonitorId],
     country: str,
 ) -> HostTable:
     """Build the kernel from the retained paths toward one country.
 
-    Only paths of active monitors toward prefixes with mass in the country
-    count; ``len()`` of the result is the number of those paths.
+    Only paths of host ASes with a monitor in ``monitors``, toward prefixes
+    with mass in the country, count; ``len()`` of the result is the number
+    of those paths.
     """
     total = geo.country_total(country)
-    active_ids = {m.id for m in monitors}
-    masses = geo.mass
-    counted = [
-        p for p in retained if p.monitor.id in active_ids and masses.get((p.prefix, country), 0)
-    ]
+    host_monitors = Counter(m.host_asn for m in monitors)
+    mass_of = {prefix: mass for (prefix, c), mass in geo.mass.items() if c == country and mass}
+    counted = [row for row in retained if row[0] in host_monitors and row[2] in mass_of]
     observers = compute_weights(counted)
-    rows = [
-        (p, masses[(p.prefix, country)], observers[(p.monitor.host_asn, p.prefix)]) for p in counted
-    ]
-    lcm = math.lcm(*{n * d for p, _mass, n in rows for d in range(1, len(p.segment))})
-
+    # summed mass per (host AS, segment, n): the paths of a group that share n
+    mass_by_n: dict[tuple[int, Route, int], int] = {}
+    for host, segment, prefix in counted:
+        key = (host, segment, observers[(host, prefix)])
+        mass_by_n[key] = mass_by_n.get(key, 0) + mass_of[prefix]
+    lcm = math.lcm(*{n * d for _host, segment, n in mass_by_n for d in range(1, len(segment))})
+    groups: dict[tuple[int, Route], int] = {}
+    for (host, segment, n), mass in mass_by_n.items():
+        groups[(host, segment)] = groups.get((host, segment), 0) + mass * (lcm // n)
     table = HostTable(
         country=country,
         lcm=lcm,
         denominator=lcm * total,
         n_monitors=len(monitors),
-        host_monitors=Counter(m.host_asn for m in monitors),
-        paths=rows,
+        host_monitors=host_monitors,
+        n_paths=len(counted),
+        groups=groups,
     )
-    for path, mass, n in rows:
-        host = path.monitor.host_asn
-        for distance, transit in enumerate(path.segment[1:], start=1):
+    for (host, segment), weight in table.groups.items():
+        for distance, transit in enumerate(segment[1:], start=1):
             row = table.cells.setdefault(transit, {})
-            row[host] = row.get(host, 0) + table.numerator(mass, n, distance)
+            row[host] = row.get(host, 0) + table.numerator(weight, distance)
     return table
 
 

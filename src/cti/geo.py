@@ -23,16 +23,12 @@ class GeoTable:
     mass: dict[tuple[Prefix, str], int]
     total: dict[str, int]
     originated: dict[tuple[int, str], int]
-    origin_of: dict[Prefix, int]
 
     def country_total(self, country: str) -> int:
         total = self.total.get(country, 0)
         if total <= 0:
             raise ComputationError(f"country {country} has no address mass")
         return total
-
-    def countries(self) -> list[str]:
-        return sorted(self.total)
 
     def dump_rows(self) -> Iterable[str]:
         """Audit dump as ``prefix,country,mass`` rows."""
@@ -84,7 +80,7 @@ def build_geo_table(
             key = (origin, country)
             originated[key] = originated.get(key, 0) + value
 
-    table = GeoTable(mass=mass, total=total, originated=originated, origin_of=dict(origin_of))
+    table = GeoTable(mass=mass, total=total, originated=originated)
     return table, rejections
 
 

@@ -16,14 +16,14 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .model import (
-    MAX_PREFIX_LENGTH,
+    Corpus,
     MonitorId,
     ParseError,
-    PathRecord,
     Prefix,
     RelKind,
-    Relationship,
     RelationshipTable,
+    Route,
+    intern,
     validate_asn,
     validate_country,
 )
@@ -58,7 +58,7 @@ def parse_paths(
     reader: Iterable[str],
     monitors: Mapping[str, MonitorId],
     multi_origin: frozenset[Prefix] = frozenset(),
-) -> tuple[list[PathRecord], list[RowRejection]]:
+) -> tuple[Corpus, list[RowRejection]]:
     """Parse ``monitor_id|prefix|asn asn ...`` rows (origin last).
 
     Rejects (with a log entry) unknown monitors, prefixes longer than /24,
@@ -66,72 +66,85 @@ def parse_paths(
     AS-set braces. Identical duplicate (monitor, prefix) rows are silently
     deduplicated; conflicting duplicates are a hard error.
     """
-    records: list[PathRecord] = []
+    corpus = Corpus(monitors=list(monitors.values()), prefixes=[], routes=[])
+    monitor_of = {monitor_id: ix for ix, monitor_id in enumerate(monitors)}
     rejections: list[RowRejection] = []
-    first_of: dict[tuple[str, int, int], int] = {}  # (monitor, prefix) -> index in records
-    record_lines: list[int] = []
     # A corpus repeats each prefix about once per monitor, and each route once
-    # per prefix of its origin: parse each distinct prefix and hop text once
-    # per call, so repeats share one ``Prefix`` and one hop tuple. A parse
-    # that raises is not cached, so every bad row gets its own rejection.
-    parse_prefix = functools.cache(Prefix.parse)
-    parse_hops = _hops_parser()
+    # per prefix of its origin: each distinct prefix and hop text is judged
+    # once per call, to its table index or the reason it is rejected, and
+    # texts that parse to the same value share one index.
+    prefix_index: dict[Prefix, int] = {}
+    route_index: dict[Route, int] = {}
+    parse_asn = functools.cache(_parse_asn_token)
+
+    @functools.cache
+    def prefix_ix_of(text: str) -> int | str:
+        try:
+            prefix = Prefix.parse(text)
+        except ValueError as exc:
+            return "length>24" if "length" in str(exc) else "unparsable prefix"
+        if prefix in multi_origin:
+            return "multi-origin prefix"
+        return intern(prefix, prefix_index, corpus.prefixes)
+
+    @functools.cache
+    def route_ix_of(text: str) -> int | str:
+        try:
+            hops = tuple(map(parse_asn, text.split()))
+        except ValueError:
+            return "malformed ASN"
+        return intern(hops, route_index, corpus.routes) if hops else "empty path"
+
+    first_of: dict[int, int] = {}  # prefix_ix * len(monitors) + monitor_ix -> row
+    row_lines: list[int] = []
+    monitor_col, prefix_col, route_col = corpus.monitor_ix, corpus.prefix_ix, corpus.route_ix
     for line_no, line in _data_lines(reader):
         parts = line.split("|")
         if len(parts) != 3:
             raise ParseError(f"line {line_no}: expected monitor_id|prefix|hops, got {line!r}")
         monitor_id, prefix_text, hops_text = parts
-        monitor = monitors.get(monitor_id)
-        if monitor is None:
+        monitor_ix = monitor_of.get(monitor_id)
+        if monitor_ix is None:
             rejections.append(RowRejection(line_no, line, "unknown monitor"))
             continue
         if "{" in hops_text or "}" in hops_text:
             rejections.append(RowRejection(line_no, line, "as-set"))
             continue
-        try:
-            prefix = parse_prefix(prefix_text)
-        except ValueError as exc:
-            if "length" in str(exc):
-                rejections.append(RowRejection(line_no, line, "length>24"))
-            else:
-                rejections.append(RowRejection(line_no, line, "unparsable prefix"))
+        prefix_ix = prefix_ix_of(prefix_text)
+        if isinstance(prefix_ix, str):
+            rejections.append(RowRejection(line_no, line, prefix_ix))
             continue
-        if multi_origin and prefix in multi_origin:
-            rejections.append(RowRejection(line_no, line, "multi-origin prefix"))
+        route_ix = route_ix_of(hops_text)
+        if isinstance(route_ix, str):
+            rejections.append(RowRejection(line_no, line, route_ix))
             continue
-        try:
-            hops = parse_hops(hops_text)
-        except ValueError:
-            rejections.append(RowRejection(line_no, line, "malformed ASN"))
-            continue
-        if not hops:
-            rejections.append(RowRejection(line_no, line, "empty path"))
-            continue
-        # a key of plain values, which the garbage collector stops tracking
-        index = first_of.setdefault((monitor_id, prefix.base, prefix.length), len(records))
-        if index < len(records):
-            if records[index].hops != hops:
+        n_rows = len(route_col)
+        row = first_of.setdefault(prefix_ix * len(monitor_of) + monitor_ix, n_rows)
+        if row != n_rows:
+            if route_col[row] != route_ix:
                 raise ParseError(
-                    f"conflicting paths for ({monitor_id}, {prefix}) "
-                    f"at lines {record_lines[index]} and {line_no}"
+                    f"conflicting paths for ({monitor_id}, {corpus.prefixes[prefix_ix]}) "
+                    f"at lines {row_lines[row]} and {line_no}"
                 )
             continue  # identical duplicate
-        records.append(PathRecord(monitor, prefix, hops))
-        record_lines.append(line_no)
-    return records, rejections
+        monitor_col.append(monitor_ix)
+        prefix_col.append(prefix_ix)
+        route_col.append(route_ix)
+        row_lines.append(line_no)
+    return corpus, rejections
 
 
-def _hops_parser(collapse: bool = False) -> Callable[[str], tuple[int, ...]]:
+def _hops_parser() -> Callable[[str], tuple[int, ...]]:
     """A cache, made for one parser call, of the parse of a space-separated
-    ASN list, with consecutive repeats collapsed when ``collapse`` is set.
-    Each distinct ASN token is validated once too; a malformed one raises
-    ``ValueError``, which is not cached."""
+    ASN list with consecutive repeats collapsed. Each distinct ASN token is
+    validated once too; a malformed one raises ``ValueError``, which is not
+    cached."""
     parse_asn = functools.cache(_parse_asn_token)
 
     @functools.cache
     def parse_hops(text: str) -> tuple[int, ...]:
         hops = tuple(map(parse_asn, text.split()))
-        if collapse and len(set(hops)) != len(hops):
+        if len(set(hops)) != len(hops):
             return tuple(asn for i, asn in enumerate(hops) if i == 0 or hops[i - 1] != asn)
         return hops
 
@@ -151,8 +164,6 @@ def parse_relationships(reader: Iterable[str]) -> RelationshipTable:
             b = parse_asn(parts[1])
         except ValueError as exc:
             raise ParseError(f"line {line_no}: {exc}") from None
-        if a == b:
-            raise ParseError(f"line {line_no}: self-relationship for AS {a}")
         if parts[2] == "-1":
             kind = RelKind.P2C
         elif parts[2] == "0":
@@ -160,7 +171,7 @@ def parse_relationships(reader: Iterable[str]) -> RelationshipTable:
         else:
             raise ParseError(f"line {line_no}: unknown relationship code {parts[2]!r}")
         try:
-            table.add(Relationship(a, b, kind))
+            table.add(a, b, kind)
         except ParseError as exc:
             raise ParseError(f"line {line_no}: {exc}") from None
     return table
@@ -353,7 +364,7 @@ def parse_reserved_asns(reader: Iterable[str]) -> frozenset[int]:
 class DatasetBundle:
     """Everything the pipeline consumes, parsed into model types."""
 
-    paths: list[PathRecord]
+    paths: Corpus
     relationships: RelationshipTable
     geo_rows: list[GeoRow]
     delegations: list[DelegationRow]

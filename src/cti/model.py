@@ -4,15 +4,17 @@ All types are immutable after construction and safe to share between
 concurrent workers. Scores are kept as exact rationals internally and
 converted to fixed-point decimals only at serialization time.
 
-The per-path records (``Prefix``, ``PathRecord`` and, in their modules,
-``RetainedPath`` and ``TraceroutePath``) are tuples of their fields, so that
-hashing, equality and ordering run in C: a corpus builds one per row and
-hashes a ``Prefix`` at every address-mass lookup. Like tuples, a record
-equals any tuple of the same field values, a record of another type
-included; the program never mixes them in one container.
+The records (``Prefix``, ``PathRecord``, ``Relationship`` and, in its
+module, ``TraceroutePath``) are tuples of their fields, so that hashing,
+equality and ordering run in C: a ``Prefix`` is hashed at every address-mass
+lookup. Like tuples, a record equals any tuple of the same field values, a
+record of another type included; the program never mixes them in one
+container. A path corpus is a ``Corpus`` of integer rows, not one record per
+row.
 """
 from __future__ import annotations
 
+import functools
 import ipaddress
 import json
 import re
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from operator import itemgetter
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 MAX_ASN = 2**32 - 1
 MAX_PREFIX_LENGTH = 24
@@ -144,78 +146,148 @@ class PathRecord(Record):
         return self.hops[-1]
 
 
+Route = tuple[int, ...]
+
+
+@dataclass
+class Corpus:
+    """A path corpus as integer columns over interned tables: row i is
+    monitor ``monitors[monitor_ix[i]]``'s route ``routes[route_ix[i]]`` toward
+    ``prefixes[prefix_ix[i]]``. Each distinct prefix and route is stored once,
+    so a row is three ints and no object. Indexing and iterating give rows as
+    ``PathRecord``s."""
+
+    monitors: Sequence[MonitorId]
+    prefixes: list[Prefix]
+    routes: list[Route]
+    monitor_ix: list[int] = field(default_factory=list)
+    prefix_ix: list[int] = field(default_factory=list)
+    route_ix: list[int] = field(default_factory=list)
+
+    def __len__(self) -> int:
+        return len(self.route_ix)
+
+    def __getitem__(self, row: int) -> PathRecord:
+        return PathRecord(
+            self.monitors[self.monitor_ix[row]],
+            self.prefixes[self.prefix_ix[row]],
+            self.routes[self.route_ix[row]],
+        )
+
+    def __iter__(self) -> Iterator[PathRecord]:
+        return map(self.__getitem__, range(len(self)))
+
+
+T = TypeVar("T")
+
+
+def intern(value: T, index: dict[T, int], table: list[T]) -> int:
+    """The index of ``value`` in ``table``, appending it on first sight;
+    ``index`` maps each value in the table to its index."""
+    ix = index.setdefault(value, len(table))
+    if ix == len(table):
+        table.append(value)
+    return ix
+
+
 class RelKind(Enum):
     P2C = "p2c"  # a is provider of b
     P2P = "p2p"
 
 
-@dataclass(frozen=True)
-class Relationship:
-    a: int
-    b: int
-    kind: RelKind
+class Relationship(Record):
+    """One inferred relationship: ``a`` provides transit to ``b`` (p2c), or
+    the two peer (p2p)."""
 
-    def __post_init__(self) -> None:
-        if self.a == self.b:
-            raise ValueError(f"self-relationship for AS {self.a}")
+    __slots__ = ()
+    _fields = ("a", "b", "kind")
+
+    def __new__(cls, a: int, b: int, kind: RelKind) -> "Relationship":
+        if a == b:
+            raise ValueError(f"self-relationship for AS {a}")
+        return tuple.__new__(cls, (a, b, kind))
+
+    a = property(itemgetter(0))
+    b = property(itemgetter(1))
+    kind = property(itemgetter(2))
+
+
+_Adjacency = dict[int, set[int]]  # AS -> its neighbours of one kind
 
 
 class RelationshipTable:
     """Directed p2c and undirected p2p edges with O(1) pair lookup.
 
     At most one relationship per unordered ASN pair; lookups of (a, b)
-    and (b, a) resolve to the same record.
+    and (b, a) resolve to the same relationship. Each pair is stored as the
+    ``(a, b)`` it was first given, with its kind; the ``Relationship``
+    objects and the per-AS neighbour sets are built on first use.
     """
 
     def __init__(self) -> None:
-        self._by_pair: dict[tuple[int, int], Relationship] = {}
-        self._peers: dict[int, set[int]] = {}
-        self._providers: dict[int, set[int]] = {}
-        self._customers: dict[int, set[int]] = {}
+        self._kinds: dict[tuple[int, int], RelKind] = {}
 
-    @staticmethod
-    def _key(a: int, b: int) -> tuple[int, int]:
-        return (a, b) if a < b else (b, a)
-
-    def add(self, rel: Relationship) -> None:
-        key = self._key(rel.a, rel.b)
-        existing = self._by_pair.get(key)
-        if existing is not None:
-            if existing != rel:
-                raise ParseError(
-                    f"conflicting relationship for ASes {rel.a} and {rel.b}: "
-                    f"{existing.kind.value} vs {rel.kind.value}"
-                )
-            return
-        self._by_pair[key] = rel
-        if rel.kind is RelKind.P2P:
-            self._peers.setdefault(rel.a, set()).add(rel.b)
-            self._peers.setdefault(rel.b, set()).add(rel.a)
-        else:
-            self._providers.setdefault(rel.b, set()).add(rel.a)
-            self._customers.setdefault(rel.a, set()).add(rel.b)
+    def add(self, a: int, b: int, kind: RelKind) -> None:
+        """Add ``a|b|kind``; a repeat of a stored relationship is ignored, a
+        peer link included whichever way round it is given."""
+        if a == b:
+            raise ParseError(f"self-relationship for AS {a}")
+        kinds = self._kinds
+        key = (a, b)
+        existing = kinds.get(key)
+        if existing is None and (b, a) in kinds:
+            key = (b, a)
+            existing = kinds[key]
+        if existing is None:
+            kinds[key] = kind
+            self.__dict__.pop("_views", None)
+        elif existing is not kind or (kind is RelKind.P2C and key != (a, b)):
+            raise ParseError(
+                f"conflicting relationship for ASes {a} and {b}: "
+                f"{key[0]}|{key[1]} {existing.value} vs {a}|{b} {kind.value}"
+            )
 
     def lookup(self, a: int, b: int) -> Relationship | None:
-        return self._by_pair.get(self._key(a, b))
+        for key in ((a, b), (b, a)):
+            kind = self._kinds.get(key)
+            if kind is not None:
+                return Relationship(*key, kind)
+        return None
 
     def is_p2c(self, provider: int, customer: int) -> bool:
-        rel = self.lookup(provider, customer)
-        return rel is not None and rel.kind is RelKind.P2C and rel.a == provider
+        return self._kinds.get((provider, customer)) is RelKind.P2C
+
+    @functools.cached_property
+    def _views(self) -> tuple[list[Relationship], _Adjacency, _Adjacency, _Adjacency]:
+        """Every relationship, and the peers, providers and customers per AS."""
+        relationships: list[Relationship] = []
+        peers: _Adjacency = {}
+        providers: _Adjacency = {}
+        customers: _Adjacency = {}
+        for (a, b), kind in self._kinds.items():
+            relationships.append(Relationship(a, b, kind))
+            if kind is RelKind.P2P:
+                peers.setdefault(a, set()).add(b)
+                peers.setdefault(b, set()).add(a)
+            else:
+                providers.setdefault(b, set()).add(a)
+                customers.setdefault(a, set()).add(b)
+        return relationships, peers, providers, customers
 
     def peers_of(self, asn: int) -> frozenset[int]:
-        return frozenset(self._peers.get(asn, ()))
+        return frozenset(self._views[1].get(asn, ()))
 
     def providers_of(self, asn: int) -> frozenset[int]:
-        return frozenset(self._providers.get(asn, ()))
+        return frozenset(self._views[2].get(asn, ()))
 
     def customers_of(self, asn: int) -> frozenset[int]:
-        return frozenset(self._customers.get(asn, ()))
+        return frozenset(self._views[3].get(asn, ()))
 
     def __len__(self) -> int:
-        return len(self._by_pair)
+        return len(self._kinds)
 
     def __iter__(self) -> Iterator[Relationship]:
-        return iter(self._by_pair.values())
+        return iter(self._views[0])
 
 
 def _subject_key(subject: Subject) -> tuple[int, int | str]:

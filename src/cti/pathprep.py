@@ -8,16 +8,16 @@ peers of the peak provider, is discarded.
 """
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
-from operator import attrgetter, itemgetter
 from typing import Iterable, NamedTuple
 
 from .geo import GeoTable
-from .model import MonitorId, PathRecord, Prefix, Record, RelationshipTable
+from .model import Corpus, Prefix, RelationshipTable, Route, intern
 
-Route = tuple[int, ...]
+# A retained path: (monitor host AS, origin-first segment up to and including
+# the topological-peak provider, prefix).
+RetainedRow = tuple[int, Route, Prefix]
 
 
 class RejectCategory(Enum):
@@ -36,26 +36,6 @@ class PathRejection:
 
     def as_log_line(self) -> str:
         return f"{self.category.value},{self.monitor_id},{self.prefix},{self.reason}"
-
-
-class RetainedPath(Record):
-    """Origin-first segment up to and including the topological-peak provider."""
-
-    __slots__ = ()
-    _fields = ("monitor", "prefix", "segment")
-
-    def __new__(cls, monitor: MonitorId, prefix: Prefix, segment: Route) -> "RetainedPath":
-        if len(segment) < 2:
-            raise ValueError("retained segment needs the origin plus one transit AS")
-        return tuple.__new__(cls, (monitor, prefix, segment))
-
-    monitor = property(itemgetter(0))
-    prefix = property(itemgetter(1))
-    segment = property(itemgetter(2))
-
-    @property
-    def origin(self) -> int:
-        return self.segment[0]
 
 
 class RouteRejection(NamedTuple):
@@ -85,14 +65,16 @@ def sanitize_route(
         collapsed = tuple(asn for i, asn in enumerate(hops) if i == 0 or hops[i - 1] != asn)
         if len(set(collapsed)) != len(collapsed):
             return RouteRejection(RejectCategory.LOOP, "ASN repeats non-consecutively")
-    if not clique.isdisjoint(collapsed):
+    # from here on no AS repeats, so one clique AS cannot wedge anything and
+    # the host AS after the first hop is the host AS anywhere but first
+    if len(clique.intersection(collapsed)) > 1:
         clique_positions = [i for i, asn in enumerate(collapsed) if asn in clique]
         for i in range(clique_positions[0] + 1, clique_positions[-1]):
             if collapsed[i] not in clique:
                 return RouteRejection(
                     RejectCategory.POISONED, f"non-clique ASN {collapsed[i]} between clique ASes"
                 )
-    if host_asn in collapsed[1:]:
+    if host_asn in collapsed and collapsed[0] != host_asn:
         return RouteRejection(
             RejectCategory.LOOP, f"monitor host ASN {host_asn} after the first hop"
         )
@@ -111,95 +93,112 @@ def peak_segment(host_asn: int, hops: Route, rels: RelationshipTable) -> Route |
     if len(hops) < 2:
         return RouteRejection(RejectCategory.NO_PEAK, "no transit AS on path")
     origin_first = hops[::-1]
-    peak = None
-    for k in range(1, len(origin_first)):
-        if rels.is_p2c(origin_first[k], origin_first[k - 1]):
-            peak = k
-    if peak is None:
-        return RouteRejection(RejectCategory.NO_PEAK, "no provider-customer link")
-    return origin_first[: peak + 1]
-
-
-def _rejection(path: PathRecord, verdict: RouteRejection) -> PathRejection:
-    return PathRejection(verdict.category, path.monitor.id, path.prefix, verdict.reason)
-
-
-def sanitize(
-    path: PathRecord,
-    clique: frozenset[int],
-    reserved: frozenset[int],
-) -> PathRecord | PathRejection:
-    """``sanitize_route`` applied to one path; the path itself when its hops
-    are kept as they are."""
-    route = sanitize_route(path.monitor.host_asn, path.hops, clique, reserved)
-    if isinstance(route, RouteRejection):
-        return _rejection(path, route)
-    if len(route) == len(path.hops):
-        return path
-    return PathRecord(path.monitor, path.prefix, route)
-
-
-def truncate_to_peak(
-    path: PathRecord,
-    rels: RelationshipTable,
-) -> RetainedPath | PathRejection:
-    """``peak_segment`` applied to one path."""
-    segment = peak_segment(path.monitor.host_asn, path.hops, rels)
-    if isinstance(segment, RouteRejection):
-        return _rejection(path, segment)
-    return RetainedPath(path.monitor, path.prefix, segment)
+    for peak in range(len(origin_first) - 1, 0, -1):  # the farthest link first
+        if rels.is_p2c(origin_first[peak], origin_first[peak - 1]):
+            return origin_first[: peak + 1]
+    return RouteRejection(RejectCategory.NO_PEAK, "no provider-customer link")
 
 
 # A monitor reaches every prefix of an origin over the same route, so a corpus
-# repeats each (host AS, hops) pair many times: prepare_paths and
-# retain_for_country judge each distinct pair once per call, through a cache
-# made inside the call, and then build the per-path record or rejection as
-# sanitize and truncate_to_peak do.
+# repeats each (host AS, route) pair many times: prepare_paths and
+# retain_for_country judge each distinct pair once per call, keyed by
+# route index << 32 | host AS (an ASN fits in 32 bits).
+_HOST_BITS = 32
+_HOST_MASK = (1 << _HOST_BITS) - 1
 
 
 def prepare_paths(
-    paths: Iterable[PathRecord],
+    corpus: Corpus,
     clique: frozenset[int],
     reserved: frozenset[int],
-) -> tuple[list[PathRecord], list[PathRejection]]:
-    """Sanitize a corpus, preserving a stable (monitor, prefix) order."""
-    by_monitor: dict[str, list[PathRecord]] = {}
-    rejections: list[PathRejection] = []
-    route_of = functools.cache(functools.partial(sanitize_route, clique=clique, reserved=reserved))
-    for path in paths:
-        route = route_of(path.monitor.host_asn, path.hops)
-        if isinstance(route, RouteRejection):
-            rejections.append(_rejection(path, route))
-            continue
-        if len(route) != len(path.hops):
-            path = PathRecord(path.monitor, path.prefix, route)
-        by_monitor.setdefault(path.monitor.id, []).append(path)
-    # one sort per monitor: a corpus listed prefix by prefix is then sorted already
-    accepted: list[PathRecord] = []
-    for monitor_id in sorted(by_monitor):
-        accepted += sorted(by_monitor[monitor_id], key=attrgetter("prefix"))
-    return accepted, rejections
+) -> tuple[Corpus, list[PathRejection]]:
+    """Sanitize a corpus: the kept rows with their collapsed routes, in
+    (monitor id, prefix) order, and one rejection per other row, in input
+    order. The result shares the monitor and prefix tables."""
+    monitors, prefixes, routes = corpus.monitors, corpus.prefixes, corpus.routes
+    monitor_col, prefix_col = corpus.monitor_ix, corpus.prefix_ix
+    # the kept routes: the raw ones, then each collapsed one not among them
+    sanitized = Corpus(monitors=monitors, prefixes=prefixes, routes=list(routes))
+    route_index: dict[Route, int] | None = None  # built at the first collapse
+    keys = _route_keys(corpus, range(len(corpus)))
+    verdict_of: dict[int, int | RouteRejection] = dict.fromkeys(keys)
+    for key in verdict_of:
+        route_ix = key >> _HOST_BITS
+        verdict = sanitize_route(key & _HOST_MASK, routes[route_ix], clique, reserved)
+        if verdict is routes[route_ix]:
+            verdict = route_ix
+        elif not isinstance(verdict, RouteRejection):
+            if route_index is None:
+                route_index = {route: ix for ix, route in enumerate(sanitized.routes)}
+            verdict = intern(verdict, route_index, sanitized.routes)
+        verdict_of[key] = verdict
+    verdicts = list(map(verdict_of.__getitem__, keys))
+    rejections = [
+        _rejection(corpus, monitor_col[row], prefix_col[row], verdict)
+        for row, verdict in enumerate(verdicts)
+        if isinstance(verdict, RouteRejection)
+    ]
+    monitor_rank = _ranks([monitor.id for monitor in monitors])
+    prefix_rank = _ranks(prefixes)
+    n_prefixes = len(prefixes)
+    order = [monitor_rank[m] * n_prefixes + prefix_rank[p] for m, p in zip(monitor_col, prefix_col)]
+    kept = [row for row, verdict in enumerate(verdicts) if isinstance(verdict, int)]
+    kept.sort(key=order.__getitem__)
+    sanitized.monitor_ix = list(map(monitor_col.__getitem__, kept))
+    sanitized.prefix_ix = list(map(prefix_col.__getitem__, kept))
+    sanitized.route_ix = list(map(verdicts.__getitem__, kept))
+    return sanitized, rejections
+
+
+def _route_keys(corpus: Corpus, rows: Iterable[int]) -> list[int]:
+    """The (route, host AS) key of each row."""
+    host_of = [monitor.host_asn for monitor in corpus.monitors]
+    monitor_col, route_col = corpus.monitor_ix, corpus.route_ix
+    return [route_col[row] << _HOST_BITS | host_of[monitor_col[row]] for row in rows]
+
+
+def _ranks(values: list) -> list[int]:
+    """Each value's position among the sorted values."""
+    ranks = [0] * len(values)
+    for rank, ix in enumerate(sorted(range(len(values)), key=values.__getitem__)):
+        ranks[ix] = rank
+    return ranks
+
+
+def _rejection(
+    corpus: Corpus, monitor_ix: int, prefix_ix: int, verdict: RouteRejection
+) -> PathRejection:
+    monitor_id = corpus.monitors[monitor_ix].id
+    return PathRejection(verdict.category, monitor_id, corpus.prefixes[prefix_ix], verdict.reason)
 
 
 def retain_for_country(
-    sanitized: Iterable[PathRecord],
+    sanitized: Corpus,
     dest_country: str,
     geo: GeoTable,
     rels: RelationshipTable,
-) -> tuple[list[RetainedPath], list[PathRejection]]:
+) -> tuple[list[RetainedRow], list[PathRejection]]:
     """Peak truncation of the inbound paths toward one country: those seen
     from outside it, toward prefixes with address mass in it."""
-    retained: list[RetainedPath] = []
+    prefixes, routes = sanitized.prefixes, sanitized.routes
+    monitor_col, prefix_col = sanitized.monitor_ix, sanitized.prefix_ix
+    outside = [monitor.country != dest_country for monitor in sanitized.monitors]
+    has_mass = [bool(geo.mass.get((prefix, dest_country))) for prefix in prefixes]
+    rows = [
+        row
+        for row, (monitor_ix, prefix_ix) in enumerate(zip(monitor_col, prefix_col))
+        if outside[monitor_ix] and has_mass[prefix_ix]
+    ]
+    keys = _route_keys(sanitized, rows)
+    segment_of: dict[int, Route | RouteRejection] = dict.fromkeys(keys)
+    for key in segment_of:
+        segment_of[key] = peak_segment(key & _HOST_MASK, routes[key >> _HOST_BITS], rels)
+    retained: list[RetainedRow] = []
     rejections: list[PathRejection] = []
-    segment_of = functools.cache(functools.partial(peak_segment, rels=rels))
-    masses = geo.mass
-    for path in sanitized:
-        monitor = path.monitor
-        if monitor.country == dest_country or not masses.get((path.prefix, dest_country)):
-            continue
-        segment = segment_of(monitor.host_asn, path.hops)
+    for row, key in zip(rows, keys):
+        segment = segment_of[key]
         if isinstance(segment, RouteRejection):
-            rejections.append(_rejection(path, segment))
+            rejections.append(_rejection(sanitized, monitor_col[row], prefix_col[row], segment))
         else:
-            retained.append(RetainedPath(monitor, path.prefix, segment))
+            retained.append((key & _HOST_MASK, segment, prefixes[prefix_col[row]]))
     return retained, rejections

@@ -15,35 +15,31 @@ from typing import Sequence
 from . import clh_compare, conglomerate, cti_core, outlier, pathprep, transit_dominance
 from .geo import GeoTable, Nationality, build_geo_table, classify_nationality
 from .ingest import DatasetBundle, RowRejection
-from .model import (
-    ComputationError,
-    MetricReport,
-    PathRecord,
-    Prefix,
-    RelationshipTable,
-)
+from .model import ComputationError, Corpus, MetricReport, Prefix, RelationshipTable
 
 
-def derive_origins(paths: Sequence[PathRecord]) -> dict[Prefix, int]:
+def derive_origins(sanitized: Corpus) -> dict[Prefix, int]:
     """Origin map from the sanitized corpus; multi-origin prefixes must have
     been excluded upstream, so disagreement here is a hard error."""
-    origins: dict[Prefix, int] = {}
-    for path in paths:
-        existing = origins.get(path.prefix)
-        if existing is None:
-            origins[path.prefix] = path.origin
-        elif existing != path.origin:
+    route_origin = [route[-1] for route in sanitized.routes]
+    origin_of: dict[int, int] = {}  # prefix index -> origin AS
+    # each distinct (prefix, origin) pair in the order of its first row
+    for prefix_ix, origin in dict.fromkeys(
+        zip(sanitized.prefix_ix, map(route_origin.__getitem__, sanitized.route_ix))
+    ):
+        existing = origin_of.setdefault(prefix_ix, origin)
+        if existing != origin:
             raise ComputationError(
-                f"prefix {path.prefix} announced by AS {existing} and AS {path.origin}; "
-                "add it to the multi-origin exclusion list"
+                f"prefix {sanitized.prefixes[prefix_ix]} announced by AS {existing} and "
+                f"AS {origin}; add it to the multi-origin exclusion list"
             )
-    return origins
+    return {sanitized.prefixes[prefix_ix]: origin for prefix_ix, origin in origin_of.items()}
 
 
 @dataclass
 class Substrate:
     bundle: DatasetBundle
-    sanitized: list[PathRecord]
+    sanitized: Corpus
     hygiene_rejections: list[pathprep.PathRejection]
     origins: dict[Prefix, int]
     geo: GeoTable

@@ -26,7 +26,6 @@ from .model import (
     PathRecord,
     Prefix,
     RelKind,
-    Relationship,
     RelationshipTable,
 )
 
@@ -91,23 +90,23 @@ def generate_topology(seed: int, params: SynthParams | None = None) -> SynthTopo
     rels = RelationshipTable()
     for i, a in enumerate(clique):
         for b in clique[i + 1 :]:
-            rels.add(Relationship(a, b, RelKind.P2P))
+            rels.add(a, b, RelKind.P2P)
     for mid in mids:
         for provider in rng.sample(clique, rng.randint(1, len(clique))):
-            rels.add(Relationship(provider, mid, RelKind.P2C))
+            rels.add(provider, mid, RelKind.P2C)
     for i, a in enumerate(mids):
         for b in mids[i + 1 :]:
             if rng.random() < 0.25:
-                rels.add(Relationship(a, b, RelKind.P2P))
+                rels.add(a, b, RelKind.P2P)
     for stub in stubs:
         for provider in rng.sample(mids, rng.randint(1, min(2, len(mids)))):
-            rels.add(Relationship(provider, stub, RelKind.P2C))
+            rels.add(provider, stub, RelKind.P2C)
         if rng.random() < 0.2:
-            rels.add(Relationship(rng.choice(clique), stub, RelKind.P2C))
+            rels.add(rng.choice(clique), stub, RelKind.P2C)
     for i, a in enumerate(stubs):
         for b in stubs[i + 1 :]:
             if rng.random() < 0.1:
-                rels.add(Relationship(a, b, RelKind.P2P))
+                rels.add(a, b, RelKind.P2P)
 
     origin_ases = list(stubs) + [mid for mid in mids if rng.random() < 0.4]
     geo_rows: list[GeoRow] = []
@@ -174,11 +173,11 @@ def preset_topology(name: str) -> SynthTopology:
     origins = (101, 102, 103, 104)
     rels = RelationshipTable()
     for transit in (left, center, right):
-        rels.add(Relationship(top, transit, RelKind.P2C))
-    rels.add(Relationship(left, 101, RelKind.P2C))
-    rels.add(Relationship(center, 102, RelKind.P2C))
-    rels.add(Relationship(right, 103, RelKind.P2C))
-    rels.add(Relationship(right, 104, RelKind.P2C))
+        rels.add(top, transit, RelKind.P2C)
+    rels.add(left, 101, RelKind.P2C)
+    rels.add(center, 102, RelKind.P2C)
+    rels.add(right, 103, RelKind.P2C)
+    rels.add(right, 104, RelKind.P2C)
 
     owner_by_block = [101, 101, 101, 102, 103, 103, 104, 104]
     geo_rows: list[GeoRow] = []
@@ -194,7 +193,7 @@ def preset_topology(name: str) -> SynthTopology:
         monitor_host = top
     else:
         grand = 5
-        rels.add(Relationship(grand, top, RelKind.P2C))
+        rels.add(grand, top, RelKind.P2C)
         clique = frozenset({grand})
         mids = (top, left, center, right)
         monitor_host = grand

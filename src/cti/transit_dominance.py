@@ -60,7 +60,7 @@ def parse_traceroutes(
     rejections: list[RowRejection] = []
     # each distinct prefix and hop text is parsed (and collapsed) once per call
     parse_prefix = functools.cache(Prefix.parse)
-    parse_hops = _hops_parser(collapse=True)
+    parse_hops = _hops_parser()
     for line_no, line in _data_lines(reader):
         parts = line.split("|")
         if len(parts) != 3:

@@ -10,9 +10,16 @@ from cti.cli import check_one_seed
 from cti.clh_compare import compare_reports
 from cti.conglomerate import Conglomerate, compute_ctin, compute_footprint, state_conglomerates
 from cti.geo import Nationality, build_geo_table, classify_nationality
-from cti.model import MetricReport, MonitorId, Prefix, RelKind, Relationship, RelationshipTable
-from cti.pathprep import RejectCategory, RetainedPath, prepare_paths
+from cti.model import MetricReport, MonitorId, Prefix, RelKind, RelationshipTable
+from cti.pathprep import (
+    RejectCategory,
+    RouteRejection,
+    peak_segment,
+    prepare_paths,
+    retain_for_country,
+)
 from cti.synth_oracle import SynthParams
+from test_pathprep import corpus_of
 
 ORACLE_SEEDS = range(1, 501)
 
@@ -83,8 +90,8 @@ def test_criterion_4_transit_fraction_contribution():
             [(p1, "CU", 256), (p2, "CU", 256)], [], {p1: 900, p2: 901}
         )
         rels = RelationshipTable()
-        rels.add(Relationship(50, 900, RelKind.P2C))
-        rels.add(Relationship(60, 900, RelKind.P2P))
+        rels.add(50, 900, RelKind.P2C)
+        rels.add(60, 900, RelKind.P2P)
         nationality = Nationality({900: "CU", 901: "CU"})
         traces = [
             transit_dominance.TraceroutePath("t1", p1, (50, 900)),
@@ -174,13 +181,24 @@ def test_criterion_6_filter_properties():
                 if sub.geo.total.get(country, 0) <= 0:
                     continue
                 table = pipeline.build_country_substrate(sub, country)
-                # (c) weights sum to one per (host AS, prefix)
+                # (c) weights sum to one per (host AS, prefix): n counts the
+                # host's monitors that observe the prefix over a retained path
                 observers = {}
-                for path, _mass, n in table.paths:
-                    key = (path.monitor.host_asn, path.prefix)
-                    observers.setdefault(key, (n, set()))[1].add(path.monitor.id)
-                for n, ids in observers.values():
-                    assert Fraction(1, n) * len(ids) == 1
+                for path in sub.sanitized:
+                    if path.monitor.country == country:
+                        continue
+                    if not sub.geo.mass.get((path.prefix, country)):
+                        continue
+                    segment = peak_segment(path.monitor.host_asn, path.hops, sub.rels)
+                    if not isinstance(segment, RouteRejection):
+                        key = (path.monitor.host_asn, path.prefix)
+                        observers.setdefault(key, set()).add(path.monitor.id)
+                retained, _no_peak = retain_for_country(sub.sanitized, country, sub.geo, sub.rels)
+                weights = cti_core.compute_weights(retained)
+                assert weights.keys() == observers.keys()
+                for key, ids in observers.items():
+                    assert Fraction(1, weights[key]) * len(ids) == 1
+                assert len(table) == sum(weights.values())
                 # (a) every host count here is < 10, so the filter is a no-op
                 unfiltered = pipeline.cti_report(sub, country, apply_outlier=False)
                 filtered = pipeline.cti_report(sub, country, apply_outlier=True)
@@ -216,7 +234,7 @@ def test_criterion_6_filter_properties():
         prefix = Prefix.parse("10.0.0.0/24")
         geo, _ = build_geo_table([(prefix, "CU", 256)], [], {})
         monitors = [MonitorId(f"m{i}", 1000 + i, "US") for i in range(10)]
-        retained = [RetainedPath(m, prefix, (900, 500)) for m in monitors]
+        retained = [(m.host_asn, (900, 500), prefix) for m in monitors]
         table = cti_core.extract_observations(retained, geo, monitors, "CU")
         result = outlier.apply_outlier_filter(table, 500)
         assert result.value == cti_core.compute_cti(table).get("CU", 500)
@@ -263,7 +281,7 @@ def test_criterion_8_path_hygiene_matches_injection_manifest():
             mutated, manifest = synth_oracle.inject_path_anomalies(
                 paths, topo.clique, seed=seed, n_loops=3, n_prepends=4, n_poisons=2
             )
-            accepted, rejections = prepare_paths(mutated, topo.clique, frozenset())
+            accepted, rejections = prepare_paths(corpus_of(mutated), topo.clique, frozenset())
             counts = {}
             for rejection in rejections:
                 counts[rejection.category.value] = counts.get(rejection.category.value, 0) + 1

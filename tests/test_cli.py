@@ -4,6 +4,7 @@ import os
 import pytest
 from click.testing import CliRunner
 
+from cti import ingest
 from cti import synth_oracle as so
 from cti.cli import main
 
@@ -209,6 +210,57 @@ def test_compare_missing_file_exits_2(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["compare", "--a", "nope.csv", "--b", "nope.csv"])
     assert result.exit_code == 2
+
+
+def test_unreadable_or_unwritable_files_exit_2_with_one_line(tmp_path):
+    _write_toy(tmp_path / "in")
+    base = ["--input", str(tmp_path / "in"), "--country", "CU"]
+    out = ["--output", str(tmp_path / "out")]
+    for args in (
+        ["compare", "--a", str(tmp_path / "in"), "--b", str(tmp_path / "in"), *out],  # directories
+        ["cti", *base, "--output", str(tmp_path / "in" / "paths.txt")],  # an existing file
+    ):
+        result = CliRunner().invoke(main, args)
+        assert result.exit_code == 2, (args, result.output)
+        assert result.output.startswith("file error: ") and result.output.count("\n") == 1
+    # an input file that is a directory
+    os.remove(tmp_path / "in" / "geo.csv")
+    os.mkdir(tmp_path / "in" / "geo.csv")
+    result = CliRunner().invoke(main, ["cti", *base, *out])
+    assert result.exit_code == 2, result.output
+    assert result.output == f"file error: [Errno 21] Is a directory: '{tmp_path / 'in' / 'geo.csv'}'\n"
+
+
+def test_input_file_without_read_permission_exits_2(tmp_path, monkeypatch):
+    _write_toy(tmp_path / "in")
+    unreadable = str(tmp_path / "in" / "monitors.csv")
+    os.chmod(unreadable, 0)
+    if os.access(unreadable, os.R_OK):  # the mode binds no superuser: deny the open itself
+        def guarded_open(path, *args, **kwargs):
+            if path == unreadable:
+                raise PermissionError(13, "Permission denied", path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(ingest, "open", guarded_open, raising=False)
+    result = CliRunner().invoke(
+        main, ["ctin", "--input", str(tmp_path / "in"), "--country", "CU", "--output", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.output == f"file error: [Errno 13] Permission denied: '{unreadable}'\n"
+
+
+def test_bad_country_exits_5_before_reading_input(tmp_path):
+    _write_toy(tmp_path / "in")
+    for command in ("cti", "ctin", "footprint", "org", "transit-fraction", "candidates", "clh"):
+        for country in ("aa", "CUB", "C1", ""):
+            for input_dir in (tmp_path / "in", tmp_path / "missing"):
+                args = [command, "--input", str(input_dir), "--country", country]
+                result = CliRunner().invoke(main, args + ["--output", str(tmp_path / "out")])
+                assert result.exit_code == 5, (args, result.output)
+                assert result.output == (
+                    f"bad option: --country {country!r} must be an ISO alpha-2 code in capitals\n"
+                )
+    assert not (tmp_path / "out").exists()
 
 
 def test_synth_command_is_deterministic(tmp_path):

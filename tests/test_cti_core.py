@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from cti import cti_core
 from cti.geo import build_geo_table
 from cti.model import MonitorId, Prefix
-from cti.pathprep import RetainedPath
 
 P1 = Prefix.parse("10.0.0.0/24")
 P2 = Prefix.parse("10.0.1.0/24")
@@ -21,7 +20,7 @@ def _cti(retained, geo, monitors, country="CU"):
 
 def test_extract_observations_skips_origin():
     geo, _ = build_geo_table([(P1, "CU", 256)], [], {})
-    retained = [RetainedPath(M1, P1, (30, 20, 15))]
+    retained = [(M1.host_asn, (30, 20, 15), P1)]
     table = cti_core.extract_observations(retained, geo, [M1], "CU")
     assert len(table) == 1
     assert table.lcm == 2  # n = 1, d in {1, 2}
@@ -30,18 +29,18 @@ def test_extract_observations_skips_origin():
 
 
 def test_weights_single_observer():
-    observers = cti_core.compute_weights([RetainedPath(M1, P1, (30, 20))])
+    observers = cti_core.compute_weights([(M1.host_asn, (30, 20), P1)])
     assert observers == {(10, P1): 1}  # weight 1/1
 
 
 def test_weights_split_between_same_host_observers():
-    retained = [RetainedPath(M1, P1, (30, 20)), RetainedPath(M2, P1, (30, 25))]
+    retained = [(M1.host_asn, (30, 20), P1), (M2.host_asn, (30, 25), P1)]
     assert Fraction(1, cti_core.compute_weights(retained)[(10, P1)]) == Fraction(1, 2)
 
 
 def test_weights_not_diluted_by_blind_sibling():
     # m2 shares m1's host AS but sees only the other prefix
-    retained = [RetainedPath(M1, P1, (30, 20)), RetainedPath(M2, P2, (30, 20))]
+    retained = [(M1.host_asn, (30, 20), P1), (M2.host_asn, (30, 20), P2)]
     observers = cti_core.compute_weights(retained)
     assert observers[(10, P1)] == 1
     assert observers[(10, P2)] == 1
@@ -49,27 +48,27 @@ def test_weights_not_diluted_by_blind_sibling():
 
 def test_compute_cti_single_observation():
     geo, _ = build_geo_table([(P1, "CU", 256), (P2, "CU", 256)], [], {})
-    report = _cti([RetainedPath(M1, P1, (30, 20))], geo, [M1])
+    report = _cti([(M1.host_asn, (30, 20), P1)], geo, [M1])
     assert report.get("CU", 20) == Fraction(1, 2)  # 1 * (256/512) * 1
 
 
 def test_compute_cti_blind_monitor_dilutes():
     # m3 is active but observes nothing; |M| = 2 halves the score
     geo, _ = build_geo_table([(P1, "CU", 256)], [], {})
-    report = _cti([RetainedPath(M1, P1, (30, 20))], geo, [M1, M3])
+    report = _cti([(M1.host_asn, (30, 20), P1)], geo, [M1, M3])
     assert report.get("CU", 20) == Fraction(1, 2)
 
 
 def test_compute_cti_distance_discount():
     geo, _ = build_geo_table([(P1, "CU", 256)], [], {})
-    report = _cti([RetainedPath(M1, P1, (30, 20, 15))], geo, [M1])
+    report = _cti([(M1.host_asn, (30, 20, 15), P1)], geo, [M1])
     assert report.get("CU", 20) == Fraction(1)
     assert report.get("CU", 15) == Fraction(1, 2)
 
 
 def test_compute_cti_ignores_inactive_monitors_and_foreign_mass():
     geo, _ = build_geo_table([(P1, "CU", 256), (P2, "AR", 256)], [], {})
-    retained = [RetainedPath(M1, P1, (30, 20)), RetainedPath(M3, P2, (30, 20))]
+    retained = [(M1.host_asn, (30, 20), P1), (M3.host_asn, (30, 20), P2)]
     report = _cti(retained, geo, [M1])
     # only m1's path counts; P2 has no CU mass anyway
     assert report.get("CU", 20) == Fraction(1)
@@ -82,7 +81,7 @@ def test_weights_sum_to_one_per_host_prefix(observer_counts):
         prefix = Prefix(base=(10 << 24) | (idx << 8), length=24)
         for j in range(n):
             monitor = MonitorId(f"m{idx}-{j}", 10, "US")
-            retained.append(RetainedPath(monitor, prefix, (30, 20)))
+            retained.append((monitor.host_asn, (30, 20), prefix))
     observers = cti_core.compute_weights(retained)
     for idx, n in enumerate(observer_counts):
         prefix = Prefix(base=(10 << 24) | (idx << 8), length=24)

@@ -1,7 +1,7 @@
 import pytest
 
 from cti.geo import build_geo_table, classify_nationality
-from cti.model import ComputationError, Prefix, RelKind, Relationship, RelationshipTable
+from cti.model import ComputationError, Prefix, RelKind, RelationshipTable
 
 P1 = Prefix.parse("10.0.0.0/24")
 P2 = Prefix.parse("10.0.1.0/24")
@@ -82,9 +82,9 @@ def test_nationality_below_boundary_is_foreign():
 
 def test_nationality_direct_customer_mode():
     rels = RelationshipTable()
-    rels.add(Relationship(300, 100, RelKind.P2C))
-    rels.add(Relationship(300, 200, RelKind.P2C))
-    rels.add(Relationship(100, 400, RelKind.P2P))
+    rels.add(300, 100, RelKind.P2C)
+    rels.add(300, 200, RelKind.P2C)
+    rels.add(100, 400, RelKind.P2P)
     table, _ = build_geo_table(
         [(P1, "CU", 256), (P2, "CU", 256), (P3, "AR", 256)],
         [],

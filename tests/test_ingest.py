@@ -36,7 +36,7 @@ def test_parse_paths_basic():
 )
 def test_parse_paths_rejections(line, reason):
     records, rejections = ingest.parse_paths([line], MONITORS)
-    assert records == []
+    assert list(records) == []
     assert [r.reason for r in rejections] == [reason]
 
 
@@ -68,7 +68,7 @@ def test_repeated_bad_rows_are_each_rejected():
         "m1|10.0.0.0/25|10 20",
     ]
     records, rejections = ingest.parse_paths(lines, MONITORS)
-    assert records == []
+    assert list(records) == []
     assert [(r.line_no, r.reason) for r in rejections] == [
         (1, "unparsable prefix"),
         (2, "unparsable prefix"),
@@ -107,6 +107,19 @@ def test_parse_relationships():
         ingest.parse_relationships(["1|2|7"])
     with pytest.raises(ParseError):
         ingest.parse_relationships(["1|2|-1", "2|1|-1"])
+
+
+def test_parse_relationships_repeats():
+    # a peer link listed both ways round is one link
+    table = ingest.parse_relationships(["1|2|0", "2|1|0", "1|2|0"])
+    assert len(table) == 1
+    assert table.lookup(2, 1) == table.lookup(1, 2)
+    assert table.peers_of(1) == frozenset({2}) and table.peers_of(2) == frozenset({1})
+    assert len(ingest.parse_relationships(["1|2|-1", "1|2|-1"])) == 1
+    # a p2c row that reverses an earlier one, or turns it into peering, conflicts
+    for lines in (["1|2|-1", "2|1|-1"], ["1|2|0", "2|1|-1"], ["2|1|-1", "1|2|0"]):
+        with pytest.raises(ParseError, match="line 2: conflicting relationship"):
+            ingest.parse_relationships(lines)
 
 
 def test_parse_geo_and_delegations():
@@ -260,6 +273,12 @@ def _reference_parse_traceroutes(lines):
     return paths, rejections
 
 
+def _parse_path_rows(*args):
+    """``parse_paths`` with the corpus given as its row view."""
+    corpus, rejections = ingest.parse_paths(*args)
+    return list(corpus), rejections
+
+
 def _outcome(parse, *args):
     """The parse result, or the ParseError message; any other exception escapes."""
     try:
@@ -296,7 +315,7 @@ _FUZZ = settings(max_examples=300, deadline=None)
 def test_parse_paths_matches_row_by_row_reference(lines, exclude):
     multi_origin = frozenset({Prefix.parse("10.0.1.0/24")}) if exclude else frozenset()
     expected = _outcome(_reference_parse_paths, lines, MONITORS, multi_origin)
-    assert _outcome(ingest.parse_paths, lines, MONITORS, multi_origin) == expected
+    assert _outcome(_parse_path_rows, lines, MONITORS, multi_origin) == expected
 
 
 @_FUZZ

@@ -19,7 +19,6 @@ from cti.model import (
     validate_asn,
     validate_country,
 )
-from cti.pathprep import RetainedPath
 from cti.transit_dominance import TraceroutePath
 
 
@@ -75,11 +74,11 @@ def test_relationship_rejects_self():
 
 def test_relationship_table_lookup_is_symmetric():
     table = RelationshipTable()
-    table.add(Relationship(1, 2, RelKind.P2C))
-    table.add(Relationship(2, 3, RelKind.P2P))
+    table.add(1, 2, RelKind.P2C)
+    table.add(2, 3, RelKind.P2P)
     assert table.is_p2c(1, 2)
     assert not table.is_p2c(2, 1)
-    assert table.lookup(3, 2) is table.lookup(2, 3)
+    assert table.lookup(3, 2) == table.lookup(2, 3) == Relationship(2, 3, RelKind.P2P)
     assert table.peers_of(3) == frozenset({2})
     assert table.providers_of(2) == frozenset({1})
     assert table.customers_of(1) == frozenset({2})
@@ -87,12 +86,12 @@ def test_relationship_table_lookup_is_symmetric():
 
 def test_relationship_table_conflict():
     table = RelationshipTable()
-    table.add(Relationship(1, 2, RelKind.P2C))
-    table.add(Relationship(1, 2, RelKind.P2C))  # identical duplicate is fine
+    table.add(1, 2, RelKind.P2C)
+    table.add(1, 2, RelKind.P2C)  # identical duplicate is fine
     with pytest.raises(ParseError, match="conflicting"):
-        table.add(Relationship(1, 2, RelKind.P2P))
+        table.add(1, 2, RelKind.P2P)
     with pytest.raises(ParseError, match="conflicting"):
-        table.add(Relationship(2, 1, RelKind.P2C))
+        table.add(2, 1, RelKind.P2C)
 
 
 def test_path_record_needs_hops():
@@ -210,18 +209,14 @@ P24 = Prefix.parse("10.1.2.0/24")
 RECORDS = [
     P24,
     PathRecord(monitor=M, prefix=P24, hops=(10, 20)),
-    RetainedPath(monitor=M, prefix=P24, segment=(20, 10)),
     TraceroutePath(probe_id="t-m1", prefix=P24, hops=(10, 20)),
 ]
 
 
 def test_records_take_keyword_fields():
     assert (P24.base, P24.length) == (167838208, 24)
-    path, retained, trace = RECORDS[1:]
+    path, trace = RECORDS[1:]
     assert (path.monitor, path.prefix, path.hops, path.origin) == (M, P24, (10, 20), 20)
-    assert (retained.monitor, retained.prefix, retained.segment, retained.origin) == (
-        M, P24, (20, 10), 20
-    )
     assert (trace.probe_id, trace.prefix, trace.hops, trace.last_as) == ("t-m1", P24, (10, 20), 20)
     assert Prefix(base=P24.base, length=24) == Prefix(P24.base, 24) == P24
 
@@ -233,7 +228,6 @@ def test_records_take_keyword_fields():
         (lambda: Prefix(base=1, length=24), "host bits"),
         (lambda: Prefix(base=2**32, length=0), "out of IPv4 range"),
         (lambda: PathRecord(monitor=M, prefix=P24, hops=()), "at least one hop"),
-        (lambda: RetainedPath(monitor=M, prefix=P24, segment=(20,)), "origin plus one transit"),
         (lambda: TraceroutePath(probe_id="t", prefix=P24, hops=()), "at least one hop"),
     ],
 )
@@ -242,7 +236,9 @@ def test_records_validate_on_construction(build, message):
         build()
 
 
-@pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+@pytest.mark.parametrize(
+    "record", [*RECORDS, Relationship(1, 2, RelKind.P2C)], ids=lambda r: type(r).__name__
+)
 def test_records_are_immutable(record):
     for name in record._fields:
         with pytest.raises(AttributeError):
@@ -268,7 +264,6 @@ def test_record_str_and_repr_are_unchanged():
     monitor = "monitor=MonitorId(id='m1', host_asn=10, country='US')"
     assert [str(r) for r in RECORDS[1:]] == [repr(r) for r in RECORDS[1:]] == [
         f"PathRecord({monitor}, {prefix}, hops=(10, 20))",
-        f"RetainedPath({monitor}, {prefix}, segment=(20, 10))",
         f"TraceroutePath(probe_id='t-m1', {prefix}, hops=(10, 20))",
     ]
 
@@ -277,7 +272,8 @@ def test_records_equal_tuples_of_their_fields():
     # the chosen semantics: tuple equality and hashing, whatever the type
     assert P24 == (167838208, 24) and hash(P24) == hash((167838208, 24))
     path = PathRecord(M, P24, (20, 10))
-    same_fields = RetainedPath(M, P24, (20, 10))
-    assert path == same_fields == (M, P24, (20, 10))
-    assert len({path, same_fields, (M, P24, (20, 10))}) == 1
+    same_fields = TraceroutePath("t-m1", P24, (20, 10))
+    assert path == (M, P24, (20, 10))
+    assert same_fields == PathRecord("t-m1", P24, (20, 10)) == ("t-m1", P24, (20, 10))
+    assert len({same_fields, PathRecord("t-m1", P24, (20, 10)), ("t-m1", P24, (20, 10))}) == 1
     assert path != PathRecord(M, P24, (10, 20))

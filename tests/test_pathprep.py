@@ -2,8 +2,16 @@ import pytest
 
 from cti import pathprep
 from cti.geo import build_geo_table
-from cti.model import MonitorId, PathRecord, Prefix, RelKind, Relationship, RelationshipTable
-from cti.pathprep import PathRejection, RejectCategory
+from cti.model import (
+    Corpus,
+    MonitorId,
+    PathRecord,
+    Prefix,
+    RelKind,
+    RelationshipTable,
+    intern,
+)
+from cti.pathprep import PathRejection, RejectCategory, RouteRejection
 
 M_US = MonitorId("m1", 10, "US")
 M_CU = MonitorId("m2", 10, "CU")
@@ -11,27 +19,65 @@ P = Prefix.parse("10.0.0.0/24")
 CLIQUE = frozenset({10, 11})
 
 
+def corpus_of(paths):
+    """The paths as a corpus, rows in the given order."""
+    corpus = Corpus(monitors=[], prefixes=[], routes=[])
+    monitor_index, prefix_index, route_index = {}, {}, {}
+    for path in paths:
+        corpus.monitor_ix.append(intern(path.monitor, monitor_index, corpus.monitors))
+        corpus.prefix_ix.append(intern(path.prefix, prefix_index, corpus.prefixes))
+        corpus.route_ix.append(intern(path.hops, route_index, corpus.routes))
+    return corpus
+
+
+# The per-path forms of the route verdicts, the literal references for the
+# per-route memos of prepare_paths and retain_for_country.
+
+
+def _rejection(path, verdict):
+    return PathRejection(verdict.category, path.monitor.id, path.prefix, verdict.reason)
+
+
+def sanitize(path, clique, reserved):
+    """``sanitize_route`` applied to one path; the path itself when its hops
+    are kept as they are."""
+    route = pathprep.sanitize_route(path.monitor.host_asn, path.hops, clique, reserved)
+    if isinstance(route, RouteRejection):
+        return _rejection(path, route)
+    if len(route) == len(path.hops):
+        return path
+    return PathRecord(path.monitor, path.prefix, route)
+
+
+def truncate_to_peak(path, rels):
+    """``peak_segment`` applied to one path: its (host AS, segment, prefix) row."""
+    segment = pathprep.peak_segment(path.monitor.host_asn, path.hops, rels)
+    if isinstance(segment, RouteRejection):
+        return _rejection(path, segment)
+    return (path.monitor.host_asn, segment, path.prefix)
+
+
 def _rels(*pairs):
     table = RelationshipTable()
     for a, b in pairs:
-        table.add(Relationship(a, b, RelKind.P2C))
+        table.add(a, b, RelKind.P2C)
     return table
 
 
 def test_sanitize_collapses_prepending():
     path = PathRecord(M_US, P, (10, 20, 20, 20, 30))
-    result = pathprep.sanitize(path, CLIQUE, frozenset())
+    result = sanitize(path, CLIQUE, frozenset())
     assert result.hops == (10, 20, 30)
 
 
 def test_sanitize_rejects_loop():
-    result = pathprep.sanitize(PathRecord(M_US, P, (10, 20, 30, 20)), CLIQUE, frozenset())
+    result = sanitize(PathRecord(M_US, P, (10, 20, 30, 20)), CLIQUE, frozenset())
     assert isinstance(result, PathRejection)
     assert result.category is RejectCategory.LOOP
 
 
 def test_sanitize_rejects_reserved_asn():
-    result = pathprep.sanitize(
+    result = sanitize(
         PathRecord(M_US, P, (10, 23456, 30)), CLIQUE, frozenset({23456})
     )
     assert isinstance(result, PathRejection)
@@ -40,7 +86,7 @@ def test_sanitize_rejects_reserved_asn():
 
 def test_sanitize_rejects_poisoned():
     # non-clique 99 strictly between clique members 10 and 11
-    result = pathprep.sanitize(PathRecord(M_US, P, (10, 99, 11, 30)), CLIQUE, frozenset())
+    result = sanitize(PathRecord(M_US, P, (10, 99, 11, 30)), CLIQUE, frozenset())
     assert isinstance(result, PathRejection)
     assert result.category is RejectCategory.POISONED
     assert result.as_log_line().startswith("Poisoned,m1,10.0.0.0/24,")
@@ -48,25 +94,25 @@ def test_sanitize_rejects_poisoned():
 
 def test_sanitize_allows_adjacent_clique_members():
     path = PathRecord(M_US, P, (10, 11, 30))
-    assert pathprep.sanitize(path, CLIQUE, frozenset()) is path
+    assert sanitize(path, CLIQUE, frozenset()) is path
 
 
 def test_loop_precedes_poison_classification():
     # both anomalies present; the loop check runs first
-    result = pathprep.sanitize(PathRecord(M_US, P, (10, 99, 11, 99)), CLIQUE, frozenset())
+    result = sanitize(PathRecord(M_US, P, (10, 99, 11, 99)), CLIQUE, frozenset())
     assert result.category is RejectCategory.LOOP
 
 
 def test_sanitize_rejects_host_asn_after_first_hop():
     # the host AS 10 may lead the path, prepended or not, but never reappear
-    accepted = pathprep.sanitize(PathRecord(M_US, P, (10, 10, 20, 30)), frozenset(), frozenset())
+    accepted = sanitize(PathRecord(M_US, P, (10, 10, 20, 30)), frozenset(), frozenset())
     assert accepted.hops == (10, 20, 30)
     for hops in ((20, 10, 30), (40, 20, 30, 10)):
-        result = pathprep.sanitize(PathRecord(M_US, P, hops), frozenset(), frozenset())
+        result = sanitize(PathRecord(M_US, P, hops), frozenset(), frozenset())
         assert isinstance(result, PathRejection)
         assert result.category is RejectCategory.LOOP
     # a poisoned path wedging the host AS stays Poisoned
-    wedged = pathprep.sanitize(
+    wedged = sanitize(
         PathRecord(MonitorId("m5", 99, "US"), P, (10, 99, 11, 30)), CLIQUE, frozenset()
     )
     assert wedged.category is RejectCategory.POISONED
@@ -74,40 +120,42 @@ def test_sanitize_rejects_host_asn_after_first_hop():
 
 def test_truncate_strips_host_and_finds_peak():
     rels = _rels((10, 20), (20, 30))
-    result = pathprep.truncate_to_peak(PathRecord(M_US, P, (10, 20, 30)), rels)
+    result = truncate_to_peak(PathRecord(M_US, P, (10, 20, 30)), rels)
     # host 10 stripped, origin-first, peak at the 20 -> 30 link
-    assert result.segment == (30, 20)
-    assert result.origin == 30
+    host, segment, _prefix = result
+    assert segment == (30, 20)
+    assert segment[0] == 30  # the origin
+    assert host == 10
 
 
 def test_truncate_retains_up_to_farthest_p2c():
     # 5 above 10 above 20 above 30; monitor hosted elsewhere so nothing is stripped
     monitor = MonitorId("m9", 77, "US")
     rels = _rels((5, 10), (10, 20), (20, 30))
-    result = pathprep.truncate_to_peak(PathRecord(monitor, P, (5, 10, 20, 30)), rels)
-    assert result.segment == (30, 20, 10, 5)
+    result = truncate_to_peak(PathRecord(monitor, P, (5, 10, 20, 30)), rels)
+    assert result[1] == (30, 20, 10, 5)
 
 
 def test_truncate_discards_peers_above_peak():
     # origin 30, provider 20, then a peer hop 40 toward the monitor
     monitor = MonitorId("m9", 77, "US")
     rels = RelationshipTable()
-    rels.add(Relationship(20, 30, RelKind.P2C))
-    rels.add(Relationship(40, 20, RelKind.P2P))
-    result = pathprep.truncate_to_peak(PathRecord(monitor, P, (40, 20, 30)), rels)
-    assert result.segment == (30, 20)
+    rels.add(20, 30, RelKind.P2C)
+    rels.add(40, 20, RelKind.P2P)
+    result = truncate_to_peak(PathRecord(monitor, P, (40, 20, 30)), rels)
+    assert result[1] == (30, 20)
 
 
 def test_truncate_rejects_without_p2c_link():
     rels = RelationshipTable()
-    rels.add(Relationship(20, 30, RelKind.P2P))
-    result = pathprep.truncate_to_peak(PathRecord(MonitorId("m9", 77, "US"), P, (20, 30)), rels)
+    rels.add(20, 30, RelKind.P2P)
+    result = truncate_to_peak(PathRecord(MonitorId("m9", 77, "US"), P, (20, 30)), rels)
     assert isinstance(result, PathRejection)
     assert result.category is RejectCategory.NO_PEAK
 
 
 def test_truncate_rejects_host_only_path():
-    result = pathprep.truncate_to_peak(PathRecord(M_US, P, (10,)), _rels((10, 20)))
+    result = truncate_to_peak(PathRecord(M_US, P, (10,)), _rels((10, 20)))
     assert isinstance(result, PathRejection)
     assert result.category is RejectCategory.NO_PEAK
 
@@ -118,7 +166,7 @@ def test_inbound_filter():
 
     def kept(monitor, country):
         path = PathRecord(monitor, P, (20, 30))
-        retained, rejections = pathprep.retain_for_country([path], country, geo, rels)
+        retained, rejections = pathprep.retain_for_country(corpus_of([path]), country, geo, rels)
         assert rejections == []
         return len(retained) == 1
 
@@ -135,7 +183,7 @@ def test_prepare_paths_sorts_and_splits():
         PathRecord(M_US, P, (10, 20, 30, 20)),
         PathRecord(M_US, P, (10, 20, 30)),
     ]
-    accepted, rejections = pathprep.prepare_paths(paths, CLIQUE, frozenset())
+    accepted, rejections = pathprep.prepare_paths(corpus_of(paths), CLIQUE, frozenset())
     assert [p.prefix for p in accepted] == [P, Prefix.parse("10.0.1.0/24")]
     assert [r.category for r in rejections] == [RejectCategory.LOOP]
 
@@ -147,6 +195,6 @@ def test_retain_for_country_end_to_end():
         PathRecord(M_US, P, (10, 20, 30)),
         PathRecord(M_CU, P, (10, 20, 30)),  # dropped: monitor in CU
     ]
-    retained, rejections = pathprep.retain_for_country(paths, "CU", geo, rels)
+    retained, rejections = pathprep.retain_for_country(corpus_of(paths), "CU", geo, rels)
     assert len(retained) == 1 and rejections == []
-    assert retained[0].segment == (30, 20)
+    assert retained == [(10, (30, 20), P)]

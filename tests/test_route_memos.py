@@ -2,22 +2,32 @@
 
 ``parse_paths`` and ``parse_traceroutes`` parse each distinct hop text once,
 ``prepare_paths`` and ``retain_for_country`` judge each distinct
-(host AS, hops) pair once, and ``compute_transit_fraction`` classifies each
-distinct route's border once. The corpora here repeat routes across prefixes,
+(host AS, hops) pair once, ``compute_transit_fraction`` classifies each
+distinct route's border once, and the kernel sums each (host AS, segment)
+group once. The corpora here repeat routes across prefixes,
 give several monitors one host AS, and mix in every rejection category,
 prepending that collapses and bad rows that repeat, so a memo keyed on too
 little (the hops without the host AS, say) gives a different answer.
 """
+import math
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_ingest import _outcome, _reference_parse_paths, _reference_parse_traceroutes
+from test_ingest import (
+    _outcome,
+    _parse_path_rows,
+    _reference_parse_paths,
+    _reference_parse_traceroutes,
+)
+from test_pathprep import corpus_of, sanitize, truncate_to_peak
 
-from cti import ingest, pathprep
+from cti import cti_core, pathprep
 from cti import transit_dominance as td
+from cti.conglomerate import Conglomerate, compute_ctin
 from cti.geo import Nationality, build_geo_table
-from cti.model import MonitorId, PathRecord, Prefix, RelKind, Relationship, RelationshipTable
+from cti.model import MonitorId, PathRecord, Prefix, RelKind, RelationshipTable
 from cti.pathprep import PathRejection, RejectCategory
 
 CLIQUE = frozenset({1, 2})
@@ -72,11 +82,11 @@ def corpora(draw):
 def relationships(draw):
     table = RelationshipTable()
     for a, b, kind in BASE_EDGES:
-        table.add(Relationship(a, b, kind))
+        table.add(a, b, kind)
     pairs = st.tuples(st.sampled_from(ASNS), st.sampled_from(ASNS)).filter(lambda p: p[0] != p[1])
     for (a, b), kind in draw(st.dictionaries(pairs, st.sampled_from(RelKind), max_size=8)).items():
         if table.lookup(a, b) is None:
-            table.add(Relationship(a, b, kind))
+            table.add(a, b, kind)
     return table
 
 
@@ -124,7 +134,7 @@ def _reference_sanitize(path, clique, reserved):
 
 
 def _reference_prepare(paths):
-    results = [pathprep.sanitize(path, CLIQUE, RESERVED) for path in paths]
+    results = [sanitize(path, CLIQUE, RESERVED) for path in paths]
     accepted = [r for r in results if not isinstance(r, PathRejection)]
     accepted.sort(key=lambda p: (p.monitor.id, p.prefix.base, p.prefix.length))
     return accepted, [r for r in results if isinstance(r, PathRejection)]
@@ -135,9 +145,49 @@ def _reference_retain(sanitized, country, geo, rels):
     for path in sanitized:
         if geo.mass.get((path.prefix, country), 0) == 0 or path.monitor.country == country:
             continue
-        result = pathprep.truncate_to_peak(path, rels)
+        result = truncate_to_peak(path, rels)
         (rejections if isinstance(result, PathRejection) else retained).append(result)
     return retained, rejections
+
+
+def _reference_kernel(sanitized, rels, geo, country):
+    """The kernel, term by term per path as it was before the (host AS,
+    segment) groups, over the active monitors (those outside the country):
+    its lcm, cells and path count, and the ctin of a member set."""
+    monitors = [m for m in MONITORS if m.country != country]
+    active_ids = {m.id for m in monitors}
+    counted = []
+    for path in sanitized:
+        if geo.mass.get((path.prefix, country), 0) == 0 or path.monitor.country == country:
+            continue
+        retained = truncate_to_peak(path, rels)
+        if not isinstance(retained, PathRejection) and path.monitor.id in active_ids:
+            counted.append((path, retained[1]))
+    observers = Counter((path.monitor.host_asn, path.prefix) for path, _segment in counted)
+    rows = [
+        (path, segment, geo.mass[(path.prefix, country)], observers[(path.monitor.host_asn, path.prefix)])
+        for path, segment in counted
+    ]
+    lcm = math.lcm(*{n * d for _path, segment, _mass, n in rows for d in range(1, len(segment))})
+    cells = {}
+    for path, segment, mass, n in rows:
+        host = path.monitor.host_asn
+        for distance, transit in enumerate(segment[1:], start=1):
+            row = cells.setdefault(transit, {})
+            row[host] = row.get(host, 0) + mass * (lcm // (n * distance))
+
+    def ctin(members):
+        numerator = 0
+        for _path, segment, mass, n in rows:
+            if segment[0] in members:
+                continue
+            for distance, transit in enumerate(segment[1:], start=1):
+                if transit in members:
+                    numerator += mass * (lcm // (n * distance))
+                    break
+        return Fraction(numerator, lcm * geo.country_total(country) * len(monitors))
+
+    return lcm, cells, len(rows), ctin
 
 
 def _reference_transit_fraction(paths, rels, nationality, geo, country):
@@ -174,7 +224,7 @@ def test_parsers_match_row_by_row(corpus, data):
         if lines:
             lines[:0] = data.draw(st.lists(st.sampled_from(lines), max_size=3))  # identical repeats
     monitors = {m.id: m for m in MONITORS}
-    assert _outcome(ingest.parse_paths, path_lines, monitors) == _outcome(
+    assert _outcome(_parse_path_rows, path_lines, monitors) == _outcome(
         _reference_parse_paths, path_lines, monitors
     )
     assert _outcome(td.parse_traceroutes, trace_lines) == _outcome(
@@ -186,20 +236,36 @@ def test_parsers_match_row_by_row(corpus, data):
 @given(corpora())
 def test_prepare_paths_matches_per_path_sanitize(corpus):
     for path in corpus:
-        assert pathprep.sanitize(path, CLIQUE, RESERVED) == _reference_sanitize(
-            path, CLIQUE, RESERVED
-        )
+        assert sanitize(path, CLIQUE, RESERVED) == _reference_sanitize(path, CLIQUE, RESERVED)
     for paths in (corpus, corpus[::-1]):
-        assert pathprep.prepare_paths(paths, CLIQUE, RESERVED) == _reference_prepare(paths)
+        sanitized, rejections = pathprep.prepare_paths(corpus_of(paths), CLIQUE, RESERVED)
+        assert (list(sanitized), rejections) == _reference_prepare(paths)
 
 
 @_SETTINGS
 @given(corpora(), relationships(), geo_tables())
 def test_retain_for_country_matches_per_path_truncation(corpus, rels, geo):
-    sanitized, _rejections = pathprep.prepare_paths(corpus, CLIQUE, RESERVED)
+    sanitized, _rejections = pathprep.prepare_paths(corpus_of(corpus), CLIQUE, RESERVED)
     for country in ("AA", "BB"):
-        expected = _reference_retain(sanitized, country, geo, rels)
+        expected = _reference_retain(list(sanitized), country, geo, rels)
         assert pathprep.retain_for_country(sanitized, country, geo, rels) == expected
+
+
+@_SETTINGS
+@given(corpora(), relationships(), geo_tables())
+def test_grouped_kernel_matches_per_path_terms(corpus, rels, geo):
+    sanitized, _rejections = pathprep.prepare_paths(corpus_of(corpus), CLIQUE, RESERVED)
+    for country in ("AA", "BB"):
+        if not geo.total.get(country):
+            continue
+        monitors = [m for m in MONITORS if m.country != country]
+        retained, _no_peak = pathprep.retain_for_country(sanitized, country, geo, rels)
+        table = cti_core.extract_observations(retained, geo, monitors, country)
+        lcm, cells, n_paths, ctin = _reference_kernel(list(sanitized), rels, geo, country)
+        assert (table.lcm, table.cells, len(table)) == (lcm, cells, n_paths)
+        for members in ({5}, {1, 5}, {3}, {2, 7}, set(ASNS)):
+            group = Conglomerate("state", frozenset(members), country)
+            assert compute_ctin(group, table) == ctin(members)
 
 
 @_SETTINGS
@@ -224,9 +290,9 @@ def test_special_routes_reach_every_verdict():
     ]
     rels = RelationshipTable()
     for a, b, kind in BASE_EDGES:
-        rels.add(Relationship(a, b, kind))
+        rels.add(a, b, kind)
     geo, _rejections = build_geo_table([(PREFIXES[0], "AA", 256)], [], {})
-    sanitized, rejections = pathprep.prepare_paths(corpus, CLIQUE, RESERVED)
+    sanitized, rejections = pathprep.prepare_paths(corpus_of(corpus), CLIQUE, RESERVED)
     retained, no_peak = pathprep.retain_for_country(sanitized, "AA", geo, rels)
     reasons = {(r.category, r.reason) for r in rejections + no_peak}
     assert {category for category, _reason in reasons} == set(RejectCategory)
@@ -234,5 +300,5 @@ def test_special_routes_reach_every_verdict():
     assert (5, 3, 6) in [p.hops for p in sanitized]  # kept for host 4
     assert (3, 5, 6) in [p.hops for p in sanitized]  # collapsed
     # one route, two segments: host 3 is stripped, host 4 keeps AS 3 as the peak
-    assert {p.segment for p in retained if p.monitor.host_asn == 3} >= {(6, 5)}
-    assert (6, 5, 3) in {p.segment for p in retained if p.monitor.host_asn == 4}
+    assert {segment for host, segment, _prefix in retained if host == 3} >= {(6, 5)}
+    assert (6, 5, 3) in {segment for host, segment, _prefix in retained if host == 4}

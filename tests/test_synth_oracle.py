@@ -76,13 +76,13 @@ def test_single_chain_propagation():
 
 def test_equal_length_tie_breaks_on_lowest_next_hop():
     # two providers (20 and 30) both reach origin 101 in one hop; 20 wins at 10
-    from cti.model import Relationship, RelationshipTable
+    from cti.model import RelationshipTable
 
     rels = RelationshipTable()
-    rels.add(Relationship(10, 30, RelKind.P2C))
-    rels.add(Relationship(10, 20, RelKind.P2C))
-    rels.add(Relationship(20, 101, RelKind.P2C))
-    rels.add(Relationship(30, 101, RelKind.P2C))
+    rels.add(10, 30, RelKind.P2C)
+    rels.add(10, 20, RelKind.P2C)
+    rels.add(20, 101, RelKind.P2C)
+    rels.add(30, 101, RelKind.P2C)
     topo = so.preset_topology("toy-fig1")
     topo = so.SynthTopology(
         seed=0,

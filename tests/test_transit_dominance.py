@@ -5,7 +5,7 @@ import pytest
 from cti import ingest, pipeline, synth_oracle
 from cti import transit_dominance as td
 from cti.geo import Nationality, build_geo_table
-from cti.model import ParseError, Prefix, RelKind, Relationship, RelationshipTable
+from cti.model import ParseError, Prefix, RelKind, RelationshipTable
 
 P1 = Prefix.parse("10.0.0.0/24")
 P2 = Prefix.parse("10.0.1.0/24")
@@ -14,7 +14,7 @@ P2 = Prefix.parse("10.0.1.0/24")
 def _rels(*edges):
     table = RelationshipTable()
     for a, b, kind in edges:
-        table.add(Relationship(a, b, kind))
+        table.add(a, b, kind)
     return table
 
 
