@@ -14,19 +14,22 @@ the wrong type). Each failure prints one line.
 """
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
 import sys
 from fractions import Fraction
 from functools import partial
-from typing import Callable, TypeVar
+from pathlib import Path
+from typing import Callable, Iterable, TypeVar
 
 import click
 
 from . import clh_compare, cti_core, ingest, outlier, pipeline, synth_oracle, transit_dominance
-from .conglomerate import Conglomerate, compute_ctin
-from .model import ComputationError, MetricReport, ParseError, validate_country
+from .conglomerate import Conglomerate, OrgAggregate, compute_ctin
+from .model import ComputationError, MetricReport, ParseError, csv_text, validate_country
+from .transit_dominance import CandidateResult
 
 EXIT_FILE_ERROR = 2
 EXIT_PARSE_ERROR = 3
@@ -72,42 +75,33 @@ def _guarded(action: Callable[[], T]) -> T:
         sys.exit(EXIT_COMPUTE_ERROR)
 
 
-def _sha256(path: str) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        digest.update(handle.read())
-    return digest.hexdigest()
-
-
-def _write_manifest(
-    output: str,
+def _manifest(
     command: str,
     input_dir: str | None,
     config: dict,
     consumed: tuple[str, ...] = ingest.BUNDLE_FILES,
-) -> None:
-    """Write the command's manifest; it hashes each file of ``consumed``
-    that ``input_dir`` holds."""
+) -> str:
+    """The command's manifest; it hashes each file of ``consumed`` that
+    ``input_dir`` holds."""
     inputs: dict[str, str] = {}
     if input_dir is not None:
         for name in sorted(consumed):
             path = os.path.join(input_dir, name)
             if os.path.exists(path):
-                inputs[name] = _sha256(path)
-    manifest = {"command": command, "inputs": inputs, "config": config}
-    os.makedirs(output, exist_ok=True)
-    with open(os.path.join(output, f"manifest_{command}.json"), "w", encoding="utf-8") as out:
-        json.dump(manifest, out, indent=2, sort_keys=True)
-        out.write("\n")
+                inputs[name] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+    return _json_text({"command": command, "inputs": inputs, "config": config})
 
 
-def _emit_report(report: MetricReport, output: str, stem: str, fmt: str) -> str:
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def _write_files(output: str, files: dict[str, str]) -> None:
+    """Write each named text into the directory ``output``."""
     os.makedirs(output, exist_ok=True)
-    path = os.path.join(output, f"{stem}.{fmt}")
-    body = report.to_csv() if fmt == "csv" else report.to_json()
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write(body)
-    return path
+    for name, text in files.items():
+        with open(os.path.join(output, name), "w", encoding="utf-8", newline="\n") as out:
+            out.write(text)
 
 
 def _country(_ctx: click.Context, _param: click.Parameter, code: str) -> str:
@@ -153,169 +147,127 @@ def main() -> None:
     """Country-level transit influence toolkit."""
 
 
-@main.command("cti")
-@_INPUT
-@_COUNTRY
-@_OUTPUT
-@_FORMAT
-@click.option("--min-hosts", default=str(outlier.DEFAULT_MIN_HOSTS), show_default=True)
-@click.option("--trim", default="1/10", show_default=True, help="Outlier tail fraction, < 1/2.")
-@click.option("--no-outlier", is_flag=True, help="Skip the per-host outlier filter.")
-def cti_command(
-    input_dir: str, country: str, output: str, fmt: str, min_hosts: str, trim: str, no_outlier: bool
-) -> None:
+def _substrate(input_dir: str) -> pipeline.Substrate:
+    return pipeline.build_substrate(ingest.load_bundle(input_dir))
+
+
+def _write_report(output: str, command: str, name: str, text: str, manifest: str) -> None:
+    """Write the report ``name`` and the command's manifest, then print the
+    report's path."""
+    _write_files(output, {name: text, f"manifest_{command}.json": manifest})
+    click.echo(os.path.join(output, name))
+
+
+def _records_csv(record_type: type, records: Iterable[object]) -> str:
+    """One CSV column per field of the dataclass ``record_type``."""
+    header = [f.name for f in dataclasses.fields(record_type)]
+    return csv_text(header, ([getattr(r, name) for name in header] for r in records))
+
+
+def _input_command(name: str, *options, consumed: tuple[str, ...] = ingest.BUNDLE_FILES):
+    """Register the subcommand ``name``: ``--input``, ``--country`` and
+    ``--output``, then ``options``. The body gets the input directory, the
+    country and its own options; it checks the options, makes one pipeline
+    call, and returns the report with the manifest's config besides the
+    country. A ``MetricReport`` is written in ``--format``, CSV text as it is,
+    to ``<name>_<country>.<format>``."""
+
+    def register(body: Callable[..., tuple[MetricReport | str, dict]]) -> click.Command:
+        def command(input_dir: str, country: str, output: str, fmt: str = "csv", **kwargs) -> None:
+            report, config = body(input_dir, country, **kwargs)
+            if isinstance(report, MetricReport):
+                report = report.to_csv() if fmt == "csv" else report.to_json()
+                config["format"] = fmt
+            config["country"] = country
+            report_name = f"{name.replace('-', '_')}_{country}.{fmt}"
+            manifest = _manifest(name, input_dir, config, consumed)
+            _write_report(output, name, report_name, report, manifest)
+
+        for option in (*reversed(options), _OUTPUT, _COUNTRY, _INPUT):
+            command = option(command)
+        return main.command(name, help=body.__doc__)(command)
+
+    return register
+
+
+@_input_command(
+    "cti",
+    _FORMAT,
+    click.option("--min-hosts", default=str(outlier.DEFAULT_MIN_HOSTS), show_default=True),
+    click.option("--trim", default="1/10", show_default=True, help="Outlier tail fraction, < 1/2."),
+    click.option("--no-outlier", is_flag=True, help="Skip the per-host outlier filter."),
+)
+def cti_command(input_dir: str, country: str, min_hosts: str, trim: str, no_outlier: bool):
     """Per-AS transit influence toward one country."""
     outlier_min_hosts = _option("--min-hosts", min_hosts, int, lambda v: v >= 1, "[1, inf)")
     outlier_trim = _option("--trim", trim, Fraction, lambda v: 0 <= v < Fraction(1, 2), "[0, 1/2)")
-    sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
     report = pipeline.cti_report(
-        sub,
+        _substrate(input_dir),
         country,
         outlier_min_hosts=outlier_min_hosts,
         outlier_trim=outlier_trim,
         apply_outlier=not no_outlier,
     )
-    path = _emit_report(report, output, f"cti_{country}", fmt)
-    _write_manifest(
-        output,
-        "cti",
-        input_dir,
-        {
-            "country": country,
-            "format": fmt,
-            "min_hosts": outlier_min_hosts,
-            "trim": trim,
-            "outlier": not no_outlier,
-        },
-    )
-    click.echo(path)
+    return report, {"min_hosts": outlier_min_hosts, "trim": trim, "outlier": not no_outlier}
 
 
-@main.command("ctin")
-@_INPUT
-@_COUNTRY
-@_OUTPUT
-@_FORMAT
-def ctin_command(input_dir: str, country: str, output: str, fmt: str) -> None:
+@_input_command("ctin", _FORMAT)
+def ctin_command(input_dir: str, country: str):
     """State-conglomerate transit score for one country."""
-    sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
-    ctin_report, _footprint = pipeline.state_footprint_reports(sub, country)
-    path = _emit_report(ctin_report, output, f"ctin_{country}", fmt)
-    _write_manifest(output, "ctin", input_dir, {"country": country, "format": fmt})
-    click.echo(path)
+    ctin_report, _footprint = pipeline.state_footprint_reports(_substrate(input_dir), country)
+    return ctin_report, {}
 
 
-@main.command("footprint")
-@_INPUT
-@_COUNTRY
-@_OUTPUT
-@_FORMAT
-def footprint_command(input_dir: str, country: str, output: str, fmt: str) -> None:
+@_input_command("footprint", _FORMAT)
+def footprint_command(input_dir: str, country: str):
     """State footprint: conglomerate transit score plus originated share."""
-    sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
-    _ctin, footprint_report = pipeline.state_footprint_reports(sub, country)
-    path = _emit_report(footprint_report, output, f"footprint_{country}", fmt)
-    _write_manifest(output, "footprint", input_dir, {"country": country, "format": fmt})
-    click.echo(path)
+    _ctin, footprint_report = pipeline.state_footprint_reports(_substrate(input_dir), country)
+    return footprint_report, {}
 
 
-@main.command("org")
-@_INPUT
-@_COUNTRY
-@_OUTPUT
-@click.option("--marginal-threshold", default="1/20", show_default=True)
-def org_command(input_dir: str, country: str, output: str, marginal_threshold: str) -> None:
+@_input_command("org", click.option("--marginal-threshold", default="1/20", show_default=True))
+def org_command(input_dir: str, country: str, marginal_threshold: str):
     """Organization-level score sums (upper bound over sibling ASes)."""
     threshold = _option("--marginal-threshold", marginal_threshold)
-    sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
-    aggregates = pipeline.org_aggregates(sub, country, marginal_threshold=threshold)
-    os.makedirs(output, exist_ok=True)
-    path = os.path.join(output, f"org_{country}.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write("# org_id,country,cti_sum,top_asn,top_share,marginal\n")
-        for agg in aggregates:
-            out.write(
-                f"{agg.org_id},{agg.country},{float(agg.cti_sum):.12f},"
-                f"{agg.top_asn},{float(agg.top_share):.12f},{int(agg.marginal)}\n"
-            )
-    _write_manifest(
-        output,
-        "org",
-        input_dir,
-        {"country": country, "marginal_threshold": marginal_threshold},
+    aggregates = pipeline.org_aggregates(
+        _substrate(input_dir), country, marginal_threshold=threshold
     )
-    click.echo(path)
+    return _records_csv(OrgAggregate, aggregates), {"marginal_threshold": marginal_threshold}
 
 
-@main.command("transit-fraction")
-@_INPUT
-@_COUNTRY
-@_OUTPUT
-@click.option("--threshold", default="12/25", show_default=True, help="Dominance cutoff.")
-def transit_fraction_command(input_dir: str, country: str, output: str, threshold: str) -> None:
+@_input_command(
+    "transit-fraction",
+    click.option("--threshold", default="12/25", show_default=True, help="Dominance cutoff."),
+    consumed=(*ingest.BUNDLE_FILES, ingest.FILE_NAMES["traceroutes"]),
+)
+def transit_fraction_command(input_dir: str, country: str, threshold: str):
     """Address-weighted foreign-transit fraction and dominance verdict."""
     cutoff = _option("--threshold", threshold)
     traceroute_path = os.path.join(input_dir, ingest.FILE_NAMES["traceroutes"])
     if not os.path.exists(traceroute_path):
         raise FileNotFoundError(traceroute_path)
-    sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
-    traceroutes, _rejections = transit_dominance.parse_traceroutes(
-        ingest.read_lines(traceroute_path)
+    value = pipeline.transit_fraction(
+        _substrate(input_dir), ingest.read_lines(traceroute_path), country
     )
-    value = pipeline.transit_fraction(sub, traceroutes, country)
     dominant = transit_dominance.classify_transit_dominant(value, cutoff)
-    os.makedirs(output, exist_ok=True)
-    path = os.path.join(output, f"transit_fraction_{country}.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write("# country,transit_fraction,dominant\n")
-        out.write(f"{country},{float(value):.12f},{int(dominant)}\n")
-    _write_manifest(
-        output,
-        "transit-fraction",
-        input_dir,
-        {"country": country, "threshold": threshold},
-        (*ingest.BUNDLE_FILES, ingest.FILE_NAMES["traceroutes"]),
-    )
-    click.echo(path)
+    text = csv_text(("country", "transit_fraction", "dominant"), [(country, value, dominant)])
+    return text, {"threshold": threshold}
 
 
-@main.command("candidates")
-@_INPUT
-@_COUNTRY
-@_OUTPUT
-@click.option("--origination-floor", default="1/2000", show_default=True)
-def candidates_command(input_dir: str, country: str, output: str, origination_floor: str) -> None:
+@_input_command(
+    "candidates", click.option("--origination-floor", default="1/2000", show_default=True)
+)
+def candidates_command(input_dir: str, country: str, origination_floor: str):
     """Peering-test verdicts for the country's significant domestic origins."""
     floor = _option("--origination-floor", origination_floor)
-    sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
-    results = pipeline.candidate_results(sub, country, origination_floor=floor)
-    os.makedirs(output, exist_ok=True)
-    path = os.path.join(output, f"candidates_{country}.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write("# asn,candidate,failed_tests\n")
-        for result in results:
-            out.write(f"{result.asn},{int(result.candidate)},{';'.join(result.failed_tests)}\n")
-    _write_manifest(
-        output,
-        "candidates",
-        input_dir,
-        {"country": country, "origination_floor": origination_floor},
-    )
-    click.echo(path)
+    results = pipeline.candidate_results(_substrate(input_dir), country, origination_floor=floor)
+    return _records_csv(CandidateResult, results), {"origination_floor": origination_floor}
 
 
-@main.command("clh")
-@_INPUT
-@_COUNTRY
-@_OUTPUT
-@_FORMAT
-def clh_command(input_dir: str, country: str, output: str, fmt: str) -> None:
+@_input_command("clh", _FORMAT)
+def clh_command(input_dir: str, country: str):
     """Origination-weighted hegemony baseline for one country."""
-    sub = pipeline.build_substrate(ingest.load_bundle(input_dir))
-    report = pipeline.clh_report(sub, country)
-    path = _emit_report(report, output, f"clh_{country}", fmt)
-    _write_manifest(output, "clh", input_dir, {"country": country, "format": fmt})
-    click.echo(path)
+    return pipeline.clh_report(_substrate(input_dir), country), {}
 
 
 @main.command("compare")
@@ -332,16 +284,9 @@ def compare_command(path_a: str, path_b: str, output: str) -> None:
         return MetricReport.from_csv(text.splitlines())
 
     stats = clh_compare.compare_reports(load(path_a), load(path_b))
-    os.makedirs(output, exist_ok=True)
-    path = os.path.join(output, "compare.csv")
-    with open(path, "w", encoding="utf-8", newline="\n") as out:
-        out.write("# n,mean,p25,median,p75\n")
-        out.write(
-            f"{stats.n},{float(stats.mean):.12f},{float(stats.p25):.12f},"
-            f"{float(stats.median):.12f},{float(stats.p75):.12f}\n"
-        )
-    _write_manifest(output, "compare", None, {"a": path_a, "b": path_b})
-    click.echo(path)
+    text = _records_csv(clh_compare.DiffStats, [stats])
+    manifest = _manifest("compare", None, {"a": path_a, "b": path_b})
+    _write_report(output, "compare", "compare.csv", text, manifest)
 
 
 @main.command("synth")
@@ -375,19 +320,10 @@ def synth_command(
             n_poisons=counts["poisons"],
         )
     files = synth_oracle.emit_files(topo, paths)
-    os.makedirs(output, exist_ok=True)
-    for name, content in files.items():
-        with open(os.path.join(output, name), "w", encoding="utf-8", newline="\n") as out:
-            out.write(content)
-    with open(os.path.join(output, "injection_manifest.json"), "w", encoding="utf-8") as out:
-        json.dump(manifest, out, indent=2, sort_keys=True)
-        out.write("\n")
-    _write_manifest(
-        output,
-        "synth",
-        None,
-        {"seed": seed, "preset": preset, **counts},
-    )
+    files["injection_manifest.json"] = _json_text(manifest)
+    config = {"seed": seed, "preset": preset, **counts}
+    files["manifest_synth.json"] = _manifest("synth", None, config)
+    _write_files(output, files)
     click.echo(output)
 
 
@@ -417,7 +353,7 @@ def check_one_seed(seed: int) -> str | None:
     bundle = ingest.load_bundle_from_texts(files)
     sub = pipeline.build_substrate(bundle)
     raw_traceroutes = [(f"t-{p.monitor.id}", p.prefix, p.hops) for p in paths]
-    parsed_traceroutes, _rej = transit_dominance.parse_traceroutes(
+    traceroute_counts, _rej = transit_dominance.parse_traceroutes(
         files["traceroutes.txt"].splitlines()
     )
     members = frozenset(asn for asn, _c in topo.state_owned)
@@ -439,7 +375,7 @@ def check_one_seed(seed: int) -> str | None:
                 return f"ctin mismatch for {country}"
 
         pipe_t = transit_dominance.compute_transit_fraction(
-            parsed_traceroutes, sub.rels, nationality, sub.geo, country
+            traceroute_counts, sub.rels, nationality, sub.geo, country
         )
         oracle_t = synth_oracle.naive_transit_fraction(topo, paths, raw_traceroutes, country)
         if pipe_t != oracle_t:

@@ -3,8 +3,8 @@
 Raw geolocation counts are rounded up to a /24 (256 addresses) per
 (prefix, country) row. Prefixes with no positive geolocation mass fall back
 to the RIR delegation record, provided a single country's block covers the
-entire prefix. Nationality is a two-thirds majority of originated addresses,
-with an optional mode that also credits a transit AS with the addresses
+entire prefix. Nationality is a two-thirds majority of originated addresses;
+given the relationships, a transit AS is also credited with the addresses
 originated by its direct customers.
 """
 from __future__ import annotations
@@ -97,36 +97,25 @@ class Nationality:
         return self.label.get(asn) == country
 
 
-def classify_nationality(
-    geo: GeoTable,
-    rels: RelationshipTable | None = None,
-    include_direct_customers: bool = False,
-) -> Nationality:
+def classify_nationality(geo: GeoTable, rels: RelationshipTable | None = None) -> Nationality:
     """Label each AS Domestic(C) iff it has >= 2/3 of its addresses in C.
 
-    With ``include_direct_customers`` the addresses originated by an AS's
-    direct p2c customers are credited to it as well (used when classifying
-    transit providers). ASes with zero addresses are Foreign.
+    Given ``rels``, the addresses originated by an AS's direct p2c customers
+    are credited to it as well (used when classifying transit providers).
+    ASes with zero addresses are Foreign.
     """
-    if include_direct_customers and rels is None:
-        raise ValueError("direct-customer mode requires a relationship table")
-
     masses: dict[int, dict[str, int]] = {}
     for (asn, country), value in geo.originated.items():
-        masses.setdefault(asn, {})
-        masses[asn][country] = masses[asn].get(country, 0) + value
+        masses.setdefault(asn, {})[country] = value
 
-    if include_direct_customers:
-        assert rels is not None
-        combined: dict[int, dict[str, int]] = {}
-        for asn in set(masses) | {a for a, _c in geo.originated} | _ases_with_customers(rels):
-            vector = dict(masses.get(asn, {}))
-            for customer in rels.customers_of(asn):
-                for country, value in masses.get(customer, {}).items():
-                    vector[country] = vector.get(country, 0) + value
-            if vector:
-                combined[asn] = vector
-        masses = combined
+    if rels is not None:
+        credited = {asn: dict(vector) for asn, vector in masses.items()}
+        for asn, vector in masses.items():
+            for provider in rels.providers_of(asn):
+                provider_vector = credited.setdefault(provider, {})
+                for country, value in vector.items():
+                    provider_vector[country] = provider_vector.get(country, 0) + value
+        masses = credited
 
     nationality = Nationality()
     for asn, vector in masses.items():
@@ -138,11 +127,3 @@ def classify_nationality(
         domestic = [c for c, v in vector.items() if 3 * v >= 2 * total]
         nationality.label[asn] = domestic[0] if domestic else None
     return nationality
-
-
-def _ases_with_customers(rels: RelationshipTable) -> set[int]:
-    providers: set[int] = set()
-    for rel in rels:
-        if rel.kind.value == "p2c":
-            providers.add(rel.a)
-    return providers

@@ -4,13 +4,15 @@ All types are immutable after construction and safe to share between
 concurrent workers. Scores are kept as exact rationals internally and
 converted to fixed-point decimals only at serialization time.
 
-The records (``Prefix``, ``PathRecord``, ``Relationship`` and, in its
-module, ``TraceroutePath``) are tuples of their fields, so that hashing,
-equality and ordering run in C: a ``Prefix`` is hashed at every address-mass
-lookup. Like tuples, a record equals any tuple of the same field values, a
-record of another type included; the program never mixes them in one
-container. A path corpus is a ``Corpus`` of integer rows, not one record per
-row.
+The records (``Prefix``, ``PathRecord`` and ``Relationship``) are tuples
+of their fields, so that hashing, equality and ordering run in C: a
+``Prefix`` is hashed at every address-mass lookup. Like tuples, a record
+equals any tuple of the same field values, a record of another type
+included; the program never mixes them in one container. A path corpus is a
+``Corpus`` of integer rows, not one record per row, and a traceroute corpus
+is a count per route.
+
+Every CSV report is written by ``csv_text``.
 """
 from __future__ import annotations
 
@@ -290,11 +292,33 @@ class RelationshipTable:
         return iter(self._views[0])
 
 
+def _cell(value: object) -> str:
+    if isinstance(value, Fraction):
+        return f"{float(value):.12f}"
+    if isinstance(value, bool):
+        return str(int(value))
+    if isinstance(value, tuple):
+        return ";".join(map(str, value))
+    return str(value)
+
+
+def csv_text(header: Sequence[str], rows: Iterable[Sequence[object]]) -> str:
+    """A CSV report: the line ``# a,b,c`` naming the columns, then one line
+    per row. A ``Fraction`` cell is written as a 12-decimal double, a
+    ``bool`` as 0 or 1, a tuple joined by ``;``, anything else with ``str``."""
+    lines = ["# " + ",".join(header)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def _subject_key(subject: Subject) -> tuple[int, int | str]:
     # ASNs sort numerically before string labels; keeps report order deterministic.
     if isinstance(subject, int):
         return (0, subject)
     return (1, str(subject))
+
+
+_REPORT_HEADER = "# country,subject,"
 
 
 @dataclass
@@ -317,10 +341,8 @@ class MetricReport:
         return sorted(self.entries.items(), key=lambda kv: (kv[0][0], _subject_key(kv[0][1])))
 
     def to_csv(self) -> str:
-        lines = [f"# country,subject,{self.metric_name}"]
-        for (country, subject), value in self.sorted_items():
-            lines.append(f"{country},{subject},{float(value):.12f}")
-        return "\n".join(lines) + "\n"
+        rows = ((country, subject, value) for (country, subject), value in self.sorted_items())
+        return csv_text(("country", "subject", self.metric_name), rows)
 
     def to_json(self) -> str:
         payload = {
@@ -338,14 +360,18 @@ class MetricReport:
         return json.dumps(payload, indent=2, sort_keys=False) + "\n"
 
     @classmethod
-    def from_csv(cls, lines: Iterable[str], metric_name: str = "") -> "MetricReport":
-        """Parse ``country,subject,score`` rows; a malformed row raises
-        ``ParseError`` naming its line."""
-        report = cls(metric_name=metric_name)
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
+    def from_csv(cls, lines: Iterable[str]) -> "MetricReport":
+        """Parse a ``to_csv`` report: the header ``# country,subject,<metric>``
+        on the first non-blank line names the metric, and ``country,subject,
+        score`` rows follow. A missing header (an empty report's included)
+        or a malformed row raises ``ParseError`` naming its line."""
+        rows = ((n, raw.strip()) for n, raw in enumerate(lines, start=1) if raw.strip())
+        line_no, header = next(rows, (1, ""))
+        metric = header.removeprefix(_REPORT_HEADER)
+        if metric == header or not metric or "," in metric:
+            raise ParseError(f"line {line_no}: expected the header '{_REPORT_HEADER}<metric>'")
+        report = cls(metric_name=metric)
+        for line_no, line in rows:
             parts = line.split(",")
             if len(parts) != 3:
                 raise ParseError(f"line {line_no}: malformed report row {line!r}")

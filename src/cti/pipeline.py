@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable
 
 from . import clh_compare, conglomerate, cti_core, outlier, pathprep, transit_dominance
 from .geo import GeoTable, Nationality, build_geo_table, classify_nationality
@@ -118,17 +118,15 @@ def org_aggregates(
 
 def transit_nationality(sub: Substrate) -> Nationality:
     # transit providers are credited with their direct customers' addresses
-    return classify_nationality(sub.geo, sub.rels, include_direct_customers=True)
+    return classify_nationality(sub.geo, sub.rels)
 
 
-def transit_fraction(
-    sub: Substrate,
-    traceroutes: Sequence[transit_dominance.TraceroutePath],
-    country: str,
-) -> Fraction:
-    nationality = transit_nationality(sub)
+def transit_fraction(sub: Substrate, traceroute_lines: Iterable[str], country: str) -> Fraction:
+    """The country's transit fraction over the traceroutes in
+    ``traceroute_lines``; rejected rows are dropped."""
+    counts, _rejections = transit_dominance.parse_traceroutes(traceroute_lines)
     return transit_dominance.compute_transit_fraction(
-        traceroutes, sub.rels, nationality, sub.geo, country
+        counts, sub.rels, transit_nationality(sub), sub.geo, country
     )
 
 

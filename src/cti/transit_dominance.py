@@ -2,43 +2,27 @@
 transit fraction.
 
 Traceroute-derived AS-level paths arrive pre-resolved (interface-to-AS
-mapping is upstream). The national border on a path is the link between the
-last foreign AS and its successor; the transit fraction weighs, per origin
-AS, the share of its traceroutes whose border crossing is a foreign-provider
-p2c link by the origin's share of the country's address space.
+mapping is upstream), and are kept as the number of traces per collapsed
+route: the transit fraction reads nothing else of a trace. The national
+border on a route is the link between the last foreign AS and its
+successor; the transit fraction weighs, per origin AS, the share of its
+traceroutes whose border crossing is a foreign-provider p2c link by the
+origin's share of the country's address space.
 """
 from __future__ import annotations
 
 import functools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .geo import GeoTable, Nationality
 from .ingest import RowRejection, _data_lines, _hops_parser
-from .model import ParseError, Prefix, Record, RelKind, RelationshipTable
+from .model import ParseError, Prefix, RelKind, RelationshipTable, Route
 
 DEFAULT_DOMINANCE_THRESHOLD = Fraction(12, 25)  # 0.48
 DEFAULT_ORIGINATION_FLOOR = Fraction(1, 2000)  # 0.05% of the country's addresses
-
-
-class TraceroutePath(Record):
-    __slots__ = ()
-    _fields = ("probe_id", "prefix", "hops")
-
-    def __new__(cls, probe_id: str, prefix: Prefix, hops: tuple[int, ...]) -> "TraceroutePath":
-        if not hops:
-            raise ValueError("traceroute path must have at least one hop")
-        return tuple.__new__(cls, (probe_id, prefix, hops))
-
-    probe_id = property(itemgetter(0))
-    prefix = property(itemgetter(1))
-    hops = property(itemgetter(2))  # probe-first; last element is the last observed AS
-
-    @property
-    def last_as(self) -> int:
-        return self.hops[-1]
 
 
 @dataclass(frozen=True)
@@ -50,13 +34,14 @@ class BorderCrossing:
 
 def parse_traceroutes(
     reader: Iterable[str],
-) -> tuple[list[TraceroutePath], list[RowRejection]]:
-    """Parse ``probe_id|prefix|asn asn ...`` rows (probe-first hop order).
+) -> tuple[Counter[Route], list[RowRejection]]:
+    """Count the ``probe_id|prefix|asn asn ...`` rows (probe-first hop order)
+    of each route, with consecutive duplicate ASNs collapsed.
 
-    Consecutive duplicate ASNs are collapsed; malformed ASN tokens reject the
-    row with a log entry.
+    A row with an unparsable prefix or a malformed ASN token is rejected
+    with a log entry.
     """
-    paths: list[TraceroutePath] = []
+    counts: Counter[Route] = Counter()
     rejections: list[RowRejection] = []
     # each distinct prefix and hop text is parsed (and collapsed) once per call
     parse_prefix = functools.cache(Prefix.parse)
@@ -66,7 +51,7 @@ def parse_traceroutes(
         if len(parts) != 3:
             raise ParseError(f"traceroute line {line_no}: expected probe_id|prefix|hops")
         try:
-            prefix = parse_prefix(parts[1])
+            parse_prefix(parts[1])  # checked only: a bad prefix still rejects the row
         except ValueError:
             rejections.append(RowRejection(line_no, line, "unparsable prefix"))
             continue
@@ -78,8 +63,8 @@ def parse_traceroutes(
         if not hops:
             rejections.append(RowRejection(line_no, line, "empty path"))
             continue
-        paths.append(TraceroutePath(parts[0], prefix, hops))
-    return paths, rejections
+        counts[hops] += 1
+    return counts, rejections
 
 
 @dataclass(frozen=True)
@@ -129,7 +114,7 @@ def classify_candidate(
 
 
 def find_border(
-    path: TraceroutePath,
+    hops: Route,
     nationality: Nationality,
     country: str,
     rels: RelationshipTable | None = None,
@@ -137,13 +122,13 @@ def find_border(
     """The link between the last foreign AS (scanning from the probe) and its
     successor; None when every hop is domestic."""
     last_foreign = None
-    for index, asn in enumerate(path.hops):
+    for index, asn in enumerate(hops):
         if not nationality.is_domestic(asn, country):
             last_foreign = index
-    if last_foreign is None or last_foreign == len(path.hops) - 1:
+    if last_foreign is None or last_foreign == len(hops) - 1:
         return None
-    provider = path.hops[last_foreign]
-    customer = path.hops[last_foreign + 1]
+    provider = hops[last_foreign]
+    customer = hops[last_foreign + 1]
     kind: RelKind | None = None
     if rels is not None:
         rel = rels.lookup(provider, customer)
@@ -156,32 +141,27 @@ def find_border(
 
 
 def compute_transit_fraction(
-    paths: Sequence[TraceroutePath],
+    counts: Mapping[Route, int],
     rels: RelationshipTable,
     nationality: Nationality,
     geo: GeoTable,
     country: str,
 ) -> Fraction:
     """Address-weighted share of inbound traceroutes whose border crossing is
-    a p2c link from a foreign provider to a domestic customer."""
+    a p2c link from a foreign provider to a domestic customer; ``counts``
+    gives the number of traces per route."""
     total_addresses = geo.country_total(country)
 
     reached: dict[int, int] = {}
     crossed: dict[int, int] = {}
-    # traceroutes repeat routes: classify each distinct one's border once
-    crosses_p2c: dict[tuple[int, ...], bool] = {}
-    for path in paths:
-        hops = path.hops
+    for hops, n in counts.items():
         origin = hops[-1]
         if not nationality.is_domestic(origin, country):
             continue
-        reached[origin] = reached.get(origin, 0) + 1
-        crosses = crosses_p2c.get(hops)
-        if crosses is None:
-            border = find_border(path, nationality, country, rels)
-            crosses = crosses_p2c[hops] = border is not None and border.kind is RelKind.P2C
-        if crosses:
-            crossed[origin] = crossed.get(origin, 0) + 1
+        reached[origin] = reached.get(origin, 0) + n
+        border = find_border(hops, nationality, country, rels)
+        if border is not None and border.kind is RelKind.P2C:
+            crossed[origin] = crossed.get(origin, 0) + n
 
     fraction = Fraction(0)
     for origin, total in reached.items():

@@ -93,10 +93,7 @@ def test_criterion_4_transit_fraction_contribution():
         rels.add(50, 900, RelKind.P2C)
         rels.add(60, 900, RelKind.P2P)
         nationality = Nationality({900: "CU", 901: "CU"})
-        traces = [
-            transit_dominance.TraceroutePath("t1", p1, (50, 900)),
-            transit_dominance.TraceroutePath("t2", p1, (60, 900)),
-        ]
+        traces = {(50, 900): 1, (60, 900): 1}  # traces per route toward p1
         value = transit_dominance.compute_transit_fraction(traces, rels, nationality, geo, "CU")
         # origin owns 1/2 the addresses, 1/2 of its traces cross a foreign p2c border
         assert value == Fraction(1, 4)

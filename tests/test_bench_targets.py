@@ -1,0 +1,82 @@
+"""The benchmark's bindings into the program still resolve.
+
+``bench/tracing.py`` wraps functions by ``(module, attribute)`` name, and
+the bench modules import and call program names directly. A refactor that
+renames or moves one of them breaks the benchmark; these checks make it
+fail here too. The bench sources are only read and imported, never changed.
+"""
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+BOUND_BY = ("workloads.py", "test_harness.py", "inputs.py")
+
+
+def _import_tracing():
+    sys.path.insert(0, str(BENCH))
+    try:
+        return importlib.import_module("tracing")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def _resolve(module: str, attribute: str) -> object:
+    owner = importlib.import_module(module)
+    for part in attribute.split("."):
+        if hasattr(owner, "__path__") and not hasattr(owner, part):  # a package's submodule
+            importlib.import_module(f"{owner.__name__}.{part}")
+        owner = getattr(owner, part)
+    return owner
+
+
+def test_every_traced_target_resolves():
+    targets = _import_tracing().TARGETS
+    assert targets
+    for module, attribute, _span, _count in targets:
+        assert callable(_resolve(f"cti.{module}", attribute)), (module, attribute)
+
+
+def _program_bindings(source: str) -> set[tuple[str, str]]:
+    """Every ``(module, name)`` a bench file takes from the program: the
+    names it imports from ``cti`` modules, and the attributes it reads off
+    a name so imported (``cli.main``, ``MetricReport.from_json``)."""
+    tree = ast.parse(source)
+    local: dict[str, tuple[str, str]] = {}  # local name -> (module, attribute path)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module and node.module.split(".")[0] == "cti":
+            for alias in node.names:
+                local[alias.asname or alias.name] = (node.module, alias.name)
+    bindings = set(local.values())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+            if node.value.id in local:
+                module, name = local[node.value.id]
+                bindings.add((module, f"{name}.{node.attr}"))
+    return bindings
+
+
+@pytest.mark.parametrize("name", BOUND_BY)
+def test_bench_bindings_exist(name):
+    bindings = _program_bindings((BENCH / name).read_text(encoding="utf-8"))
+    assert bindings
+    for module, attribute in sorted(bindings):
+        assert _resolve(module, attribute) is not None, (name, module, attribute)
+
+
+def test_binding_scan_sees_the_bench_calls():
+    bindings = set().union(
+        *(_program_bindings((BENCH / name).read_text(encoding="utf-8")) for name in BOUND_BY)
+    )
+    for expected in (
+        ("cti", "cli.main"),
+        ("cti", "cli.check_one_seed"),
+        ("cti", "cli.compute_ctin"),
+        ("cti", "pipeline.build_geo_table"),
+        ("cti", "pipeline.classify_nationality"),
+        ("cti.model", "MetricReport.from_json"),
+    ):
+        assert expected in bindings

@@ -206,6 +206,37 @@ def test_compare_identical_reports_is_zero(tmp_path):
     assert body[1] == "3,0.000000000000,0.000000000000,0.000000000000,0.000000000000"
 
 
+def test_compare_rejects_reports_that_are_not_metric_reports(tmp_path):
+    _write_toy(tmp_path / "in")
+    (tmp_path / "in" / "hegemony.csv").write_text("101,20,1/2\n")
+    runner = CliRunner()
+    out = tmp_path / "out"
+    base = ["--input", str(tmp_path / "in"), "--country", "CU", "--output", str(out)]
+    for command in ("cti", "clh", "transit-fraction", "org", "candidates"):
+        result = runner.invoke(main, [command, *base])
+        assert result.exit_code == 0, (command, result.output)
+    (tmp_path / "headerless.csv").write_text("CU,40,0.5\n")
+    (tmp_path / "empty.csv").write_text("\n")
+    cti = str(out / "cti_CU.csv")
+    cmp = ["--output", str(tmp_path / "cmp")]
+    for other, message in (
+        (out / "transit_fraction_CU.csv", "line 1: expected the header"),
+        (out / "org_CU.csv", "line 1: expected the header"),
+        (out / "candidates_CU.csv", "line 1: expected the header"),
+        (tmp_path / "headerless.csv", "line 1: expected the header"),
+        (tmp_path / "empty.csv", "line 1: expected the header"),
+    ):
+        for a, b in ((cti, str(other)), (str(other), cti)):
+            result = runner.invoke(main, ["compare", "--a", a, "--b", b, *cmp])
+            assert result.exit_code == 3, (other, result.output)
+            assert result.output == f"parse error: {message} '# country,subject,<metric>'\n"
+    assert not (tmp_path / "cmp").exists()
+
+    result = runner.invoke(main, ["compare", "--a", cti, "--b", str(out / "clh_CU.csv"), *cmp])
+    assert result.exit_code == 0, result.output
+    assert (tmp_path / "cmp" / "compare.csv").read_text().startswith("# n,mean,p25,median,p75\n")
+
+
 def test_compare_missing_file_exits_2(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["compare", "--a", "nope.csv", "--b", "nope.csv"])

@@ -93,14 +93,9 @@ def test_nationality_direct_customer_mode():
     basic = classify_nationality(table)
     assert basic.domestic_country(300) is None  # originates nothing itself
 
-    inclusive = classify_nationality(table, rels, include_direct_customers=True)
+    inclusive = classify_nationality(table, rels)
     # 300 is credited CU 512 + AR 256 -> exactly 2/3 CU
     assert inclusive.domestic_country(300) == "CU"
     # peers contribute nothing
     assert inclusive.domestic_country(400) is None
 
-
-def test_direct_customer_mode_requires_relationships():
-    table, _ = build_geo_table([(P1, "CU", 256)], [], {P1: 100})
-    with pytest.raises(ValueError):
-        classify_nationality(table, None, include_direct_customers=True)

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -250,13 +251,13 @@ def _reference_parse_paths(lines, monitors, multi_origin=frozenset()):
 
 
 def _reference_parse_traceroutes(lines):
-    paths, rejections = [], []
+    counts, rejections = Counter(), []
     for line_no, line in ingest._data_lines(lines):
         parts = line.split("|")
         if len(parts) != 3:
             raise ParseError(f"traceroute line {line_no}: expected probe_id|prefix|hops")
         try:
-            prefix = Prefix.parse(parts[1])
+            Prefix.parse(parts[1])
         except ValueError:
             rejections.append(ingest.RowRejection(line_no, line, "unparsable prefix"))
             continue
@@ -269,8 +270,8 @@ def _reference_parse_traceroutes(lines):
             rejections.append(ingest.RowRejection(line_no, line, "empty path"))
             continue
         hops = [asn for i, asn in enumerate(raw_hops) if i == 0 or raw_hops[i - 1] != asn]
-        paths.append(transit_dominance.TraceroutePath(parts[0], prefix, tuple(hops)))
-    return paths, rejections
+        counts[tuple(hops)] += 1
+    return counts, rejections
 
 
 def _parse_path_rows(*args):

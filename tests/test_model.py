@@ -19,7 +19,6 @@ from cti.model import (
     validate_asn,
     validate_country,
 )
-from cti.transit_dominance import TraceroutePath
 
 
 def test_prefix_parse_and_size():
@@ -129,8 +128,9 @@ def test_metric_report_csv_shape():
     lines = report.to_csv().splitlines()
     assert lines[0] == "# country,subject,cti"
     assert lines[1] == "CU,40,0.500000000000"
-    parsed = MetricReport.from_csv(lines, metric_name="cti")
+    parsed = MetricReport.from_csv(lines)
     assert parsed.get("CU", 40) == Fraction(1, 2)
+    assert parsed.metric_name == "cti"
 
 
 @given(
@@ -163,9 +163,12 @@ _REPORT_ROW = st.tuples(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.one_of(_REPORT_ROW, _REPORT_ROW, st.text(max_size=12)), max_size=10))
-def test_report_from_csv_raises_only_parse_error(lines):
-    report = _report_or_error(MetricReport.from_csv, lines, "cti")
+@given(
+    st.sampled_from(["# country,subject,cti", "# country,subject,", "", "# a,b,c"]),
+    st.lists(st.one_of(_REPORT_ROW, _REPORT_ROW, st.text(max_size=12)), max_size=10),
+)
+def test_report_from_csv_raises_only_parse_error(header, lines):
+    report = _report_or_error(MetricReport.from_csv, [header, *lines])
     if report is not None:
         assert all(0 <= value <= 1 for value in report.entries.values())
 
@@ -209,15 +212,13 @@ P24 = Prefix.parse("10.1.2.0/24")
 RECORDS = [
     P24,
     PathRecord(monitor=M, prefix=P24, hops=(10, 20)),
-    TraceroutePath(probe_id="t-m1", prefix=P24, hops=(10, 20)),
 ]
 
 
 def test_records_take_keyword_fields():
     assert (P24.base, P24.length) == (167838208, 24)
-    path, trace = RECORDS[1:]
+    path = RECORDS[1]
     assert (path.monitor, path.prefix, path.hops, path.origin) == (M, P24, (10, 20), 20)
-    assert (trace.probe_id, trace.prefix, trace.hops, trace.last_as) == ("t-m1", P24, (10, 20), 20)
     assert Prefix(base=P24.base, length=24) == Prefix(P24.base, 24) == P24
 
 
@@ -228,7 +229,6 @@ def test_records_take_keyword_fields():
         (lambda: Prefix(base=1, length=24), "host bits"),
         (lambda: Prefix(base=2**32, length=0), "out of IPv4 range"),
         (lambda: PathRecord(monitor=M, prefix=P24, hops=()), "at least one hop"),
-        (lambda: TraceroutePath(probe_id="t", prefix=P24, hops=()), "at least one hop"),
     ],
 )
 def test_records_validate_on_construction(build, message):
@@ -264,7 +264,6 @@ def test_record_str_and_repr_are_unchanged():
     monitor = "monitor=MonitorId(id='m1', host_asn=10, country='US')"
     assert [str(r) for r in RECORDS[1:]] == [repr(r) for r in RECORDS[1:]] == [
         f"PathRecord({monitor}, {prefix}, hops=(10, 20))",
-        f"TraceroutePath(probe_id='t-m1', {prefix}, hops=(10, 20))",
     ]
 
 
@@ -272,7 +271,7 @@ def test_records_equal_tuples_of_their_fields():
     # the chosen semantics: tuple equality and hashing, whatever the type
     assert P24 == (167838208, 24) and hash(P24) == hash((167838208, 24))
     path = PathRecord(M, P24, (20, 10))
-    same_fields = TraceroutePath("t-m1", P24, (20, 10))
+    same_fields = Relationship("t-m1", P24, (20, 10))  # a record of another type
     assert path == (M, P24, (20, 10))
     assert same_fields == PathRecord("t-m1", P24, (20, 10)) == ("t-m1", P24, (20, 10))
     assert len({same_fields, PathRecord("t-m1", P24, (20, 10)), ("t-m1", P24, (20, 10))}) == 1

@@ -3,8 +3,8 @@
 ``parse_paths`` and ``parse_traceroutes`` parse each distinct hop text once,
 ``prepare_paths`` and ``retain_for_country`` judge each distinct
 (host AS, hops) pair once, ``compute_transit_fraction`` classifies each
-distinct route's border once, and the kernel sums each (host AS, segment)
-group once. The corpora here repeat routes across prefixes,
+distinct route's border once from the count of traces per route, and the
+kernel sums each (host AS, segment) group once. The corpora here repeat routes across prefixes,
 give several monitors one host AS, and mix in every rejection category,
 prepending that collapses and bad rows that repeat, so a memo keyed on too
 little (the hops without the host AS, say) gives a different answer.
@@ -190,15 +190,16 @@ def _reference_kernel(sanitized, rels, geo, country):
     return lcm, cells, len(rows), ctin
 
 
-def _reference_transit_fraction(paths, rels, nationality, geo, country):
+def _reference_transit_fraction(traces, rels, nationality, geo, country):
+    """The transit fraction with one border per trace (a route per row)."""
     reached, crossed = {}, {}
-    for path in paths:
-        if not nationality.is_domestic(path.last_as, country):
+    for hops in traces:
+        if not nationality.is_domestic(hops[-1], country):
             continue
-        reached[path.last_as] = reached.get(path.last_as, 0) + 1
-        border = td.find_border(path, nationality, country, rels)
+        reached[hops[-1]] = reached.get(hops[-1], 0) + 1
+        border = td.find_border(hops, nationality, country, rels)
         if border is not None and border.kind is RelKind.P2C:
-            crossed[path.last_as] = crossed.get(path.last_as, 0) + 1
+            crossed[hops[-1]] = crossed.get(hops[-1], 0) + 1
     total = geo.country_total(country)
     fraction = Fraction(0)
     for origin, n in reached.items():
@@ -277,9 +278,10 @@ def test_grouped_kernel_matches_per_path_terms(corpus, rels, geo):
 )
 def test_transit_fraction_matches_per_path_borders(corpus, rels, geo, labels):
     nationality = Nationality(dict(zip(ASNS, labels)))
-    traceroutes = [td.TraceroutePath(f"t-{p.monitor.id}", p.prefix, p.hops) for p in corpus]
-    expected = _reference_transit_fraction(traceroutes, rels, nationality, geo, "AA")
-    assert td.compute_transit_fraction(traceroutes, rels, nationality, geo, "AA") == expected
+    traces = [p.hops for p in corpus]
+    expected = _reference_transit_fraction(traces, rels, nationality, geo, "AA")
+    counts = Counter(traces)
+    assert td.compute_transit_fraction(counts, rels, nationality, geo, "AA") == expected
 
 
 def test_special_routes_reach_every_verdict():

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,19 +20,17 @@ def _rels(*edges):
 
 
 def test_parse_traceroutes():
-    paths, rejections = td.parse_traceroutes(
+    counts, rejections = td.parse_traceroutes(
         ["# header", "probe-1|10.0.0.0/24|50 50 60 900", "probe-2|bogus|50 60"]
     )
-    assert len(paths) == 1
-    assert paths[0].hops == (50, 60, 900)  # consecutive duplicates collapsed
-    assert paths[0].last_as == 900
+    assert counts == Counter({(50, 60, 900): 1})  # consecutive duplicates collapsed
     assert [r.reason for r in rejections] == ["unparsable prefix"]
     with pytest.raises(ParseError):
         td.parse_traceroutes(["only|two"])
 
 
 def test_parse_traceroutes_rejects_each_repeated_bad_row():
-    paths, rejections = td.parse_traceroutes(
+    counts, rejections = td.parse_traceroutes(
         [
             "probe-1|bogus|50 60",
             "probe-2|bogus|50 60",
@@ -39,6 +38,7 @@ def test_parse_traceroutes_rejects_each_repeated_bad_row():
             "probe-2|10.0.1.0/24|50 x",
             "probe-3|10.0.0.0/24|50 60",
             "probe-4|10.0.0.0/24|60",
+            "probe-5|10.0.1.0/24|50 50 60",
         ]
     )
     assert [(r.line_no, r.reason) for r in rejections] == [
@@ -47,8 +47,7 @@ def test_parse_traceroutes_rejects_each_repeated_bad_row():
         (3, "malformed ASN"),
         (4, "malformed ASN"),
     ]
-    assert paths[0].prefix == paths[1].prefix == P1
-    assert [p.hops for p in paths] == [(50, 60), (60,)]
+    assert counts == Counter({(50, 60): 2, (60,): 1})  # rows of one route, counted
     with pytest.raises(ParseError, match="traceroute line 2"):
         td.parse_traceroutes(["probe-1|bogus|50", "only|two"])
 
@@ -105,15 +104,14 @@ def test_candidate_requires_domestic_nationality():
 def test_find_border():
     nationality = Nationality({900: "CU", 800: "CU"})
     rels = _rels((50, 800, RelKind.P2C))
-    path = td.TraceroutePath("p1", P1, (60, 50, 800, 900))
-    border = td.find_border(path, nationality, "CU", rels)
+    border = td.find_border((60, 50, 800, 900), nationality, "CU", rels)
     assert (border.provider, border.customer) == (50, 800)
     assert border.kind is RelKind.P2C
 
-    domestic_only = td.TraceroutePath("p2", P1, (800, 900))
+    domestic_only = (800, 900)
     assert td.find_border(domestic_only, nationality, "CU", rels) is None
 
-    ends_foreign = td.TraceroutePath("p3", P1, (800, 50))
+    ends_foreign = (800, 50)
     assert td.find_border(ends_foreign, nationality, "CU", rels) is None
 
 
@@ -121,7 +119,7 @@ def test_find_border_uses_last_foreign_hop():
     # re-entry: foreign 50, domestic 800, foreign 60, domestic 900
     nationality = Nationality({800: "CU", 900: "CU"})
     rels = _rels((60, 900, RelKind.P2C))
-    border = td.find_border(td.TraceroutePath("p", P1, (50, 800, 60, 900)), nationality, "CU", rels)
+    border = td.find_border((50, 800, 60, 900), nationality, "CU", rels)
     assert (border.provider, border.customer) == (60, 900)
 
 
@@ -131,10 +129,12 @@ def test_transit_fraction_worked_example():
     geo, _ = build_geo_table([(P1, "CU", 256), (P2, "CU", 256)], [], {P1: 900, P2: 901})
     nationality = Nationality({900: "CU", 901: "CU"})
     rels = _rels((50, 900, RelKind.P2C), (60, 900, RelKind.P2P))
-    traces = [
-        td.TraceroutePath("p1", P1, (50, 900)),  # p2c crossing
-        td.TraceroutePath("p2", P1, (60, 900)),  # peer crossing: not counted
-    ]
+    traces = Counter(
+        {
+            (50, 900): 1,  # p2c crossing
+            (60, 900): 1,  # peer crossing: not counted
+        }
+    )
     assert td.compute_transit_fraction(traces, rels, nationality, geo, "CU") == Fraction(1, 4)
 
 
@@ -142,7 +142,7 @@ def test_transit_fraction_ignores_foreign_destinations():
     geo, _ = build_geo_table([(P1, "CU", 256)], [], {P1: 900})
     nationality = Nationality({900: "CU"})
     rels = _rels((50, 77, RelKind.P2C))
-    traces = [td.TraceroutePath("p1", P1, (50, 77))]
+    traces = Counter({(50, 77): 1})
     assert td.compute_transit_fraction(traces, rels, nationality, geo, "CU") == 0
 
 
