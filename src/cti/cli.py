@@ -26,9 +26,11 @@ from typing import Callable, Iterable, TypeVar
 
 import click
 
-from . import clh_compare, cti_core, ingest, outlier, pipeline, synth_oracle, transit_dominance
-from .conglomerate import Conglomerate, OrgAggregate, compute_ctin
+from . import clh_compare, ingest, outlier, pipeline, synth_oracle, transit_dominance
+# compute_ctin is not called here; the benchmark's tracer test reads cli.compute_ctin.
+from .conglomerate import OrgAggregate, compute_ctin  # noqa: F401
 from .model import ComputationError, MetricReport, ParseError, csv_text, validate_country
+from .synth_oracle import check_one_seed
 from .transit_dominance import CandidateResult
 
 EXIT_FILE_ERROR = 2
@@ -339,48 +341,6 @@ def oracle_check_command(seeds: str, start_seed: int) -> None:
         if mismatch:
             raise ComputationError(f"seed {seed}: {mismatch}")
     click.echo(f"ok: {count} instances, pipeline matches oracle exactly")
-
-
-def check_one_seed(seed: int) -> str | None:
-    """Compare pipeline and oracle on one generated instance; return a
-    description of the first mismatch, or None when they agree exactly.
-
-    Each country's kernel is built once and reduces to both cti (outlier
-    filter off) and ctin; the transit nationality is classified once."""
-    topo = synth_oracle.generate_topology(seed)
-    paths = synth_oracle.propagate_routes(topo)
-    files = synth_oracle.emit_files(topo, paths)
-    bundle = ingest.load_bundle_from_texts(files)
-    sub = pipeline.build_substrate(bundle)
-    raw_traceroutes = [(f"t-{p.monitor.id}", p.prefix, p.hops) for p in paths]
-    traceroute_counts, _rej = transit_dominance.parse_traceroutes(
-        files["traceroutes.txt"].splitlines()
-    )
-    members = frozenset(asn for asn, _c in topo.state_owned)
-    nationality = pipeline.transit_nationality(sub)
-    for country in topo.params.countries:
-        if sub.geo.total.get(country, 0) <= 0:
-            continue
-        table = pipeline.build_country_substrate(sub, country)
-        pipe_cti = cti_core.compute_cti(table)
-        oracle_cti = synth_oracle.naive_cti(topo, paths, country)
-        if pipe_cti.entries != oracle_cti.entries:
-            return f"cti mismatch for {country}"
-
-        if members:
-            group = Conglomerate(label="state", members=members, country=country)
-            pipe_ctin = compute_ctin(group, table)
-            oracle_ctin = synth_oracle.naive_ctin(topo, paths, country, members)
-            if pipe_ctin != oracle_ctin:
-                return f"ctin mismatch for {country}"
-
-        pipe_t = transit_dominance.compute_transit_fraction(
-            traceroute_counts, sub.rels, nationality, sub.geo, country
-        )
-        oracle_t = synth_oracle.naive_transit_fraction(topo, paths, raw_traceroutes, country)
-        if pipe_t != oracle_t:
-            return f"transit fraction mismatch for {country}"
-    return None
 
 
 if __name__ == "__main__":

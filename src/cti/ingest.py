@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import contextlib
 import functools
-import ipaddress
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,6 +23,7 @@ from .model import (
     RelationshipTable,
     Route,
     intern,
+    parse_dotted_quad,
     validate_asn,
     validate_country,
 )
@@ -227,10 +227,9 @@ def parse_geo_and_delegations(
         except ValueError:
             rejections.append(RowRejection(line_no, line, "unparsable country code"))
             continue
-        try:
-            base = int(ipaddress.IPv4Address(parts[3]))
-        except ipaddress.AddressValueError:
-            raise ParseError(f"delegation line {line_no}: malformed base address {parts[3]!r}") from None
+        base = parse_dotted_quad(parts[3])
+        if base is None:
+            raise ParseError(f"delegation line {line_no}: malformed base address {parts[3]!r}")
         try:
             count = int(parts[4])
         except ValueError:
@@ -317,17 +316,20 @@ def parse_aux_tables(
             raise ParseError(f"membership line {line_no}: {exc}") from None
         aux.memberships.append((parts[0], country, asn))
 
+    # each AS, and many a score, recurs in many hegemony rows
+    parse_asn = functools.cache(_parse_asn_token)
+    parse_score = functools.cache(Fraction)
     for line_no, line in _data_lines(hegemony_reader):
         parts = line.split(",")
         if len(parts) != 3:
             raise ParseError(f"hegemony line {line_no}: expected origin_asn,transit_asn,score")
         try:
-            origin = _parse_asn_token(parts[0])
-            transit = _parse_asn_token(parts[1])
-            score = Fraction(parts[2])
+            origin = parse_asn(parts[0])
+            transit = parse_asn(parts[1])
+            score = parse_score(parts[2])
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"hegemony line {line_no}: {exc}") from None
-        if not 0 <= score <= 1:
+        if not 0 <= score.numerator <= score.denominator:  # in [0, 1]
             aux.rejections.append(RowRejection(line_no, line, "hegemony score outside [0,1]"))
             continue
         aux.hegemony[(origin, transit)] = score

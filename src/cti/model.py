@@ -16,7 +16,6 @@ Every CSV report is written by ``csv_text``.
 """
 from __future__ import annotations
 
-import functools
 import ipaddress
 import json
 import re
@@ -100,8 +99,18 @@ class Prefix(Record):
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
+        """The prefix ``text`` names, host bits cleared. Text other than a
+        canonical ``a.b.c.d/n`` goes through ``ipaddress`` (its
+        ``strict=False`` reading and its error texts)."""
+        stripped = text.strip()
+        address, slash, length_text = stripped.partition("/")
+        base = parse_dotted_quad(address)
+        if base is not None and slash and _CANONICAL_LENGTH.fullmatch(length_text):
+            length = int(length_text)
+            if length <= 32:
+                return cls(base >> (32 - length) << (32 - length), length)
         try:
-            net = ipaddress.ip_network(text.strip(), strict=False)
+            net = ipaddress.ip_network(stripped, strict=False)
         except ValueError as exc:
             raise ValueError(f"unparsable prefix {text!r}: {exc}") from None
         if net.version != 4:
@@ -113,7 +122,29 @@ class Prefix(Record):
         return 1 << (32 - self.length)
 
     def __str__(self) -> str:
-        return f"{ipaddress.IPv4Address(self.base)}/{self.length}"
+        return f"{dotted_quad(self.base)}/{self.length}"
+
+
+_DOTTED_QUAD = re.compile(r"\.".join([r"(0|[1-9][0-9]{0,2})"] * 4))
+_CANONICAL_LENGTH = re.compile(r"0|[1-9][0-9]?")
+
+
+def parse_dotted_quad(text: str) -> int | None:
+    """The IPv4 address of dotted-quad text (four decimal octets of ASCII
+    digits, no leading zeros, each at most 255), which is the text
+    ``ipaddress.IPv4Address`` accepts; None for any other text."""
+    match = _DOTTED_QUAD.fullmatch(text)
+    if match is None:
+        return None
+    a, b, c, d = map(int, match.groups())
+    if max(a, b, c, d) > 255:
+        return None
+    return a << 24 | b << 16 | c << 8 | d
+
+
+def dotted_quad(address: int) -> str:
+    """The dotted-quad text of an IPv4 address."""
+    return f"{address >> 24}.{address >> 16 & 0xFF}.{address >> 8 & 0xFF}.{address & 0xFF}"
 
 
 @dataclass(frozen=True)
@@ -222,12 +253,14 @@ class RelationshipTable:
 
     At most one relationship per unordered ASN pair; lookups of (a, b)
     and (b, a) resolve to the same relationship. Each pair is stored as the
-    ``(a, b)`` it was first given, with its kind; the ``Relationship``
-    objects and the per-AS neighbour sets are built on first use.
+    ``(a, b)`` it was first given, with its kind. The peers, providers and
+    customers per AS are three views, each built on the first request of
+    its own kind; ``Relationship`` objects are built as they are iterated.
     """
 
     def __init__(self) -> None:
         self._kinds: dict[tuple[int, int], RelKind] = {}
+        self._views: dict[str, _Adjacency] = {}
 
     def add(self, a: int, b: int, kind: RelKind) -> None:
         """Add ``a|b|kind``; a repeat of a stored relationship is ignored, a
@@ -242,7 +275,8 @@ class RelationshipTable:
             existing = kinds[key]
         if existing is None:
             kinds[key] = kind
-            self.__dict__.pop("_views", None)
+            if self._views:
+                self._views.clear()
         elif existing is not kind or (kind is RelKind.P2C and key != (a, b)):
             raise ParseError(
                 f"conflicting relationship for ASes {a} and {b}: "
@@ -259,37 +293,35 @@ class RelationshipTable:
     def is_p2c(self, provider: int, customer: int) -> bool:
         return self._kinds.get((provider, customer)) is RelKind.P2C
 
-    @functools.cached_property
-    def _views(self) -> tuple[list[Relationship], _Adjacency, _Adjacency, _Adjacency]:
-        """Every relationship, and the peers, providers and customers per AS."""
-        relationships: list[Relationship] = []
-        peers: _Adjacency = {}
-        providers: _Adjacency = {}
-        customers: _Adjacency = {}
-        for (a, b), kind in self._kinds.items():
-            relationships.append(Relationship(a, b, kind))
-            if kind is RelKind.P2P:
-                peers.setdefault(a, set()).add(b)
-                peers.setdefault(b, set()).add(a)
-            else:
-                providers.setdefault(b, set()).add(a)
-                customers.setdefault(a, set()).add(b)
-        return relationships, peers, providers, customers
+    def _view(self, name: str) -> _Adjacency:
+        """The neighbour sets per AS of ``name``: peers, providers or
+        customers."""
+        view = self._views.get(name)
+        if view is None:
+            view = self._views[name] = {}
+            wanted = RelKind.P2P if name == "peers" else RelKind.P2C
+            for (a, b), kind in self._kinds.items():
+                if kind is wanted:
+                    if name != "customers":  # a is a peer or a provider of b
+                        view.setdefault(b, set()).add(a)
+                    if name != "providers":  # b is a peer or a customer of a
+                        view.setdefault(a, set()).add(b)
+        return view
 
     def peers_of(self, asn: int) -> frozenset[int]:
-        return frozenset(self._views[1].get(asn, ()))
+        return frozenset(self._view("peers").get(asn, ()))
 
     def providers_of(self, asn: int) -> frozenset[int]:
-        return frozenset(self._views[2].get(asn, ()))
+        return frozenset(self._view("providers").get(asn, ()))
 
     def customers_of(self, asn: int) -> frozenset[int]:
-        return frozenset(self._views[3].get(asn, ()))
+        return frozenset(self._view("customers").get(asn, ()))
 
     def __len__(self) -> int:
         return len(self._kinds)
 
     def __iter__(self) -> Iterator[Relationship]:
-        return iter(self._views[0])
+        return (Relationship(a, b, kind) for (a, b), kind in self._kinds.items())
 
 
 def _cell(value: object) -> str:

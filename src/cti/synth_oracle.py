@@ -6,7 +6,8 @@ mid-tier transits, origin stubs) and emits them in the standard input file
 formats, so the pipeline consumes a synthetic instance exactly as it would
 real data. The naive functions evaluate the same scores by literal
 enumeration, sharing only the domain types with the pipeline; exact
-equivalence between the two is the correctness oracle.
+equivalence between the two is the correctness oracle, which
+``check_one_seed`` checks on one generated instance.
 """
 from __future__ import annotations
 
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
+from . import conglomerate, cti_core, ingest, pipeline, transit_dominance
 from .ingest import DelegationRow, GeoRow
 from .model import (
     ComputationError,
@@ -27,6 +29,7 @@ from .model import (
     Prefix,
     RelKind,
     RelationshipTable,
+    dotted_quad,
 )
 
 GEO_ROUND_UP = 256
@@ -235,36 +238,49 @@ def _customer_first_order(ases: Sequence[int], rels: RelationshipTable) -> list[
 
 @dataclass(frozen=True)
 class RoutePlan:
-    """What route propagation needs of a topology, whatever the origin: the
-    customer-first order and each AS's providers and peers, sorted and
-    restricted to the topology's ASes."""
+    """What route propagation needs of a topology, whatever the origin: each
+    AS's position in the customer-first order, its providers and peers
+    (sorted and restricted to the topology's ASes), and the providers-first
+    order in which the provider stage pulls routes.
 
-    order: list[int]
+    The pull order covers the ASes whose routes are wanted and their provider
+    ancestors, and only those ASes take a peer route: an AS's provider route
+    reads only what its providers selected. A plan that names no ASes covers
+    every AS."""
+
+    position: dict[int, int]
+    pull_order: list[int]
     providers: dict[int, tuple[int, ...]]
     peers: dict[int, tuple[int, ...]]
 
     @classmethod
-    def of(cls, topo: SynthTopology) -> "RoutePlan":
+    def of(cls, topo: SynthTopology, wanted: Sequence[int] = ()) -> "RoutePlan":
         ases = topo.ases
         members = set(ases)
         rels = topo.rels
+        order = _customer_first_order(ases, rels)
+        providers = {asn: tuple(sorted(rels.providers_of(asn) & members)) for asn in ases}
+        covered = _with_provider_ancestors(wanted, providers) & members if wanted else members
         return cls(
-            order=_customer_first_order(ases, rels),
-            providers={asn: tuple(sorted(rels.providers_of(asn) & members)) for asn in ases},
-            peers={asn: tuple(sorted(rels.peers_of(asn) & members)) for asn in ases},
+            position={asn: index for index, asn in enumerate(order)},
+            pull_order=[asn for asn in reversed(order) if asn in covered],
+            providers=providers,
+            peers={asn: tuple(sorted(rels.peers_of(asn) & covered)) for asn in ases},
         )
 
 
-def _best(
-    current: tuple[int, ...] | None,
-    candidate: tuple[int, ...],
-) -> tuple[int, ...]:
-    # shorter path wins; equal lengths resolve by lowest next-hop ASN
-    if current is None:
-        return candidate
-    if (len(candidate), candidate[1]) < (len(current), current[1]):
-        return candidate
-    return current
+def _with_provider_ancestors(
+    ases: Iterable[int], providers: Mapping[int, tuple[int, ...]]
+) -> set[int]:
+    """``ases`` and every AS above one of them in the provider graph."""
+    covered: set[int] = set()
+    stack = list(ases)
+    while stack:
+        asn = stack.pop()
+        if asn not in covered:
+            covered.add(asn)
+            stack.extend(providers.get(asn, ()))
+    return covered
 
 
 def routes_for_prefix(
@@ -276,61 +292,88 @@ def routes_for_prefix(
     neighbor, peer and provider routes only to customers.
 
     ``plan`` is ``RoutePlan.of(topo)``, built here when not given; pass it
-    when routing many origins over one topology.
+    when routing many origins over one topology. A plan built for some ASes
+    gives each of them the route the full plan gives; the routes of other
+    ASes may be missing.
     """
     plan = plan or RoutePlan.of(topo)
 
     # The customer and peer stages push each customer route to the
     # neighbours that import it. Within a stage every candidate an AS
     # receives comes from a different neighbour, which is the candidate's
-    # next hop, and ``_best`` ranks by (length, next-hop ASN): no two
+    # next hop, and candidates rank by (length, next-hop ASN): no two
     # candidates tie, so the winner does not depend on the order in which
-    # they arrive. In customer-first order all customers of an AS have
-    # pushed to it before it pushes its own route on.
+    # they arrive. A candidate is ranked before it is built, so only winners
+    # become tuples. The customer stage visits the ASes the route reaches in
+    # customer-first order (a heap of order positions), so all customers of
+    # an AS have pushed to it before it pushes its own route on.
+    position = plan.position
     from_customer: dict[int, tuple[int, ...]] = {origin: (origin,)}
-    for asn in plan.order:
-        route = from_customer.get(asn)
-        if route is None:
-            continue
+    reached = [(position[origin], origin)]
+    while reached:
+        _position, asn = heapq.heappop(reached)
+        route = from_customer[asn]
+        length = len(route) + 1
         for provider in plan.providers[asn]:
-            if provider != origin:
-                from_customer[provider] = _best(from_customer.get(provider), (provider,) + route)
+            current = from_customer.get(provider)
+            if current is None:
+                heapq.heappush(reached, (position[provider], provider))
+            elif not _ranks_before(length, asn, current):
+                continue
+            from_customer[provider] = (provider,) + route
 
     selected: dict[int, tuple[int, ...]] = dict(from_customer)
     for asn, route in from_customer.items():
+        length = len(route) + 1
         for peer in plan.peers[asn]:
             if peer not in from_customer:
-                selected[peer] = _best(selected.get(peer), (peer,) + route)
+                current = selected.get(peer)
+                if current is None or _ranks_before(length, asn, current):
+                    selected[peer] = (peer,) + route
 
     # Provider routes are pulled, providers first: an AS without a customer
     # or peer route takes the best route any of its providers selected.
-    for asn in reversed(plan.order):
+    # Providers are in ascending order, so among equally short routes the
+    # first one seen has the lowest next hop.
+    for asn in plan.pull_order:
         if asn in selected:
             continue
-        chosen = None
+        best = None
         for provider in plan.providers[asn]:
             route = selected.get(provider)
-            if route is not None:
-                chosen = _best(chosen, (asn,) + route)
-        if chosen is not None:
-            selected[asn] = chosen
+            if route is not None and (best is None or len(route) < len(best)):
+                best = route
+        if best is not None:
+            selected[asn] = (asn,) + best
     return selected
 
 
+def _ranks_before(length: int, next_hop: int, current: tuple[int, ...]) -> bool:
+    """Whether a candidate of ``length`` hops through ``next_hop`` beats the
+    route ``current``: shorter wins, then the lower next-hop ASN. An origin's
+    own one-hop route is never beaten."""
+    return length < len(current) or (length == len(current) and next_hop < current[1])
+
+
 def propagate_routes(topo: SynthTopology) -> list[PathRecord]:
-    """One preferred path per (monitor, prefix) where the host AS has a route."""
-    plan = RoutePlan.of(topo)
-    routes_by_origin: dict[int, dict[int, tuple[int, ...]]] = {}
+    """One preferred path per (monitor, prefix) where the host AS has a route.
+
+    Only the routes of the monitor host ASes and their providers are
+    computed."""
+    plan = RoutePlan.of(topo, [monitor.host_asn for monitor in topo.monitors])
+    # origin -> (monitor, route) for each monitor whose host AS has a route
+    observed: dict[int, list[tuple[MonitorId, tuple[int, ...]]]] = {}
     paths: list[PathRecord] = []
     for prefix in sorted(topo.origin_of):
         origin = topo.origin_of[prefix]
-        if origin not in routes_by_origin:
-            routes_by_origin[origin] = routes_for_prefix(topo, origin, plan)
-        routes = routes_by_origin[origin]
-        for monitor in topo.monitors:
-            route = routes.get(monitor.host_asn)
-            if route is not None:
-                paths.append(PathRecord(monitor=monitor, prefix=prefix, hops=route))
+        if origin not in observed:
+            routes = routes_for_prefix(topo, origin, plan)
+            observed[origin] = [
+                (monitor, routes[monitor.host_asn])
+                for monitor in topo.monitors
+                if monitor.host_asn in routes
+            ]
+        paths.extend(PathRecord(monitor, prefix, route) for monitor, route in observed[origin])
     return paths
 
 
@@ -340,19 +383,20 @@ def emit_files(topo: SynthTopology, paths: Sequence[PathRecord]) -> dict[str, st
     # prefix of its origin: render each distinct one once.
     prefix_text = functools.cache(str)
     hops_text = functools.cache(lambda hops: " ".join(map(str, hops)))
-    path_lines = [f"{p.monitor.id}|{prefix_text(p.prefix)}|{hops_text(p.hops)}" for p in paths]
+    paths_text = _joined(
+        f"{monitor.id}|{prefix_text(prefix)}|{hops_text(hops)}" for monitor, prefix, hops in paths
+    )
     rel_lines = sorted(
-        f"{rel.a}|{rel.b}|{'-1' if rel.kind is RelKind.P2C else '0'}" for rel in topo.rels
+        f"{a}|{b}|{'-1' if kind is RelKind.P2C else '0'}" for a, b, kind in topo.rels
     )
     geo_lines = [f"{prefix},{country},{count}" for prefix, country, count in topo.geo_rows]
     delegation_lines = [
-        f"synth|{country}|ipv4|{_base_text(base)}|{count}|20200101|allocated"
+        f"synth|{country}|ipv4|{dotted_quad(base)}|{count}|20200101|allocated"
         for country, base, count in topo.delegations
     ]
     monitor_lines = [f"{m.id},{m.host_asn},{m.country}" for m in topo.monitors]
-    traceroute_lines = [f"t-{line}" for line in path_lines]
     files = {
-        "paths.txt": _joined(path_lines),
+        "paths.txt": paths_text,
         "relationships.txt": _joined(rel_lines),
         "geo.csv": _joined(geo_lines),
         "delegations.txt": _joined(delegation_lines),
@@ -360,13 +404,10 @@ def emit_files(topo: SynthTopology, paths: Sequence[PathRecord]) -> dict[str, st
         "clique.txt": _joined(str(asn) for asn in sorted(topo.clique)),
         "state_owned.csv": _joined(f"{asn},{country}" for asn, country in topo.state_owned),
         "as2org.txt": _joined(f"{asn}|{org}" for asn, org in sorted(topo.org_of.items())),
-        "traceroutes.txt": _joined(traceroute_lines),
+        # each traceroute line is "t-" and a path line
+        "traceroutes.txt": paths_text and "t-" + paths_text[:-1].replace("\n", "\nt-") + "\n",
     }
     return files
-
-
-def _base_text(base: int) -> str:
-    return ".".join(str((base >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
 def _joined(lines: Iterable[str]) -> str:
@@ -682,3 +723,51 @@ def naive_transit_fraction(
         if hits:
             fraction += Fraction(hits, count) * Fraction(own.get(origin, 0), total)
     return fraction
+
+
+# ---------------------------------------------------------------------------
+# The oracle check: pipeline against naive oracle on one generated instance.
+
+
+def check_one_seed(seed: int) -> str | None:
+    """Compare pipeline and oracle on one generated instance; return a
+    description of the first mismatch, or None when they agree exactly.
+
+    Each country's kernel is built once and reduces to both cti (outlier
+    filter off) and ctin; the transit nationality is classified once. The
+    pipeline is called through its modules' attributes, so a function
+    replaced there (by a tracer, say) is the one called."""
+    topo = generate_topology(seed)
+    paths = propagate_routes(topo)
+    files = emit_files(topo, paths)
+    bundle = ingest.load_bundle_from_texts(files)
+    sub = pipeline.build_substrate(bundle)
+    raw_traceroutes = [(f"t-{p.monitor.id}", p.prefix, p.hops) for p in paths]
+    traceroute_counts, _rej = transit_dominance.parse_traceroutes(
+        files["traceroutes.txt"].splitlines()
+    )
+    members = frozenset(asn for asn, _c in topo.state_owned)
+    nationality = pipeline.transit_nationality(sub)
+    for country in topo.params.countries:
+        if sub.geo.total.get(country, 0) <= 0:
+            continue
+        table = pipeline.build_country_substrate(sub, country)
+        pipe_cti = cti_core.compute_cti(table)
+        oracle_cti = naive_cti(topo, paths, country)
+        if pipe_cti.entries != oracle_cti.entries:
+            return f"cti mismatch for {country}"
+
+        if members:
+            group = conglomerate.Conglomerate(label="state", members=members, country=country)
+            pipe_ctin = conglomerate.compute_ctin(group, table)
+            oracle_ctin = naive_ctin(topo, paths, country, members)
+            if pipe_ctin != oracle_ctin:
+                return f"ctin mismatch for {country}"
+
+        pipe_t = transit_dominance.compute_transit_fraction(
+            traceroute_counts, sub.rels, nationality, sub.geo, country
+        )
+        oracle_t = naive_transit_fraction(topo, paths, raw_traceroutes, country)
+        if pipe_t != oracle_t:
+            return f"transit fraction mismatch for {country}"
+    return None

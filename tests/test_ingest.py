@@ -1,3 +1,4 @@
+import ipaddress
 from collections import Counter
 from fractions import Fraction
 
@@ -169,6 +170,37 @@ def test_parse_aux_tables():
     assert [r.reason for r in aux.rejections] == ["hegemony score outside [0,1]"]
     assert aux.clique == frozenset({10, 20})
     assert Prefix.parse("10.9.0.0/24") in aux.multi_origin
+
+
+@pytest.mark.parametrize(
+    "score, kept",
+    [
+        ("0", True),
+        ("-0", True),
+        ("0/7", True),
+        ("1", True),
+        ("2/2", True),
+        ("1.000", True),
+        ("-1/1000", False),
+        ("1.001", False),
+        ("1001/1000", False),
+    ],
+)
+def test_hegemony_scores_are_kept_exactly_when_in_the_unit_interval(score, kept):
+    aux = ingest.parse_aux_tables(hegemony_reader=[f"100,200,{score}", f"100,300,{score}"])
+    assert aux.hegemony == ({(100, 200): Fraction(score), (100, 300): Fraction(score)} if kept else {})
+    assert [r.line_no for r in aux.rejections] == ([] if kept else [1, 2])
+
+
+def test_delegation_base_must_be_a_dotted_quad():
+    for base in ("10.0.0.0", "0.0.0.0", "255.255.255.255"):
+        _geo, delegations, _rej = ingest.parse_geo_and_delegations(
+            [], [f"r|US|ipv4|{base}|256|20200101|allocated"]
+        )
+        assert delegations == [("US", int(ipaddress.IPv4Address(base)), 256)]
+    for base in ("010.0.0.0", "10.0.0", "10.0.0.256", " 10.0.0.0", "10.0.0.0/8", "\u0661.0.0.0"):
+        with pytest.raises(ParseError, match="malformed base address"):
+            ingest.parse_geo_and_delegations([], [f"r|US|ipv4|{base}|256|20200101|allocated"])
 
 
 def test_parse_reserved_asns():

@@ -1,4 +1,5 @@
 import copy
+import ipaddress
 import json
 import pickle
 from fractions import Fraction
@@ -16,6 +17,8 @@ from cti.model import (
     RelKind,
     Relationship,
     RelationshipTable,
+    dotted_quad,
+    parse_dotted_quad,
     validate_asn,
     validate_country,
 )
@@ -81,6 +84,120 @@ def test_relationship_table_lookup_is_symmetric():
     assert table.peers_of(3) == frozenset({2})
     assert table.providers_of(2) == frozenset({1})
     assert table.customers_of(1) == frozenset({2})
+
+
+def _ipaddress_prefix(text):
+    """``Prefix.parse`` read through ``ipaddress`` alone: the prefix, or the
+    text of the ``ValueError``."""
+    try:
+        net = ipaddress.ip_network(text.strip(), strict=False)
+    except ValueError as exc:
+        return f"unparsable prefix {text!r}: {exc}"
+    if net.version != 4:
+        return f"not an IPv4 prefix: {text!r}"
+    try:
+        return Prefix(int(net.network_address), net.prefixlen)
+    except ValueError as exc:
+        return str(exc)
+
+
+_NUMBER_TEXT = st.one_of(
+    st.integers(min_value=0, max_value=300).map(str),
+    st.sampled_from(["", "0", "00", "01", "007", "255", "256", "999", "1000", "+1", "-1"]),
+    st.sampled_from(["\u0661", "\u0663\u0662", "\u00b2", "\uff11", " 1", "1 ", "0x1", "1_0"]),
+)
+_WHITESPACE = st.sampled_from(["", " ", "\t", "\n", "\r\n", "\u3000", "\u00a0", "\x1c"])
+
+
+@st.composite
+def _address_texts(draw):
+    return ".".join(draw(st.lists(_NUMBER_TEXT, min_size=3, max_size=5)))
+
+
+@st.composite
+def _prefix_texts(draw):
+    address = draw(
+        st.one_of(
+            _address_texts(),
+            st.integers(min_value=0, max_value=2**32 - 1).map(ipaddress.IPv4Address).map(str),
+            st.sampled_from(["::", "2001:db8::", "10.0.0"]),
+        )
+    )
+    length = draw(
+        st.one_of(
+            st.none(),
+            st.integers(min_value=0, max_value=40).map(str),
+            st.sampled_from(["024", "00", "32", "33", "", "\u0662\u0664", "255.255.255.0"]),
+            st.sampled_from(["0.0.0.255", "24/8", " 24"]),
+        )
+    )
+    text = address if length is None else f"{address}/{length}"
+    return draw(_WHITESPACE) + text + draw(_WHITESPACE)
+
+
+@settings(max_examples=400)
+@given(st.one_of(_prefix_texts(), st.text(max_size=24)))
+def test_prefix_parse_agrees_with_ipaddress(text):
+    try:
+        parsed = Prefix.parse(text)
+    except ValueError as exc:
+        parsed = str(exc)
+    assert parsed == _ipaddress_prefix(text)
+
+
+@pytest.mark.parametrize(
+    "text, expected",
+    [
+        ("0.0.0.0/0", Prefix(0, 0)),
+        ("255.255.255.255/0", Prefix(0, 0)),
+        ("10.1.2.3/8", Prefix(10 << 24, 8)),
+        ("10.0.0.0/024", Prefix(10 << 24, 24)),
+        ("10.0.0.0/32", "prefix length 32 out of range 0..24"),
+        ("10.0.0.0/33", "unparsable prefix '10.0.0.0/33': '10.0.0.0/33' does not appear to be an "
+         "IPv4 or IPv6 network"),
+        ("10.0.0.0", "prefix length 32 out of range 0..24"),
+    ],
+)
+def test_prefix_parse_edges(text, expected):
+    try:
+        parsed = Prefix.parse(text)
+    except ValueError as exc:
+        parsed = str(exc)
+    assert parsed == expected == _ipaddress_prefix(text)
+
+
+@settings(max_examples=400)
+@given(st.one_of(_address_texts(), st.text(max_size=16)))
+def test_parse_dotted_quad_accepts_what_ipaddress_accepts(text):
+    try:
+        expected = int(ipaddress.IPv4Address(text))
+    except ipaddress.AddressValueError:
+        expected = None
+    assert parse_dotted_quad(text) == expected
+
+
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_dotted_quad_writes_what_ipaddress_writes(address):
+    assert dotted_quad(address) == str(ipaddress.IPv4Address(address))
+    assert parse_dotted_quad(dotted_quad(address)) == address
+
+
+def test_relationship_views_are_built_per_kind_and_rebuilt_after_add():
+    table = RelationshipTable()
+    table.add(1, 2, RelKind.P2C)
+    table.add(2, 3, RelKind.P2P)
+    assert table.providers_of(2) == frozenset({1})
+    assert set(table._views) == {"providers"}
+    table.add(4, 2, RelKind.P2C)
+    assert table.providers_of(2) == frozenset({1, 4})
+    assert table.peers_of(2) == frozenset({3})
+    assert table.peers_of(3) == frozenset({2})
+    assert table.customers_of(4) == frozenset({2})
+    assert list(table) == [
+        Relationship(1, 2, RelKind.P2C),
+        Relationship(2, 3, RelKind.P2P),
+        Relationship(4, 2, RelKind.P2C),
+    ]
 
 
 def test_relationship_table_conflict():

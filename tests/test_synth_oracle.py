@@ -1,5 +1,10 @@
+import dataclasses
 import heapq
+import importlib
+import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -160,8 +165,18 @@ def test_injection_needs_two_clique_ases_for_poisoning():
 # the push-based ``routes_for_prefix`` must match route for route.
 
 
+def _best(current, candidate):
+    # shorter path wins; equal lengths resolve by lowest next-hop ASN
+    if current is None:
+        return candidate
+    if (len(candidate), candidate[1]) < (len(current), current[1]):
+        return candidate
+    return current
+
+
 def _reference_customer_first_order(ases, rels):
-    pending = {asn: len(rels.customers_of(asn) & set(ases)) for asn in ases}
+    members = set(ases)
+    pending = {asn: len(rels.customers_of(asn) & members) for asn in ases}
     heap = [asn for asn, count in pending.items() if count == 0]
     heapq.heapify(heap)
     order = []
@@ -190,7 +205,7 @@ def _reference_routes_for_prefix(topo, origin):
         for customer in sorted(rels.customers_of(asn)):
             route = from_customer.get(customer)
             if route is not None:
-                chosen = so._best(chosen, (asn,) + route)
+                chosen = _best(chosen, (asn,) + route)
         if chosen is not None:
             from_customer[asn] = chosen
 
@@ -200,7 +215,7 @@ def _reference_routes_for_prefix(topo, origin):
         for peer in sorted(rels.peers_of(asn)):
             route = from_customer.get(peer)
             if route is not None:
-                chosen = so._best(chosen, (asn,) + route)
+                chosen = _best(chosen, (asn,) + route)
         if chosen is not None:
             from_peer[asn] = chosen
 
@@ -216,7 +231,7 @@ def _reference_routes_for_prefix(topo, origin):
         for provider in sorted(rels.providers_of(asn)):
             route = selected.get(provider) or from_provider.get(provider)
             if route is not None:
-                chosen = so._best(chosen, (asn,) + route)
+                chosen = _best(chosen, (asn,) + route)
         if chosen is not None:
             from_provider[asn] = chosen
     selected.update(from_provider)
@@ -247,6 +262,89 @@ def test_push_propagation_equals_pull_reference():
             assert so.routes_for_prefix(topo, origin, plan) == expected, (topo.seed, origin)
         origin = max(topo.origin_of.values())
         assert so.routes_for_prefix(topo, origin) == _reference_routes_for_prefix(topo, origin)
+
+
+def _reference_paths(topo):
+    """``propagate_routes``'s rows, each host's route taken from the pull
+    reference over every AS."""
+    routes_of = {}
+    paths = []
+    for prefix in sorted(topo.origin_of):
+        origin = topo.origin_of[prefix]
+        if origin not in routes_of:
+            routes_of[origin] = _reference_routes_for_prefix(topo, origin)
+        for monitor in topo.monitors:
+            route = routes_of[origin].get(monitor.host_asn)
+            if route is not None:
+                paths.append(PathRecord(monitor, prefix, route))
+    return paths
+
+
+def _with_monitors(topo, hosts):
+    monitors = [MonitorId(f"m{i + 1}", host, "MM") for i, host in enumerate(hosts)]
+    return dataclasses.replace(topo, monitors=monitors)
+
+
+def _bench_layouts():
+    """The benchmark's two CLI instances at its default seed, with its
+    monitor layout: hosts drawn from the clique and the mid tier."""
+    bench = str(Path(__file__).resolve().parent.parent / "bench")
+    sys.path.insert(0, bench)
+    try:
+        inputs = importlib.import_module("inputs")
+    finally:
+        sys.path.remove(bench)
+    for params in inputs.INSTANCES.values():
+        yield inputs.place_monitors(so.generate_topology(7, params), 7)
+
+
+def _host_layouts():
+    """Every monitor on a clique host, on a mid-tier host, or on a stub."""
+    for seed, params in enumerate(_LARGER, start=31):
+        topo = so.generate_topology(seed, params)
+        yield _with_monitors(topo, sorted(topo.clique))
+        yield _with_monitors(topo, topo.mids[::3])
+        yield _with_monitors(topo, topo.stubs[::7])
+
+
+def _lone_host_topology():
+    """Seed 5 with one more monitor, hosted by an AS with no links: it has
+    no route to any origin."""
+    topo = so.generate_topology(5)
+    lone = MonitorId("m-lone", 999, "MM")
+    return dataclasses.replace(topo, mids=topo.mids + (999,), monitors=topo.monitors + [lone])
+
+
+def test_propagate_routes_equals_the_pull_reference():
+    instances = [
+        *_instances(),
+        *_bench_layouts(),
+        *_host_layouts(),
+        _lone_host_topology(),
+    ]
+    for topo in instances:
+        assert so.propagate_routes(topo) == _reference_paths(topo), topo.seed
+
+
+def test_a_monitor_whose_host_has_no_route_gets_no_rows():
+    paths = so.propagate_routes(_lone_host_topology())
+    assert paths
+    assert all(path.monitor.id != "m-lone" for path in paths)
+
+
+def test_a_plan_for_some_ases_gives_each_the_route_of_the_full_plan():
+    rng = random.Random(8)
+    for topo in [*list(_instances())[::3], *_host_layouts()]:
+        full = so.RoutePlan.of(topo)
+        for size in (1, 2, 5):
+            wanted = rng.sample(topo.ases, min(size, len(topo.ases)))
+            plan = so.RoutePlan.of(topo, wanted)
+            for origin in sorted(set(topo.origin_of.values())):
+                routes = so.routes_for_prefix(topo, origin, plan)
+                expected = so.routes_for_prefix(topo, origin, full)
+                assert [routes.get(asn) for asn in wanted] == [
+                    expected.get(asn) for asn in wanted
+                ], (topo.seed, wanted, origin)
 
 
 def _reference_emitted_paths(paths):
