@@ -6,7 +6,8 @@ reports, listing the content hash of each file the command read and the
 effective configuration. Reports are deterministic: identical inputs and
 flags give byte-identical files. Exit codes: 0 success, 2 a file that cannot
 be read or written (a missing input file, a directory or unreadable file given
-as an input, an ``--output`` that names a file), 3 parse error, 4 computation
+as an input, an ``--output`` that names a file), 3 parse error (a bad input
+row names its file and line, a bad ``compare`` report its path), 4 computation
 error, 5 bad usage: an option value unparsable or out of range (a
 ``--country`` that is not two capital letters included), or a usage error
 Click reports (unknown option or command, missing required option, value of
@@ -281,9 +282,12 @@ def compare_command(path_a: str, path_b: str, output: str) -> None:
 
     def load(path: str) -> MetricReport:
         text = ingest.read_text(path)
-        if path.endswith(".json"):
-            return MetricReport.from_json(text)
-        return MetricReport.from_csv(text.splitlines())
+        try:
+            if path.endswith(".json"):
+                return MetricReport.from_json(text)
+            return MetricReport.from_csv(text.splitlines())
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
 
     stats = clh_compare.compare_reports(load(path_a), load(path_b))
     text = _records_csv(clh_compare.DiffStats, [stats])

@@ -4,6 +4,8 @@ All formats are line-oriented UTF-8 text with ``\\n`` endings; lines starting
 with ``#`` are comments and blank lines are ignored. Parsers are strict on
 structure (malformed lines abort the run) and lenient-with-logging on
 semantic rejects (bad country codes, out-of-range scores, excluded prefixes).
+Every file is read through one ``RowReader``, which turns a malformed row into
+a ``ParseError`` naming the file and line.
 """
 from __future__ import annotations
 
@@ -12,7 +14,7 @@ import functools
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping
 
 from .model import (
     Corpus,
@@ -40,15 +42,52 @@ GeoRow = tuple[Prefix, str, int]  # prefix, country, raw address count
 DelegationRow = tuple[str, int, int]  # country, base address, address count
 
 
-def _data_lines(reader: Iterable[str]) -> Iterable[tuple[int, str]]:
-    for line_no, raw in enumerate(reader, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield line_no, line
+class RowReader:
+    """The data rows of the input file ``FILE_NAMES[key]``, read in a
+    ``with RowReader(...) as rows`` block.
+
+    ``rows`` yields ``(line_no, line, fields)`` for each line that is not
+    blank or a ``#`` comment: ``line`` stripped, and ``fields`` the line split
+    on the separator of ``layout``. A layout is the row's field names joined
+    by ``|`` or ``,``; one name makes the whole line the one field, and a
+    trailing ``...`` allows more fields. A row with another number of fields,
+    and a ``ValueError`` (or the ``ZeroDivisionError`` of a ``1/0`` score)
+    raised in the block while a row is handled, become
+    ``ParseError("<file name> line <N>: <detail>")``.
+    """
+
+    def __init__(self, key: str, lines: Iterable[str], layout: str) -> None:
+        self.name = FILE_NAMES[key]
+        self._line_no = 0
+        self._rows = self._split(lines, layout)
+
+    def __enter__(self) -> Iterator[tuple[int, str, list[str]]]:
+        return self._rows
+
+    def __exit__(self, _type, exc: BaseException | None, _tb) -> None:
+        # While the body handles a row, the rows are suspended; an error of
+        # the rows themselves (a short row, bytes that are not UTF-8) ended
+        # them and already names its file.
+        if isinstance(exc, (ValueError, ZeroDivisionError)) and self._rows.gi_frame is not None:
+            raise ParseError(f"{self.name} line {self._line_no}: {exc}") from None
+
+    def _split(self, lines: Iterable[str], layout: str) -> Iterator[tuple[int, str, list[str]]]:
+        separator = "|" if "|" in layout else "," if "," in layout else None
+        names = layout.split(separator)
+        open_ended = names[-1] == "..."
+        n_fields = len(names) - open_ended
+        for line_no, raw in enumerate(lines, start=1):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            fields = line.split(separator) if separator else [line]
+            self._line_no = line_no
+            if len(fields) != n_fields and not (open_ended and len(fields) > n_fields):
+                raise ParseError(f"{self.name} line {line_no}: expected {layout}, got {line!r}")
+            yield line_no, line, fields
 
 
-def _parse_asn_token(token: str) -> int:
+def parse_asn_token(token: str) -> int:
     if not token.isdigit():
         raise ValueError(f"malformed ASN token {token!r}")
     return validate_asn(int(token))
@@ -75,7 +114,7 @@ def parse_paths(
     # texts that parse to the same value share one index.
     prefix_index: dict[Prefix, int] = {}
     route_index: dict[Route, int] = {}
-    parse_asn = functools.cache(_parse_asn_token)
+    parse_asn = functools.cache(parse_asn_token)
 
     @functools.cache
     def prefix_ix_of(text: str) -> int | str:
@@ -98,82 +137,52 @@ def parse_paths(
     first_of: dict[int, int] = {}  # prefix_ix * len(monitors) + monitor_ix -> row
     row_lines: list[int] = []
     monitor_col, prefix_col, route_col = corpus.monitor_ix, corpus.prefix_ix, corpus.route_ix
-    for line_no, line in _data_lines(reader):
-        parts = line.split("|")
-        if len(parts) != 3:
-            raise ParseError(f"line {line_no}: expected monitor_id|prefix|hops, got {line!r}")
-        monitor_id, prefix_text, hops_text = parts
-        monitor_ix = monitor_of.get(monitor_id)
-        if monitor_ix is None:
-            rejections.append(RowRejection(line_no, line, "unknown monitor"))
-            continue
-        if "{" in hops_text or "}" in hops_text:
-            rejections.append(RowRejection(line_no, line, "as-set"))
-            continue
-        prefix_ix = prefix_ix_of(prefix_text)
-        if isinstance(prefix_ix, str):
-            rejections.append(RowRejection(line_no, line, prefix_ix))
-            continue
-        route_ix = route_ix_of(hops_text)
-        if isinstance(route_ix, str):
-            rejections.append(RowRejection(line_no, line, route_ix))
-            continue
-        n_rows = len(route_col)
-        row = first_of.setdefault(prefix_ix * len(monitor_of) + monitor_ix, n_rows)
-        if row != n_rows:
-            if route_col[row] != route_ix:
-                raise ParseError(
-                    f"conflicting paths for ({monitor_id}, {corpus.prefixes[prefix_ix]}) "
-                    f"at lines {row_lines[row]} and {line_no}"
-                )
-            continue  # identical duplicate
-        monitor_col.append(monitor_ix)
-        prefix_col.append(prefix_ix)
-        route_col.append(route_ix)
-        row_lines.append(line_no)
+    with RowReader("paths", reader, "monitor_id|prefix|hops") as rows:
+        for line_no, line, (monitor_id, prefix_text, hops_text) in rows:
+            monitor_ix = monitor_of.get(monitor_id)
+            if monitor_ix is None:
+                rejections.append(RowRejection(line_no, line, "unknown monitor"))
+                continue
+            if "{" in hops_text or "}" in hops_text:
+                rejections.append(RowRejection(line_no, line, "as-set"))
+                continue
+            prefix_ix = prefix_ix_of(prefix_text)
+            if isinstance(prefix_ix, str):
+                rejections.append(RowRejection(line_no, line, prefix_ix))
+                continue
+            route_ix = route_ix_of(hops_text)
+            if isinstance(route_ix, str):
+                rejections.append(RowRejection(line_no, line, route_ix))
+                continue
+            n_rows = len(route_col)
+            row = first_of.setdefault(prefix_ix * len(monitor_of) + monitor_ix, n_rows)
+            if row != n_rows:
+                if route_col[row] != route_ix:
+                    raise ValueError(
+                        f"conflicting paths for ({monitor_id}, {corpus.prefixes[prefix_ix]}) "
+                        f"at lines {row_lines[row]} and {line_no}"
+                    )
+                continue  # identical duplicate
+            monitor_col.append(monitor_ix)
+            prefix_col.append(prefix_ix)
+            route_col.append(route_ix)
+            row_lines.append(line_no)
     return corpus, rejections
 
 
-def _hops_parser() -> Callable[[str], tuple[int, ...]]:
-    """A cache, made for one parser call, of the parse of a space-separated
-    ASN list with consecutive repeats collapsed. Each distinct ASN token is
-    validated once too; a malformed one raises ``ValueError``, which is not
-    cached."""
-    parse_asn = functools.cache(_parse_asn_token)
-
-    @functools.cache
-    def parse_hops(text: str) -> tuple[int, ...]:
-        hops = tuple(map(parse_asn, text.split()))
-        if len(set(hops)) != len(hops):
-            return tuple(asn for i, asn in enumerate(hops) if i == 0 or hops[i - 1] != asn)
-        return hops
-
-    return parse_hops
+_RELATIONSHIP_CODES = {"-1": RelKind.P2C, "0": RelKind.P2P}
 
 
 def parse_relationships(reader: Iterable[str]) -> RelationshipTable:
     """Parse ``a|b|-1`` (a provider of b) and ``a|b|0`` (peers) rows."""
     table = RelationshipTable()
-    parse_asn = functools.cache(_parse_asn_token)
-    for line_no, line in _data_lines(reader):
-        parts = line.split("|")
-        if len(parts) != 3:
-            raise ParseError(f"line {line_no}: expected a|b|code, got {line!r}")
-        try:
-            a = parse_asn(parts[0])
-            b = parse_asn(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"line {line_no}: {exc}") from None
-        if parts[2] == "-1":
-            kind = RelKind.P2C
-        elif parts[2] == "0":
-            kind = RelKind.P2P
-        else:
-            raise ParseError(f"line {line_no}: unknown relationship code {parts[2]!r}")
-        try:
-            table.add(a, b, kind)
-        except ParseError as exc:
-            raise ParseError(f"line {line_no}: {exc}") from None
+    parse_asn = functools.cache(parse_asn_token)
+    with RowReader("relationships", reader, "a|b|code") as rows:
+        for _line_no, _line, (a_text, b_text, code) in rows:
+            a, b = parse_asn(a_text), parse_asn(b_text)
+            if code not in _RELATIONSHIP_CODES:
+                raise ValueError(f"unknown relationship code {code!r}")
+            table.add(a, b, _RELATIONSHIP_CODES[code])
     return table
 
 
@@ -188,77 +197,49 @@ def parse_geo_and_delegations(
     """
     geo_rows: list[GeoRow] = []
     rejections: list[RowRejection] = []
-    for line_no, line in _data_lines(geo_reader):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"geo line {line_no}: expected prefix,country,count, got {line!r}")
-        try:
-            prefix = Prefix.parse(parts[0])
-        except ValueError as exc:
-            raise ParseError(f"geo line {line_no}: {exc}") from None
-        try:
-            country = validate_country(parts[1])
-        except ValueError:
-            rejections.append(RowRejection(line_no, line, "unparsable country code"))
-            continue
-        try:
-            count = int(parts[2])
-        except ValueError:
-            raise ParseError(f"geo line {line_no}: malformed address count {parts[2]!r}") from None
-        if count < 0:
-            raise ParseError(f"geo line {line_no}: negative address count")
-        if count > prefix.size:
-            raise ParseError(
-                f"geo line {line_no}: count {count} exceeds capacity {prefix.size} of {prefix}"
-            )
-        geo_rows.append((prefix, country, count))
+    with RowReader("geo", geo_reader, "prefix,country,address_count") as rows:
+        for line_no, line, (prefix_text, country_text, count_text) in rows:
+            prefix = Prefix.parse(prefix_text)
+            try:
+                country = validate_country(country_text)
+            except ValueError:
+                rejections.append(RowRejection(line_no, line, "unparsable country code"))
+                continue
+            count = int(count_text)
+            if not 0 <= count <= prefix.size:
+                raise ValueError(f"count {count} outside the capacity 0..{prefix.size} of {prefix}")
+            geo_rows.append((prefix, country, count))
 
     delegation_rows: list[DelegationRow] = []
-    for line_no, line in _data_lines(delegation_reader):
-        parts = line.split("|")
-        if len(parts) < 7:
-            raise ParseError(
-                f"delegation line {line_no}: expected registry|cc|ipv4|base|count|date|status"
-            )
-        if parts[2] != "ipv4":
-            continue  # asn/ipv6/summary records are irrelevant here
-        try:
-            country = validate_country(parts[1])
-        except ValueError:
-            rejections.append(RowRejection(line_no, line, "unparsable country code"))
-            continue
-        base = parse_dotted_quad(parts[3])
-        if base is None:
-            raise ParseError(f"delegation line {line_no}: malformed base address {parts[3]!r}")
-        try:
-            count = int(parts[4])
-        except ValueError:
-            raise ParseError(f"delegation line {line_no}: malformed count {parts[4]!r}") from None
-        if count <= 0:
-            raise ParseError(f"delegation line {line_no}: non-positive count")
-        delegation_rows.append((country, base, count))
+    layout = "registry|cc|type|base|count|date|status|..."
+    with RowReader("delegations", delegation_reader, layout) as rows:
+        for line_no, line, fields in rows:
+            if fields[2] != "ipv4":
+                continue  # asn/ipv6/summary records are irrelevant here
+            try:
+                country = validate_country(fields[1])
+            except ValueError:
+                rejections.append(RowRejection(line_no, line, "unparsable country code"))
+                continue
+            base = parse_dotted_quad(fields[3])
+            if base is None:
+                raise ValueError(f"malformed base address {fields[3]!r}")
+            count = int(fields[4])
+            if count <= 0:
+                raise ValueError(f"non-positive count {count}")
+            delegation_rows.append((country, base, count))
     return geo_rows, delegation_rows, rejections
 
 
 def parse_monitors(reader: Iterable[str]) -> dict[str, MonitorId]:
     """Parse ``monitor_id,host_asn,country`` rows into a unique inventory."""
     monitors: dict[str, MonitorId] = {}
-    for line_no, line in _data_lines(reader):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"monitor line {line_no}: expected id,host_asn,country")
-        monitor_id = parts[0]
-        if monitor_id in monitors:
-            raise ParseError(f"monitor line {line_no}: duplicate monitor id {monitor_id!r}")
-        try:
-            host_asn = _parse_asn_token(parts[1])
-        except ValueError:
-            raise ParseError(f"monitor line {line_no}: invalid ASN {parts[1]!r}") from None
-        try:
-            country = validate_country(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"monitor line {line_no}: {exc}") from None
-        monitors[monitor_id] = MonitorId(id=monitor_id, host_asn=host_asn, country=country)
+    with RowReader("monitors", reader, "monitor_id,host_asn,country") as rows:
+        for _line_no, _line, (monitor_id, asn_text, country) in rows:
+            if monitor_id in monitors:
+                raise ValueError(f"duplicate monitor id {monitor_id!r}")
+            host_asn = parse_asn_token(asn_text)
+            monitors[monitor_id] = MonitorId(monitor_id, host_asn, validate_country(country))
     return monitors
 
 
@@ -284,81 +265,47 @@ def parse_aux_tables(
     """Parse the auxiliary tables; out-of-range hegemony scores are rejected rows."""
     aux = AuxBundle()
 
-    for line_no, line in _data_lines(state_owned_reader):
-        parts = line.split(",")
-        if len(parts) != 2:
-            raise ParseError(f"state-owned line {line_no}: expected asn,country")
-        try:
-            asn = _parse_asn_token(parts[0])
-            country = validate_country(parts[1])
-        except ValueError as exc:
-            raise ParseError(f"state-owned line {line_no}: {exc}") from None
-        aux.state_owned.append((asn, country))
+    with RowReader("state_owned", state_owned_reader, "asn,country") as rows:
+        for _line_no, _line, (asn, country) in rows:
+            aux.state_owned.append((parse_asn_token(asn), validate_country(country)))
 
-    for line_no, line in _data_lines(org_reader):
-        parts = line.split("|")
-        if len(parts) != 2:
-            raise ParseError(f"org line {line_no}: expected asn|org_id")
-        try:
-            asn = _parse_asn_token(parts[0])
-        except ValueError as exc:
-            raise ParseError(f"org line {line_no}: {exc}") from None
-        aux.org_of[asn] = parts[1]
+    with RowReader("org", org_reader, "asn|org_id") as rows:
+        for _line_no, _line, (asn, org) in rows:
+            aux.org_of[parse_asn_token(asn)] = org
 
-    for line_no, line in _data_lines(membership_reader):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"membership line {line_no}: expected facility_id,country,asn")
-        try:
-            country = validate_country(parts[1])
-            asn = _parse_asn_token(parts[2])
-        except ValueError as exc:
-            raise ParseError(f"membership line {line_no}: {exc}") from None
-        aux.memberships.append((parts[0], country, asn))
+    with RowReader("memberships", membership_reader, "facility_id,country,asn") as rows:
+        for _line_no, _line, (facility, country, asn) in rows:
+            aux.memberships.append((facility, validate_country(country), parse_asn_token(asn)))
 
     # each AS, and many a score, recurs in many hegemony rows
-    parse_asn = functools.cache(_parse_asn_token)
+    parse_asn = functools.cache(parse_asn_token)
     parse_score = functools.cache(Fraction)
-    for line_no, line in _data_lines(hegemony_reader):
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise ParseError(f"hegemony line {line_no}: expected origin_asn,transit_asn,score")
-        try:
-            origin = parse_asn(parts[0])
-            transit = parse_asn(parts[1])
-            score = parse_score(parts[2])
-        except (ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"hegemony line {line_no}: {exc}") from None
-        if not 0 <= score.numerator <= score.denominator:  # in [0, 1]
-            aux.rejections.append(RowRejection(line_no, line, "hegemony score outside [0,1]"))
-            continue
-        aux.hegemony[(origin, transit)] = score
+    with RowReader("hegemony", hegemony_reader, "origin_asn,transit_asn,score") as rows:
+        for line_no, line, (origin, transit, score_text) in rows:
+            key = (parse_asn(origin), parse_asn(transit))
+            score = parse_score(score_text)
+            if not 0 <= score.numerator <= score.denominator:  # in [0, 1]
+                aux.rejections.append(RowRejection(line_no, line, "hegemony score outside [0,1]"))
+                continue
+            aux.hegemony[key] = score
 
-    clique: set[int] = set()
-    for line_no, line in _data_lines(clique_reader):
-        try:
-            clique.add(_parse_asn_token(line))
-        except ValueError as exc:
-            raise ParseError(f"clique line {line_no}: {exc}") from None
-    aux.clique = frozenset(clique)
+    with RowReader("clique", clique_reader, "asn") as rows:
+        aux.clique = frozenset(parse_asn_token(line) for _line_no, line, _fields in rows)
 
-    multi_origin: set[Prefix] = set()
-    for line_no, line in _data_lines(multi_origin_reader):
-        try:
-            multi_origin.add(Prefix.parse(line))
-        except ValueError as exc:
-            raise ParseError(f"multi-origin line {line_no}: {exc}") from None
-    aux.multi_origin = frozenset(multi_origin)
+    with RowReader("multi_origin", multi_origin_reader, "prefix") as rows:
+        aux.multi_origin = frozenset(Prefix.parse(line) for _line_no, line, _fields in rows)
 
     return aux
 
 
 def parse_reserved_asns(reader: Iterable[str]) -> frozenset[int]:
+    """Parse one ASN per row; any decimal number, 0 included, may be reserved."""
     reserved: set[int] = set()
-    for line_no, line in _data_lines(reader):
-        if not line.isdecimal():
-            raise ParseError(f"reserved-ASN line {line_no}: malformed ASN {line!r}")
-        reserved.add(int(line))
+    with RowReader("reserved", reader, "asn") as rows:
+        for _line_no, line, _fields in rows:
+            if not line.isdecimal():
+                raise ValueError(f"malformed ASN {line!r}")
+            reserved.add(int(line))
     return frozenset(reserved)
 
 

@@ -4,13 +4,13 @@ All types are immutable after construction and safe to share between
 concurrent workers. Scores are kept as exact rationals internally and
 converted to fixed-point decimals only at serialization time.
 
-The records (``Prefix``, ``PathRecord`` and ``Relationship``) are tuples
-of their fields, so that hashing, equality and ordering run in C: a
-``Prefix`` is hashed at every address-mass lookup. Like tuples, a record
-equals any tuple of the same field values, a record of another type
-included; the program never mixes them in one container. A path corpus is a
-``Corpus`` of integer rows, not one record per row, and a traceroute corpus
-is a count per route.
+The records (``Prefix`` and ``PathRecord``) are tuples of their fields, so
+that hashing, equality and ordering run in C: a ``Prefix`` is hashed at every
+address-mass lookup. Like tuples, a record equals any tuple of the same
+field values, a record of another type included; the program never mixes
+them in one container. A path corpus is a ``Corpus`` of integer rows, not one
+record per row, a traceroute corpus is a count per route, and a relationship
+is the stored ``(a, b)`` pair with its kind.
 
 Every CSV report is written by ``csv_text``.
 """
@@ -39,13 +39,11 @@ class ComputationError(ValueError):
     """A metric cannot be evaluated on the given inputs (e.g. empty country)."""
 
 
-def validate_asn(value: int, reserved: frozenset[int] = frozenset()) -> int:
+def validate_asn(value: int) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"ASN must be an integer, got {value!r}")
     if value <= 0 or value > MAX_ASN:
         raise ValueError(f"invalid ASN {value}")
-    if value in reserved:
-        raise ValueError(f"reserved ASN {value}")
     return value
 
 
@@ -228,34 +226,17 @@ class RelKind(Enum):
     P2P = "p2p"
 
 
-class Relationship(Record):
-    """One inferred relationship: ``a`` provides transit to ``b`` (p2c), or
-    the two peer (p2p)."""
-
-    __slots__ = ()
-    _fields = ("a", "b", "kind")
-
-    def __new__(cls, a: int, b: int, kind: RelKind) -> "Relationship":
-        if a == b:
-            raise ValueError(f"self-relationship for AS {a}")
-        return tuple.__new__(cls, (a, b, kind))
-
-    a = property(itemgetter(0))
-    b = property(itemgetter(1))
-    kind = property(itemgetter(2))
-
-
 _Adjacency = dict[int, set[int]]  # AS -> its neighbours of one kind
 
 
 class RelationshipTable:
     """Directed p2c and undirected p2p edges with O(1) pair lookup.
 
-    At most one relationship per unordered ASN pair; lookups of (a, b)
-    and (b, a) resolve to the same relationship. Each pair is stored as the
-    ``(a, b)`` it was first given, with its kind. The peers, providers and
+    At most one relationship per unordered ASN pair. Each pair is stored
+    as the ``(a, b)`` it was first given, with its kind: ``a`` provides
+    transit to ``b`` (p2c), or the two peer (p2p). The peers, providers and
     customers per AS are three views, each built on the first request of
-    its own kind; ``Relationship`` objects are built as they are iterated.
+    its own kind.
     """
 
     def __init__(self) -> None:
@@ -282,13 +263,6 @@ class RelationshipTable:
                 f"conflicting relationship for ASes {a} and {b}: "
                 f"{key[0]}|{key[1]} {existing.value} vs {a}|{b} {kind.value}"
             )
-
-    def lookup(self, a: int, b: int) -> Relationship | None:
-        for key in ((a, b), (b, a)):
-            kind = self._kinds.get(key)
-            if kind is not None:
-                return Relationship(*key, kind)
-        return None
 
     def is_p2c(self, provider: int, customer: int) -> bool:
         return self._kinds.get((provider, customer)) is RelKind.P2C
@@ -320,8 +294,9 @@ class RelationshipTable:
     def __len__(self) -> int:
         return len(self._kinds)
 
-    def __iter__(self) -> Iterator[Relationship]:
-        return (Relationship(a, b, kind) for (a, b), kind in self._kinds.items())
+    def __iter__(self) -> Iterator[tuple[int, int, RelKind]]:
+        """Each stored pair as ``(a, b, kind)``."""
+        return ((a, b, kind) for (a, b), kind in self._kinds.items())
 
 
 def _cell(value: object) -> str:

@@ -110,9 +110,8 @@ def org_aggregates(
     sub: Substrate,
     country: str,
     marginal_threshold: Fraction = conglomerate.DEFAULT_MARGINAL_THRESHOLD,
-    apply_outlier: bool = True,
 ) -> list[conglomerate.OrgAggregate]:
-    report = cti_report(sub, country, apply_outlier=apply_outlier)
+    report = cti_report(sub, country)
     return conglomerate.aggregate_org(sub.bundle.aux.org_of, report, marginal_threshold)
 
 

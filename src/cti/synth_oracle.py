@@ -661,7 +661,7 @@ def _oracle_nationality(
         own[origin][country] = own[origin].get(country, 0) + value
 
     label: dict[int, str | None] = {}
-    providers = {rel.a for rel in topo.rels if rel.kind is RelKind.P2C}
+    providers = {a for a, _b, kind in topo.rels if kind is RelKind.P2C}
     for asn in set(own) | providers:
         vector = dict(own.get(asn, {}))
         for customer in topo.rels.customers_of(asn):

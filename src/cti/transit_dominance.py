@@ -18,18 +18,11 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .geo import GeoTable, Nationality
-from .ingest import RowRejection, _data_lines, _hops_parser
-from .model import ParseError, Prefix, RelKind, RelationshipTable, Route
+from .ingest import RowReader, RowRejection, parse_asn_token
+from .model import Prefix, RelationshipTable, Route
 
 DEFAULT_DOMINANCE_THRESHOLD = Fraction(12, 25)  # 0.48
 DEFAULT_ORIGINATION_FLOOR = Fraction(1, 2000)  # 0.05% of the country's addresses
-
-
-@dataclass(frozen=True)
-class BorderCrossing:
-    provider: int  # last foreign AS
-    customer: int  # its (domestic) successor
-    kind: RelKind | None  # None when the link has no inferred relationship
 
 
 def parse_traceroutes(
@@ -43,27 +36,34 @@ def parse_traceroutes(
     """
     counts: Counter[Route] = Counter()
     rejections: list[RowRejection] = []
-    # each distinct prefix and hop text is parsed (and collapsed) once per call
+    # each distinct prefix and hop text is parsed (and collapsed) once per
+    # call; a malformed ASN raises ValueError, which is not cached
     parse_prefix = functools.cache(Prefix.parse)
-    parse_hops = _hops_parser()
-    for line_no, line in _data_lines(reader):
-        parts = line.split("|")
-        if len(parts) != 3:
-            raise ParseError(f"traceroute line {line_no}: expected probe_id|prefix|hops")
-        try:
-            parse_prefix(parts[1])  # checked only: a bad prefix still rejects the row
-        except ValueError:
-            rejections.append(RowRejection(line_no, line, "unparsable prefix"))
-            continue
-        try:
-            hops = parse_hops(parts[2])
-        except ValueError:
-            rejections.append(RowRejection(line_no, line, "malformed ASN"))
-            continue
-        if not hops:
-            rejections.append(RowRejection(line_no, line, "empty path"))
-            continue
-        counts[hops] += 1
+    parse_asn = functools.cache(parse_asn_token)
+
+    @functools.cache
+    def parse_hops(text: str) -> Route:
+        hops = tuple(map(parse_asn, text.split()))
+        if len(set(hops)) != len(hops):
+            return tuple(asn for i, asn in enumerate(hops) if i == 0 or hops[i - 1] != asn)
+        return hops
+
+    with RowReader("traceroutes", reader, "probe_id|prefix|hops") as rows:
+        for line_no, line, (_probe_id, prefix_text, hops_text) in rows:
+            try:
+                parse_prefix(prefix_text)  # checked only: a bad prefix still rejects the row
+            except ValueError:
+                rejections.append(RowRejection(line_no, line, "unparsable prefix"))
+                continue
+            try:
+                hops = parse_hops(hops_text)
+            except ValueError:
+                rejections.append(RowRejection(line_no, line, "malformed ASN"))
+                continue
+            if not hops:
+                rejections.append(RowRejection(line_no, line, "empty path"))
+                continue
+            counts[hops] += 1
     return counts, rejections
 
 
@@ -113,31 +113,17 @@ def classify_candidate(
     return CandidateResult(origin, not failed, tuple(failed))
 
 
-def find_border(
-    hops: Route,
-    nationality: Nationality,
-    country: str,
-    rels: RelationshipTable | None = None,
-) -> BorderCrossing | None:
-    """The link between the last foreign AS (scanning from the probe) and its
-    successor; None when every hop is domestic."""
+def find_border(hops: Route, nationality: Nationality, country: str) -> tuple[int, int] | None:
+    """The link ``(provider, customer)`` between the last foreign AS
+    (scanning from the probe) and its successor; None when every hop is
+    domestic or the last hop is foreign."""
     last_foreign = None
     for index, asn in enumerate(hops):
         if not nationality.is_domestic(asn, country):
             last_foreign = index
     if last_foreign is None or last_foreign == len(hops) - 1:
         return None
-    provider = hops[last_foreign]
-    customer = hops[last_foreign + 1]
-    kind: RelKind | None = None
-    if rels is not None:
-        rel = rels.lookup(provider, customer)
-        if rel is not None:
-            if rel.kind is RelKind.P2P:
-                kind = RelKind.P2P
-            elif rel.a == provider:
-                kind = RelKind.P2C
-    return BorderCrossing(provider=provider, customer=customer, kind=kind)
+    return hops[last_foreign], hops[last_foreign + 1]
 
 
 def compute_transit_fraction(
@@ -159,8 +145,8 @@ def compute_transit_fraction(
         if not nationality.is_domestic(origin, country):
             continue
         reached[origin] = reached.get(origin, 0) + n
-        border = find_border(hops, nationality, country, rels)
-        if border is not None and border.kind is RelKind.P2C:
+        border = find_border(hops, nationality, country)
+        if border is not None and rels.is_p2c(*border):
             crossed[origin] = crossed.get(origin, 0) + n
 
     fraction = Fraction(0)

@@ -145,6 +145,38 @@ def test_malformed_input_files_exit_3_with_one_line(tmp_path):
         assert where in result.output, (body, result.output)
 
 
+# One malformed row per input file: a short row, or a bad value where the
+# row has one field.
+MALFORMED_ROWS = {
+    "paths.txt": "m1|10.0.0.0/24",
+    "relationships.txt": "10|20",
+    "geo.csv": "10.0.0.0/24,CU",
+    "delegations.txt": "synth|CU|ipv4|10.0.0.0|256|20200101",
+    "monitors.csv": "m9,10",
+    "state_owned.csv": "10",
+    "as2org.txt": "10",
+    "memberships.csv": "fac-1,CU",
+    "hegemony.csv": "10,20",
+    "clique.txt": "x",
+    "multi_origin.txt": "10.0.0.0/99",
+    "reserved_asns.txt": "x",
+    "traceroutes.txt": "t-m1|10.0.0.0/24",
+}
+
+
+@pytest.mark.parametrize("name", ingest.FILE_NAMES.values())
+def test_a_malformed_row_names_its_file_and_line(tmp_path, name):
+    files = _write_toy(tmp_path / "in")
+    body = files.get(name, "")
+    line_no = body.count("\n") + 2  # after the file's rows and one comment
+    (tmp_path / "in" / name).write_text(f"{body}# comment\n{MALFORMED_ROWS[name]}\n")
+    base = ["--input", str(tmp_path / "in"), "--country", "CU", "--output", str(tmp_path / "out")]
+    result = CliRunner().invoke(main, ["transit-fraction", *base])
+    assert result.exit_code == 3, result.output
+    assert result.output.startswith(f"parse error: {name} line {line_no}: "), result.output
+    assert result.output.count("\n") == 1 and result.output.count(name) == 1, result.output
+
+
 def test_non_utf8_input_exits_3_naming_the_file(tmp_path):
     _write_toy(tmp_path / "in")
     runner = CliRunner()
@@ -156,7 +188,7 @@ def test_non_utf8_input_exits_3_naming_the_file(tmp_path):
         result = runner.invoke(main, [command] + base)
         assert result.exit_code == 3, (command, result.output)
         assert result.output.startswith("parse error: ") and result.output.count("\n") == 1
-        assert f"{path}: not UTF-8 text" in result.output, result.output
+        assert result.output.startswith(f"parse error: {path}: not UTF-8 text"), result.output
         path.write_bytes(good)
 
     report = tmp_path / "report.csv"
@@ -176,7 +208,7 @@ def test_deeply_nested_json_report_exits_3(tmp_path):
         main, ["compare", "--a", str(deep), "--b", str(deep), "--output", str(tmp_path / "cmp")]
     )
     assert result.exit_code == 3, result.output
-    assert result.output == "parse error: malformed JSON report: nested too deeply\n"
+    assert result.output == f"parse error: {deep}: malformed JSON report: nested too deeply\n"
 
 
 def test_computation_error_exits_4(tmp_path):
@@ -229,7 +261,7 @@ def test_compare_rejects_reports_that_are_not_metric_reports(tmp_path):
         for a, b in ((cti, str(other)), (str(other), cti)):
             result = runner.invoke(main, ["compare", "--a", a, "--b", b, *cmp])
             assert result.exit_code == 3, (other, result.output)
-            assert result.output == f"parse error: {message} '# country,subject,<metric>'\n"
+            assert result.output == f"parse error: {other}: {message} '# country,subject,<metric>'\n"
     assert not (tmp_path / "cmp").exists()
 
     result = runner.invoke(main, ["compare", "--a", cti, "--b", str(out / "clh_CU.csv"), *cmp])

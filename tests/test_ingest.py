@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cti import ingest, transit_dominance
-from cti.model import MonitorId, ParseError, PathRecord, Prefix
+from cti.model import MonitorId, ParseError, PathRecord, Prefix, RelKind
 
 MONITORS = {
     "m1": MonitorId("m1", 10, "US"),
@@ -102,7 +102,7 @@ def test_parse_paths_malformed_structure():
 def test_parse_relationships():
     table = ingest.parse_relationships(["1|2|-1", "2|3|0"])
     assert table.is_p2c(1, 2)
-    assert table.lookup(2, 3).kind.value == "p2p"
+    assert table.peers_of(2) == frozenset({3}) and not table.is_p2c(2, 3)
     with pytest.raises(ParseError):
         ingest.parse_relationships(["1|1|0"])
     with pytest.raises(ParseError):
@@ -115,7 +115,7 @@ def test_parse_relationships_repeats():
     # a peer link listed both ways round is one link
     table = ingest.parse_relationships(["1|2|0", "2|1|0", "1|2|0"])
     assert len(table) == 1
-    assert table.lookup(2, 1) == table.lookup(1, 2)
+    assert list(table) == [(1, 2, RelKind.P2P)]
     assert table.peers_of(1) == frozenset({2}) and table.peers_of(2) == frozenset({1})
     assert len(ingest.parse_relationships(["1|2|-1", "1|2|-1"])) == 1
     # a p2c row that reverses an earlier one, or turns it into peering, conflicts
@@ -238,13 +238,19 @@ def test_load_bundle_from_directory(tmp_path):
         ingest.load_bundle(str(tmp_path))
 
 
+def _data_lines(lines):
+    """(line number, stripped line) of each line that is not blank or a comment."""
+    stripped = ((line_no, raw.strip()) for line_no, raw in enumerate(lines, start=1))
+    return [(line_no, line) for line_no, line in stripped if line and not line.startswith("#")]
+
+
 def _reference_parse_paths(lines, monitors, multi_origin=frozenset()):
     """Row-by-row parse with no memo: every field validated from scratch."""
     records, rejections, seen = [], [], {}
-    for line_no, line in ingest._data_lines(lines):
+    for line_no, line in _data_lines(lines):
         parts = line.split("|")
         if len(parts) != 3:
-            raise ParseError(f"line {line_no}: expected monitor_id|prefix|hops, got {line!r}")
+            raise ParseError(f"paths.txt line {line_no}: expected monitor_id|prefix|hops, got {line!r}")
         monitor_id, prefix_text, hops_text = parts
         monitor = monitors.get(monitor_id)
         reason = None
@@ -261,7 +267,7 @@ def _reference_parse_paths(lines, monitors, multi_origin=frozenset()):
             reason = "multi-origin prefix"
         if reason is None:
             try:
-                hops = tuple(ingest._parse_asn_token(tok) for tok in hops_text.split())
+                hops = tuple(ingest.parse_asn_token(tok) for tok in hops_text.split())
             except ValueError:
                 reason = "malformed ASN"
         if reason is None and not hops:
@@ -273,7 +279,7 @@ def _reference_parse_paths(lines, monitors, multi_origin=frozenset()):
             prev_hops, prev_line = seen[(monitor_id, prefix)]
             if prev_hops != hops:
                 raise ParseError(
-                    f"conflicting paths for ({monitor_id}, {prefix}) "
+                    f"paths.txt line {line_no}: conflicting paths for ({monitor_id}, {prefix}) "
                     f"at lines {prev_line} and {line_no}"
                 )
             continue
@@ -284,17 +290,17 @@ def _reference_parse_paths(lines, monitors, multi_origin=frozenset()):
 
 def _reference_parse_traceroutes(lines):
     counts, rejections = Counter(), []
-    for line_no, line in ingest._data_lines(lines):
+    for line_no, line in _data_lines(lines):
         parts = line.split("|")
         if len(parts) != 3:
-            raise ParseError(f"traceroute line {line_no}: expected probe_id|prefix|hops")
+            raise ParseError(f"traceroutes.txt line {line_no}: expected probe_id|prefix|hops, got {line!r}")
         try:
             Prefix.parse(parts[1])
         except ValueError:
             rejections.append(ingest.RowRejection(line_no, line, "unparsable prefix"))
             continue
         try:
-            raw_hops = [ingest._parse_asn_token(tok) for tok in parts[2].split()]
+            raw_hops = [ingest.parse_asn_token(tok) for tok in parts[2].split()]
         except ValueError:
             rejections.append(ingest.RowRejection(line_no, line, "malformed ASN"))
             continue
@@ -379,7 +385,7 @@ def _lines(*fields, sep):
 
 
 def _data_line_numbers(lines):
-    return [line_no for line_no, _line in ingest._data_lines(lines)]
+    return [line_no for line_no, _line in _data_lines(lines)]
 
 
 @_FUZZ
@@ -413,7 +419,7 @@ def test_parse_geo_and_delegations_rejects_or_raises_parse_error(geo_lines, dele
     delegated = _outcome(ingest.parse_geo_and_delegations, [], delegation_lines)
     if not isinstance(delegated, str):
         _rows, delegations, rejections = delegated
-        ipv4 = [line for _no, line in ingest._data_lines(delegation_lines) if line.split("|")[2] == "ipv4"]
+        ipv4 = [line for _no, line in _data_lines(delegation_lines) if line.split("|")[2] == "ipv4"]
         assert len(delegations) + len(rejections) == len(ipv4)
 
 

@@ -85,7 +85,7 @@ def relationships(draw):
         table.add(a, b, kind)
     pairs = st.tuples(st.sampled_from(ASNS), st.sampled_from(ASNS)).filter(lambda p: p[0] != p[1])
     for (a, b), kind in draw(st.dictionaries(pairs, st.sampled_from(RelKind), max_size=8)).items():
-        if table.lookup(a, b) is None:
+        if b not in table.peers_of(a) | table.providers_of(a) | table.customers_of(a):
             table.add(a, b, kind)
     return table
 
@@ -197,8 +197,8 @@ def _reference_transit_fraction(traces, rels, nationality, geo, country):
         if not nationality.is_domestic(hops[-1], country):
             continue
         reached[hops[-1]] = reached.get(hops[-1], 0) + 1
-        border = td.find_border(hops, nationality, country, rels)
-        if border is not None and border.kind is RelKind.P2C:
+        border = td.find_border(hops, nationality, country)
+        if border is not None and rels.is_p2c(*border):
             crossed[hops[-1]] = crossed.get(hops[-1], 0) + 1
     total = geo.country_total(country)
     fraction = Fraction(0)

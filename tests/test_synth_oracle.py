@@ -36,9 +36,9 @@ def test_p2c_edges_form_a_dag_and_stubs_reach_clique():
         topo = so.generate_topology(seed)
         order = so._customer_first_order(topo.ases, topo.rels)  # raises on a cycle
         position = {asn: i for i, asn in enumerate(order)}
-        for rel in topo.rels:
-            if rel.kind is RelKind.P2C:
-                assert position[rel.b] < position[rel.a]
+        for a, b, kind in topo.rels:
+            if kind is RelKind.P2C:
+                assert position[b] < position[a]
         for stub in topo.stubs:
             frontier = {stub}
             reached_clique = False
@@ -54,8 +54,7 @@ def _edge_kind(rels, a, b):
         return "up"
     if rels.is_p2c(a, b):
         return "down"
-    rel = rels.lookup(a, b)
-    assert rel is not None, f"adjacent ASes {a},{b} without a relationship"
+    assert b in rels.peers_of(a), f"adjacent ASes {a},{b} without a relationship"
     return "peer"
 
 

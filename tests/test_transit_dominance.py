@@ -48,7 +48,7 @@ def test_parse_traceroutes_rejects_each_repeated_bad_row():
         (4, "malformed ASN"),
     ]
     assert counts == Counter({(50, 60): 2, (60,): 1})  # rows of one route, counted
-    with pytest.raises(ParseError, match="traceroute line 2"):
+    with pytest.raises(ParseError, match="^traceroutes.txt line 2: "):
         td.parse_traceroutes(["probe-1|bogus|50", "only|two"])
 
 
@@ -104,23 +104,22 @@ def test_candidate_requires_domestic_nationality():
 def test_find_border():
     nationality = Nationality({900: "CU", 800: "CU"})
     rels = _rels((50, 800, RelKind.P2C))
-    border = td.find_border((60, 50, 800, 900), nationality, "CU", rels)
-    assert (border.provider, border.customer) == (50, 800)
-    assert border.kind is RelKind.P2C
+    border = td.find_border((60, 50, 800, 900), nationality, "CU")
+    assert border == (50, 800)
+    assert rels.is_p2c(*border)
 
     domestic_only = (800, 900)
-    assert td.find_border(domestic_only, nationality, "CU", rels) is None
+    assert td.find_border(domestic_only, nationality, "CU") is None
 
     ends_foreign = (800, 50)
-    assert td.find_border(ends_foreign, nationality, "CU", rels) is None
+    assert td.find_border(ends_foreign, nationality, "CU") is None
 
 
 def test_find_border_uses_last_foreign_hop():
     # re-entry: foreign 50, domestic 800, foreign 60, domestic 900
     nationality = Nationality({800: "CU", 900: "CU"})
-    rels = _rels((60, 900, RelKind.P2C))
-    border = td.find_border((50, 800, 60, 900), nationality, "CU", rels)
-    assert (border.provider, border.customer) == (60, 900)
+    border = td.find_border((50, 800, 60, 900), nationality, "CU")
+    assert border == (60, 900)
 
 
 def test_transit_fraction_worked_example():
