@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil
+from math import ceil, lcm
 from typing import Mapping
 
 from .geo import GeoTable
@@ -25,17 +25,21 @@ def compute_clh(
     """clh(t, C) = sum_o hegemony(o, t) * a*(o, C) / A(C), over origins with
     addresses in C. Missing (origin, transit) table entries contribute zero."""
     total_addresses = geo.country_total(country)
-    scores: dict[int, Fraction] = {}
+    # per transit AS: score denominator -> sum of score numerator * addresses
+    sums: dict[int, dict[int, int]] = {}
     for (origin, transit), score in hegemony.items():
         originated = geo.originated.get((origin, country), 0)
         if originated == 0:
             continue
-        term = score * Fraction(originated, total_addresses)
-        scores[transit] = scores.get(transit, Fraction(0)) + term
+        by_denominator = sums.setdefault(transit, {})
+        term = score.numerator * originated
+        by_denominator[score.denominator] = by_denominator.get(score.denominator, 0) + term
 
     report = MetricReport(metric_name="clh")
-    for transit, value in scores.items():
-        report.set(country, transit, value)
+    for transit, by_denominator in sums.items():
+        common = lcm(*by_denominator)
+        numerator = sum(n * (common // d) for d, n in by_denominator.items())
+        report.set(country, transit, Fraction(numerator, common * total_addresses))
     return report
 
 

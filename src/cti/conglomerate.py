@@ -48,16 +48,18 @@ def state_conglomerates(
 def compute_ctin(conglomerate: Conglomerate, table: HostTable) -> Fraction:
     """Set-level transit score over the country's kernel: one term per path
     at the first (minimum-distance) member, zero for paths toward prefixes
-    originated by any member. The paths of one (host AS, segment) group
-    share that distance, so each group adds its summed term once."""
+    originated by any member. The paths along one segment share that
+    distance, so each segment adds its hosts' summed term once (exact, since
+    every W is a multiple of d)."""
     members = conglomerate.members
     numerator = 0
-    for (_host, segment), weight in table.groups.items():
+    for segment_ix, weights in table.groups.items():
+        segment = table.segments[segment_ix]
         if segment[0] in members:
             continue
         for distance, transit in enumerate(segment[1:], start=1):
             if transit in members:
-                numerator += table.numerator(weight, distance)
+                numerator += table.numerator(sum(weights.values()), distance)
                 break
     return table.score(numerator, table.n_monitors)
 

@@ -30,11 +30,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .geo import GeoTable
-from .model import MetricReport, MonitorId, Prefix, Route
-from .pathprep import RetainedRow
+from .model import MetricReport, MonitorId, Route
+from .pathprep import Retained
 
 
 @dataclass
@@ -47,7 +47,8 @@ class HostTable:
     n_monitors: int  # |M|
     host_monitors: Counter[int]  # |M_h| per host AS in M
     n_paths: int  # counted paths
-    groups: dict[tuple[int, Route], int]  # W per (host AS, segment)
+    segments: Sequence[Route]  # the retained segments, by index
+    groups: dict[int, dict[int, int]]  # W per (host AS, segment): segment index -> host AS -> W
     cells: dict[int, dict[int, int]] = field(default_factory=dict)  # S[transit][host]
 
     def __len__(self) -> int:
@@ -64,18 +65,21 @@ class HostTable:
         return Fraction(numerator, self.denominator * monitors)
 
 
-def compute_weights(retained: Iterable[RetainedRow]) -> Counter[tuple[int, Prefix]]:
-    """n per (host AS, prefix): how many of that AS's monitors observe the prefix.
+def compute_weights(retained: Retained) -> Counter[int]:
+    """n per (host AS, prefix): how many of that AS's monitors observe the
+    prefix, keyed prefix index * len(hosts) + host index.
 
     A monitor's weight is 1/n. Monitors of an AS that do not observe the
     prefix do not count toward n, so the weights of the observing monitors
     always sum to 1. Paths are unique per (monitor, prefix).
     """
-    return Counter((host, prefix) for host, _segment, prefix in retained)
+    n_hosts = len(retained.hosts)
+    pairs = zip(retained.group, retained.prefix_ix)
+    return Counter([prefix_ix * n_hosts + group % n_hosts for group, prefix_ix in pairs])
 
 
 def extract_observations(
-    retained: Iterable[RetainedRow],
+    retained: Retained,
     geo: GeoTable,
     monitors: Sequence[MonitorId],
     country: str,
@@ -88,31 +92,48 @@ def extract_observations(
     """
     total = geo.country_total(country)
     host_monitors = Counter(m.host_asn for m in monitors)
-    mass_of = {prefix: mass for (prefix, c), mass in geo.mass.items() if c == country and mass}
-    counted = [row for row in retained if row[0] in host_monitors and row[2] in mass_of]
-    observers = compute_weights(counted)
-    # summed mass per (host AS, segment, n): the paths of a group that share n
-    mass_by_n: dict[tuple[int, Route, int], int] = {}
-    for host, segment, prefix in counted:
-        key = (host, segment, observers[(host, prefix)])
-        mass_by_n[key] = mass_by_n.get(key, 0) + mass_of[prefix]
-    lcm = math.lcm(*{n * d for _host, segment, n in mass_by_n for d in range(1, len(segment))})
-    groups: dict[tuple[int, Route], int] = {}
-    for (host, segment, n), mass in mass_by_n.items():
-        groups[(host, segment)] = groups.get((host, segment), 0) + mass * (lcm // n)
+    hosts, segments = retained.hosts, retained.segments
+    n_hosts = len(hosts)
+    active = [host in host_monitors for host in hosts]
+    mass = [geo.mass.get((prefix, country), 0) for prefix in retained.prefixes]
+    # Whether a path counts depends on its host AS and prefix alone, so n
+    # over every retained path is n over the counted ones.
+    observers = compute_weights(retained)
+    # summed mass per (group, n) of the counted paths, keyed group * span + n
+    span = max(observers.values(), default=0) + 1
+    mass_by_n: dict[int, int] = {}
+    n_paths = 0
+    for group, prefix_ix in zip(retained.group, retained.prefix_ix):
+        host_ix = group % n_hosts
+        if active[host_ix] and mass[prefix_ix]:
+            key = group * span + observers[prefix_ix * n_hosts + host_ix]
+            mass_by_n[key] = mass_by_n.get(key, 0) + mass[prefix_ix]
+            n_paths += 1
+    # the lcm of n*d over d = 1..D is n * lcm(1..D)
+    hops = {(key % span, len(segments[key // span // n_hosts]) - 1) for key in mass_by_n}
+    lcm = math.lcm(*(n * math.lcm(*range(1, top + 1)) for n, top in hops))
+    groups: dict[int, dict[int, int]] = {}
+    for key, summed in mass_by_n.items():
+        group, n = divmod(key, span)
+        segment_ix, host_ix = divmod(group, n_hosts)
+        weights = groups.setdefault(segment_ix, {})
+        host = hosts[host_ix]
+        weights[host] = weights.get(host, 0) + summed * (lcm // n)
     table = HostTable(
         country=country,
         lcm=lcm,
         denominator=lcm * total,
         n_monitors=len(monitors),
         host_monitors=host_monitors,
-        n_paths=len(counted),
+        n_paths=n_paths,
+        segments=segments,
         groups=groups,
     )
-    for (host, segment), weight in table.groups.items():
-        for distance, transit in enumerate(segment[1:], start=1):
+    for segment_ix, weights in groups.items():
+        for distance, transit in enumerate(segments[segment_ix][1:], start=1):
             row = table.cells.setdefault(transit, {})
-            row[host] = row.get(host, 0) + table.numerator(weight, distance)
+            for host, weight in weights.items():
+                row[host] = row.get(host, 0) + table.numerator(weight, distance)
     return table
 
 

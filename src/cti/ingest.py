@@ -23,7 +23,6 @@ from .model import (
     Prefix,
     RelKind,
     RelationshipTable,
-    Route,
     intern,
     parse_dotted_quad,
     validate_asn,
@@ -76,9 +75,8 @@ class RowReader:
         names = layout.split(separator)
         open_ended = names[-1] == "..."
         n_fields = len(names) - open_ended
-        for line_no, raw in enumerate(lines, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+        for line_no, line in enumerate(map(str.strip, lines), start=1):
+            if not line or line[0] == "#":
                 continue
             fields = line.split(separator) if separator else [line]
             self._line_no = line_no
@@ -87,10 +85,31 @@ class RowReader:
             yield line_no, line, fields
 
 
+def parse_decimal(text: str, what: str) -> int:
+    """The value of a field of ASCII digits. Any other text, a sign or a
+    non-ASCII digit included, raises ``ValueError("malformed <what> ...")``."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"malformed {what} {text!r}")
+    return int(text)
+
+
 def parse_asn_token(token: str) -> int:
-    if not token.isdigit():
-        raise ValueError(f"malformed ASN token {token!r}")
-    return validate_asn(int(token))
+    return validate_asn(parse_decimal(token, "ASN token"))
+
+
+# A path or traceroute field text is judged once per call, to a table index,
+# or to a negative code c for which the row is rejected for REJECT_REASONS[~c].
+REJECT_REASONS = (
+    "unparsable prefix",
+    "length>24",
+    "multi-origin prefix",
+    "as-set",
+    "malformed ASN",
+    "empty path",
+)
+UNPARSABLE_PREFIX, LONG_PREFIX, MULTI_ORIGIN, AS_SET, MALFORMED_ASN, EMPTY_PATH = (
+    ~code for code in range(len(REJECT_REASONS))
+)
 
 
 def parse_paths(
@@ -107,57 +126,58 @@ def parse_paths(
     """
     corpus = Corpus(monitors=list(monitors.values()), prefixes=[], routes=[])
     monitor_of = {monitor_id: ix for ix, monitor_id in enumerate(monitors)}
+    n_monitors = len(monitor_of)
     rejections: list[RowRejection] = []
     # A corpus repeats each prefix about once per monitor, and each route once
-    # per prefix of its origin: each distinct prefix and hop text is judged
-    # once per call, to its table index or the reason it is rejected, and
-    # texts that parse to the same value share one index.
+    # per prefix of its origin. Prefix texts that parse to the same prefix
+    # share one index, since rows are unique per (monitor, prefix); a route
+    # gets one index per distinct hop text.
+    prefix_code: dict[str, int] = {}
+    route_code: dict[str, int] = {}
     prefix_index: dict[Prefix, int] = {}
-    route_index: dict[Route, int] = {}
     parse_asn = functools.cache(parse_asn_token)
 
-    @functools.cache
-    def prefix_ix_of(text: str) -> int | str:
+    def judge_prefix(text: str) -> int:
         try:
             prefix = Prefix.parse(text)
         except ValueError as exc:
-            return "length>24" if "length" in str(exc) else "unparsable prefix"
+            return LONG_PREFIX if "length" in str(exc) else UNPARSABLE_PREFIX
         if prefix in multi_origin:
-            return "multi-origin prefix"
+            return MULTI_ORIGIN
         return intern(prefix, prefix_index, corpus.prefixes)
 
-    @functools.cache
-    def route_ix_of(text: str) -> int | str:
+    def judge_hops(text: str) -> int:
+        if "{" in text or "}" in text:
+            return AS_SET
         try:
             hops = tuple(map(parse_asn, text.split()))
         except ValueError:
-            return "malformed ASN"
-        return intern(hops, route_index, corpus.routes) if hops else "empty path"
+            return MALFORMED_ASN
+        if not hops:
+            return EMPTY_PATH
+        corpus.routes.append(hops)
+        return len(corpus.routes) - 1
 
-    first_of: dict[int, int] = {}  # prefix_ix * len(monitors) + monitor_ix -> row
+    first_of: dict[int, int] = {}  # prefix_ix * n_monitors + monitor_ix -> row
     row_lines: list[int] = []
     monitor_col, prefix_col, route_col = corpus.monitor_ix, corpus.prefix_ix, corpus.route_ix
     with RowReader("paths", reader, "monitor_id|prefix|hops") as rows:
         for line_no, line, (monitor_id, prefix_text, hops_text) in rows:
-            monitor_ix = monitor_of.get(monitor_id)
-            if monitor_ix is None:
-                rejections.append(RowRejection(line_no, line, "unknown monitor"))
-                continue
-            if "{" in hops_text or "}" in hops_text:
-                rejections.append(RowRejection(line_no, line, "as-set"))
-                continue
-            prefix_ix = prefix_ix_of(prefix_text)
-            if isinstance(prefix_ix, str):
-                rejections.append(RowRejection(line_no, line, prefix_ix))
-                continue
-            route_ix = route_ix_of(hops_text)
-            if isinstance(route_ix, str):
-                rejections.append(RowRejection(line_no, line, route_ix))
+            monitor_ix = monitor_of.get(monitor_id, -1)
+            prefix_ix = prefix_code.get(prefix_text)
+            if prefix_ix is None:
+                prefix_ix = prefix_code[prefix_text] = judge_prefix(prefix_text)
+            route_ix = route_code.get(hops_text)
+            if route_ix is None:
+                route_ix = route_code[hops_text] = judge_hops(hops_text)
+            if monitor_ix < 0 or prefix_ix < 0 or route_ix < 0:
+                reason = _path_reason(monitor_ix, prefix_ix, route_ix)
+                rejections.append(RowRejection(line_no, line, reason))
                 continue
             n_rows = len(route_col)
-            row = first_of.setdefault(prefix_ix * len(monitor_of) + monitor_ix, n_rows)
+            row = first_of.setdefault(prefix_ix * n_monitors + monitor_ix, n_rows)
             if row != n_rows:
-                if route_col[row] != route_ix:
+                if corpus.routes[route_col[row]] != corpus.routes[route_ix]:
                     raise ValueError(
                         f"conflicting paths for ({monitor_id}, {corpus.prefixes[prefix_ix]}) "
                         f"at lines {row_lines[row]} and {line_no}"
@@ -168,6 +188,16 @@ def parse_paths(
             route_col.append(route_ix)
             row_lines.append(line_no)
     return corpus, rejections
+
+
+def _path_reason(monitor_ix: int, prefix_code: int, route_code: int) -> str:
+    """Why a path row is rejected: the first of an unknown monitor, AS-set
+    braces, a bad prefix and a bad route."""
+    if monitor_ix < 0:
+        return "unknown monitor"
+    if route_code == AS_SET:
+        return "as-set"
+    return REJECT_REASONS[~(prefix_code if prefix_code < 0 else route_code)]
 
 
 _RELATIONSHIP_CODES = {"-1": RelKind.P2C, "0": RelKind.P2P}
@@ -205,7 +235,7 @@ def parse_geo_and_delegations(
             except ValueError:
                 rejections.append(RowRejection(line_no, line, "unparsable country code"))
                 continue
-            count = int(count_text)
+            count = parse_decimal(count_text, "count")
             if not 0 <= count <= prefix.size:
                 raise ValueError(f"count {count} outside the capacity 0..{prefix.size} of {prefix}")
             geo_rows.append((prefix, country, count))
@@ -224,7 +254,7 @@ def parse_geo_and_delegations(
             base = parse_dotted_quad(fields[3])
             if base is None:
                 raise ValueError(f"malformed base address {fields[3]!r}")
-            count = int(fields[4])
+            count = parse_decimal(fields[4], "count")
             if count <= 0:
                 raise ValueError(f"non-positive count {count}")
             delegation_rows.append((country, base, count))
@@ -279,7 +309,7 @@ def parse_aux_tables(
 
     # each AS, and many a score, recurs in many hegemony rows
     parse_asn = functools.cache(parse_asn_token)
-    parse_score = functools.cache(Fraction)
+    parse_score = functools.cache(_parse_score)
     with RowReader("hegemony", hegemony_reader, "origin_asn,transit_asn,score") as rows:
         for line_no, line, (origin, transit, score_text) in rows:
             key = (parse_asn(origin), parse_asn(transit))
@@ -298,14 +328,18 @@ def parse_aux_tables(
     return aux
 
 
+def _parse_score(text: str) -> Fraction:
+    if not text.isascii():
+        raise ValueError(f"malformed score {text!r}")
+    return Fraction(text)
+
+
 def parse_reserved_asns(reader: Iterable[str]) -> frozenset[int]:
     """Parse one ASN per row; any decimal number, 0 included, may be reserved."""
     reserved: set[int] = set()
     with RowReader("reserved", reader, "asn") as rows:
         for _line_no, line, _fields in rows:
-            if not line.isdecimal():
-                raise ValueError(f"malformed ASN {line!r}")
-            reserved.add(int(line))
+            reserved.add(parse_decimal(line, "ASN"))
     return frozenset(reserved)
 
 

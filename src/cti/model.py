@@ -184,9 +184,9 @@ Route = tuple[int, ...]
 class Corpus:
     """A path corpus as integer columns over interned tables: row i is
     monitor ``monitors[monitor_ix[i]]``'s route ``routes[route_ix[i]]`` toward
-    ``prefixes[prefix_ix[i]]``. Each distinct prefix and route is stored once,
-    so a row is three ints and no object. Indexing and iterating give rows as
-    ``PathRecord``s."""
+    ``prefixes[prefix_ix[i]]``. Each distinct prefix is stored once, and each
+    route once per distinct text it was read from, so a row is three ints and
+    no object. Indexing and iterating give rows as ``PathRecord``s."""
 
     monitors: Sequence[MonitorId]
     prefixes: list[Prefix]
@@ -236,12 +236,13 @@ class RelationshipTable:
     as the ``(a, b)`` it was first given, with its kind: ``a`` provides
     transit to ``b`` (p2c), or the two peer (p2p). The peers, providers and
     customers per AS are three views, each built on the first request of
-    its own kind.
+    its own kind, and so is the set of p2c pairs.
     """
 
     def __init__(self) -> None:
         self._kinds: dict[tuple[int, int], RelKind] = {}
         self._views: dict[str, _Adjacency] = {}
+        self._p2c: frozenset[tuple[int, int]] | None = None
 
     def add(self, a: int, b: int, kind: RelKind) -> None:
         """Add ``a|b|kind``; a repeat of a stored relationship is ignored, a
@@ -258,6 +259,7 @@ class RelationshipTable:
             kinds[key] = kind
             if self._views:
                 self._views.clear()
+            self._p2c = None
         elif existing is not kind or (kind is RelKind.P2C and key != (a, b)):
             raise ParseError(
                 f"conflicting relationship for ASes {a} and {b}: "
@@ -266,6 +268,13 @@ class RelationshipTable:
 
     def is_p2c(self, provider: int, customer: int) -> bool:
         return self._kinds.get((provider, customer)) is RelKind.P2C
+
+    def p2c_links(self) -> frozenset[tuple[int, int]]:
+        """Every stored ``(provider, customer)`` pair, built on first request."""
+        if self._p2c is None:
+            kinds = self._kinds
+            self._p2c = frozenset(pair for pair, kind in kinds.items() if kind is RelKind.P2C)
+        return self._p2c
 
     def _view(self, name: str) -> _Adjacency:
         """The neighbour sets per AS of ``name``: peers, providers or
@@ -384,7 +393,13 @@ class MetricReport:
                 raise ParseError(f"line {line_no}: malformed report row {line!r}")
             country, subject_text, value_text = parts
             try:
-                subject: Subject = int(subject_text) if subject_text.isdigit() else subject_text
+                if not value_text.isascii():
+                    raise ValueError(f"malformed score {value_text!r}")
+                subject: Subject = subject_text  # a label, unless it is an ASN
+                if subject_text.isdigit():
+                    if not subject_text.isascii():
+                        raise ValueError(f"malformed ASN {subject_text!r}")
+                    subject = int(subject_text)
                 report.set(validate_country(country), subject, Fraction(value_text))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ParseError(f"line {line_no}: malformed report row {line!r}: {exc}") from None

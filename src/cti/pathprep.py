@@ -10,14 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .geo import GeoTable
-from .model import Corpus, Prefix, RelationshipTable, Route, intern
-
-# A retained path: (monitor host AS, origin-first segment up to and including
-# the topological-peak provider, prefix).
-RetainedRow = tuple[int, Route, Prefix]
+from .model import Corpus, MonitorId, Prefix, RelationshipTable, Route, intern
 
 
 class RejectCategory(Enum):
@@ -88,23 +84,56 @@ def peak_segment(host_asn: int, hops: Route, rels: RelationshipTable) -> Route |
     peak is the largest index k (origin = index 0) such that segment[k] is an
     inferred provider of segment[k-1]; routes with no such link are rejected.
     """
-    if hops[0] == host_asn:
-        hops = hops[1:]
-    if len(hops) < 2:
+    start = 1 if hops[0] == host_asn else 0
+    if len(hops) - start < 2:
         return RouteRejection(RejectCategory.NO_PEAK, "no transit AS on path")
-    origin_first = hops[::-1]
-    for peak in range(len(origin_first) - 1, 0, -1):  # the farthest link first
-        if rels.is_p2c(origin_first[peak], origin_first[peak - 1]):
-            return origin_first[: peak + 1]
+    p2c = rels.p2c_links()
+    # the link farthest from the origin is the first one from the monitor
+    for i in range(start, len(hops) - 1):
+        if (hops[i], hops[i + 1]) in p2c:
+            return hops[i:][::-1]
     return RouteRejection(RejectCategory.NO_PEAK, "no provider-customer link")
 
 
 # A monitor reaches every prefix of an origin over the same route, so a corpus
 # repeats each (host AS, route) pair many times: prepare_paths and
-# retain_for_country judge each distinct pair once per call, keyed by
-# route index << 32 | host AS (an ASN fits in 32 bits).
-_HOST_BITS = 32
-_HOST_MASK = (1 << _HOST_BITS) - 1
+# retain_for_country judge each distinct pair once per call, to a route or
+# segment index, or to ~k for the k-th distinct rejection, and map each row's
+# key through that table. Keys pack an index with the index of a host AS,
+# index * (number of host ASes) + host index: small ints hash and divide
+# fastest.
+
+
+def _host_index(monitors: Sequence[MonitorId]) -> tuple[list[int], list[int]]:
+    """The distinct host ASes of ``monitors``, and each monitor's index
+    among them."""
+    index: dict[int, int] = {}
+    hosts: list[int] = []
+    return hosts, [intern(monitor.host_asn, index, hosts) for monitor in monitors]
+
+
+@dataclass
+class Retained:
+    """The retained paths toward one country as int columns. Row i is the
+    path of host AS ``hosts[h]`` toward ``prefixes[prefix_ix[i]]``, cut at its
+    topological peak to the origin-first segment ``segments[s]``, where
+    ``group[i] = s * len(hosts) + h``. ``len()`` counts the rows, and
+    iterating gives them as (host AS, segment, prefix) tuples."""
+
+    prefixes: Sequence[Prefix]
+    hosts: Sequence[int]
+    segments: Sequence[Route]
+    group: list[int]
+    prefix_ix: list[int]
+
+    def __len__(self) -> int:
+        return len(self.group)
+
+    def __iter__(self) -> Iterator[tuple[int, Route, Prefix]]:
+        n_hosts = len(self.hosts)
+        for group, prefix_ix in zip(self.group, self.prefix_ix):
+            segment_ix, host_ix = divmod(group, n_hosts)
+            yield self.hosts[host_ix], self.segments[segment_ix], self.prefixes[prefix_ix]
 
 
 def prepare_paths(
@@ -120,41 +149,41 @@ def prepare_paths(
     # the kept routes: the raw ones, then each collapsed one not among them
     sanitized = Corpus(monitors=monitors, prefixes=prefixes, routes=list(routes))
     route_index: dict[Route, int] | None = None  # built at the first collapse
-    keys = _route_keys(corpus, range(len(corpus)))
-    verdict_of: dict[int, int | RouteRejection] = dict.fromkeys(keys)
-    for key in verdict_of:
-        route_ix = key >> _HOST_BITS
-        verdict = sanitize_route(key & _HOST_MASK, routes[route_ix], clique, reserved)
-        if verdict is routes[route_ix]:
-            verdict = route_ix
-        elif not isinstance(verdict, RouteRejection):
+    rejected: list[RouteRejection] = []
+    hosts, host_of = _host_index(monitors)
+    n_hosts = len(hosts)
+    keys = [route_ix * n_hosts + host_of[m] for m, route_ix in zip(monitor_col, corpus.route_ix)]
+    route_of: dict[int, int] = dict.fromkeys(keys)
+    for key in route_of:
+        route_ix, host_ix = divmod(key, n_hosts)
+        verdict = sanitize_route(hosts[host_ix], routes[route_ix], clique, reserved)
+        if isinstance(verdict, RouteRejection):
+            rejected.append(verdict)
+            route_ix = ~(len(rejected) - 1)
+        elif verdict is not routes[route_ix]:
             if route_index is None:
                 route_index = {route: ix for ix, route in enumerate(sanitized.routes)}
-            verdict = intern(verdict, route_index, sanitized.routes)
-        verdict_of[key] = verdict
-    verdicts = list(map(verdict_of.__getitem__, keys))
-    rejections = [
-        _rejection(corpus, monitor_col[row], prefix_col[row], verdict)
-        for row, verdict in enumerate(verdicts)
-        if isinstance(verdict, RouteRejection)
-    ]
+            route_ix = intern(verdict, route_index, sanitized.routes)
+        route_of[key] = route_ix
+    route_col = list(map(route_of.__getitem__, keys))
+    rows: Sequence[int] = range(len(route_col))
+    rejections: list[PathRejection] = []
+    if rejected:  # drop the rows of the rejected keys
+        rejections = [
+            _rejection(corpus, monitor_col[row], prefix_col[row], rejected[~route_ix])
+            for row, route_ix in enumerate(route_col)
+            if route_ix < 0
+        ]
+        rows = [row for row, route_ix in enumerate(route_col) if route_ix >= 0]
     monitor_rank = _ranks([monitor.id for monitor in monitors])
     prefix_rank = _ranks(prefixes)
     n_prefixes = len(prefixes)
     order = [monitor_rank[m] * n_prefixes + prefix_rank[p] for m, p in zip(monitor_col, prefix_col)]
-    kept = [row for row, verdict in enumerate(verdicts) if isinstance(verdict, int)]
-    kept.sort(key=order.__getitem__)
+    kept = sorted(rows, key=order.__getitem__)
     sanitized.monitor_ix = list(map(monitor_col.__getitem__, kept))
     sanitized.prefix_ix = list(map(prefix_col.__getitem__, kept))
-    sanitized.route_ix = list(map(verdicts.__getitem__, kept))
+    sanitized.route_ix = list(map(route_col.__getitem__, kept))
     return sanitized, rejections
-
-
-def _route_keys(corpus: Corpus, rows: Iterable[int]) -> list[int]:
-    """The (route, host AS) key of each row."""
-    host_of = [monitor.host_asn for monitor in corpus.monitors]
-    monitor_col, route_col = corpus.monitor_ix, corpus.route_ix
-    return [route_col[row] << _HOST_BITS | host_of[monitor_col[row]] for row in rows]
 
 
 def _ranks(values: list) -> list[int]:
@@ -177,28 +206,42 @@ def retain_for_country(
     dest_country: str,
     geo: GeoTable,
     rels: RelationshipTable,
-) -> tuple[list[RetainedRow], list[PathRejection]]:
+) -> tuple[Retained, list[PathRejection]]:
     """Peak truncation of the inbound paths toward one country: those seen
     from outside it, toward prefixes with address mass in it."""
-    prefixes, routes = sanitized.prefixes, sanitized.routes
-    monitor_col, prefix_col = sanitized.monitor_ix, sanitized.prefix_ix
+    routes, monitor_col, prefix_col = sanitized.routes, sanitized.monitor_ix, sanitized.prefix_ix
     outside = [monitor.country != dest_country for monitor in sanitized.monitors]
-    has_mass = [bool(geo.mass.get((prefix, dest_country))) for prefix in prefixes]
+    has_mass = [bool(geo.mass.get((prefix, dest_country))) for prefix in sanitized.prefixes]
     rows = [
         row
         for row, (monitor_ix, prefix_ix) in enumerate(zip(monitor_col, prefix_col))
         if outside[monitor_ix] and has_mass[prefix_ix]
     ]
-    keys = _route_keys(sanitized, rows)
-    segment_of: dict[int, Route | RouteRejection] = dict.fromkeys(keys)
-    for key in segment_of:
-        segment_of[key] = peak_segment(key & _HOST_MASK, routes[key >> _HOST_BITS], rels)
-    retained: list[RetainedRow] = []
-    rejections: list[PathRejection] = []
-    for row, key in zip(rows, keys):
-        segment = segment_of[key]
+    hosts, host_of = _host_index(sanitized.monitors)
+    n_hosts = len(hosts)
+    route_col = sanitized.route_ix
+    keys = [route_col[row] * n_hosts + host_of[monitor_col[row]] for row in rows]
+    segments: list[Route] = []
+    segment_index: dict[Route, int] = {}
+    rejected: list[RouteRejection] = []
+    group_of: dict[int, int] = dict.fromkeys(keys)
+    for key in group_of:
+        route_ix, host_ix = divmod(key, n_hosts)
+        segment = peak_segment(hosts[host_ix], routes[route_ix], rels)
         if isinstance(segment, RouteRejection):
-            rejections.append(_rejection(sanitized, monitor_col[row], prefix_col[row], segment))
+            rejected.append(segment)
+            group_of[key] = ~(len(rejected) - 1)
         else:
-            retained.append((key & _HOST_MASK, segment, prefixes[prefix_col[row]]))
-    return retained, rejections
+            group_of[key] = intern(segment, segment_index, segments) * n_hosts + host_ix
+    groups = list(map(group_of.__getitem__, keys))
+    rejections: list[PathRejection] = []
+    if rejected:  # drop the rows of the rejected keys
+        rejections = [
+            _rejection(sanitized, monitor_col[row], prefix_col[row], rejected[~group])
+            for row, group in zip(rows, groups)
+            if group < 0
+        ]
+        rows = [row for row, group in zip(rows, groups) if group >= 0]
+        groups = [group for group in groups if group >= 0]
+    prefix_ixs = list(map(prefix_col.__getitem__, rows))
+    return Retained(sanitized.prefixes, hosts, segments, groups, prefix_ixs), rejections

@@ -18,7 +18,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .geo import GeoTable, Nationality
-from .ingest import RowReader, RowRejection, parse_asn_token
+from .ingest import (
+    EMPTY_PATH,
+    MALFORMED_ASN,
+    REJECT_REASONS,
+    RowReader,
+    RowRejection,
+    parse_asn_token,
+)
 from .model import Prefix, RelationshipTable, Route
 
 DEFAULT_DOMINANCE_THRESHOLD = Fraction(12, 25)  # 0.48
@@ -34,36 +41,53 @@ def parse_traceroutes(
     A row with an unparsable prefix or a malformed ASN token is rejected
     with a log entry.
     """
-    counts: Counter[Route] = Counter()
     rejections: list[RowRejection] = []
-    # each distinct prefix and hop text is parsed (and collapsed) once per
-    # call; a malformed ASN raises ValueError, which is not cached
-    parse_prefix = functools.cache(Prefix.parse)
+    # each distinct prefix text is checked once, and each distinct hop text
+    # parsed and collapsed once, to an index into routes or a negative code
+    prefix_ok: dict[str, bool] = {}
+    route_code: dict[str, int] = {}
+    routes: list[Route] = []  # the collapsed route of each distinct hop text
+    n_traces: list[int] = []  # rows per distinct hop text
     parse_asn = functools.cache(parse_asn_token)
 
-    @functools.cache
-    def parse_hops(text: str) -> Route:
-        hops = tuple(map(parse_asn, text.split()))
+    def is_prefix(text: str) -> bool:
+        try:
+            Prefix.parse(text)  # checked only: a bad prefix still rejects the row
+        except ValueError:
+            return False
+        return True
+
+    def judge_hops(text: str) -> int:
+        try:
+            hops = tuple(map(parse_asn, text.split()))
+        except ValueError:
+            return MALFORMED_ASN
+        if not hops:
+            return EMPTY_PATH
         if len(set(hops)) != len(hops):
-            return tuple(asn for i, asn in enumerate(hops) if i == 0 or hops[i - 1] != asn)
-        return hops
+            hops = tuple(asn for i, asn in enumerate(hops) if i == 0 or hops[i - 1] != asn)
+        routes.append(hops)
+        n_traces.append(0)
+        return len(routes) - 1
 
     with RowReader("traceroutes", reader, "probe_id|prefix|hops") as rows:
         for line_no, line, (_probe_id, prefix_text, hops_text) in rows:
-            try:
-                parse_prefix(prefix_text)  # checked only: a bad prefix still rejects the row
-            except ValueError:
+            ok = prefix_ok.get(prefix_text)
+            if ok is None:
+                ok = prefix_ok[prefix_text] = is_prefix(prefix_text)
+            if not ok:
                 rejections.append(RowRejection(line_no, line, "unparsable prefix"))
                 continue
-            try:
-                hops = parse_hops(hops_text)
-            except ValueError:
-                rejections.append(RowRejection(line_no, line, "malformed ASN"))
+            route_ix = route_code.get(hops_text)
+            if route_ix is None:
+                route_ix = route_code[hops_text] = judge_hops(hops_text)
+            if route_ix < 0:
+                rejections.append(RowRejection(line_no, line, REJECT_REASONS[~route_ix]))
                 continue
-            if not hops:
-                rejections.append(RowRejection(line_no, line, "empty path"))
-                continue
-            counts[hops] += 1
+            n_traces[route_ix] += 1
+    counts: Counter[Route] = Counter()
+    for hops, n in zip(routes, n_traces):
+        counts[hops] = counts.get(hops, 0) + n
     return counts, rejections
 
 

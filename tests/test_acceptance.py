@@ -19,7 +19,7 @@ from cti.pathprep import (
     retain_for_country,
 )
 from cti.synth_oracle import SynthParams
-from test_pathprep import corpus_of
+from test_pathprep import corpus_of, retained_of
 
 ORACLE_SEEDS = range(1, 501)
 
@@ -191,7 +191,11 @@ def test_criterion_6_filter_properties():
                         key = (path.monitor.host_asn, path.prefix)
                         observers.setdefault(key, set()).add(path.monitor.id)
                 retained, _no_peak = retain_for_country(sub.sanitized, country, sub.geo, sub.rels)
-                weights = cti_core.compute_weights(retained)
+                n_hosts = len(retained.hosts)
+                weights = {
+                    (retained.hosts[key % n_hosts], retained.prefixes[key // n_hosts]): n
+                    for key, n in cti_core.compute_weights(retained).items()
+                }
                 assert weights.keys() == observers.keys()
                 for key, ids in observers.items():
                     assert Fraction(1, weights[key]) * len(ids) == 1
@@ -231,7 +235,7 @@ def test_criterion_6_filter_properties():
         prefix = Prefix.parse("10.0.0.0/24")
         geo, _ = build_geo_table([(prefix, "CU", 256)], [], {})
         monitors = [MonitorId(f"m{i}", 1000 + i, "US") for i in range(10)]
-        retained = [(m.host_asn, (900, 500), prefix) for m in monitors]
+        retained = retained_of([(m.host_asn, (900, 500), prefix) for m in monitors])
         table = cti_core.extract_observations(retained, geo, monitors, "CU")
         result = outlier.apply_outlier_filter(table, 500)
         assert result.value == cti_core.compute_cti(table).get("CU", 500)

@@ -177,6 +177,72 @@ def test_a_malformed_row_names_its_file_and_line(tmp_path, name):
     assert result.output.count("\n") == 1 and result.output.count(name) == 1, result.output
 
 
+# One row per input file with a number written in Arabic-Indic digits
+# (U+0660..U+0669), which Python's int() would read as ASCII digits.
+NON_ASCII_DIGIT_ROWS = {
+    "relationships.txt": "\u0661\u0660|50|-1",
+    "geo.csv": "10.0.9.0/24,CU,\u0662\u0665\u0666",
+    "delegations.txt": "synth|CU|ipv4|10.9.0.0|\u0662\u0665\u0666|20200101|allocated",
+    "monitors.csv": "m9,\u0661\u0660,US",
+    "state_owned.csv": "\u0661\u0660,CU",
+    "as2org.txt": "\u0661\u0660|org-1",
+    "memberships.csv": "fac-1,CU,\u0661\u0660",
+    "hegemony.csv": "101,10,\u0661/\u0662",
+    "clique.txt": "\u0662\u0660",
+    "multi_origin.txt": "\u0661\u0660.0.0.0/24",
+    "reserved_asns.txt": "\u0666\u0664\u0665\u0661\u0662",
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_ASCII_DIGIT_ROWS))
+def test_non_ascii_digits_in_an_input_file_exit_3(tmp_path, name):
+    files = _write_toy(tmp_path / "in")
+    body = files.get(name, "")
+    line_no = body.count("\n") + 1
+    (tmp_path / "in" / name).write_text(body + NON_ASCII_DIGIT_ROWS[name] + "\n", encoding="utf-8")
+    base = ["--input", str(tmp_path / "in"), "--country", "CU", "--output", str(tmp_path / "out")]
+    result = CliRunner().invoke(main, ["transit-fraction", *base])
+    assert result.exit_code == 3, result.output
+    assert result.output.startswith(f"parse error: {name} line {line_no}: "), result.output
+    assert result.output.count("\n") == 1, result.output
+
+
+def test_non_ascii_digits_reject_a_path_or_traceroute_row(tmp_path):
+    runner = CliRunner()
+    reports = {}
+    # read as ASCII, the path row would conflict with the toy's first row and
+    # the traceroute row would add a trace of AS 101 that crosses no border
+    extra = {
+        "paths.txt": "m1|10.0.0.0/24|\u0661\u0660 \u0663\u0660 \u0661\u0660\u0662\n",
+        "traceroutes.txt": "t-m1|10.0.0.0/24|\u0661\u0660\u0661\n",
+    }
+    for variant in ("clean", "non-ascii"):
+        files = _write_toy(tmp_path / variant)
+        if variant != "clean":
+            for name, row in extra.items():
+                (tmp_path / variant / name).write_text(files[name] + row, encoding="utf-8")
+        for command in ("cti", "transit-fraction"):
+            out = tmp_path / variant / "out"
+            args = [command, "--input", str(tmp_path / variant), "--country", "CU", "--output", str(out)]
+            result = runner.invoke(main, args)
+            assert result.exit_code == 0, (variant, command, result.output)
+            reports[variant, command] = (out / f"{command.replace('-', '_')}_CU.csv").read_text()
+    for command in ("cti", "transit-fraction"):
+        assert reports["clean", command] == reports["non-ascii", command]
+
+
+def test_compare_rejects_a_subject_in_non_ascii_digits(tmp_path):
+    good = tmp_path / "good.csv"
+    good.write_text("# country,subject,cti\nCU,10,0.5\n", encoding="utf-8")
+    bad = tmp_path / "bad.csv"
+    bad.write_text("# country,subject,cti\nCU,\u0661\u0660,0.5\n", encoding="utf-8")
+    result = CliRunner().invoke(
+        main, ["compare", "--a", str(good), "--b", str(bad), "--output", str(tmp_path / "cmp")]
+    )
+    assert result.exit_code == 3, result.output
+    assert result.output.startswith(f"parse error: {bad}: line 2: "), result.output
+
+
 def test_non_utf8_input_exits_3_naming_the_file(tmp_path):
     _write_toy(tmp_path / "in")
     runner = CliRunner()

@@ -5,6 +5,7 @@ import pytest
 from cti import conglomerate, cti_core
 from cti.geo import build_geo_table, classify_nationality
 from cti.model import MetricReport, MonitorId, Prefix
+from test_pathprep import retained_of
 
 P1 = Prefix.parse("10.0.0.0/24")
 P2 = Prefix.parse("10.0.1.0/24")
@@ -31,7 +32,8 @@ def test_ctin_uses_minimum_member_distance():
     geo, _ = build_geo_table([(P1, "CU", 256)], [], {P1: 900})
     group = conglomerate.Conglomerate("state", frozenset({20, 15}), "CU")
     # second member 15 farther on the same path
-    table = cti_core.extract_observations([(M1.host_asn, (900, 20, 15), P1)], geo, [M1], "CU")
+    retained = retained_of([(M1.host_asn, (900, 20, 15), P1)])
+    table = cti_core.extract_observations(retained, geo, [M1], "CU")
     ctin = conglomerate.compute_ctin(group, table)
     assert ctin == Fraction(1)  # one term at distance 1, not two
 
@@ -43,7 +45,7 @@ def test_ctin_skips_prefixes_originated_by_members():
         (M1.host_asn, (100, 20), P1),  # toward a member-originated prefix: skipped
         (M1.host_asn, (900, 20), P2),
     ]
-    table = cti_core.extract_observations(retained, geo, [M1], "CU")
+    table = cti_core.extract_observations(retained_of(retained), geo, [M1], "CU")
     ctin = conglomerate.compute_ctin(group, table)
     assert ctin == Fraction(1, 2)
 

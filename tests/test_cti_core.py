@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cti import cti_core
 from cti.geo import build_geo_table
 from cti.model import MonitorId, Prefix
+from test_pathprep import retained_of
 
 P1 = Prefix.parse("10.0.0.0/24")
 P2 = Prefix.parse("10.0.1.0/24")
@@ -14,14 +15,25 @@ M2 = MonitorId("m2", 10, "US")  # same host AS as m1
 M3 = MonitorId("m3", 77, "DE")
 
 
-def _cti(retained, geo, monitors, country="CU"):
-    return cti_core.compute_cti(cti_core.extract_observations(retained, geo, monitors, country))
+def _cti(rows, geo, monitors, country="CU"):
+    table = cti_core.extract_observations(retained_of(rows), geo, monitors, country)
+    return cti_core.compute_cti(table)
+
+
+def _weights(rows):
+    """``compute_weights`` of the rows, keyed (host AS, prefix)."""
+    retained = retained_of(rows)
+    n_hosts = len(retained.hosts)
+    return {
+        (retained.hosts[key % n_hosts], retained.prefixes[key // n_hosts]): n
+        for key, n in cti_core.compute_weights(retained).items()
+    }
 
 
 def test_extract_observations_skips_origin():
     geo, _ = build_geo_table([(P1, "CU", 256)], [], {})
     retained = [(M1.host_asn, (30, 20, 15), P1)]
-    table = cti_core.extract_observations(retained, geo, [M1], "CU")
+    table = cti_core.extract_observations(retained_of(retained), geo, [M1], "CU")
     assert len(table) == 1
     assert table.lcm == 2  # n = 1, d in {1, 2}
     # origin 30 gets no entry; 20 at distance 1, 15 at distance 2
@@ -29,19 +41,19 @@ def test_extract_observations_skips_origin():
 
 
 def test_weights_single_observer():
-    observers = cti_core.compute_weights([(M1.host_asn, (30, 20), P1)])
+    observers = _weights([(M1.host_asn, (30, 20), P1)])
     assert observers == {(10, P1): 1}  # weight 1/1
 
 
 def test_weights_split_between_same_host_observers():
     retained = [(M1.host_asn, (30, 20), P1), (M2.host_asn, (30, 25), P1)]
-    assert Fraction(1, cti_core.compute_weights(retained)[(10, P1)]) == Fraction(1, 2)
+    assert Fraction(1, _weights(retained)[(10, P1)]) == Fraction(1, 2)
 
 
 def test_weights_not_diluted_by_blind_sibling():
     # m2 shares m1's host AS but sees only the other prefix
     retained = [(M1.host_asn, (30, 20), P1), (M2.host_asn, (30, 20), P2)]
-    observers = cti_core.compute_weights(retained)
+    observers = _weights(retained)
     assert observers[(10, P1)] == 1
     assert observers[(10, P2)] == 1
 
@@ -82,7 +94,7 @@ def test_weights_sum_to_one_per_host_prefix(observer_counts):
         for j in range(n):
             monitor = MonitorId(f"m{idx}-{j}", 10, "US")
             retained.append((monitor.host_asn, (30, 20), prefix))
-    observers = cti_core.compute_weights(retained)
+    observers = _weights(retained)
     for idx, n in enumerate(observer_counts):
         prefix = Prefix(base=(10 << 24) | (idx << 8), length=24)
         assert Fraction(1, observers[(10, prefix)]) * n == 1

@@ -33,6 +33,7 @@ def test_parse_paths_basic():
         ("m1|10.0.0.0/25|10 20", "length>24"),
         ("m1|bogus|10 20", "unparsable prefix"),
         ("m1|10.0.0.0/24|10 x", "malformed ASN"),
+        ("m1|10.0.0.0/24|\u0661\u0660 20", "malformed ASN"),  # Arabic-Indic 10
         ("m1|10.0.0.0/24|", "empty path"),
     ],
 )
@@ -40,6 +41,80 @@ def test_parse_paths_rejections(line, reason):
     records, rejections = ingest.parse_paths([line], MONITORS)
     assert list(records) == []
     assert [r.reason for r in rejections] == [reason]
+
+
+# Rows between a conflicting (m1, 10.0.0.0/24) pair: blank, comment and
+# whitespace-padded lines, identical duplicates (one in other text) and
+# rejected rows.
+_CONFLICT = [
+    "m1|10.0.0.0/24|10 20",
+    "",
+    "# comment",
+    "   ",
+    "  m1|10.0.0.0/24|10 20  ",
+    "m1|10.0.0.0/24|10  020",
+    "mX|10.0.0.0/24|10 30",
+    "m1|10.0.0.0/24|10 x",
+    "\tm1|10.0.0.0/24|10 30",
+]
+_CONFLICT_ERROR = "paths.txt line 9: conflicting paths for (m1, 10.0.0.0/24) at lines 1 and 9"
+_SHORT_ROW = "m2|10.0.1.0/24"
+
+
+@pytest.mark.parametrize(
+    "lines,error",
+    [
+        (_CONFLICT, _CONFLICT_ERROR),
+        (_CONFLICT + [_SHORT_ROW], _CONFLICT_ERROR),
+        (
+            ["", "# c", _SHORT_ROW] + _CONFLICT,
+            "paths.txt line 3: expected monitor_id|prefix|hops, got 'm2|10.0.1.0/24'",
+        ),
+    ],
+    ids=["conflict", "short-row-after", "short-row-before"],
+)
+def test_parse_paths_reports_the_first_error_in_file_order(lines, error):
+    with pytest.raises(ParseError) as raised:
+        ingest.parse_paths(lines, MONITORS)
+    assert str(raised.value) == error
+
+
+def test_parse_paths_counts_blank_comment_and_padded_lines():
+    records, rejections = ingest.parse_paths(_CONFLICT[:-1] + ["  m2|10.0.0.0/24|20 30"], MONITORS)
+    assert [(r.monitor.id, r.hops) for r in records] == [("m1", (10, 20)), ("m2", (20, 30))]
+    assert [(r.line_no, r.line, r.reason) for r in rejections] == [
+        (7, "mX|10.0.0.0/24|10 30", "unknown monitor"),
+        (8, "m1|10.0.0.0/24|10 x", "malformed ASN"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "lines,error",
+    [
+        (
+            ["t-m1|bogus|10 20", "", " # c", "t-m1|10.0.0.0/24|10", "t-m1|10.0.0.0/24"],
+            "traceroutes.txt line 5: expected probe_id|prefix|hops, got 't-m1|10.0.0.0/24'",
+        ),
+        (
+            ["t-m1|10.0.0.0/24"] + ["t-m1|bogus|10 20"] * 2,
+            "traceroutes.txt line 1: expected probe_id|prefix|hops, got 't-m1|10.0.0.0/24'",
+        ),
+    ],
+    ids=["after-rejections", "before-rejections"],
+)
+def test_parse_traceroutes_reports_the_first_error_in_file_order(lines, error):
+    with pytest.raises(ParseError) as raised:
+        transit_dominance.parse_traceroutes(lines)
+    assert str(raised.value) == error
+
+
+def test_parse_traceroutes_counts_blank_comment_and_padded_lines():
+    lines = ["t-m1|10.0.0.0/24|10 20 20", "", "# c", "  t-m1|10.0.1.0/24|10 20  ", "\tt-m1|bogus|10 20"]
+    counts, rejections = transit_dominance.parse_traceroutes(lines)
+    assert counts == Counter({(10, 20): 2})
+    assert [(r.line_no, r.line, r.reason) for r in rejections] == [
+        (5, "t-m1|bogus|10 20", "unparsable prefix")
+    ]
 
 
 def test_parse_paths_multi_origin_exclusion():
@@ -335,7 +410,7 @@ _PREFIX_TEXT = st.one_of(
 )
 _ASN_TOKEN = st.one_of(
     st.sampled_from(["10", "20", "30"]),
-    st.sampled_from(["0", "4294967296", "x", "{10,20}", "²", "007"]),
+    st.sampled_from(["0", "4294967296", "x", "{10,20}", "²", "١٠", "007"]),
     st.text(alphabet="0123456789 x", max_size=6),
 )
 _HOPS_TEXT = st.lists(_ASN_TOKEN, min_size=1, max_size=3).map(" ".join) | st.just("")

@@ -3,6 +3,7 @@ from fractions import Fraction
 from cti import cti_core, outlier
 from cti.geo import build_geo_table
 from cti.model import MonitorId, Prefix
+from test_pathprep import retained_of
 
 P1 = Prefix.parse("10.0.0.0/24")
 
@@ -15,6 +16,7 @@ def _setup(host_count, distances=None):
     for i, m in enumerate(monitors):
         distance = (distances or {}).get(i, 1)
         retained.append((m.host_asn, tuple(range(900, 900 + distance)) + (500,), P1))
+    retained = retained_of(retained)
     table = cti_core.extract_observations(retained, geo, monitors, "CU")
     return geo, monitors, retained, table
 

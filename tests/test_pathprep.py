@@ -11,7 +11,7 @@ from cti.model import (
     RelationshipTable,
     intern,
 )
-from cti.pathprep import PathRejection, RejectCategory, RouteRejection
+from cti.pathprep import PathRejection, RejectCategory, Retained, RouteRejection
 
 M_US = MonitorId("m1", 10, "US")
 M_CU = MonitorId("m2", 10, "CU")
@@ -28,6 +28,22 @@ def corpus_of(paths):
         corpus.prefix_ix.append(intern(path.prefix, prefix_index, corpus.prefixes))
         corpus.route_ix.append(intern(path.hops, route_index, corpus.routes))
     return corpus
+
+
+def retained_of(rows):
+    """(host AS, segment, prefix) rows as a ``Retained``, in the given order."""
+    hosts, segments, prefixes = [], [], []
+    host_index, segment_index, prefix_index = {}, {}, {}
+    cells = [
+        (
+            intern(host, host_index, hosts),
+            intern(segment, segment_index, segments),
+            intern(prefix, prefix_index, prefixes),
+        )
+        for host, segment, prefix in rows
+    ]
+    groups = [segment_ix * len(hosts) + host_ix for host_ix, segment_ix, _p in cells]
+    return Retained(prefixes, hosts, segments, groups, [prefix_ix for _h, _s, prefix_ix in cells])
 
 
 # The per-path forms of the route verdicts, the literal references for the
@@ -197,4 +213,4 @@ def test_retain_for_country_end_to_end():
     ]
     retained, rejections = pathprep.retain_for_country(corpus_of(paths), "CU", geo, rels)
     assert len(retained) == 1 and rejections == []
-    assert retained == [(10, (30, 20), P)]
+    assert list(retained) == [(10, (30, 20), P)]

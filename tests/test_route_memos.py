@@ -150,11 +150,10 @@ def _reference_retain(sanitized, country, geo, rels):
     return retained, rejections
 
 
-def _reference_kernel(sanitized, rels, geo, country):
+def _reference_kernel(sanitized, rels, geo, country, monitors):
     """The kernel, term by term per path as it was before the (host AS,
-    segment) groups, over the active monitors (those outside the country):
-    its lcm, cells and path count, and the ctin of a member set."""
-    monitors = [m for m in MONITORS if m.country != country]
+    segment) groups, over ``monitors`` (monitors outside the country): its
+    fields as a dict, and the ctin of a member set."""
     active_ids = {m.id for m in monitors}
     counted = []
     for path in sanitized:
@@ -169,9 +168,10 @@ def _reference_kernel(sanitized, rels, geo, country):
         for path, segment in counted
     ]
     lcm = math.lcm(*{n * d for _path, segment, _mass, n in rows for d in range(1, len(segment))})
-    cells = {}
+    cells, groups = {}, {}
     for path, segment, mass, n in rows:
         host = path.monitor.host_asn
+        groups[(host, segment)] = groups.get((host, segment), 0) + mass * (lcm // n)
         for distance, transit in enumerate(segment[1:], start=1):
             row = cells.setdefault(transit, {})
             row[host] = row.get(host, 0) + mass * (lcm // (n * distance))
@@ -187,7 +187,30 @@ def _reference_kernel(sanitized, rels, geo, country):
                     break
         return Fraction(numerator, lcm * geo.country_total(country) * len(monitors))
 
-    return lcm, cells, len(rows), ctin
+    fields = {
+        "lcm": lcm,
+        "denominator": lcm * geo.country_total(country),
+        "n_monitors": len(monitors),
+        "host_monitors": Counter(m.host_asn for m in monitors),
+        "n_paths": len(rows),
+        "groups": groups,
+        "cells": cells,
+    }
+    return fields, ctin
+
+
+def _kernel_fields(table):
+    """The kernel's fields as ``_reference_kernel`` gives them, its groups
+    keyed (host AS, segment)."""
+    groups = {
+        (host, table.segments[segment_ix]): weight
+        for segment_ix, weights in table.groups.items()
+        for host, weight in weights.items()
+    }
+    fields = {name: getattr(table, name) for name in ("lcm", "denominator", "n_monitors")}
+    fields.update(host_monitors=table.host_monitors, n_paths=len(table))
+    fields.update(groups=groups, cells=table.cells)
+    return fields
 
 
 def _reference_transit_fraction(traces, rels, nationality, geo, country):
@@ -249,7 +272,8 @@ def test_retain_for_country_matches_per_path_truncation(corpus, rels, geo):
     sanitized, _rejections = pathprep.prepare_paths(corpus_of(corpus), CLIQUE, RESERVED)
     for country in ("AA", "BB"):
         expected = _reference_retain(list(sanitized), country, geo, rels)
-        assert pathprep.retain_for_country(sanitized, country, geo, rels) == expected
+        retained, rejections = pathprep.retain_for_country(sanitized, country, geo, rels)
+        assert (list(retained), rejections) == expected
 
 
 @_SETTINGS
@@ -259,14 +283,16 @@ def test_grouped_kernel_matches_per_path_terms(corpus, rels, geo):
     for country in ("AA", "BB"):
         if not geo.total.get(country):
             continue
-        monitors = [m for m in MONITORS if m.country != country]
         retained, _no_peak = pathprep.retain_for_country(sanitized, country, geo, rels)
-        table = cti_core.extract_observations(retained, geo, monitors, country)
-        lcm, cells, n_paths, ctin = _reference_kernel(list(sanitized), rels, geo, country)
-        assert (table.lcm, table.cells, len(table)) == (lcm, cells, n_paths)
-        for members in ({5}, {1, 5}, {3}, {2, 7}, set(ASNS)):
-            group = Conglomerate("state", frozenset(members), country)
-            assert compute_ctin(group, table) == ctin(members)
+        active = [m for m in MONITORS if m.country != country]
+        # every active monitor, as in the pipeline, and those of one host AS
+        for monitors in (active, [m for m in active if m.host_asn != 4]):
+            table = cti_core.extract_observations(retained, geo, monitors, country)
+            fields, ctin = _reference_kernel(list(sanitized), rels, geo, country, monitors)
+            assert _kernel_fields(table) == fields
+            for members in ({5}, {1, 5}, {3}, {2, 7}, set(ASNS)):
+                group = Conglomerate("state", frozenset(members), country)
+                assert compute_ctin(group, table) == ctin(members)
 
 
 @_SETTINGS
