@@ -30,7 +30,15 @@ import click
 from . import clh_compare, ingest, outlier, pipeline, synth_oracle, transit_dominance
 # compute_ctin is not called here; the benchmark's tracer test reads cli.compute_ctin.
 from .conglomerate import OrgAggregate, compute_ctin  # noqa: F401
-from .model import ComputationError, MetricReport, ParseError, csv_text, validate_country
+from .model import (
+    ComputationError,
+    MetricReport,
+    ParseError,
+    csv_text,
+    parse_decimal,
+    parse_fraction,
+    validate_country,
+)
 from .synth_oracle import check_one_seed
 from .transit_dominance import CandidateResult
 
@@ -47,15 +55,19 @@ class OptionError(click.UsageError):
     """An option value that is unparsable or outside its valid range."""
 
 
-def _option(name: str, text: str, parse=Fraction, valid=lambda v: 0 <= v <= 1, bounds="[0, 1]"):
+def _option(
+    name: str, text: str, parse=parse_fraction, valid=lambda v: 0 <= v <= 1, bounds="[0, 1]"
+):
     """Parse an option value that ``valid`` accepts; it lies in ``bounds``."""
     try:
-        value = parse(text)
-    except (ValueError, ZeroDivisionError):
-        value = None
-    if value is None or not valid(value):
-        raise OptionError(f"{name} {text!r} must be a number in {bounds}")
-    return value
+        if valid(value := parse(text)):
+            return value
+    except ValueError:
+        pass
+    raise OptionError(f"{name} {text!r} must be a number in {bounds}")
+
+
+_count = partial(parse_decimal, what="count")
 
 
 def _guarded(action: Callable[[], T]) -> T:
@@ -202,8 +214,9 @@ def _input_command(name: str, *options, consumed: tuple[str, ...] = ingest.BUNDL
 )
 def cti_command(input_dir: str, country: str, min_hosts: str, trim: str, no_outlier: bool):
     """Per-AS transit influence toward one country."""
-    outlier_min_hosts = _option("--min-hosts", min_hosts, int, lambda v: v >= 1, "[1, inf)")
-    outlier_trim = _option("--trim", trim, Fraction, lambda v: 0 <= v < Fraction(1, 2), "[0, 1/2)")
+    outlier_min_hosts = _option("--min-hosts", min_hosts, _count, lambda v: v >= 1, "[1, inf)")
+    half = Fraction(1, 2)
+    outlier_trim = _option("--trim", trim, valid=lambda v: 0 <= v < half, bounds="[0, 1/2)")
     report = pipeline.cti_report(
         _substrate(input_dir),
         country,
@@ -307,7 +320,7 @@ def synth_command(
 ) -> None:
     """Generate a synthetic instance in the standard input formats."""
     counts = {
-        name: _option(f"--{name}", text, int, lambda v: v >= 0, "[0, inf)")
+        name: _option(f"--{name}", text, _count, lambda v: v >= 0, "[0, inf)")
         for name, text in (("loops", loops), ("prepends", prepends), ("poisons", poisons))
     }
     if preset is not None:
@@ -339,7 +352,7 @@ def synth_command(
 def oracle_check_command(seeds: str, start_seed: int) -> None:
     """Generate, propagate, run the pipeline and the naive oracle, and fail
     on any disagreement."""
-    count = _option("--seeds", seeds, int, lambda v: v >= 1, "[1, inf)")
+    count = _option("--seeds", seeds, _count, lambda v: v >= 1, "[1, inf)")
     for seed in range(start_seed, start_seed + count):
         mismatch = check_one_seed(seed)
         if mismatch:

@@ -30,13 +30,6 @@ class GeoTable:
             raise ComputationError(f"country {country} has no address mass")
         return total
 
-    def dump_rows(self) -> Iterable[str]:
-        """Audit dump as ``prefix,country,mass`` rows."""
-        for (prefix, country), mass in sorted(
-            self.mass.items(), key=lambda kv: (kv[0][1], kv[0][0])
-        ):
-            yield f"{prefix},{country},{mass}"
-
 
 def build_geo_table(
     geo_rows: Iterable[GeoRow],

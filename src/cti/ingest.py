@@ -23,8 +23,9 @@ from .model import (
     Prefix,
     RelKind,
     RelationshipTable,
-    intern,
+    parse_decimal,
     parse_dotted_quad,
+    parse_fraction,
     validate_asn,
     validate_country,
 )
@@ -50,8 +51,7 @@ class RowReader:
     on the separator of ``layout``. A layout is the row's field names joined
     by ``|`` or ``,``; one name makes the whole line the one field, and a
     trailing ``...`` allows more fields. A row with another number of fields,
-    and a ``ValueError`` (or the ``ZeroDivisionError`` of a ``1/0`` score)
-    raised in the block while a row is handled, become
+    and a ``ValueError`` raised in the block while a row is handled, become
     ``ParseError("<file name> line <N>: <detail>")``.
     """
 
@@ -67,7 +67,7 @@ class RowReader:
         # While the body handles a row, the rows are suspended; an error of
         # the rows themselves (a short row, bytes that are not UTF-8) ended
         # them and already names its file.
-        if isinstance(exc, (ValueError, ZeroDivisionError)) and self._rows.gi_frame is not None:
+        if isinstance(exc, ValueError) and self._rows.gi_frame is not None:
             raise ParseError(f"{self.name} line {self._line_no}: {exc}") from None
 
     def _split(self, lines: Iterable[str], layout: str) -> Iterator[tuple[int, str, list[str]]]:
@@ -83,14 +83,6 @@ class RowReader:
             if len(fields) != n_fields and not (open_ended and len(fields) > n_fields):
                 raise ParseError(f"{self.name} line {line_no}: expected {layout}, got {line!r}")
             yield line_no, line, fields
-
-
-def parse_decimal(text: str, what: str) -> int:
-    """The value of a field of ASCII digits. Any other text, a sign or a
-    non-ASCII digit included, raises ``ValueError("malformed <what> ...")``."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"malformed {what} {text!r}")
-    return int(text)
 
 
 def parse_asn_token(token: str) -> int:
@@ -129,22 +121,21 @@ def parse_paths(
     n_monitors = len(monitor_of)
     rejections: list[RowRejection] = []
     # A corpus repeats each prefix about once per monitor, and each route once
-    # per prefix of its origin. Prefix texts that parse to the same prefix
-    # share one index, since rows are unique per (monitor, prefix); a route
-    # gets one index per distinct hop text.
+    # per prefix of its origin. A prefix has one text, so each distinct prefix
+    # text gets one index, and so does each distinct hop text.
     prefix_code: dict[str, int] = {}
     route_code: dict[str, int] = {}
-    prefix_index: dict[Prefix, int] = {}
     parse_asn = functools.cache(parse_asn_token)
 
     def judge_prefix(text: str) -> int:
         try:
             prefix = Prefix.parse(text)
         except ValueError as exc:
-            return LONG_PREFIX if "length" in str(exc) else UNPARSABLE_PREFIX
+            return LONG_PREFIX if str(exc).startswith("prefix length") else UNPARSABLE_PREFIX
         if prefix in multi_origin:
             return MULTI_ORIGIN
-        return intern(prefix, prefix_index, corpus.prefixes)
+        corpus.prefixes.append(prefix)
+        return len(corpus.prefixes) - 1
 
     def judge_hops(text: str) -> int:
         if "{" in text or "}" in text:
@@ -309,7 +300,7 @@ def parse_aux_tables(
 
     # each AS, and many a score, recurs in many hegemony rows
     parse_asn = functools.cache(parse_asn_token)
-    parse_score = functools.cache(_parse_score)
+    parse_score = functools.cache(parse_fraction)
     with RowReader("hegemony", hegemony_reader, "origin_asn,transit_asn,score") as rows:
         for line_no, line, (origin, transit, score_text) in rows:
             key = (parse_asn(origin), parse_asn(transit))
@@ -326,12 +317,6 @@ def parse_aux_tables(
         aux.multi_origin = frozenset(Prefix.parse(line) for _line_no, line, _fields in rows)
 
     return aux
-
-
-def _parse_score(text: str) -> Fraction:
-    if not text.isascii():
-        raise ValueError(f"malformed score {text!r}")
-    return Fraction(text)
 
 
 def parse_reserved_asns(reader: Iterable[str]) -> frozenset[int]:

@@ -12,11 +12,11 @@ them in one container. A path corpus is a ``Corpus`` of integer rows, not one
 record per row, a traceroute corpus is a count per route, and a relationship
 is the stored ``(a, b)`` pair with its kind.
 
-Every CSV report is written by ``csv_text``.
+Every CSV report is written by ``csv_text``. Each kind of field is read by
+one strict parser: ``Prefix.parse``, ``parse_decimal`` and ``parse_fraction``.
 """
 from __future__ import annotations
 
-import ipaddress
 import json
 import re
 from dataclasses import dataclass, field
@@ -47,11 +47,11 @@ def validate_asn(value: int) -> int:
     return value
 
 
-_COUNTRY_RE = re.compile(r"^[A-Z]{2}$")
+_COUNTRY_RE = re.compile(r"[A-Z]{2}")
 
 
 def validate_country(code: str) -> str:
-    if not _COUNTRY_RE.match(code):
+    if not _COUNTRY_RE.fullmatch(code):
         raise ValueError(f"invalid country code {code!r}")
     return code
 
@@ -97,23 +97,15 @@ class Prefix(Record):
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
-        """The prefix ``text`` names, host bits cleared. Text other than a
-        canonical ``a.b.c.d/n`` goes through ``ipaddress`` (its
-        ``strict=False`` reading and its error texts)."""
-        stripped = text.strip()
-        address, slash, length_text = stripped.partition("/")
+        """The prefix of the canonical text ``a.b.c.d/n``, which ``str`` writes:
+        a dotted quad, ``/`` and a length of ASCII digits with no leading zero.
+        Any other text, padding included, raises ``ValueError``, as do a
+        length over 24 and a set host bit."""
+        address, slash, length_text = text.partition("/")
         base = parse_dotted_quad(address)
-        if base is not None and slash and _CANONICAL_LENGTH.fullmatch(length_text):
-            length = int(length_text)
-            if length <= 32:
-                return cls(base >> (32 - length) << (32 - length), length)
-        try:
-            net = ipaddress.ip_network(stripped, strict=False)
-        except ValueError as exc:
-            raise ValueError(f"unparsable prefix {text!r}: {exc}") from None
-        if net.version != 4:
-            raise ValueError(f"not an IPv4 prefix: {text!r}")
-        return cls(int(net.network_address), net.prefixlen)
+        if base is None or not slash or not _CANONICAL_LENGTH.fullmatch(length_text):
+            raise ValueError(f"unparsable prefix {text!r}")
+        return cls(base, int(length_text))
 
     @property
     def size(self) -> int:
@@ -124,7 +116,8 @@ class Prefix(Record):
 
 
 _DOTTED_QUAD = re.compile(r"\.".join([r"(0|[1-9][0-9]{0,2})"] * 4))
-_CANONICAL_LENGTH = re.compile(r"0|[1-9][0-9]?")
+# 0..32, so that 25..32 fail as too long (see parse_paths) and longer as unparsable
+_CANONICAL_LENGTH = re.compile(r"[0-9]|[12][0-9]|3[0-2]")
 
 
 def parse_dotted_quad(text: str) -> int | None:
@@ -138,6 +131,30 @@ def parse_dotted_quad(text: str) -> int | None:
     if max(a, b, c, d) > 255:
         return None
     return a << 24 | b << 16 | c << 8 | d
+
+
+def parse_decimal(text: str, what: str) -> int:
+    """The value of a field of ASCII digits. Any other text, a sign or a
+    non-ASCII digit included, raises ``ValueError("malformed <what> ...")``."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"malformed {what} {text!r}")
+    return int(text)
+
+
+_FRACTION = re.compile(r"(-?[0-9]+)(?:/(0*[1-9][0-9]*)|\.([0-9]+))?")
+
+
+def parse_fraction(text: str) -> Fraction:
+    """The exact value of ``n``, ``n/d`` or ``n.ddd`` in ASCII digits, with an
+    optional leading ``-``. Any other text (padding, ``_``, an exponent, a
+    non-ASCII digit) raises ``ValueError``, as does a zero ``d``."""
+    match = _FRACTION.fullmatch(text)
+    if match is None:
+        raise ValueError(f"malformed number {text!r}")
+    n, d, decimals = match.groups()
+    if decimals is not None:
+        return Fraction(int(n + decimals), 10 ** len(decimals))
+    return Fraction(int(n), int(d or 1))
 
 
 def dotted_quad(address: int) -> str:
@@ -393,15 +410,11 @@ class MetricReport:
                 raise ParseError(f"line {line_no}: malformed report row {line!r}")
             country, subject_text, value_text = parts
             try:
-                if not value_text.isascii():
-                    raise ValueError(f"malformed score {value_text!r}")
                 subject: Subject = subject_text  # a label, unless it is an ASN
                 if subject_text.isdigit():
-                    if not subject_text.isascii():
-                        raise ValueError(f"malformed ASN {subject_text!r}")
-                    subject = int(subject_text)
-                report.set(validate_country(country), subject, Fraction(value_text))
-            except (ValueError, ZeroDivisionError) as exc:
+                    subject = parse_decimal(subject_text, "ASN")
+                report.set(validate_country(country), subject, parse_fraction(value_text))
+            except ValueError as exc:
                 raise ParseError(f"line {line_no}: malformed report row {line!r}: {exc}") from None
         return report
 

@@ -30,9 +30,6 @@ class PathRejection:
     prefix: Prefix
     reason: str
 
-    def as_log_line(self) -> str:
-        return f"{self.category.value},{self.monitor_id},{self.prefix},{self.reason}"
-
 
 class RouteRejection(NamedTuple):
     """Why a route is rejected, whichever monitor and prefix it was seen for."""

@@ -140,14 +140,12 @@ def classify_candidate(
 def find_border(hops: Route, nationality: Nationality, country: str) -> tuple[int, int] | None:
     """The link ``(provider, customer)`` between the last foreign AS
     (scanning from the probe) and its successor; None when every hop is
-    domestic or the last hop is foreign."""
-    last_foreign = None
-    for index, asn in enumerate(hops):
-        if not nationality.is_domestic(asn, country):
-            last_foreign = index
-    if last_foreign is None or last_foreign == len(hops) - 1:
-        return None
-    return hops[last_foreign], hops[last_foreign + 1]
+    domestic or the last hop is foreign. The scan runs from the origin end
+    and stops at the first foreign hop."""
+    for index in reversed(range(len(hops))):
+        if not nationality.is_domestic(hops[index], country):
+            return None if index == len(hops) - 1 else (hops[index], hops[index + 1])
+    return None
 
 
 def compute_transit_fraction(

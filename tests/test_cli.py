@@ -114,20 +114,28 @@ def test_malformed_input_files_exit_3_with_one_line(tmp_path):
     base = ["--input", str(tmp_path / "in"), "--country", "CU", "--output", str(tmp_path / "out")]
     for name, body, line_no in (
         ("hegemony.csv", "101,10,1/2\n101,20,1/0\n", 2),
+        ("hegemony.csv", "101,10,1_0/2_0\n", 1),
         ("reserved_asns.txt", "# reserved\n\u00b2\n", 2),
+        ("geo.csv", "10.0.0.1/24,CU,256\n", 1),
+        ("multi_origin.txt", "10.0.0.0/255.255.255.0\n", 1),
     ):
         (tmp_path / "in" / name).write_text(body, encoding="utf-8")
         result = runner.invoke(main, ["cti"] + base)
         assert result.exit_code == 3, (name, result.output)
-        assert result.output.startswith("parse error: ") and result.output.count("\n") == 1
-        assert f"line {line_no}:" in result.output, result.output
-        os.remove(tmp_path / "in" / name)
+        assert result.output.startswith(f"parse error: {name} line {line_no}: "), result.output
+        assert result.output.count("\n") == 1, result.output
+        if name in files:
+            (tmp_path / "in" / name).write_text(files[name], encoding="utf-8")
+        else:
+            os.remove(tmp_path / "in" / name)
 
     good = tmp_path / "good.csv"
     good.write_text("# country,subject,cti\nCU,40,0.5\n")
     for name, body, where in (
         ("bad.csv", "# country,subject,cti\nAA,\u00b2,0.5\n", "line 2:"),
-        ("bad.csv", "AA,40,1/0\n", "line 1:"),
+        ("bad.csv", "# country,subject,cti\nAA,40,1/0\n", "line 2:"),
+        ("bad.csv", "# country,subject,cti\nAA,40,1_0/2_0\n", "line 2:"),
+        ("bad.csv", "# country,subject,cti\nAA,40, 1e-1 \n", "line 2:"),
         ("bad.csv", "A1,40,0.5\n", "line 1:"),
         ("bad.csv", "AA,40,3/2\n", "line 1:"),
         ("bad.json", '{"entries": []}\n', "'metric'"),
@@ -381,7 +389,7 @@ def test_input_file_without_read_permission_exits_2(tmp_path, monkeypatch):
 def test_bad_country_exits_5_before_reading_input(tmp_path):
     _write_toy(tmp_path / "in")
     for command in ("cti", "ctin", "footprint", "org", "transit-fraction", "candidates", "clh"):
-        for country in ("aa", "CUB", "C1", ""):
+        for country in ("aa", "CUB", "C1", "", "AA\n"):
             for input_dir in (tmp_path / "in", tmp_path / "missing"):
                 args = [command, "--input", str(input_dir), "--country", country]
                 result = CliRunner().invoke(main, args + ["--output", str(tmp_path / "out")])
@@ -470,6 +478,13 @@ def test_bad_option_values_exit_5(tmp_path):
         ["cti", "--trim", "-1/2"],
         ["cti", "--min-hosts", "0"],
         ["cti", "--min-hosts", "two"],
+        ["cti", "--min-hosts", "\u0661\u0660"],
+        ["cti", "--min-hosts", " 10"],
+        ["cti", "--trim", " 1e-1"],
+        ["cti", "--trim", "1e-1"],
+        ["cti", "--trim", "1_0/2_0"],
+        ["cti", "--trim", " 1e-1", "--min-hosts", "\u0661\u0660"],
+        ["org", "--marginal-threshold", "1/0"],
         ["org", "--marginal-threshold", "7"],
         ["org", "--marginal-threshold", "-1/20"],
         ["transit-fraction", "--threshold", "3/2"],
@@ -491,6 +506,8 @@ def test_generator_count_options_exit_5(tmp_path):
         ["synth", "--prepends", "-1"] + out,
         ["synth", "--poisons", "-1"] + out,
         ["synth", "--poisons", "one"] + out,
+        ["synth", "--loops", "1_0"] + out,
+        ["oracle-check", "--seeds", "\u0662"],
     ):
         result = runner.invoke(main, args)
         assert result.exit_code == 5, (args, result.output)

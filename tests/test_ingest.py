@@ -32,6 +32,10 @@ def test_parse_paths_basic():
         ("m1|10.0.0.0/24|10 {20,30}", "as-set"),
         ("m1|10.0.0.0/25|10 20", "length>24"),
         ("m1|bogus|10 20", "unparsable prefix"),
+        ("m1|length|10 20", "unparsable prefix"),
+        ("m1|10.0.0.1/24|10 20", "unparsable prefix"),  # host bits set
+        ("m1|10.0.0.0/255.255.255.0|10 20", "unparsable prefix"),
+        ("m1|10.0.0.0/33|10 20", "unparsable prefix"),
         ("m1|10.0.0.0/24|10 x", "malformed ASN"),
         ("m1|10.0.0.0/24|\u0661\u0660 20", "malformed ASN"),  # Arabic-Indic 10
         ("m1|10.0.0.0/24|", "empty path"),
@@ -164,9 +168,10 @@ def test_repeated_prefix_texts_share_one_prefix():
     assert first == second == Prefix.parse("10.0.0.0/24")
     assert first is second
     assert other == Prefix.parse("10.0.1.0/24")
-    # a different text for the same prefix is still the same (monitor, prefix) key
-    with pytest.raises(ParseError, match="lines 1 and 2"):
-        ingest.parse_paths(["m1|10.0.0.7/24|10 20", "m1|10.0.0.0/24|10 30"], MONITORS)
+    # a prefix has one text: another text for it rejects its row
+    records, rejections = ingest.parse_paths(["m1|10.0.0.7/24|10 20", "m1|10.0.0.0/24|10 30"], MONITORS)
+    assert [r.hops for r in records] == [(10, 30)]
+    assert [(r.line_no, r.reason) for r in rejections] == [(1, "unparsable prefix")]
 
 
 def test_parse_paths_malformed_structure():
@@ -259,10 +264,21 @@ def test_parse_aux_tables():
         ("-1/1000", False),
         ("1.001", False),
         ("1001/1000", False),
+        # not a number of the grammar: the file is malformed
+        ("1_0/2_0", None),
+        (" 1e-1", None),
+        ("1e-1", None),
+        ("1/0", None),
+        ("\u0661/\u0662", None),
     ],
 )
 def test_hegemony_scores_are_kept_exactly_when_in_the_unit_interval(score, kept):
-    aux = ingest.parse_aux_tables(hegemony_reader=[f"100,200,{score}", f"100,300,{score}"])
+    lines = [f"100,200,{score}", f"100,300,{score}"]
+    if kept is None:
+        with pytest.raises(ParseError, match=f"^hegemony.csv line 1: malformed number '{score}'$"):
+            ingest.parse_aux_tables(hegemony_reader=lines)
+        return
+    aux = ingest.parse_aux_tables(hegemony_reader=lines)
     assert aux.hegemony == ({(100, 200): Fraction(score), (100, 300): Fraction(score)} if kept else {})
     assert [r.line_no for r in aux.rejections] == ([] if kept else [1, 2])
 
@@ -337,7 +353,7 @@ def _reference_parse_paths(lines, monitors, multi_origin=frozenset()):
             try:
                 prefix = Prefix.parse(prefix_text)
             except ValueError as exc:
-                reason = "length>24" if "length" in str(exc) else "unparsable prefix"
+                reason = "length>24" if str(exc).startswith("prefix length") else "unparsable prefix"
         if reason is None and prefix in multi_origin:
             reason = "multi-origin prefix"
         if reason is None:

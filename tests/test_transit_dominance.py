@@ -21,10 +21,15 @@ def _rels(*edges):
 
 def test_parse_traceroutes():
     counts, rejections = td.parse_traceroutes(
-        ["# header", "probe-1|10.0.0.0/24|50 50 60 900", "probe-2|bogus|50 60"]
+        [
+            "# header",
+            "probe-1|10.0.0.0/24|50 50 60 900",
+            "probe-2|bogus|50 60",
+            "probe-3|10.0.0.1/24|50 60",  # host bits set
+        ]
     )
     assert counts == Counter({(50, 60, 900): 1})  # consecutive duplicates collapsed
-    assert [r.reason for r in rejections] == ["unparsable prefix"]
+    assert [r.reason for r in rejections] == ["unparsable prefix"] * 2
     with pytest.raises(ParseError):
         td.parse_traceroutes(["only|two"])
 
