@@ -70,6 +70,11 @@ def _option(
 _count = partial(parse_decimal, what="count")
 
 
+def _count_option(name: str, text: str, least: int = 0) -> int:
+    """A count option of at least ``least``."""
+    return _option(name, text, _count, lambda v: v >= least, f"[{least}, inf)")
+
+
 def _guarded(action: Callable[[], T]) -> T:
     try:
         return action()
@@ -214,7 +219,7 @@ def _input_command(name: str, *options, consumed: tuple[str, ...] = ingest.BUNDL
 )
 def cti_command(input_dir: str, country: str, min_hosts: str, trim: str, no_outlier: bool):
     """Per-AS transit influence toward one country."""
-    outlier_min_hosts = _option("--min-hosts", min_hosts, _count, lambda v: v >= 1, "[1, inf)")
+    outlier_min_hosts = _count_option("--min-hosts", min_hosts, least=1)
     half = Fraction(1, 2)
     outlier_trim = _option("--trim", trim, valid=lambda v: 0 <= v < half, bounds="[0, 1/2)")
     report = pipeline.cti_report(
@@ -309,38 +314,39 @@ def compare_command(path_a: str, path_b: str, output: str) -> None:
 
 
 @main.command("synth")
-@click.option("--seed", default=1, show_default=True, type=int)
+@click.option("--seed", default="1", show_default=True)
 @click.option("--preset", default=None, help="toy-fig1 or toy-fig1-indirect.")
 @_OUTPUT
 @click.option("--loops", default="0", show_default=True)
 @click.option("--prepends", default="0", show_default=True)
 @click.option("--poisons", default="0", show_default=True)
 def synth_command(
-    seed: int, preset: str | None, output: str, loops: str, prepends: str, poisons: str
+    seed: str, preset: str | None, output: str, loops: str, prepends: str, poisons: str
 ) -> None:
     """Generate a synthetic instance in the standard input formats."""
+    seed_value = _count_option("--seed", seed)
     counts = {
-        name: _option(f"--{name}", text, _count, lambda v: v >= 0, "[0, inf)")
+        name: _count_option(f"--{name}", text)
         for name, text in (("loops", loops), ("prepends", prepends), ("poisons", poisons))
     }
     if preset is not None:
         topo = synth_oracle.preset_topology(preset)
     else:
-        topo = synth_oracle.generate_topology(seed)
+        topo = synth_oracle.generate_topology(seed_value)
     paths = synth_oracle.propagate_routes(topo)
     manifest = {"Loop": 0, "Prepending": 0, "Poisoned": 0}
     if any(counts.values()):
         paths, manifest = synth_oracle.inject_path_anomalies(
             paths,
             topo.clique,
-            seed,
+            seed_value,
             n_loops=counts["loops"],
             n_prepends=counts["prepends"],
             n_poisons=counts["poisons"],
         )
     files = synth_oracle.emit_files(topo, paths)
     files["injection_manifest.json"] = _json_text(manifest)
-    config = {"seed": seed, "preset": preset, **counts}
+    config = {"seed": seed_value, "preset": preset, **counts}
     files["manifest_synth.json"] = _manifest("synth", None, config)
     _write_files(output, files)
     click.echo(output)
@@ -348,12 +354,13 @@ def synth_command(
 
 @main.command("oracle-check")
 @click.option("--seeds", default="25", show_default=True)
-@click.option("--start-seed", default=1, show_default=True, type=int)
-def oracle_check_command(seeds: str, start_seed: int) -> None:
+@click.option("--start-seed", default="1", show_default=True)
+def oracle_check_command(seeds: str, start_seed: str) -> None:
     """Generate, propagate, run the pipeline and the naive oracle, and fail
     on any disagreement."""
-    count = _option("--seeds", seeds, _count, lambda v: v >= 1, "[1, inf)")
-    for seed in range(start_seed, start_seed + count):
+    count = _count_option("--seeds", seeds, least=1)
+    first = _count_option("--start-seed", start_seed)
+    for seed in range(first, first + count):
         mismatch = check_one_seed(seed)
         if mismatch:
             raise ComputationError(f"seed {seed}: {mismatch}")

@@ -474,6 +474,63 @@ def inject_path_anomalies(
 # domain types with the pipeline.
 
 
+class OracleView:
+    """The naive oracle's literal view of one instance: a topology and its
+    paths. Each input is built once, when first asked for, and every naive
+    function given the view reads the same copy: each path's collapsed hops,
+    the origins, the address masses, the nationality labels and, per
+    country, the retained segments (``country``)."""
+
+    def __init__(self, topo: SynthTopology, paths: Sequence[PathRecord]) -> None:
+        self.topo = topo
+        self.paths = paths
+        self._countries: dict[str, OracleCountry] = {}
+
+    @functools.cached_property
+    def collapsed(self) -> list[list[int]]:
+        """Each path's hops, consecutive repeats collapsed, in path order."""
+        return [_oracle_collapse(path.hops) for path in self.paths]
+
+    @functools.cached_property
+    def origin_of(self) -> dict[Prefix, int]:
+        return {path.prefix: hops[-1] for path, hops in zip(self.paths, self.collapsed)}
+
+    @functools.cached_property
+    def mass(self) -> dict[tuple[Prefix, str], int]:
+        return _oracle_masses(self.topo, self.origin_of)
+
+    @functools.cached_property
+    def nationality(self) -> dict[int, str | None]:
+        return _oracle_nationality(self.topo, self.origin_of, self.mass)
+
+    def country(self, country: str) -> OracleCountry:
+        if country not in self._countries:
+            self._countries[country] = _oracle_substrate(self, country)
+        return self._countries[country]
+
+
+def _view_of(
+    topo: SynthTopology, paths: Sequence[PathRecord], view: OracleView | None
+) -> OracleView:
+    """``view``, which must be of this very instance, or a new view of it."""
+    if view is None:
+        return OracleView(topo, paths)
+    if view.topo is not topo or view.paths is not paths:
+        raise ComputationError("the oracle view is of another instance")
+    return view
+
+
+@dataclass(frozen=True)
+class OracleCountry:
+    """The naive oracle's substrate for one country."""
+
+    retained: dict[tuple[MonitorId, Prefix], tuple[int, ...]]  # origin-first segments
+    observers: dict[tuple[int, Prefix], int]  # n per (host AS, prefix)
+    mass: Mapping[tuple[Prefix, str], int]
+    total: int  # A
+    active: list[MonitorId]  # M
+
+
 def _oracle_masses(
     topo: SynthTopology,
     origin_of: Mapping[Prefix, int],
@@ -509,10 +566,10 @@ def _oracle_collapse(hops: Sequence[int]) -> list[int]:
 
 
 def _oracle_retained_segment(
-    path: PathRecord, rels: RelationshipTable
+    hops: list[int], host_asn: int, rels: RelationshipTable
 ) -> tuple[int, ...] | None:
-    hops = _oracle_collapse(path.hops)
-    if hops and hops[0] == path.monitor.host_asn:
+    """The origin-first segment up to the peak of a path's collapsed hops."""
+    if hops and hops[0] == host_asn:
         hops = hops[1:]
     reverse = hops[::-1]
     peak = None
@@ -524,28 +581,19 @@ def _oracle_retained_segment(
     return tuple(reverse[: peak + 1])
 
 
-def _oracle_substrate(
-    topo: SynthTopology, paths: Sequence[PathRecord], country: str
-) -> tuple[
-    dict[tuple[MonitorId, Prefix], tuple[int, ...]],
-    dict[tuple[int, Prefix], int],
-    dict[tuple[Prefix, str], int],
-    int,
-    list[MonitorId],
-]:
-    origin_of = {p.prefix: _oracle_collapse(p.hops)[-1] for p in paths}
-    mass = _oracle_masses(topo, origin_of)
+def _oracle_substrate(view: OracleView, country: str) -> OracleCountry:
+    mass = view.mass
     total = _oracle_country_total(mass, country)
-    active = [m for m in topo.monitors if m.country != country]
+    active = [m for m in view.topo.monitors if m.country != country]
     active_ids = {m.id for m in active}
 
     retained: dict[tuple[MonitorId, Prefix], tuple[int, ...]] = {}
-    for path in paths:
+    for path, hops in zip(view.paths, view.collapsed):
         if path.monitor.id not in active_ids:
             continue
         if mass.get((path.prefix, country), 0) == 0:
             continue
-        segment = _oracle_retained_segment(path, topo.rels)
+        segment = _oracle_retained_segment(hops, path.monitor.host_asn, view.topo.rels)
         if segment is not None:
             retained[(path.monitor, path.prefix)] = segment
 
@@ -556,37 +604,42 @@ def _oracle_substrate(
     for key, ids in seen.items():
         observer_counts[key] = len(ids)
 
-    return retained, observer_counts, mass, total, active
+    return OracleCountry(retained, observer_counts, mass, total, active)
 
 
 def _naive_scores(
-    substrate: tuple, country: str, monitors: Sequence[MonitorId]
+    substrate: OracleCountry, country: str, monitors: Sequence[MonitorId]
 ) -> dict[int, Fraction]:
     """For every path of the given monitors, walk the retained segment and
-    accumulate each transit AS's weighted, distance-discounted address share."""
-    retained, observers, mass, total, _active = substrate
+    accumulate each transit AS's weighted, distance-discounted address share:
+    the term w/|M| * mass/A * 1/d with w = 1/n, as one fraction."""
     ids = {m.id for m in monitors}
     scores: dict[int, Fraction] = {}
-    for (monitor, prefix), segment in retained.items():
+    for (monitor, prefix), segment in substrate.retained.items():
         if monitor.id not in ids:
             continue
-        n = observers[(monitor.host_asn, prefix)]
-        share = Fraction(mass[(prefix, country)], total)
+        n = substrate.observers[(monitor.host_asn, prefix)]
+        mass = substrate.mass[(prefix, country)]
         for distance in range(1, len(segment)):
             transit = segment[distance]
-            term = Fraction(1, n) * Fraction(1, len(monitors)) * share * Fraction(1, distance)
-            scores[transit] = scores.get(transit, Fraction(0)) + term
+            term = Fraction(mass, n * len(monitors) * substrate.total * distance)
+            scores[transit] = scores[transit] + term if transit in scores else term
     return scores
 
 
-def naive_cti(topo: SynthTopology, paths: Sequence[PathRecord], country: str) -> MetricReport:
+def naive_cti(
+    topo: SynthTopology,
+    paths: Sequence[PathRecord],
+    country: str,
+    *,
+    view: OracleView | None = None,
+) -> MetricReport:
     """Literal evaluation over every active monitor."""
-    substrate = _oracle_substrate(topo, paths, country)
-    *_, total, active = substrate
+    substrate = _view_of(topo, paths, view).country(country)
     report = MetricReport(metric_name="cti")
-    if total == 0 or not active:
+    if substrate.total == 0 or not substrate.active:
         return report
-    for transit, value in _naive_scores(substrate, country, active).items():
+    for transit, value in _naive_scores(substrate, country, substrate.active).items():
         report.set(country, transit, value)
     return report
 
@@ -597,29 +650,38 @@ def naive_outlier_cti(
     country: str,
     min_hosts: int,
     trim: Fraction,
+    *,
+    view: OracleView | None = None,
 ) -> MetricReport:
     """Literal per-host outlier filter: score every transit AS from each host
     AS's monitors alone; when at least ``min_hosts`` hosts score it, drop
     floor(trim * H) hosts per tail (ties by host ASN) and rescore over the
-    surviving monitors."""
-    substrate = _oracle_substrate(topo, paths, country)
-    *_, total, active = substrate
+    surviving monitors. Each distinct set of dropped hosts is rescored once."""
+    substrate = _view_of(topo, paths, view).country(country)
+    active = substrate.active
     report = MetricReport(metric_name="cti")
-    if total == 0 or not active:
+    if substrate.total == 0 or not active:
         return report
 
-    def scores_from(monitors: Sequence[MonitorId]) -> dict[int, Fraction]:
-        return _naive_scores(substrate, country, monitors)
+    rescored: dict[frozenset[int], dict[int, Fraction]] = {}
+
+    def scores_without(dropped: frozenset[int]) -> dict[int, Fraction]:
+        if dropped not in rescored:
+            survivors = [m for m in active if m.host_asn not in dropped]
+            rescored[dropped] = _naive_scores(substrate, country, survivors)
+        return rescored[dropped]
 
     hosts = {m.host_asn for m in active}
-    per_host = {h: scores_from([m for m in active if m.host_asn == h]) for h in hosts}
-    for transit, value in scores_from(active).items():
+    per_host = {
+        h: _naive_scores(substrate, country, [m for m in active if m.host_asn == h])
+        for h in hosts
+    }
+    for transit, value in scores_without(frozenset()).items():
         host_values = {host: s[transit] for host, s in per_host.items() if transit in s}
         per_tail = math.floor(trim * len(host_values)) if len(host_values) >= min_hosts else 0
         if per_tail > 0:
             ranked = sorted(host_values, key=lambda host: (host_values[host], host))
-            dropped = set(ranked[:per_tail] + ranked[-per_tail:])
-            value = scores_from([m for m in active if m.host_asn not in dropped])[transit]
+            value = scores_without(frozenset(ranked[:per_tail] + ranked[-per_tail:]))[transit]
         report.set(country, transit, value)
     return report
 
@@ -629,29 +691,33 @@ def naive_ctin(
     paths: Sequence[PathRecord],
     country: str,
     members: frozenset[int],
+    *,
+    view: OracleView | None = None,
 ) -> Fraction:
     """Set-level score: one term per (monitor, prefix) at the minimum member
     distance; prefixes originated by a member contribute nothing."""
-    retained, observers, mass, total, active = _oracle_substrate(topo, paths, country)
+    substrate = _view_of(topo, paths, view).country(country)
+    total, active = substrate.total, substrate.active
     if total == 0 or not active:
         return Fraction(0)
     score = Fraction(0)
-    for (monitor, prefix), segment in retained.items():
+    for (monitor, prefix), segment in substrate.retained.items():
         if segment[0] in members:
             continue
         distances = [d for d in range(1, len(segment)) if segment[d] in members]
         if not distances:
             continue
-        n = observers[(monitor.host_asn, prefix)]
-        share = Fraction(mass[(prefix, country)], total)
-        score += Fraction(1, n) * Fraction(1, len(active)) * share * Fraction(1, min(distances))
+        n = substrate.observers[(monitor.host_asn, prefix)]
+        mass = substrate.mass[(prefix, country)]
+        score += Fraction(mass, n * len(active) * total * min(distances))
     return score
 
 
 def _oracle_nationality(
-    topo: SynthTopology, origin_of: Mapping[Prefix, int]
+    topo: SynthTopology,
+    origin_of: Mapping[Prefix, int],
+    mass: Mapping[tuple[Prefix, str], int],
 ) -> dict[int, str | None]:
-    mass = _oracle_masses(topo, origin_of)
     own: dict[int, dict[str, int]] = {}
     for (prefix, country), value in mass.items():
         origin = origin_of.get(prefix)
@@ -681,16 +747,18 @@ def naive_transit_fraction(
     paths: Sequence[PathRecord],
     traceroutes: Sequence[tuple[str, Prefix, tuple[int, ...]]],
     country: str,
+    *,
+    view: OracleView | None = None,
 ) -> Fraction:
     """Literal border-crossing count: per domestic origin, the share of its
     traceroutes entering through a foreign-provider p2c link, weighted by the
     origin's share of the country's addresses."""
-    origin_of = {p.prefix: _oracle_collapse(p.hops)[-1] for p in paths}
-    mass = _oracle_masses(topo, origin_of)
+    view = _view_of(topo, paths, view)
+    origin_of, mass = view.origin_of, view.mass
     total = _oracle_country_total(mass, country)
     if total == 0:
         return Fraction(0)
-    label = _oracle_nationality(topo, origin_of)
+    label = view.nationality
 
     own: dict[int, int] = {}
     for (prefix, c), value in mass.items():
@@ -721,7 +789,7 @@ def naive_transit_fraction(
     for origin, count in reached.items():
         hits = crossed.get(origin, 0)
         if hits:
-            fraction += Fraction(hits, count) * Fraction(own.get(origin, 0), total)
+            fraction += Fraction(hits * own.get(origin, 0), count * total)
     return fraction
 
 
@@ -735,8 +803,12 @@ def check_one_seed(seed: int) -> str | None:
 
     Each country's kernel is built once and reduces to both cti (outlier
     filter off) and ctin; the transit nationality is classified once. The
-    pipeline is called through its modules' attributes, so a function
-    replaced there (by a tracer, say) is the one called."""
+    oracle side is one ``OracleView`` of the instance, shared by every naive
+    call: the paths are collapsed, and the origins, the address masses and
+    the nationality labels built, once per seed, and each country's retained
+    segments once per checked country. The pipeline and the naive functions
+    are called through their modules' attributes, so a function replaced
+    there (by a tracer, say) is the one called."""
     topo = generate_topology(seed)
     paths = propagate_routes(topo)
     files = emit_files(topo, paths)
@@ -748,26 +820,27 @@ def check_one_seed(seed: int) -> str | None:
     )
     members = frozenset(asn for asn, _c in topo.state_owned)
     nationality = pipeline.transit_nationality(sub)
+    view = OracleView(topo, paths)
     for country in topo.params.countries:
         if sub.geo.total.get(country, 0) <= 0:
             continue
         table = pipeline.build_country_substrate(sub, country)
         pipe_cti = cti_core.compute_cti(table)
-        oracle_cti = naive_cti(topo, paths, country)
+        oracle_cti = naive_cti(topo, paths, country, view=view)
         if pipe_cti.entries != oracle_cti.entries:
             return f"cti mismatch for {country}"
 
         if members:
             group = conglomerate.Conglomerate(label="state", members=members, country=country)
             pipe_ctin = conglomerate.compute_ctin(group, table)
-            oracle_ctin = naive_ctin(topo, paths, country, members)
+            oracle_ctin = naive_ctin(topo, paths, country, members, view=view)
             if pipe_ctin != oracle_ctin:
                 return f"ctin mismatch for {country}"
 
         pipe_t = transit_dominance.compute_transit_fraction(
             traceroute_counts, sub.rels, nationality, sub.geo, country
         )
-        oracle_t = naive_transit_fraction(topo, paths, raw_traceroutes, country)
+        oracle_t = naive_transit_fraction(topo, paths, raw_traceroutes, country, view=view)
         if pipe_t != oracle_t:
             return f"transit fraction mismatch for {country}"
     return None

@@ -508,6 +508,14 @@ def test_generator_count_options_exit_5(tmp_path):
         ["synth", "--poisons", "one"] + out,
         ["synth", "--loops", "1_0"] + out,
         ["oracle-check", "--seeds", "\u0662"],
+        *(
+            args
+            for seed in (" 1_0", "+1", "\u0661\u0660", "-1", "abc")
+            for args in (
+                ["oracle-check", "--seeds", "1", "--start-seed", seed],
+                ["synth", "--seed", seed] + out,
+            )
+        ),
     ):
         result = runner.invoke(main, args)
         assert result.exit_code == 5, (args, result.output)
@@ -515,6 +523,12 @@ def test_generator_count_options_exit_5(tmp_path):
     assert not (tmp_path / "synth").exists()
     result = runner.invoke(main, ["oracle-check", "--seeds", "1"])
     assert result.exit_code == 0 and result.output.startswith("ok: 1 instances"), result.output
+    result = runner.invoke(main, ["oracle-check", "--seeds", "1", "--start-seed", "0"])
+    assert result.exit_code == 0 and result.output.startswith("ok: 1 instances"), result.output
+    result = runner.invoke(main, ["synth", "--seed", "0", "--output", str(tmp_path / "seed0")])
+    assert result.exit_code == 0, result.output
+    config = json.loads((tmp_path / "seed0" / "manifest_synth.json").read_text())["config"]
+    assert config["seed"] == 0
     result = runner.invoke(main, ["synth", "--seed", "3", "--loops", "0", "--prepends", "2"] + out)
     assert result.exit_code == 0, result.output
     injected = json.loads((tmp_path / "synth" / "injection_manifest.json").read_text())

@@ -73,9 +73,11 @@ def test_compute_cti_blind_monitor_dilutes():
 
 def test_compute_cti_distance_discount():
     geo, _ = build_geo_table([(P1, "CU", 256)], [], {})
-    report = _cti([(M1.host_asn, (30, 20, 15), P1)], geo, [M1])
+    report = _cti([(M1.host_asn, (30, 20, 15, 12, 11), P1)], geo, [M1])
     assert report.get("CU", 20) == Fraction(1)
     assert report.get("CU", 15) == Fraction(1, 2)
+    assert report.get("CU", 12) == Fraction(1, 3)
+    assert report.get("CU", 11) == Fraction(1, 4)
 
 
 def test_compute_cti_ignores_inactive_monitors_and_foreign_mass():

@@ -46,9 +46,18 @@ SPECIAL_ROUTES = (
     (4, 5, 6),  # host 4 leads it
     (3,),  # NoPeak for host 3: no transit AS once it is stripped
     (7, 6),  # NoPeak unless 7 is drawn as 6's provider
+    (2, 7, 5, 6),  # three transit hops: 5, 7 and 2
 )
-# host 3 provides transit to 5, so its segment depends on whether it leads
-BASE_EDGES = ((5, 6, RelKind.P2C), (3, 5, RelKind.P2C), (1, 5, RelKind.P2C), (2, 1, RelKind.P2P))
+# host 3 provides transit to 5, so its segment depends on whether it leads;
+# 2 above 7 above 5 gives a segment three transit hops long
+BASE_EDGES = (
+    (5, 6, RelKind.P2C),
+    (3, 5, RelKind.P2C),
+    (1, 5, RelKind.P2C),
+    (2, 1, RelKind.P2P),
+    (7, 5, RelKind.P2C),
+    (2, 7, RelKind.P2C),
+)
 # bad rows, each repeated across the corpus
 BAD_PATH_ROWS = (
     "m1|10.0.0.0/24|5 x",
@@ -330,3 +339,4 @@ def test_special_routes_reach_every_verdict():
     # one route, two segments: host 3 is stripped, host 4 keeps AS 3 as the peak
     assert {segment for host, segment, _prefix in retained if host == 3} >= {(6, 5)}
     assert (6, 5, 3) in {segment for host, segment, _prefix in retained if host == 4}
+    assert {host for host, segment, _prefix in retained if segment == (6, 5, 7, 2)} == {3, 4}

@@ -1,6 +1,7 @@
 import dataclasses
 import heapq
 import importlib
+import math
 import random
 import sys
 from fractions import Fraction
@@ -363,3 +364,240 @@ def test_emit_files_renders_each_path_as_the_per_path_reference():
             )
         files = so.emit_files(topo, paths)
         assert (files["paths.txt"], files["traceroutes.txt"]) == _reference_emitted_paths(paths)
+
+
+# The naive oracle as it was before ``OracleView``: every call rebuilds its
+# own substrate, collapsing each path again, and builds each term from four
+# factors. Kept as the literal reference that every naive function must
+# match, with and without a shared view.
+
+
+def _reference_retained_segment(path, rels):
+    hops = so._oracle_collapse(path.hops)
+    if hops and hops[0] == path.monitor.host_asn:
+        hops = hops[1:]
+    reverse = hops[::-1]
+    peak = None
+    for k in range(1, len(reverse)):
+        if rels.is_p2c(reverse[k], reverse[k - 1]):
+            peak = k
+    if peak is None:
+        return None
+    return tuple(reverse[: peak + 1])
+
+
+def _reference_substrate(topo, paths, country):
+    origin_of = {p.prefix: so._oracle_collapse(p.hops)[-1] for p in paths}
+    mass = so._oracle_masses(topo, origin_of)
+    total = so._oracle_country_total(mass, country)
+    active = [m for m in topo.monitors if m.country != country]
+    active_ids = {m.id for m in active}
+
+    retained = {}
+    for path in paths:
+        if path.monitor.id not in active_ids:
+            continue
+        if mass.get((path.prefix, country), 0) == 0:
+            continue
+        segment = _reference_retained_segment(path, topo.rels)
+        if segment is not None:
+            retained[(path.monitor, path.prefix)] = segment
+
+    observer_counts = {}
+    seen = {}
+    for (monitor, prefix) in retained:
+        seen.setdefault((monitor.host_asn, prefix), set()).add(monitor.id)
+    for key, ids in seen.items():
+        observer_counts[key] = len(ids)
+
+    return retained, observer_counts, mass, total, active
+
+
+def _reference_scores(substrate, country, monitors):
+    retained, observers, mass, total, _active = substrate
+    ids = {m.id for m in monitors}
+    scores = {}
+    for (monitor, prefix), segment in retained.items():
+        if monitor.id not in ids:
+            continue
+        n = observers[(monitor.host_asn, prefix)]
+        share = Fraction(mass[(prefix, country)], total)
+        for distance in range(1, len(segment)):
+            transit = segment[distance]
+            term = Fraction(1, n) * Fraction(1, len(monitors)) * share * Fraction(1, distance)
+            scores[transit] = scores.get(transit, Fraction(0)) + term
+    return scores
+
+
+def _reference_cti(topo, paths, country):
+    substrate = _reference_substrate(topo, paths, country)
+    *_, total, active = substrate
+    if total == 0 or not active:
+        return {}
+    return {(country, t): v for t, v in _reference_scores(substrate, country, active).items()}
+
+
+def _reference_outlier_cti(topo, paths, country, min_hosts, trim):
+    substrate = _reference_substrate(topo, paths, country)
+    *_, total, active = substrate
+    if total == 0 or not active:
+        return {}
+
+    def scores_from(monitors):
+        return _reference_scores(substrate, country, monitors)
+
+    hosts = {m.host_asn for m in active}
+    per_host = {h: scores_from([m for m in active if m.host_asn == h]) for h in hosts}
+    entries = {}
+    for transit, value in scores_from(active).items():
+        host_values = {host: s[transit] for host, s in per_host.items() if transit in s}
+        per_tail = math.floor(trim * len(host_values)) if len(host_values) >= min_hosts else 0
+        if per_tail > 0:
+            ranked = sorted(host_values, key=lambda host: (host_values[host], host))
+            dropped = set(ranked[:per_tail] + ranked[-per_tail:])
+            value = scores_from([m for m in active if m.host_asn not in dropped])[transit]
+        entries[(country, transit)] = value
+    return entries
+
+
+def _reference_ctin(topo, paths, country, members):
+    retained, observers, mass, total, active = _reference_substrate(topo, paths, country)
+    if total == 0 or not active:
+        return Fraction(0)
+    score = Fraction(0)
+    for (monitor, prefix), segment in retained.items():
+        if segment[0] in members:
+            continue
+        distances = [d for d in range(1, len(segment)) if segment[d] in members]
+        if not distances:
+            continue
+        n = observers[(monitor.host_asn, prefix)]
+        share = Fraction(mass[(prefix, country)], total)
+        score += Fraction(1, n) * Fraction(1, len(active)) * share * Fraction(1, min(distances))
+    return score
+
+
+def _reference_transit_fraction(topo, paths, traceroutes, country):
+    origin_of = {p.prefix: so._oracle_collapse(p.hops)[-1] for p in paths}
+    mass = so._oracle_masses(topo, origin_of)
+    total = so._oracle_country_total(mass, country)
+    if total == 0:
+        return Fraction(0)
+    label = so._oracle_nationality(topo, origin_of, mass)
+
+    own = {}
+    for (prefix, c), value in mass.items():
+        if c != country:
+            continue
+        origin = origin_of.get(prefix)
+        if origin is not None:
+            own[origin] = own.get(origin, 0) + value
+
+    reached, crossed = {}, {}
+    for _probe, _prefix, raw_hops in traceroutes:
+        hops = so._oracle_collapse(raw_hops)
+        origin = hops[-1]
+        if label.get(origin) != country:
+            continue
+        reached[origin] = reached.get(origin, 0) + 1
+        last_foreign = None
+        for index, asn in enumerate(hops):
+            if label.get(asn) != country:
+                last_foreign = index
+        if last_foreign is None or last_foreign == len(hops) - 1:
+            continue
+        if topo.rels.is_p2c(hops[last_foreign], hops[last_foreign + 1]):
+            crossed[origin] = crossed.get(origin, 0) + 1
+
+    fraction = Fraction(0)
+    for origin, count in reached.items():
+        hits = crossed.get(origin, 0)
+        if hits:
+            fraction += Fraction(hits, count) * Fraction(own.get(origin, 0), total)
+    return fraction
+
+
+def _oracle_instances():
+    """Seeds 1-120, every third also with injected anomalies, and both presets,
+    each with its paths."""
+    for seed in range(1, 121):
+        topo = so.generate_topology(seed)
+        paths = so.propagate_routes(topo)
+        yield topo, paths
+        if seed % 3 == 0:
+            injected, _manifest = so.inject_path_anomalies(
+                paths, topo.clique, seed, n_loops=2, n_prepends=2, n_poisons=1
+            )
+            yield topo, injected
+    for name in ("toy-fig1", "toy-fig1-indirect"):
+        topo = so.preset_topology(name)
+        yield topo, so.propagate_routes(topo)
+
+
+FILTERS = ((1, Fraction(1, 3)), (2, Fraction(1, 3)), (3, Fraction(1, 4)))  # (min_hosts, trim)
+
+
+def test_naive_functions_equal_the_per_call_reference():
+    for topo, paths in _oracle_instances():
+        traceroutes = [(f"t-{p.monitor.id}", p.prefix, p.hops) for p in paths]
+        countries = sorted({*topo.params.countries, *(c for _p, c, _n in topo.geo_rows)})
+        member_sets = [
+            frozenset(asn for asn, _c in topo.state_owned),
+            frozenset(topo.mids[:2]),
+            frozenset({max(topo.origin_of.values()), *topo.clique}),
+        ]
+        expected = {
+            country: (
+                _reference_cti(topo, paths, country),
+                [_reference_outlier_cti(topo, paths, country, *f) for f in FILTERS],
+                [_reference_ctin(topo, paths, country, members) for members in member_sets],
+                _reference_transit_fraction(topo, paths, traceroutes, country),
+            )
+            for country in countries
+        }
+        for view in (None, so.OracleView(topo, paths)):
+            actual = {
+                country: (
+                    so.naive_cti(topo, paths, country, view=view).entries,
+                    [
+                        so.naive_outlier_cti(topo, paths, country, *f, view=view).entries
+                        for f in FILTERS
+                    ],
+                    [
+                        so.naive_ctin(topo, paths, country, members, view=view)
+                        for members in member_sets
+                    ],
+                    so.naive_transit_fraction(topo, paths, traceroutes, country, view=view),
+                )
+                for country in countries
+            }
+            assert actual == expected, (topo.seed, view is None)
+
+
+def test_a_view_of_another_instance_is_an_error():
+    topo = so.generate_topology(3)
+    paths = so.propagate_routes(topo)
+    other = so.OracleView(topo, list(paths))
+    with pytest.raises(ComputationError):
+        so.naive_cti(topo, paths, "AA", view=other)
+
+
+def test_check_one_seed_builds_each_oracle_input_once(monkeypatch):
+    """Per seed: the masses and the labels once, each checked country's
+    substrate once."""
+    calls = {"_oracle_masses": [], "_oracle_nationality": [], "_oracle_substrate": []}
+    for name, seen in calls.items():
+
+        def counted(*args, original=getattr(so, name), seen=seen):
+            seen.append(args[-1])  # the country, for a substrate
+            return original(*args)
+
+        monkeypatch.setattr(so, name, counted)
+    for seed in range(1, 21):
+        for seen in calls.values():
+            seen.clear()
+        assert so.check_one_seed(seed) is None
+        assert len(calls["_oracle_masses"]) == 1, seed
+        assert len(calls["_oracle_nationality"]) == 1, seed
+        countries = calls["_oracle_substrate"]
+        assert countries and len(countries) == len(set(countries)), seed
