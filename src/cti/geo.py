@@ -48,7 +48,7 @@ def build_geo_table(
     # Delegation fallback for observed prefixes without any geolocated mass.
     geolocated = {prefix for (prefix, _country) in mass}
     delegation_list = list(delegations)
-    for prefix in sorted(origin_of):
+    for prefix in origin_of:
         if prefix in geolocated:
             continue
         covering = {

@@ -197,6 +197,14 @@ class PathRecord(Record):
 Route = tuple[int, ...]
 
 
+def collapse_prepending(hops: Route) -> Route:
+    """``hops`` with each run of one repeated AS cut to one hop: ``hops``
+    itself when no AS repeats."""
+    if len(set(hops)) == len(hops):
+        return hops
+    return tuple(asn for i, asn in enumerate(hops) if i == 0 or hops[i - 1] != asn)
+
+
 @dataclass
 class Corpus:
     """A path corpus as integer columns over interned tables: row i is

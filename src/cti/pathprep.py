@@ -10,10 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .geo import GeoTable
-from .model import Corpus, MonitorId, Prefix, RelationshipTable, Route, intern
+from .model import Corpus, Prefix, RelationshipTable, Route, collapse_prepending, intern
 
 
 class RejectCategory(Enum):
@@ -53,11 +53,9 @@ def sanitize_route(
     if not reserved.isdisjoint(hops):
         asn = next(asn for asn in hops if asn in reserved)
         return RouteRejection(RejectCategory.UNALLOCATED, f"reserved ASN {asn}")
-    collapsed = hops
-    if len(set(hops)) != len(hops):
-        collapsed = tuple(asn for i, asn in enumerate(hops) if i == 0 or hops[i - 1] != asn)
-        if len(set(collapsed)) != len(collapsed):
-            return RouteRejection(RejectCategory.LOOP, "ASN repeats non-consecutively")
+    collapsed = collapse_prepending(hops)
+    if collapsed is not hops and len(set(collapsed)) != len(collapsed):
+        return RouteRejection(RejectCategory.LOOP, "ASN repeats non-consecutively")
     # from here on no AS repeats, so one clique AS cannot wedge anything and
     # the host AS after the first hop is the host AS anywhere but first
     if len(clique.intersection(collapsed)) > 1:
@@ -93,20 +91,52 @@ def peak_segment(host_asn: int, hops: Route, rels: RelationshipTable) -> Route |
 
 
 # A monitor reaches every prefix of an origin over the same route, so a corpus
-# repeats each (host AS, route) pair many times: prepare_paths and
-# retain_for_country judge each distinct pair once per call, to a route or
-# segment index, or to ~k for the k-th distinct rejection, and map each row's
-# key through that table. Keys pack an index with the index of a host AS,
-# index * (number of host ASes) + host index: small ints hash and divide
-# fastest.
+# repeats each (route, host AS) key many times. prepare_paths and
+# retain_for_country both judge each distinct key once in _judge_keys, the
+# place for a memo of verdicts kept across calls. Keys pack route index *
+# (number of host ASes) + host index: small ints hash and divide fastest.
 
 
-def _host_index(monitors: Sequence[MonitorId]) -> tuple[list[int], list[int]]:
-    """The distinct host ASes of ``monitors``, and each monitor's index
-    among them."""
-    index: dict[int, int] = {}
+def _judge_keys(
+    corpus: Corpus, rows: Sequence[int], judge: Callable[[int, int], int | RouteRejection]
+) -> tuple[list[int], list[int], Sequence[int], list[PathRejection]]:
+    """Judge the rows ``rows`` of ``corpus`` by their (route, host AS) keys:
+    ``judge(host AS, route index)`` gives an index or a ``RouteRejection``
+    once per distinct key.
+
+    Returns the distinct host ASes; for each kept row its index packed like
+    its key, index * len(hosts) + host index; the kept rows (``rows`` itself
+    when none is rejected); and one rejection per rejected row. Rows keep
+    their order.
+    """
+    host_index: dict[int, int] = {}
     hosts: list[int] = []
-    return hosts, [intern(monitor.host_asn, index, hosts) for monitor in monitors]
+    host_of = [intern(monitor.host_asn, host_index, hosts) for monitor in corpus.monitors]
+    n_hosts = len(hosts)
+    monitor_col, route_col = corpus.monitor_ix, corpus.route_ix
+    keys = [route_col[row] * n_hosts + host_of[monitor_col[row]] for row in rows]
+    rejected: list[RouteRejection] = []  # the k-th distinct one is coded ~k
+    verdict_of: dict[int, int] = dict.fromkeys(keys)
+    for key in verdict_of:
+        route_ix, host_ix = divmod(key, n_hosts)
+        verdict = judge(hosts[host_ix], route_ix)
+        if isinstance(verdict, RouteRejection):
+            rejected.append(verdict)
+            verdict_of[key] = ~(len(rejected) - 1)
+        else:
+            verdict_of[key] = verdict * n_hosts + host_ix
+    verdicts = list(map(verdict_of.__getitem__, keys))
+    rejections: list[PathRejection] = []
+    if rejected:  # split off the rows of the rejected keys
+        monitors, prefixes, prefix_col = corpus.monitors, corpus.prefixes, corpus.prefix_ix
+        for row, verdict in zip(rows, verdicts):
+            if verdict < 0:
+                category, reason = rejected[~verdict]
+                monitor_id, prefix = monitors[monitor_col[row]].id, prefixes[prefix_col[row]]
+                rejections.append(PathRejection(category, monitor_id, prefix, reason))
+        rows = [row for row, verdict in zip(rows, verdicts) if verdict >= 0]
+        verdicts = [verdict for verdict in verdicts if verdict >= 0]
+    return hosts, verdicts, rows, rejections
 
 
 @dataclass
@@ -138,64 +168,34 @@ def prepare_paths(
     clique: frozenset[int],
     reserved: frozenset[int],
 ) -> tuple[Corpus, list[PathRejection]]:
-    """Sanitize a corpus: the kept rows with their collapsed routes, in
-    (monitor id, prefix) order, and one rejection per other row, in input
-    order. The result shares the monitor and prefix tables."""
-    monitors, prefixes, routes = corpus.monitors, corpus.prefixes, corpus.routes
-    monitor_col, prefix_col = corpus.monitor_ix, corpus.prefix_ix
+    """Sanitize a corpus: the kept rows with their collapsed routes, and one
+    rejection per other row, both in input order. The result shares the
+    monitor and prefix tables, and the monitor and prefix columns when no
+    row is rejected."""
+    routes = corpus.routes
     # the kept routes: the raw ones, then each collapsed one not among them
-    sanitized = Corpus(monitors=monitors, prefixes=prefixes, routes=list(routes))
+    sanitized = Corpus(monitors=corpus.monitors, prefixes=corpus.prefixes, routes=list(routes))
     route_index: dict[Route, int] | None = None  # built at the first collapse
-    rejected: list[RouteRejection] = []
-    hosts, host_of = _host_index(monitors)
-    n_hosts = len(hosts)
-    keys = [route_ix * n_hosts + host_of[m] for m, route_ix in zip(monitor_col, corpus.route_ix)]
-    route_of: dict[int, int] = dict.fromkeys(keys)
-    for key in route_of:
-        route_ix, host_ix = divmod(key, n_hosts)
-        verdict = sanitize_route(hosts[host_ix], routes[route_ix], clique, reserved)
+
+    def sanitized_route(host_asn: int, route_ix: int) -> int | RouteRejection:
+        nonlocal route_index
+        verdict = sanitize_route(host_asn, routes[route_ix], clique, reserved)
         if isinstance(verdict, RouteRejection):
-            rejected.append(verdict)
-            route_ix = ~(len(rejected) - 1)
-        elif verdict is not routes[route_ix]:
-            if route_index is None:
-                route_index = {route: ix for ix, route in enumerate(sanitized.routes)}
-            route_ix = intern(verdict, route_index, sanitized.routes)
-        route_of[key] = route_ix
-    route_col = list(map(route_of.__getitem__, keys))
-    rows: Sequence[int] = range(len(route_col))
-    rejections: list[PathRejection] = []
-    if rejected:  # drop the rows of the rejected keys
-        rejections = [
-            _rejection(corpus, monitor_col[row], prefix_col[row], rejected[~route_ix])
-            for row, route_ix in enumerate(route_col)
-            if route_ix < 0
-        ]
-        rows = [row for row, route_ix in enumerate(route_col) if route_ix >= 0]
-    monitor_rank = _ranks([monitor.id for monitor in monitors])
-    prefix_rank = _ranks(prefixes)
-    n_prefixes = len(prefixes)
-    order = [monitor_rank[m] * n_prefixes + prefix_rank[p] for m, p in zip(monitor_col, prefix_col)]
-    kept = sorted(rows, key=order.__getitem__)
-    sanitized.monitor_ix = list(map(monitor_col.__getitem__, kept))
-    sanitized.prefix_ix = list(map(prefix_col.__getitem__, kept))
-    sanitized.route_ix = list(map(route_col.__getitem__, kept))
+            return verdict
+        if verdict is routes[route_ix]:
+            return route_ix
+        if route_index is None:
+            route_index = {route: ix for ix, route in enumerate(sanitized.routes)}
+        return intern(verdict, route_index, sanitized.routes)
+
+    hosts, verdicts, kept, rejections = _judge_keys(corpus, range(len(corpus)), sanitized_route)
+    n_hosts = len(hosts)
+    sanitized.route_ix = [verdict // n_hosts for verdict in verdicts]
+    sanitized.monitor_ix, sanitized.prefix_ix = corpus.monitor_ix, corpus.prefix_ix
+    if rejections:
+        sanitized.monitor_ix = list(map(corpus.monitor_ix.__getitem__, kept))
+        sanitized.prefix_ix = list(map(corpus.prefix_ix.__getitem__, kept))
     return sanitized, rejections
-
-
-def _ranks(values: list) -> list[int]:
-    """Each value's position among the sorted values."""
-    ranks = [0] * len(values)
-    for rank, ix in enumerate(sorted(range(len(values)), key=values.__getitem__)):
-        ranks[ix] = rank
-    return ranks
-
-
-def _rejection(
-    corpus: Corpus, monitor_ix: int, prefix_ix: int, verdict: RouteRejection
-) -> PathRejection:
-    monitor_id = corpus.monitors[monitor_ix].id
-    return PathRejection(verdict.category, monitor_id, corpus.prefixes[prefix_ix], verdict.reason)
 
 
 def retain_for_country(
@@ -205,40 +205,24 @@ def retain_for_country(
     rels: RelationshipTable,
 ) -> tuple[Retained, list[PathRejection]]:
     """Peak truncation of the inbound paths toward one country: those seen
-    from outside it, toward prefixes with address mass in it."""
-    routes, monitor_col, prefix_col = sanitized.routes, sanitized.monitor_ix, sanitized.prefix_ix
+    from outside it, toward prefixes with address mass in it. Rows and
+    rejections keep the order of ``sanitized``."""
+    routes, prefix_col = sanitized.routes, sanitized.prefix_ix
     outside = [monitor.country != dest_country for monitor in sanitized.monitors]
     has_mass = [bool(geo.mass.get((prefix, dest_country))) for prefix in sanitized.prefixes]
     rows = [
         row
-        for row, (monitor_ix, prefix_ix) in enumerate(zip(monitor_col, prefix_col))
+        for row, (monitor_ix, prefix_ix) in enumerate(zip(sanitized.monitor_ix, prefix_col))
         if outside[monitor_ix] and has_mass[prefix_ix]
     ]
-    hosts, host_of = _host_index(sanitized.monitors)
-    n_hosts = len(hosts)
-    route_col = sanitized.route_ix
-    keys = [route_col[row] * n_hosts + host_of[monitor_col[row]] for row in rows]
     segments: list[Route] = []
     segment_index: dict[Route, int] = {}
-    rejected: list[RouteRejection] = []
-    group_of: dict[int, int] = dict.fromkeys(keys)
-    for key in group_of:
-        route_ix, host_ix = divmod(key, n_hosts)
-        segment = peak_segment(hosts[host_ix], routes[route_ix], rels)
-        if isinstance(segment, RouteRejection):
-            rejected.append(segment)
-            group_of[key] = ~(len(rejected) - 1)
-        else:
-            group_of[key] = intern(segment, segment_index, segments) * n_hosts + host_ix
-    groups = list(map(group_of.__getitem__, keys))
-    rejections: list[PathRejection] = []
-    if rejected:  # drop the rows of the rejected keys
-        rejections = [
-            _rejection(sanitized, monitor_col[row], prefix_col[row], rejected[~group])
-            for row, group in zip(rows, groups)
-            if group < 0
-        ]
-        rows = [row for row, group in zip(rows, groups) if group >= 0]
-        groups = [group for group in groups if group >= 0]
-    prefix_ixs = list(map(prefix_col.__getitem__, rows))
+
+    def segment(host_asn: int, route_ix: int) -> int | RouteRejection:
+        verdict = peak_segment(host_asn, routes[route_ix], rels)
+        is_segment = not isinstance(verdict, RouteRejection)
+        return intern(verdict, segment_index, segments) if is_segment else verdict
+
+    hosts, groups, kept, rejections = _judge_keys(sanitized, rows, segment)
+    prefix_ixs = list(map(prefix_col.__getitem__, kept))
     return Retained(sanitized.prefixes, hosts, segments, groups, prefix_ixs), rejections

@@ -26,7 +26,7 @@ from .ingest import (
     RowRejection,
     parse_asn_token,
 )
-from .model import Prefix, RelationshipTable, Route
+from .model import Prefix, RelationshipTable, Route, collapse_prepending
 
 DEFAULT_DOMINANCE_THRESHOLD = Fraction(12, 25)  # 0.48
 DEFAULT_ORIGINATION_FLOOR = Fraction(1, 2000)  # 0.05% of the country's addresses
@@ -64,9 +64,7 @@ def parse_traceroutes(
             return MALFORMED_ASN
         if not hops:
             return EMPTY_PATH
-        if len(set(hops)) != len(hops):
-            hops = tuple(asn for i, asn in enumerate(hops) if i == 0 or hops[i - 1] != asn)
-        routes.append(hops)
+        routes.append(collapse_prepending(hops))
         n_traces.append(0)
         return len(routes) - 1
 
@@ -118,7 +116,7 @@ def classify_candidate(
         return CandidateResult(origin, False, (TEST_NO_NATIONALITY,))
 
     failed: list[str] = []
-    for peer in sorted(rels.peers_of(origin)):
+    for peer in rels.peers_of(origin):
         if nationality.domestic_country(peer) != home:
             failed.append(TEST_FOREIGN_PEER)
             break

@@ -80,3 +80,28 @@ def test_binding_scan_sees_the_bench_calls():
         ("cti.model", "MetricReport.from_json"),
     ):
         assert expected in bindings
+
+
+def test_traced_commands_close_every_span_and_count_rows(tmp_path):
+    """A traced ``cti`` command and oracle check, as ``bench/run.py --trace 1``
+    runs them: every span closes and the row counters see the rows."""
+    tracing = _import_tracing()
+    from cti import cli
+    from cti import synth_oracle as so
+
+    topo = so.preset_topology("toy-fig1")
+    for name, content in so.emit_files(topo, so.propagate_routes(topo)).items():
+        (tmp_path / name).write_text(content, encoding="utf-8")
+    args = ["cti", "--input", str(tmp_path), "--country", "CU", "--output", str(tmp_path / "out")]
+    tracer = tracing.Tracer()
+    uninstall = tracing.install(tracer)
+    try:
+        tracer.wrap("cli.cti", lambda: cli.main(args, standalone_mode=False))()
+        assert tracer.wrap("cli.check_one_seed", cli.check_one_seed)(7) is None
+    finally:
+        uninstall()
+    spans = tracer.finished()  # raises while a span is open
+    assert tracer.ops == 2 and len(spans) > 2
+    metrics = tracing.layer_metrics(spans, tracer.counts, 1, 0.0)
+    for name in ("ingest.path_rows", "pathprep.retained_ratio", "cti_core.observations"):
+        assert metrics[name][0] > 0, name

@@ -286,13 +286,33 @@ def test_deeply_nested_json_report_exits_3(tmp_path):
 
 
 def test_computation_error_exits_4(tmp_path):
-    _write_toy(tmp_path / "in")
+    files = _write_toy(tmp_path / "in")
     runner = CliRunner()
     # no address mass at all for ZZ
     result = runner.invoke(
         main, ["cti", "--input", str(tmp_path / "in"), "--country", "ZZ", "--output", str(tmp_path / "out")]
     )
     assert result.exit_code == 4
+    # a second monitor sees 10.0.0.0/24, the toy's prefix of AS 101, from AS 102;
+    # the origin on the earlier line of paths.txt is named first
+    (tmp_path / "in" / "monitors.csv").write_text(files["monitors.csv"] + "m2,10,US\n")
+    conflict = "m2|10.0.0.0/24|10 30 102\n"
+    args = ["cti", "--input", str(tmp_path / "in"), "--country", "CU", "--output", str(tmp_path / "out")]
+    for paths, first, second in (
+        (files["paths.txt"] + conflict, 101, 102),
+        (conflict + files["paths.txt"], 102, 101),
+    ):
+        (tmp_path / "in" / "paths.txt").write_text(paths)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 4, result.output
+        assert result.output == (
+            f"computation error: prefix 10.0.0.0/24 announced by AS {first} and AS {second}; "
+            "add it to the multi-origin exclusion list\n"
+        )
+        (tmp_path / "in" / "multi_origin.txt").write_text("10.0.0.0/24\n")
+        result = runner.invoke(main, args)
+        assert result.exit_code == 0, result.output
+        (tmp_path / "in" / "multi_origin.txt").unlink()
 
 
 def test_compare_identical_reports_is_zero(tmp_path):

@@ -50,21 +50,49 @@ def test_blind_monitor_scales_every_score(seed, host):
         }
 
 
+def _with_aux(files):
+    """The files plus a hegemony score for each (origin, provider) link and
+    facility memberships in three countries, so clh and candidates have
+    input."""
+    links = [line.split("|") for line in files["relationships.txt"].splitlines()]
+    hegemony = "".join(f"{b},{a},{(int(a) + int(b)) % 4}/4\n" for a, b, kind in links if kind == "-1")
+    ases = sorted({int(asn) for a, b, _kind in links for asn in (a, b)})
+    countries = ("AA", "BB", "MM")
+    memberships = "".join(f"fac{asn % 3},{countries[asn % 3]},{asn}\n" for asn in ases)
+    return dict(files, **{"hegemony.csv": hegemony, "memberships.csv": memberships})
+
+
+def _order_free_results(files):
+    """Every score the CLI reports, per country, from one set of files."""
+    sub = _substrate(files)
+    traceroutes = files["traceroutes.txt"].splitlines()
+    results = {}
+    for country in _countries(sub):
+        for min_hosts in (3, outlier.DEFAULT_MIN_HOSTS):
+            report = pipeline.cti_report(sub, country, min_hosts, ENGAGING_TRIM)
+            results[country, "cti", min_hosts] = report.entries
+        ctin, footprint = pipeline.state_footprint_reports(sub, country)
+        results[country, "ctin"] = ctin.entries
+        results[country, "footprint"] = footprint.entries
+        results[country, "clh"] = pipeline.clh_report(sub, country).entries
+        results[country, "org"] = pipeline.org_aggregates(sub, country)
+        results[country, "candidates"] = pipeline.candidate_results(sub, country)
+        results[country, "transit"] = pipeline.transit_fraction(sub, traceroutes, country)
+    return results
+
+
 @FEW
 @given(SEEDS, st.randoms(use_true_random=False))
 def test_scores_ignore_path_row_order(seed, rng):
-    files = _files(seed)
-    lines = files["paths.txt"].splitlines(keepends=True)
-    rng.shuffle(lines)
-    sub = _substrate(files)
-    shuffled = _substrate(dict(files, **{"paths.txt": "".join(lines)}))
-    for country in _countries(sub):
-        for min_hosts in (3, outlier.DEFAULT_MIN_HOSTS):
-            assert (
-                pipeline.cti_report(sub, country, min_hosts, ENGAGING_TRIM).entries
-                == pipeline.cti_report(shuffled, country, min_hosts, ENGAGING_TRIM).entries
-            )
-        assert _state_ctin(sub, country).entries == _state_ctin(shuffled, country).entries
+    files = _with_aux(_files(seed))
+    shuffled = dict(files)
+    for name in ("paths.txt", "traceroutes.txt"):
+        lines = files[name].splitlines(keepends=True)
+        rng.shuffle(lines)
+        shuffled[name] = "".join(lines)
+    expected = _order_free_results(files)
+    assert expected
+    assert _order_free_results(shuffled) == expected
 
 
 @FEW

@@ -192,14 +192,14 @@ def test_inbound_filter():
     assert not kept(M_US, "AR")
 
 
-def test_prepare_paths_sorts_and_splits():
+def test_prepare_paths_keeps_input_order_and_splits():
     paths = [
         PathRecord(M_US, Prefix.parse("10.0.1.0/24"), (10, 20, 30)),
         PathRecord(M_US, P, (10, 20, 30, 20)),
         PathRecord(M_US, P, (10, 20, 30)),
     ]
     accepted, rejections = pathprep.prepare_paths(corpus_of(paths), CLIQUE, frozenset())
-    assert [p.prefix for p in accepted] == [P, Prefix.parse("10.0.1.0/24")]
+    assert [p.prefix for p in accepted] == [Prefix.parse("10.0.1.0/24"), P]
     assert [r.category for r in rejections] == [RejectCategory.LOOP]
 
 

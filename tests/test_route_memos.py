@@ -145,7 +145,6 @@ def _reference_sanitize(path, clique, reserved):
 def _reference_prepare(paths):
     results = [sanitize(path, CLIQUE, RESERVED) for path in paths]
     accepted = [r for r in results if not isinstance(r, PathRejection)]
-    accepted.sort(key=lambda p: (p.monitor.id, p.prefix.base, p.prefix.length))
     return accepted, [r for r in results if isinstance(r, PathRejection)]
 
 
