@@ -315,7 +315,7 @@ def compare_command(path_a: str, path_b: str, output: str) -> None:
 
 @main.command("synth")
 @click.option("--seed", default="1", show_default=True)
-@click.option("--preset", default=None, help="toy-fig1 or toy-fig1-indirect.")
+@click.option("--preset", type=click.Choice(synth_oracle.PRESETS), help="A hand-wired instance.")
 @_OUTPUT
 @click.option("--loops", default="0", show_default=True)
 @click.option("--prepends", default="0", show_default=True)

@@ -89,6 +89,19 @@ def parse_asn_token(token: str) -> int:
     return validate_asn(parse_decimal(token, "ASN token"))
 
 
+def _check_repeat(first: dict, key: tuple, value: object, line_no: int, what: str) -> None:
+    """Record the ``value`` and line of ``key``'s first row in ``first``; a
+    later row with the same key and another value raises ``ValueError``
+    naming both lines. A row that repeats the first one changes nothing."""
+    first_value, first_line = first.setdefault(key, (value, line_no))
+    if first_value != value:
+        fields = ",".join(map(str, key))
+        raise ValueError(
+            f"conflicting {what} for {fields} at lines {first_line} and {line_no}: "
+            f"{first_value} and {value}"
+        )
+
+
 # A path or traceroute field text is judged once per call, to a table index,
 # or to a negative code c for which the row is rejected for REJECT_REASONS[~c].
 REJECT_REASONS = (
@@ -218,6 +231,7 @@ def parse_geo_and_delegations(
     """
     geo_rows: list[GeoRow] = []
     rejections: list[RowRejection] = []
+    first_counts: dict[tuple[Prefix, str], tuple[int, int]] = {}
     with RowReader("geo", geo_reader, "prefix,country,address_count") as rows:
         for line_no, line, (prefix_text, country_text, count_text) in rows:
             prefix = Prefix.parse(prefix_text)
@@ -229,6 +243,7 @@ def parse_geo_and_delegations(
             count = parse_decimal(count_text, "count")
             if not 0 <= count <= prefix.size:
                 raise ValueError(f"count {count} outside the capacity 0..{prefix.size} of {prefix}")
+            _check_repeat(first_counts, (prefix, country), count, line_no, "address counts")
             geo_rows.append((prefix, country, count))
 
     delegation_rows: list[DelegationRow] = []
@@ -290,9 +305,12 @@ def parse_aux_tables(
         for _line_no, _line, (asn, country) in rows:
             aux.state_owned.append((parse_asn_token(asn), validate_country(country)))
 
+    first_orgs: dict[tuple[int], tuple[str, int]] = {}
     with RowReader("org", org_reader, "asn|org_id") as rows:
-        for _line_no, _line, (asn, org) in rows:
-            aux.org_of[parse_asn_token(asn)] = org
+        for line_no, _line, (asn_text, org) in rows:
+            asn = parse_asn_token(asn_text)
+            _check_repeat(first_orgs, (asn,), org, line_no, "org ids")
+            aux.org_of[asn] = org
 
     with RowReader("memberships", membership_reader, "facility_id,country,asn") as rows:
         for _line_no, _line, (facility, country, asn) in rows:
@@ -301,6 +319,7 @@ def parse_aux_tables(
     # each AS, and many a score, recurs in many hegemony rows
     parse_asn = functools.cache(parse_asn_token)
     parse_score = functools.cache(parse_fraction)
+    first_scores: dict[tuple[int, int], tuple[Fraction, int]] = {}
     with RowReader("hegemony", hegemony_reader, "origin_asn,transit_asn,score") as rows:
         for line_no, line, (origin, transit, score_text) in rows:
             key = (parse_asn(origin), parse_asn(transit))
@@ -308,6 +327,7 @@ def parse_aux_tables(
             if not 0 <= score.numerator <= score.denominator:  # in [0, 1]
                 aux.rejections.append(RowRejection(line_no, line, "hegemony score outside [0,1]"))
                 continue
+            _check_repeat(first_scores, key, score, line_no, "hegemony scores")
             aux.hegemony[key] = score
 
     with RowReader("clique", clique_reader, "asn") as rows:

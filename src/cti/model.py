@@ -4,13 +4,15 @@ All types are immutable after construction and safe to share between
 concurrent workers. Scores are kept as exact rationals internally and
 converted to fixed-point decimals only at serialization time.
 
-The records (``Prefix`` and ``PathRecord``) are tuples of their fields, so
-that hashing, equality and ordering run in C: a ``Prefix`` is hashed at every
-address-mass lookup. Like tuples, a record equals any tuple of the same
-field values, a record of another type included; the program never mixes
-them in one container. A path corpus is a ``Corpus`` of integer rows, not one
-record per row, a traceroute corpus is a count per route, and a relationship
-is the stored ``(a, b)`` pair with its kind.
+The records (``Prefix`` and ``PathRecord``) are standard named tuples whose
+``__new__`` validates the fields, so that hashing, equality and ordering run
+in C: a ``Prefix`` is hashed at every address-mass lookup. Like tuples, a
+record equals any tuple of the same field values, a record of another type
+included; the program never mixes them in one container. The named tuple's
+``_make`` and ``_replace`` skip that validation; nothing calls them. A path
+corpus is a ``Corpus`` of integer rows, not one record per row, a traceroute
+corpus is a count per route, and a relationship is the stored ``(a, b)`` pair
+with its kind.
 
 Every CSV report is written by ``csv_text``. Each kind of field is read by
 one strict parser: ``Prefix.parse``, ``parse_decimal`` and ``parse_fraction``.
@@ -19,10 +21,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from operator import itemgetter
 from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 
 MAX_ASN = 2**32 - 1
@@ -51,37 +53,18 @@ _COUNTRY_RE = re.compile(r"[A-Z]{2}")
 
 
 def validate_country(code: str) -> str:
-    if not _COUNTRY_RE.fullmatch(code):
+    if not isinstance(code, str) or not _COUNTRY_RE.fullmatch(code):
         raise ValueError(f"invalid country code {code!r}")
     return code
 
 
-class Record(tuple):
-    """An immutable record stored as the tuple of its ``_fields``.
-
-    A subclass declares ``__slots__ = ()``, validates in ``__new__`` and
-    reads each field with an ``itemgetter`` property.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def __getnewargs__(self) -> tuple:
-        return tuple(self)  # copy and pickle call __new__ with the fields
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self))
-        return f"{type(self).__name__}({fields})"
-
-
-class Prefix(Record):
+class Prefix(namedtuple("Prefix", "base length")):
     """An IPv4 prefix in canonical form (host bits zero, length <= 24).
 
     Prefixes order by ``(base, length)``.
     """
 
     __slots__ = ()
-    _fields = ("base", "length")
 
     def __new__(cls, base: int, length: int) -> "Prefix":
         if not 0 <= length <= MAX_PREFIX_LENGTH:
@@ -91,9 +74,6 @@ class Prefix(Record):
         if not 0 <= base <= 0xFFFFFFFF:
             raise ValueError("prefix base out of IPv4 range")
         return tuple.__new__(cls, (base, length))
-
-    base = property(itemgetter(0))
-    length = property(itemgetter(1))
 
     @classmethod
     def parse(cls, text: str) -> "Prefix":
@@ -171,23 +151,18 @@ class MonitorId:
     country: str
 
 
-class PathRecord(Record):
+class PathRecord(namedtuple("PathRecord", "monitor prefix hops")):
     """One monitor's preferred AS-level route to one prefix.
 
     Hops are ordered monitor-nearest first; the origin AS is last.
     """
 
     __slots__ = ()
-    _fields = ("monitor", "prefix", "hops")
 
     def __new__(cls, monitor: MonitorId, prefix: Prefix, hops: tuple[int, ...]) -> "PathRecord":
         if not hops:
             raise ValueError("path must have at least one hop")
         return tuple.__new__(cls, (monitor, prefix, hops))
-
-    monitor = property(itemgetter(0))
-    prefix = property(itemgetter(1))
-    hops = property(itemgetter(2))
 
     @property
     def origin(self) -> int:
@@ -405,13 +380,14 @@ class MetricReport:
         """Parse a ``to_csv`` report: the header ``# country,subject,<metric>``
         on the first non-blank line names the metric, and ``country,subject,
         score`` rows follow. A missing header (an empty report's included)
-        or a malformed row raises ``ParseError`` naming its line."""
+        or a malformed or repeated row raises ``ParseError`` naming its line."""
         rows = ((n, raw.strip()) for n, raw in enumerate(lines, start=1) if raw.strip())
         line_no, header = next(rows, (1, ""))
         metric = header.removeprefix(_REPORT_HEADER)
         if metric == header or not metric or "," in metric:
             raise ParseError(f"line {line_no}: expected the header '{_REPORT_HEADER}<metric>'")
         report = cls(metric_name=metric)
+        first_lines: dict[tuple[str, Subject], str] = {}
         for line_no, line in rows:
             parts = line.split(",")
             if len(parts) != 3:
@@ -421,31 +397,67 @@ class MetricReport:
                 subject: Subject = subject_text  # a label, unless it is an ASN
                 if subject_text.isdigit():
                     subject = parse_decimal(subject_text, "ASN")
-                report.set(validate_country(country), subject, parse_fraction(value_text))
+                value = parse_fraction(value_text).as_integer_ratio()
+                report._read_entry(first_lines, f"line {line_no}", country, subject, *value)
             except ValueError as exc:
                 raise ParseError(f"line {line_no}: malformed report row {line!r}: {exc}") from None
         return report
 
     @classmethod
     def from_json(cls, text: str) -> "MetricReport":
-        """Parse the ``to_json`` layout; malformed JSON or a missing or
-        ill-typed field raises ``ParseError``."""
+        """Parse the ``to_json`` layout; malformed JSON, a missing or
+        ill-typed field, or a repeated entry raises ``ParseError``."""
         try:
             payload = json.loads(text)
         except ValueError as exc:  # the message names the line and column
             raise ParseError(f"malformed JSON report: {exc}") from None
         except RecursionError:
             raise ParseError("malformed JSON report: nested too deeply") from None
+        first_entries: dict[tuple[str, Subject], str] = {}
+        where = ""  # the entry being read, once the entries are
         try:
             report = cls(metric_name=payload["metric"])
-            for entry in payload["entries"]:
-                report.set(
+            for n, entry in enumerate(payload["entries"], start=1):
+                where = f" in entry {n}"
+                report._read_entry(
+                    first_entries,
+                    f"entry {n}",
                     entry["country"],
                     entry["subject"],
-                    Fraction(entry["numerator"], entry["denominator"]),
+                    entry["numerator"],
+                    entry["denominator"],
                 )
         except KeyError as exc:
-            raise ParseError(f"JSON report lacks the field {exc}") from None
+            raise ParseError(f"JSON report lacks the field {exc}{where}") from None
         except (TypeError, ValueError, ZeroDivisionError) as exc:
-            raise ParseError(f"malformed JSON report: {exc}") from None
+            raise ParseError(f"malformed JSON report{where}: {exc}") from None
         return report
+
+    def _read_entry(
+        self,
+        first: dict[tuple[str, Subject], str],
+        where: str,
+        country: object,
+        subject: object,
+        numerator: object,
+        denominator: object,
+    ) -> None:
+        """Set the entry read at ``where`` (``line 3``, ``entry 3``) of a
+        report, after the one check of both formats: a country code, a
+        subject that is an ASN (an int in 1..2^32-1) or a label (text that is
+        neither empty nor ASCII digits), an int numerator and denominator,
+        and a (country, subject) that no earlier entry has; ``first`` maps
+        each one read so far to where it was read. Raises ``ValueError``."""
+        validate_country(country)
+        if isinstance(subject, str):
+            if not subject or (subject.isascii() and subject.isdigit()):
+                raise ValueError(f"subject {subject!r} is neither an ASN nor a label")
+        else:
+            validate_asn(subject)
+        for n in (numerator, denominator):
+            if not isinstance(n, int) or isinstance(n, bool):
+                raise ValueError(f"numerator and denominator must be integers, got {n!r}")
+        seen_at = first.setdefault((country, subject), where)
+        if seen_at != where:
+            raise ValueError(f"({country}, {subject}) repeats {seen_at}")
+        self.set(country, subject, Fraction(numerator, denominator))

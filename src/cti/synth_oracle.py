@@ -165,11 +165,14 @@ def generate_topology(seed: int, params: SynthParams | None = None) -> SynthTopo
     )
 
 
+PRESETS = ("toy-fig1", "toy-fig1-indirect")
+
+
 def preset_topology(name: str) -> SynthTopology:
     """Hand-wired fixtures: a country served by three transit ASes under one
     top AS, with the monitor hosted either in the top AS (``toy-fig1``) or in
-    a provider above it (``toy-fig1-indirect``)."""
-    if name not in ("toy-fig1", "toy-fig1-indirect"):
+    a provider above it (``toy-fig1-indirect``). ``PRESETS`` names them."""
+    if name not in PRESETS:
         raise ComputationError(f"unknown preset {name!r}")
 
     top, left, center, right = 10, 20, 30, 40

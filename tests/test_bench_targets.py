@@ -16,10 +16,10 @@ BENCH = Path(__file__).resolve().parent.parent / "bench"
 BOUND_BY = ("workloads.py", "test_harness.py", "inputs.py")
 
 
-def _import_tracing():
+def _import_bench(name: str):
     sys.path.insert(0, str(BENCH))
     try:
-        return importlib.import_module("tracing")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(BENCH))
 
@@ -34,7 +34,7 @@ def _resolve(module: str, attribute: str) -> object:
 
 
 def test_every_traced_target_resolves():
-    targets = _import_tracing().TARGETS
+    targets = _import_bench("tracing").TARGETS
     assert targets
     for module, attribute, _span, _count in targets:
         assert callable(_resolve(f"cti.{module}", attribute)), (module, attribute)
@@ -85,7 +85,7 @@ def test_binding_scan_sees_the_bench_calls():
 def test_traced_commands_close_every_span_and_count_rows(tmp_path):
     """A traced ``cti`` command and oracle check, as ``bench/run.py --trace 1``
     runs them: every span closes and the row counters see the rows."""
-    tracing = _import_tracing()
+    tracing = _import_bench("tracing")
     from cti import cli
     from cti import synth_oracle as so
 
@@ -105,3 +105,24 @@ def test_traced_commands_close_every_span_and_count_rows(tmp_path):
     metrics = tracing.layer_metrics(spans, tracer.counts, 1, 0.0)
     for name in ("ingest.path_rows", "pathprep.retained_ratio", "cti_core.observations"):
         assert metrics[name][0] > 0, name
+
+
+def test_seed_7_inputs_match_the_bench_pins():
+    """The default seed's generated inputs hash to ``bench/pins.json``, as
+    bench set-up requires, and the oracle expectations build on them: they
+    read record attributes (``path.prefix``, ``path.hops``, ``p.monitor.id``)
+    and methods of returned values that the binding scan cannot see."""
+    inputs = _import_bench("inputs")
+    pins = inputs.load_pins()["inputs"]
+    instances = {}
+    for workload in inputs.INSTANCES:
+        topo, paths, files = inputs.build_instance(workload, inputs.DEFAULT_SEED)
+        digests = {name: inputs.sha256(text.encode("utf-8")) for name, text in files.items()}
+        assert digests == pins[workload], workload
+        instances[workload] = topo, paths
+    assert inputs.oracle_batch_digest(inputs.DEFAULT_SEED) == pins["oracle_check"]
+    topo, paths = instances["country_cti"]
+    expected = inputs.expectations(topo, paths)
+    for country in topo.params.countries:
+        assert expected["cti"][country], country
+        assert expected["transit_fraction"][country] is not None, country

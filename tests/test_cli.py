@@ -118,6 +118,10 @@ def test_malformed_input_files_exit_3_with_one_line(tmp_path):
         ("reserved_asns.txt", "# reserved\n\u00b2\n", 2),
         ("geo.csv", "10.0.0.1/24,CU,256\n", 1),
         ("multi_origin.txt", "10.0.0.0/255.255.255.0\n", 1),
+        # a key repeated with another value, whichever row comes first
+        ("geo.csv", "10.0.0.0/23,CU,500\n10.0.0.0/23,CU,100\n", 2),
+        ("as2org.txt", "101|org-a\n101|org-b\n", 2),
+        ("hegemony.csv", "101,10,1/2\n101,20,1/3\n101,10,1/4\n", 3),
     ):
         (tmp_path / "in" / name).write_text(body, encoding="utf-8")
         result = runner.invoke(main, ["cti"] + base)
@@ -237,6 +241,58 @@ def test_non_ascii_digits_reject_a_path_or_traceroute_row(tmp_path):
             reports[variant, command] = (out / f"{command.replace('-', '_')}_CU.csv").read_text()
     for command in ("cti", "transit-fraction"):
         assert reports["clean", command] == reports["non-ascii", command]
+
+
+def _json_report(*entries):
+    keys = ("country", "subject", "numerator", "denominator")
+    return json.dumps({"metric": "cti", "entries": [dict(zip(keys, e)) for e in entries]})
+
+
+# Both report formats go through one entry check: a country code, an ASN in
+# 1..2^32-1 or a label that is not ASCII digits, integer numerator and
+# denominator, and no (country, subject) twice.
+@pytest.mark.parametrize(
+    "name, body, detail",
+    [
+        ("bad.json", _json_report(("not a country", 12, 1, 2)), "entry 1: invalid country code"),
+        ("bad.json", _json_report(("AA", True, 1, 2)), "entry 1: ASN must be an integer"),
+        ("bad.json", _json_report(("AA", 1.5, 1, 2)), "entry 1: ASN must be an integer"),
+        ("bad.json", _json_report(("AA", None, 1, 2)), "entry 1: ASN must be an integer"),
+        ("bad.json", _json_report(("AA", -7, 1, 2)), "entry 1: invalid ASN -7"),
+        ("bad.json", _json_report(("AA", 12, True, 2)), "entry 1: numerator and denominator"),
+        ("bad.json", _json_report(("AA", "12", 1, 2)), "entry 1: subject '12'"),
+        ("bad.json", _json_report(("AA", 12, 1, 2), ("AA", 12, 1, 4)), "(AA, 12) repeats entry 1"),
+        ("bad.csv", "# country,subject,cti\nAA,0,1/2\n", "line 2: malformed report row 'AA,0,1/2': invalid ASN 0"),
+        ("bad.csv", "# country,subject,cti\nAA,4294967296,1/2\n", "invalid ASN 4294967296"),
+        ("bad.csv", "# country,subject,cti\nAA,12,1/2\nAA,12,1/4\n", "(AA, 12) repeats line 2"),
+    ],
+    ids=[
+        "json-country",
+        "json-subject-true",
+        "json-subject-float",
+        "json-subject-null",
+        "json-subject-negative",
+        "json-numerator-true",
+        "json-subject-digit-text",
+        "json-repeat",
+        "csv-asn-0",
+        "csv-asn-2-32",
+        "csv-repeat",
+    ],
+)
+def test_compare_checks_every_report_entry(tmp_path, name, body, detail):
+    good = tmp_path / "good.csv"
+    good.write_text("# country,subject,cti\nAA,12,0.5\n", encoding="utf-8")
+    bad = tmp_path / name
+    bad.write_text(body, encoding="utf-8")
+    for a, b in ((good, bad), (bad, good)):
+        result = CliRunner().invoke(
+            main, ["compare", "--a", str(a), "--b", str(b), "--output", str(tmp_path / "cmp")]
+        )
+        assert result.exit_code == 3, result.output
+        assert result.output.startswith(f"parse error: {bad}: "), result.output
+        assert result.output.count("\n") == 1 and detail in result.output, result.output
+    assert not (tmp_path / "cmp").exists()
 
 
 def test_compare_rejects_a_subject_in_non_ascii_digits(tmp_path):
@@ -527,6 +583,7 @@ def test_generator_count_options_exit_5(tmp_path):
         ["synth", "--poisons", "-1"] + out,
         ["synth", "--poisons", "one"] + out,
         ["synth", "--loops", "1_0"] + out,
+        ["synth", "--preset", "nope"] + out,
         ["oracle-check", "--seeds", "\u0662"],
         *(
             args

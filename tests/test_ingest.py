@@ -223,6 +223,21 @@ def test_geo_count_exceeding_capacity_is_hard_error():
         ingest.parse_geo_and_delegations(["10.0.0.0/24,CU,257"], [])
 
 
+def test_a_repeated_input_key_must_repeat_its_value():
+    geo_rows, _delegations, _rejections = ingest.parse_geo_and_delegations(
+        ["10.0.0.0/23,CU,500", "10.0.0.0/23,DE,100", "10.0.0.0/23,CU,500"], []
+    )
+    assert {row[1:] for row in geo_rows} == {("CU", 500), ("DE", 100)}
+    aux = ingest.parse_aux_tables(
+        org_reader=["100|org-1", "100|org-1"], hegemony_reader=["100,200,1/2", "100,200,0.5"]
+    )
+    assert aux.org_of == {100: "org-1"} and aux.hegemony == {(100, 200): Fraction(1, 2)}
+    with pytest.raises(ParseError, match=r"^geo.csv line 3: .* 10.0.0.0/23,CU at lines 1 and 3"):
+        ingest.parse_geo_and_delegations(
+            ["10.0.0.0/23,CU,100", "10.0.0.0/23,DE,100", "10.0.0.0/23,CU,500"], []
+        )
+
+
 def test_parse_monitors():
     monitors = ingest.parse_monitors(["m1,10,US", "m2,20,DE"])
     assert monitors["m2"] == MonitorId("m2", 20, "DE")

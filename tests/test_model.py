@@ -2,6 +2,7 @@ import copy
 import ipaddress
 import json
 import pickle
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
@@ -14,7 +15,6 @@ from cti.model import (
     ParseError,
     PathRecord,
     Prefix,
-    Record,
     RelKind,
     RelationshipTable,
     dotted_quad,
@@ -423,16 +423,14 @@ def test_record_str_and_repr_are_unchanged():
     ]
 
 
-class _OtherRecord(Record):
-    __slots__ = ()
-    _fields = ("a", "b", "c")
+_OtherRecord = namedtuple("_OtherRecord", "a b c")
 
 
 def test_records_equal_tuples_of_their_fields():
     # the chosen semantics: tuple equality and hashing, whatever the type
     assert P24 == (167838208, 24) and hash(P24) == hash((167838208, 24))
     path = PathRecord(M, P24, (20, 10))
-    same_fields = _OtherRecord(("t-m1", P24, (20, 10)))  # a record of another type
+    same_fields = _OtherRecord("t-m1", P24, (20, 10))  # a record of another type
     assert path == (M, P24, (20, 10))
     assert same_fields == PathRecord("t-m1", P24, (20, 10)) == ("t-m1", P24, (20, 10))
     assert len({same_fields, PathRecord("t-m1", P24, (20, 10)), ("t-m1", P24, (20, 10))}) == 1
