@@ -267,9 +267,10 @@ def transit_fraction_command(input_dir: str, country: str, threshold: str):
     traceroute_path = os.path.join(input_dir, ingest.FILE_NAMES["traceroutes"])
     if not os.path.exists(traceroute_path):
         raise FileNotFoundError(traceroute_path)
-    value = pipeline.transit_fraction(
-        _substrate(input_dir), ingest.read_lines(traceroute_path), country
-    )
+    with open(traceroute_path, encoding="utf-8") as traceroutes:  # opened before any parse
+        value = pipeline.transit_fraction(
+            _substrate(input_dir), ingest.read_lines(traceroutes), country
+        )
     dominant = transit_dominance.classify_transit_dominant(value, cutoff)
     text = csv_text(("country", "transit_fraction", "dominant"), [(country, value, dominant)])
     return text, {"threshold": threshold}
@@ -303,7 +304,7 @@ def compare_command(path_a: str, path_b: str, output: str) -> None:
         try:
             if path.endswith(".json"):
                 return MetricReport.from_json(text)
-            return MetricReport.from_csv(text.splitlines())
+            return MetricReport.from_csv(ingest.split_lines(text))
         except ParseError as exc:
             raise ParseError(f"{path}: {exc}") from None
 

@@ -1,9 +1,10 @@
 """Parsers for the six input file families.
 
-All formats are line-oriented UTF-8 text with ``\\n`` endings; lines starting
-with ``#`` are comments and blank lines are ignored. Parsers are strict on
-structure (malformed lines abort the run) and lenient-with-logging on
-semantic rejects (bad country codes, out-of-range scores, excluded prefixes).
+All formats are line-oriented UTF-8 text; a line ends at ``\\n``, ``\\r\\n`` or
+``\\r``, in a file and an in-memory text alike. Lines starting with ``#`` are
+comments and blank lines are ignored. Parsers are strict on structure
+(malformed lines abort the run) and lenient-with-logging on semantic rejects
+(bad country codes, out-of-range scores, excluded prefixes).
 Every file is read through one ``RowReader``, which turns a malformed row into
 a ``ParseError`` naming the file and line.
 """
@@ -12,9 +13,10 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator, Mapping, TextIO
 
 from .model import (
     Corpus,
@@ -139,6 +141,13 @@ def parse_paths(
     prefix_code: dict[str, int] = {}
     route_code: dict[str, int] = {}
     parse_asn = functools.cache(parse_asn_token)
+    # Bit c of kept is set once a row of the (prefix, monitor) cell
+    # c = prefix_ix * n_monitors + monitor_ix is kept: n_monitors bits per
+    # prefix, grown by doubling. The kept row of a cell is looked up only when
+    # a cell repeats.
+    kept = bytearray()
+    row_of: dict[int, int] | None = None  # cell -> kept row, from the first repeat on
+    row_lines = array("I")
 
     def judge_prefix(text: str) -> int:
         try:
@@ -148,6 +157,8 @@ def parse_paths(
         if prefix in multi_origin:
             return MULTI_ORIGIN
         corpus.prefixes.append(prefix)
+        if len(kept) * 8 < len(corpus.prefixes) * n_monitors:
+            kept.extend(bytes(len(kept) + n_monitors))
         return len(corpus.prefixes) - 1
 
     def judge_hops(text: str) -> int:
@@ -162,8 +173,6 @@ def parse_paths(
         corpus.routes.append(hops)
         return len(corpus.routes) - 1
 
-    first_of: dict[int, int] = {}  # prefix_ix * n_monitors + monitor_ix -> row
-    row_lines: list[int] = []
     monitor_col, prefix_col, route_col = corpus.monitor_ix, corpus.prefix_ix, corpus.route_ix
     with RowReader("paths", reader, "monitor_id|prefix|hops") as rows:
         for line_no, line, (monitor_id, prefix_text, hops_text) in rows:
@@ -178,15 +187,24 @@ def parse_paths(
                 reason = _path_reason(monitor_ix, prefix_ix, route_ix)
                 rejections.append(RowRejection(line_no, line, reason))
                 continue
-            n_rows = len(route_col)
-            row = first_of.setdefault(prefix_ix * n_monitors + monitor_ix, n_rows)
-            if row != n_rows:
+            cell = prefix_ix * n_monitors + monitor_ix
+            byte, bit = cell >> 3, 1 << (cell & 7)
+            if kept[byte] & bit:
+                if row_of is None:  # each cell has at most one kept row
+                    row_of = {
+                        p * n_monitors + m: row
+                        for row, (m, p) in enumerate(zip(monitor_col, prefix_col))
+                    }
+                row = row_of[cell]
                 if corpus.routes[route_col[row]] != corpus.routes[route_ix]:
                     raise ValueError(
                         f"conflicting paths for ({monitor_id}, {corpus.prefixes[prefix_ix]}) "
                         f"at lines {row_lines[row]} and {line_no}"
                     )
                 continue  # identical duplicate
+            kept[byte] |= bit
+            if row_of is not None:
+                row_of[cell] = len(route_col)
             monitor_col.append(monitor_ix)
             prefix_col.append(prefix_ix)
             route_col.append(route_ix)
@@ -386,8 +404,10 @@ REQUIRED_FILES = ("paths", "relationships", "geo", "monitors")
 BUNDLE_FILES = tuple(name for key, name in FILE_NAMES.items() if key != "traceroutes")
 
 
-def load_bundle_from_texts(files: Mapping[str, str]) -> DatasetBundle:
-    """Assemble a bundle from in-memory file contents keyed by canonical name.
+def load_bundle_from_texts(files: Mapping[str, str | Iterable[str]]) -> DatasetBundle:
+    """Assemble a bundle from the input files keyed by canonical name: each
+    one's text, split into lines as a file is (see ``split_lines``), or an
+    iterable of its lines.
 
     Missing required entries raise FileNotFoundError naming the file.
     """
@@ -395,8 +415,9 @@ def load_bundle_from_texts(files: Mapping[str, str]) -> DatasetBundle:
         if FILE_NAMES[key] not in files:
             raise FileNotFoundError(FILE_NAMES[key])
 
-    def lines(key: str) -> list[str]:
-        return files.get(FILE_NAMES[key], "").splitlines()
+    def lines(key: str) -> Iterable[str]:
+        source = files.get(FILE_NAMES[key], "")
+        return split_lines(source) if isinstance(source, str) else source
 
     monitors = parse_monitors(lines("monitors"))
     aux = parse_aux_tables(
@@ -429,19 +450,33 @@ def load_bundle_from_texts(files: Mapping[str, str]) -> DatasetBundle:
 def load_bundle(directory: str) -> DatasetBundle:
     """Load a bundle from a directory using the canonical file names.
 
-    Missing required files raise FileNotFoundError naming the file.
+    Every file is opened before any is parsed, so a file that is missing or
+    cannot be opened is reported before a malformed row; then each is read a
+    line at a time while it is parsed, and all are closed however the parse
+    ends. Missing required files raise FileNotFoundError naming the file.
     """
     for key in REQUIRED_FILES:
         path = os.path.join(directory, FILE_NAMES[key])
         if not os.path.exists(path):
             raise FileNotFoundError(path)
 
-    files: dict[str, str] = {}
-    for name in BUNDLE_FILES:
-        path = os.path.join(directory, name)
-        if os.path.exists(path):
-            files[name] = read_text(path)
-    return load_bundle_from_texts(files)
+    with contextlib.ExitStack() as stack:
+        files: dict[str, Iterable[str]] = {}
+        for name in BUNDLE_FILES:
+            path = os.path.join(directory, name)
+            if os.path.exists(path):
+                files[name] = read_lines(stack.enter_context(open(path, encoding="utf-8")))
+        return load_bundle_from_texts(files)
+
+
+def split_lines(text: str) -> list[str]:
+    """The lines of ``text`` without their ends: a line ends at ``\\n``,
+    ``\\r\\n`` or ``\\r``, as in a file read in text mode. No other character
+    ends one, though a form feed or U+2028 does for ``str.splitlines``. A text
+    that ends in a line end gives a blank last line."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.split("\n")
 
 
 def read_text(path: str) -> str:
@@ -451,10 +486,10 @@ def read_text(path: str) -> str:
         return handle.read()
 
 
-def read_lines(path: str) -> Iterator[str]:
-    """The file's lines as UTF-8 text, read as they are consumed; other bytes
-    raise ``ParseError`` naming the file."""
-    with _utf8_only(path), open(path, encoding="utf-8") as handle:
+def read_lines(handle: TextIO) -> Iterator[str]:
+    """The lines of the UTF-8 text file ``handle``, read as they are
+    consumed; other bytes raise ``ParseError`` naming the file."""
+    with _utf8_only(handle.name):
         yield from handle
 
 

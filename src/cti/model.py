@@ -337,6 +337,12 @@ def _subject_key(subject: Subject) -> tuple[int, int | str]:
 _REPORT_HEADER = "# country,subject,"
 
 
+def _is_metric_name(name: object) -> bool:
+    """A name the one-line report header ``_REPORT_HEADER + name`` carries as
+    its last field: non-empty text with no comma and no line end."""
+    return isinstance(name, str) and name != "" and not any(c in name for c in ",\n\r")
+
+
 @dataclass
 class MetricReport:
     """country x subject -> score in [0, 1], deterministically serializable."""
@@ -384,7 +390,7 @@ class MetricReport:
         rows = ((n, raw.strip()) for n, raw in enumerate(lines, start=1) if raw.strip())
         line_no, header = next(rows, (1, ""))
         metric = header.removeprefix(_REPORT_HEADER)
-        if metric == header or not metric or "," in metric:
+        if metric == header or not _is_metric_name(metric):
             raise ParseError(f"line {line_no}: expected the header '{_REPORT_HEADER}<metric>'")
         report = cls(metric_name=metric)
         first_lines: dict[tuple[str, Subject], str] = {}
@@ -416,7 +422,10 @@ class MetricReport:
         first_entries: dict[tuple[str, Subject], str] = {}
         where = ""  # the entry being read, once the entries are
         try:
-            report = cls(metric_name=payload["metric"])
+            metric = payload["metric"]
+            if not _is_metric_name(metric):
+                raise ValueError(f"metric name {metric!r} is not one line of text without a comma")
+            report = cls(metric_name=metric)
             for n, entry in enumerate(payload["entries"], start=1):
                 where = f" in entry {n}"
                 report._read_entry(

@@ -170,12 +170,13 @@ def prepare_paths(
 ) -> tuple[Corpus, list[PathRejection]]:
     """Sanitize a corpus: the kept rows with their collapsed routes, and one
     rejection per other row, both in input order. The result shares the
-    monitor and prefix tables, and the monitor and prefix columns when no
-    row is rejected."""
+    monitor and prefix tables, the route table when no route collapsed, and
+    each column that no collapse or rejection changed."""
     routes = corpus.routes
-    # the kept routes: the raw ones, then each collapsed one not among them
-    sanitized = Corpus(monitors=corpus.monitors, prefixes=corpus.prefixes, routes=list(routes))
-    route_index: dict[Route, int] | None = None  # built at the first collapse
+    sanitized = Corpus(monitors=corpus.monitors, prefixes=corpus.prefixes, routes=routes)
+    # From the first collapse on, sanitized.routes is a copy of the raw routes
+    # followed by each collapsed route not among them, indexed by route_index.
+    route_index: dict[Route, int] | None = None
 
     def sanitized_route(host_asn: int, route_ix: int) -> int | RouteRejection:
         nonlocal route_index
@@ -185,16 +186,18 @@ def prepare_paths(
         if verdict is routes[route_ix]:
             return route_ix
         if route_index is None:
-            route_index = {route: ix for ix, route in enumerate(sanitized.routes)}
+            sanitized.routes = list(routes)
+            route_index = {route: ix for ix, route in enumerate(routes)}
         return intern(verdict, route_index, sanitized.routes)
 
     hosts, verdicts, kept, rejections = _judge_keys(corpus, range(len(corpus)), sanitized_route)
-    n_hosts = len(hosts)
-    sanitized.route_ix = [verdict // n_hosts for verdict in verdicts]
-    sanitized.monitor_ix, sanitized.prefix_ix = corpus.monitor_ix, corpus.prefix_ix
+    columns = (corpus.monitor_ix, corpus.prefix_ix, corpus.route_ix)
     if rejections:
-        sanitized.monitor_ix = list(map(corpus.monitor_ix.__getitem__, kept))
-        sanitized.prefix_ix = list(map(corpus.prefix_ix.__getitem__, kept))
+        columns = tuple(list(map(column.__getitem__, kept)) for column in columns)
+    sanitized.monitor_ix, sanitized.prefix_ix, sanitized.route_ix = columns
+    if route_index is not None:
+        n_hosts = len(hosts)
+        sanitized.route_ix = [verdict // n_hosts for verdict in verdicts]
     return sanitized, rejections
 
 

@@ -819,7 +819,7 @@ def check_one_seed(seed: int) -> str | None:
     sub = pipeline.build_substrate(bundle)
     raw_traceroutes = [(f"t-{p.monitor.id}", p.prefix, p.hops) for p in paths]
     traceroute_counts, _rej = transit_dominance.parse_traceroutes(
-        files["traceroutes.txt"].splitlines()
+        ingest.split_lines(files["traceroutes.txt"])
     )
     members = frozenset(asn for asn, _c in topo.state_owned)
     nationality = pipeline.transit_nationality(sub)

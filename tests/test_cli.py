@@ -262,6 +262,9 @@ def _json_report(*entries):
         ("bad.json", _json_report(("AA", 12, True, 2)), "entry 1: numerator and denominator"),
         ("bad.json", _json_report(("AA", "12", 1, 2)), "entry 1: subject '12'"),
         ("bad.json", _json_report(("AA", 12, 1, 2), ("AA", 12, 1, 4)), "(AA, 12) repeats entry 1"),
+        ("bad.json", '{"metric": 5, "entries": []}', "metric name 5 is not"),
+        ("bad.json", '{"metric": "a,b", "entries": []}', "metric name 'a,b' is not"),
+        ("bad.json", '{"metric": "a\\nb", "entries": []}', "metric name 'a\\nb' is not"),
         ("bad.csv", "# country,subject,cti\nAA,0,1/2\n", "line 2: malformed report row 'AA,0,1/2': invalid ASN 0"),
         ("bad.csv", "# country,subject,cti\nAA,4294967296,1/2\n", "invalid ASN 4294967296"),
         ("bad.csv", "# country,subject,cti\nAA,12,1/2\nAA,12,1/4\n", "(AA, 12) repeats line 2"),
@@ -275,6 +278,9 @@ def _json_report(*entries):
         "json-numerator-true",
         "json-subject-digit-text",
         "json-repeat",
+        "json-metric-int",
+        "json-metric-comma",
+        "json-metric-two-lines",
         "csv-asn-0",
         "csv-asn-2-32",
         "csv-repeat",
@@ -442,6 +448,21 @@ def test_unreadable_or_unwritable_files_exit_2_with_one_line(tmp_path):
     result = CliRunner().invoke(main, ["cti", *base, *out])
     assert result.exit_code == 2, result.output
     assert result.output == f"file error: [Errno 21] Is a directory: '{tmp_path / 'in' / 'geo.csv'}'\n"
+
+
+@pytest.mark.parametrize(
+    "command, name", [("cti", "delegations.txt"), ("transit-fraction", "traceroutes.txt")]
+)
+def test_a_file_error_comes_before_a_parse_error(tmp_path, command, name):
+    _write_toy(tmp_path / "in")
+    (tmp_path / "in" / "monitors.csv").write_text("m1,10\n", encoding="utf-8")  # exit 3 alone
+    (tmp_path / "in" / name).unlink(missing_ok=True)
+    (tmp_path / "in" / name).mkdir()
+    result = CliRunner().invoke(
+        main, [command, "--input", str(tmp_path / "in"), "--country", "CU", "--output", str(tmp_path / "out")]
+    )
+    assert result.exit_code == 2, result.output
+    assert result.output == f"file error: [Errno 21] Is a directory: '{tmp_path / 'in' / name}'\n"
 
 
 def test_input_file_without_read_permission_exits_2(tmp_path, monkeypatch):

@@ -1,4 +1,6 @@
 import ipaddress
+import tracemalloc
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -6,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cti import ingest, transit_dominance
+from cti import ingest, pipeline, synth_oracle, transit_dominance
 from cti.model import MonitorId, ParseError, PathRecord, Prefix, RelKind
 
 MONITORS = {
@@ -137,6 +139,20 @@ def test_parse_paths_duplicates():
     assert len(records) == 1
     with pytest.raises(ParseError, match="lines 1 and 2"):
         ingest.parse_paths(["m1|10.0.0.0/24|10 20", "m1|10.0.0.0/24|10 30"], MONITORS)
+
+
+def test_a_duplicate_finds_its_first_row_before_and_after_the_first_repeat():
+    monitors = {f"m{i}": MonitorId(f"m{i}", 10 + i, "US") for i in range(9)}
+    lines = [f"m{i}|10.0.{p}.0/24|{10 + i} {p + 100}" for p in range(3) for i in range(9)]
+    records, _ = ingest.parse_paths(lines + lines[::-1] + lines, monitors)
+    assert list(records) == list(ingest.parse_paths(lines, monitors)[0])
+    # line 2 is the first repeat; the rows of lines 3-28 are kept after it
+    lines = [lines[0], lines[0], *lines[1:]]
+    for line_no in (1, 3, 15, 28):
+        conflict = lines[line_no - 1].replace(" 10", " 99")
+        with pytest.raises(ParseError) as raised:
+            ingest.parse_paths([*lines, conflict], monitors)
+        assert str(raised.value).endswith(f"at lines {line_no} and 29")
 
 
 def test_repeated_bad_rows_are_each_rejected():
@@ -342,6 +358,94 @@ def test_load_bundle_from_directory(tmp_path):
     (tmp_path / "geo.csv").unlink()
     with pytest.raises(FileNotFoundError):
         ingest.load_bundle(str(tmp_path))
+
+
+# Three files that every bundle needs besides paths.txt.
+_CORE_FILES = {
+    "relationships.txt": "10|20|-1\n",
+    "geo.csv": "10.0.0.0/24,CU,256\n",
+    "monitors.csv": "m1,10,US\n",
+}
+
+
+def _write_files(directory, files):
+    for name, text in files.items():
+        (directory / name).write_text(text, encoding="utf-8", newline="")
+
+
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
+def test_a_file_and_its_text_split_lines_alike(tmp_path, end):
+    # str.splitlines would also end a line at the form feed and at U+2028
+    comment = "# a\fcomment\u2028on one line"
+    paths = end.join(["m1|10.0.0.0/24|10 20", comment, "m1|10.0.1.0/24", ""])
+    traceroutes = end.join(["t-m1|10.0.0.0/24|10 20", comment, "t-m1|10.0.1.0/24", ""])
+    files = {**_CORE_FILES, "paths.txt": paths, "traceroutes.txt": traceroutes}
+    _write_files(tmp_path, files)
+    error = "paths.txt line 3: expected monitor_id|prefix|hops, got 'm1|10.0.1.0/24'"
+    for load, source in ((ingest.load_bundle, str(tmp_path)), (ingest.load_bundle_from_texts, files)):
+        with pytest.raises(ParseError) as raised:
+            load(source)
+        assert str(raised.value) == error
+    error = "traceroutes.txt line 3: expected probe_id|prefix|hops, got 't-m1|10.0.1.0/24'"
+    with open(tmp_path / "traceroutes.txt", encoding="utf-8") as handle:
+        for lines in (handle, ingest.split_lines(traceroutes)):
+            with pytest.raises(ParseError) as raised:
+                transit_dominance.parse_traceroutes(lines)
+            assert str(raised.value) == error
+
+
+def test_load_bundle_closes_every_file_when_a_parse_fails(tmp_path, monkeypatch):
+    rows = [f"m1|10.0.{i}.0/24|10 20" for i in range(2000)]
+    rows[1000] = "m1|10.0.0.0/24"
+    _write_files(tmp_path, {**_CORE_FILES, "paths.txt": "\n".join(rows), "clique.txt": "10\n"})
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(ingest, "open", recording_open, raising=False)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(ParseError, match="paths.txt line 1001: expected"):
+            ingest.load_bundle(str(tmp_path))
+    assert len(opened) == 5 and all(handle.closed for handle in opened)
+
+
+def _generated_instance(directory):
+    """A 6,784-path generated instance written to ``directory``; no path
+    has a prepended, looping or poisoned route."""
+    params = synth_oracle.SynthParams(n_clique=4, n_mid=30, n_stub=200, n_monitors=16)
+    topo = synth_oracle.generate_topology(7, params)
+    _write_files(directory, synth_oracle.emit_files(topo, synth_oracle.propagate_routes(topo)))
+
+
+def test_load_bundle_streams_its_files(tmp_path):
+    """While it parses, load_bundle holds less than half the bundle's size
+    besides the bundle: no whole file, and no per-row entry beyond the
+    parsed columns but a bit per (prefix, monitor) and a line number."""
+    _generated_instance(tmp_path)
+    ingest.load_bundle(str(tmp_path))  # first-call caches are not the bundle's
+    if tracing := not tracemalloc.is_tracing():
+        tracemalloc.start()
+    try:
+        start, _peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        bundle = ingest.load_bundle(str(tmp_path))
+        end, peak = tracemalloc.get_traced_memory()
+    finally:
+        if tracing:
+            tracemalloc.stop()
+    assert len(bundle.paths) == 6784
+    assert peak - end < (end - start) / 2
+
+
+def test_a_clean_corpus_keeps_its_route_column(tmp_path):
+    _generated_instance(tmp_path)
+    bundle = ingest.load_bundle(str(tmp_path))
+    sanitized = pipeline.build_substrate(bundle).sanitized
+    assert sanitized.route_ix is bundle.paths.route_ix
+    assert sanitized.routes is bundle.paths.routes
 
 
 def _data_lines(lines):

@@ -203,6 +203,16 @@ def test_prepare_paths_keeps_input_order_and_splits():
     assert [r.category for r in rejections] == [RejectCategory.LOOP]
 
 
+def test_prepare_paths_copies_the_route_table_only_to_add_a_collapsed_route():
+    clean = corpus_of([PathRecord(M_US, P, (10, 20, 30))])
+    sanitized, _ = pathprep.prepare_paths(clean, CLIQUE, frozenset())
+    assert sanitized.routes is clean.routes and sanitized.route_ix is clean.route_ix
+    prepended = corpus_of([PathRecord(M_US, P, (10, 20, 20, 30)), PathRecord(M_CU, P, (10, 30))])
+    sanitized, _ = pathprep.prepare_paths(prepended, CLIQUE, frozenset())
+    assert prepended.routes == [(10, 20, 20, 30), (10, 30)]
+    assert list(sanitized) == [PathRecord(M_US, P, (10, 20, 30)), PathRecord(M_CU, P, (10, 30))]
+
+
 def test_retain_for_country_end_to_end():
     geo, _ = build_geo_table([(P, "CU", 256)], [], {})
     rels = _rels((10, 20), (20, 30))
