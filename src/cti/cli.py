@@ -22,7 +22,6 @@ import os
 import sys
 from fractions import Fraction
 from functools import partial
-from pathlib import Path
 from typing import Callable, Iterable, TypeVar
 
 import click
@@ -108,8 +107,21 @@ def _manifest(
         for name in sorted(consumed):
             path = os.path.join(input_dir, name)
             if os.path.exists(path):
-                inputs[name] = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+                inputs[name] = _sha256_of_file(path)
     return _json_text({"command": command, "inputs": inputs, "config": config})
+
+
+HASH_CHUNK_BYTES = 1 << 16
+
+
+def _sha256_of_file(path: str) -> str:
+    """The hex sha256 of a file's bytes, read ``HASH_CHUNK_BYTES`` at a time,
+    so that the file is never held whole."""
+    digest = hashlib.sha256()
+    with open(path, "rb") as handle:
+        while chunk := handle.read(HASH_CHUNK_BYTES):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _json_text(payload: dict) -> str:

@@ -9,6 +9,8 @@ originated by its direct customers.
 """
 from __future__ import annotations
 
+import bisect
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -47,15 +49,11 @@ def build_geo_table(
 
     # Delegation fallback for observed prefixes without any geolocated mass.
     geolocated = {prefix for (prefix, _country) in mass}
-    delegation_list = list(delegations)
+    covers = DelegationIndex(delegations)
     for prefix in origin_of:
         if prefix in geolocated:
             continue
-        covering = {
-            country
-            for country, base, count in delegation_list
-            if base <= prefix.base and prefix.base + prefix.size <= base + count
-        }
+        covering = covers.countries_covering(prefix.base, prefix.base + prefix.size)
         if len(covering) > 1:
             rejections.append(
                 RowRejection(0, str(prefix), "prefix covered by delegations from multiple countries")
@@ -75,6 +73,31 @@ def build_geo_table(
 
     table = GeoTable(mass=mass, total=total, originated=originated)
     return table, rejections
+
+
+class DelegationIndex:
+    """The delegation blocks sorted by base address, to find the blocks that
+    cover an address range by bisection, not by a scan of every block."""
+
+    def __init__(self, delegations: Iterable[DelegationRow]) -> None:
+        rows = sorted((base, base + count, country) for country, base, count in delegations)
+        self._bases = [base for base, _end, _country in rows]
+        self._ends = [end for _base, end, _country in rows]
+        self._countries = [country for _base, _end, country in rows]
+        # _reach[i]: the largest block end among the first i + 1 blocks, so a
+        # backward walk may stop where no earlier block reaches far enough
+        self._reach = list(itertools.accumulate(self._ends, max))
+
+    def countries_covering(self, start: int, end: int) -> set[str]:
+        """The countries of the blocks that cover the addresses [start, end)
+        whole; the walk stops at the second country."""
+        countries: set[str] = set()
+        row = bisect.bisect_right(self._bases, start) - 1
+        while row >= 0 and self._reach[row] >= end and len(countries) < 2:
+            if self._ends[row] >= end:
+                countries.add(self._countries[row])
+            row -= 1
+        return countries
 
 
 @dataclass

@@ -96,7 +96,8 @@ def _check_repeat(first: dict, key: tuple, value: object, line_no: int, what: st
     later row with the same key and another value raises ``ValueError``
     naming both lines. A row that repeats the first one changes nothing."""
     first_value, first_line = first.setdefault(key, (value, line_no))
-    if first_value != value:
+    # rows that share a value object (one judged text) need no comparison
+    if first_value is not value and first_value != value:
         fields = ",".join(map(str, key))
         raise ValueError(
             f"conflicting {what} for {fields} at lines {first_line} and {line_no}: "
@@ -334,15 +335,16 @@ def parse_aux_tables(
         for _line_no, _line, (facility, country, asn) in rows:
             aux.memberships.append((facility, validate_country(country), parse_asn_token(asn)))
 
-    # each AS, and many a score, recurs in many hegemony rows
+    # each AS, and many a score, recurs in many hegemony rows: each distinct
+    # text is judged once, and a score text's rows share one value
     parse_asn = functools.cache(parse_asn_token)
-    parse_score = functools.cache(parse_fraction)
+    judge_score = functools.cache(_judge_score)
     first_scores: dict[tuple[int, int], tuple[Fraction, int]] = {}
     with RowReader("hegemony", hegemony_reader, "origin_asn,transit_asn,score") as rows:
         for line_no, line, (origin, transit, score_text) in rows:
             key = (parse_asn(origin), parse_asn(transit))
-            score = parse_score(score_text)
-            if not 0 <= score.numerator <= score.denominator:  # in [0, 1]
+            score = judge_score(score_text)
+            if score is None:
                 aux.rejections.append(RowRejection(line_no, line, "hegemony score outside [0,1]"))
                 continue
             _check_repeat(first_scores, key, score, line_no, "hegemony scores")
@@ -355,6 +357,12 @@ def parse_aux_tables(
         aux.multi_origin = frozenset(Prefix.parse(line) for _line_no, line, _fields in rows)
 
     return aux
+
+
+def _judge_score(text: str) -> Fraction | None:
+    """A hegemony score's value, or None when it lies outside [0, 1]."""
+    score = parse_fraction(text)
+    return score if 0 <= score.numerator <= score.denominator else None
 
 
 def parse_reserved_asns(reader: Iterable[str]) -> frozenset[int]:

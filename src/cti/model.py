@@ -185,8 +185,10 @@ class Corpus:
     """A path corpus as integer columns over interned tables: row i is
     monitor ``monitors[monitor_ix[i]]``'s route ``routes[route_ix[i]]`` toward
     ``prefixes[prefix_ix[i]]``. Each distinct prefix is stored once, and each
-    route once per distinct text it was read from, so a row is three ints and
-    no object. Indexing and iterating give rows as ``PathRecord``s."""
+    route once per distinct text it was read from (by the parser) or once per
+    (host AS, origin) (by the generator), so a row is three ints and no
+    object. Indexing and iterating give rows as ``PathRecord``s, a new record
+    each time."""
 
     monitors: Sequence[MonitorId]
     prefixes: list[Prefix]

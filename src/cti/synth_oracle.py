@@ -23,12 +23,14 @@ from . import conglomerate, cti_core, ingest, pipeline, transit_dominance
 from .ingest import DelegationRow, GeoRow
 from .model import (
     ComputationError,
+    Corpus,
     MetricReport,
     MonitorId,
     PathRecord,
     Prefix,
     RelKind,
     RelationshipTable,
+    Route,
     dotted_quad,
 )
 
@@ -358,36 +360,51 @@ def _ranks_before(length: int, next_hop: int, current: tuple[int, ...]) -> bool:
     return length < len(current) or (length == len(current) and next_hop < current[1])
 
 
-def propagate_routes(topo: SynthTopology) -> list[PathRecord]:
-    """One preferred path per (monitor, prefix) where the host AS has a route.
+def propagate_routes(topo: SynthTopology) -> Corpus:
+    """One preferred path per (monitor, prefix) where the host AS has a route,
+    in prefix order, then monitor order.
 
     Only the routes of the monitor host ASes and their providers are
-    computed."""
-    plan = RoutePlan.of(topo, [monitor.host_asn for monitor in topo.monitors])
-    # origin -> (monitor, route) for each monitor whose host AS has a route
-    observed: dict[int, list[tuple[MonitorId, tuple[int, ...]]]] = {}
-    paths: list[PathRecord] = []
-    for prefix in sorted(topo.origin_of):
+    computed. The corpus's route table holds each (host AS, origin) route
+    once: every monitor of a host AS, toward every prefix of an origin,
+    shares it."""
+    hosts = [monitor.host_asn for monitor in topo.monitors]
+    distinct_hosts = list(dict.fromkeys(hosts))
+    plan = RoutePlan.of(topo, distinct_hosts)
+    corpus = Corpus(monitors=list(topo.monitors), prefixes=sorted(topo.origin_of), routes=[])
+    # origin -> the monitor-index and route-index columns of each of its prefixes
+    columns: dict[int, tuple[list[int], list[int]]] = {}
+    for prefix_row, prefix in enumerate(corpus.prefixes):
         origin = topo.origin_of[prefix]
-        if origin not in observed:
+        if origin not in columns:
             routes = routes_for_prefix(topo, origin, plan)
-            observed[origin] = [
-                (monitor, routes[monitor.host_asn])
-                for monitor in topo.monitors
-                if monitor.host_asn in routes
-            ]
-        paths.extend(PathRecord(monitor, prefix, route) for monitor, route in observed[origin])
-    return paths
+            route_row: dict[int, int] = {}  # host AS -> its route's row in the table
+            for host in distinct_hosts:
+                if host in routes:
+                    route_row[host] = len(corpus.routes)
+                    corpus.routes.append(routes[host])
+            monitor_column = [row for row, host in enumerate(hosts) if host in route_row]
+            columns[origin] = monitor_column, [route_row[hosts[row]] for row in monitor_column]
+        monitor_column, route_column = columns[origin]
+        corpus.monitor_ix += monitor_column
+        corpus.prefix_ix += [prefix_row] * len(monitor_column)
+        corpus.route_ix += route_column
+    return corpus
 
 
-def emit_files(topo: SynthTopology, paths: Sequence[PathRecord]) -> dict[str, str]:
+def emit_files(topo: SynthTopology, paths: Corpus) -> dict[str, str]:
     """Render the instance in the standard input file formats."""
-    # A corpus repeats each prefix once per monitor and each route once per
-    # prefix of its origin: render each distinct one once.
-    prefix_text = functools.cache(str)
-    hops_text = functools.cache(lambda hops: " ".join(map(str, hops)))
-    paths_text = _joined(
-        f"{monitor.id}|{prefix_text(prefix)}|{hops_text(hops)}" for monitor, prefix, hops in paths
+    # Each ASN, route, prefix and monitor text is rendered once, and a path
+    # line joins the texts of its row's three table entries.
+    asn_text = functools.cache(str)
+    monitor_text = [f"{monitor.id}|" for monitor in paths.monitors]
+    prefix_text = [f"{prefix}|" for prefix in paths.prefixes]
+    route_text = [" ".join(map(asn_text, hops)) + "\n" for hops in paths.routes]
+    paths_text = "".join(
+        [
+            monitor_text[m] + prefix_text[p] + route_text[r]
+            for m, p, r in zip(paths.monitor_ix, paths.prefix_ix, paths.route_ix)
+        ]
     )
     rel_lines = sorted(
         f"{a}|{b}|{'-1' if kind is RelKind.P2C else '0'}" for a, b, kind in topo.rels
@@ -423,23 +440,28 @@ def _joined(lines: Iterable[str]) -> str:
 
 
 def inject_path_anomalies(
-    paths: Sequence[PathRecord],
+    paths: Corpus,
     clique: frozenset[int],
     seed: int,
     n_loops: int = 0,
     n_prepends: int = 0,
     n_poisons: int = 0,
-) -> tuple[list[PathRecord], dict[str, int]]:
-    """Mutate a clean corpus in place of selected paths and return the
-    manifest of injected anomaly counts per category.
+) -> tuple[Corpus, dict[str, int]]:
+    """A copy of a clean corpus with selected paths mutated, and the manifest
+    of injected anomaly counts per category.
 
     Loops repeat the first hop non-consecutively, prepending duplicates a hop
     consecutively (harmless after collapse), and poisoning wedges a
     non-clique AS between two clique ASes. Each path is mutated at most once.
+    The copy shares the input's monitor and prefix tables; each mutated path
+    gets its own new entry in the copy's route table, and the input is left
+    as it was.
     """
     rng = random.Random(seed)
-    mutated = list(paths)
-    eligible = [i for i, p in enumerate(mutated) if len(set(p.hops)) >= 2]
+    routes = list(paths.routes)
+    route_ix = list(paths.route_ix)
+    mutable = [len(set(hops)) >= 2 for hops in routes]
+    eligible = [row for row, ix in enumerate(route_ix) if mutable[ix]]
     needed = n_loops + n_prepends + n_poisons
     if len(eligible) < needed:
         raise ComputationError(
@@ -452,22 +474,33 @@ def inject_path_anomalies(
     prepend_targets = set(targets[n_loops : n_loops + n_prepends])
     poison_targets = set(targets[n_loops + n_prepends :])
 
-    for index in sorted(loop_targets):
-        path = mutated[index]
-        mutated[index] = PathRecord(path.monitor, path.prefix, path.hops + (path.hops[0],))
-    for index in sorted(prepend_targets):
-        path = mutated[index]
-        at = rng.randrange(len(path.hops))
-        hops = path.hops[: at + 1] + (path.hops[at],) + path.hops[at + 1 :]
-        mutated[index] = PathRecord(path.monitor, path.prefix, hops)
-    clique_sorted = sorted(clique)
-    for index in sorted(poison_targets):
-        path = mutated[index]
-        ca, cb = rng.sample(clique_sorted, 2)
-        wedge = next(h for h in path.hops if h not in clique)
-        tail = tuple(h for h in path.hops if h not in (ca, cb, wedge))
-        mutated[index] = PathRecord(path.monitor, path.prefix, (ca, wedge, cb) + tail)
+    def mutate(row: int, hops: Route) -> None:
+        route_ix[row] = len(routes)
+        routes.append(hops)
 
+    for row in sorted(loop_targets):
+        hops = routes[route_ix[row]]
+        mutate(row, hops + (hops[0],))
+    for row in sorted(prepend_targets):
+        hops = routes[route_ix[row]]
+        at = rng.randrange(len(hops))
+        mutate(row, hops[: at + 1] + (hops[at],) + hops[at + 1 :])
+    clique_sorted = sorted(clique)
+    for row in sorted(poison_targets):
+        hops = routes[route_ix[row]]
+        ca, cb = rng.sample(clique_sorted, 2)
+        wedge = next(h for h in hops if h not in clique)
+        tail = tuple(h for h in hops if h not in (ca, cb, wedge))
+        mutate(row, (ca, wedge, cb) + tail)
+
+    mutated = Corpus(
+        monitors=paths.monitors,
+        prefixes=paths.prefixes,
+        routes=routes,
+        monitor_ix=list(paths.monitor_ix),
+        prefix_ix=list(paths.prefix_ix),
+        route_ix=route_ix,
+    )
     manifest = {"Loop": n_loops, "Prepending": n_prepends, "Poisoned": n_poisons}
     return mutated, manifest
 
@@ -480,23 +513,29 @@ def inject_path_anomalies(
 class OracleView:
     """The naive oracle's literal view of one instance: a topology and its
     paths. Each input is built once, when first asked for, and every naive
-    function given the view reads the same copy: each path's collapsed hops,
-    the origins, the address masses, the nationality labels and, per
-    country, the retained segments (``country``)."""
+    function given the view reads the same copy: the paths as records, each
+    path's collapsed hops, the origins, the address masses, the nationality
+    labels and, per country, the retained segments (``country``)."""
 
-    def __init__(self, topo: SynthTopology, paths: Sequence[PathRecord]) -> None:
+    def __init__(self, topo: SynthTopology, paths: Iterable[PathRecord]) -> None:
         self.topo = topo
         self.paths = paths
         self._countries: dict[str, OracleCountry] = {}
 
     @functools.cached_property
+    def records(self) -> list[PathRecord]:
+        """The paths as a list of records, in path order: a ``Corpus`` builds
+        a record each time a row is read."""
+        return list(self.paths)
+
+    @functools.cached_property
     def collapsed(self) -> list[list[int]]:
         """Each path's hops, consecutive repeats collapsed, in path order."""
-        return [_oracle_collapse(path.hops) for path in self.paths]
+        return [_oracle_collapse(path.hops) for path in self.records]
 
     @functools.cached_property
     def origin_of(self) -> dict[Prefix, int]:
-        return {path.prefix: hops[-1] for path, hops in zip(self.paths, self.collapsed)}
+        return {path.prefix: hops[-1] for path, hops in zip(self.records, self.collapsed)}
 
     @functools.cached_property
     def mass(self) -> dict[tuple[Prefix, str], int]:
@@ -513,7 +552,7 @@ class OracleView:
 
 
 def _view_of(
-    topo: SynthTopology, paths: Sequence[PathRecord], view: OracleView | None
+    topo: SynthTopology, paths: Iterable[PathRecord], view: OracleView | None
 ) -> OracleView:
     """``view``, which must be of this very instance, or a new view of it."""
     if view is None:
@@ -591,7 +630,7 @@ def _oracle_substrate(view: OracleView, country: str) -> OracleCountry:
     active_ids = {m.id for m in active}
 
     retained: dict[tuple[MonitorId, Prefix], tuple[int, ...]] = {}
-    for path, hops in zip(view.paths, view.collapsed):
+    for path, hops in zip(view.records, view.collapsed):
         if path.monitor.id not in active_ids:
             continue
         if mass.get((path.prefix, country), 0) == 0:
@@ -632,7 +671,7 @@ def _naive_scores(
 
 def naive_cti(
     topo: SynthTopology,
-    paths: Sequence[PathRecord],
+    paths: Iterable[PathRecord],
     country: str,
     *,
     view: OracleView | None = None,
@@ -649,7 +688,7 @@ def naive_cti(
 
 def naive_outlier_cti(
     topo: SynthTopology,
-    paths: Sequence[PathRecord],
+    paths: Iterable[PathRecord],
     country: str,
     min_hosts: int,
     trim: Fraction,
@@ -691,7 +730,7 @@ def naive_outlier_cti(
 
 def naive_ctin(
     topo: SynthTopology,
-    paths: Sequence[PathRecord],
+    paths: Iterable[PathRecord],
     country: str,
     members: frozenset[int],
     *,
@@ -747,7 +786,7 @@ def _oracle_nationality(
 
 def naive_transit_fraction(
     topo: SynthTopology,
-    paths: Sequence[PathRecord],
+    paths: Iterable[PathRecord],
     traceroutes: Sequence[tuple[str, Prefix, tuple[int, ...]]],
     country: str,
     *,
@@ -807,8 +846,9 @@ def check_one_seed(seed: int) -> str | None:
     Each country's kernel is built once and reduces to both cti (outlier
     filter off) and ctin; the transit nationality is classified once. The
     oracle side is one ``OracleView`` of the instance, shared by every naive
-    call: the paths are collapsed, and the origins, the address masses and
-    the nationality labels built, once per seed, and each country's retained
+    call: the paths are read as records (the raw traceroutes are built from
+    them too) and collapsed, and the origins, the address masses and the
+    nationality labels built, once per seed, and each country's retained
     segments once per checked country. The pipeline and the naive functions
     are called through their modules' attributes, so a function replaced
     there (by a tracer, say) is the one called."""
@@ -817,13 +857,13 @@ def check_one_seed(seed: int) -> str | None:
     files = emit_files(topo, paths)
     bundle = ingest.load_bundle_from_texts(files)
     sub = pipeline.build_substrate(bundle)
-    raw_traceroutes = [(f"t-{p.monitor.id}", p.prefix, p.hops) for p in paths]
+    view = OracleView(topo, paths)
+    raw_traceroutes = [(f"t-{p.monitor.id}", p.prefix, p.hops) for p in view.records]
     traceroute_counts, _rej = transit_dominance.parse_traceroutes(
         ingest.split_lines(files["traceroutes.txt"])
     )
     members = frozenset(asn for asn, _c in topo.state_owned)
     nationality = pipeline.transit_nationality(sub)
-    view = OracleView(topo, paths)
     for country in topo.params.countries:
         if sub.geo.total.get(country, 0) <= 0:
             continue

@@ -1,10 +1,11 @@
+import hashlib
 import json
 import os
 
 import pytest
 from click.testing import CliRunner
 
-from cti import ingest
+from cti import cli, ingest
 from cti import synth_oracle as so
 from cti.cli import main
 
@@ -83,8 +84,16 @@ def test_manifest_lists_consumed_inputs(tmp_path):
         assert result.exit_code == 0, result.output
         manifest = json.loads((tmp_path / "out" / f"manifest_{command}.json").read_text())
         assert set(manifest["inputs"]) == consumed, command
-        assert all(len(digest) == 64 for digest in manifest["inputs"].values())
+        for name, digest in manifest["inputs"].items():
+            data = (tmp_path / "in" / name).read_bytes()
+            assert digest == hashlib.sha256(data).hexdigest(), (command, name)
         assert manifest["config"]["country"] == "CU"
+
+
+def test_a_file_longer_than_a_chunk_hashes_as_its_whole_bytes(tmp_path):
+    data = bytes(range(256)) * (3 * cli.HASH_CHUNK_BYTES // 256) + b"tail"
+    (tmp_path / "big").write_bytes(data)
+    assert cli._sha256_of_file(str(tmp_path / "big")) == hashlib.sha256(data).hexdigest()
 
 
 def test_missing_input_file_exits_2(tmp_path):

@@ -1,6 +1,9 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cti.geo import build_geo_table, classify_nationality
+from cti.ingest import RowRejection
 from cti.model import ComputationError, Prefix, RelKind, RelationshipTable
 
 P1 = Prefix.parse("10.0.0.0/24")
@@ -38,6 +41,70 @@ def test_delegation_fallback_ambiguous_is_rejected():
     table, rejections = build_geo_table(
         [], [("US", P1.base, 256), ("CA", P1.base, 256)], {P1: 100}
     )
+    assert table.mass == {}
+    assert [r.reason for r in rejections] == [
+        "prefix covered by delegations from multiple countries"
+    ]
+
+
+def _scanned_fallback(delegations, origin_of):
+    """The delegation fallback as a literal scan of every block per prefix."""
+    mass, rejections = {}, []
+    for prefix in origin_of:
+        covering = {
+            country
+            for country, base, count in delegations
+            if base <= prefix.base and prefix.base + prefix.size <= base + count
+        }
+        if len(covering) > 1:
+            rejections.append(
+                RowRejection(0, str(prefix), "prefix covered by delegations from multiple countries")
+            )
+        elif covering:
+            mass[(prefix, covering.pop())] = prefix.size
+    return mass, rejections
+
+
+BASE = 10 << 24
+# Blocks of 128-address steps over 16 /24s overlap, nest, and cover a prefix
+# from one country or from two.
+_delegations = st.lists(
+    st.tuples(
+        st.sampled_from(["AA", "BB", "CC"]),
+        st.integers(0, 31).map(lambda k: BASE + 128 * k),
+        st.integers(1, 24).map(lambda k: 128 * k),
+    ),
+    max_size=12,
+)
+_prefixes = st.lists(
+    st.sampled_from(
+        [
+            Prefix(BASE + (k << (32 - length)), length)
+            for length in (21, 22, 23, 24)
+            for k in range(1 << (length - 20))
+        ]
+    ),
+    unique=True,
+    max_size=16,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_delegations, _prefixes)
+def test_delegation_fallback_equals_the_literal_scan(delegations, prefixes):
+    origin_of = {prefix: 100 for prefix in prefixes}
+    table, rejections = build_geo_table([], delegations, origin_of)
+    assert (table.mass, rejections) == _scanned_fallback(delegations, origin_of)
+
+
+def test_delegation_fallback_finds_a_cover_behind_later_blocks():
+    # the wide AA block starts first; the later BB blocks end before P1 does
+    delegations = [("AA", BASE, 4096), ("BB", P1.base, 128), ("BB", P1.base + 128, 64)]
+    table, rejections = build_geo_table([], delegations, {P1: 100, P3: 100})
+    assert table.mass == {(P1, "AA"): 256, (P3, "AA"): 512}
+    assert rejections == []
+    nested = [*delegations, ("CC", P1.base, 256)]
+    table, rejections = build_geo_table([], nested, {P1: 100})
     assert table.mass == {}
     assert [r.reason for r in rejections] == [
         "prefix covered by delegations from multiple countries"

@@ -152,6 +152,22 @@ def test_injection_counts_and_eligibility():
         so.inject_path_anomalies(paths, topo.clique, seed=5, n_loops=len(paths) + 1)
 
 
+def test_injection_leaves_its_input_as_it_was_and_shares_its_tables():
+    topo = so.generate_topology(11)
+    paths = so.propagate_routes(topo)
+    before = list(paths)
+    columns = (list(paths.routes), paths.monitor_ix[:], paths.prefix_ix[:], paths.route_ix[:])
+    mutated, _manifest = so.inject_path_anomalies(
+        paths, topo.clique, seed=5, n_loops=2, n_prepends=3, n_poisons=1
+    )
+    assert list(paths) == before
+    assert (paths.routes, paths.monitor_ix, paths.prefix_ix, paths.route_ix) == columns
+    assert mutated.monitors is paths.monitors
+    assert mutated.prefixes is paths.prefixes
+    assert mutated.routes[: len(paths.routes)] == paths.routes
+    assert len(mutated.routes) == len(paths.routes) + 6
+
+
 def test_injection_needs_two_clique_ases_for_poisoning():
     topo = so.preset_topology("toy-fig1")
     paths = so.propagate_routes(topo)
@@ -323,7 +339,22 @@ def test_propagate_routes_equals_the_pull_reference():
         _lone_host_topology(),
     ]
     for topo in instances:
-        assert so.propagate_routes(topo) == _reference_paths(topo), topo.seed
+        assert list(so.propagate_routes(topo)) == _reference_paths(topo), topo.seed
+
+
+def test_the_route_table_holds_one_route_per_host_and_origin():
+    for topo in [*list(_instances())[::7], *_bench_layouts(), _lone_host_topology()]:
+        corpus = so.propagate_routes(topo)
+        plan = so.RoutePlan.of(topo)
+        expected = set()
+        for origin in set(topo.origin_of.values()):
+            routes = so.routes_for_prefix(topo, origin, plan)
+            expected |= {
+                (monitor.host_asn, origin) for monitor in topo.monitors if monitor.host_asn in routes
+            }
+        pairs = [(route[0], route[-1]) for route in corpus.routes]
+        assert len(pairs) == len(set(pairs)), topo.seed
+        assert set(pairs) == expected, topo.seed
 
 
 def test_a_monitor_whose_host_has_no_route_gets_no_rows():
