@@ -1,9 +1,10 @@
-"""Scores for AS sets: state-owned conglomerates and organizations.
+"""Scores for AS sets: a country's state-owned ASes, and organizations.
 
-A conglomerate's transit score counts each (monitor, prefix) pair once,
-using the minimum member distance, and skips prefixes originated by any
-member. The state footprint adds the fraction of the country's addresses
-the members originate directly.
+A state conglomerate is a set of ASNs, chosen by ``state_members``. Its
+transit score counts each (monitor, prefix) pair once, using the minimum
+member distance, and skips prefixes originated by any member. The state
+footprint adds the fraction of the country's addresses the members
+originate directly.
 """
 from __future__ import annotations
 
@@ -18,40 +19,24 @@ from .model import MetricReport
 DEFAULT_MARGINAL_THRESHOLD = Fraction(1, 20)  # 0.05
 
 
-@dataclass(frozen=True)
-class Conglomerate:
-    label: str
-    members: frozenset[int]
-    country: str
-
-    def __post_init__(self) -> None:
-        if not self.members:
-            raise ValueError("conglomerate needs at least one member AS")
-
-
-def state_conglomerates(
-    state_owned: Sequence[tuple[int, str]],
-    nationality: Nationality,
-) -> dict[str, Conglomerate]:
-    """One conglomerate per country, from state-owned ASes operating
-    domestically (state owner country = nationality country)."""
-    members: dict[str, set[int]] = {}
-    for asn, country in state_owned:
-        if nationality.is_domestic(asn, country):
-            members.setdefault(country, set()).add(asn)
-    return {
-        country: Conglomerate(label=country, members=frozenset(asns), country=country)
-        for country, asns in members.items()
-    }
+def state_members(
+    state_owned: Sequence[tuple[int, str]], nationality: Nationality, country: str
+) -> frozenset[int]:
+    """The country's state conglomerate: the ASes that ``state_owned`` lists
+    for ``country`` and that ``nationality`` labels domestic there."""
+    return frozenset(
+        asn
+        for asn, owner in state_owned
+        if owner == country and nationality.is_domestic(asn, country)
+    )
 
 
-def compute_ctin(conglomerate: Conglomerate, table: HostTable) -> Fraction:
+def compute_ctin(members: frozenset[int], table: HostTable) -> Fraction:
     """Set-level transit score over the country's kernel: one term per path
     at the first (minimum-distance) member, zero for paths toward prefixes
     originated by any member. The paths along one segment share that
     distance, so each segment adds its hosts' summed term once (exact, since
     every W is a multiple of d)."""
-    members = conglomerate.members
     numerator = 0
     for segment_ix, weights in table.groups.items():
         segment = table.segments[segment_ix]
@@ -64,17 +49,10 @@ def compute_ctin(conglomerate: Conglomerate, table: HostTable) -> Fraction:
     return table.score(numerator, table.n_monitors)
 
 
-def compute_footprint(conglomerate: Conglomerate, geo: GeoTable, ctin: Fraction) -> Fraction:
-    """Pure-transit score plus the members' directly originated fraction."""
-    return ctin + originated_fraction(conglomerate, geo)
-
-
-def originated_fraction(conglomerate: Conglomerate, geo: GeoTable) -> Fraction:
-    total_addresses = geo.country_total(conglomerate.country)
-    originated = sum(
-        geo.originated.get((asn, conglomerate.country), 0) for asn in conglomerate.members
-    )
-    return Fraction(originated, total_addresses)
+def originated_fraction(members: frozenset[int], geo: GeoTable, country: str) -> Fraction:
+    """The share of the country's addresses that the members originate."""
+    originated = sum(geo.originated.get((asn, country), 0) for asn in members)
+    return Fraction(originated, geo.country_total(country))
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
 MAX_ASN = 2**32 - 1
 MAX_PREFIX_LENGTH = 24
 
-Subject = int | str  # ASN, conglomerate label, or org id
+Subject = int | str  # ASN, or a label: the country code of a state conglomerate
 
 
 class ParseError(ValueError):

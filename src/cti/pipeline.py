@@ -90,19 +90,20 @@ def cti_report(
 def state_footprint_reports(
     sub: Substrate, country: str
 ) -> tuple[MetricReport, MetricReport]:
-    """CTIn and footprint reports for the country's state conglomerate; both
-    empty when no state-owned AS operates domestically there."""
-    nationality = classify_nationality(sub.geo)
-    conglomerates = conglomerate.state_conglomerates(sub.bundle.aux.state_owned, nationality)
+    """CTIn and footprint reports for the country's state conglomerate, each
+    one entry under the country code; both empty when no state-owned AS
+    operates domestically there."""
+    sub.geo.country_total(country)  # a country without address mass is an error
+    members = conglomerate.state_members(
+        sub.bundle.aux.state_owned, classify_nationality(sub.geo), country
+    )
     ctin_report = MetricReport(metric_name="ctin")
     footprint_report = MetricReport(metric_name="footprint")
-    group = conglomerates.get(country)
-    if group is None:
-        return ctin_report, footprint_report
-    ctin = conglomerate.compute_ctin(group, build_country_substrate(sub, country))
-    footprint = conglomerate.compute_footprint(group, sub.geo, ctin)
-    ctin_report.set(country, group.label, ctin)
-    footprint_report.set(country, group.label, footprint)
+    if members:
+        ctin = conglomerate.compute_ctin(members, build_country_substrate(sub, country))
+        ctin_report.set(country, country, ctin)
+        footprint = ctin + conglomerate.originated_fraction(members, sub.geo, country)
+        footprint_report.set(country, country, footprint)
     return ctin_report, footprint_report
 
 

@@ -7,7 +7,7 @@ formats, so the pipeline consumes a synthetic instance exactly as it would
 real data. The naive functions evaluate the same scores by literal
 enumeration, sharing only the domain types with the pipeline; exact
 equivalence between the two is the correctness oracle, which
-``check_one_seed`` checks on one generated instance.
+``check_instance`` checks on one instance.
 """
 from __future__ import annotations
 
@@ -840,8 +840,13 @@ def naive_transit_fraction(
 
 
 def check_one_seed(seed: int) -> str | None:
-    """Compare pipeline and oracle on one generated instance; return a
-    description of the first mismatch, or None when they agree exactly.
+    """``check_instance`` on the instance ``generate_topology(seed)``."""
+    return check_instance(generate_topology(seed))
+
+
+def check_instance(topo: SynthTopology) -> str | None:
+    """Compare pipeline and oracle on one instance; return a description of
+    the first mismatch, or None when they agree exactly.
 
     Each country's kernel is built once and reduces to both cti (outlier
     filter off) and ctin; the transit nationality is classified once. The
@@ -852,7 +857,6 @@ def check_one_seed(seed: int) -> str | None:
     segments once per checked country. The pipeline and the naive functions
     are called through their modules' attributes, so a function replaced
     there (by a tracer, say) is the one called."""
-    topo = generate_topology(seed)
     paths = propagate_routes(topo)
     files = emit_files(topo, paths)
     bundle = ingest.load_bundle_from_texts(files)
@@ -874,8 +878,7 @@ def check_one_seed(seed: int) -> str | None:
             return f"cti mismatch for {country}"
 
         if members:
-            group = conglomerate.Conglomerate(label="state", members=members, country=country)
-            pipe_ctin = conglomerate.compute_ctin(group, table)
+            pipe_ctin = conglomerate.compute_ctin(members, table)
             oracle_ctin = naive_ctin(topo, paths, country, members, view=view)
             if pipe_ctin != oracle_ctin:
                 return f"ctin mismatch for {country}"

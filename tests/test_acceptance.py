@@ -8,8 +8,8 @@ import pytest
 from cti import cti_core, ingest, outlier, pipeline, synth_oracle, transit_dominance
 from cti.cli import check_one_seed
 from cti.clh_compare import compare_reports
-from cti.conglomerate import Conglomerate, compute_ctin, compute_footprint, state_conglomerates
-from cti.geo import Nationality, build_geo_table, classify_nationality
+from cti.conglomerate import compute_ctin, originated_fraction
+from cti.geo import Nationality, build_geo_table
 from cti.model import MetricReport, MonitorId, Prefix, RelKind, RelationshipTable
 from cti.pathprep import (
     RejectCategory,
@@ -127,13 +127,9 @@ def _footprint_instance():
 def test_criterion_5_footprint_consistency():
     def check():
         sub = pipeline.build_substrate(ingest.load_bundle_from_texts(_footprint_instance()))
-        nationality = classify_nationality(sub.geo)
-        groups = state_conglomerates(sub.bundle.aux.state_owned, nationality)
-        group = groups["AA"]
-        ctin = compute_ctin(group, pipeline.build_country_substrate(sub, "AA"))
-        footprint = compute_footprint(group, sub.geo, ctin)
-        assert ctin == Fraction(1, 3)
-        assert footprint == Fraction(1, 3) + Fraction(1, 3)
+        ctin, footprint = pipeline.state_footprint_reports(sub, "AA")
+        assert ctin.entries == {("AA", "AA"): Fraction(1, 3)}
+        assert footprint.entries == {("AA", "AA"): Fraction(1, 3) + Fraction(1, 3)}
 
         # F stays within [0, 1] across the oracle corpus
         for seed in ORACLE_SEEDS:
@@ -149,9 +145,8 @@ def test_criterion_5_footprint_consistency():
                 if seed_sub.geo.total.get(country, 0) <= 0:
                     continue
                 seed_table = pipeline.build_country_substrate(seed_sub, country)
-                seed_group = Conglomerate("state", members, country)
-                value = compute_footprint(
-                    seed_group, seed_sub.geo, compute_ctin(seed_group, seed_table)
+                value = compute_ctin(members, seed_table) + originated_fraction(
+                    members, seed_sub.geo, country
                 )
                 assert 0 <= value <= 1
 

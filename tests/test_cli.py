@@ -359,11 +359,15 @@ def test_deeply_nested_json_report_exits_3(tmp_path):
 def test_computation_error_exits_4(tmp_path):
     files = _write_toy(tmp_path / "in")
     runner = CliRunner()
-    # no address mass at all for ZZ
-    result = runner.invoke(
-        main, ["cti", "--input", str(tmp_path / "in"), "--country", "ZZ", "--output", str(tmp_path / "out")]
-    )
-    assert result.exit_code == 4
+    # no address mass at all for ZZ: every input command fails before it writes
+    for command in ("cti", "ctin", "footprint", "org", "transit-fraction", "candidates", "clh"):
+        result = runner.invoke(
+            main,
+            [command, "--input", str(tmp_path / "in"), "--country", "ZZ", "--output", str(tmp_path / "out")],
+        )
+        assert result.exit_code == 4, (command, result.output)
+        assert result.output == "computation error: country ZZ has no address mass\n", command
+        assert not (tmp_path / "out").exists(), command
     # a second monitor sees 10.0.0.0/24, the toy's prefix of AS 101, from AS 102;
     # the origin on the earlier line of paths.txt is named first
     (tmp_path / "in" / "monitors.csv").write_text(files["monitors.csv"] + "m2,10,US\n")

@@ -4,7 +4,7 @@ import pytest
 
 from cti import conglomerate, cti_core
 from cti.geo import build_geo_table, classify_nationality
-from cti.model import MetricReport, MonitorId, Prefix
+from cti.model import ComputationError, MetricReport, MonitorId, Prefix
 from test_pathprep import retained_of
 
 P1 = Prefix.parse("10.0.0.0/24")
@@ -12,49 +12,41 @@ P2 = Prefix.parse("10.0.1.0/24")
 M1 = MonitorId("m1", 10, "US")
 
 
-def test_conglomerate_needs_members():
-    with pytest.raises(ValueError):
-        conglomerate.Conglomerate("state", frozenset(), "CU")
-
-
 def test_state_conglomerates_filter_by_nationality():
-    geo, _ = build_geo_table([(P1, "CU", 256)], [], {P1: 100})
+    geo, _ = build_geo_table([(P1, "CU", 256), (P2, "CU", 256)], [], {P1: 100, P2: 300})
     nationality = classify_nationality(geo)
-    groups = conglomerate.state_conglomerates(
-        [(100, "CU"), (200, "CU"), (100, "AR")], nationality
-    )
-    # 200 originates nothing and 100 is not Argentinian, so only CU/100 remains
-    assert set(groups) == {"CU"}
-    assert groups["CU"].members == frozenset({100})
+    state_owned = [(100, "CU"), (200, "CU"), (100, "AR"), (300, "AR")]
+    # 200 originates nothing, 100 is not Argentinian, and 300 is Cuban but
+    # listed for AR only, so only CU/100 remains
+    assert conglomerate.state_members(state_owned, nationality, "CU") == frozenset({100})
+    assert conglomerate.state_members(state_owned, nationality, "AR") == frozenset()
 
 
 def test_ctin_uses_minimum_member_distance():
     geo, _ = build_geo_table([(P1, "CU", 256)], [], {P1: 900})
-    group = conglomerate.Conglomerate("state", frozenset({20, 15}), "CU")
     # second member 15 farther on the same path
     retained = retained_of([(M1.host_asn, (900, 20, 15), P1)])
     table = cti_core.extract_observations(retained, geo, [M1], "CU")
-    ctin = conglomerate.compute_ctin(group, table)
+    ctin = conglomerate.compute_ctin(frozenset({20, 15}), table)
     assert ctin == Fraction(1)  # one term at distance 1, not two
 
 
 def test_ctin_skips_prefixes_originated_by_members():
     geo, _ = build_geo_table([(P1, "CU", 256), (P2, "CU", 256)], [], {P1: 100, P2: 900})
-    group = conglomerate.Conglomerate("state", frozenset({100, 20}), "CU")
     retained = [
         (M1.host_asn, (100, 20), P1),  # toward a member-originated prefix: skipped
         (M1.host_asn, (900, 20), P2),
     ]
     table = cti_core.extract_observations(retained_of(retained), geo, [M1], "CU")
-    ctin = conglomerate.compute_ctin(group, table)
+    ctin = conglomerate.compute_ctin(frozenset({100, 20}), table)
     assert ctin == Fraction(1, 2)
 
 
 def test_footprint_adds_originated_fraction():
     geo, _ = build_geo_table([(P1, "CU", 256), (P2, "CU", 256)], [], {P1: 100, P2: 900})
-    group = conglomerate.Conglomerate("state", frozenset({100}), "CU")
-    assert conglomerate.originated_fraction(group, geo) == Fraction(1, 2)
-    assert conglomerate.compute_footprint(group, geo, Fraction(1, 4)) == Fraction(3, 4)
+    assert conglomerate.originated_fraction(frozenset({100}), geo, "CU") == Fraction(1, 2)
+    with pytest.raises(ComputationError, match="country AR has no address mass"):
+        conglomerate.originated_fraction(frozenset({100}), geo, "AR")
 
 
 def test_org_aggregation():

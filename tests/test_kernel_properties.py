@@ -65,7 +65,7 @@ def _with_aux(files):
 def _order_free_results(files):
     """Every score the CLI reports, per country, from one set of files."""
     sub = _substrate(files)
-    traceroutes = files["traceroutes.txt"].splitlines()
+    traceroutes = ingest.split_lines(files["traceroutes.txt"])
     results = {}
     for country in _countries(sub):
         for min_hosts in (3, outlier.DEFAULT_MIN_HOSTS):
@@ -114,14 +114,12 @@ def test_every_score_lies_in_unit_interval(seed):
 @given(SEEDS)
 def test_footprint_is_ctin_plus_originated_share(seed):
     sub = _substrate(_files(seed))
-    groups = conglomerate.state_conglomerates(
-        sub.bundle.aux.state_owned, classify_nationality(sub.geo)
-    )
+    nationality = classify_nationality(sub.geo)
     for country in _countries(sub):
         ctin, footprint = pipeline.state_footprint_reports(sub, country)
-        group = groups.get(country)
-        if group is None:
+        members = conglomerate.state_members(sub.bundle.aux.state_owned, nationality, country)
+        if not members:
             assert ctin.entries == footprint.entries == {}
             continue
-        originated = conglomerate.originated_fraction(group, sub.geo)
-        assert footprint.get(country, group.label) == ctin.get(country, group.label) + originated
+        originated = conglomerate.originated_fraction(members, sub.geo, country)
+        assert footprint.get(country, country) == ctin.get(country, country) + originated

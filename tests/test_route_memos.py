@@ -25,7 +25,7 @@ from test_pathprep import corpus_of, sanitize, truncate_to_peak
 
 from cti import cti_core, pathprep
 from cti import transit_dominance as td
-from cti.conglomerate import Conglomerate, compute_ctin
+from cti.conglomerate import compute_ctin
 from cti.geo import Nationality, build_geo_table
 from cti.model import MonitorId, PathRecord, Prefix, RelKind, RelationshipTable
 from cti.pathprep import PathRejection, RejectCategory
@@ -299,8 +299,7 @@ def test_grouped_kernel_matches_per_path_terms(corpus, rels, geo):
             fields, ctin = _reference_kernel(list(sanitized), rels, geo, country, monitors)
             assert _kernel_fields(table) == fields
             for members in ({5}, {1, 5}, {3}, {2, 7}, set(ASNS)):
-                group = Conglomerate("state", frozenset(members), country)
-                assert compute_ctin(group, table) == ctin(members)
+                assert compute_ctin(frozenset(members), table) == ctin(members)
 
 
 @_SETTINGS

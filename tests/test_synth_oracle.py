@@ -632,3 +632,96 @@ def test_check_one_seed_builds_each_oracle_input_once(monkeypatch):
         assert len(calls["_oracle_nationality"]) == 1, seed
         countries = calls["_oracle_substrate"]
         assert countries and len(countries) == len(set(countries)), seed
+
+
+def _literal_state_members(topo, view, country):
+    """The ASes that ``state_owned.csv`` lists for the country and that hold
+    at least 2/3 of their own originated addresses there, with no credit
+    for their customers' addresses."""
+    own: dict[int, dict[str, int]] = {}
+    for (prefix, mass_country), value in view.mass.items():
+        by_country = own.setdefault(view.origin_of[prefix], {})
+        by_country[mass_country] = by_country.get(mass_country, 0) + value
+    members = set()
+    for asn, owner in topo.state_owned:
+        addresses = own.get(asn, {})
+        total = sum(addresses.values())
+        if owner == country and total > 0 and 3 * addresses.get(country, 0) >= 2 * total:
+            members.add(asn)
+    return frozenset(members)
+
+
+def test_cli_state_reports_equal_the_oracle_over_the_literal_member_rule():
+    """The ctin and footprint reports that the commands write, against
+    ``naive_ctin`` over the literal member rule, and the literal share of
+    the country's addresses that the members originate."""
+    from cti import ingest, pipeline
+
+    for seed in range(1, 201):
+        topo = so.generate_topology(seed)
+        paths = so.propagate_routes(topo)
+        sub = pipeline.build_substrate(ingest.load_bundle_from_texts(so.emit_files(topo, paths)))
+        view = so.OracleView(topo, paths)
+        for country in topo.params.countries:
+            total = sum(v for (_prefix, c), v in view.mass.items() if c == country)
+            if total == 0:
+                with pytest.raises(ComputationError, match="no address mass"):
+                    pipeline.state_footprint_reports(sub, country)
+                continue
+            ctin, footprint = pipeline.state_footprint_reports(sub, country)
+            members = _literal_state_members(topo, view, country)
+            if not members:
+                assert ctin.entries == footprint.entries == {}, (seed, country)
+                continue
+            expected = so.naive_ctin(topo, paths, country, members, view=view)
+            originated = sum(
+                v
+                for (prefix, c), v in view.mass.items()
+                if c == country and view.origin_of[prefix] in members
+            )
+            assert ctin.entries == {(country, country): expected}, (seed, country)
+            assert footprint.entries == {
+                (country, country): expected + Fraction(originated, total)
+            }, (seed, country)
+
+
+def _provider_chain(depth):
+    """One clique AS above a chain of ``depth`` transit ASes down to an
+    origin, and a second origin one hop higher up the chain (a shorter
+    route). The second AS of the chain from the top is state-owned, and the
+    one monitor sits in the clique AS."""
+    from cti.model import RelationshipTable
+
+    top, deep, shallow = 1, 1001, 1002
+    chain = tuple(range(101, 101 + depth))  # chain[0] is the clique AS's customer
+    rels = RelationshipTable()
+    for provider, customer in zip((top,) + chain, chain + (deep,)):
+        rels.add(provider, customer, RelKind.P2C)
+    rels.add(chain[-2], shallow, RelKind.P2C)
+    origin_of = {Prefix(10 << 24, 24): deep, Prefix((10 << 24) | 256, 24): shallow}
+    params = so.SynthParams(n_clique=1, n_mid=depth, n_stub=2, n_monitors=1, countries=("AA",))
+    return so.SynthTopology(
+        seed=0,
+        params=params,
+        clique=frozenset({top}),
+        mids=chain,
+        stubs=(deep, shallow),
+        rels=rels,
+        geo_rows=[(prefix, "AA", 256) for prefix in origin_of],
+        delegations=[],
+        origin_of=origin_of,
+        monitors=[MonitorId("m1", top, "MM")],
+        state_owned=[(chain[1], "AA")],
+    )
+
+
+@pytest.mark.parametrize("depth", [3, 4, 5])
+def test_check_instance_reaches_transit_hops_at_distance_three_and_more(depth):
+    """The generated seeds cap a retained segment at two transit hops; a
+    hand-built chain puts a transit AS, and the state-owned one, farther
+    out."""
+    topo = _provider_chain(depth)
+    view = so.OracleView(topo, so.propagate_routes(topo))
+    segments = view.country("AA").retained.values()
+    assert max(len(segment) - 1 for segment in segments) == depth
+    assert so.check_instance(topo) is None
