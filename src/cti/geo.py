@@ -14,8 +14,8 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .ingest import DelegationRow, GeoRow, RowRejection
-from .model import ComputationError, Prefix, RelationshipTable
+from .ingest import FILE_NAMES, DelegationRow, GeoRow
+from .model import ComputationError, Prefix, Rejection, RelationshipTable
 
 ROUND_UP = 256
 
@@ -37,10 +37,11 @@ def build_geo_table(
     geo_rows: Iterable[GeoRow],
     delegations: Iterable[DelegationRow],
     origin_of: Mapping[Prefix, int],
-) -> tuple[GeoTable, list[RowRejection]]:
-    """Apply the round-up and delegation-fallback rules and fold totals."""
+) -> tuple[GeoTable, list[Rejection]]:
+    """Apply the round-up and delegation-fallback rules and fold totals. A
+    prefix covered by two countries' blocks is rejected as delegations.txt line 0."""
     mass: dict[tuple[Prefix, str], int] = {}
-    rejections: list[RowRejection] = []
+    rejections: list[Rejection] = []
 
     for prefix, country, count in geo_rows:
         if count == 0:
@@ -55,9 +56,8 @@ def build_geo_table(
             continue
         covering = covers.countries_covering(prefix.base, prefix.base + prefix.size)
         if len(covering) > 1:
-            rejections.append(
-                RowRejection(0, str(prefix), "prefix covered by delegations from multiple countries")
-            )
+            reason = "prefix covered by delegations from multiple countries"
+            rejections.append(Rejection(FILE_NAMES["delegations"], 0, reason, str(prefix)))
             continue
         if covering:
             mass[(prefix, covering.pop())] = prefix.size

@@ -23,6 +23,7 @@ from .model import (
     MonitorId,
     ParseError,
     Prefix,
+    Rejection,
     RelKind,
     RelationshipTable,
     parse_decimal,
@@ -31,13 +32,6 @@ from .model import (
     validate_asn,
     validate_country,
 )
-
-
-@dataclass(frozen=True)
-class RowRejection:
-    line_no: int
-    line: str
-    reason: str
 
 
 GeoRow = tuple[Prefix, str, int]  # prefix, country, raw address count
@@ -124,7 +118,7 @@ def parse_paths(
     reader: Iterable[str],
     monitors: Mapping[str, MonitorId],
     multi_origin: frozenset[Prefix] = frozenset(),
-) -> tuple[Corpus, list[RowRejection]]:
+) -> tuple[Corpus, list[Rejection]]:
     """Parse ``monitor_id|prefix|asn asn ...`` rows (origin last).
 
     Rejects (with a log entry) unknown monitors, prefixes longer than /24,
@@ -135,7 +129,7 @@ def parse_paths(
     corpus = Corpus(monitors=list(monitors.values()), prefixes=[], routes=[])
     monitor_of = {monitor_id: ix for ix, monitor_id in enumerate(monitors)}
     n_monitors = len(monitor_of)
-    rejections: list[RowRejection] = []
+    rejections: list[Rejection] = []
     # A corpus repeats each prefix about once per monitor, and each route once
     # per prefix of its origin. A prefix has one text, so each distinct prefix
     # text gets one index, and so does each distinct hop text.
@@ -148,7 +142,7 @@ def parse_paths(
     # a cell repeats.
     kept = bytearray()
     row_of: dict[int, int] | None = None  # cell -> kept row, from the first repeat on
-    row_lines = array("I")
+    row_lines = corpus.line_no = array("I")
 
     def judge_prefix(text: str) -> int:
         try:
@@ -186,7 +180,7 @@ def parse_paths(
                 route_ix = route_code[hops_text] = judge_hops(hops_text)
             if monitor_ix < 0 or prefix_ix < 0 or route_ix < 0:
                 reason = _path_reason(monitor_ix, prefix_ix, route_ix)
-                rejections.append(RowRejection(line_no, line, reason))
+                rejections.append(Rejection(FILE_NAMES["paths"], line_no, reason, line))
                 continue
             cell = prefix_ix * n_monitors + monitor_ix
             byte, bit = cell >> 3, 1 << (cell & 7)
@@ -242,14 +236,15 @@ def parse_relationships(reader: Iterable[str]) -> RelationshipTable:
 def parse_geo_and_delegations(
     geo_reader: Iterable[str],
     delegation_reader: Iterable[str],
-) -> tuple[list[GeoRow], list[DelegationRow], list[RowRejection]]:
+) -> tuple[list[GeoRow], list[DelegationRow], list[Rejection]]:
     """Parse raw geolocation rows and RIR extended-delegation rows.
 
     Semantic rules (round-up, delegation fallback) are applied later when the
     geo table is built; this only validates and retains the raw rows.
     """
     geo_rows: list[GeoRow] = []
-    rejections: list[RowRejection] = []
+    rejections: list[Rejection] = []
+    bad_country = "unparsable country code"
     first_counts: dict[tuple[Prefix, str], tuple[int, int]] = {}
     with RowReader("geo", geo_reader, "prefix,country,address_count") as rows:
         for line_no, line, (prefix_text, country_text, count_text) in rows:
@@ -257,7 +252,7 @@ def parse_geo_and_delegations(
             try:
                 country = validate_country(country_text)
             except ValueError:
-                rejections.append(RowRejection(line_no, line, "unparsable country code"))
+                rejections.append(Rejection(FILE_NAMES["geo"], line_no, bad_country, line))
                 continue
             count = parse_decimal(count_text, "count")
             if not 0 <= count <= prefix.size:
@@ -274,7 +269,7 @@ def parse_geo_and_delegations(
             try:
                 country = validate_country(fields[1])
             except ValueError:
-                rejections.append(RowRejection(line_no, line, "unparsable country code"))
+                rejections.append(Rejection(FILE_NAMES["delegations"], line_no, bad_country, line))
                 continue
             base = parse_dotted_quad(fields[3])
             if base is None:
@@ -287,10 +282,14 @@ def parse_geo_and_delegations(
 
 
 def parse_monitors(reader: Iterable[str]) -> dict[str, MonitorId]:
-    """Parse ``monitor_id,host_asn,country`` rows into a unique inventory."""
+    """Parse ``monitor_id,host_asn,country`` rows into a unique inventory of
+    monitors that a ``paths.txt`` row can name."""
     monitors: dict[str, MonitorId] = {}
     with RowReader("monitors", reader, "monitor_id,host_asn,country") as rows:
         for _line_no, _line, (monitor_id, asn_text, country) in rows:
+            # a paths.txt row names its monitor by its first field, stripped
+            if not monitor_id or "|" in monitor_id or monitor_id != monitor_id.strip():
+                raise ValueError(f"monitor id {monitor_id!r} is empty, padded or holds '|'")
             if monitor_id in monitors:
                 raise ValueError(f"duplicate monitor id {monitor_id!r}")
             host_asn = parse_asn_token(asn_text)
@@ -306,7 +305,7 @@ class AuxBundle:
     hegemony: dict[tuple[int, int], Fraction] = field(default_factory=dict)
     clique: frozenset[int] = frozenset()
     multi_origin: frozenset[Prefix] = frozenset()
-    rejections: list[RowRejection] = field(default_factory=list)
+    rejections: list[Rejection] = field(default_factory=list)
 
 
 def parse_aux_tables(
@@ -345,7 +344,8 @@ def parse_aux_tables(
             key = (parse_asn(origin), parse_asn(transit))
             score = judge_score(score_text)
             if score is None:
-                aux.rejections.append(RowRejection(line_no, line, "hegemony score outside [0,1]"))
+                reason = "hegemony score outside [0,1]"
+                aux.rejections.append(Rejection(FILE_NAMES["hegemony"], line_no, reason, line))
                 continue
             _check_repeat(first_scores, key, score, line_no, "hegemony scores")
             aux.hegemony[key] = score
@@ -385,8 +385,8 @@ class DatasetBundle:
     monitors: dict[str, MonitorId]
     aux: AuxBundle
     reserved: frozenset[int] = frozenset()
-    path_rejections: list[RowRejection] = field(default_factory=list)
-    geo_rejections: list[RowRejection] = field(default_factory=list)
+    path_rejections: list[Rejection] = field(default_factory=list)
+    geo_rejections: list[Rejection] = field(default_factory=list)
 
 
 # Canonical file names inside an input directory.

@@ -1,10 +1,13 @@
 """Shared domain types used across the transit-influence pipeline.
 
-All types are immutable after construction and safe to share between
-concurrent workers. Scores are kept as exact rationals internally and
-converted to fixed-point decimals only at serialization time.
+The records (``Prefix``, ``PathRecord``, ``Rejection``, ``MonitorId``) are
+immutable. The containers are not, and take no lock: a ``Corpus``'s columns
+are appended in place while it is built, ``MetricReport.set`` and
+``RelationshipTable.add`` write, and a table builds its views when first
+asked. Scores are kept as exact rationals internally and converted to
+fixed-point decimals only at serialization time.
 
-The records (``Prefix`` and ``PathRecord``) are standard named tuples whose
+The records ``Prefix`` and ``PathRecord`` are standard named tuples whose
 ``__new__`` validates the fields, so that hashing, equality and ordering run
 in C: a ``Prefix`` is hashed at every address-mass lookup. Like tuples, a
 record equals any tuple of the same field values, a record of another type
@@ -25,7 +28,7 @@ from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence, TypeVar
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence, TypeVar
 
 MAX_ASN = 2**32 - 1
 MAX_PREFIX_LENGTH = 24
@@ -39,6 +42,18 @@ class ParseError(ValueError):
 
 class ComputationError(ValueError):
     """A metric cannot be evaluated on the given inputs (e.g. empty country)."""
+
+
+class Rejection(NamedTuple):
+    """An input row or path dropped before scoring: the input ``file``'s name,
+    the ``line`` it was read from (0 when no one line holds it), the
+    ``category`` (``unknown monitor``, ``Loop``, ``NoPeak``, ...) and the
+    ``detail``: the row's text, a path verdict's reason, or a prefix."""
+
+    file: str
+    line: int
+    category: str
+    detail: str
 
 
 def validate_asn(value: int) -> int:
@@ -184,11 +199,11 @@ def collapse_prepending(hops: Route) -> Route:
 class Corpus:
     """A path corpus as integer columns over interned tables: row i is
     monitor ``monitors[monitor_ix[i]]``'s route ``routes[route_ix[i]]`` toward
-    ``prefixes[prefix_ix[i]]``. Each distinct prefix is stored once, and each
-    route once per distinct text it was read from (by the parser) or once per
-    (host AS, origin) (by the generator), so a row is three ints and no
-    object. Indexing and iterating give rows as ``PathRecord``s, a new record
-    each time."""
+    ``prefixes[prefix_ix[i]]``, read from ``paths.txt`` line ``line_no[i]``.
+    Each distinct prefix is stored once, and each route once per distinct
+    text it was read from (by the parser) or once per (host AS, origin) (by
+    the generator), so a row is four ints and no object. Indexing and
+    iterating give rows as ``PathRecord``s, a new record each time."""
 
     monitors: Sequence[MonitorId]
     prefixes: list[Prefix]
@@ -196,6 +211,7 @@ class Corpus:
     monitor_ix: list[int] = field(default_factory=list)
     prefix_ix: list[int] = field(default_factory=list)
     route_ix: list[int] = field(default_factory=list)
+    line_no: Sequence[int] = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.route_ix)

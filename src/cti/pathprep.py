@@ -9,32 +9,21 @@ peers of the peak provider, is discarded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .geo import GeoTable
-from .model import Corpus, Prefix, RelationshipTable, Route, collapse_prepending, intern
+from .ingest import FILE_NAMES
+from .model import Corpus, Prefix, Rejection, RelationshipTable, Route, collapse_prepending, intern
 
-
-class RejectCategory(Enum):
-    LOOP = "Loop"
-    UNALLOCATED = "Unallocated"
-    POISONED = "Poisoned"
-    NO_PEAK = "NoPeak"
-
-
-@dataclass(frozen=True)
-class PathRejection:
-    category: RejectCategory
-    monitor_id: str
-    prefix: Prefix
-    reason: str
+# The categories of a path's Rejection
+LOOP, UNALLOCATED, POISONED, NO_PEAK = "Loop", "Unallocated", "Poisoned", "NoPeak"
 
 
 class RouteRejection(NamedTuple):
-    """Why a route is rejected, whichever monitor and prefix it was seen for."""
+    """Why a route is rejected, whichever monitor and prefix it was seen for:
+    the ``category`` and ``detail`` of the ``Rejection`` of each of its rows."""
 
-    category: RejectCategory
+    category: str
     reason: str
 
 
@@ -52,23 +41,20 @@ def sanitize_route(
     """
     if not reserved.isdisjoint(hops):
         asn = next(asn for asn in hops if asn in reserved)
-        return RouteRejection(RejectCategory.UNALLOCATED, f"reserved ASN {asn}")
+        return RouteRejection(UNALLOCATED, f"reserved ASN {asn}")
     collapsed = collapse_prepending(hops)
     if collapsed is not hops and len(set(collapsed)) != len(collapsed):
-        return RouteRejection(RejectCategory.LOOP, "ASN repeats non-consecutively")
+        return RouteRejection(LOOP, "ASN repeats non-consecutively")
     # from here on no AS repeats, so one clique AS cannot wedge anything and
     # the host AS after the first hop is the host AS anywhere but first
     if len(clique.intersection(collapsed)) > 1:
         clique_positions = [i for i, asn in enumerate(collapsed) if asn in clique]
         for i in range(clique_positions[0] + 1, clique_positions[-1]):
             if collapsed[i] not in clique:
-                return RouteRejection(
-                    RejectCategory.POISONED, f"non-clique ASN {collapsed[i]} between clique ASes"
-                )
+                reason = f"non-clique ASN {collapsed[i]} between clique ASes"
+                return RouteRejection(POISONED, reason)
     if host_asn in collapsed and collapsed[0] != host_asn:
-        return RouteRejection(
-            RejectCategory.LOOP, f"monitor host ASN {host_asn} after the first hop"
-        )
+        return RouteRejection(LOOP, f"monitor host ASN {host_asn} after the first hop")
     return collapsed
 
 
@@ -81,13 +67,13 @@ def peak_segment(host_asn: int, hops: Route, rels: RelationshipTable) -> Route |
     """
     start = 1 if hops[0] == host_asn else 0
     if len(hops) - start < 2:
-        return RouteRejection(RejectCategory.NO_PEAK, "no transit AS on path")
+        return RouteRejection(NO_PEAK, "no transit AS on path")
     p2c = rels.p2c_links()
     # the link farthest from the origin is the first one from the monitor
     for i in range(start, len(hops) - 1):
         if (hops[i], hops[i + 1]) in p2c:
             return hops[i:][::-1]
-    return RouteRejection(RejectCategory.NO_PEAK, "no provider-customer link")
+    return RouteRejection(NO_PEAK, "no provider-customer link")
 
 
 # A monitor reaches every prefix of an origin over the same route, so a corpus
@@ -99,15 +85,15 @@ def peak_segment(host_asn: int, hops: Route, rels: RelationshipTable) -> Route |
 
 def _judge_keys(
     corpus: Corpus, rows: Sequence[int], judge: Callable[[int, int], int | RouteRejection]
-) -> tuple[list[int], list[int], Sequence[int], list[PathRejection]]:
+) -> tuple[list[int], list[int], Sequence[int], list[Rejection]]:
     """Judge the rows ``rows`` of ``corpus`` by their (route, host AS) keys:
     ``judge(host AS, route index)`` gives an index or a ``RouteRejection``
     once per distinct key.
 
     Returns the distinct host ASes; for each kept row its index packed like
     its key, index * len(hosts) + host index; the kept rows (``rows`` itself
-    when none is rejected); and one rejection per rejected row. Rows keep
-    their order.
+    when none is rejected); and a ``Rejection`` on each rejected row's line.
+    Rows keep their order.
     """
     host_index: dict[int, int] = {}
     hosts: list[int] = []
@@ -126,14 +112,12 @@ def _judge_keys(
         else:
             verdict_of[key] = verdict * n_hosts + host_ix
     verdicts = list(map(verdict_of.__getitem__, keys))
-    rejections: list[PathRejection] = []
+    rejections: list[Rejection] = []
     if rejected:  # split off the rows of the rejected keys
-        monitors, prefixes, prefix_col = corpus.monitors, corpus.prefixes, corpus.prefix_ix
+        file, line_col = FILE_NAMES["paths"], corpus.line_no
         for row, verdict in zip(rows, verdicts):
             if verdict < 0:
-                category, reason = rejected[~verdict]
-                monitor_id, prefix = monitors[monitor_col[row]].id, prefixes[prefix_col[row]]
-                rejections.append(PathRejection(category, monitor_id, prefix, reason))
+                rejections.append(Rejection(file, line_col[row], *rejected[~verdict]))
         rows = [row for row, verdict in zip(rows, verdicts) if verdict >= 0]
         verdicts = [verdict for verdict in verdicts if verdict >= 0]
     return hosts, verdicts, rows, rejections
@@ -167,7 +151,7 @@ def prepare_paths(
     corpus: Corpus,
     clique: frozenset[int],
     reserved: frozenset[int],
-) -> tuple[Corpus, list[PathRejection]]:
+) -> tuple[Corpus, list[Rejection]]:
     """Sanitize a corpus: the kept rows with their collapsed routes, and one
     rejection per other row, both in input order. The result shares the
     monitor and prefix tables, the route table when no route collapsed, and
@@ -191,10 +175,10 @@ def prepare_paths(
         return intern(verdict, route_index, sanitized.routes)
 
     hosts, verdicts, kept, rejections = _judge_keys(corpus, range(len(corpus)), sanitized_route)
-    columns = (corpus.monitor_ix, corpus.prefix_ix, corpus.route_ix)
+    columns = (corpus.monitor_ix, corpus.prefix_ix, corpus.route_ix, corpus.line_no)
     if rejections:
         columns = tuple(list(map(column.__getitem__, kept)) for column in columns)
-    sanitized.monitor_ix, sanitized.prefix_ix, sanitized.route_ix = columns
+    sanitized.monitor_ix, sanitized.prefix_ix, sanitized.route_ix, sanitized.line_no = columns
     if route_index is not None:
         n_hosts = len(hosts)
         sanitized.route_ix = [verdict // n_hosts for verdict in verdicts]
@@ -206,7 +190,7 @@ def retain_for_country(
     dest_country: str,
     geo: GeoTable,
     rels: RelationshipTable,
-) -> tuple[Retained, list[PathRejection]]:
+) -> tuple[Retained, list[Rejection]]:
     """Peak truncation of the inbound paths toward one country: those seen
     from outside it, toward prefixes with address mass in it. Rows and
     rejections keep the order of ``sanitized``."""

@@ -14,8 +14,8 @@ from typing import Iterable
 
 from . import clh_compare, conglomerate, cti_core, outlier, pathprep, transit_dominance
 from .geo import GeoTable, Nationality, build_geo_table, classify_nationality
-from .ingest import DatasetBundle, RowRejection
-from .model import ComputationError, Corpus, MetricReport, Prefix, RelationshipTable
+from .ingest import DatasetBundle
+from .model import ComputationError, Corpus, MetricReport, Prefix, Rejection, RelationshipTable
 
 
 def derive_origins(sanitized: Corpus) -> dict[Prefix, int]:
@@ -40,10 +40,10 @@ def derive_origins(sanitized: Corpus) -> dict[Prefix, int]:
 class Substrate:
     bundle: DatasetBundle
     sanitized: Corpus
-    hygiene_rejections: list[pathprep.PathRejection]
+    hygiene_rejections: list[Rejection]
     origins: dict[Prefix, int]
     geo: GeoTable
-    geo_rejections: list[RowRejection]
+    geo_rejections: list[Rejection]
 
     @property
     def rels(self) -> RelationshipTable:

@@ -389,6 +389,7 @@ def propagate_routes(topo: SynthTopology) -> Corpus:
         corpus.monitor_ix += monitor_column
         corpus.prefix_ix += [prefix_row] * len(monitor_column)
         corpus.route_ix += route_column
+    corpus.line_no = range(1, len(corpus) + 1)  # the lines emit_files writes the rows on
     return corpus
 
 
@@ -500,6 +501,7 @@ def inject_path_anomalies(
         monitor_ix=list(paths.monitor_ix),
         prefix_ix=list(paths.prefix_ix),
         route_ix=route_ix,
+        line_no=paths.line_no,
     )
     manifest = {"Loop": n_loops, "Prepending": n_prepends, "Poisoned": n_poisons}
     return mutated, manifest

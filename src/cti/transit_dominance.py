@@ -20,13 +20,13 @@ from typing import Iterable, Mapping, Sequence
 from .geo import GeoTable, Nationality
 from .ingest import (
     EMPTY_PATH,
+    FILE_NAMES,
     MALFORMED_ASN,
     REJECT_REASONS,
     RowReader,
-    RowRejection,
     parse_asn_token,
 )
-from .model import Prefix, RelationshipTable, Route, collapse_prepending
+from .model import Prefix, Rejection, RelationshipTable, Route, collapse_prepending
 
 DEFAULT_DOMINANCE_THRESHOLD = Fraction(12, 25)  # 0.48
 DEFAULT_ORIGINATION_FLOOR = Fraction(1, 2000)  # 0.05% of the country's addresses
@@ -34,14 +34,14 @@ DEFAULT_ORIGINATION_FLOOR = Fraction(1, 2000)  # 0.05% of the country's addresse
 
 def parse_traceroutes(
     reader: Iterable[str],
-) -> tuple[Counter[Route], list[RowRejection]]:
+) -> tuple[Counter[Route], list[Rejection]]:
     """Count the ``probe_id|prefix|asn asn ...`` rows (probe-first hop order)
     of each route, with consecutive duplicate ASNs collapsed.
 
     A row with an unparsable prefix or a malformed ASN token is rejected
     with a log entry.
     """
-    rejections: list[RowRejection] = []
+    rejections: list[Rejection] = []
     # each distinct prefix text is checked once, and each distinct hop text
     # parsed and collapsed once, to an index into routes or a negative code
     prefix_ok: dict[str, bool] = {}
@@ -68,19 +68,20 @@ def parse_traceroutes(
         n_traces.append(0)
         return len(routes) - 1
 
+    file = FILE_NAMES["traceroutes"]
     with RowReader("traceroutes", reader, "probe_id|prefix|hops") as rows:
         for line_no, line, (_probe_id, prefix_text, hops_text) in rows:
             ok = prefix_ok.get(prefix_text)
             if ok is None:
                 ok = prefix_ok[prefix_text] = is_prefix(prefix_text)
             if not ok:
-                rejections.append(RowRejection(line_no, line, "unparsable prefix"))
+                rejections.append(Rejection(file, line_no, "unparsable prefix", line))
                 continue
             route_ix = route_code.get(hops_text)
             if route_ix is None:
                 route_ix = route_code[hops_text] = judge_hops(hops_text)
             if route_ix < 0:
-                rejections.append(RowRejection(line_no, line, REJECT_REASONS[~route_ix]))
+                rejections.append(Rejection(file, line_no, REJECT_REASONS[~route_ix], line))
                 continue
             n_traces[route_ix] += 1
     counts: Counter[Route] = Counter()

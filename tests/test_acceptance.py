@@ -1,25 +1,34 @@
 """Acceptance suite: one test per acceptance criterion, each printing a
 single pass/fail line with its runtime."""
+import json
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from click.testing import CliRunner
 
 from cti import cti_core, ingest, outlier, pipeline, synth_oracle, transit_dominance
-from cti.cli import check_one_seed
+from cti.cli import check_one_seed, main
 from cti.clh_compare import compare_reports
 from cti.conglomerate import compute_ctin, originated_fraction
 from cti.geo import Nationality, build_geo_table
-from cti.model import MetricReport, MonitorId, Prefix, RelKind, RelationshipTable
+from cti.model import (
+    MetricReport,
+    MonitorId,
+    Prefix,
+    RelKind,
+    RelationshipTable,
+    collapse_prepending,
+)
 from cti.pathprep import (
-    RejectCategory,
     RouteRejection,
     peak_segment,
     prepare_paths,
     retain_for_country,
 )
 from cti.synth_oracle import SynthParams
-from test_pathprep import corpus_of, retained_of
+from test_pathprep import retained_of
 
 ORACLE_SEEDS = range(1, 501)
 
@@ -269,7 +278,31 @@ def test_criterion_7_stability_tooling():
     _verdict(7, "report comparison: zero on identity, exact hand-computed stats", check)
 
 
-def test_criterion_8_path_hygiene_matches_injection_manifest():
+def _injected_rows(clean, mutated):
+    """Each row that the injection changed, as {line: manifest category}, from
+    the hops of each row before and after; row i is on line i + 1."""
+    rows = {}
+    for line, (before, after) in enumerate(zip(clean, mutated), start=1):
+        if after == before + (before[0],):
+            rows[line] = "Loop"
+        elif after != before:
+            rows[line] = "Prepending" if collapse_prepending(after) == before else "Poisoned"
+    return rows
+
+
+def _check_hygiene(rejections, injected, manifest):
+    """Every hygiene rejection names paths.txt and the line of an injected
+    loop or poisoned row, with its manifest category; prepending is
+    normalized away, never rejected."""
+    assert all(rejection.file == "paths.txt" for rejection in rejections)
+    lines = [(rejection.line, rejection.category) for rejection in rejections]
+    assert lines == sorted(lines)  # input order
+    assert set(lines) == {(line, c) for line, c in injected.items() if c != "Prepending"}
+    assert len(lines) == len(set(lines))
+    assert Counter(injected.values()) == +Counter(manifest)
+
+
+def test_criterion_8_path_hygiene_matches_injection_manifest(tmp_path):
     def check():
         for seed in (21, 22, 23):
             topo = synth_oracle.generate_topology(seed)
@@ -277,14 +310,23 @@ def test_criterion_8_path_hygiene_matches_injection_manifest():
             mutated, manifest = synth_oracle.inject_path_anomalies(
                 paths, topo.clique, seed=seed, n_loops=3, n_prepends=4, n_poisons=2
             )
-            accepted, rejections = prepare_paths(corpus_of(mutated), topo.clique, frozenset())
-            counts = {}
-            for rejection in rejections:
-                counts[rejection.category.value] = counts.get(rejection.category.value, 0) + 1
-            assert counts.get("Loop", 0) == manifest["Loop"]
-            assert counts.get("Poisoned", 0) == manifest["Poisoned"]
-            assert counts.get("Unallocated", 0) == 0
-            # prepending is normalized away, never rejected
+            accepted, rejections = prepare_paths(mutated, topo.clique, frozenset())
+            injected = _injected_rows([p.hops for p in paths], [p.hops for p in mutated])
+            _check_hygiene(rejections, injected, manifest)
             assert len(accepted) == len(paths) - manifest["Loop"] - manifest["Poisoned"]
 
-    _verdict(8, "hygiene rejections match the injection manifest exactly", check)
+            # the same through the files that `cti synth` writes
+            hops = {}
+            injection = ["--loops", "3", "--prepends", "4", "--poisons", "2"]
+            for name, options in (("clean", []), ("injected", injection)):
+                out = tmp_path / f"{name}-{seed}"
+                args = ["synth", "--seed", str(seed), "--output", str(out)] + options
+                assert CliRunner().invoke(main, args).exit_code == 0
+                lines = (out / "paths.txt").read_text().splitlines()
+                hops[name] = [tuple(map(int, line.split("|")[2].split())) for line in lines]
+            manifest = json.loads((out / "injection_manifest.json").read_text())
+            sub = pipeline.build_substrate(ingest.load_bundle(str(out)))
+            injected = _injected_rows(hops["clean"], hops["injected"])
+            _check_hygiene(sub.hygiene_rejections, injected, manifest)
+
+    _verdict(8, "hygiene rejections are the injected rows, by line and category", check)

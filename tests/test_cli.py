@@ -131,6 +131,8 @@ def test_malformed_input_files_exit_3_with_one_line(tmp_path):
         ("geo.csv", "10.0.0.0/23,CU,500\n10.0.0.0/23,CU,100\n", 2),
         ("as2org.txt", "101|org-a\n101|org-b\n", 2),
         ("hegemony.csv", "101,10,1/2\n101,20,1/3\n101,10,1/4\n", 3),
+        # an id that no paths.txt row can name
+        ("monitors.csv", "# id,asn,country\nm-pad ,10,US\n", 2),
     ):
         (tmp_path / "in" / name).write_text(body, encoding="utf-8")
         result = runner.invoke(main, ["cti"] + base)

@@ -3,8 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cti.geo import build_geo_table, classify_nationality
-from cti.ingest import RowRejection
-from cti.model import ComputationError, Prefix, RelKind, RelationshipTable
+from cti.model import ComputationError, Prefix, Rejection, RelKind, RelationshipTable
 
 P1 = Prefix.parse("10.0.0.0/24")
 P2 = Prefix.parse("10.0.1.0/24")
@@ -42,8 +41,8 @@ def test_delegation_fallback_ambiguous_is_rejected():
         [], [("US", P1.base, 256), ("CA", P1.base, 256)], {P1: 100}
     )
     assert table.mass == {}
-    assert [r.reason for r in rejections] == [
-        "prefix covered by delegations from multiple countries"
+    assert rejections == [
+        Rejection("delegations.txt", 0, "prefix covered by delegations from multiple countries", "10.0.0.0/24")
     ]
 
 
@@ -57,9 +56,8 @@ def _scanned_fallback(delegations, origin_of):
             if base <= prefix.base and prefix.base + prefix.size <= base + count
         }
         if len(covering) > 1:
-            rejections.append(
-                RowRejection(0, str(prefix), "prefix covered by delegations from multiple countries")
-            )
+            reason = "prefix covered by delegations from multiple countries"
+            rejections.append(Rejection("delegations.txt", 0, reason, str(prefix)))
         elif covering:
             mass[(prefix, covering.pop())] = prefix.size
     return mass, rejections
@@ -106,7 +104,7 @@ def test_delegation_fallback_finds_a_cover_behind_later_blocks():
     nested = [*delegations, ("CC", P1.base, 256)]
     table, rejections = build_geo_table([], nested, {P1: 100})
     assert table.mass == {}
-    assert [r.reason for r in rejections] == [
+    assert [r.category for r in rejections] == [
         "prefix covered by delegations from multiple countries"
     ]
 

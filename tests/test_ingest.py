@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cti import ingest, pipeline, synth_oracle, transit_dominance
-from cti.model import MonitorId, ParseError, PathRecord, Prefix, RelKind
+from cti.model import MonitorId, ParseError, PathRecord, Prefix, Rejection, RelKind
 
 MONITORS = {
     "m1": MonitorId("m1", 10, "US"),
@@ -46,7 +46,7 @@ def test_parse_paths_basic():
 def test_parse_paths_rejections(line, reason):
     records, rejections = ingest.parse_paths([line], MONITORS)
     assert list(records) == []
-    assert [r.reason for r in rejections] == [reason]
+    assert rejections == [Rejection("paths.txt", 1, reason, line)]
 
 
 # Rows between a conflicting (m1, 10.0.0.0/24) pair: blank, comment and
@@ -88,10 +88,11 @@ def test_parse_paths_reports_the_first_error_in_file_order(lines, error):
 def test_parse_paths_counts_blank_comment_and_padded_lines():
     records, rejections = ingest.parse_paths(_CONFLICT[:-1] + ["  m2|10.0.0.0/24|20 30"], MONITORS)
     assert [(r.monitor.id, r.hops) for r in records] == [("m1", (10, 20)), ("m2", (20, 30))]
-    assert [(r.line_no, r.line, r.reason) for r in rejections] == [
-        (7, "mX|10.0.0.0/24|10 30", "unknown monitor"),
-        (8, "m1|10.0.0.0/24|10 x", "malformed ASN"),
+    assert rejections == [
+        Rejection("paths.txt", 7, "unknown monitor", "mX|10.0.0.0/24|10 30"),
+        Rejection("paths.txt", 8, "malformed ASN", "m1|10.0.0.0/24|10 x"),
     ]
+    assert list(records.line_no) == [1, 9]
 
 
 @pytest.mark.parametrize(
@@ -118,8 +119,8 @@ def test_parse_traceroutes_counts_blank_comment_and_padded_lines():
     lines = ["t-m1|10.0.0.0/24|10 20 20", "", "# c", "  t-m1|10.0.1.0/24|10 20  ", "\tt-m1|bogus|10 20"]
     counts, rejections = transit_dominance.parse_traceroutes(lines)
     assert counts == Counter({(10, 20): 2})
-    assert [(r.line_no, r.line, r.reason) for r in rejections] == [
-        (5, "t-m1|bogus|10 20", "unparsable prefix")
+    assert rejections == [
+        Rejection("traceroutes.txt", 5, "unparsable prefix", "t-m1|bogus|10 20")
     ]
 
 
@@ -128,7 +129,7 @@ def test_parse_paths_multi_origin_exclusion():
     records, rejections = ingest.parse_paths(
         ["m1|10.0.0.0/24|10 20", "m1|10.0.1.0/24|10 20"], MONITORS, excluded
     )
-    assert [r.reason for r in rejections] == ["multi-origin prefix"]
+    assert [r.category for r in rejections] == ["multi-origin prefix"]
     assert len(records) == 1
 
 
@@ -166,7 +167,7 @@ def test_repeated_bad_rows_are_each_rejected():
     ]
     records, rejections = ingest.parse_paths(lines, MONITORS)
     assert list(records) == []
-    assert [(r.line_no, r.reason) for r in rejections] == [
+    assert [(r.line, r.category) for r in rejections] == [
         (1, "unparsable prefix"),
         (2, "unparsable prefix"),
         (3, "malformed ASN"),
@@ -187,7 +188,7 @@ def test_repeated_prefix_texts_share_one_prefix():
     # a prefix has one text: another text for it rejects its row
     records, rejections = ingest.parse_paths(["m1|10.0.0.7/24|10 20", "m1|10.0.0.0/24|10 30"], MONITORS)
     assert [r.hops for r in records] == [(10, 30)]
-    assert [(r.line_no, r.reason) for r in rejections] == [(1, "unparsable prefix")]
+    assert [(r.line, r.category) for r in rejections] == [(1, "unparsable prefix")]
 
 
 def test_parse_paths_malformed_structure():
@@ -231,7 +232,24 @@ def test_parse_geo_and_delegations():
     )
     assert geo_rows == [(Prefix.parse("10.0.0.0/24"), "CU", 256)]
     assert delegations == [("US", 10 << 24, 512)]
-    assert sorted(r.reason for r in rejections) == ["unparsable country code"] * 2
+    assert rejections == [
+        Rejection("geo.csv", 2, "unparsable country code", "10.0.1.0/24,xx,256"),
+        Rejection(
+            "delegations.txt", 3, "unparsable country code", "arin|zz|ipv4|10.1.0.0|256|20000101|allocated"
+        ),
+    ]
+
+
+def test_rejections_from_different_files_read_differently():
+    _geo, _delegations, rejections = ingest.parse_geo_and_delegations(
+        ["10.0.0.0/24,CU,256", "10.0.1.0/24,xx,256"],
+        ["arin|US|ipv4|10.0.0.0|512|20000101|allocated", "arin|xx|ipv4|10.1.0.0|256|20000101|allocated"],
+    )
+    assert [(r.file, r.line, r.category) for r in rejections] == [
+        ("geo.csv", 2, "unparsable country code"),
+        ("delegations.txt", 2, "unparsable country code"),
+    ]
+    assert rejections[0] != rejections[1]
 
 
 def test_geo_count_exceeding_capacity_is_hard_error():
@@ -263,6 +281,11 @@ def test_parse_monitors():
         ingest.parse_monitors(["m1,0,US"])
     with pytest.raises(ParseError):
         ingest.parse_monitors(["m1,10,usa"])
+    # an id that no paths.txt row can name: a path row is split on "|" and
+    # stripped, so its monitor field is never padded
+    for row in (",10,US", "a|b,10,US", "m1 ,10,US", "m1\t,10,US"):
+        with pytest.raises(ParseError, match="^monitors.csv line 2: monitor id"):
+            ingest.parse_monitors(["m2,20,DE", row])
 
 
 def test_parse_aux_tables():
@@ -278,7 +301,9 @@ def test_parse_aux_tables():
     assert aux.org_of == {100: "org-1"}
     assert aux.memberships == [("fac-1", "US", 100)]
     assert aux.hegemony == {(100, 200): Fraction(1, 4)}
-    assert [r.reason for r in aux.rejections] == ["hegemony score outside [0,1]"]
+    assert aux.rejections == [
+        Rejection("hegemony.csv", 2, "hegemony score outside [0,1]", "100,300,1.5")
+    ]
     assert aux.clique == frozenset({10, 20})
     assert Prefix.parse("10.9.0.0/24") in aux.multi_origin
 
@@ -311,7 +336,7 @@ def test_hegemony_scores_are_kept_exactly_when_in_the_unit_interval(score, kept)
         return
     aux = ingest.parse_aux_tables(hegemony_reader=lines)
     assert aux.hegemony == ({(100, 200): Fraction(score), (100, 300): Fraction(score)} if kept else {})
-    assert [r.line_no for r in aux.rejections] == ([] if kept else [1, 2])
+    assert [r.line for r in aux.rejections] == ([] if kept else [1, 2])
 
 
 def test_delegation_base_must_be_a_dotted_quad():
@@ -455,7 +480,8 @@ def _data_lines(lines):
 
 
 def _reference_parse_paths(lines, monitors, multi_origin=frozenset()):
-    """Row-by-row parse with no memo: every field validated from scratch."""
+    """Row-by-row parse with no memo: every field validated from scratch. The
+    kept rows come as (line, record) pairs."""
     records, rejections, seen = [], [], {}
     for line_no, line in _data_lines(lines):
         parts = line.split("|")
@@ -483,7 +509,7 @@ def _reference_parse_paths(lines, monitors, multi_origin=frozenset()):
         if reason is None and not hops:
             reason = "empty path"
         if reason is not None:
-            rejections.append(ingest.RowRejection(line_no, line, reason))
+            rejections.append(Rejection("paths.txt", line_no, reason, line))
             continue
         if (monitor_id, prefix) in seen:
             prev_hops, prev_line = seen[(monitor_id, prefix)]
@@ -494,7 +520,7 @@ def _reference_parse_paths(lines, monitors, multi_origin=frozenset()):
                 )
             continue
         seen[(monitor_id, prefix)] = (hops, line_no)
-        records.append(PathRecord(monitor=monitor, prefix=prefix, hops=hops))
+        records.append((line_no, PathRecord(monitor=monitor, prefix=prefix, hops=hops)))
     return records, rejections
 
 
@@ -507,15 +533,15 @@ def _reference_parse_traceroutes(lines):
         try:
             Prefix.parse(parts[1])
         except ValueError:
-            rejections.append(ingest.RowRejection(line_no, line, "unparsable prefix"))
+            rejections.append(Rejection("traceroutes.txt", line_no, "unparsable prefix", line))
             continue
         try:
             raw_hops = [ingest.parse_asn_token(tok) for tok in parts[2].split()]
         except ValueError:
-            rejections.append(ingest.RowRejection(line_no, line, "malformed ASN"))
+            rejections.append(Rejection("traceroutes.txt", line_no, "malformed ASN", line))
             continue
         if not raw_hops:
-            rejections.append(ingest.RowRejection(line_no, line, "empty path"))
+            rejections.append(Rejection("traceroutes.txt", line_no, "empty path", line))
             continue
         hops = [asn for i, asn in enumerate(raw_hops) if i == 0 or raw_hops[i - 1] != asn]
         counts[tuple(hops)] += 1
@@ -523,9 +549,9 @@ def _reference_parse_traceroutes(lines):
 
 
 def _parse_path_rows(*args):
-    """``parse_paths`` with the corpus given as its row view."""
+    """``parse_paths`` with the corpus given as (line, record) pairs."""
     corpus, rejections = ingest.parse_paths(*args)
-    return list(corpus), rejections
+    return list(zip(corpus.line_no, corpus)), rejections
 
 
 def _outcome(parse, *args):
@@ -625,12 +651,17 @@ def test_parse_geo_and_delegations_rejects_or_raises_parse_error(geo_lines, dele
     if not isinstance(geo, str):
         rows, _delegations, rejections = geo
         assert len(rows) + len(rejections) == len(_data_line_numbers(geo_lines))
-        assert {r.line_no for r in rejections} <= set(_data_line_numbers(geo_lines))
+        assert {(r.file, r.line) for r in rejections} <= {
+            ("geo.csv", line) for line in _data_line_numbers(geo_lines)
+        }
     delegated = _outcome(ingest.parse_geo_and_delegations, [], delegation_lines)
     if not isinstance(delegated, str):
         _rows, delegations, rejections = delegated
         ipv4 = [line for _no, line in _data_lines(delegation_lines) if line.split("|")[2] == "ipv4"]
         assert len(delegations) + len(rejections) == len(ipv4)
+        assert {(r.file, r.line) for r in rejections} <= {
+            ("delegations.txt", line) for line in _data_line_numbers(delegation_lines)
+        }
 
 
 @_FUZZ
@@ -655,7 +686,9 @@ def test_parse_aux_tables_rejects_or_raises_parse_error(state, org, membership, 
     aux = _outcome(ingest.parse_aux_tables, *readers)
     if not isinstance(aux, str):
         assert all(0 <= score <= 1 for score in aux.hegemony.values())
-        assert {r.line_no for r in aux.rejections} <= set(_data_line_numbers(hegemony))
+        assert {(r.file, r.line) for r in aux.rejections} <= {
+            ("hegemony.csv", line) for line in _data_line_numbers(hegemony)
+        }
 
 
 @_FUZZ

@@ -8,10 +8,11 @@ from cti.model import (
     PathRecord,
     Prefix,
     RelKind,
+    Rejection,
     RelationshipTable,
     intern,
 )
-from cti.pathprep import PathRejection, RejectCategory, Retained, RouteRejection
+from cti.pathprep import LOOP, NO_PEAK, POISONED, UNALLOCATED, Retained, RouteRejection
 
 M_US = MonitorId("m1", 10, "US")
 M_CU = MonitorId("m2", 10, "CU")
@@ -19,14 +20,21 @@ P = Prefix.parse("10.0.0.0/24")
 CLIQUE = frozenset({10, 11})
 
 
+def line_of(row):
+    """The line ``corpus_of`` puts row ``row`` on: as if a comment preceded
+    each row, so that a line is neither a row's index nor its index + 1."""
+    return 2 * row + 2
+
+
 def corpus_of(paths):
-    """The paths as a corpus, rows in the given order."""
+    """The paths as a corpus, rows in the given order on lines 2, 4, 6, ..."""
     corpus = Corpus(monitors=[], prefixes=[], routes=[])
     monitor_index, prefix_index, route_index = {}, {}, {}
     for path in paths:
         corpus.monitor_ix.append(intern(path.monitor, monitor_index, corpus.monitors))
         corpus.prefix_ix.append(intern(path.prefix, prefix_index, corpus.prefixes))
         corpus.route_ix.append(intern(path.hops, route_index, corpus.routes))
+    corpus.line_no = [line_of(row) for row in range(len(corpus))]
     return corpus
 
 
@@ -50,26 +58,23 @@ def retained_of(rows):
 # per-route memos of prepare_paths and retain_for_country.
 
 
-def _rejection(path, verdict):
-    return PathRejection(verdict.category, path.monitor.id, path.prefix, verdict.reason)
-
-
-def sanitize(path, clique, reserved):
-    """``sanitize_route`` applied to one path; the path itself when its hops
-    are kept as they are."""
+def sanitize(path, clique, reserved, line=1):
+    """``sanitize_route`` applied to one path read from ``line``: the path
+    itself when its hops are kept as they are."""
     route = pathprep.sanitize_route(path.monitor.host_asn, path.hops, clique, reserved)
     if isinstance(route, RouteRejection):
-        return _rejection(path, route)
+        return Rejection("paths.txt", line, route.category, route.reason)
     if len(route) == len(path.hops):
         return path
     return PathRecord(path.monitor, path.prefix, route)
 
 
-def truncate_to_peak(path, rels):
-    """``peak_segment`` applied to one path: its (host AS, segment, prefix) row."""
+def truncate_to_peak(path, rels, line=1):
+    """``peak_segment`` applied to one path read from ``line``: its (host AS,
+    segment, prefix) row."""
     segment = pathprep.peak_segment(path.monitor.host_asn, path.hops, rels)
     if isinstance(segment, RouteRejection):
-        return _rejection(path, segment)
+        return Rejection("paths.txt", line, segment.category, segment.reason)
     return (path.monitor.host_asn, segment, path.prefix)
 
 
@@ -88,23 +93,23 @@ def test_sanitize_collapses_prepending():
 
 def test_sanitize_rejects_loop():
     result = sanitize(PathRecord(M_US, P, (10, 20, 30, 20)), CLIQUE, frozenset())
-    assert isinstance(result, PathRejection)
-    assert result.category is RejectCategory.LOOP
+    assert isinstance(result, Rejection)
+    assert result.category == LOOP
 
 
 def test_sanitize_rejects_reserved_asn():
     result = sanitize(
         PathRecord(M_US, P, (10, 23456, 30)), CLIQUE, frozenset({23456})
     )
-    assert isinstance(result, PathRejection)
-    assert result.category is RejectCategory.UNALLOCATED
+    assert isinstance(result, Rejection)
+    assert result.category == UNALLOCATED
 
 
 def test_sanitize_rejects_poisoned():
     # non-clique 99 strictly between clique members 10 and 11
     result = sanitize(PathRecord(M_US, P, (10, 99, 11, 30)), CLIQUE, frozenset())
-    assert isinstance(result, PathRejection)
-    assert result.category is RejectCategory.POISONED
+    assert isinstance(result, Rejection)
+    assert result.category == POISONED
 
 
 def test_sanitize_allows_adjacent_clique_members():
@@ -115,7 +120,7 @@ def test_sanitize_allows_adjacent_clique_members():
 def test_loop_precedes_poison_classification():
     # both anomalies present; the loop check runs first
     result = sanitize(PathRecord(M_US, P, (10, 99, 11, 99)), CLIQUE, frozenset())
-    assert result.category is RejectCategory.LOOP
+    assert result.category == LOOP
 
 
 def test_sanitize_rejects_host_asn_after_first_hop():
@@ -124,13 +129,13 @@ def test_sanitize_rejects_host_asn_after_first_hop():
     assert accepted.hops == (10, 20, 30)
     for hops in ((20, 10, 30), (40, 20, 30, 10)):
         result = sanitize(PathRecord(M_US, P, hops), frozenset(), frozenset())
-        assert isinstance(result, PathRejection)
-        assert result.category is RejectCategory.LOOP
+        assert isinstance(result, Rejection)
+        assert result.category == LOOP
     # a poisoned path wedging the host AS stays Poisoned
     wedged = sanitize(
         PathRecord(MonitorId("m5", 99, "US"), P, (10, 99, 11, 30)), CLIQUE, frozenset()
     )
-    assert wedged.category is RejectCategory.POISONED
+    assert wedged.category == POISONED
 
 
 def test_truncate_strips_host_and_finds_peak():
@@ -165,14 +170,14 @@ def test_truncate_rejects_without_p2c_link():
     rels = RelationshipTable()
     rels.add(20, 30, RelKind.P2P)
     result = truncate_to_peak(PathRecord(MonitorId("m9", 77, "US"), P, (20, 30)), rels)
-    assert isinstance(result, PathRejection)
-    assert result.category is RejectCategory.NO_PEAK
+    assert isinstance(result, Rejection)
+    assert result.category == NO_PEAK
 
 
 def test_truncate_rejects_host_only_path():
     result = truncate_to_peak(PathRecord(M_US, P, (10,)), _rels((10, 20)))
-    assert isinstance(result, PathRejection)
-    assert result.category is RejectCategory.NO_PEAK
+    assert isinstance(result, Rejection)
+    assert result.category == NO_PEAK
 
 
 def test_inbound_filter():
@@ -200,13 +205,15 @@ def test_prepare_paths_keeps_input_order_and_splits():
     ]
     accepted, rejections = pathprep.prepare_paths(corpus_of(paths), CLIQUE, frozenset())
     assert [p.prefix for p in accepted] == [Prefix.parse("10.0.1.0/24"), P]
-    assert [r.category for r in rejections] == [RejectCategory.LOOP]
+    assert list(accepted.line_no) == [2, 6]
+    assert rejections == [Rejection("paths.txt", 4, LOOP, "ASN repeats non-consecutively")]
 
 
 def test_prepare_paths_copies_the_route_table_only_to_add_a_collapsed_route():
     clean = corpus_of([PathRecord(M_US, P, (10, 20, 30))])
     sanitized, _ = pathprep.prepare_paths(clean, CLIQUE, frozenset())
     assert sanitized.routes is clean.routes and sanitized.route_ix is clean.route_ix
+    assert sanitized.line_no is clean.line_no
     prepended = corpus_of([PathRecord(M_US, P, (10, 20, 20, 30)), PathRecord(M_CU, P, (10, 30))])
     sanitized, _ = pathprep.prepare_paths(prepended, CLIQUE, frozenset())
     assert prepended.routes == [(10, 20, 20, 30), (10, 30)]

@@ -21,14 +21,13 @@ from test_ingest import (
     _reference_parse_paths,
     _reference_parse_traceroutes,
 )
-from test_pathprep import corpus_of, sanitize, truncate_to_peak
+from test_pathprep import corpus_of, line_of, sanitize, truncate_to_peak
 
 from cti import cti_core, pathprep
 from cti import transit_dominance as td
 from cti.conglomerate import compute_ctin
 from cti.geo import Nationality, build_geo_table
-from cti.model import MonitorId, PathRecord, Prefix, RelKind, RelationshipTable
-from cti.pathprep import PathRejection, RejectCategory
+from cti.model import MonitorId, PathRecord, Prefix, Rejection, RelKind, RelationshipTable
 
 CLIQUE = frozenset({1, 2})
 RESERVED = frozenset({64512})
@@ -110,51 +109,52 @@ def geo_tables(draw):
     return geo
 
 
-def _reference_sanitize(path, clique, reserved):
-    """The per-path hygiene check, literally, as it was before the route memo."""
+def _reference_sanitize(path, clique, reserved, line):
+    """The per-path hygiene check of the path read from ``line``, literally,
+    as it was before the route memo."""
     collapsed = []
     for asn in path.hops:
         if not collapsed or collapsed[-1] != asn:
             collapsed.append(asn)
     for asn in collapsed:
         if asn in reserved:
-            return PathRejection(
-                RejectCategory.UNALLOCATED, path.monitor.id, path.prefix, f"reserved ASN {asn}"
-            )
+            return Rejection("paths.txt", line, "Unallocated", f"reserved ASN {asn}")
     if len(set(collapsed)) != len(collapsed):
-        return PathRejection(
-            RejectCategory.LOOP, path.monitor.id, path.prefix, "ASN repeats non-consecutively"
-        )
+        return Rejection("paths.txt", line, "Loop", "ASN repeats non-consecutively")
     clique_positions = [i for i, asn in enumerate(collapsed) if asn in clique]
     if clique_positions:
         lo, hi = clique_positions[0], clique_positions[-1]
         for i in range(lo + 1, hi):
             if collapsed[i] not in clique:
-                return PathRejection(
-                    RejectCategory.POISONED,
-                    path.monitor.id,
-                    path.prefix,
-                    f"non-clique ASN {collapsed[i]} between clique ASes",
-                )
+                reason = f"non-clique ASN {collapsed[i]} between clique ASes"
+                return Rejection("paths.txt", line, "Poisoned", reason)
     if path.monitor.host_asn in collapsed[1:]:
         reason = f"monitor host ASN {path.monitor.host_asn} after the first hop"
-        return PathRejection(RejectCategory.LOOP, path.monitor.id, path.prefix, reason)
+        return Rejection("paths.txt", line, "Loop", reason)
     return PathRecord(path.monitor, path.prefix, tuple(collapsed))
 
 
 def _reference_prepare(paths):
-    results = [sanitize(path, CLIQUE, RESERVED) for path in paths]
-    accepted = [r for r in results if not isinstance(r, PathRejection)]
-    return accepted, [r for r in results if isinstance(r, PathRejection)]
+    """The (line, path) pairs kept and the rejections of the paths, read from
+    the lines ``corpus_of`` puts them on."""
+    accepted, rejections = [], []
+    for row, path in enumerate(paths):
+        result = sanitize(path, CLIQUE, RESERVED, line_of(row))
+        if isinstance(result, Rejection):
+            rejections.append(result)
+        else:
+            accepted.append((line_of(row), result))
+    return accepted, rejections
 
 
 def _reference_retain(sanitized, country, geo, rels):
+    """Peak truncation of the sanitized (line, path) pairs, path by path."""
     retained, rejections = [], []
-    for path in sanitized:
+    for line, path in sanitized:
         if geo.mass.get((path.prefix, country), 0) == 0 or path.monitor.country == country:
             continue
-        result = truncate_to_peak(path, rels)
-        (rejections if isinstance(result, PathRejection) else retained).append(result)
+        result = truncate_to_peak(path, rels, line)
+        (rejections if isinstance(result, Rejection) else retained).append(result)
     return retained, rejections
 
 
@@ -168,7 +168,7 @@ def _reference_kernel(sanitized, rels, geo, country, monitors):
         if geo.mass.get((path.prefix, country), 0) == 0 or path.monitor.country == country:
             continue
         retained = truncate_to_peak(path, rels)
-        if not isinstance(retained, PathRejection) and path.monitor.id in active_ids:
+        if not isinstance(retained, Rejection) and path.monitor.id in active_ids:
             counted.append((path, retained[1]))
     observers = Counter((path.monitor.host_asn, path.prefix) for path, _segment in counted)
     rows = [
@@ -267,11 +267,13 @@ def test_parsers_match_row_by_row(corpus, data):
 @_SETTINGS
 @given(corpora())
 def test_prepare_paths_matches_per_path_sanitize(corpus):
-    for path in corpus:
-        assert sanitize(path, CLIQUE, RESERVED) == _reference_sanitize(path, CLIQUE, RESERVED)
+    for line, path in enumerate(corpus, start=1):
+        expected = _reference_sanitize(path, CLIQUE, RESERVED, line)
+        assert sanitize(path, CLIQUE, RESERVED, line) == expected
     for paths in (corpus, corpus[::-1]):
         sanitized, rejections = pathprep.prepare_paths(corpus_of(paths), CLIQUE, RESERVED)
-        assert (list(sanitized), rejections) == _reference_prepare(paths)
+        kept = list(zip(sanitized.line_no, sanitized))
+        assert (kept, rejections) == _reference_prepare(paths)
 
 
 @_SETTINGS
@@ -279,7 +281,7 @@ def test_prepare_paths_matches_per_path_sanitize(corpus):
 def test_retain_for_country_matches_per_path_truncation(corpus, rels, geo):
     sanitized, _rejections = pathprep.prepare_paths(corpus_of(corpus), CLIQUE, RESERVED)
     for country in ("AA", "BB"):
-        expected = _reference_retain(list(sanitized), country, geo, rels)
+        expected = _reference_retain(zip(sanitized.line_no, sanitized), country, geo, rels)
         retained, rejections = pathprep.retain_for_country(sanitized, country, geo, rels)
         assert (list(retained), rejections) == expected
 
@@ -329,9 +331,14 @@ def test_special_routes_reach_every_verdict():
     geo, _rejections = build_geo_table([(PREFIXES[0], "AA", 256)], [], {})
     sanitized, rejections = pathprep.prepare_paths(corpus_of(corpus), CLIQUE, RESERVED)
     retained, no_peak = pathprep.retain_for_country(sanitized, "AA", geo, rels)
-    reasons = {(r.category, r.reason) for r in rejections + no_peak}
-    assert {category for category, _reason in reasons} == set(RejectCategory)
-    assert (RejectCategory.LOOP, "monitor host ASN 3 after the first hop") in reasons
+    reasons = {(r.category, r.detail) for r in rejections + no_peak}
+    assert {category for category, _reason in reasons} == {
+        pathprep.LOOP,
+        pathprep.UNALLOCATED,
+        pathprep.POISONED,
+        pathprep.NO_PEAK,
+    }
+    assert (pathprep.LOOP, "monitor host ASN 3 after the first hop") in reasons
     assert (5, 3, 6) in [p.hops for p in sanitized]  # kept for host 4
     assert (3, 5, 6) in [p.hops for p in sanitized]  # collapsed
     # one route, two segments: host 3 is stripped, host 4 keeps AS 3 as the peak

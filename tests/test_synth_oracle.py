@@ -123,6 +123,30 @@ def test_emit_files_round_trips_through_parsers():
     assert {m.id for m in bundle.monitors.values()} == {m.id for m in topo.monitors}
 
 
+def test_the_generated_line_column_is_the_line_emit_files_writes_each_row_on():
+    from cti import ingest
+
+    for seed in range(1, 51):
+        topo = so.generate_topology(seed)
+        paths = so.propagate_routes(topo)
+        corpora = [paths]
+        if seed == 11:
+            mutated, _manifest = so.inject_path_anomalies(
+                paths, topo.clique, seed=5, n_loops=2, n_prepends=3, n_poisons=1
+            )
+            assert mutated.line_no is paths.line_no
+            corpora.append(mutated)
+        for corpus in corpora:
+            assert corpus.line_no == range(1, len(corpus) + 1)
+            lines = ingest.split_lines(so.emit_files(topo, corpus)["paths.txt"])
+            monitors = {monitor.id: monitor for monitor in topo.monitors}
+            parsed, rejections = ingest.parse_paths(lines, monitors)
+            assert rejections == []
+            assert parsed.monitor_ix == corpus.monitor_ix
+            assert list(parsed) == list(corpus)
+            assert list(parsed.line_no) == list(corpus.line_no)
+
+
 def test_naive_cti_on_empty_paths_is_empty():
     topo = so.preset_topology("toy-fig1")
     assert so.naive_cti(topo, [], "CU").entries == {}

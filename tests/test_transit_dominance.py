@@ -29,7 +29,10 @@ def test_parse_traceroutes():
         ]
     )
     assert counts == Counter({(50, 60, 900): 1})  # consecutive duplicates collapsed
-    assert [r.reason for r in rejections] == ["unparsable prefix"] * 2
+    assert [(r.file, r.line, r.category) for r in rejections] == [
+        ("traceroutes.txt", 3, "unparsable prefix"),
+        ("traceroutes.txt", 4, "unparsable prefix"),
+    ]
     with pytest.raises(ParseError):
         td.parse_traceroutes(["only|two"])
 
@@ -46,7 +49,7 @@ def test_parse_traceroutes_rejects_each_repeated_bad_row():
             "probe-5|10.0.1.0/24|50 50 60",
         ]
     )
-    assert [(r.line_no, r.reason) for r in rejections] == [
+    assert [(r.line, r.category) for r in rejections] == [
         (1, "unparsable prefix"),
         (2, "unparsable prefix"),
         (3, "malformed ASN"),
