@@ -2,8 +2,9 @@
 generator and the oracle self-check.
 
 Every run that consumes an input directory writes a manifest next to the
-reports, listing the content hash of each file the command read and the
-effective configuration. Reports are deterministic: identical inputs and
+reports, listing the content hash of each file the command reads
+(``ingest.CORE_FILES`` and its entry in ``COMMAND_FILES``) and the effective
+configuration. Reports are deterministic: identical inputs and
 flags give byte-identical files. Exit codes: 0 success, 2 a file that cannot
 be read or written (a missing input file, a directory or unreadable file given
 as an input, an ``--output`` that names a file), 3 parse error (a bad input
@@ -95,10 +96,7 @@ def _guarded(action: Callable[[], T]) -> T:
 
 
 def _manifest(
-    command: str,
-    input_dir: str | None,
-    config: dict,
-    consumed: tuple[str, ...] = ingest.BUNDLE_FILES,
+    command: str, input_dir: str | None, config: dict, consumed: Iterable[str] = ()
 ) -> str:
     """The command's manifest; it hashes each file of ``consumed`` that
     ``input_dir`` holds."""
@@ -179,10 +177,6 @@ def main() -> None:
     """Country-level transit influence toolkit."""
 
 
-def _substrate(input_dir: str) -> pipeline.Substrate:
-    return pipeline.build_substrate(ingest.load_bundle(input_dir))
-
-
 def _write_report(output: str, command: str, name: str, text: str, manifest: str) -> None:
     """Write the report ``name`` and the command's manifest, then print the
     report's path."""
@@ -196,17 +190,40 @@ def _records_csv(record_type: type, records: Iterable[object]) -> str:
     return csv_text(header, ([getattr(r, name) for name in header] for r in records))
 
 
-def _input_command(name: str, *options, consumed: tuple[str, ...] = ingest.BUNDLE_FILES):
+# The files each input command reads besides ``ingest.CORE_FILES``, by
+# ``ingest.FILE_NAMES`` key. A command opens, parses and hashes these and no
+# others, and fails only for those of ``ingest.REQUIRED_FILES`` among them.
+COMMAND_FILES = {
+    "cti": ("relationships",),
+    "ctin": ("relationships", "state_owned"),
+    "footprint": ("relationships", "state_owned"),
+    "org": ("relationships", "org"),
+    "transit-fraction": ("relationships", "traceroutes"),
+    "candidates": ("relationships", "memberships"),
+    "clh": ("hegemony",),
+}
+
+
+Load = Callable[[], pipeline.Substrate]
+
+
+def _input_command(name: str, *options):
     """Register the subcommand ``name``: ``--input``, ``--country`` and
-    ``--output``, then ``options``. The body gets the input directory, the
-    country and its own options; it checks the options, makes one pipeline
-    call, and returns the report with the manifest's config besides the
-    country. A ``MetricReport`` is written in ``--format``, CSV text as it is,
-    to ``<name>_<country>.<format>``."""
+    ``--output``, then ``options``. The body gets a ``Load`` of the substrate
+    of the command's files, the country and its own options; it
+    checks the options, then loads the substrate and makes one pipeline call,
+    and returns the report with the manifest's config besides the country. A
+    ``MetricReport`` is written in ``--format``, CSV text as it is, to
+    ``<name>_<country>.<format>``."""
+    metric_files = COMMAND_FILES[name]
+    consumed = [ingest.FILE_NAMES[key] for key in (*ingest.CORE_FILES, *metric_files)]
 
     def register(body: Callable[..., tuple[MetricReport | str, dict]]) -> click.Command:
         def command(input_dir: str, country: str, output: str, fmt: str = "csv", **kwargs) -> None:
-            report, config = body(input_dir, country, **kwargs)
+            def load_substrate() -> pipeline.Substrate:
+                return pipeline.build_substrate(ingest.load_bundle(input_dir, metric_files))
+
+            report, config = body(load_substrate, country, **kwargs)
             if isinstance(report, MetricReport):
                 report = report.to_csv() if fmt == "csv" else report.to_json()
                 config["format"] = fmt
@@ -229,13 +246,13 @@ def _input_command(name: str, *options, consumed: tuple[str, ...] = ingest.BUNDL
     click.option("--trim", default="1/10", show_default=True, help="Outlier tail fraction, < 1/2."),
     click.option("--no-outlier", is_flag=True, help="Skip the per-host outlier filter."),
 )
-def cti_command(input_dir: str, country: str, min_hosts: str, trim: str, no_outlier: bool):
+def cti_command(load_substrate: Load, country: str, min_hosts: str, trim: str, no_outlier: bool):
     """Per-AS transit influence toward one country."""
     outlier_min_hosts = _count_option("--min-hosts", min_hosts, least=1)
     half = Fraction(1, 2)
     outlier_trim = _option("--trim", trim, valid=lambda v: 0 <= v < half, bounds="[0, 1/2)")
     report = pipeline.cti_report(
-        _substrate(input_dir),
+        load_substrate(),
         country,
         outlier_min_hosts=outlier_min_hosts,
         outlier_trim=outlier_trim,
@@ -245,44 +262,35 @@ def cti_command(input_dir: str, country: str, min_hosts: str, trim: str, no_outl
 
 
 @_input_command("ctin", _FORMAT)
-def ctin_command(input_dir: str, country: str):
+def ctin_command(load_substrate: Load, country: str):
     """State-conglomerate transit score for one country."""
-    ctin_report, _footprint = pipeline.state_footprint_reports(_substrate(input_dir), country)
+    ctin_report, _footprint = pipeline.state_footprint_reports(load_substrate(), country)
     return ctin_report, {}
 
 
 @_input_command("footprint", _FORMAT)
-def footprint_command(input_dir: str, country: str):
+def footprint_command(load_substrate: Load, country: str):
     """State footprint: conglomerate transit score plus originated share."""
-    _ctin, footprint_report = pipeline.state_footprint_reports(_substrate(input_dir), country)
+    _ctin, footprint_report = pipeline.state_footprint_reports(load_substrate(), country)
     return footprint_report, {}
 
 
 @_input_command("org", click.option("--marginal-threshold", default="1/20", show_default=True))
-def org_command(input_dir: str, country: str, marginal_threshold: str):
+def org_command(load_substrate: Load, country: str, marginal_threshold: str):
     """Organization-level score sums (upper bound over sibling ASes)."""
     threshold = _option("--marginal-threshold", marginal_threshold)
-    aggregates = pipeline.org_aggregates(
-        _substrate(input_dir), country, marginal_threshold=threshold
-    )
+    aggregates = pipeline.org_aggregates(load_substrate(), country, marginal_threshold=threshold)
     return _records_csv(OrgAggregate, aggregates), {"marginal_threshold": marginal_threshold}
 
 
 @_input_command(
     "transit-fraction",
     click.option("--threshold", default="12/25", show_default=True, help="Dominance cutoff."),
-    consumed=(*ingest.BUNDLE_FILES, ingest.FILE_NAMES["traceroutes"]),
 )
-def transit_fraction_command(input_dir: str, country: str, threshold: str):
+def transit_fraction_command(load_substrate: Load, country: str, threshold: str):
     """Address-weighted foreign-transit fraction and dominance verdict."""
     cutoff = _option("--threshold", threshold)
-    traceroute_path = os.path.join(input_dir, ingest.FILE_NAMES["traceroutes"])
-    if not os.path.exists(traceroute_path):
-        raise FileNotFoundError(traceroute_path)
-    with open(traceroute_path, encoding="utf-8") as traceroutes:  # opened before any parse
-        value = pipeline.transit_fraction(
-            _substrate(input_dir), ingest.read_lines(traceroutes), country
-        )
+    value = pipeline.transit_fraction(load_substrate(), country)
     dominant = transit_dominance.classify_transit_dominant(value, cutoff)
     text = csv_text(("country", "transit_fraction", "dominant"), [(country, value, dominant)])
     return text, {"threshold": threshold}
@@ -291,17 +299,17 @@ def transit_fraction_command(input_dir: str, country: str, threshold: str):
 @_input_command(
     "candidates", click.option("--origination-floor", default="1/2000", show_default=True)
 )
-def candidates_command(input_dir: str, country: str, origination_floor: str):
+def candidates_command(load_substrate: Load, country: str, origination_floor: str):
     """Peering-test verdicts for the country's significant domestic origins."""
     floor = _option("--origination-floor", origination_floor)
-    results = pipeline.candidate_results(_substrate(input_dir), country, origination_floor=floor)
+    results = pipeline.candidate_results(load_substrate(), country, origination_floor=floor)
     return _records_csv(CandidateResult, results), {"origination_floor": origination_floor}
 
 
 @_input_command("clh", _FORMAT)
-def clh_command(input_dir: str, country: str):
+def clh_command(load_substrate: Load, country: str):
     """Origination-weighted hegemony baseline for one country."""
-    return pipeline.clh_report(_substrate(input_dir), country), {}
+    return pipeline.clh_report(load_substrate(), country), {}
 
 
 @main.command("compare")

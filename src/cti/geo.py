@@ -10,7 +10,6 @@ originated by its direct customers.
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -84,19 +83,30 @@ class DelegationIndex:
         self._bases = [base for base, _end, _country in rows]
         self._ends = [end for _base, end, _country in rows]
         self._countries = [country for _base, _end, country in rows]
-        # _reach[i]: the largest block end among the first i + 1 blocks, so a
-        # backward walk may stop where no earlier block reaches far enough
-        self._reach = list(itertools.accumulate(self._ends, max))
+        # _wider[i]: the last block before block i that ends after it, or -1;
+        # every block between the two ends no later than block i
+        self._wider = [-1] * len(rows)
+        stack: list[int] = []  # blocks so far whose ends decrease
+        for row, end in enumerate(self._ends):
+            while stack and self._ends[stack[-1]] <= end:
+                stack.pop()
+            if stack:
+                self._wider[row] = stack[-1]
+            stack.append(row)
 
     def countries_covering(self, start: int, end: int) -> set[str]:
         """The countries of the blocks that cover the addresses [start, end)
-        whole; the walk stops at the second country."""
+        whole; the walk stops at the second country. It steps back from the
+        last block based at or below ``start``, and from a block that ends
+        before ``end`` jumps to the last earlier block that ends after it."""
         countries: set[str] = set()
         row = bisect.bisect_right(self._bases, start) - 1
-        while row >= 0 and self._reach[row] >= end and len(countries) < 2:
+        while row >= 0 and len(countries) < 2:
             if self._ends[row] >= end:
                 countries.add(self._countries[row])
-            row -= 1
+                row -= 1
+            else:
+                row = self._wider[row]
         return countries
 
 

@@ -1,4 +1,5 @@
-"""Parsers for the six input file families.
+"""Parsers for the input file families, and the bundle of the tables a
+command reads.
 
 All formats are line-oriented UTF-8 text; a line ends at ``\\n``, ``\\r\\n`` or
 ``\\r``, in a file and an in-memory text alike. Lines starting with ``#`` are
@@ -14,6 +15,7 @@ import contextlib
 import functools
 import os
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, TextIO
@@ -26,6 +28,8 @@ from .model import (
     Rejection,
     RelKind,
     RelationshipTable,
+    Route,
+    collapse_prepending,
     parse_decimal,
     parse_dotted_quad,
     parse_fraction,
@@ -217,6 +221,64 @@ def _path_reason(monitor_ix: int, prefix_code: int, route_code: int) -> str:
     return REJECT_REASONS[~(prefix_code if prefix_code < 0 else route_code)]
 
 
+def parse_traceroutes(
+    reader: Iterable[str],
+) -> tuple[Counter[Route], list[Rejection]]:
+    """Count the ``probe_id|prefix|asn asn ...`` rows (probe-first hop order)
+    of each route, with consecutive duplicate ASNs collapsed.
+
+    A row with an unparsable prefix or a malformed ASN token is rejected
+    with a log entry.
+    """
+    rejections: list[Rejection] = []
+    # each distinct prefix text is checked once, and each distinct hop text
+    # parsed and collapsed once, to an index into routes or a negative code
+    prefix_ok: dict[str, bool] = {}
+    route_code: dict[str, int] = {}
+    routes: list[Route] = []  # the collapsed route of each distinct hop text
+    n_traces: list[int] = []  # rows per distinct hop text
+    parse_asn = functools.cache(parse_asn_token)
+
+    def is_prefix(text: str) -> bool:
+        try:
+            Prefix.parse(text)  # checked only: a bad prefix still rejects the row
+        except ValueError:
+            return False
+        return True
+
+    def judge_hops(text: str) -> int:
+        try:
+            hops = tuple(map(parse_asn, text.split()))
+        except ValueError:
+            return MALFORMED_ASN
+        if not hops:
+            return EMPTY_PATH
+        routes.append(collapse_prepending(hops))
+        n_traces.append(0)
+        return len(routes) - 1
+
+    file = FILE_NAMES["traceroutes"]
+    with RowReader("traceroutes", reader, "probe_id|prefix|hops") as rows:
+        for line_no, line, (_probe_id, prefix_text, hops_text) in rows:
+            ok = prefix_ok.get(prefix_text)
+            if ok is None:
+                ok = prefix_ok[prefix_text] = is_prefix(prefix_text)
+            if not ok:
+                rejections.append(Rejection(file, line_no, "unparsable prefix", line))
+                continue
+            route_ix = route_code.get(hops_text)
+            if route_ix is None:
+                route_ix = route_code[hops_text] = judge_hops(hops_text)
+            if route_ix < 0:
+                rejections.append(Rejection(file, line_no, REJECT_REASONS[~route_ix], line))
+                continue
+            n_traces[route_ix] += 1
+    counts: Counter[Route] = Counter()
+    for hops, n in zip(routes, n_traces):
+        counts[hops] = counts.get(hops, 0) + n
+    return counts, rejections
+
+
 _RELATIONSHIP_CODES = {"-1": RelKind.P2C, "0": RelKind.P2P}
 
 
@@ -299,56 +361,69 @@ def parse_monitors(reader: Iterable[str]) -> dict[str, MonitorId]:
 
 @dataclass
 class AuxBundle:
-    state_owned: list[tuple[int, str]] = field(default_factory=list)
-    org_of: dict[int, str] = field(default_factory=dict)
-    memberships: list[tuple[str, str, int]] = field(default_factory=list)
-    hegemony: dict[tuple[int, int], Fraction] = field(default_factory=dict)
+    """The auxiliary tables; a metric table that was not read is None."""
+
+    state_owned: list[tuple[int, str]] | None = None
+    org_of: dict[int, str] | None = None
+    memberships: list[tuple[str, str, int]] | None = None
+    hegemony: dict[tuple[int, int], Fraction] | None = None
     clique: frozenset[int] = frozenset()
     multi_origin: frozenset[Prefix] = frozenset()
     rejections: list[Rejection] = field(default_factory=list)
 
 
 def parse_aux_tables(
-    state_owned_reader: Iterable[str] = (),
-    org_reader: Iterable[str] = (),
-    membership_reader: Iterable[str] = (),
-    hegemony_reader: Iterable[str] = (),
+    state_owned_reader: Iterable[str] | None = (),
+    org_reader: Iterable[str] | None = (),
+    membership_reader: Iterable[str] | None = (),
+    hegemony_reader: Iterable[str] | None = (),
     clique_reader: Iterable[str] = (),
     multi_origin_reader: Iterable[str] = (),
 ) -> AuxBundle:
-    """Parse the auxiliary tables; out-of-range hegemony scores are rejected rows."""
+    """Parse the auxiliary tables; out-of-range hegemony scores are rejected
+    rows. A metric table whose reader is None is not read."""
     aux = AuxBundle()
 
-    with RowReader("state_owned", state_owned_reader, "asn,country") as rows:
-        for _line_no, _line, (asn, country) in rows:
-            aux.state_owned.append((parse_asn_token(asn), validate_country(country)))
+    if state_owned_reader is not None:
+        aux.state_owned = []
+        with RowReader("state_owned", state_owned_reader, "asn,country") as rows:
+            for _line_no, _line, (asn, country) in rows:
+                aux.state_owned.append((parse_asn_token(asn), validate_country(country)))
 
-    first_orgs: dict[tuple[int], tuple[str, int]] = {}
-    with RowReader("org", org_reader, "asn|org_id") as rows:
-        for line_no, _line, (asn_text, org) in rows:
-            asn = parse_asn_token(asn_text)
-            _check_repeat(first_orgs, (asn,), org, line_no, "org ids")
-            aux.org_of[asn] = org
+    if org_reader is not None:
+        aux.org_of = {}
+        first_orgs: dict[tuple[int], tuple[str, int]] = {}
+        with RowReader("org", org_reader, "asn|org_id") as rows:
+            for line_no, _line, (asn_text, org) in rows:
+                asn = parse_asn_token(asn_text)
+                _check_repeat(first_orgs, (asn,), org, line_no, "org ids")
+                aux.org_of[asn] = org
 
-    with RowReader("memberships", membership_reader, "facility_id,country,asn") as rows:
-        for _line_no, _line, (facility, country, asn) in rows:
-            aux.memberships.append((facility, validate_country(country), parse_asn_token(asn)))
+    if membership_reader is not None:
+        aux.memberships = []
+        with RowReader("memberships", membership_reader, "facility_id,country,asn") as rows:
+            for _line_no, _line, (facility, country, asn) in rows:
+                row = (facility, validate_country(country), parse_asn_token(asn))
+                aux.memberships.append(row)
 
-    # each AS, and many a score, recurs in many hegemony rows: each distinct
-    # text is judged once, and a score text's rows share one value
-    parse_asn = functools.cache(parse_asn_token)
-    judge_score = functools.cache(_judge_score)
-    first_scores: dict[tuple[int, int], tuple[Fraction, int]] = {}
-    with RowReader("hegemony", hegemony_reader, "origin_asn,transit_asn,score") as rows:
-        for line_no, line, (origin, transit, score_text) in rows:
-            key = (parse_asn(origin), parse_asn(transit))
-            score = judge_score(score_text)
-            if score is None:
-                reason = "hegemony score outside [0,1]"
-                aux.rejections.append(Rejection(FILE_NAMES["hegemony"], line_no, reason, line))
-                continue
-            _check_repeat(first_scores, key, score, line_no, "hegemony scores")
-            aux.hegemony[key] = score
+    if hegemony_reader is not None:
+        aux.hegemony = {}
+        # each AS, and many a score, recurs in many hegemony rows: each
+        # distinct text is judged once, and a score text's rows share one value
+        parse_asn = functools.cache(parse_asn_token)
+        judge_score = functools.cache(_judge_score)
+        first_scores: dict[tuple[int, int], tuple[Fraction, int]] = {}
+        with RowReader("hegemony", hegemony_reader, "origin_asn,transit_asn,score") as rows:
+            for line_no, line, (origin, transit, score_text) in rows:
+                key = (parse_asn(origin), parse_asn(transit))
+                score = judge_score(score_text)
+                if score is None:
+                    reason = "hegemony score outside [0,1]"
+                    rejection = Rejection(FILE_NAMES["hegemony"], line_no, reason, line)
+                    aux.rejections.append(rejection)
+                    continue
+                _check_repeat(first_scores, key, score, line_no, "hegemony scores")
+                aux.hegemony[key] = score
 
     with RowReader("clique", clique_reader, "asn") as rows:
         aux.clique = frozenset(parse_asn_token(line) for _line_no, line, _fields in rows)
@@ -376,10 +451,11 @@ def parse_reserved_asns(reader: Iterable[str]) -> frozenset[int]:
 
 @dataclass
 class DatasetBundle:
-    """Everything the pipeline consumes, parsed into model types."""
+    """Everything the pipeline consumes, parsed into model types; a metric
+    table that was not read is None."""
 
     paths: Corpus
-    relationships: RelationshipTable
+    relationships: RelationshipTable | None
     geo_rows: list[GeoRow]
     delegations: list[DelegationRow]
     monitors: dict[str, MonitorId]
@@ -387,6 +463,7 @@ class DatasetBundle:
     reserved: frozenset[int] = frozenset()
     path_rejections: list[Rejection] = field(default_factory=list)
     geo_rejections: list[Rejection] = field(default_factory=list)
+    traceroutes: Counter[Route] | None = None  # traces per collapsed route
 
 
 # Canonical file names inside an input directory.
@@ -406,24 +483,37 @@ FILE_NAMES = {
     "traceroutes": "traceroutes.txt",
 }
 
-REQUIRED_FILES = ("paths", "relationships", "geo", "monitors")
+# The files every bundle reads: the paths, and what sanitizing them and
+# building the geo table take.
+CORE_FILES = ("paths", "geo", "delegations", "monitors", "clique", "multi_origin", "reserved")
+# The files that only some metrics read; a bundle reads those it is asked for.
+METRIC_FILES = ("relationships", "state_owned", "org", "memberships", "hegemony", "traceroutes")
+# A bundle reads every metric file but the traceroutes unless asked otherwise.
+DEFAULT_METRIC_FILES = tuple(key for key in METRIC_FILES if key != "traceroutes")
 
-# The files ``load_bundle`` reads; only transit-fraction reads the traceroutes.
-BUNDLE_FILES = tuple(name for key, name in FILE_NAMES.items() if key != "traceroutes")
+# A bundle fails without these, of the files it reads.
+REQUIRED_FILES = ("paths", "relationships", "geo", "monitors", "traceroutes")
 
 
-def load_bundle_from_texts(files: Mapping[str, str | Iterable[str]]) -> DatasetBundle:
+def load_bundle_from_texts(
+    files: Mapping[str, str | Iterable[str]],
+    metric_files: tuple[str, ...] = DEFAULT_METRIC_FILES,
+) -> DatasetBundle:
     """Assemble a bundle from the input files keyed by canonical name: each
     one's text, split into lines as a file is (see ``split_lines``), or an
-    iterable of its lines.
+    iterable of its lines. It parses the core files and the ``metric_files``
+    (keys of ``FILE_NAMES``), each one missing from ``files`` as an empty file.
 
     Missing required entries raise FileNotFoundError naming the file.
     """
+    reads = {*CORE_FILES, *metric_files}
     for key in REQUIRED_FILES:
-        if FILE_NAMES[key] not in files:
+        if key in reads and FILE_NAMES[key] not in files:
             raise FileNotFoundError(FILE_NAMES[key])
 
-    def lines(key: str) -> Iterable[str]:
+    def lines(key: str) -> Iterable[str] | None:
+        if key not in reads:
+            return None
         source = files.get(FILE_NAMES[key], "")
         return split_lines(source) if isinstance(source, str) else source
 
@@ -438,7 +528,12 @@ def load_bundle_from_texts(files: Mapping[str, str | Iterable[str]]) -> DatasetB
     )
     reserved = parse_reserved_asns(lines("reserved"))
     paths, path_rejections = parse_paths(lines("paths"), monitors, aux.multi_origin)
-    relationships = parse_relationships(lines("relationships"))
+    # parsed before the larger tables that follow, so that they reuse the memory
+    # its per-text memo frees instead of adding to the command's peak RSS
+    traceroute_lines = lines("traceroutes")
+    traceroutes = None if traceroute_lines is None else parse_traceroutes(traceroute_lines)[0]
+    relationship_lines = lines("relationships")
+    relationships = None if relationship_lines is None else parse_relationships(relationship_lines)
     geo_rows, delegations, geo_rejections = parse_geo_and_delegations(
         lines("geo"), lines("delegations")
     )
@@ -452,29 +547,34 @@ def load_bundle_from_texts(files: Mapping[str, str | Iterable[str]]) -> DatasetB
         reserved=reserved,
         path_rejections=path_rejections,
         geo_rejections=geo_rejections,
+        traceroutes=traceroutes,
     )
 
 
-def load_bundle(directory: str) -> DatasetBundle:
-    """Load a bundle from a directory using the canonical file names.
+def load_bundle(
+    directory: str, metric_files: tuple[str, ...] = DEFAULT_METRIC_FILES
+) -> DatasetBundle:
+    """Load a bundle of the core files and the ``metric_files`` from a
+    directory using the canonical file names; no other file is opened.
 
     Every file is opened before any is parsed, so a file that is missing or
     cannot be opened is reported before a malformed row; then each is read a
     line at a time while it is parsed, and all are closed however the parse
     ends. Missing required files raise FileNotFoundError naming the file.
     """
+    reads = {*CORE_FILES, *metric_files}
     for key in REQUIRED_FILES:
         path = os.path.join(directory, FILE_NAMES[key])
-        if not os.path.exists(path):
+        if key in reads and not os.path.exists(path):
             raise FileNotFoundError(path)
 
     with contextlib.ExitStack() as stack:
         files: dict[str, Iterable[str]] = {}
-        for name in BUNDLE_FILES:
+        for key, name in FILE_NAMES.items():
             path = os.path.join(directory, name)
-            if os.path.exists(path):
+            if key in reads and os.path.exists(path):
                 files[name] = read_lines(stack.enter_context(open(path, encoding="utf-8")))
-        return load_bundle_from_texts(files)
+        return load_bundle_from_texts(files, metric_files)
 
 
 def split_lines(text: str) -> list[str]:

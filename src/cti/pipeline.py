@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
 
 from . import clh_compare, conglomerate, cti_core, outlier, pathprep, transit_dominance
 from .geo import GeoTable, Nationality, build_geo_table, classify_nationality
@@ -46,7 +45,7 @@ class Substrate:
     geo_rejections: list[Rejection]
 
     @property
-    def rels(self) -> RelationshipTable:
+    def rels(self) -> RelationshipTable | None:
         return self.bundle.relationships
 
 
@@ -121,12 +120,10 @@ def transit_nationality(sub: Substrate) -> Nationality:
     return classify_nationality(sub.geo, sub.rels)
 
 
-def transit_fraction(sub: Substrate, traceroute_lines: Iterable[str], country: str) -> Fraction:
-    """The country's transit fraction over the traceroutes in
-    ``traceroute_lines``; rejected rows are dropped."""
-    counts, _rejections = transit_dominance.parse_traceroutes(traceroute_lines)
+def transit_fraction(sub: Substrate, country: str) -> Fraction:
+    """The country's transit fraction over the bundle's traceroutes."""
     return transit_dominance.compute_transit_fraction(
-        counts, sub.rels, transit_nationality(sub), sub.geo, country
+        sub.bundle.traceroutes, sub.rels, transit_nationality(sub), sub.geo, country
     )
 
 
@@ -139,6 +136,7 @@ def candidate_results(
     least the floor fraction of the country's addresses."""
     nationality = transit_nationality(sub)
     total = sub.geo.country_total(country)
+    facilities = transit_dominance.FacilityIndex(sub.bundle.aux.memberships, nationality)
     results = []
     for origin in sorted({asn for (asn, c) in sub.geo.originated if c == country}):
         if not nationality.is_domestic(origin, country):
@@ -146,9 +144,7 @@ def candidate_results(
         if Fraction(sub.geo.originated[(origin, country)], total) < origination_floor:
             continue
         results.append(
-            transit_dominance.classify_candidate(
-                origin, sub.rels, sub.bundle.aux.memberships, nationality
-            )
+            transit_dominance.classify_candidate(origin, sub.rels, facilities, nationality)
         )
     return results
 

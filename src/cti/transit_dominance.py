@@ -11,83 +11,17 @@ origin's share of the country's address space.
 """
 from __future__ import annotations
 
-import functools
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .geo import GeoTable, Nationality
-from .ingest import (
-    EMPTY_PATH,
-    FILE_NAMES,
-    MALFORMED_ASN,
-    REJECT_REASONS,
-    RowReader,
-    parse_asn_token,
-)
-from .model import Prefix, Rejection, RelationshipTable, Route, collapse_prepending
+# parse_traceroutes is not called here; the benchmark traces it under this module's name.
+from .ingest import parse_traceroutes  # noqa: F401
+from .model import RelationshipTable, Route
 
 DEFAULT_DOMINANCE_THRESHOLD = Fraction(12, 25)  # 0.48
 DEFAULT_ORIGINATION_FLOOR = Fraction(1, 2000)  # 0.05% of the country's addresses
-
-
-def parse_traceroutes(
-    reader: Iterable[str],
-) -> tuple[Counter[Route], list[Rejection]]:
-    """Count the ``probe_id|prefix|asn asn ...`` rows (probe-first hop order)
-    of each route, with consecutive duplicate ASNs collapsed.
-
-    A row with an unparsable prefix or a malformed ASN token is rejected
-    with a log entry.
-    """
-    rejections: list[Rejection] = []
-    # each distinct prefix text is checked once, and each distinct hop text
-    # parsed and collapsed once, to an index into routes or a negative code
-    prefix_ok: dict[str, bool] = {}
-    route_code: dict[str, int] = {}
-    routes: list[Route] = []  # the collapsed route of each distinct hop text
-    n_traces: list[int] = []  # rows per distinct hop text
-    parse_asn = functools.cache(parse_asn_token)
-
-    def is_prefix(text: str) -> bool:
-        try:
-            Prefix.parse(text)  # checked only: a bad prefix still rejects the row
-        except ValueError:
-            return False
-        return True
-
-    def judge_hops(text: str) -> int:
-        try:
-            hops = tuple(map(parse_asn, text.split()))
-        except ValueError:
-            return MALFORMED_ASN
-        if not hops:
-            return EMPTY_PATH
-        routes.append(collapse_prepending(hops))
-        n_traces.append(0)
-        return len(routes) - 1
-
-    file = FILE_NAMES["traceroutes"]
-    with RowReader("traceroutes", reader, "probe_id|prefix|hops") as rows:
-        for line_no, line, (_probe_id, prefix_text, hops_text) in rows:
-            ok = prefix_ok.get(prefix_text)
-            if ok is None:
-                ok = prefix_ok[prefix_text] = is_prefix(prefix_text)
-            if not ok:
-                rejections.append(Rejection(file, line_no, "unparsable prefix", line))
-                continue
-            route_ix = route_code.get(hops_text)
-            if route_ix is None:
-                route_ix = route_code[hops_text] = judge_hops(hops_text)
-            if route_ix < 0:
-                rejections.append(Rejection(file, line_no, REJECT_REASONS[~route_ix], line))
-                continue
-            n_traces[route_ix] += 1
-    counts: Counter[Route] = Counter()
-    for hops, n in zip(routes, n_traces):
-        counts[hops] = counts.get(hops, 0) + n
-    return counts, rejections
 
 
 @dataclass(frozen=True)
@@ -103,15 +37,32 @@ TEST_FOREIGN_FACILITY_MEMBER = "foreign-facility-member"
 TEST_NO_NATIONALITY = "no-domestic-nationality"
 
 
+class FacilityIndex:
+    """The facility membership rows, indexed once for every candidate test:
+    each AS's facilities, and per facility the countries its rows give and
+    the ``nationality`` labels of its members."""
+
+    def __init__(
+        self, memberships: Iterable[tuple[str, str, int]], nationality: Nationality
+    ) -> None:
+        self.facilities_of: dict[int, set[str]] = {}
+        self.countries_at: dict[str, set[str]] = {}
+        self.labels_at: dict[str, set[str | None]] = {}
+        for facility, country, asn in memberships:
+            self.facilities_of.setdefault(asn, set()).add(facility)
+            self.countries_at.setdefault(facility, set()).add(country)
+            self.labels_at.setdefault(facility, set()).add(nationality.domestic_country(asn))
+
+
 def classify_candidate(
     origin: int,
     rels: RelationshipTable,
-    memberships: Sequence[tuple[str, str, int]],
+    facilities: FacilityIndex,
     nationality: Nationality,
 ) -> CandidateResult:
     """An origin AS is a candidate when it has no foreign BGP peers, belongs
     to no foreign-based IXP/colo, and belongs to no facility with any
-    foreign member."""
+    foreign member; ``facilities`` is indexed with ``nationality``."""
     home = nationality.domestic_country(origin)
     if home is None:
         return CandidateResult(origin, False, (TEST_NO_NATIONALITY,))
@@ -122,16 +73,12 @@ def classify_candidate(
             failed.append(TEST_FOREIGN_PEER)
             break
 
-    own_facilities = {fac for fac, _country, asn in memberships if asn == origin}
-    for facility, country, _asn in memberships:
-        if facility in own_facilities and country != home:
-            failed.append(TEST_FOREIGN_FACILITY)
-            break
-    for facility, _country, member in memberships:
-        if facility in own_facilities and member != origin:
-            if nationality.domestic_country(member) != home:
-                failed.append(TEST_FOREIGN_FACILITY_MEMBER)
-                break
+    own_facilities = facilities.facilities_of.get(origin, ())
+    if any(c != home for f in own_facilities for c in facilities.countries_at[f]):
+        failed.append(TEST_FOREIGN_FACILITY)
+    # the origin is labelled home, so a label other than home is another member's
+    if any(label != home for f in own_facilities for label in facilities.labels_at[f]):
+        failed.append(TEST_FOREIGN_FACILITY_MEMBER)
 
     return CandidateResult(origin, not failed, tuple(failed))
 

@@ -83,25 +83,36 @@ def test_binding_scan_sees_the_bench_calls():
 
 
 def test_traced_commands_close_every_span_and_count_rows(tmp_path):
-    """A traced ``cti`` command and oracle check, as ``bench/run.py --trace 1``
-    runs them: every span closes and the row counters see the rows."""
+    """Traced ``cti``, ``clh`` and ``org`` commands and an oracle check, as
+    ``bench/run.py --trace 1`` runs them: every span closes and the row
+    counters see the rows, also of a bundle whose unread tables are None."""
     tracing = _import_bench("tracing")
     from cti import cli
     from cti import synth_oracle as so
 
     topo = so.preset_topology("toy-fig1")
-    for name, content in so.emit_files(topo, so.propagate_routes(topo)).items():
+    paths = so.propagate_routes(topo)
+    for name, content in so.emit_files(topo, paths).items():
         (tmp_path / name).write_text(content, encoding="utf-8")
-    args = ["cti", "--input", str(tmp_path), "--country", "CU", "--output", str(tmp_path / "out")]
+    (tmp_path / "hegemony.csv").write_text("101,20,1/2\n101,30,2\n", encoding="utf-8")
+    base = ["--input", str(tmp_path), "--country", "CU", "--output", str(tmp_path / "out")]
+    commands = ("cti", "clh", "org")
     tracer = tracing.Tracer()
     uninstall = tracing.install(tracer)
     try:
-        tracer.wrap("cli.cti", lambda: cli.main(args, standalone_mode=False))()
+        for command in commands:
+            args = [command, *base]
+            tracer.wrap(f"cli.{command}", lambda: cli.main(args, standalone_mode=False))()
+        assert tracer.counts["ingest.path_rows"] == len(commands) * len(paths)
+        assert tracer.counts["ingest.rejected_rows"] == 1  # clh's out-of-range score
         assert tracer.wrap("cli.check_one_seed", cli.check_one_seed)(7) is None
     finally:
         uninstall()
     spans = tracer.finished()  # raises while a span is open
-    assert tracer.ops == 2 and len(spans) > 2
+    assert tracer.ops == len(commands) + 1 and len(spans) > tracer.ops
+    assert {"ingest.load_bundle", "clh_compare.compute_clh", "conglomerate.aggregate_org"} <= {
+        span.name for span in spans
+    }
     metrics = tracing.layer_metrics(spans, tracer.counts, 1, 0.0)
     for name in ("ingest.path_rows", "pathprep.retained_ratio", "cti_core.observations"):
         assert metrics[name][0] > 0, name

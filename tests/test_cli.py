@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -72,14 +74,71 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (tmp_path / "out1" / name).read_bytes() == (tmp_path / "out2" / name).read_bytes()
 
 
+# The files each input command reads, and so lists in its manifest.
+CORE_FILES = {
+    "paths.txt",
+    "geo.csv",
+    "delegations.txt",
+    "monitors.csv",
+    "clique.txt",
+    "multi_origin.txt",
+    "reserved_asns.txt",
+}
+READS = {
+    "cti": CORE_FILES | {"relationships.txt"},
+    "ctin": CORE_FILES | {"relationships.txt", "state_owned.csv"},
+    "footprint": CORE_FILES | {"relationships.txt", "state_owned.csv"},
+    "org": CORE_FILES | {"relationships.txt", "as2org.txt"},
+    "transit-fraction": CORE_FILES | {"relationships.txt", "traceroutes.txt"},
+    "candidates": CORE_FILES | {"relationships.txt", "memberships.csv"},
+    "clh": CORE_FILES | {"hegemony.csv"},
+}
+
+
+def _command_reading(name, preferred):
+    """``preferred`` if it reads the input file ``name``, or else the first
+    command that does."""
+    return next(command for command in (preferred, *READS) if name in READS[command])
+
+
+def test_declared_files_are_the_ones_each_command_reads():
+    for command, names in READS.items():
+        keys = (*ingest.CORE_FILES, *cli.COMMAND_FILES[command])
+        assert {ingest.FILE_NAMES[key] for key in keys} == names, command
+    assert set(cli.COMMAND_FILES) == set(READS)
+    assert set().union(*READS.values()) == set(ingest.FILE_NAMES.values())
+
+
+def test_readme_lists_the_files_each_command_reads():
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    header = "| command | reads besides the core files |\n| --- | --- |\n"
+    rows = readme[readme.index(header) + len(header):].split("\n\n")[0].splitlines()
+    documented = {}
+    for row in rows:
+        commands, names = (cell.strip() for cell in row.strip("|").split("|"))
+        for command in commands.split(", "):
+            documented[command.strip("`")] = {name.strip("`") for name in names.split(", ")}
+    assert documented == {command: names - CORE_FILES for command, names in READS.items()}
+    core = re.split(r"\.\s", readme[readme.index("Every input command reads the core files"):])[0]
+    assert set(re.findall(r"`([a-z_]+\.[a-z]+)`", core)) == CORE_FILES
+
+
+def _write_all_files(directory):
+    """The toy inputs and every other input file, so a command finds each
+    file it may read."""
+    files = _write_toy(directory)
+    for name in ingest.FILE_NAMES.values():
+        if name not in files:
+            (directory / name).write_text("")
+            files[name] = ""
+    return files
+
+
 def test_manifest_lists_consumed_inputs(tmp_path):
-    files = _write_toy(tmp_path / "in")
+    _write_all_files(tmp_path / "in")
     runner = CliRunner()
     base = ["--input", str(tmp_path / "in"), "--country", "CU", "--output", str(tmp_path / "out")]
-    for command, consumed in (
-        ("cti", set(files) - {"traceroutes.txt"}),  # cti never reads the traceroutes
-        ("transit-fraction", set(files)),
-    ):
+    for command, consumed in READS.items():
         result = runner.invoke(main, [command] + base)
         assert result.exit_code == 0, result.output
         manifest = json.loads((tmp_path / "out" / f"manifest_{command}.json").read_text())
@@ -88,6 +147,34 @@ def test_manifest_lists_consumed_inputs(tmp_path):
             data = (tmp_path / "in" / name).read_bytes()
             assert digest == hashlib.sha256(data).hexdigest(), (command, name)
         assert manifest["config"]["country"] == "CU"
+
+
+def test_a_file_a_command_does_not_read_cannot_fail_it(tmp_path):
+    """A malformed, or missing, file outside a command's files leaves its
+    report byte for byte as it is."""
+    _write_all_files(tmp_path / "in")
+    (tmp_path / "in" / "hegemony.csv").write_text("101,20,1/2\n")
+    base = ["--input", str(tmp_path / "in"), "--country", "CU"]
+    for command, reads in READS.items():
+        report = f"{command.replace('-', '_')}_CU.csv"
+        result = CliRunner().invoke(main, [command, *base, "--output", str(tmp_path / "clean")])
+        assert result.exit_code == 0, (command, result.output)
+        expected = (tmp_path / "clean" / report).read_bytes()
+        unread = sorted(set(ingest.FILE_NAMES.values()) - reads)
+        assert unread, command
+        for name in unread:
+            path = tmp_path / "in" / name
+            good = path.read_bytes()
+            out = tmp_path / command / name
+            for broken in (f"{MALFORMED_ROWS[name]}\n", None):
+                if broken is None:
+                    path.unlink()
+                else:
+                    path.write_text(broken, encoding="utf-8")
+                result = CliRunner().invoke(main, [command, *base, "--output", str(out)])
+                assert result.exit_code == 0, (command, name, result.output)
+                assert (out / report).read_bytes() == expected, (command, name)
+            path.write_bytes(good)
 
 
 def test_a_file_longer_than_a_chunk_hashes_as_its_whole_bytes(tmp_path):
@@ -105,6 +192,19 @@ def test_missing_input_file_exits_2(tmp_path):
     )
     assert result.exit_code == 2
     assert "relationships.txt" in result.output
+
+
+def test_clh_runs_without_relationships(tmp_path):
+    _write_toy(tmp_path / "in")
+    (tmp_path / "in" / "hegemony.csv").write_text("101,20,1/2\n")
+    args = ["clh", "--input", str(tmp_path / "in"), "--country", "CU", "--output"]
+    result = CliRunner().invoke(main, [*args, str(tmp_path / "with")])
+    assert result.exit_code == 0, result.output
+    os.remove(tmp_path / "in" / "relationships.txt")
+    result = CliRunner().invoke(main, [*args, str(tmp_path / "without")])
+    assert result.exit_code == 0, result.output
+    with_rels, without = ((tmp_path / out / "clh_CU.csv").read_bytes() for out in ("with", "without"))
+    assert without == with_rels and without.startswith(b"# country,subject,clh\nCU,20,")
 
 
 def test_parse_error_exits_3(tmp_path):
@@ -135,7 +235,7 @@ def test_malformed_input_files_exit_3_with_one_line(tmp_path):
         ("monitors.csv", "# id,asn,country\nm-pad ,10,US\n", 2),
     ):
         (tmp_path / "in" / name).write_text(body, encoding="utf-8")
-        result = runner.invoke(main, ["cti"] + base)
+        result = runner.invoke(main, [_command_reading(name, "cti")] + base)
         assert result.exit_code == 3, (name, result.output)
         assert result.output.startswith(f"parse error: {name} line {line_no}: "), result.output
         assert result.output.count("\n") == 1, result.output
@@ -194,7 +294,7 @@ def test_a_malformed_row_names_its_file_and_line(tmp_path, name):
     line_no = body.count("\n") + 2  # after the file's rows and one comment
     (tmp_path / "in" / name).write_text(f"{body}# comment\n{MALFORMED_ROWS[name]}\n")
     base = ["--input", str(tmp_path / "in"), "--country", "CU", "--output", str(tmp_path / "out")]
-    result = CliRunner().invoke(main, ["transit-fraction", *base])
+    result = CliRunner().invoke(main, [_command_reading(name, "transit-fraction"), *base])
     assert result.exit_code == 3, result.output
     assert result.output.startswith(f"parse error: {name} line {line_no}: "), result.output
     assert result.output.count("\n") == 1 and result.output.count(name) == 1, result.output
@@ -224,7 +324,7 @@ def test_non_ascii_digits_in_an_input_file_exit_3(tmp_path, name):
     line_no = body.count("\n") + 1
     (tmp_path / "in" / name).write_text(body + NON_ASCII_DIGIT_ROWS[name] + "\n", encoding="utf-8")
     base = ["--input", str(tmp_path / "in"), "--country", "CU", "--output", str(tmp_path / "out")]
-    result = CliRunner().invoke(main, ["transit-fraction", *base])
+    result = CliRunner().invoke(main, [_command_reading(name, "transit-fraction"), *base])
     assert result.exit_code == 3, result.output
     assert result.output.startswith(f"parse error: {name} line {line_no}: "), result.output
     assert result.output.count("\n") == 1, result.output

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cti.geo import build_geo_table, classify_nationality
+from cti.geo import DelegationIndex, build_geo_table, classify_nationality
 from cti.model import ComputationError, Prefix, Rejection, RelKind, RelationshipTable
 
 P1 = Prefix.parse("10.0.0.0/24")
@@ -107,6 +107,49 @@ def test_delegation_fallback_finds_a_cover_behind_later_blocks():
     assert [r.category for r in rejections] == [
         "prefix covered by delegations from multiple countries"
     ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.sampled_from(["AA", "BB", "CC"]), st.integers(0, 40), st.integers(1, 48)),
+        max_size=25,
+    ),
+    st.lists(st.integers(0, 90), max_size=4),
+)
+def test_countries_covering_equals_a_scan_of_every_block(delegations, points):
+    """Blocks that nest, overlap and repeat, and ranges from and to each
+    block edge and its neighbours: the index finds the countries a scan of
+    all blocks finds, or two of them when there are more."""
+    index = DelegationIndex(delegations)
+    edges = {edge for _c, base, count in delegations for edge in (base, base + count)}
+    edges |= {edge + step for edge in edges for step in (-1, 1)} | set(points)
+    for start in edges:
+        for end in edges:
+            if start >= end:
+                continue
+            scanned = {c for c, base, count in delegations if base <= start and end <= base + count}
+            found = index.countries_covering(start, end)
+            assert found == scanned if len(scanned) < 2 else len(found) == 2 and found <= scanned
+
+
+def test_countries_covering_skips_the_narrow_blocks_below_a_range():
+    """One wide block below many narrow ones: each query steps over the
+    narrow blocks that end before the range, not through them."""
+    narrow = [("BB", BASE + 128 * k, 128) for k in range(20000)]
+    index = DelegationIndex([("ZZ", 0, 1 << 32), *narrow])
+    visited = []
+    ends = index._ends
+
+    class Spy(list):
+        def __getitem__(self, row):
+            visited.append(row)
+            return list.__getitem__(self, row)
+
+    index._ends = Spy(ends)
+    last = BASE + 128 * 19998
+    assert index.countries_covering(last, last + 256) == {"ZZ"}
+    assert len(visited) <= 3
 
 
 def test_fallback_not_applied_when_geo_mass_exists():

@@ -19,7 +19,7 @@ def _files(seed):
 
 
 def _substrate(files):
-    return pipeline.build_substrate(ingest.load_bundle_from_texts(files))
+    return pipeline.build_substrate(ingest.load_bundle_from_texts(files, ingest.METRIC_FILES))
 
 
 def _countries(sub):
@@ -65,7 +65,6 @@ def _with_aux(files):
 def _order_free_results(files):
     """Every score the CLI reports, per country, from one set of files."""
     sub = _substrate(files)
-    traceroutes = ingest.split_lines(files["traceroutes.txt"])
     results = {}
     for country in _countries(sub):
         for min_hosts in (3, outlier.DEFAULT_MIN_HOSTS):
@@ -77,7 +76,7 @@ def _order_free_results(files):
         results[country, "clh"] = pipeline.clh_report(sub, country).entries
         results[country, "org"] = pipeline.org_aggregates(sub, country)
         results[country, "candidates"] = pipeline.candidate_results(sub, country)
-        results[country, "transit"] = pipeline.transit_fraction(sub, traceroutes, country)
+        results[country, "transit"] = pipeline.transit_fraction(sub, country)
     return results
 
 

@@ -2,6 +2,8 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cti import ingest, pipeline, synth_oracle
 from cti import transit_dominance as td
@@ -77,7 +79,8 @@ def test_toy_candidate_verdicts():
 def test_candidate_passes_when_fully_domestic():
     nationality = Nationality({900: "CU", 901: "CU"})
     rels = _rels((901, 900, RelKind.P2P))
-    result = td.classify_candidate(900, rels, [("fac-1", "CU", 900), ("fac-1", "CU", 901)], nationality)
+    facilities = td.FacilityIndex([("fac-1", "CU", 900), ("fac-1", "CU", 901)], nationality)
+    result = td.classify_candidate(900, rels, facilities, nationality)
     assert result.candidate
     assert result.failed_tests == ()
 
@@ -85,28 +88,67 @@ def test_candidate_passes_when_fully_domestic():
 def test_candidate_fails_on_foreign_peer():
     nationality = Nationality({900: "CU"})
     rels = _rels((50, 900, RelKind.P2P))
-    result = td.classify_candidate(900, rels, [], nationality)
+    result = td.classify_candidate(900, rels, td.FacilityIndex([], nationality), nationality)
     assert not result.candidate
     assert td.TEST_FOREIGN_PEER in result.failed_tests
 
 
 def test_candidate_fails_on_foreign_facility():
     nationality = Nationality({900: "CU"})
-    result = td.classify_candidate(900, _rels(), [("fac-1", "US", 900)], nationality)
+    facilities = td.FacilityIndex([("fac-1", "US", 900)], nationality)
+    result = td.classify_candidate(900, _rels(), facilities, nationality)
     assert result.failed_tests == (td.TEST_FOREIGN_FACILITY,)
 
 
 def test_candidate_fails_on_foreign_facility_member():
     nationality = Nationality({900: "CU"})
-    result = td.classify_candidate(
-        900, _rels(), [("fac-1", "CU", 900), ("fac-1", "CU", 77)], nationality
-    )
+    facilities = td.FacilityIndex([("fac-1", "CU", 900), ("fac-1", "CU", 77)], nationality)
+    result = td.classify_candidate(900, _rels(), facilities, nationality)
     assert result.failed_tests == (td.TEST_FOREIGN_FACILITY_MEMBER,)
 
 
 def test_candidate_requires_domestic_nationality():
-    result = td.classify_candidate(900, _rels(), [], Nationality({}))
+    nationality = Nationality({})
+    result = td.classify_candidate(900, _rels(), td.FacilityIndex([], nationality), nationality)
     assert result.failed_tests == (td.TEST_NO_NATIONALITY,)
+
+
+def _scanned_candidate(origin, rels, memberships, nationality):
+    """The candidate tests as three literal scans of every membership row."""
+    home = nationality.domestic_country(origin)
+    if home is None:
+        return td.CandidateResult(origin, False, (td.TEST_NO_NATIONALITY,))
+    failed = []
+    if any(nationality.domestic_country(peer) != home for peer in rels.peers_of(origin)):
+        failed.append(td.TEST_FOREIGN_PEER)
+    own = {facility for facility, _country, asn in memberships if asn == origin}
+    if any(facility in own and country != home for facility, country, _asn in memberships):
+        failed.append(td.TEST_FOREIGN_FACILITY)
+    if any(
+        facility in own and member != origin and nationality.domestic_country(member) != home
+        for facility, _country, member in memberships
+    ):
+        failed.append(td.TEST_FOREIGN_FACILITY_MEMBER)
+    return td.CandidateResult(origin, not failed, tuple(failed))
+
+
+_ASNS = st.integers(1, 7)
+_LABELS = st.sampled_from(["AA", "BB", None])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.tuples(st.sampled_from(["f1", "f2", "f3"]), st.sampled_from(["AA", "BB"]), _ASNS)),
+    st.dictionaries(_ASNS, _LABELS),
+    st.lists(st.tuples(_ASNS, _ASNS), max_size=6),
+)
+def test_candidate_index_equals_the_row_scans(memberships, labels, peerings):
+    nationality = Nationality(labels)
+    rels = _rels(*((a, b, RelKind.P2P) for a, b in peerings if a != b))
+    facilities = td.FacilityIndex(memberships, nationality)
+    for origin in range(1, 8):
+        expected = _scanned_candidate(origin, rels, memberships, nationality)
+        assert td.classify_candidate(origin, rels, facilities, nationality) == expected
 
 
 def test_find_border():
