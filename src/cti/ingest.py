@@ -18,7 +18,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, Mapping, TextIO
 
 from .model import (
     Corpus,
@@ -118,6 +118,18 @@ UNPARSABLE_PREFIX, LONG_PREFIX, MULTI_ORIGIN, AS_SET, MALFORMED_ASN, EMPTY_PATH 
 )
 
 
+def _judge_hop_text(text: str, parse_asn: Callable[[str], int]) -> Route | int:
+    """The ASNs of a path or traceroute hop text, or the code of why its row
+    is rejected: AS-set braces, then a malformed ASN, then no hop at all."""
+    if "{" in text or "}" in text:
+        return AS_SET
+    try:
+        hops = tuple(map(parse_asn, text.split()))
+    except ValueError:
+        return MALFORMED_ASN
+    return hops or EMPTY_PATH
+
+
 def parse_paths(
     reader: Iterable[str],
     monitors: Mapping[str, MonitorId],
@@ -161,14 +173,9 @@ def parse_paths(
         return len(corpus.prefixes) - 1
 
     def judge_hops(text: str) -> int:
-        if "{" in text or "}" in text:
-            return AS_SET
-        try:
-            hops = tuple(map(parse_asn, text.split()))
-        except ValueError:
-            return MALFORMED_ASN
-        if not hops:
-            return EMPTY_PATH
+        hops = _judge_hop_text(text, parse_asn)
+        if isinstance(hops, int):
+            return hops
         corpus.routes.append(hops)
         return len(corpus.routes) - 1
 
@@ -227,8 +234,8 @@ def parse_traceroutes(
     """Count the ``probe_id|prefix|asn asn ...`` rows (probe-first hop order)
     of each route, with consecutive duplicate ASNs collapsed.
 
-    A row with an unparsable prefix or a malformed ASN token is rejected
-    with a log entry.
+    A row with an unparsable prefix, AS-set braces, a malformed ASN token or
+    no hop is rejected with a log entry.
     """
     rejections: list[Rejection] = []
     # each distinct prefix text is checked once, and each distinct hop text
@@ -247,12 +254,9 @@ def parse_traceroutes(
         return True
 
     def judge_hops(text: str) -> int:
-        try:
-            hops = tuple(map(parse_asn, text.split()))
-        except ValueError:
-            return MALFORMED_ASN
-        if not hops:
-            return EMPTY_PATH
+        hops = _judge_hop_text(text, parse_asn)
+        if isinstance(hops, int):
+            return hops
         routes.append(collapse_prepending(hops))
         n_traces.append(0)
         return len(routes) - 1
@@ -464,6 +468,7 @@ class DatasetBundle:
     path_rejections: list[Rejection] = field(default_factory=list)
     geo_rejections: list[Rejection] = field(default_factory=list)
     traceroutes: Counter[Route] | None = None  # traces per collapsed route
+    traceroute_rejections: list[Rejection] = field(default_factory=list)
 
 
 # Canonical file names inside an input directory.
@@ -531,7 +536,9 @@ def load_bundle_from_texts(
     # parsed before the larger tables that follow, so that they reuse the memory
     # its per-text memo frees instead of adding to the command's peak RSS
     traceroute_lines = lines("traceroutes")
-    traceroutes = None if traceroute_lines is None else parse_traceroutes(traceroute_lines)[0]
+    traceroutes, traceroute_rejections = None, []
+    if traceroute_lines is not None:
+        traceroutes, traceroute_rejections = parse_traceroutes(traceroute_lines)
     relationship_lines = lines("relationships")
     relationships = None if relationship_lines is None else parse_relationships(relationship_lines)
     geo_rows, delegations, geo_rejections = parse_geo_and_delegations(
@@ -548,6 +555,7 @@ def load_bundle_from_texts(
         path_rejections=path_rejections,
         geo_rejections=geo_rejections,
         traceroutes=traceroutes,
+        traceroute_rejections=traceroute_rejections,
     )
 
 

@@ -195,6 +195,15 @@ def collapse_prepending(hops: Route) -> Route:
     return tuple(asn for i, asn in enumerate(hops) if i == 0 or hops[i - 1] != asn)
 
 
+class RouteTails(NamedTuple):
+    """Each route of a table after its first hop, interned: route r's tail is
+    ``table[ix[r]]``. A monitor's route is its host AS followed by the route
+    its neighbour chose, so monitors that share a neighbour share a tail."""
+
+    table: list[Route]
+    ix: list[int]
+
+
 @dataclass
 class Corpus:
     """A path corpus as integer columns over interned tables: row i is
@@ -203,7 +212,9 @@ class Corpus:
     Each distinct prefix is stored once, and each route once per distinct
     text it was read from (by the parser) or once per (host AS, origin) (by
     the generator), so a row is four ints and no object. Indexing and
-    iterating give rows as ``PathRecord``s, a new record each time."""
+    iterating give rows as ``PathRecord``s, a new record each time.
+    ``tails`` holds the route table's ``RouteTails`` once ``route_tails``
+    has interned them."""
 
     monitors: Sequence[MonitorId]
     prefixes: list[Prefix]
@@ -212,9 +223,19 @@ class Corpus:
     prefix_ix: list[int] = field(default_factory=list)
     route_ix: list[int] = field(default_factory=list)
     line_no: Sequence[int] = field(default_factory=list)
+    tails: RouteTails | None = field(default=None, compare=False, repr=False)
 
     def __len__(self) -> int:
         return len(self.route_ix)
+
+    def route_tails(self) -> RouteTails:
+        """The route table's tails, interned on the first call and kept, in
+        the order of their first routes."""
+        if self.tails is None:
+            index: dict[Route, int] = {}
+            tail_ix = [index.setdefault(route[1:], len(index)) for route in self.routes]
+            self.tails = RouteTails(list(index), tail_ix)
+        return self.tails
 
     def __getitem__(self, row: int) -> PathRecord:
         return PathRecord(

@@ -9,7 +9,9 @@ peers of the peak provider, is discarded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from itertools import compress, filterfalse, tee
+from operator import add, contains, eq, is_not, itemgetter, or_
+from typing import Iterator, NamedTuple, Sequence
 
 from .geo import GeoTable
 from .ingest import FILE_NAMES
@@ -65,7 +67,7 @@ def peak_segment(host_asn: int, hops: Route, rels: RelationshipTable) -> Route |
     peak is the largest index k (origin = index 0) such that segment[k] is an
     inferred provider of segment[k-1]; routes with no such link are rejected.
     """
-    start = 1 if hops[0] == host_asn else 0
+    start = 1 if hops and hops[0] == host_asn else 0
     if len(hops) - start < 2:
         return RouteRejection(NO_PEAK, "no transit AS on path")
     p2c = rels.p2c_links()
@@ -76,51 +78,14 @@ def peak_segment(host_asn: int, hops: Route, rels: RelationshipTable) -> Route |
     return RouteRejection(NO_PEAK, "no provider-customer link")
 
 
-# A monitor reaches every prefix of an origin over the same route, so a corpus
-# repeats each (route, host AS) key many times. prepare_paths and
-# retain_for_country both judge each distinct key once in _judge_keys, the
-# place for a memo of verdicts kept across calls. Keys pack route index *
-# (number of host ASes) + host index: small ints hash and divide fastest.
-
-
-def _judge_keys(
-    corpus: Corpus, rows: Sequence[int], judge: Callable[[int, int], int | RouteRejection]
-) -> tuple[list[int], list[int], Sequence[int], list[Rejection]]:
-    """Judge the rows ``rows`` of ``corpus`` by their (route, host AS) keys:
-    ``judge(host AS, route index)`` gives an index or a ``RouteRejection``
-    once per distinct key.
-
-    Returns the distinct host ASes; for each kept row its index packed like
-    its key, index * len(hosts) + host index; the kept rows (``rows`` itself
-    when none is rejected); and a ``Rejection`` on each rejected row's line.
-    Rows keep their order.
-    """
-    host_index: dict[int, int] = {}
-    hosts: list[int] = []
-    host_of = [intern(monitor.host_asn, host_index, hosts) for monitor in corpus.monitors]
-    n_hosts = len(hosts)
-    monitor_col, route_col = corpus.monitor_ix, corpus.route_ix
-    keys = [route_col[row] * n_hosts + host_of[monitor_col[row]] for row in rows]
-    rejected: list[RouteRejection] = []  # the k-th distinct one is coded ~k
-    verdict_of: dict[int, int] = dict.fromkeys(keys)
-    for key in verdict_of:
-        route_ix, host_ix = divmod(key, n_hosts)
-        verdict = judge(hosts[host_ix], route_ix)
-        if isinstance(verdict, RouteRejection):
-            rejected.append(verdict)
-            verdict_of[key] = ~(len(rejected) - 1)
-        else:
-            verdict_of[key] = verdict * n_hosts + host_ix
-    verdicts = list(map(verdict_of.__getitem__, keys))
-    rejections: list[Rejection] = []
-    if rejected:  # split off the rows of the rejected keys
-        file, line_col = FILE_NAMES["paths"], corpus.line_no
-        for row, verdict in zip(rows, verdicts):
-            if verdict < 0:
-                rejections.append(Rejection(file, line_col[row], *rejected[~verdict]))
-        rows = [row for row, verdict in zip(rows, verdicts) if verdict >= 0]
-        verdicts = [verdict for verdict in verdicts if verdict >= 0]
-    return hosts, verdicts, rows, rejections
+# A monitor reaches every prefix of an origin over one route: its host AS
+# followed by the route its neighbour chose. So a corpus repeats each route
+# across prefixes, and each tail (the hops after the first) across monitors.
+# A row's host AS changes its route's verdicts only as a Loop when it follows
+# the first hop of a route that is not rejected anyway, and as the hop that
+# peak truncation strips when it leads. Routes and tails are therefore judged
+# for NO_HOST, which no route holds, and each row's host AS is tested apart.
+NO_HOST = -1
 
 
 @dataclass
@@ -156,32 +121,68 @@ def prepare_paths(
     rejection per other row, both in input order. The result shares the
     monitor and prefix tables, the route table when no route collapsed, and
     each column that no collapse or rejection changed."""
-    routes = corpus.routes
-    sanitized = Corpus(monitors=corpus.monitors, prefixes=corpus.prefixes, routes=routes)
+    routes, route_col, monitor_col = corpus.routes, corpus.route_ix, corpus.monitor_ix
+    tails = corpus.route_tails()
+    # A route is judged as its tail is, with the lead AS in front, unless the
+    # lead is reserved, reappears in the tail, or is a clique AS that wedges
+    # the tail's first hop, a non-clique AS, between itself and a later clique
+    # AS. Those routes, the misses, are judged whole. Only a miss or a route
+    # whose tail did not stay as it is can change.
+    tail_verdicts = [sanitize_route(NO_HOST, tail, clique, reserved) for tail in tails.table]
+    leads = list(map(itemgetter(0), routes))
+    after_lead = list(map(tails.table.__getitem__, tails.ix))  # per route, its hops but the first
+    is_miss = map(or_, map(reserved.__contains__, leads), map(contains, after_lead, leads))
+    misses = set(compress(range(len(routes)), is_miss))
+    for route_ix in compress(range(len(routes)), map(clique.__contains__, leads)):
+        tail = after_lead[route_ix]
+        if not clique.isdisjoint(tail) and tail[0] not in clique:
+            misses.add(route_ix)
+    changed_tails = set(compress(range(len(tails.table)), map(is_not, tail_verdicts, tails.table)))
+    changed = misses.union(compress(range(len(routes)), map(changed_tails.__contains__, tails.ix)))
     # From the first collapse on, sanitized.routes is a copy of the raw routes
-    # followed by each collapsed route not among them, indexed by route_index.
-    route_index: dict[Route, int] | None = None
-
-    def sanitized_route(host_asn: int, route_ix: int) -> int | RouteRejection:
-        nonlocal route_index
-        verdict = sanitize_route(host_asn, routes[route_ix], clique, reserved)
+    # followed by each collapsed route not among them; route_map maps a raw
+    # route index to its sanitized one.
+    sanitized = Corpus(monitors=corpus.monitors, prefixes=corpus.prefixes, routes=routes)
+    route_map: list[int] | None = None
+    rejected: dict[int, RouteRejection] = {}  # route index -> why its rows go
+    for route_ix in sorted(changed):
+        if route_ix in misses:
+            verdict = sanitize_route(NO_HOST, routes[route_ix], clique, reserved)
+        else:
+            verdict = tail_verdicts[tails.ix[route_ix]]
+            if not isinstance(verdict, RouteRejection):
+                verdict = (leads[route_ix], *verdict)
         if isinstance(verdict, RouteRejection):
-            return verdict
-        if verdict is routes[route_ix]:
-            return route_ix
-        if route_index is None:
-            sanitized.routes = list(routes)
-            route_index = {route: ix for ix, route in enumerate(routes)}
-        return intern(verdict, route_index, sanitized.routes)
-
-    hosts, verdicts, kept, rejections = _judge_keys(corpus, range(len(corpus)), sanitized_route)
-    columns = (corpus.monitor_ix, corpus.prefix_ix, corpus.route_ix, corpus.line_no)
-    if rejections:
+            rejected[route_ix] = verdict
+        elif verdict is not routes[route_ix]:
+            if route_map is None:
+                sanitized.routes, route_map = list(routes), list(range(len(routes)))
+                route_index = {route: ix for ix, route in enumerate(routes)}
+            route_map[route_ix] = intern(verdict, route_index, sanitized.routes)
+            after_lead[route_ix] = verdict[1:]
+    # a row is rejected with its route, or for its host AS after the first hop
+    host_asns = [monitor.host_asn for monitor in corpus.monitors]
+    row_tails = map(after_lead.__getitem__, route_col)
+    flags = map(contains, row_tails, map(host_asns.__getitem__, monitor_col))
+    if rejected:
+        flags = map(or_, flags, map(rejected.__contains__, route_col))
+    rejected_rows = list(compress(range(len(corpus)), flags))
+    rejections: list[Rejection] = []
+    columns = (monitor_col, corpus.prefix_ix, route_col, corpus.line_no)
+    if rejected_rows:
+        file, line_col = FILE_NAMES["paths"], corpus.line_no
+        for row in rejected_rows:
+            host_asn = host_asns[monitor_col[row]]
+            reason = f"monitor host ASN {host_asn} after the first hop"
+            verdict = rejected.get(route_col[row]) or RouteRejection(LOOP, reason)
+            rejections.append(Rejection(file, line_col[row], *verdict))
+        kept = list(filterfalse(set(rejected_rows).__contains__, range(len(corpus))))
         columns = tuple(list(map(column.__getitem__, kept)) for column in columns)
     sanitized.monitor_ix, sanitized.prefix_ix, sanitized.route_ix, sanitized.line_no = columns
-    if route_index is not None:
-        n_hosts = len(hosts)
-        sanitized.route_ix = [verdict // n_hosts for verdict in verdicts]
+    if route_map is None:
+        sanitized.tails = tails
+    else:
+        sanitized.route_ix = list(map(route_map.__getitem__, sanitized.route_ix))
     return sanitized, rejections
 
 
@@ -194,22 +195,54 @@ def retain_for_country(
     """Peak truncation of the inbound paths toward one country: those seen
     from outside it, toward prefixes with address mass in it. Rows and
     rejections keep the order of ``sanitized``."""
-    routes, prefix_col = sanitized.routes, sanitized.prefix_ix
+    routes, route_col, prefix_col = sanitized.routes, sanitized.route_ix, sanitized.prefix_ix
+    monitor_col = sanitized.monitor_ix
     outside = [monitor.country != dest_country for monitor in sanitized.monitors]
     has_mass = [bool(geo.mass.get((prefix, dest_country))) for prefix in sanitized.prefixes]
     rows = [
         row
-        for row, (monitor_ix, prefix_ix) in enumerate(zip(sanitized.monitor_ix, prefix_col))
+        for row, (monitor_ix, prefix_ix) in enumerate(zip(monitor_col, prefix_col))
         if outside[monitor_ix] and has_mass[prefix_ix]
     ]
+    host_index: dict[int, int] = {}
+    hosts: list[int] = []
+    host_of = [intern(monitor.host_asn, host_index, hosts) for monitor in sanitized.monitors]
+    n_hosts = len(hosts)
+    route_rows = list(map(route_col.__getitem__, rows))
+    host_rows = list(map(host_of.__getitem__, map(monitor_col.__getitem__, rows)))
+    # A row led by its own host AS takes its tail's segment, any other row its
+    # route's: key k < n_tails is tail k, and key n_tails + r is route r.
+    tails = sanitized.route_tails()
+    n_tails = len(tails.table)
+    keys = list(map(tails.ix.__getitem__, route_rows))
+    leads = map(itemgetter(0), map(routes.__getitem__, route_rows))
+    if not all(map(eq, leads, map(hosts.__getitem__, host_rows))):
+        keys = [
+            key if routes[route_ix][0] == hosts[host_ix] else n_tails + route_ix
+            for key, route_ix, host_ix in zip(keys, route_rows, host_rows)
+        ]
     segments: list[Route] = []
     segment_index: dict[Route, int] = {}
-
-    def segment(host_asn: int, route_ix: int) -> int | RouteRejection:
-        verdict = peak_segment(host_asn, routes[route_ix], rels)
-        is_segment = not isinstance(verdict, RouteRejection)
-        return intern(verdict, segment_index, segments) if is_segment else verdict
-
-    hosts, groups, kept, rejections = _judge_keys(sanitized, rows, segment)
-    prefix_ixs = list(map(prefix_col.__getitem__, kept))
+    rejected: list[RouteRejection] = []  # the k-th distinct one is coded ~k * n_hosts
+    verdict_of: dict[int, int] = dict.fromkeys(keys)
+    for key in verdict_of:
+        hops = tails.table[key] if key < n_tails else routes[key - n_tails]
+        verdict = peak_segment(NO_HOST, hops, rels)
+        if isinstance(verdict, RouteRejection):
+            rejected.append(verdict)
+            verdict_of[key] = ~(len(rejected) - 1) * n_hosts
+        else:
+            verdict_of[key] = intern(verdict, segment_index, segments) * n_hosts
+    # rows share one int per distinct group: an int per row would raise the
+    # peak memory of the kernel, which reads them
+    values, same_values = tee(map(add, map(verdict_of.__getitem__, keys), host_rows))
+    groups = list(map({}.setdefault, values, same_values))
+    rejections: list[Rejection] = []
+    if rejected:  # split off the rows of the rejected keys
+        file, line_col = FILE_NAMES["paths"], sanitized.line_no
+        for row, group in compress(zip(rows, groups), map((0).__gt__, groups)):
+            rejections.append(Rejection(file, line_col[row], *rejected[~(group // n_hosts)]))
+        rows = list(compress(rows, map((0).__le__, groups)))
+        groups = list(filter((0).__le__, groups))
+    prefix_ixs = list(map(prefix_col.__getitem__, rows))
     return Retained(sanitized.prefixes, hosts, segments, groups, prefix_ixs), rejections

@@ -398,6 +398,18 @@ def _write_files(directory, files):
         (directory / name).write_text(text, encoding="utf-8", newline="")
 
 
+def test_the_bundle_keeps_the_traceroute_rejections():
+    traceroutes = "t-m1|10.0.0.0/24|10 20\nt-m1|bogus|10 20\n# c\nt-m1|10.0.0.0/24|10 x\n"
+    files = {**_CORE_FILES, "paths.txt": "", "traceroutes.txt": traceroutes}
+    bundle = ingest.load_bundle_from_texts(files, ("relationships", "traceroutes"))
+    assert bundle.traceroutes == Counter({(10, 20): 1})
+    assert bundle.traceroute_rejections == [
+        Rejection("traceroutes.txt", 2, "unparsable prefix", "t-m1|bogus|10 20"),
+        Rejection("traceroutes.txt", 4, "malformed ASN", "t-m1|10.0.0.0/24|10 x"),
+    ]
+    assert ingest.load_bundle_from_texts(files).traceroute_rejections == []
+
+
 @pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["lf", "crlf", "cr"])
 def test_a_file_and_its_text_split_lines_alike(tmp_path, end):
     # str.splitlines would also end a line at the form feed and at U+2028
@@ -534,6 +546,9 @@ def _reference_parse_traceroutes(lines):
             Prefix.parse(parts[1])
         except ValueError:
             rejections.append(Rejection("traceroutes.txt", line_no, "unparsable prefix", line))
+            continue
+        if "{" in parts[2] or "}" in parts[2]:
+            rejections.append(Rejection("traceroutes.txt", line_no, "as-set", line))
             continue
         try:
             raw_hops = [ingest.parse_asn_token(tok) for tok in parts[2].split()]

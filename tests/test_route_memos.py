@@ -1,13 +1,16 @@
 """The per-call route memos against the same work done row by row.
 
 ``parse_paths`` and ``parse_traceroutes`` parse each distinct hop text once,
-``prepare_paths`` and ``retain_for_country`` judge each distinct
-(host AS, hops) pair once, ``compute_transit_fraction`` classifies each
-distinct route's border once from the count of traces per route, and the
-kernel sums each (host AS, segment) group once. The corpora here repeat routes across prefixes,
-give several monitors one host AS, and mix in every rejection category,
-prepending that collapses and bad rows that repeat, so a memo keyed on too
-little (the hops without the host AS, say) gives a different answer.
+``prepare_paths`` and ``retain_for_country`` judge each route once, through
+its tail (the hops after the first) where the lead AS cannot change the
+verdict, and test each row's host AS apart, ``compute_transit_fraction``
+classifies each distinct route's border once from the count of traces per
+route, and the kernel sums each (host AS, segment) group once. The corpora
+here repeat routes across prefixes, give several monitors one host AS, share
+tails between host ASes, and mix in every rejection category, prepending
+that collapses, lead ASes that are reserved, clique ASes or repeated, and bad
+rows that repeat, so a memo keyed on too little (the tail without its lead
+AS, or the hops without the host AS, say) gives a different answer.
 """
 import math
 from collections import Counter
@@ -23,7 +26,8 @@ from test_ingest import (
 )
 from test_pathprep import corpus_of, line_of, sanitize, truncate_to_peak
 
-from cti import cti_core, pathprep
+from cti import cti_core, ingest, pathprep, pipeline
+from cti import synth_oracle as so
 from cti import transit_dominance as td
 from cti.conglomerate import compute_ctin
 from cti.geo import Nationality, build_geo_table
@@ -46,6 +50,15 @@ SPECIAL_ROUTES = (
     (3,),  # NoPeak for host 3: no transit AS once it is stripped
     (7, 6),  # NoPeak unless 7 is drawn as 6's provider
     (2, 7, 5, 6),  # three transit hops: 5, 7 and 2
+    # lead ASes that a memo by tail must not skip
+    (3, 3, 5, 6),  # host 3 prepends itself
+    (64512, 5, 6),  # Unallocated at the lead
+    (2, 4, 1, 5, 6),  # Poisoned by a clique lead, though host 4 follows it
+    (1, 2, 5, 6),  # a clique lead next to the tail's clique AS wedges nothing
+    (1, 5, 6),  # a clique lead over a tail without one
+    (7, 5, 6, 7),  # Loop: the lead AS reappears in the tail
+    (3, 7, 5, 6),  # hosts 3 and 4 lead one tail each
+    (4, 7, 5, 6),
 )
 # host 3 provides transit to 5, so its segment depends on whether it leads;
 # 2 above 7 above 5 gives a segment three transit hops long
@@ -67,7 +80,12 @@ BAD_PATH_ROWS = (
     "m1|10.0.0.0/24|",
     "m1|10.0.0.0/24|0 6",
 )
-BAD_TRACEROUTE_ROWS = ("t-m1|10.0.0.0/24|5 x", "t-m1|bogus|5 6", "t-m1|10.0.0.0/24|")
+BAD_TRACEROUTE_ROWS = (
+    "t-m1|10.0.0.0/24|5 x",
+    "t-m1|bogus|5 6",
+    "t-m1|10.0.0.0/24|",
+    "t-m1|10.0.0.0/24|5 {6,7}",
+)
 
 _route = st.lists(st.sampled_from(ASNS), min_size=1, max_size=5).map(tuple)
 
@@ -331,6 +349,9 @@ def test_special_routes_reach_every_verdict():
     geo, _rejections = build_geo_table([(PREFIXES[0], "AA", 256)], [], {})
     sanitized, rejections = pathprep.prepare_paths(corpus_of(corpus), CLIQUE, RESERVED)
     retained, no_peak = pathprep.retain_for_country(sanitized, "AA", geo, rels)
+    assert (list(zip(sanitized.line_no, sanitized)), rejections) == _reference_prepare(corpus)
+    expected = _reference_retain(zip(sanitized.line_no, sanitized), "AA", geo, rels)
+    assert (list(retained), no_peak) == expected
     reasons = {(r.category, r.detail) for r in rejections + no_peak}
     assert {category for category, _reason in reasons} == {
         pathprep.LOOP,
@@ -345,3 +366,48 @@ def test_special_routes_reach_every_verdict():
     assert {segment for host, segment, _prefix in retained if host == 3} >= {(6, 5)}
     assert (6, 5, 3) in {segment for host, segment, _prefix in retained if host == 4}
     assert {host for host, segment, _prefix in retained if segment == (6, 5, 7, 2)} == {3, 4}
+
+
+def test_each_verdict_is_judged_once_per_tail_or_per_route_off_the_tail_rule(monkeypatch):
+    topo = so.generate_topology(7, so.SynthParams(n_clique=4, n_mid=30, n_stub=200, n_monitors=16))
+    bundle = ingest.load_bundle_from_texts(so.emit_files(topo, so.propagate_routes(topo)))
+    calls = Counter()
+    for name in ("sanitize_route", "peak_segment"):
+
+        def counted(*args, _judge=getattr(pathprep, name), _name=name):
+            calls[_name] += 1
+            return _judge(*args)
+
+        monkeypatch.setattr(pathprep, name, counted)
+
+    def keys(corpus):  # the distinct (route, host AS) pairs of the rows
+        rows = zip(corpus.monitor_ix, corpus.route_ix)
+        return {(route_ix, corpus.monitors[m].host_asn) for m, route_ix in rows}
+
+    def is_miss(route):  # a lead AS that the tail's verdict cannot speak for
+        lead, tail = route[0], route[1:]
+        if lead in bundle.reserved or lead in tail:
+            return True
+        return lead in clique and not clique.isdisjoint(tail) and tail[0] not in clique
+
+    routes, clique = bundle.paths.routes, bundle.aux.clique
+    tails = {route[1:] for route in routes}
+    misses = [route for route in routes if is_miss(route)]
+    assert any(route[0] in clique for route in routes)  # clique leads take the tail rule
+    assert len(tails) + len(misses) < len(keys(bundle.paths))
+    sub = pipeline.build_substrate(bundle)
+    assert calls["sanitize_route"] <= len(tails) + len(misses)
+    assert sub.sanitized.tails is bundle.paths.tails  # interned once, kept for retention
+
+    sanitized = sub.sanitized
+    led_elsewhere = {
+        route_ix
+        for m, route_ix in zip(sanitized.monitor_ix, sanitized.route_ix)
+        if sanitized.routes[route_ix][0] != sanitized.monitors[m].host_asn
+    }
+    tails = {route[1:] for route in sanitized.routes}
+    for country in ("AA", "BB"):
+        calls.clear()
+        pathprep.retain_for_country(sanitized, country, sub.geo, sub.rels)
+        assert 0 < calls["peak_segment"] <= len(tails) + len(led_elsewhere)
+        assert calls["peak_segment"] < len(keys(sanitized))

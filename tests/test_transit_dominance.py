@@ -28,12 +28,14 @@ def test_parse_traceroutes():
             "probe-1|10.0.0.0/24|50 50 60 900",
             "probe-2|bogus|50 60",
             "probe-3|10.0.0.1/24|50 60",  # host bits set
+            "probe-4|10.0.0.0/24|50 {60,70}",
         ]
     )
     assert counts == Counter({(50, 60, 900): 1})  # consecutive duplicates collapsed
     assert [(r.file, r.line, r.category) for r in rejections] == [
         ("traceroutes.txt", 3, "unparsable prefix"),
         ("traceroutes.txt", 4, "unparsable prefix"),
+        ("traceroutes.txt", 5, "as-set"),
     ]
     with pytest.raises(ParseError):
         td.parse_traceroutes(["only|two"])
