@@ -17,6 +17,7 @@ the wrong type). Each failure prints one line.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import hashlib
 import json
 import os
@@ -223,7 +224,18 @@ def _input_command(name: str, *options):
             def load_substrate() -> pipeline.Substrate:
                 return pipeline.build_substrate(ingest.load_bundle(input_dir, metric_files))
 
-            report, config = body(load_substrate, country, **kwargs)
+            # The collector is paused here and nowhere else. The tables a body
+            # builds (the bundle, the substrate, the country kernel and its
+            # reduction) hold no reference cycles, so reference counting frees
+            # them all, and the collections their allocations would trigger
+            # find nothing to collect.
+            enabled = gc.isenabled()
+            gc.disable()
+            try:
+                report, config = body(load_substrate, country, **kwargs)
+            finally:
+                if enabled:
+                    gc.enable()
             if isinstance(report, MetricReport):
                 report = report.to_csv() if fmt == "csv" else report.to_json()
                 config["format"] = fmt

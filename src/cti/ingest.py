@@ -6,8 +6,11 @@ All formats are line-oriented UTF-8 text; a line ends at ``\\n``, ``\\r\\n`` or
 comments and blank lines are ignored. Parsers are strict on structure
 (malformed lines abort the run) and lenient-with-logging on semantic rejects
 (bad country codes, out-of-range scores, excluded prefixes).
-Every file is read through one ``RowReader``, which turns a malformed row into
-a ``ParseError`` naming the file and line.
+Every file is read under the rules of one ``RowReader``, which turns a
+malformed row into a ``ParseError`` naming the file and line. The two files
+with a row per path, ``paths.txt`` and ``traceroutes.txt``, are read in one
+loop each over the reader's ``numbered()`` lines, and take their errors from
+the reader; every other file is read through it.
 """
 from __future__ import annotations
 
@@ -18,7 +21,7 @@ from array import array
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, TextIO
+from typing import Callable, Generator, Iterable, Iterator, Mapping, TextIO
 
 from .model import (
     Corpus,
@@ -50,38 +53,60 @@ class RowReader:
     blank or a ``#`` comment: ``line`` stripped, and ``fields`` the line split
     on the separator of ``layout``. A layout is the row's field names joined
     by ``|`` or ``,``; one name makes the whole line the one field, and a
-    trailing ``...`` allows more fields. A row with another number of fields,
-    and a ``ValueError`` raised in the block while a row is handled, become
-    ``ParseError("<file name> line <N>: <detail>")``.
+    trailing ``...`` allows more fields. A row with another number of fields
+    is ``malformed``, and a ``ValueError`` raised in the block while a row is
+    handled becomes the error ``at_line`` gives:
+    ``ParseError("<file name> line <N>: <detail>")``. A parser that reads its
+    rows in its own loop over ``numbered()`` takes both errors from here.
     """
 
     def __init__(self, key: str, lines: Iterable[str], layout: str) -> None:
         self.name = FILE_NAMES[key]
+        self.layout = layout
+        self._lines = lines
         self._line_no = 0
-        self._rows = self._split(lines, layout)
+        self._rows: Generator[tuple[int, str, list[str]], None, None] | None = None
 
     def __enter__(self) -> Iterator[tuple[int, str, list[str]]]:
+        self._rows = self._split()
         return self._rows
 
     def __exit__(self, _type, exc: BaseException | None, _tb) -> None:
         # While the body handles a row, the rows are suspended; an error of
         # the rows themselves (a short row, bytes that are not UTF-8) ended
         # them and already names its file.
-        if isinstance(exc, ValueError) and self._rows.gi_frame is not None:
-            raise ParseError(f"{self.name} line {self._line_no}: {exc}") from None
+        suspended = self._rows.gi_frame is not None
+        # the suspended rows refer to this reader: closing them leaves no cycle
+        self._rows.close()
+        if isinstance(exc, ValueError) and suspended:
+            raise self.at_line(self._line_no, exc) from None
 
-    def _split(self, lines: Iterable[str], layout: str) -> Iterator[tuple[int, str, list[str]]]:
+    def numbered(self) -> Iterator[tuple[int, str]]:
+        """``(line_no, line)`` for every line, stripped, blank and comment
+        lines included; numbering and stripping add no Python frame per line."""
+        return enumerate(map(str.strip, self._lines), start=1)
+
+    def malformed(self, line_no: int, line: str) -> ParseError:
+        """The error of the row ``line`` whose fields do not fit the layout."""
+        return ParseError(f"{self.name} line {line_no}: expected {self.layout}, got {line!r}")
+
+    def at_line(self, line_no: int, exc: ValueError) -> ParseError:
+        """The error ``exc``, raised while line ``line_no`` was handled."""
+        return ParseError(f"{self.name} line {line_no}: {exc}")
+
+    def _split(self) -> Generator[tuple[int, str, list[str]], None, None]:
+        layout = self.layout
         separator = "|" if "|" in layout else "," if "," in layout else None
         names = layout.split(separator)
         open_ended = names[-1] == "..."
         n_fields = len(names) - open_ended
-        for line_no, line in enumerate(map(str.strip, lines), start=1):
+        for line_no, line in self.numbered():
             if not line or line[0] == "#":
                 continue
             fields = line.split(separator) if separator else [line]
             self._line_no = line_no
             if len(fields) != n_fields and not (open_ended and len(fields) > n_fields):
-                raise ParseError(f"{self.name} line {line_no}: expected {layout}, got {line!r}")
+                raise self.malformed(line_no, line)
             yield line_no, line, fields
 
 
@@ -180,8 +205,16 @@ def parse_paths(
         return len(corpus.routes) - 1
 
     monitor_col, prefix_col, route_col = corpus.monitor_ix, corpus.prefix_ix, corpus.route_ix
-    with RowReader("paths", reader, "monitor_id|prefix|hops") as rows:
-        for line_no, line, (monitor_id, prefix_text, hops_text) in rows:
+    rows = RowReader("paths", reader, "monitor_id|prefix|hops")
+    # one loop over the lines: no row tuple, and no generator resumed per row
+    for line_no, line in rows.numbered():
+        if not line or line[0] == "#":
+            continue
+        try:
+            monitor_id, prefix_text, hops_text = line.split("|")
+        except ValueError:
+            raise rows.malformed(line_no, line) from None
+        try:
             monitor_ix = monitor_of.get(monitor_id, -1)
             prefix_ix = prefix_code.get(prefix_text)
             if prefix_ix is None:
@@ -190,7 +223,7 @@ def parse_paths(
             if route_ix is None:
                 route_ix = route_code[hops_text] = judge_hops(hops_text)
             if monitor_ix < 0 or prefix_ix < 0 or route_ix < 0:
-                reason = _path_reason(monitor_ix, prefix_ix, route_ix)
+                reason = "unknown monitor" if monitor_ix < 0 else _reason(prefix_ix, route_ix)
                 rejections.append(Rejection(FILE_NAMES["paths"], line_no, reason, line))
                 continue
             cell = prefix_ix * n_monitors + monitor_ix
@@ -215,14 +248,14 @@ def parse_paths(
             prefix_col.append(prefix_ix)
             route_col.append(route_ix)
             row_lines.append(line_no)
+        except ValueError as exc:
+            raise rows.at_line(line_no, exc) from None
     return corpus, rejections
 
 
-def _path_reason(monitor_ix: int, prefix_code: int, route_code: int) -> str:
-    """Why a path row is rejected: the first of an unknown monitor, AS-set
-    braces, a bad prefix and a bad route."""
-    if monitor_ix < 0:
-        return "unknown monitor"
+def _reason(prefix_code: int, route_code: int) -> str:
+    """Why a traceroute row, or a path row of a known monitor, is rejected:
+    the first of AS-set braces, a bad prefix and a bad route."""
     if route_code == AS_SET:
         return "as-set"
     return REJECT_REASONS[~(prefix_code if prefix_code < 0 else route_code)]
@@ -234,24 +267,26 @@ def parse_traceroutes(
     """Count the ``probe_id|prefix|asn asn ...`` rows (probe-first hop order)
     of each route, with consecutive duplicate ASNs collapsed.
 
-    A row with an unparsable prefix, AS-set braces, a malformed ASN token or
-    no hop is rejected with a log entry.
+    A row with AS-set braces, an unparsable prefix, a malformed ASN token or
+    no hop is rejected with a log entry, for the first of these in that order,
+    as a ``paths.txt`` row is.
     """
     rejections: list[Rejection] = []
-    # each distinct prefix text is checked once, and each distinct hop text
-    # parsed and collapsed once, to an index into routes or a negative code
-    prefix_ok: dict[str, bool] = {}
+    # each distinct prefix text is checked once, to 0 or a negative code, and
+    # each distinct hop text parsed and collapsed once, to an index into
+    # routes or a negative code
+    prefix_code: dict[str, int] = {}
     route_code: dict[str, int] = {}
     routes: list[Route] = []  # the collapsed route of each distinct hop text
     n_traces: list[int] = []  # rows per distinct hop text
     parse_asn = functools.cache(parse_asn_token)
 
-    def is_prefix(text: str) -> bool:
+    def judge_prefix(text: str) -> int:
         try:
             Prefix.parse(text)  # checked only: a bad prefix still rejects the row
         except ValueError:
-            return False
-        return True
+            return UNPARSABLE_PREFIX
+        return 0
 
     def judge_hops(text: str) -> int:
         hops = _judge_hop_text(text, parse_asn)
@@ -262,24 +297,32 @@ def parse_traceroutes(
         return len(routes) - 1
 
     file = FILE_NAMES["traceroutes"]
-    with RowReader("traceroutes", reader, "probe_id|prefix|hops") as rows:
-        for line_no, line, (_probe_id, prefix_text, hops_text) in rows:
-            ok = prefix_ok.get(prefix_text)
-            if ok is None:
-                ok = prefix_ok[prefix_text] = is_prefix(prefix_text)
-            if not ok:
-                rejections.append(Rejection(file, line_no, "unparsable prefix", line))
-                continue
+    rows = RowReader("traceroutes", reader, "probe_id|prefix|hops")
+    # one loop over the lines, as in parse_paths
+    for line_no, line in rows.numbered():
+        if not line or line[0] == "#":
+            continue
+        try:
+            _probe_id, prefix_text, hops_text = line.split("|")
+        except ValueError:
+            raise rows.malformed(line_no, line) from None
+        try:
+            prefix_verdict = prefix_code.get(prefix_text)
+            if prefix_verdict is None:
+                prefix_verdict = prefix_code[prefix_text] = judge_prefix(prefix_text)
             route_ix = route_code.get(hops_text)
             if route_ix is None:
                 route_ix = route_code[hops_text] = judge_hops(hops_text)
-            if route_ix < 0:
-                rejections.append(Rejection(file, line_no, REJECT_REASONS[~route_ix], line))
+            if prefix_verdict < 0 or route_ix < 0:
+                rejections.append(Rejection(file, line_no, _reason(prefix_verdict, route_ix), line))
                 continue
             n_traces[route_ix] += 1
+        except ValueError as exc:
+            raise rows.at_line(line_no, exc) from None
     counts: Counter[Route] = Counter()
     for hops, n in zip(routes, n_traces):
-        counts[hops] = counts.get(hops, 0) + n
+        if n:  # a hop text judged only on rejected rows has no trace
+            counts[hops] = counts.get(hops, 0) + n
     return counts, rejections
 
 

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -782,3 +783,32 @@ def test_click_usage_errors_exit_5(tmp_path):
             main(args, standalone_mode=False)
         assert exc.value.code == 5, args
     assert CliRunner().invoke(main, []).exit_code == 0  # a bare command prints the help
+
+
+@pytest.mark.parametrize("enabled", [True, False], ids=["collector-on", "collector-off"])
+def test_a_command_leaves_the_collector_as_it_found_it(tmp_path, enabled):
+    """A command builds its tables with the cyclic collector paused, and
+    restores the caller's setting however it exits."""
+    files = _write_toy(tmp_path / "in")
+    _write_toy(tmp_path / "bad")
+    (tmp_path / "bad" / "paths.txt").write_text(files["paths.txt"] + "m1|10.0.0.0/24\n")
+    out = ["--output", str(tmp_path / "out")]
+    runs = [
+        (["cti", "--input", str(tmp_path / "in"), "--country", "CU"], None),
+        (["cti", "--input", str(tmp_path / "bad"), "--country", "CU"], 3),
+        (["org", "--input", str(tmp_path / "in"), "--country", "ZZ"], 4),
+        (["cti", "--input", str(tmp_path / "in"), "--country", "CU", "--trim", "1"], 5),
+    ]
+    was_enabled = gc.isenabled()
+    try:
+        for args, code in runs:
+            gc.enable() if enabled else gc.disable()
+            if code is None:
+                main(args + out, standalone_mode=False)
+            else:
+                with pytest.raises(SystemExit) as exited:
+                    main(args + out, standalone_mode=False)
+                assert exited.value.code == code, args
+            assert gc.isenabled() == enabled, args
+    finally:
+        gc.enable() if was_enabled else gc.disable()

@@ -124,6 +124,24 @@ def test_parse_traceroutes_counts_blank_comment_and_padded_lines():
     ]
 
 
+@pytest.mark.parametrize(
+    "fields,reason",
+    [
+        ("bogus|5 {6}", "as-set"),
+        ("10.0.0.0/24|5 {6}", "as-set"),
+        ("bogus|5 x", "unparsable prefix"),
+        ("bogus|", "unparsable prefix"),
+        ("10.0.0.0/24|5 x", "malformed ASN"),
+        ("10.0.0.0/24|", "empty path"),
+    ],
+)
+def test_both_path_files_name_the_first_reason_in_one_order(fields, reason):
+    _corpus, rejections = ingest.parse_paths([f"m1|{fields}"], MONITORS)
+    assert [r.category for r in rejections] == [reason]
+    _counts, rejections = transit_dominance.parse_traceroutes([f"t-m1|{fields}"])
+    assert [r.category for r in rejections] == [reason]
+
+
 def test_parse_paths_multi_origin_exclusion():
     excluded = frozenset({Prefix.parse("10.0.0.0/24")})
     records, rejections = ingest.parse_paths(
@@ -542,13 +560,13 @@ def _reference_parse_traceroutes(lines):
         parts = line.split("|")
         if len(parts) != 3:
             raise ParseError(f"traceroutes.txt line {line_no}: expected probe_id|prefix|hops, got {line!r}")
+        if "{" in parts[2] or "}" in parts[2]:
+            rejections.append(Rejection("traceroutes.txt", line_no, "as-set", line))
+            continue
         try:
             Prefix.parse(parts[1])
         except ValueError:
             rejections.append(Rejection("traceroutes.txt", line_no, "unparsable prefix", line))
-            continue
-        if "{" in parts[2] or "}" in parts[2]:
-            rejections.append(Rejection("traceroutes.txt", line_no, "as-set", line))
             continue
         try:
             raw_hops = [ingest.parse_asn_token(tok) for tok in parts[2].split()]
@@ -591,11 +609,14 @@ _ASN_TOKEN = st.one_of(
 )
 _HOPS_TEXT = st.lists(_ASN_TOKEN, min_size=1, max_size=3).map(" ".join) | st.just("")
 _ROW = st.tuples(st.sampled_from(["m1", "m2", "mX"]), _PREFIX_TEXT, _HOPS_TEXT).map("|".join)
+# whitespace that str.strip removes from the ends of a line
+_PAD = st.text(alphabet=" \t\x0b\x0c\x1c\u3000", min_size=1, max_size=2)
 _LINE = st.one_of(
     _ROW,
     _ROW,
+    st.tuples(_PAD, _ROW, _PAD).map("".join),
     st.lists(st.text(max_size=8), min_size=1, max_size=4).map("|".join),
-    st.sampled_from(["", "# comment"]),
+    st.sampled_from(["", "# comment", " \t# padded comment", "\u3000\x0b", "\x1c"]),
 )
 _FUZZ = settings(max_examples=300, deadline=None)
 
