@@ -7,10 +7,18 @@ comments and blank lines are ignored. Parsers are strict on structure
 (malformed lines abort the run) and lenient-with-logging on semantic rejects
 (bad country codes, out-of-range scores, excluded prefixes).
 Every file is read under the rules of one ``RowReader``, which turns a
-malformed row into a ``ParseError`` naming the file and line. The two files
-with a row per path, ``paths.txt`` and ``traceroutes.txt``, are read in one
-loop each over the reader's ``numbered()`` lines, and take their errors from
-the reader; every other file is read through it.
+malformed row into a ``ParseError`` naming the file and line. The three
+largest files, ``paths.txt``, ``traceroutes.txt`` and ``relationships.txt``,
+are read in one loop each over the reader's ``numbered()`` lines, and take
+their errors from the reader; every other file is read through it.
+
+A path or traceroute hop text is judged once per distinct text, inline in the
+row loop, as its lead AS over a tail (the hops after the first). Routes share
+tails far more than texts, so each distinct tail text is judged once, by
+``_judge_hop_text``, the one judge of a hop text; a rejected text is judged
+whole by it, so that its first reason wins. ``parse_paths`` interns the tails
+of the routes it keeps into ``Corpus.tails``, and ``parse_traceroutes``
+collapses prepending once per tail.
 """
 from __future__ import annotations
 
@@ -32,7 +40,9 @@ from .model import (
     RelKind,
     RelationshipTable,
     Route,
+    RouteTails,
     collapse_prepending,
+    intern,
     parse_decimal,
     parse_dotted_quad,
     parse_fraction,
@@ -165,7 +175,8 @@ def parse_paths(
     Rejects (with a log entry) unknown monitors, prefixes longer than /24,
     prefixes on the multi-origin exclusion list, malformed ASN tokens and
     AS-set braces. Identical duplicate (monitor, prefix) rows are silently
-    deduplicated; conflicting duplicates are a hard error.
+    deduplicated; conflicting duplicates are a hard error. The corpus comes
+    with its routes' tails interned (``Corpus.tails``).
     """
     corpus = Corpus(monitors=list(monitors.values()), prefixes=[], routes=[])
     monitor_of = {monitor_id: ix for ix, monitor_id in enumerate(monitors)}
@@ -177,11 +188,21 @@ def parse_paths(
     prefix_code: dict[str, int] = {}
     route_code: dict[str, int] = {}
     parse_asn = functools.cache(parse_asn_token)
-    # Bit c of kept is set once a row of the (prefix, monitor) cell
-    # c = prefix_ix * n_monitors + monitor_ix is kept: n_monitors bits per
-    # prefix, grown by doubling. The kept row of a cell is looked up only when
-    # a cell repeats.
-    kept = bytearray()
+    # A route is its monitor's host AS followed by the route a neighbour
+    # chose, so far fewer tails (the hops after the first) than hop texts
+    # recur. A new hop text is its lead AS, judged once per token, over its
+    # tail, judged once per distinct text to an index into the tails of the
+    # kept routes, interned by value, or to a rejection code.
+    judge_lead = functools.cache(functools.partial(_judge_hop_text, parse_asn=parse_asn))
+    tail_code: dict[str, int] = {}
+    tail_index: dict[Route, int] = {}
+    tail_table: list[Route] = []
+    route_tail_ix: list[int] = []
+    corpus.tails = RouteTails(tail_table, route_tail_ix)
+    # Bit m of kept[p] is set once a row of monitor m toward prefix p is kept.
+    # The kept row of a (prefix, monitor) cell is looked up only when a cell
+    # repeats.
+    kept: list[int] = []
     row_of: dict[int, int] | None = None  # cell -> kept row, from the first repeat on
     row_lines = corpus.line_no = array("I")
 
@@ -193,17 +214,10 @@ def parse_paths(
         if prefix in multi_origin:
             return MULTI_ORIGIN
         corpus.prefixes.append(prefix)
-        if len(kept) * 8 < len(corpus.prefixes) * n_monitors:
-            kept.extend(bytes(len(kept) + n_monitors))
+        kept.append(0)
         return len(corpus.prefixes) - 1
 
-    def judge_hops(text: str) -> int:
-        hops = _judge_hop_text(text, parse_asn)
-        if isinstance(hops, int):
-            return hops
-        corpus.routes.append(hops)
-        return len(corpus.routes) - 1
-
+    routes = corpus.routes
     monitor_col, prefix_col, route_col = corpus.monitor_ix, corpus.prefix_ix, corpus.route_ix
     rows = RowReader("paths", reader, "monitor_id|prefix|hops")
     # one loop over the lines: no row tuple, and no generator resumed per row
@@ -220,30 +234,45 @@ def parse_paths(
             if prefix_ix is None:
                 prefix_ix = prefix_code[prefix_text] = judge_prefix(prefix_text)
             route_ix = route_code.get(hops_text)
-            if route_ix is None:
-                route_ix = route_code[hops_text] = judge_hops(hops_text)
+            if route_ix is None:  # judged inline: no Python frame per hop text
+                lead_tail = hops_text.split(None, 1)
+                lead = judge_lead(lead_tail[0]) if lead_tail else EMPTY_PATH
+                if not isinstance(lead, int):
+                    tail_text = lead_tail[1] if len(lead_tail) > 1 else ""
+                    tail_ix = tail_code.get(tail_text)
+                    if tail_ix is None:
+                        tail = _judge_hop_text(tail_text, parse_asn) if tail_text else ()
+                        tail_ix = tail_code[tail_text] = (
+                            tail if isinstance(tail, int) else intern(tail, tail_index, tail_table)
+                        )
+                    if tail_ix >= 0:
+                        route_ix = len(routes)
+                        routes.append(lead + tail_table[tail_ix])
+                        route_tail_ix.append(tail_ix)
+                if route_ix is None:  # judged whole, so that its first reason wins
+                    route_ix = _judge_hop_text(hops_text, parse_asn)
+                route_code[hops_text] = route_ix
             if monitor_ix < 0 or prefix_ix < 0 or route_ix < 0:
                 reason = "unknown monitor" if monitor_ix < 0 else _reason(prefix_ix, route_ix)
                 rejections.append(Rejection(FILE_NAMES["paths"], line_no, reason, line))
                 continue
-            cell = prefix_ix * n_monitors + monitor_ix
-            byte, bit = cell >> 3, 1 << (cell & 7)
-            if kept[byte] & bit:
+            mask, bit = kept[prefix_ix], 1 << monitor_ix
+            if mask & bit:
                 if row_of is None:  # each cell has at most one kept row
                     row_of = {
                         p * n_monitors + m: row
                         for row, (m, p) in enumerate(zip(monitor_col, prefix_col))
                     }
-                row = row_of[cell]
-                if corpus.routes[route_col[row]] != corpus.routes[route_ix]:
+                row = row_of[prefix_ix * n_monitors + monitor_ix]
+                if routes[route_col[row]] != routes[route_ix]:
                     raise ValueError(
                         f"conflicting paths for ({monitor_id}, {corpus.prefixes[prefix_ix]}) "
                         f"at lines {row_lines[row]} and {line_no}"
                     )
                 continue  # identical duplicate
-            kept[byte] |= bit
+            kept[prefix_ix] = mask | bit
             if row_of is not None:
-                row_of[cell] = len(route_col)
+                row_of[prefix_ix * n_monitors + monitor_ix] = len(route_col)
             monitor_col.append(monitor_ix)
             prefix_col.append(prefix_ix)
             route_col.append(route_ix)
@@ -273,13 +302,16 @@ def parse_traceroutes(
     """
     rejections: list[Rejection] = []
     # each distinct prefix text is checked once, to 0 or a negative code, and
-    # each distinct hop text parsed and collapsed once, to an index into
-    # routes or a negative code
+    # each distinct hop text is judged once, to an index into routes or a
+    # negative code, as in parse_paths: its lead AS over a tail that is
+    # judged and collapsed once per distinct text
     prefix_code: dict[str, int] = {}
     route_code: dict[str, int] = {}
     routes: list[Route] = []  # the collapsed route of each distinct hop text
     n_traces: list[int] = []  # rows per distinct hop text
     parse_asn = functools.cache(parse_asn_token)
+    judge_lead = functools.cache(functools.partial(_judge_hop_text, parse_asn=parse_asn))
+    tail_of: dict[str, Route | int] = {}  # tail text -> collapsed tail, or a code
 
     def judge_prefix(text: str) -> int:
         try:
@@ -287,14 +319,6 @@ def parse_traceroutes(
         except ValueError:
             return UNPARSABLE_PREFIX
         return 0
-
-    def judge_hops(text: str) -> int:
-        hops = _judge_hop_text(text, parse_asn)
-        if isinstance(hops, int):
-            return hops
-        routes.append(collapse_prepending(hops))
-        n_traces.append(0)
-        return len(routes) - 1
 
     file = FILE_NAMES["traceroutes"]
     rows = RowReader("traceroutes", reader, "probe_id|prefix|hops")
@@ -312,7 +336,24 @@ def parse_traceroutes(
                 prefix_verdict = prefix_code[prefix_text] = judge_prefix(prefix_text)
             route_ix = route_code.get(hops_text)
             if route_ix is None:
-                route_ix = route_code[hops_text] = judge_hops(hops_text)
+                lead_tail = hops_text.split(None, 1)
+                lead = judge_lead(lead_tail[0]) if lead_tail else EMPTY_PATH
+                if not isinstance(lead, int):
+                    tail_text = lead_tail[1] if len(lead_tail) > 1 else ""
+                    tail = tail_of.get(tail_text)
+                    if tail is None:
+                        tail = _judge_hop_text(tail_text, parse_asn) if tail_text else ()
+                        if not isinstance(tail, int):
+                            tail = collapse_prepending(tail)
+                        tail_of[tail_text] = tail
+                    if not isinstance(tail, int):
+                        route_ix = len(routes)
+                        # a lead that the tail repeats collapses into it
+                        routes.append(tail if tail and tail[0] == lead[0] else lead + tail)
+                        n_traces.append(0)
+                if route_ix is None:  # judged whole, so that its first reason wins
+                    route_ix = _judge_hop_text(hops_text, parse_asn)
+                route_code[hops_text] = route_ix
             if prefix_verdict < 0 or route_ix < 0:
                 rejections.append(Rejection(file, line_no, _reason(prefix_verdict, route_ix), line))
                 continue
@@ -333,12 +374,23 @@ def parse_relationships(reader: Iterable[str]) -> RelationshipTable:
     """Parse ``a|b|-1`` (a provider of b) and ``a|b|0`` (peers) rows."""
     table = RelationshipTable()
     parse_asn = functools.cache(parse_asn_token)
-    with RowReader("relationships", reader, "a|b|code") as rows:
-        for _line_no, _line, (a_text, b_text, code) in rows:
+    rows = RowReader("relationships", reader, "a|b|code")
+    # one loop over the lines, as in parse_paths
+    for line_no, line in rows.numbered():
+        if not line or line[0] == "#":
+            continue
+        try:
+            a_text, b_text, code = line.split("|")
+        except ValueError:
+            raise rows.malformed(line_no, line) from None
+        try:
             a, b = parse_asn(a_text), parse_asn(b_text)
-            if code not in _RELATIONSHIP_CODES:
+            kind = _RELATIONSHIP_CODES.get(code)
+            if kind is None:
                 raise ValueError(f"unknown relationship code {code!r}")
-            table.add(a, b, _RELATIONSHIP_CODES[code])
+            table.add(a, b, kind)
+        except ValueError as exc:
+            raise rows.at_line(line_no, exc) from None
     return table
 
 

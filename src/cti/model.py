@@ -213,8 +213,9 @@ class Corpus:
     text it was read from (by the parser) or once per (host AS, origin) (by
     the generator), so a row is four ints and no object. Indexing and
     iterating give rows as ``PathRecord``s, a new record each time.
-    ``tails`` holds the route table's ``RouteTails`` once ``route_tails``
-    has interned them."""
+    ``tails`` holds the route table's ``RouteTails``: a corpus that
+    ``ingest.parse_paths`` built arrives with them, and any other gets them
+    from ``route_tails``."""
 
     monitors: Sequence[MonitorId]
     prefixes: list[Prefix]
@@ -229,8 +230,9 @@ class Corpus:
         return len(self.route_ix)
 
     def route_tails(self) -> RouteTails:
-        """The route table's tails, interned on the first call and kept, in
-        the order of their first routes."""
+        """The route table's tails, interned by value in the order of their
+        first routes. The parser hands them on; for a corpus built otherwise
+        (by the generator, say) they are interned on the first call and kept."""
         if self.tails is None:
             index: dict[Route, int] = {}
             tail_ix = [index.setdefault(route[1:], len(index)) for route in self.routes]

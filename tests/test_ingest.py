@@ -5,11 +5,11 @@ from collections import Counter
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cti import ingest, pipeline, synth_oracle, transit_dominance
-from cti.model import MonitorId, ParseError, PathRecord, Prefix, Rejection, RelKind
+from cti.model import MonitorId, ParseError, PathRecord, Prefix, Rejection, RelKind, RouteTails
 
 MONITORS = {
     "m1": MonitorId("m1", 10, "US"),
@@ -151,6 +151,18 @@ def test_parse_paths_multi_origin_exclusion():
     assert len(records) == 1
 
 
+def _cell_rows(n_monitors, spread):
+    """One row per (monitor, prefix) of three prefixes, with the monitors:
+    monitor by monitor, so that each prefix's rows are spread across the
+    file, or prefix by prefix."""
+    monitors = {f"m{i}": MonitorId(f"m{i}", 10 + i, "US") for i in range(n_monitors)}
+    if spread:
+        cells = [(i, p) for i in range(n_monitors) for p in range(3)]
+    else:
+        cells = [(i, p) for p in range(3) for i in range(n_monitors)]
+    return [f"m{i}|10.0.{p}.0/24|{10 + i} {p + 100}" for i, p in cells], monitors
+
+
 def test_parse_paths_duplicates():
     records, _ = ingest.parse_paths(
         ["m1|10.0.0.0/24|10 20", "m1|10.0.0.0/24|10 20"], MONITORS
@@ -158,20 +170,30 @@ def test_parse_paths_duplicates():
     assert len(records) == 1
     with pytest.raises(ParseError, match="lines 1 and 2"):
         ingest.parse_paths(["m1|10.0.0.0/24|10 20", "m1|10.0.0.0/24|10 30"], MONITORS)
+    # 70 monitors: a prefix's kept rows take more bits than one machine word
+    lines, monitors = _cell_rows(70, spread=True)
+    records, _ = ingest.parse_paths([*lines, lines[-1], lines[193], lines[1]], monitors)
+    assert len(records) == 210
+    for row in (0, 189, 192, 209):  # monitors 0, 63, 64 and 69
+        conflict = lines[row].replace(" 10", " 99")
+        with pytest.raises(ParseError, match=f"lines {row + 1} and 211$"):
+            ingest.parse_paths([*lines, conflict], monitors)
 
 
 def test_a_duplicate_finds_its_first_row_before_and_after_the_first_repeat():
-    monitors = {f"m{i}": MonitorId(f"m{i}", 10 + i, "US") for i in range(9)}
-    lines = [f"m{i}|10.0.{p}.0/24|{10 + i} {p + 100}" for p in range(3) for i in range(9)]
-    records, _ = ingest.parse_paths(lines + lines[::-1] + lines, monitors)
-    assert list(records) == list(ingest.parse_paths(lines, monitors)[0])
-    # line 2 is the first repeat; the rows of lines 3-28 are kept after it
-    lines = [lines[0], lines[0], *lines[1:]]
-    for line_no in (1, 3, 15, 28):
-        conflict = lines[line_no - 1].replace(" 10", " 99")
-        with pytest.raises(ParseError) as raised:
-            ingest.parse_paths([*lines, conflict], monitors)
-        assert str(raised.value).endswith(f"at lines {line_no} and 29")
+    # 9 monitors with each prefix's rows together, and 70 monitors, past one
+    # machine word of bits per prefix, with each prefix's rows spread out
+    for lines, monitors in (_cell_rows(9, spread=False), _cell_rows(70, spread=True)):
+        records, _ = ingest.parse_paths(lines + lines[::-1] + lines, monitors)
+        assert list(records) == list(ingest.parse_paths(lines, monitors)[0])
+        # line 2 is the first repeat; the rows of lines 3-n are kept after it
+        lines = [lines[0], lines[0], *lines[1:]]
+        n = len(lines)
+        for line_no in (1, 3, 15, n - 3, n):
+            conflict = lines[line_no - 1].replace(" 10", " 99")
+            with pytest.raises(ParseError) as raised:
+                ingest.parse_paths([*lines, conflict], monitors)
+            assert str(raised.value).endswith(f"at lines {line_no} and {n + 1}")
 
 
 def test_repeated_bad_rows_are_each_rejected():
@@ -495,6 +517,38 @@ def test_load_bundle_streams_its_files(tmp_path):
     assert peak - end < (end - start) / 2
 
 
+def _reference_route_tails(routes):
+    """Each route's tail (its hops after the first) interned by value, in the
+    order of their first routes, as ``Corpus.route_tails`` interns them."""
+    index = {}
+    tail_ix = [index.setdefault(route[1:], len(index)) for route in routes]
+    return RouteTails(list(index), tail_ix)
+
+
+def test_the_parsed_tails_of_a_generated_instance_are_the_interned_tails(tmp_path):
+    _generated_instance(tmp_path)
+    corpus = ingest.load_bundle(str(tmp_path)).paths
+    assert corpus.tails == _reference_route_tails(corpus.routes)
+    assert len(corpus.tails.table) < len(corpus.routes)
+
+
+@pytest.mark.parametrize(
+    "hop_texts,tails",
+    [
+        # a malformed lead over a good tail: the tail of no kept route
+        (["x 20", "10 30", "5 20"], RouteTails([(30,), (20,)], [0, 1])),
+        (["{5} 20", "5 x", "20"], RouteTails([()], [0])),
+        # three texts of one tail value
+        (["5 6", "5  06", "5\t6"], RouteTails([(6,)], [0, 0, 0])),
+        (["5", "07"], RouteTails([()], [0, 0])),  # single-hop routes
+    ],
+)
+def test_the_parsed_tails_are_interned_by_value_for_the_kept_routes(hop_texts, tails):
+    lines = [f"m1|10.0.{p}.0/24|{text}" for p, text in enumerate(hop_texts)]
+    corpus, _rejections = ingest.parse_paths(lines, MONITORS)
+    assert corpus.tails == tails == _reference_route_tails(corpus.routes)
+
+
 def test_a_clean_corpus_keeps_its_route_column(tmp_path):
     _generated_instance(tmp_path)
     bundle = ingest.load_bundle(str(tmp_path))
@@ -630,7 +684,22 @@ def test_parse_paths_matches_row_by_row_reference(lines, exclude):
 
 
 @_FUZZ
+@given(st.lists(_LINE, max_size=16), st.booleans())
+def test_the_parsed_tails_are_the_interned_tails(lines, exclude):
+    multi_origin = frozenset({Prefix.parse("10.0.1.0/24")}) if exclude else frozenset()
+    parsed = _outcome(ingest.parse_paths, lines, MONITORS, multi_origin)
+    if not isinstance(parsed, str):
+        corpus, _rejections = parsed
+        assert corpus.tails == _reference_route_tails(corpus.routes)
+
+
+@_FUZZ
 @given(st.lists(_LINE, max_size=16))
+# prepending across the seam between the lead AS and the tail
+@example(["t|10.0.0.0/24|7 7 8"])
+@example(["t|10.0.0.0/24|7 8 8"])
+@example(["t|10.0.0.0/24|7 7"])
+@example(["t|10.0.0.0/24| 7\t07 8"])
 def test_parse_traceroutes_matches_row_by_row_reference(lines):
     expected = _outcome(_reference_parse_traceroutes, lines)
     assert _outcome(transit_dominance.parse_traceroutes, lines) == expected
@@ -660,12 +729,51 @@ def _data_line_numbers(lines):
     return [line_no for line_no, _line in _data_lines(lines)]
 
 
+_RELATIONSHIP_LINES = _lines(
+    _ASN_FIELD, _ASN_FIELD, st.sampled_from(["-1", "0", "1"]) | st.text(max_size=2), sep="|"
+)
+
+
 @_FUZZ
-@given(_lines(_ASN_FIELD, _ASN_FIELD, st.sampled_from(["-1", "0", "1"]) | st.text(max_size=2), sep="|"))
+@given(_RELATIONSHIP_LINES)
 def test_parse_relationships_raises_only_parse_error(lines):
     table = _outcome(ingest.parse_relationships, lines)
     if not isinstance(table, str):
         assert len(table) <= len(_data_line_numbers(lines))
+
+
+def _reference_parse_relationships(lines):
+    """Row-by-row parse with no memo, each row checked in the order field
+    count, a, b, code, then the pair: the stored ``(a, b, kind)`` rows."""
+    stored = {}  # unordered pair -> its first row's (a, b, kind)
+    for line_no, line in _data_lines(lines):
+        parts = line.split("|")
+        if len(parts) != 3:
+            raise ParseError(f"relationships.txt line {line_no}: expected a|b|code, got {line!r}")
+        try:
+            a, b = ingest.parse_asn_token(parts[0]), ingest.parse_asn_token(parts[1])
+            if parts[2] not in ("-1", "0"):
+                raise ValueError(f"unknown relationship code {parts[2]!r}")
+            kind = RelKind.P2C if parts[2] == "-1" else RelKind.P2P
+            if a == b:
+                raise ValueError(f"self-relationship for AS {a}")
+            first = stored.setdefault(frozenset((a, b)), (a, b, kind))
+            # a peer link repeats either way round, a p2c link only as given
+            if first[2] is not kind or (kind is RelKind.P2C and first[:2] != (a, b)):
+                raise ValueError(
+                    f"conflicting relationship for ASes {a} and {b}: "
+                    f"{first[0]}|{first[1]} {first[2].value} vs {a}|{b} {kind.value}"
+                )
+        except ValueError as exc:
+            raise ParseError(f"relationships.txt line {line_no}: {exc}") from None
+    return list(stored.values())
+
+
+@_FUZZ
+@given(_RELATIONSHIP_LINES)
+def test_parse_relationships_matches_row_by_row_reference(lines):
+    expected = _outcome(_reference_parse_relationships, lines)
+    assert _outcome(lambda: list(ingest.parse_relationships(lines))) == expected
 
 
 @_FUZZ
