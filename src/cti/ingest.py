@@ -17,8 +17,9 @@ row loop, as its lead AS over a tail (the hops after the first). Routes share
 tails far more than texts, so each distinct tail text is judged once, by
 ``_judge_hop_text``, the one judge of a hop text; a rejected text is judged
 whole by it, so that its first reason wins. ``parse_paths`` interns the tails
-of the routes it keeps into ``Corpus.tails``, and ``parse_traceroutes``
-collapses prepending once per tail.
+of the routes it keeps into ``Corpus.tails``, the one place they are
+interned: sanitizing writes a collapsed route and its tail in the raw one's
+place. ``parse_traceroutes`` collapses prepending once per tail.
 """
 from __future__ import annotations
 

@@ -196,9 +196,11 @@ def collapse_prepending(hops: Route) -> Route:
 
 
 class RouteTails(NamedTuple):
-    """Each route of a table after its first hop, interned: route r's tail is
-    ``table[ix[r]]``. A monitor's route is its host AS followed by the route
-    its neighbour chose, so monitors that share a neighbour share a tail."""
+    """Each route of a table after its first hop: route r's tail is
+    ``table[ix[r]]`` (once sanitized, for each route that a row keeps). A
+    monitor's route is its host AS followed by the route its neighbour chose,
+    so monitors that share a neighbour share a tail, which the parser
+    interns once by value."""
 
     table: list[Route]
     ix: list[int]
@@ -213,9 +215,10 @@ class Corpus:
     text it was read from (by the parser) or once per (host AS, origin) (by
     the generator), so a row is four ints and no object. Indexing and
     iterating give rows as ``PathRecord``s, a new record each time.
-    ``tails`` holds the route table's ``RouteTails``: a corpus that
-    ``ingest.parse_paths`` built arrives with them, and any other gets them
-    from ``route_tails``."""
+    ``tails`` holds the route table's ``RouteTails``: ``ingest.parse_paths``
+    interns them, ``pathprep.prepare_paths`` carries them on (a collapsed
+    route takes its raw route's place), and a corpus built otherwise (by the
+    generator, say) has none."""
 
     monitors: Sequence[MonitorId]
     prefixes: list[Prefix]
@@ -228,16 +231,6 @@ class Corpus:
 
     def __len__(self) -> int:
         return len(self.route_ix)
-
-    def route_tails(self) -> RouteTails:
-        """The route table's tails, interned by value in the order of their
-        first routes. The parser hands them on; for a corpus built otherwise
-        (by the generator, say) they are interned on the first call and kept."""
-        if self.tails is None:
-            index: dict[Route, int] = {}
-            tail_ix = [index.setdefault(route[1:], len(index)) for route in self.routes]
-            self.tails = RouteTails(list(index), tail_ix)
-        return self.tails
 
     def __getitem__(self, row: int) -> PathRecord:
         return PathRecord(

@@ -15,7 +15,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .geo import GeoTable
 from .ingest import FILE_NAMES
-from .model import Corpus, Prefix, Rejection, RelationshipTable, Route, collapse_prepending, intern
+from .model import Corpus, Prefix, Rejection, RelationshipTable, Route, RouteTails
+from .model import collapse_prepending, intern
 
 # The categories of a path's Rejection
 LOOP, UNALLOCATED, POISONED, NO_PEAK = "Loop", "Unallocated", "Poisoned", "NoPeak"
@@ -118,11 +119,12 @@ def prepare_paths(
     reserved: frozenset[int],
 ) -> tuple[Corpus, list[Rejection]]:
     """Sanitize a corpus: the kept rows with their collapsed routes, and one
-    rejection per other row, both in input order. The result shares the
-    monitor and prefix tables, the route table when no route collapsed, and
-    each column that no collapse or rejection changed."""
+    rejection per other row, both in input order. A collapsed route takes its
+    raw route's place, and the tails are always carried. The result shares
+    the monitor and prefix tables, the route and tail tables when no route
+    collapsed, and each column that no rejection changed."""
     routes, route_col, monitor_col = corpus.routes, corpus.route_ix, corpus.monitor_ix
-    tails = corpus.route_tails()
+    tails = corpus.tails
     # A route is judged as its tail is, with the lead AS in front, unless the
     # lead is reserved, reappears in the tail, or is a clique AS that wedges
     # the tail's first hop, a non-clique AS, between itself and a later clique
@@ -140,10 +142,11 @@ def prepare_paths(
     changed_tails = set(compress(range(len(tails.table)), map(is_not, tail_verdicts, tails.table)))
     changed = misses.union(compress(range(len(routes)), map(changed_tails.__contains__, tails.ix)))
     # From the first collapse on, sanitized.routes is a copy of the raw routes
-    # followed by each collapsed route not among them; route_map maps a raw
-    # route index to its sanitized one.
-    sanitized = Corpus(monitors=corpus.monitors, prefixes=corpus.prefixes, routes=routes)
-    route_map: list[int] | None = None
+    # with each collapsed route in its raw route's place, and sanitized.tails
+    # a copy of the raw tails with each kept tail's verdict in its place (a
+    # rejected tail's routes lose their rows). A miss that collapses appends
+    # its own tail, which its lead AS can change: 3 3 5 6 over the tail 3 5 6.
+    sanitized = Corpus(corpus.monitors, corpus.prefixes, routes, tails=tails)
     rejected: dict[int, RouteRejection] = {}  # route index -> why its rows go
     for route_ix in sorted(changed):
         if route_ix in misses:
@@ -155,11 +158,15 @@ def prepare_paths(
         if isinstance(verdict, RouteRejection):
             rejected[route_ix] = verdict
         elif verdict is not routes[route_ix]:
-            if route_map is None:
-                sanitized.routes, route_map = list(routes), list(range(len(routes)))
-                route_index = {route: ix for ix, route in enumerate(routes)}
-            route_map[route_ix] = intern(verdict, route_index, sanitized.routes)
+            if sanitized.routes is routes:  # the first collapse
+                verdicts = zip(tail_verdicts, tails.table)
+                table = [tail if isinstance(v, RouteRejection) else v for v, tail in verdicts]
+                sanitized.routes, sanitized.tails = list(routes), RouteTails(table, list(tails.ix))
+            sanitized.routes[route_ix] = verdict
             after_lead[route_ix] = verdict[1:]
+            if route_ix in misses:
+                sanitized.tails.ix[route_ix] = len(sanitized.tails.table)
+                sanitized.tails.table.append(verdict[1:])
     # a row is rejected with its route, or for its host AS after the first hop
     host_asns = [monitor.host_asn for monitor in corpus.monitors]
     row_tails = map(after_lead.__getitem__, route_col)
@@ -179,10 +186,6 @@ def prepare_paths(
         kept = list(filterfalse(set(rejected_rows).__contains__, range(len(corpus))))
         columns = tuple(list(map(column.__getitem__, kept)) for column in columns)
     sanitized.monitor_ix, sanitized.prefix_ix, sanitized.route_ix, sanitized.line_no = columns
-    if route_map is None:
-        sanitized.tails = tails
-    else:
-        sanitized.route_ix = list(map(route_map.__getitem__, sanitized.route_ix))
     return sanitized, rejections
 
 
@@ -212,7 +215,7 @@ def retain_for_country(
     host_rows = list(map(host_of.__getitem__, map(monitor_col.__getitem__, rows)))
     # A row led by its own host AS takes its tail's segment, any other row its
     # route's: key k < n_tails is tail k, and key n_tails + r is route r.
-    tails = sanitized.route_tails()
+    tails = sanitized.tails
     n_tails = len(tails.table)
     keys = list(map(tails.ix.__getitem__, route_rows))
     leads = map(itemgetter(0), map(routes.__getitem__, route_rows))

@@ -519,7 +519,7 @@ def test_load_bundle_streams_its_files(tmp_path):
 
 def _reference_route_tails(routes):
     """Each route's tail (its hops after the first) interned by value, in the
-    order of their first routes, as ``Corpus.route_tails`` interns them."""
+    order of their first routes, as ``parse_paths`` interns them."""
     index = {}
     tail_ix = [index.setdefault(route[1:], len(index)) for route in routes]
     return RouteTails(list(index), tail_ix)

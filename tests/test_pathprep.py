@@ -1,4 +1,5 @@
 import pytest
+from test_ingest import _reference_route_tails
 
 from cti import pathprep
 from cti.geo import build_geo_table
@@ -27,7 +28,8 @@ def line_of(row):
 
 
 def corpus_of(paths):
-    """The paths as a corpus, rows in the given order on lines 2, 4, 6, ..."""
+    """The paths as a corpus, rows in the given order on lines 2, 4, 6, ...,
+    with its routes' tails interned as the parser interns them."""
     corpus = Corpus(monitors=[], prefixes=[], routes=[])
     monitor_index, prefix_index, route_index = {}, {}, {}
     for path in paths:
@@ -35,6 +37,7 @@ def corpus_of(paths):
         corpus.prefix_ix.append(intern(path.prefix, prefix_index, corpus.prefixes))
         corpus.route_ix.append(intern(path.hops, route_index, corpus.routes))
     corpus.line_no = [line_of(row) for row in range(len(corpus))]
+    corpus.tails = _reference_route_tails(corpus.routes)
     return corpus
 
 
@@ -213,11 +216,17 @@ def test_prepare_paths_copies_the_route_table_only_to_add_a_collapsed_route():
     clean = corpus_of([PathRecord(M_US, P, (10, 20, 30))])
     sanitized, _ = pathprep.prepare_paths(clean, CLIQUE, frozenset())
     assert sanitized.routes is clean.routes and sanitized.route_ix is clean.route_ix
-    assert sanitized.line_no is clean.line_no
+    assert sanitized.line_no is clean.line_no and sanitized.tails is clean.tails
     prepended = corpus_of([PathRecord(M_US, P, (10, 20, 20, 30)), PathRecord(M_CU, P, (10, 30))])
     sanitized, _ = pathprep.prepare_paths(prepended, CLIQUE, frozenset())
     assert prepended.routes == [(10, 20, 20, 30), (10, 30)]
     assert list(sanitized) == [PathRecord(M_US, P, (10, 20, 30)), PathRecord(M_CU, P, (10, 30))]
+    # the collapsed route takes its raw route's place: no row is rejected, so
+    # the route column is shared, and the tails follow the routes
+    assert sanitized.routes == [(10, 20, 30), (10, 30)]
+    assert sanitized.route_ix is prepended.route_ix
+    assert prepended.tails.table == [(20, 20, 30), (30,)]
+    assert sanitized.tails.table == [(20, 30), (30,)]
 
 
 def test_retain_for_country_end_to_end():

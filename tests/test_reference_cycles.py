@@ -1,14 +1,15 @@
 """Every input command builds its tables with the cyclic garbage collector
 paused (``cli._input_command``). That is sound only while the tables hold no
 reference cycles, so that reference counting frees each of them; these tests
-check that on a generated instance, also when a parse fails."""
+check that on a generated instance, also when sanitizing collapses routes
+and when a parse fails."""
 import contextlib
 import gc
 import weakref
 
 import pytest
 
-from cti import ingest, pipeline
+from cti import ingest, pipeline, synth_oracle
 from cti.model import ParseError
 from test_ingest import _generated_instance
 
@@ -78,6 +79,24 @@ def test_the_pipeline_makes_no_reference_cycles(tmp_path, collector_paused):
     _every_metric(tmp_path)  # first-call caches and imports are not the pipeline's
     gc.collect()
     _every_metric(tmp_path)
+    assert _garbage() == 0
+
+
+def test_collapsing_prepended_routes_makes_no_reference_cycles(collector_paused):
+    def build():
+        topo = synth_oracle.generate_topology(7)
+        paths, _manifest = synth_oracle.inject_path_anomalies(
+            synth_oracle.propagate_routes(topo), topo.clique, 7, n_prepends=20
+        )
+        bundle = ingest.load_bundle_from_texts(synth_oracle.emit_files(topo, paths))
+        sub = pipeline.build_substrate(bundle)
+        assert sub.sanitized.routes is not bundle.paths.routes  # a route collapsed
+        for country in COUNTRIES:
+            pipeline.build_country_substrate(sub, country)
+
+    build()  # first-call caches and imports are not the pipeline's
+    gc.collect()
+    build()
     assert _garbage() == 0
 
 

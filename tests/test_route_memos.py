@@ -31,7 +31,15 @@ from cti import synth_oracle as so
 from cti import transit_dominance as td
 from cti.conglomerate import compute_ctin
 from cti.geo import Nationality, build_geo_table
-from cti.model import MonitorId, PathRecord, Prefix, Rejection, RelKind, RelationshipTable
+from cti.model import (
+    MonitorId,
+    PathRecord,
+    Prefix,
+    Rejection,
+    RelKind,
+    RelationshipTable,
+    collapse_prepending,
+)
 
 CLIQUE = frozenset({1, 2})
 RESERVED = frozenset({64512})
@@ -289,9 +297,19 @@ def test_prepare_paths_matches_per_path_sanitize(corpus):
         expected = _reference_sanitize(path, CLIQUE, RESERVED, line)
         assert sanitize(path, CLIQUE, RESERVED, line) == expected
     for paths in (corpus, corpus[::-1]):
-        sanitized, rejections = pathprep.prepare_paths(corpus_of(paths), CLIQUE, RESERVED)
+        raw = corpus_of(paths)
+        sanitized, rejections = pathprep.prepare_paths(raw, CLIQUE, RESERVED)
         kept = list(zip(sanitized.line_no, sanitized))
         assert (kept, rejections) == _reference_prepare(paths)
+        # a kept row keeps its parsed route index, and its route's tail
+        rows = dict(zip(raw.line_no, raw.route_ix))
+        assert sanitized.route_ix == [rows[line] for line in sanitized.line_no]
+        tails = sanitized.tails
+        for route_ix in set(sanitized.route_ix):
+            assert tails.table[tails.ix[route_ix]] == sanitized.routes[route_ix][1:]
+        # a parsed tail's entry is the tail, collapsed or not
+        for tail, entry in zip(raw.tails.table, tails.table):
+            assert entry in (tail, collapse_prepending(tail))
 
 
 @_SETTINGS

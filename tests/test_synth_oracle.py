@@ -749,3 +749,40 @@ def test_check_instance_reaches_transit_hops_at_distance_three_and_more(depth):
     segments = view.country("AA").retained.values()
     assert max(len(segment) - 1 for segment in segments) == depth
     assert so.check_instance(topo) is None
+
+
+def test_the_pipeline_equals_the_oracle_on_prepended_instances():
+    """Seeds 1-200 with prepending injected, read back from their files, so
+    that collapsed routes go through retention and the kernel: cti, the ctin
+    of the state-owned set and the transit fraction equal the oracle's."""
+    from cti import conglomerate, cti_core, ingest, pipeline
+
+    checked = 0
+    for seed in range(1, 201):
+        topo = so.generate_topology(seed)
+        paths, _manifest = so.inject_path_anomalies(
+            so.propagate_routes(topo), topo.clique, seed, n_prepends=4
+        )
+        files = so.emit_files(topo, paths)
+        bundle = ingest.load_bundle_from_texts(files, ingest.METRIC_FILES)
+        sub = pipeline.build_substrate(bundle)
+        assert sub.sanitized.routes is not bundle.paths.routes, seed  # a route collapsed
+        view = so.OracleView(topo, paths)
+        traceroutes = [(f"t-{p.monitor.id}", p.prefix, p.hops) for p in view.records]
+        members = frozenset(asn for asn, _c in topo.state_owned)
+        for country in topo.params.countries:
+            if sub.geo.total.get(country, 0) <= 0:
+                continue
+            table = pipeline.build_country_substrate(sub, country)
+            assert (
+                cti_core.compute_cti(table).entries
+                == so.naive_cti(topo, paths, country, view=view).entries
+            ), (seed, country)
+            assert conglomerate.compute_ctin(members, table) == so.naive_ctin(
+                topo, paths, country, members, view=view
+            ), (seed, country)
+            assert pipeline.transit_fraction(sub, country) == so.naive_transit_fraction(
+                topo, paths, traceroutes, country, view=view
+            ), (seed, country)
+            checked += 1
+    assert checked > 300
