@@ -9,8 +9,8 @@ peers of the peak provider, is discarded.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, filterfalse, tee
-from operator import add, contains, eq, is_not, itemgetter, or_
+from itertools import compress, filterfalse
+from operator import contains, or_
 from typing import Iterator, NamedTuple, Sequence
 
 from .geo import GeoTable
@@ -124,52 +124,49 @@ def prepare_paths(
     the monitor and prefix tables, the route and tail tables when no route
     collapsed, and each column that no rejection changed."""
     routes, route_col, monitor_col = corpus.routes, corpus.route_ix, corpus.monitor_ix
-    tails = corpus.tails
+    table, tail_of = corpus.tails
     # A route is judged as its tail is, with the lead AS in front, unless the
     # lead is reserved, reappears in the tail, or is a clique AS that wedges
     # the tail's first hop, a non-clique AS, between itself and a later clique
     # AS. Those routes, the misses, are judged whole. Only a miss or a route
     # whose tail did not stay as it is can change.
-    tail_verdicts = [sanitize_route(NO_HOST, tail, clique, reserved) for tail in tails.table]
-    leads = list(map(itemgetter(0), routes))
-    after_lead = list(map(tails.table.__getitem__, tails.ix))  # per route, its hops but the first
-    is_miss = map(or_, map(reserved.__contains__, leads), map(contains, after_lead, leads))
-    misses = set(compress(range(len(routes)), is_miss))
-    for route_ix in compress(range(len(routes)), map(clique.__contains__, leads)):
-        tail = after_lead[route_ix]
-        if not clique.isdisjoint(tail) and tail[0] not in clique:
-            misses.add(route_ix)
-    changed_tails = set(compress(range(len(tails.table)), map(is_not, tail_verdicts, tails.table)))
-    changed = misses.union(compress(range(len(routes)), map(changed_tails.__contains__, tails.ix)))
+    tail_verdicts = [sanitize_route(NO_HOST, tail, clique, reserved) for tail in table]
     # From the first collapse on, sanitized.routes is a copy of the raw routes
     # with each collapsed route in its raw route's place, and sanitized.tails
     # a copy of the raw tails with each kept tail's verdict in its place (a
     # rejected tail's routes lose their rows). A miss that collapses appends
     # its own tail, which its lead AS can change: 3 3 5 6 over the tail 3 5 6.
-    sanitized = Corpus(corpus.monitors, corpus.prefixes, routes, tails=tails)
+    sanitized = Corpus(corpus.monitors, corpus.prefixes, routes, tails=corpus.tails)
     rejected: dict[int, RouteRejection] = {}  # route index -> why its rows go
-    for route_ix in sorted(changed):
-        if route_ix in misses:
-            verdict = sanitize_route(NO_HOST, routes[route_ix], clique, reserved)
-        else:
-            verdict = tail_verdicts[tails.ix[route_ix]]
-            if not isinstance(verdict, RouteRejection):
-                verdict = (leads[route_ix], *verdict)
+    for route_ix, (route, tail_ix) in enumerate(zip(routes, tail_of)):
+        lead, tail, verdict = route[0], table[tail_ix], tail_verdicts[tail_ix]
+        if verdict is tail and lead not in clique and lead not in reserved and lead not in tail:
+            continue  # kept as it is, as its tail is
+        miss = lead in reserved or lead in tail or (
+            lead in clique and not clique.isdisjoint(tail) and tail[0] not in clique
+        )
+        if miss:
+            verdict = sanitize_route(NO_HOST, route, clique, reserved)
+        elif verdict is tail:
+            continue
+        elif not isinstance(verdict, RouteRejection):
+            verdict = (lead, *verdict)
         if isinstance(verdict, RouteRejection):
             rejected[route_ix] = verdict
-        elif verdict is not routes[route_ix]:
+        elif verdict is not route:
             if sanitized.routes is routes:  # the first collapse
-                verdicts = zip(tail_verdicts, tails.table)
-                table = [tail if isinstance(v, RouteRejection) else v for v, tail in verdicts]
-                sanitized.routes, sanitized.tails = list(routes), RouteTails(table, list(tails.ix))
+                verdicts = zip(tail_verdicts, table)
+                kept_tails = [raw if isinstance(v, RouteRejection) else v for v, raw in verdicts]
+                sanitized.routes = list(routes)
+                sanitized.tails = RouteTails(kept_tails, list(tail_of))
             sanitized.routes[route_ix] = verdict
-            after_lead[route_ix] = verdict[1:]
-            if route_ix in misses:
+            if miss:
                 sanitized.tails.ix[route_ix] = len(sanitized.tails.table)
                 sanitized.tails.table.append(verdict[1:])
     # a row is rejected with its route, or for its host AS after the first hop
     host_asns = [monitor.host_asn for monitor in corpus.monitors]
-    row_tails = map(after_lead.__getitem__, route_col)
+    route_tails = list(map(sanitized.tails.table.__getitem__, sanitized.tails.ix))
+    row_tails = map(route_tails.__getitem__, route_col)
     flags = map(contains, row_tails, map(host_asns.__getitem__, monitor_col))
     if rejected:
         flags = map(or_, flags, map(rejected.__contains__, route_col))
@@ -183,8 +180,8 @@ def prepare_paths(
             reason = f"monitor host ASN {host_asn} after the first hop"
             verdict = rejected.get(route_col[row]) or RouteRejection(LOOP, reason)
             rejections.append(Rejection(file, line_col[row], *verdict))
-        kept = list(filterfalse(set(rejected_rows).__contains__, range(len(corpus))))
-        columns = tuple(list(map(column.__getitem__, kept)) for column in columns)
+        kept_rows = list(filterfalse(set(rejected_rows).__contains__, range(len(corpus))))
+        columns = tuple(list(map(column.__getitem__, kept_rows)) for column in columns)
     sanitized.monitor_ix, sanitized.prefix_ix, sanitized.route_ix, sanitized.line_no = columns
     return sanitized, rejections
 
@@ -198,54 +195,53 @@ def retain_for_country(
     """Peak truncation of the inbound paths toward one country: those seen
     from outside it, toward prefixes with address mass in it. Rows and
     rejections keep the order of ``sanitized``."""
-    routes, route_col, prefix_col = sanitized.routes, sanitized.route_ix, sanitized.prefix_ix
-    monitor_col = sanitized.monitor_ix
+    routes, (table, tail_of) = sanitized.routes, sanitized.tails
     outside = [monitor.country != dest_country for monitor in sanitized.monitors]
     has_mass = [bool(geo.mass.get((prefix, dest_country))) for prefix in sanitized.prefixes]
-    rows = [
-        row
-        for row, (monitor_ix, prefix_ix) in enumerate(zip(monitor_col, prefix_col))
-        if outside[monitor_ix] and has_mass[prefix_ix]
-    ]
     host_index: dict[int, int] = {}
     hosts: list[int] = []
     host_of = [intern(monitor.host_asn, host_index, hosts) for monitor in sanitized.monitors]
     n_hosts = len(hosts)
-    route_rows = list(map(route_col.__getitem__, rows))
-    host_rows = list(map(host_of.__getitem__, map(monitor_col.__getitem__, rows)))
-    # A row led by its own host AS takes its tail's segment, any other row its
-    # route's: key k < n_tails is tail k, and key n_tails + r is route r.
-    tails = sanitized.tails
-    n_tails = len(tails.table)
-    keys = list(map(tails.ix.__getitem__, route_rows))
-    leads = map(itemgetter(0), map(routes.__getitem__, route_rows))
-    if not all(map(eq, leads, map(hosts.__getitem__, host_rows))):
-        keys = [
-            key if routes[route_ix][0] == hosts[host_ix] else n_tails + route_ix
-            for key, route_ix, host_ix in zip(keys, route_rows, host_rows)
-        ]
+    # A verdict is coded segment index * n_hosts, or ~k for the k-th distinct
+    # rejection, once per judge key (a tail index k, or a route index r as
+    # ~r) and, on a key's first sight, once per distinct hops value: after a
+    # collapse the tails table can hold one value at several indexes.
     segments: list[Route] = []
     segment_index: dict[Route, int] = {}
-    rejected: list[RouteRejection] = []  # the k-th distinct one is coded ~k * n_hosts
-    verdict_of: dict[int, int] = dict.fromkeys(keys)
-    for key in verdict_of:
-        hops = tails.table[key] if key < n_tails else routes[key - n_tails]
-        verdict = peak_segment(NO_HOST, hops, rels)
-        if isinstance(verdict, RouteRejection):
-            rejected.append(verdict)
-            verdict_of[key] = ~(len(rejected) - 1) * n_hosts
-        else:
-            verdict_of[key] = intern(verdict, segment_index, segments) * n_hosts
+    rejected: list[RouteRejection] = []
+    code_of_key: dict[int, int] = {}
+    code_of_hops: dict[Route, int] = {}
     # rows share one int per distinct group: an int per row would raise the
     # peak memory of the kernel, which reads them
-    values, same_values = tee(map(add, map(verdict_of.__getitem__, keys), host_rows))
-    groups = list(map({}.setdefault, values, same_values))
+    shared: dict[int, int] = {}
+    groups: list[int] = []
+    prefix_ixs: list[int] = []
     rejections: list[Rejection] = []
-    if rejected:  # split off the rows of the rejected keys
-        file, line_col = FILE_NAMES["paths"], sanitized.line_no
-        for row, group in compress(zip(rows, groups), map((0).__gt__, groups)):
-            rejections.append(Rejection(file, line_col[row], *rejected[~(group // n_hosts)]))
-        rows = list(compress(rows, map((0).__le__, groups)))
-        groups = list(filter((0).__le__, groups))
-    prefix_ixs = list(map(prefix_col.__getitem__, rows))
+    file = FILE_NAMES["paths"]
+    rows = zip(sanitized.monitor_ix, sanitized.prefix_ix, sanitized.route_ix, sanitized.line_no)
+    for monitor_ix, prefix_ix, route_ix, line in rows:
+        if not (outside[monitor_ix] and has_mass[prefix_ix]):
+            continue
+        host_ix = host_of[monitor_ix]
+        # a row led by its own host AS takes its tail's segment, any other row its route's
+        key = tail_of[route_ix] if routes[route_ix][0] == hosts[host_ix] else ~route_ix
+        code = code_of_key.get(key)
+        if code is None:
+            hops = table[key] if key >= 0 else routes[route_ix]
+            code = code_of_hops.get(hops)
+            if code is None:
+                verdict = peak_segment(NO_HOST, hops, rels)
+                if isinstance(verdict, RouteRejection):
+                    code = ~len(rejected)
+                    rejected.append(verdict)
+                else:
+                    code = intern(verdict, segment_index, segments) * n_hosts
+                code_of_hops[hops] = code
+            code_of_key[key] = code
+        if code < 0:
+            rejections.append(Rejection(file, line, *rejected[~code]))
+        else:
+            group = code + host_ix
+            groups.append(shared.setdefault(group, group))
+            prefix_ixs.append(prefix_ix)
     return Retained(sanitized.prefixes, hosts, segments, groups, prefix_ixs), rejections

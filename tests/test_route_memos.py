@@ -16,7 +16,7 @@ import math
 from collections import Counter
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from test_ingest import (
     _outcome,
@@ -292,6 +292,14 @@ def test_parsers_match_row_by_row(corpus, data):
 
 @_SETTINGS
 @given(corpora())
+# a miss collapses first, which copies the route and tail tables; the
+# collapsed route after it must still be written to the copies
+@example(
+    [
+        PathRecord(MONITORS[0], PREFIXES[0], (1, 1)),
+        PathRecord(MONITORS[0], PREFIXES[1], (3, 5, 5, 6)),
+    ]
+)
 def test_prepare_paths_matches_per_path_sanitize(corpus):
     for line, path in enumerate(corpus, start=1):
         expected = _reference_sanitize(path, CLIQUE, RESERVED, line)
@@ -387,8 +395,6 @@ def test_special_routes_reach_every_verdict():
 
 
 def test_each_verdict_is_judged_once_per_tail_or_per_route_off_the_tail_rule(monkeypatch):
-    topo = so.generate_topology(7, so.SynthParams(n_clique=4, n_mid=30, n_stub=200, n_monitors=16))
-    bundle = ingest.load_bundle_from_texts(so.emit_files(topo, so.propagate_routes(topo)))
     calls = Counter()
     for name in ("sanitize_route", "peak_segment"):
 
@@ -408,24 +414,36 @@ def test_each_verdict_is_judged_once_per_tail_or_per_route_off_the_tail_rule(mon
             return True
         return lead in clique and not clique.isdisjoint(tail) and tail[0] not in clique
 
-    routes, clique = bundle.paths.routes, bundle.aux.clique
-    tails = {route[1:] for route in routes}
-    misses = [route for route in routes if is_miss(route)]
-    assert any(route[0] in clique for route in routes)  # clique leads take the tail rule
-    assert len(tails) + len(misses) < len(keys(bundle.paths))
-    sub = pipeline.build_substrate(bundle)
-    assert calls["sanitize_route"] <= len(tails) + len(misses)
-    assert sub.sanitized.tails is bundle.paths.tails  # interned once, kept for retention
-
-    sanitized = sub.sanitized
-    led_elsewhere = {
-        route_ix
-        for m, route_ix in zip(sanitized.monitor_ix, sanitized.route_ix)
-        if sanitized.routes[route_ix][0] != sanitized.monitors[m].host_asn
-    }
-    tails = {route[1:] for route in sanitized.routes}
-    for country in ("AA", "BB"):
+    topo = so.generate_topology(7, so.SynthParams(n_clique=4, n_mid=30, n_stub=200, n_monitors=16))
+    clean = so.propagate_routes(topo)
+    # a clean corpus, and one whose prepended routes collapse onto tails
+    # that the sanitized tails table then holds at several entries
+    prepended, _manifest = so.inject_path_anomalies(clean, topo.clique, 7, n_prepends=400)
+    for paths in (clean, prepended):
         calls.clear()
-        pathprep.retain_for_country(sanitized, country, sub.geo, sub.rels)
-        assert 0 < calls["peak_segment"] <= len(tails) + len(led_elsewhere)
-        assert calls["peak_segment"] < len(keys(sanitized))
+        bundle = ingest.load_bundle_from_texts(so.emit_files(topo, paths))
+        routes, clique = bundle.paths.routes, bundle.aux.clique
+        tails = {route[1:] for route in routes}
+        misses = [route for route in routes if is_miss(route)]
+        assert any(route[0] in clique for route in routes)  # clique leads take the tail rule
+        assert len(tails) + len(misses) < len(keys(bundle.paths))
+        sub = pipeline.build_substrate(bundle)
+        assert calls["sanitize_route"] <= len(tails) + len(misses)
+        sanitized = sub.sanitized
+        if paths is clean:
+            assert sanitized.tails is bundle.paths.tails  # interned once, kept for retention
+
+        led_elsewhere = {
+            route_ix
+            for m, route_ix in zip(sanitized.monitor_ix, sanitized.route_ix)
+            if sanitized.routes[route_ix][0] != sanitized.monitors[m].host_asn
+        }
+        entries = {sanitized.tails.ix[route_ix] for route_ix in set(sanitized.route_ix)}
+        tails = set(map(sanitized.tails.table.__getitem__, entries))  # by value
+        if paths is prepended:
+            assert len(tails) < len(entries)
+        for country in ("AA", "BB"):
+            calls.clear()
+            pathprep.retain_for_country(sanitized, country, sub.geo, sub.rels)
+            assert 0 < calls["peak_segment"] <= len(tails) + len(led_elsewhere)
+            assert calls["peak_segment"] < len(keys(sanitized))
