@@ -67,15 +67,23 @@ class HostTable:
 
 def compute_weights(retained: Retained) -> Counter[int]:
     """n per (host AS, prefix): how many of that AS's monitors observe the
-    prefix, keyed prefix index * len(hosts) + host index.
+    prefix, keyed prefix index * len(hosts) + host index, for the host ASes
+    with two or more monitors outside the country. A key that is missing
+    has n = 1: paths are unique per (monitor, prefix), so a host AS with one
+    such monitor sees each prefix at most once.
 
     A monitor's weight is 1/n. Monitors of an AS that do not observe the
     prefix do not count toward n, so the weights of the observing monitors
-    always sum to 1. Paths are unique per (monitor, prefix).
+    always sum to 1.
     """
     n_hosts = len(retained.hosts)
+    multi = [count > 1 for count in retained.outside_monitors]
     pairs = zip(retained.group, retained.prefix_ix)
-    return Counter([prefix_ix * n_hosts + group % n_hosts for group, prefix_ix in pairs])
+    return Counter(
+        prefix_ix * n_hosts + host_ix
+        for group, prefix_ix in pairs
+        if multi[host_ix := group % n_hosts]
+    )
 
 
 def extract_observations(
@@ -100,13 +108,13 @@ def extract_observations(
     # over every retained path is n over the counted ones.
     observers = compute_weights(retained)
     # summed mass per (group, n) of the counted paths, keyed group * span + n
-    span = max(observers.values(), default=0) + 1
+    span = max(observers.values(), default=1) + 1
     mass_by_n: dict[int, int] = {}
     n_paths = 0
     for group, prefix_ix in zip(retained.group, retained.prefix_ix):
         host_ix = group % n_hosts
         if active[host_ix] and mass[prefix_ix]:
-            key = group * span + observers[prefix_ix * n_hosts + host_ix]
+            key = group * span + observers.get(prefix_ix * n_hosts + host_ix, 1)
             mass_by_n[key] = mass_by_n.get(key, 0) + mass[prefix_ix]
             n_paths += 1
     # the lcm of n*d over d = 1..D is n * lcm(1..D)

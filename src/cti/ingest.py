@@ -361,6 +361,10 @@ def parse_traceroutes(
             n_traces[route_ix] += 1
         except ValueError as exc:
             raise rows.at_line(line_no, exc) from None
+    # the memos hold every distinct text: free them before the counts grow
+    route_code.clear()
+    tail_of.clear()
+    prefix_code.clear()
     counts: Counter[Route] = Counter()
     for hops, n in zip(routes, n_traces):
         if n:  # a hop text judged only on rejected rows has no trace

@@ -7,6 +7,7 @@ monitors. All three scores are reductions over the country's kernel.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -49,8 +50,15 @@ def apply_outlier_filter(
     per_tail = int(trim * len(row)) if len(row) >= min_hosts else 0
     excluded: list[tuple[int, Fraction]] = []
     if per_tail > 0:
-        ranked = sorted(per_host_cti(table, transit).items(), key=lambda kv: (kv[1], kv[0]))
-        excluded = ranked[:per_tail] + ranked[-per_tail:]
+        # S/(L*A*|M_h|) ranks as S * (lcm_M / |M_h|), lcm_M the lcm of every
+        # |M_h|: the common L*A*lcm_M cancels, so the order and ties hold
+        monitors = table.host_monitors
+        lcm_m = math.lcm(*monitors.values())
+        ranked = sorted(row, key=lambda host: (row[host] * (lcm_m // monitors[host]), host))
+        excluded = [
+            (host, table.score(row[host], monitors[host]))
+            for host in ranked[:per_tail] + ranked[-per_tail:]
+        ]
     hosts = {host for host, _value in excluded}
     value = table.score(
         sum(numerator for host, numerator in row.items() if host not in hosts),

@@ -8,6 +8,7 @@ peers of the peak provider, is discarded.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from itertools import compress, filterfalse
 from operator import contains, or_
@@ -94,14 +95,17 @@ class Retained:
     """The retained paths toward one country as int columns. Row i is the
     path of host AS ``hosts[h]`` toward ``prefixes[prefix_ix[i]]``, cut at its
     topological peak to the origin-first segment ``segments[s]``, where
-    ``group[i] = s * len(hosts) + h``. ``len()`` counts the rows, and
-    iterating gives them as (host AS, segment, prefix) tuples."""
+    ``group[i] = s * len(hosts) + h``. ``outside_monitors[h]`` counts host
+    AS ``hosts[h]``'s monitors outside the country, an upper bound on the
+    rows it has toward one prefix. ``len()`` counts the rows, and iterating
+    gives them as (host AS, segment, prefix) tuples."""
 
     prefixes: Sequence[Prefix]
     hosts: Sequence[int]
     segments: Sequence[Route]
-    group: list[int]
-    prefix_ix: list[int]
+    group: array  # array("Q"): a product of two indexes
+    prefix_ix: array  # array("I")
+    outside_monitors: Sequence[int]
 
     def __len__(self) -> int:
         return len(self.group)
@@ -202,6 +206,9 @@ def retain_for_country(
     hosts: list[int] = []
     host_of = [intern(monitor.host_asn, host_index, hosts) for monitor in sanitized.monitors]
     n_hosts = len(hosts)
+    outside_monitors = [0] * n_hosts
+    for host_ix, is_outside in zip(host_of, outside):
+        outside_monitors[host_ix] += is_outside
     # A verdict is coded segment index * n_hosts, or ~k for the k-th distinct
     # rejection, once per judge key (a tail index k, or a route index r as
     # ~r) and, on a key's first sight, once per distinct hops value: after a
@@ -211,11 +218,9 @@ def retain_for_country(
     rejected: list[RouteRejection] = []
     code_of_key: dict[int, int] = {}
     code_of_hops: dict[Route, int] = {}
-    # rows share one int per distinct group: an int per row would raise the
-    # peak memory of the kernel, which reads them
-    shared: dict[int, int] = {}
-    groups: list[int] = []
-    prefix_ixs: list[int] = []
+    # array columns, so that no row keeps an int object of its own
+    groups = array("Q")
+    prefix_ixs = array("I")
     rejections: list[Rejection] = []
     file = FILE_NAMES["paths"]
     rows = zip(sanitized.monitor_ix, sanitized.prefix_ix, sanitized.route_ix, sanitized.line_no)
@@ -241,7 +246,7 @@ def retain_for_country(
         if code < 0:
             rejections.append(Rejection(file, line, *rejected[~code]))
         else:
-            group = code + host_ix
-            groups.append(shared.setdefault(group, group))
+            groups.append(code + host_ix)
             prefix_ixs.append(prefix_ix)
-    return Retained(sanitized.prefixes, hosts, segments, groups, prefix_ixs), rejections
+    retained = Retained(sanitized.prefixes, hosts, segments, groups, prefix_ixs, outside_monitors)
+    return retained, rejections

@@ -201,10 +201,15 @@ def test_criterion_6_filter_properties():
                     (retained.hosts[key % n_hosts], retained.prefixes[key // n_hosts]): n
                     for key, n in cti_core.compute_weights(retained).items()
                 }
-                assert weights.keys() == observers.keys()
+                # a (host AS, prefix) is counted exactly when its host AS has
+                # two or more monitors outside the country; else n = 1
+                outside = Counter(
+                    m.host_asn for m in sub.bundle.monitors.values() if m.country != country
+                )
+                assert weights.keys() == {key for key in observers if outside[key[0]] > 1}
                 for key, ids in observers.items():
-                    assert Fraction(1, weights[key]) * len(ids) == 1
-                assert len(table) == sum(weights.values())
+                    assert Fraction(1, weights.get(key, 1)) * len(ids) == 1
+                assert len(table) == sum(weights.get(key, 1) for key in observers)
                 # (a) every host count here is < 10, so the filter is a no-op
                 unfiltered = pipeline.cti_report(sub, country, apply_outlier=False)
                 filtered = pipeline.cti_report(sub, country, apply_outlier=True)

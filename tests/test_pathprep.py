@@ -1,3 +1,6 @@
+from array import array
+from collections import Counter
+
 import pytest
 from test_ingest import _reference_route_tails
 
@@ -42,7 +45,9 @@ def corpus_of(paths):
 
 
 def retained_of(rows):
-    """(host AS, segment, prefix) rows as a ``Retained``, in the given order."""
+    """(host AS, segment, prefix) rows as a ``Retained``, in the given order.
+    Each host AS gets as many monitors outside the country as it has rows
+    toward one prefix, the fewest its rows need."""
     hosts, segments, prefixes = [], [], []
     host_index, segment_index, prefix_index = {}, {}, {}
     cells = [
@@ -53,8 +58,13 @@ def retained_of(rows):
         )
         for host, segment, prefix in rows
     ]
-    groups = [segment_ix * len(hosts) + host_ix for host_ix, segment_ix, _p in cells]
-    return Retained(prefixes, hosts, segments, groups, [prefix_ix for _h, _s, prefix_ix in cells])
+    groups = array("Q", [segment_ix * len(hosts) + host_ix for host_ix, segment_ix, _p in cells])
+    prefix_ixs = array("I", [prefix_ix for _h, _s, prefix_ix in cells])
+    rows_per_cell = Counter((host_ix, prefix_ix) for host_ix, _s, prefix_ix in cells)
+    outside_monitors = [0] * len(hosts)
+    for (host_ix, _p), n in rows_per_cell.items():
+        outside_monitors[host_ix] = max(outside_monitors[host_ix], n)
+    return Retained(prefixes, hosts, segments, groups, prefix_ixs, outside_monitors)
 
 
 # The per-path forms of the route verdicts, the literal references for the
