@@ -8,6 +8,13 @@ real data. The naive functions evaluate the same scores by literal
 enumeration, sharing only the domain types with the pipeline; exact
 equivalence between the two is the correctness oracle, which
 ``check_instance`` checks on one instance.
+
+Each per-path stage is written once, literally, here: ``_oracle_collapse``
+(prepending), ``_oracle_sanitize`` (path hygiene),
+``_oracle_retained_segment`` (the cut at the topological peak) and
+``_oracle_border`` (a traceroute's border crossing). The naive functions
+call the collapse, the peak cut and the border; the per-path references
+of the property tests call all four.
 """
 from __future__ import annotations
 
@@ -28,6 +35,7 @@ from .model import (
     MonitorId,
     PathRecord,
     Prefix,
+    Rejection,
     RelKind,
     RelationshipTable,
     Route,
@@ -609,20 +617,66 @@ def _oracle_collapse(hops: Sequence[int]) -> list[int]:
     return collapsed
 
 
+def _oracle_sanitize(
+    hops: Sequence[int],
+    host_asn: int,
+    clique: frozenset[int],
+    reserved: frozenset[int],
+    line: int,
+) -> list[int] | Rejection:
+    """The hygiene verdict of a path read from ``paths.txt`` line ``line``:
+    its collapsed hops, or why it is rejected."""
+    collapsed = _oracle_collapse(hops)
+    for asn in collapsed:
+        if asn in reserved:
+            return Rejection("paths.txt", line, "Unallocated", f"reserved ASN {asn}")
+    if len(set(collapsed)) != len(collapsed):
+        return Rejection("paths.txt", line, "Loop", "ASN repeats non-consecutively")
+    clique_positions = [i for i, asn in enumerate(collapsed) if asn in clique]
+    if clique_positions:
+        lo, hi = clique_positions[0], clique_positions[-1]
+        for i in range(lo + 1, hi):
+            if collapsed[i] not in clique:
+                reason = f"non-clique ASN {collapsed[i]} between clique ASes"
+                return Rejection("paths.txt", line, "Poisoned", reason)
+    if host_asn in collapsed[1:]:
+        reason = f"monitor host ASN {host_asn} after the first hop"
+        return Rejection("paths.txt", line, "Loop", reason)
+    return collapsed
+
+
 def _oracle_retained_segment(
-    hops: list[int], host_asn: int, rels: RelationshipTable
-) -> tuple[int, ...] | None:
-    """The origin-first segment up to the peak of a path's collapsed hops."""
+    hops: Sequence[int], host_asn: int, rels: RelationshipTable, line: int
+) -> tuple[int, ...] | Rejection:
+    """The origin-first segment up to the peak of a path's collapsed hops,
+    read from ``paths.txt`` line ``line``, or why it has none."""
     if hops and hops[0] == host_asn:
         hops = hops[1:]
+    if len(hops) < 2:
+        return Rejection("paths.txt", line, "NoPeak", "no transit AS on path")
     reverse = hops[::-1]
     peak = None
     for k in range(1, len(reverse)):
         if rels.is_p2c(reverse[k], reverse[k - 1]):
             peak = k
     if peak is None:
-        return None
+        return Rejection("paths.txt", line, "NoPeak", "no provider-customer link")
     return tuple(reverse[: peak + 1])
+
+
+def _oracle_border(
+    hops: Sequence[int], label: Mapping[int, str | None], country: str
+) -> tuple[int, int] | None:
+    """The link from the last hop (scanning from the probe) not labelled
+    ``country`` to the hop after it; None when there is no such hop or it
+    is the last."""
+    last_foreign = None
+    for index, asn in enumerate(hops):
+        if label.get(asn) != country:
+            last_foreign = index
+    if last_foreign is None or last_foreign == len(hops) - 1:
+        return None
+    return hops[last_foreign], hops[last_foreign + 1]
 
 
 def _oracle_substrate(view: OracleView, country: str) -> OracleCountry:
@@ -632,13 +686,14 @@ def _oracle_substrate(view: OracleView, country: str) -> OracleCountry:
     active_ids = {m.id for m in active}
 
     retained: dict[tuple[MonitorId, Prefix], tuple[int, ...]] = {}
-    for path, hops in zip(view.records, view.collapsed):
+    # row i is on line i + 1, the line emit_files writes it on
+    for line, (path, hops) in enumerate(zip(view.records, view.collapsed), start=1):
         if path.monitor.id not in active_ids:
             continue
         if mass.get((path.prefix, country), 0) == 0:
             continue
-        segment = _oracle_retained_segment(hops, path.monitor.host_asn, view.topo.rels)
-        if segment is not None:
+        segment = _oracle_retained_segment(hops, path.monitor.host_asn, view.topo.rels, line)
+        if not isinstance(segment, Rejection):
             retained[(path.monitor, path.prefix)] = segment
 
     observer_counts: dict[tuple[int, Prefix], int] = {}
@@ -820,13 +875,8 @@ def naive_transit_fraction(
         if label.get(origin) != country:
             continue
         reached[origin] = reached.get(origin, 0) + 1
-        last_foreign = None
-        for index, asn in enumerate(hops):
-            if label.get(asn) != country:
-                last_foreign = index
-        if last_foreign is None or last_foreign == len(hops) - 1:
-            continue
-        if topo.rels.is_p2c(hops[last_foreign], hops[last_foreign + 1]):
+        border = _oracle_border(hops, label, country)
+        if border is not None and topo.rels.is_p2c(*border):
             crossed[origin] = crossed.get(origin, 0) + 1
 
     fraction = Fraction(0)

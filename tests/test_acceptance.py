@@ -17,16 +17,12 @@ from cti.model import (
     MetricReport,
     MonitorId,
     Prefix,
+    Rejection,
     RelKind,
     RelationshipTable,
     collapse_prepending,
 )
-from cti.pathprep import (
-    RouteRejection,
-    peak_segment,
-    prepare_paths,
-    retain_for_country,
-)
+from cti.pathprep import prepare_paths, retain_for_country
 from cti.synth_oracle import SynthParams
 from test_ingest import _reference_route_tails
 from test_pathprep import retained_of
@@ -186,13 +182,15 @@ def test_criterion_6_filter_properties():
                 # (c) weights sum to one per (host AS, prefix): n counts the
                 # host's monitors that observe the prefix over a retained path
                 observers = {}
-                for path in sub.sanitized:
+                for line, path in zip(sub.sanitized.line_no, sub.sanitized):
                     if path.monitor.country == country:
                         continue
                     if not sub.geo.mass.get((path.prefix, country)):
                         continue
-                    segment = peak_segment(path.monitor.host_asn, path.hops, sub.rels)
-                    if not isinstance(segment, RouteRejection):
+                    segment = synth_oracle._oracle_retained_segment(
+                        path.hops, path.monitor.host_asn, sub.rels, line
+                    )
+                    if not isinstance(segment, Rejection):
                         key = (path.monitor.host_asn, path.prefix)
                         observers.setdefault(key, set()).add(path.monitor.id)
                 retained, _no_peak = retain_for_country(sub.sanitized, country, sub.geo, sub.rels)

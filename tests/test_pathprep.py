@@ -67,8 +67,9 @@ def retained_of(rows):
     return Retained(prefixes, hosts, segments, groups, prefix_ixs, outside_monitors)
 
 
-# The per-path forms of the route verdicts, the literal references for the
-# per-route memos of prepare_paths and retain_for_country.
+# The route verdicts applied to one path, for the example tests below. The
+# property tests of the per-route memos compare against the oracle's per-path
+# literals instead.
 
 
 def sanitize(path, clique, reserved, line=1):
@@ -82,12 +83,12 @@ def sanitize(path, clique, reserved, line=1):
     return PathRecord(path.monitor, path.prefix, route)
 
 
-def truncate_to_peak(path, rels, line=1):
-    """``peak_segment`` applied to one path read from ``line``: its (host AS,
+def truncate_to_peak(path, rels):
+    """``peak_segment`` applied to one path read from line 1: its (host AS,
     segment, prefix) row."""
     segment = pathprep.peak_segment(path.monitor.host_asn, path.hops, rels)
     if isinstance(segment, RouteRejection):
-        return Rejection("paths.txt", line, segment.category, segment.reason)
+        return Rejection("paths.txt", 1, segment.category, segment.reason)
     return (path.monitor.host_asn, segment, path.prefix)
 
 

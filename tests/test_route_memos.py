@@ -1,4 +1,7 @@
-"""The per-call route memos against the same work done row by row.
+"""The per-call route memos against the same work done row by row, by the
+oracle's per-path literals (``synth_oracle._oracle_sanitize``,
+``_oracle_retained_segment`` and ``_oracle_border``), which share no code
+with the memos they check.
 
 ``parse_paths`` and ``parse_traceroutes`` parse each distinct hop text once,
 ``prepare_paths`` and ``retain_for_country`` judge each route once, through
@@ -24,7 +27,7 @@ from test_ingest import (
     _reference_parse_paths,
     _reference_parse_traceroutes,
 )
-from test_pathprep import corpus_of, line_of, sanitize, truncate_to_peak
+from test_pathprep import corpus_of, line_of, sanitize
 
 from cti import cti_core, ingest, pathprep, pipeline
 from cti import synth_oracle as so
@@ -135,29 +138,13 @@ def geo_tables(draw):
     return geo
 
 
-def _reference_sanitize(path, clique, reserved, line):
-    """The per-path hygiene check of the path read from ``line``, literally,
-    as it was before the route memo."""
-    collapsed = []
-    for asn in path.hops:
-        if not collapsed or collapsed[-1] != asn:
-            collapsed.append(asn)
-    for asn in collapsed:
-        if asn in reserved:
-            return Rejection("paths.txt", line, "Unallocated", f"reserved ASN {asn}")
-    if len(set(collapsed)) != len(collapsed):
-        return Rejection("paths.txt", line, "Loop", "ASN repeats non-consecutively")
-    clique_positions = [i for i, asn in enumerate(collapsed) if asn in clique]
-    if clique_positions:
-        lo, hi = clique_positions[0], clique_positions[-1]
-        for i in range(lo + 1, hi):
-            if collapsed[i] not in clique:
-                reason = f"non-clique ASN {collapsed[i]} between clique ASes"
-                return Rejection("paths.txt", line, "Poisoned", reason)
-    if path.monitor.host_asn in collapsed[1:]:
-        reason = f"monitor host ASN {path.monitor.host_asn} after the first hop"
-        return Rejection("paths.txt", line, "Loop", reason)
-    return PathRecord(path.monitor, path.prefix, tuple(collapsed))
+def _reference_sanitize(path, line):
+    """The oracle's hygiene verdict of the path read from ``line``: the path
+    with its collapsed hops, or its rejection."""
+    hops = so._oracle_sanitize(path.hops, path.monitor.host_asn, CLIQUE, RESERVED, line)
+    if isinstance(hops, Rejection):
+        return hops
+    return PathRecord(path.monitor, path.prefix, tuple(hops))
 
 
 def _reference_prepare(paths):
@@ -165,7 +152,7 @@ def _reference_prepare(paths):
     the lines ``corpus_of`` puts them on."""
     accepted, rejections = [], []
     for row, path in enumerate(paths):
-        result = sanitize(path, CLIQUE, RESERVED, line_of(row))
+        result = _reference_sanitize(path, line_of(row))
         if isinstance(result, Rejection):
             rejections.append(result)
         else:
@@ -179,23 +166,28 @@ def _reference_retain(sanitized, country, geo, rels):
     for line, path in sanitized:
         if geo.mass.get((path.prefix, country), 0) == 0 or path.monitor.country == country:
             continue
-        result = truncate_to_peak(path, rels, line)
-        (rejections if isinstance(result, Rejection) else retained).append(result)
+        host = path.monitor.host_asn
+        segment = so._oracle_retained_segment(path.hops, host, rels, line)
+        if isinstance(segment, Rejection):
+            rejections.append(segment)
+        else:
+            retained.append((host, segment, path.prefix))
     return retained, rejections
 
 
 def _reference_kernel(sanitized, rels, geo, country, monitors):
-    """The kernel, term by term per path as it was before the (host AS,
-    segment) groups, over ``monitors`` (monitors outside the country): its
-    fields as a dict, and the ctin of a member set."""
+    """The kernel of the sanitized (line, path) pairs, term by term per path
+    as it was before the (host AS, segment) groups, over ``monitors``
+    (monitors outside the country): its fields as a dict, and the ctin of a
+    member set."""
     active_ids = {m.id for m in monitors}
     counted = []
-    for path in sanitized:
+    for line, path in sanitized:
         if geo.mass.get((path.prefix, country), 0) == 0 or path.monitor.country == country:
             continue
-        retained = truncate_to_peak(path, rels)
-        if not isinstance(retained, Rejection) and path.monitor.id in active_ids:
-            counted.append((path, retained[1]))
+        segment = so._oracle_retained_segment(path.hops, path.monitor.host_asn, rels, line)
+        if not isinstance(segment, Rejection) and path.monitor.id in active_ids:
+            counted.append((path, segment))
     observers = Counter((path.monitor.host_asn, path.prefix) for path, _segment in counted)
     rows = [
         (path, segment, geo.mass[(path.prefix, country)], observers[(path.monitor.host_asn, path.prefix)])
@@ -254,7 +246,7 @@ def _reference_transit_fraction(traces, rels, nationality, geo, country):
         if not nationality.is_domestic(hops[-1], country):
             continue
         reached[hops[-1]] = reached.get(hops[-1], 0) + 1
-        border = td.find_border(hops, nationality, country)
+        border = so._oracle_border(hops, nationality.label, country)
         if border is not None and rels.is_p2c(*border):
             crossed[hops[-1]] = crossed.get(hops[-1], 0) + 1
     total = geo.country_total(country)
@@ -302,8 +294,7 @@ def test_parsers_match_row_by_row(corpus, data):
 )
 def test_prepare_paths_matches_per_path_sanitize(corpus):
     for line, path in enumerate(corpus, start=1):
-        expected = _reference_sanitize(path, CLIQUE, RESERVED, line)
-        assert sanitize(path, CLIQUE, RESERVED, line) == expected
+        assert sanitize(path, CLIQUE, RESERVED, line) == _reference_sanitize(path, line)
     for paths in (corpus, corpus[::-1]):
         raw = corpus_of(paths)
         sanitized, rejections = pathprep.prepare_paths(raw, CLIQUE, RESERVED)
@@ -334,6 +325,7 @@ def test_retain_for_country_matches_per_path_truncation(corpus, rels, geo):
 @given(corpora(), relationships(), geo_tables())
 def test_grouped_kernel_matches_per_path_terms(corpus, rels, geo):
     sanitized, _rejections = pathprep.prepare_paths(corpus_of(corpus), CLIQUE, RESERVED)
+    pairs = list(zip(sanitized.line_no, sanitized))
     for country in ("AA", "BB"):
         if not geo.total.get(country):
             continue
@@ -342,7 +334,7 @@ def test_grouped_kernel_matches_per_path_terms(corpus, rels, geo):
         # every active monitor, as in the pipeline, and those of one host AS
         for monitors in (active, [m for m in active if m.host_asn != 4]):
             table = cti_core.extract_observations(retained, geo, monitors, country)
-            fields, ctin = _reference_kernel(list(sanitized), rels, geo, country, monitors)
+            fields, ctin = _reference_kernel(pairs, rels, geo, country, monitors)
             assert _kernel_fields(table) == fields
             for members in ({5}, {1, 5}, {3}, {2, 7}, set(ASNS)):
                 assert compute_ctin(frozenset(members), table) == ctin(members)
