@@ -646,21 +646,21 @@ def _oracle_sanitize(
 
 
 def _oracle_retained_segment(
-    hops: Sequence[int], host_asn: int, rels: RelationshipTable, line: int
-) -> tuple[int, ...] | Rejection:
+    hops: Sequence[int], host_asn: int, rels: RelationshipTable
+) -> tuple[int, ...] | str:
     """The origin-first segment up to the peak of a path's collapsed hops,
-    read from ``paths.txt`` line ``line``, or why it has none."""
+    or the NoPeak reason why it has none."""
     if hops and hops[0] == host_asn:
         hops = hops[1:]
     if len(hops) < 2:
-        return Rejection("paths.txt", line, "NoPeak", "no transit AS on path")
+        return "no transit AS on path"
     reverse = hops[::-1]
     peak = None
     for k in range(1, len(reverse)):
         if rels.is_p2c(reverse[k], reverse[k - 1]):
             peak = k
     if peak is None:
-        return Rejection("paths.txt", line, "NoPeak", "no provider-customer link")
+        return "no provider-customer link"
     return tuple(reverse[: peak + 1])
 
 
@@ -686,14 +686,13 @@ def _oracle_substrate(view: OracleView, country: str) -> OracleCountry:
     active_ids = {m.id for m in active}
 
     retained: dict[tuple[MonitorId, Prefix], tuple[int, ...]] = {}
-    # row i is on line i + 1, the line emit_files writes it on
-    for line, (path, hops) in enumerate(zip(view.records, view.collapsed), start=1):
+    for path, hops in zip(view.records, view.collapsed):
         if path.monitor.id not in active_ids:
             continue
         if mass.get((path.prefix, country), 0) == 0:
             continue
-        segment = _oracle_retained_segment(hops, path.monitor.host_asn, view.topo.rels, line)
-        if not isinstance(segment, Rejection):
+        segment = _oracle_retained_segment(hops, path.monitor.host_asn, view.topo.rels)
+        if not isinstance(segment, str):
             retained[(path.monitor, path.prefix)] = segment
 
     observer_counts: dict[tuple[int, Prefix], int] = {}

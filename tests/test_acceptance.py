@@ -17,7 +17,6 @@ from cti.model import (
     MetricReport,
     MonitorId,
     Prefix,
-    Rejection,
     RelKind,
     RelationshipTable,
     collapse_prepending,
@@ -182,15 +181,15 @@ def test_criterion_6_filter_properties():
                 # (c) weights sum to one per (host AS, prefix): n counts the
                 # host's monitors that observe the prefix over a retained path
                 observers = {}
-                for line, path in zip(sub.sanitized.line_no, sub.sanitized):
+                for path in sub.sanitized:
                     if path.monitor.country == country:
                         continue
                     if not sub.geo.mass.get((path.prefix, country)):
                         continue
                     segment = synth_oracle._oracle_retained_segment(
-                        path.hops, path.monitor.host_asn, sub.rels, line
+                        path.hops, path.monitor.host_asn, sub.rels
                     )
-                    if not isinstance(segment, Rejection):
+                    if not isinstance(segment, str):
                         key = (path.monitor.host_asn, path.prefix)
                         observers.setdefault(key, set()).add(path.monitor.id)
                 retained, _no_peak = retain_for_country(sub.sanitized, country, sub.geo, sub.rels)

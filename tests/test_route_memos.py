@@ -167,26 +167,25 @@ def _reference_retain(sanitized, country, geo, rels):
         if geo.mass.get((path.prefix, country), 0) == 0 or path.monitor.country == country:
             continue
         host = path.monitor.host_asn
-        segment = so._oracle_retained_segment(path.hops, host, rels, line)
-        if isinstance(segment, Rejection):
-            rejections.append(segment)
+        segment = so._oracle_retained_segment(path.hops, host, rels)
+        if isinstance(segment, str):
+            rejections.append(Rejection("paths.txt", line, "NoPeak", segment))
         else:
             retained.append((host, segment, path.prefix))
     return retained, rejections
 
 
 def _reference_kernel(sanitized, rels, geo, country, monitors):
-    """The kernel of the sanitized (line, path) pairs, term by term per path
-    as it was before the (host AS, segment) groups, over ``monitors``
-    (monitors outside the country): its fields as a dict, and the ctin of a
-    member set."""
+    """The kernel, term by term per path as it was before the (host AS,
+    segment) groups, over ``monitors`` (monitors outside the country): its
+    fields as a dict, and the ctin of a member set."""
     active_ids = {m.id for m in monitors}
     counted = []
-    for line, path in sanitized:
+    for path in sanitized:
         if geo.mass.get((path.prefix, country), 0) == 0 or path.monitor.country == country:
             continue
-        segment = so._oracle_retained_segment(path.hops, path.monitor.host_asn, rels, line)
-        if not isinstance(segment, Rejection) and path.monitor.id in active_ids:
+        segment = so._oracle_retained_segment(path.hops, path.monitor.host_asn, rels)
+        if not isinstance(segment, str) and path.monitor.id in active_ids:
             counted.append((path, segment))
     observers = Counter((path.monitor.host_asn, path.prefix) for path, _segment in counted)
     rows = [
@@ -325,7 +324,6 @@ def test_retain_for_country_matches_per_path_truncation(corpus, rels, geo):
 @given(corpora(), relationships(), geo_tables())
 def test_grouped_kernel_matches_per_path_terms(corpus, rels, geo):
     sanitized, _rejections = pathprep.prepare_paths(corpus_of(corpus), CLIQUE, RESERVED)
-    pairs = list(zip(sanitized.line_no, sanitized))
     for country in ("AA", "BB"):
         if not geo.total.get(country):
             continue
@@ -334,7 +332,7 @@ def test_grouped_kernel_matches_per_path_terms(corpus, rels, geo):
         # every active monitor, as in the pipeline, and those of one host AS
         for monitors in (active, [m for m in active if m.host_asn != 4]):
             table = cti_core.extract_observations(retained, geo, monitors, country)
-            fields, ctin = _reference_kernel(pairs, rels, geo, country, monitors)
+            fields, ctin = _reference_kernel(list(sanitized), rels, geo, country, monitors)
             assert _kernel_fields(table) == fields
             for members in ({5}, {1, 5}, {3}, {2, 7}, set(ASNS)):
                 assert compute_ctin(frozenset(members), table) == ctin(members)

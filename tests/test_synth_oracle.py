@@ -421,20 +421,51 @@ def test_emit_files_renders_each_path_as_the_per_path_reference():
         assert (files["paths.txt"], files["traceroutes.txt"]) == _reference_emitted_paths(paths)
 
 
-# The naive scores as they were before ``OracleView`` shared one substrate per
-# country: every call builds its own, on a new view, and builds each term from
-# four factors. Kept as the reference that every naive function must match,
-# with and without a shared view.
+# The naive oracle with no ``OracleView``: every call rebuilds its own
+# substrate (origins, masses, active monitors, observer counts), collapsing
+# each path again, and builds each term from four factors. Kept as the
+# reference that every naive function must match, with and without a shared
+# view. Its per-path stages (collapse, peak cut, border) are the oracle's
+# literals, written once in ``synth_oracle``.
+
+
+def _reference_substrate(topo, paths, country):
+    origin_of = {p.prefix: so._oracle_collapse(p.hops)[-1] for p in paths}
+    mass = so._oracle_masses(topo, origin_of)
+    total = so._oracle_country_total(mass, country)
+    active = [m for m in topo.monitors if m.country != country]
+    active_ids = {m.id for m in active}
+
+    retained = {}
+    for path in paths:
+        if path.monitor.id not in active_ids:
+            continue
+        if mass.get((path.prefix, country), 0) == 0:
+            continue
+        hops = so._oracle_collapse(path.hops)
+        segment = so._oracle_retained_segment(hops, path.monitor.host_asn, topo.rels)
+        if not isinstance(segment, str):
+            retained[(path.monitor, path.prefix)] = segment
+
+    observer_counts = {}
+    seen = {}
+    for (monitor, prefix) in retained:
+        seen.setdefault((monitor.host_asn, prefix), set()).add(monitor.id)
+    for key, ids in seen.items():
+        observer_counts[key] = len(ids)
+
+    return retained, observer_counts, mass, total, active
 
 
 def _reference_scores(substrate, country, monitors):
+    retained, observers, mass, total, _active = substrate
     ids = {m.id for m in monitors}
     scores = {}
-    for (monitor, prefix), segment in substrate.retained.items():
+    for (monitor, prefix), segment in retained.items():
         if monitor.id not in ids:
             continue
-        n = substrate.observers[(monitor.host_asn, prefix)]
-        share = Fraction(substrate.mass[(prefix, country)], substrate.total)
+        n = observers[(monitor.host_asn, prefix)]
+        share = Fraction(mass[(prefix, country)], total)
         for distance in range(1, len(segment)):
             transit = segment[distance]
             term = Fraction(1, n) * Fraction(1, len(monitors)) * share * Fraction(1, distance)
@@ -443,17 +474,17 @@ def _reference_scores(substrate, country, monitors):
 
 
 def _reference_cti(topo, paths, country):
-    substrate = so.OracleView(topo, paths).country(country)
-    if substrate.total == 0 or not substrate.active:
+    substrate = _reference_substrate(topo, paths, country)
+    *_, total, active = substrate
+    if total == 0 or not active:
         return {}
-    scores = _reference_scores(substrate, country, substrate.active)
-    return {(country, t): v for t, v in scores.items()}
+    return {(country, t): v for t, v in _reference_scores(substrate, country, active).items()}
 
 
 def _reference_outlier_cti(topo, paths, country, min_hosts, trim):
-    substrate = so.OracleView(topo, paths).country(country)
-    active = substrate.active
-    if substrate.total == 0 or not active:
+    substrate = _reference_substrate(topo, paths, country)
+    *_, total, active = substrate
+    if total == 0 or not active:
         return {}
 
     def scores_from(monitors):
@@ -474,30 +505,29 @@ def _reference_outlier_cti(topo, paths, country, min_hosts, trim):
 
 
 def _reference_ctin(topo, paths, country, members):
-    substrate = so.OracleView(topo, paths).country(country)
-    total, active = substrate.total, substrate.active
+    retained, observers, mass, total, active = _reference_substrate(topo, paths, country)
     if total == 0 or not active:
         return Fraction(0)
     score = Fraction(0)
-    for (monitor, prefix), segment in substrate.retained.items():
+    for (monitor, prefix), segment in retained.items():
         if segment[0] in members:
             continue
         distances = [d for d in range(1, len(segment)) if segment[d] in members]
         if not distances:
             continue
-        n = substrate.observers[(monitor.host_asn, prefix)]
-        share = Fraction(substrate.mass[(prefix, country)], total)
+        n = observers[(monitor.host_asn, prefix)]
+        share = Fraction(mass[(prefix, country)], total)
         score += Fraction(1, n) * Fraction(1, len(active)) * share * Fraction(1, min(distances))
     return score
 
 
 def _reference_transit_fraction(topo, paths, traceroutes, country):
-    view = so.OracleView(topo, paths)
-    origin_of, mass = view.origin_of, view.mass
+    origin_of = {p.prefix: so._oracle_collapse(p.hops)[-1] for p in paths}
+    mass = so._oracle_masses(topo, origin_of)
     total = so._oracle_country_total(mass, country)
     if total == 0:
         return Fraction(0)
-    label = view.nationality
+    label = so._oracle_nationality(topo, origin_of, mass)
 
     own = {}
     for (prefix, c), value in mass.items():
