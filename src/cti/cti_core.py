@@ -7,9 +7,8 @@ Every score is a sum of one term per retained path and transit AS on it,
 with w = 1/n (n: the host AS's monitors observing prefix p), d the transit
 AS's hop distance from the origin, A(C) the country's address total and M
 the active monitor set, blind monitors included. With L the lcm of every n*d
-in the country, the kernel holds S[t][h] = sum of mass * L/(n*d) over host
-AS h's paths crossing t, and each metric divides a sum of numerators by
-L*A*|monitors|:
+in the country, S[t][h] = sum of mass * L/(n*d) over host AS h's paths
+crossing t, and each metric divides a sum of numerators by L*A*|monitors|:
 
 - cti(t) = sum_h S[t][h] / (L*A*|M|)
 - per-host score = S[t][h] / (L*A*|M_h|), M_h being host h's monitors in M
@@ -18,17 +17,21 @@ L*A*|monitors|:
 - ctin of an AS set = one term per path not originated by a member, at the
   first member's distance d, over L*A*|M|
 
-Paths of one host AS along one segment share every d, so the kernel sums
-W = sum of mass * L/n once per such group and adds W/d to S[t][h] for the
-transit t at each distance d. That division is exact: L is a multiple of
-every n*d, so each term mass * L/(n*d) is an integer. An empty monitor set
-gives 0. Arithmetic is exact and order-independent.
+Paths of one host AS along one segment share every d, so the kernel holds
+W = sum of mass * L/n once per such group (``HostTable.groups``), and W/d is
+that group's part of S[t][h] for the transit t at each distance d. That
+division is exact: L is a multiple of every n*d, so each term
+mass * L/(n*d) is an integer. cti and ctin are reductions over the groups;
+the cells S[t][h] are built only when the per-host scores of the outlier
+filter ask for them. An empty monitor set gives 0. Arithmetic is exact and
+order-independent.
 """
 from __future__ import annotations
 
+import functools
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
@@ -39,7 +42,8 @@ from .pathprep import Retained
 
 @dataclass
 class HostTable:
-    """The kernel of one country: S[transit][host] over a common denominator."""
+    """The kernel of one country: W per (host AS, segment) over a common
+    denominator, and S[transit][host] (``cells``) on first request."""
 
     country: str
     lcm: int  # L
@@ -49,7 +53,18 @@ class HostTable:
     n_paths: int  # counted paths
     segments: Sequence[Route]  # the retained segments, by index
     groups: dict[int, dict[int, int]]  # W per (host AS, segment): segment index -> host AS -> W
-    cells: dict[int, dict[int, int]] = field(default_factory=dict)  # S[transit][host]
+
+    @functools.cached_property
+    def cells(self) -> dict[int, dict[int, int]]:
+        """S[transit][host], built from ``groups`` on first request: only the
+        outlier filter reads a transit AS's score per host."""
+        cells: dict[int, dict[int, int]] = {}
+        for segment_ix, weights in self.groups.items():
+            for distance, transit in enumerate(self.segments[segment_ix][1:], start=1):
+                row = cells.setdefault(transit, {})
+                for host, weight in weights.items():
+                    row[host] = row.get(host, 0) + self.numerator(weight, distance)
+        return cells
 
     def __len__(self) -> int:
         return self.n_paths
@@ -107,27 +122,36 @@ def extract_observations(
     # Whether a path counts depends on its host AS and prefix alone, so n
     # over every retained path is n over the counted ones.
     observers = compute_weights(retained)
-    # summed mass per (group, n) of the counted paths, keyed group * span + n
+    # each segment's summed mass per (host AS, n) of its counted paths, keyed
+    # host index * span + n, in the order of the segment's and host's first rows
     span = max(observers.values(), default=1) + 1
-    mass_by_n: dict[int, int] = {}
+    groups: dict[int, dict[int, int]] = {}
     n_paths = 0
     for group, prefix_ix in zip(retained.group, retained.prefix_ix):
         host_ix = group % n_hosts
         if active[host_ix] and mass[prefix_ix]:
-            key = group * span + observers.get(prefix_ix * n_hosts + host_ix, 1)
-            mass_by_n[key] = mass_by_n.get(key, 0) + mass[prefix_ix]
+            segment_ix = group // n_hosts
+            masses = groups.get(segment_ix)
+            if masses is None:
+                masses = groups[segment_ix] = {}
+            key = host_ix * span + observers.get(prefix_ix * n_hosts + host_ix, 1)
+            masses[key] = masses.get(key, 0) + mass[prefix_ix]
             n_paths += 1
     # the lcm of n*d over d = 1..D is n * lcm(1..D)
-    hops = {(key % span, len(segments[key // span // n_hosts]) - 1) for key in mass_by_n}
+    hops = {
+        (key % span, len(segments[segment_ix]) - 1)
+        for segment_ix, masses in groups.items()
+        for key in masses
+    }
     lcm = math.lcm(*(n * math.lcm(*range(1, top + 1)) for n, top in hops))
-    groups: dict[int, dict[int, int]] = {}
-    for key, summed in mass_by_n.items():
-        group, n = divmod(key, span)
-        segment_ix, host_ix = divmod(group, n_hosts)
-        weights = groups.setdefault(segment_ix, {})
-        host = hosts[host_ix]
-        weights[host] = weights.get(host, 0) + summed * (lcm // n)
-    table = HostTable(
+    for segment_ix, masses in groups.items():
+        weights: dict[int, int] = {}
+        for key, summed in masses.items():
+            host_ix, n = divmod(key, span)
+            host = hosts[host_ix]
+            weights[host] = weights.get(host, 0) + summed * (lcm // n)
+        groups[segment_ix] = weights
+    return HostTable(
         country=country,
         lcm=lcm,
         denominator=lcm * total,
@@ -137,17 +161,18 @@ def extract_observations(
         segments=segments,
         groups=groups,
     )
-    for segment_ix, weights in groups.items():
-        for distance, transit in enumerate(segments[segment_ix][1:], start=1):
-            row = table.cells.setdefault(transit, {})
-            for host, weight in weights.items():
-                row[host] = row.get(host, 0) + table.numerator(weight, distance)
-    return table
 
 
 def compute_cti(table: HostTable) -> MetricReport:
-    """The score of every transit AS observed toward the table's country."""
+    """The score of every transit AS observed toward the table's country: the
+    sum of S[t][h] over the hosts, taken per segment as its hosts' summed W
+    over d (exact, since every W is a multiple of d)."""
+    numerators: dict[int, int] = {}
+    for segment_ix, weights in table.groups.items():
+        weight = sum(weights.values())
+        for distance, transit in enumerate(table.segments[segment_ix][1:], start=1):
+            numerators[transit] = numerators.get(transit, 0) + table.numerator(weight, distance)
     report = MetricReport(metric_name="cti")
-    for transit, row in table.cells.items():
-        report.set(table.country, transit, table.score(sum(row.values()), table.n_monitors))
+    for transit, numerator in numerators.items():
+        report.set(table.country, transit, table.score(numerator, table.n_monitors))
     return report

@@ -12,14 +12,16 @@ largest files, ``paths.txt``, ``traceroutes.txt`` and ``relationships.txt``,
 are read in one loop each over the reader's ``numbered()`` lines, and take
 their errors from the reader; every other file is read through it.
 
-A path or traceroute hop text is judged once per distinct text, inline in the
-row loop, as its lead AS over a tail (the hops after the first). Routes share
-tails far more than texts, so each distinct tail text is judged once, by
-``_judge_hop_text``, the one judge of a hop text; a rejected text is judged
-whole by it, so that its first reason wins. ``parse_paths`` interns the tails
-of the routes it keeps into ``Corpus.tails``, the one place they are
-interned: sanitizing writes a collapsed route and its tail in the raw one's
-place. ``parse_traceroutes`` collapses prepending once per tail.
+A path or traceroute hop text is judged inline in the row loop as its lead
+AS over a tail (the hops after the first). Routes share tails far more than
+texts, so each distinct tail text is judged once, by ``_judge_hop_text``, the
+one judge of a hop text; a rejected text is judged whole by it, so that its
+first reason wins. ``parse_paths`` judges each distinct hop text once and
+interns the tails of the routes it keeps into ``Corpus.tails``, the one place
+they are interned: sanitizing writes a collapsed route and its tail in the
+raw one's place. ``parse_traceroutes`` keeps no memo of whole hop texts: it
+collapses prepending once per tail text and counts each row under its tail
+and lead AS.
 """
 from __future__ import annotations
 
@@ -300,19 +302,20 @@ def parse_traceroutes(
     A row with AS-set braces, an unparsable prefix, a malformed ASN token or
     no hop is rejected with a log entry, for the first of these in that order,
     as a ``paths.txt`` row is.
+
+    No memo holds a whole hop text: a row is its lead AS over a tail, and
+    each distinct tail text is judged and collapsed once, to its collapsed
+    tail with a count of traces per lead, or to a rejection code. The whole
+    text is judged only for a row whose lead or tail is rejected.
     """
     rejections: list[Rejection] = []
     # each distinct prefix text is checked once, to 0 or a negative code, and
-    # each distinct hop text is judged once, to an index into routes or a
-    # negative code, as in parse_paths: its lead AS over a tail that is
-    # judged and collapsed once per distinct text
+    # each distinct lead token to its AS or a code
     prefix_code: dict[str, int] = {}
-    route_code: dict[str, int] = {}
-    routes: list[Route] = []  # the collapsed route of each distinct hop text
-    n_traces: list[int] = []  # rows per distinct hop text
+    lead_of: dict[str, Route | int] = {}
+    # tail text -> (collapsed tail, traces per lead AS), or a code
+    tail_of: dict[str, tuple[Route, dict[Route, int]] | int] = {}
     parse_asn = functools.cache(parse_asn_token)
-    judge_lead = functools.cache(functools.partial(_judge_hop_text, parse_asn=parse_asn))
-    tail_of: dict[str, Route | int] = {}  # tail text -> collapsed tail, or a code
 
     def judge_prefix(text: str) -> int:
         try:
@@ -335,40 +338,42 @@ def parse_traceroutes(
             prefix_verdict = prefix_code.get(prefix_text)
             if prefix_verdict is None:
                 prefix_verdict = prefix_code[prefix_text] = judge_prefix(prefix_text)
-            route_ix = route_code.get(hops_text)
-            if route_ix is None:
-                lead_tail = hops_text.split(None, 1)
-                lead = judge_lead(lead_tail[0]) if lead_tail else EMPTY_PATH
-                if not isinstance(lead, int):
-                    tail_text = lead_tail[1] if len(lead_tail) > 1 else ""
-                    tail = tail_of.get(tail_text)
-                    if tail is None:
-                        tail = _judge_hop_text(tail_text, parse_asn) if tail_text else ()
-                        if not isinstance(tail, int):
-                            tail = collapse_prepending(tail)
-                        tail_of[tail_text] = tail
-                    if not isinstance(tail, int):
-                        route_ix = len(routes)
-                        # a lead that the tail repeats collapses into it
-                        routes.append(tail if tail and tail[0] == lead[0] else lead + tail)
-                        n_traces.append(0)
-                if route_ix is None:  # judged whole, so that its first reason wins
-                    route_ix = _judge_hop_text(hops_text, parse_asn)
-                route_code[hops_text] = route_ix
-            if prefix_verdict < 0 or route_ix < 0:
-                rejections.append(Rejection(file, line_no, _reason(prefix_verdict, route_ix), line))
+            try:
+                lead_text, tail_text = hops_text.split(None, 1)
+            except ValueError:  # one hop, or none
+                lead_text, tail_text = hops_text.strip(), ""
+            lead = lead_of.get(lead_text)
+            if lead is None:
+                lead = lead_of[lead_text] = _judge_hop_text(lead_text, parse_asn)
+            tail = tail_of.get(tail_text)
+            if tail is None:
+                hops = _judge_hop_text(tail_text, parse_asn) if tail_text else ()
+                tail = tail_of[tail_text] = (
+                    hops if isinstance(hops, int) else (collapse_prepending(hops), {})
+                )
+            bad_route = isinstance(lead, int) or isinstance(tail, int)
+            if bad_route or prefix_verdict < 0:
+                # a bad hop text is judged whole, so that its first reason wins
+                route_code = _judge_hop_text(hops_text, parse_asn) if bad_route else 0
+                rejections.append(Rejection(file, line_no, _reason(prefix_verdict, route_code), line))
                 continue
-            n_traces[route_ix] += 1
+            leads = tail[1]
+            leads[lead] = leads.get(lead, 0) + 1
         except ValueError as exc:
             raise rows.at_line(line_no, exc) from None
-    # the memos hold every distinct text: free them before the counts grow
-    route_code.clear()
-    tail_of.clear()
     prefix_code.clear()
+    lead_of.clear()
     counts: Counter[Route] = Counter()
-    for hops, n in zip(routes, n_traces):
-        if n:  # a hop text judged only on rejected rows has no trace
-            counts[hops] = counts.get(hops, 0) + n
+    # one tail at a time, so the memo shrinks as the counts grow
+    while tail_of:
+        _text, tail = tail_of.popitem()
+        if isinstance(tail, int):
+            continue
+        hops, leads = tail
+        for lead, n in leads.items():
+            # a lead that the tail repeats collapses into it
+            route = hops if hops and hops[0] == lead[0] else lead + hops
+            counts[route] = counts.get(route, 0) + n
     return counts, rejections
 
 

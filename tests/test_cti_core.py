@@ -4,7 +4,7 @@ from fractions import Fraction
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cti import cti_core, ingest, pathprep, pipeline
+from cti import conglomerate, cti_core, ingest, outlier, pathprep, pipeline
 from cti.geo import build_geo_table
 from cti.model import MonitorId, Prefix
 from test_ingest import _generated_instance
@@ -110,15 +110,18 @@ def test_weights_sum_to_one_per_host_prefix(observer_counts):
 
 # Bytes per retained row that one country's kernel may peak above its start.
 # On the 6,784-path generated instance the kernel peaked 243-276 bytes per row
-# when retention kept its rows in lists and n was counted for every row, and
-# 178 bytes with array columns and n counted only where it can exceed 1.
-KERNEL_BYTES_PER_ROW = 210
+# when retention kept its rows in lists and n was counted for every row, 178
+# bytes with array columns and n counted only where it can exceed 1 but a
+# mass dict keyed per (host AS, segment, n) across the whole country, and 111
+# bytes with each segment's masses in its own dict and the cells not built.
+KERNEL_BYTES_PER_ROW = 150
 
 
 def test_the_kernel_keeps_no_object_per_retained_row(tmp_path):
     """build_country_substrate, retention included, peaks less than
     KERNEL_BYTES_PER_ROW bytes per retained row above its start: the rows are
-    array columns, and no per-row list or count is built over them."""
+    array columns, no per-row list or count is built over them, and each
+    segment sums its masses in the dict it keeps."""
     _generated_instance(tmp_path)
     sub = pipeline.build_substrate(ingest.load_bundle(str(tmp_path)))
     for country in ("AA", "BB"):
@@ -138,3 +141,18 @@ def test_the_kernel_keeps_no_object_per_retained_row(tmp_path):
                 tracemalloc.stop()
         assert len(table) == rows > 2000
         assert peak - start < KERNEL_BYTES_PER_ROW * rows
+
+
+def test_cti_and_ctin_build_no_cells(tmp_path):
+    """cti and ctin are reductions over the groups; only the outlier filter
+    builds the per-host cells."""
+    _generated_instance(tmp_path)
+    sub = pipeline.build_substrate(ingest.load_bundle(str(tmp_path)))
+    table = pipeline.build_country_substrate(sub, "AA")
+    report = cti_core.compute_cti(table)
+    members = frozenset(subject for _country, subject in list(report.entries)[:3])
+    assert conglomerate.compute_ctin(members, table) > 0
+    assert "cells" not in vars(table)
+    filtered = outlier.filtered_cti(table)
+    assert "cells" in vars(table)
+    assert filtered.entries.keys() == report.entries.keys()

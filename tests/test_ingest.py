@@ -1,3 +1,4 @@
+import gc
 import ipaddress
 import tracemalloc
 import warnings
@@ -140,6 +141,60 @@ def test_both_path_files_name_the_first_reason_in_one_order(fields, reason):
     assert [r.category for r in rejections] == [reason]
     _counts, rejections = transit_dominance.parse_traceroutes([f"t-m1|{fields}"])
     assert [r.category for r in rejections] == [reason]
+
+
+def _collapsed_counts(hop_texts):
+    """The rows of each route, each row's hops collapsed by the oracle's
+    literal collapse."""
+    return Counter(
+        tuple(synth_oracle._oracle_collapse([int(token) for token in text.split()]))
+        for text in hop_texts
+    )
+
+
+@pytest.mark.parametrize(
+    "hop_texts",
+    [
+        ["5 6", "5  6", "5\t6", "5 5 6"],  # one route value written four ways
+        # a lead AS that the tail repeats collapses into the tail
+        ["7 7 8", "7 8", "9 7 7 8", "7 7", "7", "7 8 8"],
+    ],
+    ids=["one-value", "lead-into-tail"],
+)
+def test_parse_traceroutes_counts_each_route_value(hop_texts):
+    lines = [f"t-m1|10.0.{i}.0/24|{text}" for i, text in enumerate(hop_texts)]
+    counts, rejections = ingest.parse_traceroutes(lines)
+    assert rejections == []
+    assert counts == _collapsed_counts(hop_texts)
+
+
+def test_a_traceroute_row_with_a_bad_prefix_and_a_bad_route_keeps_its_reason():
+    lines = [
+        "t-m1|bogus|5 {6}",
+        "t-m1|10.0.0.0/24|5 6",
+        "t-m1|bogus|5 x",
+        "# c",
+        "t-m1|bogus|{5} 6",
+        "t-m1|bogus|x 6",
+        "t-m1|10.0.0.0/24|5 {6}",
+        "t-m1|bogus|5 6",
+        "t-m1|10.0.0.0/24|x 6",
+    ]
+    counts, rejections = ingest.parse_traceroutes(lines)
+    assert counts == _collapsed_counts(["5 6"])
+    # AS-set braces first, then a bad prefix, then a bad route
+    expected = [
+        (1, "as-set"),
+        (3, "unparsable prefix"),
+        (5, "as-set"),
+        (6, "unparsable prefix"),
+        (7, "as-set"),
+        (8, "unparsable prefix"),
+        (9, "malformed ASN"),
+    ]
+    assert rejections == [
+        Rejection("traceroutes.txt", line, reason, lines[line - 1]) for line, reason in expected
+    ]
 
 
 def test_parse_paths_multi_origin_exclusion():
@@ -515,6 +570,33 @@ def test_load_bundle_streams_its_files(tmp_path):
             tracemalloc.stop()
     assert len(bundle.paths) == 6784
     assert peak - end < (end - start) / 2
+
+
+# Bytes per trace row that parse_traceroutes may peak above its start. On the
+# 6,784-path generated instance it peaked 122 bytes per row with a memo per
+# distinct hop text, and 79 bytes with a memo per distinct tail text only.
+TRACE_BYTES_PER_ROW = 100
+
+
+def test_parse_traceroutes_keeps_no_memo_per_hop_text(tmp_path):
+    _generated_instance(tmp_path)
+    lines = ingest.split_lines((tmp_path / "traceroutes.txt").read_text(encoding="utf-8"))
+    ingest.parse_traceroutes(lines)  # first-call caches are not the parse's
+    # the tuples freed by that call would sit in CPython's free lists
+    gc.collect()
+    if tracing := not tracemalloc.is_tracing():
+        tracemalloc.start()
+    try:
+        start, _peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        counts, rejections = ingest.parse_traceroutes(lines)
+        _end, peak = tracemalloc.get_traced_memory()
+    finally:
+        if tracing:
+            tracemalloc.stop()
+    rows = sum(counts.values())
+    assert rows == 6784 and not rejections
+    assert peak - start < TRACE_BYTES_PER_ROW * rows
 
 
 def _reference_route_tails(routes):

@@ -5,7 +5,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cti import conglomerate, ingest, outlier, pipeline, synth_oracle
+from cti import conglomerate, cti_core, ingest, outlier, pipeline, synth_oracle
 from cti.geo import classify_nationality
 
 SEEDS = st.integers(min_value=1, max_value=500)
@@ -122,3 +122,17 @@ def test_footprint_is_ctin_plus_originated_share(seed):
             continue
         originated = conglomerate.originated_fraction(members, sub.geo, country)
         assert footprint.get(country, country) == ctin.get(country, country) + originated
+
+
+@FEW
+@given(SEEDS)
+def test_cti_sums_each_transit_row_of_cells(seed):
+    """compute_cti, a reduction over the groups, gives each transit AS the
+    numerator that its row of cells sums to."""
+    sub = _substrate(_files(seed))
+    for country in _countries(sub):
+        table = pipeline.build_country_substrate(sub, country)
+        assert cti_core.compute_cti(table).entries == {
+            (country, transit): table.score(sum(row.values()), table.n_monitors)
+            for transit, row in table.cells.items()
+        }
