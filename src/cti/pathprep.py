@@ -176,9 +176,10 @@ def prepare_paths(
         flags = map(or_, flags, map(rejected.__contains__, route_col))
     rejected_rows = list(compress(range(len(corpus)), flags))
     rejections: list[Rejection] = []
-    columns = (monitor_col, corpus.prefix_ix, route_col, corpus.line_no)
+    columns = (monitor_col, corpus.prefix_ix, route_col)
+    line_col = corpus.line_no
     if rejected_rows:
-        file, line_col = FILE_NAMES["paths"], corpus.line_no
+        file = FILE_NAMES["paths"]
         for row in rejected_rows:
             host_asn = host_asns[monitor_col[row]]
             reason = f"monitor host ASN {host_asn} after the first hop"
@@ -186,7 +187,10 @@ def prepare_paths(
             rejections.append(Rejection(file, line_col[row], *verdict))
         kept_rows = list(filterfalse(set(rejected_rows).__contains__, range(len(corpus))))
         columns = tuple(list(map(column.__getitem__, kept_rows)) for column in columns)
-    sanitized.monitor_ix, sanitized.prefix_ix, sanitized.route_ix, sanitized.line_no = columns
+        # a 4-byte line number per kept row, as the parser keeps them
+        line_col = array("I", map(line_col.__getitem__, kept_rows))
+    sanitized.monitor_ix, sanitized.prefix_ix, sanitized.route_ix = columns
+    sanitized.line_no = line_col
     return sanitized, rejections
 
 

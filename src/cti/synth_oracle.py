@@ -900,23 +900,21 @@ def check_instance(topo: SynthTopology) -> str | None:
     the first mismatch, or None when they agree exactly.
 
     Each country's kernel is built once and reduces to both cti (outlier
-    filter off) and ctin; the transit nationality is classified once. The
-    oracle side is one ``OracleView`` of the instance, shared by every naive
-    call: the paths are read as records (the raw traceroutes are built from
-    them too) and collapsed, and the origins, the address masses and the
-    nationality labels built, once per seed, and each country's retained
-    segments once per checked country. The pipeline and the naive functions
-    are called through their modules' attributes, so a function replaced
-    there (by a tracer, say) is the one called."""
+    filter off) and ctin; the bundle parses the traceroutes, and the transit
+    nationality is classified, once. The oracle side is one ``OracleView``
+    of the instance, shared by every naive call: the paths are read as
+    records (the raw traceroutes are built from them too) and collapsed, and
+    the origins, the address masses and the nationality labels built, once
+    per seed, and each country's retained segments once per checked country.
+    The pipeline and the naive functions are called through their modules'
+    attributes, so a function replaced there (by a tracer, say) is the one
+    called."""
     paths = propagate_routes(topo)
     files = emit_files(topo, paths)
-    bundle = ingest.load_bundle_from_texts(files)
+    bundle = ingest.load_bundle_from_texts(files, ingest.METRIC_FILES)
     sub = pipeline.build_substrate(bundle)
     view = OracleView(topo, paths)
     raw_traceroutes = [(f"t-{p.monitor.id}", p.prefix, p.hops) for p in view.records]
-    traceroute_counts, _rej = transit_dominance.parse_traceroutes(
-        ingest.split_lines(files["traceroutes.txt"])
-    )
     members = frozenset(asn for asn, _c in topo.state_owned)
     nationality = pipeline.transit_nationality(sub)
     for country in topo.params.countries:
@@ -935,7 +933,7 @@ def check_instance(topo: SynthTopology) -> str | None:
                 return f"ctin mismatch for {country}"
 
         pipe_t = transit_dominance.compute_transit_fraction(
-            traceroute_counts, sub.rels, nationality, sub.geo, country
+            bundle.traceroutes, sub.rels, nationality, sub.geo, country
         )
         oracle_t = naive_transit_fraction(topo, paths, raw_traceroutes, country, view=view)
         if pipe_t != oracle_t:

@@ -46,6 +46,21 @@ def test_extract_observations_skips_origin():
     assert table.cells == {20: {10: 256 * 2}, 15: {10: 256 * 1}}
 
 
+def test_the_common_denominator_holds_every_observer_count():
+    # three monitors of one host AS observe one prefix over a two-transit
+    # segment: n = 3 and D = 2, so L must hold a 3 that no distance brings
+    geo, _ = build_geo_table([(P1, "CU", 256)], [], {})
+    monitors = [MonitorId(f"m{i}", 10, "US") for i in range(3)]
+    table = cti_core.extract_observations(
+        retained_of([(10, (30, 20, 15), P1)] * 3), geo, monitors, "CU"
+    )
+    assert table.lcm % 6 == 0
+    # each path: w/|M| * mass/A * 1/d = 1/3 * 1/3 * 1 * 1/d
+    report = cti_core.compute_cti(table)
+    assert report.get("CU", 20) == 3 * Fraction(1, 9)
+    assert report.get("CU", 15) == 3 * Fraction(1, 18)
+
+
 def test_weights_single_observer():
     observers = _weights([(M1.host_asn, (30, 20), P1)])
     assert observers == {(10, P1): 1}  # weight 1/1

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 from test_ingest import _reference_route_tails
 
-from cti import pathprep
+from cti import ingest, pathprep
 from cti.geo import build_geo_table
 from cti.model import (
     Corpus,
@@ -221,6 +221,16 @@ def test_prepare_paths_keeps_input_order_and_splits():
     assert [p.prefix for p in accepted] == [Prefix.parse("10.0.1.0/24"), P]
     assert list(accepted.line_no) == [2, 6]
     assert rejections == [Rejection("paths.txt", 4, LOOP, "ASN repeats non-consecutively")]
+
+
+def test_prepare_paths_keeps_4_byte_line_numbers_when_it_rejects_a_row():
+    monitors = {M_US.id: M_US}
+    lines = ["m1|10.0.1.0/24|10 20 30", "# a comment", "m1|10.0.0.0/24|10 20 30 20"]
+    corpus, _ = ingest.parse_paths(lines, monitors)
+    accepted, rejections = pathprep.prepare_paths(corpus, CLIQUE, frozenset())
+    assert [r.line for r in rejections] == [3]
+    assert (accepted.line_no.typecode, accepted.line_no.itemsize) == ("I", 4)
+    assert list(accepted.line_no) == [1]
 
 
 def test_prepare_paths_copies_the_route_table_only_to_add_a_collapsed_route():

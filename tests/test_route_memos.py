@@ -178,7 +178,8 @@ def _reference_retain(sanitized, country, geo, rels):
 def _reference_kernel(sanitized, rels, geo, country, monitors):
     """The kernel, term by term per path as it was before the (host AS,
     segment) groups, over ``monitors`` (monitors outside the country): its
-    fields as a dict, and the ctin of a member set."""
+    fields as a dict, each W and S as a fraction of L, the products n*d of its
+    counted paths, and the ctin of a member set."""
     active_ids = {m.id for m in monitors}
     counted = []
     for path in sanitized:
@@ -192,7 +193,8 @@ def _reference_kernel(sanitized, rels, geo, country, monitors):
         (path, segment, geo.mass[(path.prefix, country)], observers[(path.monitor.host_asn, path.prefix)])
         for path, segment in counted
     ]
-    lcm = math.lcm(*{n * d for _path, segment, _mass, n in rows for d in range(1, len(segment))})
+    products = {n * d for _path, segment, _mass, n in rows for d in range(1, len(segment))}
+    lcm = math.lcm(*products)
     cells, groups = {}, {}
     for path, segment, mass, n in rows:
         host = path.monitor.host_asn
@@ -213,28 +215,37 @@ def _reference_kernel(sanitized, rels, geo, country, monitors):
         return Fraction(numerator, lcm * geo.country_total(country) * len(monitors))
 
     fields = {
-        "lcm": lcm,
-        "denominator": lcm * geo.country_total(country),
+        "denominator/L": geo.country_total(country),
         "n_monitors": len(monitors),
         "host_monitors": Counter(m.host_asn for m in monitors),
         "n_paths": len(rows),
-        "groups": groups,
-        "cells": cells,
+        "groups": {key: Fraction(weight, lcm) for key, weight in groups.items()},
+        "cells": _over(cells, lcm),
     }
-    return fields, ctin
+    return fields, products, ctin
+
+
+def _over(cells, lcm):
+    """Each cell's numerator as a fraction of ``lcm``."""
+    return {
+        transit: {host: Fraction(numerator, lcm) for host, numerator in row.items()}
+        for transit, row in cells.items()
+    }
 
 
 def _kernel_fields(table):
     """The kernel's fields as ``_reference_kernel`` gives them, its groups
-    keyed (host AS, segment)."""
+    keyed (host AS, segment): L may be any common multiple of the n*d, so
+    each W and S is compared as a fraction of it."""
+    lcm = table.lcm
     groups = {
-        (host, table.segments[segment_ix]): weight
+        (host, table.segments[segment_ix]): Fraction(weight, lcm)
         for segment_ix, weights in table.groups.items()
         for host, weight in weights.items()
     }
-    fields = {name: getattr(table, name) for name in ("lcm", "denominator", "n_monitors")}
+    fields = {"denominator/L": Fraction(table.denominator, lcm), "n_monitors": table.n_monitors}
     fields.update(host_monitors=table.host_monitors, n_paths=len(table))
-    fields.update(groups=groups, cells=table.cells)
+    fields.update(groups=groups, cells=_over(table.cells, lcm))
     return fields
 
 
@@ -332,8 +343,12 @@ def test_grouped_kernel_matches_per_path_terms(corpus, rels, geo):
         # every active monitor, as in the pipeline, and those of one host AS
         for monitors in (active, [m for m in active if m.host_asn != 4]):
             table = cti_core.extract_observations(retained, geo, monitors, country)
-            fields, ctin = _reference_kernel(list(sanitized), rels, geo, country, monitors)
+            fields, products, ctin = _reference_kernel(
+                list(sanitized), rels, geo, country, monitors
+            )
             assert _kernel_fields(table) == fields
+            # L is a common multiple of every counted n*d, not always the least
+            assert all(table.lcm % product == 0 for product in products)
             for members in ({5}, {1, 5}, {3}, {2, 7}, set(ASNS)):
                 assert compute_ctin(frozenset(members), table) == ctin(members)
 
