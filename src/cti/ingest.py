@@ -14,14 +14,13 @@ their errors from the reader; every other file is read through it.
 
 A path or traceroute hop text is judged inline in the row loop as its lead
 AS over a tail (the hops after the first). Routes share tails far more than
-texts, so each distinct tail text is judged once, by ``_judge_hop_text``, the
-one judge of a hop text; a rejected text is judged whole by it, so that its
-first reason wins. ``parse_paths`` judges each distinct hop text once and
-interns the tails of the routes it keeps into ``Corpus.tails``, the one place
-they are interned: sanitizing writes a collapsed route and its tail in the
-raw one's place. ``parse_traceroutes`` keeps no memo of whole hop texts: it
-collapses prepending once per tail text and counts each row under its tail
-and lead AS.
+texts, so each distinct lead token and tail text is judged once, by
+``_judge_hop_text``, the one judge of a hop text; a rejected text is judged
+whole by it, so that its first reason wins. Neither parser keeps a memo of
+whole hop texts. ``parse_paths`` keeps each row as its lead AS and the index
+of its tail in ``Corpus.tails``, where the tails of the routes it keeps are
+interned by value. ``parse_traceroutes`` collapses prepending once per tail
+text and counts each row under its tail and lead AS.
 """
 from __future__ import annotations
 
@@ -43,7 +42,6 @@ from .model import (
     RelKind,
     RelationshipTable,
     Route,
-    RouteTails,
     collapse_prepending,
     intern,
     parse_decimal,
@@ -178,36 +176,31 @@ def parse_paths(
     Rejects (with a log entry) unknown monitors, prefixes longer than /24,
     prefixes on the multi-origin exclusion list, malformed ASN tokens and
     AS-set braces. Identical duplicate (monitor, prefix) rows are silently
-    deduplicated; conflicting duplicates are a hard error. The corpus comes
-    with its routes' tails interned (``Corpus.tails``).
+    deduplicated; conflicting duplicates are a hard error. The tails of the
+    kept routes are interned by value (``Corpus.tails``).
     """
-    corpus = Corpus(monitors=list(monitors.values()), prefixes=[], routes=[])
+    corpus = Corpus(monitors=list(monitors.values()), prefixes=[], tails=[])
     monitor_of = {monitor_id: ix for ix, monitor_id in enumerate(monitors)}
     n_monitors = len(monitor_of)
     rejections: list[Rejection] = []
-    # A corpus repeats each prefix about once per monitor, and each route once
-    # per prefix of its origin. A prefix has one text, so each distinct prefix
-    # text gets one index, and so does each distinct hop text.
+    # A corpus repeats each prefix about once per monitor, so each distinct
+    # prefix text gets one index. A route is its monitor's host AS followed
+    # by the route a neighbour chose, so far fewer tails (the hops after the
+    # first) than hop texts recur, and no memo holds a whole hop text: a hop
+    # text is its lead token, judged once to its AS or a rejection code, over
+    # its tail text, judged once to an index into the tails of the kept
+    # routes, interned by value, or to a code.
     prefix_code: dict[str, int] = {}
-    route_code: dict[str, int] = {}
-    parse_asn = functools.cache(parse_asn_token)
-    # A route is its monitor's host AS followed by the route a neighbour
-    # chose, so far fewer tails (the hops after the first) than hop texts
-    # recur. A new hop text is its lead AS, judged once per token, over its
-    # tail, judged once per distinct text to an index into the tails of the
-    # kept routes, interned by value, or to a rejection code.
-    judge_lead = functools.cache(functools.partial(_judge_hop_text, parse_asn=parse_asn))
+    lead_code: dict[str, int] = {}
     tail_code: dict[str, int] = {}
+    parse_asn = functools.cache(parse_asn_token)
     tail_index: dict[Route, int] = {}
-    tail_table: list[Route] = []
-    route_tail_ix: list[int] = []
-    corpus.tails = RouteTails(tail_table, route_tail_ix)
+    tails = corpus.tails
     # Bit m of kept[p] is set once a row of monitor m toward prefix p is kept.
     # The kept row of a (prefix, monitor) cell is looked up only when a cell
     # repeats.
     kept: list[int] = []
     row_of: dict[int, int] | None = None  # cell -> kept row, from the first repeat on
-    row_lines = corpus.line_no = array("I")
 
     def judge_prefix(text: str) -> int:
         try:
@@ -220,8 +213,18 @@ def parse_paths(
         kept.append(0)
         return len(corpus.prefixes) - 1
 
-    routes = corpus.routes
-    monitor_col, prefix_col, route_col = corpus.monitor_ix, corpus.prefix_ix, corpus.route_ix
+    def judge_lead(text: str) -> int:
+        hops = _judge_hop_text(text, parse_asn)
+        return hops if isinstance(hops, int) else hops[0]
+
+    def judge_tail(text: str) -> int:
+        hops = _judge_hop_text(text, parse_asn) if text else ()
+        return hops if isinstance(hops, int) else intern(hops, tail_index, tails)
+
+    monitor_col, prefix_col, lead_col, tail_col = (
+        corpus.monitor_ix, corpus.prefix_ix, corpus.lead, corpus.tail_ix
+    )
+    row_lines = corpus.line_no
     rows = RowReader("paths", reader, "monitor_id|prefix|hops")
     # one loop over the lines: no row tuple, and no generator resumed per row
     for line_no, line in rows.numbered():
@@ -236,27 +239,32 @@ def parse_paths(
             prefix_ix = prefix_code.get(prefix_text)
             if prefix_ix is None:
                 prefix_ix = prefix_code[prefix_text] = judge_prefix(prefix_text)
-            route_ix = route_code.get(hops_text)
-            if route_ix is None:  # judged inline: no Python frame per hop text
+            # Split at the first space. A lead key is a token, with no
+            # whitespace, and no tail key starts with any, so a hit on both
+            # means the text is one token, one space and a tail text, which
+            # is what split(None, 1) reads; a tab, a run of spaces or a
+            # leading space misses, and is read by it.
+            lead_text, _space, tail_text = hops_text.partition(" ")
+            lead = lead_code.get(lead_text)
+            tail_ix = tail_code.get(tail_text)
+            if lead is None or tail_ix is None:  # judged inline: no Python frame per row
                 lead_tail = hops_text.split(None, 1)
-                lead = judge_lead(lead_tail[0]) if lead_tail else EMPTY_PATH
-                if not isinstance(lead, int):
+                lead = tail_ix = EMPTY_PATH
+                if lead_tail:
+                    lead_text = lead_tail[0]
+                    lead = lead_code.get(lead_text)
+                    if lead is None:
+                        lead = lead_code[lead_text] = judge_lead(lead_text)
+                if lead > 0:  # a rejected lead interns no tail
                     tail_text = lead_tail[1] if len(lead_tail) > 1 else ""
                     tail_ix = tail_code.get(tail_text)
                     if tail_ix is None:
-                        tail = _judge_hop_text(tail_text, parse_asn) if tail_text else ()
-                        tail_ix = tail_code[tail_text] = (
-                            tail if isinstance(tail, int) else intern(tail, tail_index, tail_table)
-                        )
-                    if tail_ix >= 0:
-                        route_ix = len(routes)
-                        routes.append(lead + tail_table[tail_ix])
-                        route_tail_ix.append(tail_ix)
-                if route_ix is None:  # judged whole, so that its first reason wins
-                    route_ix = _judge_hop_text(hops_text, parse_asn)
-                route_code[hops_text] = route_ix
-            if monitor_ix < 0 or prefix_ix < 0 or route_ix < 0:
-                reason = "unknown monitor" if monitor_ix < 0 else _reason(prefix_ix, route_ix)
+                        tail_ix = tail_code[tail_text] = judge_tail(tail_text)
+            if monitor_ix < 0 or prefix_ix < 0 or lead < 0 or tail_ix < 0:
+                route_code = 0  # judged whole, so that its first reason wins
+                if lead < 0 or tail_ix < 0:
+                    route_code = _judge_hop_text(hops_text, parse_asn)
+                reason = "unknown monitor" if monitor_ix < 0 else _reason(prefix_ix, route_code)
                 rejections.append(Rejection(FILE_NAMES["paths"], line_no, reason, line))
                 continue
             mask, bit = kept[prefix_ix], 1 << monitor_ix
@@ -267,7 +275,8 @@ def parse_paths(
                         for row, (m, p) in enumerate(zip(monitor_col, prefix_col))
                     }
                 row = row_of[prefix_ix * n_monitors + monitor_ix]
-                if routes[route_col[row]] != routes[route_ix]:
+                # tails are interned by value, so equal routes have equal columns
+                if lead_col[row] != lead or tail_col[row] != tail_ix:
                     raise ValueError(
                         f"conflicting paths for ({monitor_id}, {corpus.prefixes[prefix_ix]}) "
                         f"at lines {row_lines[row]} and {line_no}"
@@ -275,10 +284,11 @@ def parse_paths(
                 continue  # identical duplicate
             kept[prefix_ix] = mask | bit
             if row_of is not None:
-                row_of[prefix_ix * n_monitors + monitor_ix] = len(route_col)
+                row_of[prefix_ix * n_monitors + monitor_ix] = len(lead_col)
             monitor_col.append(monitor_ix)
             prefix_col.append(prefix_ix)
-            route_col.append(route_ix)
+            lead_col.append(lead)
+            tail_col.append(tail_ix)
             row_lines.append(line_no)
         except ValueError as exc:
             raise rows.at_line(line_no, exc) from None

@@ -13,9 +13,9 @@ in C: a ``Prefix`` is hashed at every address-mass lookup. Like tuples, a
 record equals any tuple of the same field values, a record of another type
 included; the program never mixes them in one container. The named tuple's
 ``_make`` and ``_replace`` skip that validation; nothing calls them. A path
-corpus is a ``Corpus`` of integer rows, not one record per row, a traceroute
-corpus is a count per route, and a relationship is the stored ``(a, b)`` pair
-with its kind.
+corpus is a ``Corpus`` of 4-byte integer columns, not one record per row, a
+traceroute corpus is a count per route, and a relationship is the stored
+``(a, b)`` pair with its kind.
 
 Every CSV report is written by ``csv_text``. Each kind of field is read by
 one strict parser: ``Prefix.parse``, ``parse_decimal`` and ``parse_fraction``.
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 import re
+from array import array
 from collections import namedtuple
 from dataclasses import dataclass, field
 from enum import Enum
@@ -195,48 +196,42 @@ def collapse_prepending(hops: Route) -> Route:
     return tuple(asn for i, asn in enumerate(hops) if i == 0 or hops[i - 1] != asn)
 
 
-class RouteTails(NamedTuple):
-    """Each route of a table after its first hop: route r's tail is
-    ``table[ix[r]]`` (once sanitized, for each route that a row keeps). A
-    monitor's route is its host AS followed by the route its neighbour chose,
-    so monitors that share a neighbour share a tail, which the parser
-    interns once by value."""
-
-    table: list[Route]
-    ix: list[int]
+def _column() -> array:
+    return array("I")
 
 
 @dataclass
 class Corpus:
-    """A path corpus as integer columns over interned tables: row i is
-    monitor ``monitors[monitor_ix[i]]``'s route ``routes[route_ix[i]]`` toward
+    """A path corpus as five ``array("I")`` columns over interned tables: row
+    i is monitor ``monitors[monitor_ix[i]]``'s route toward
     ``prefixes[prefix_ix[i]]``, read from ``paths.txt`` line ``line_no[i]``.
-    Each distinct prefix is stored once, and each route once per distinct
-    text it was read from (by the parser) or once per (host AS, origin) (by
-    the generator), so a row is four ints and no object. Indexing and
-    iterating give rows as ``PathRecord``s, a new record each time.
-    ``tails`` holds the route table's ``RouteTails``: ``ingest.parse_paths``
-    interns them, ``pathprep.prepare_paths`` carries them on (a collapsed
-    route takes its raw route's place), and a corpus built otherwise (by the
-    generator, say) has none."""
+    A route is its first hop, ``lead[i]``, over the tail ``tails[tail_ix[i]]``
+    (the hops after the first): a monitor's route is its host AS followed by
+    the route its neighbour chose, so monitors that share a neighbour share a
+    tail. Each distinct prefix is stored once, and each tail once by value
+    (by the parser and the generator), so a row is five 4-byte ints and no
+    object. Indexing and iterating give rows as ``PathRecord``s, a new record
+    and route each time. ``pathprep.prepare_paths`` writes a collapsed tail
+    in its raw tail's place, so a sanitized table can hold one value at
+    several indexes."""
 
     monitors: Sequence[MonitorId]
     prefixes: list[Prefix]
-    routes: list[Route]
-    monitor_ix: list[int] = field(default_factory=list)
-    prefix_ix: list[int] = field(default_factory=list)
-    route_ix: list[int] = field(default_factory=list)
-    line_no: Sequence[int] = field(default_factory=list)
-    tails: RouteTails | None = field(default=None, compare=False, repr=False)
+    tails: list[Route]
+    monitor_ix: array = field(default_factory=_column)
+    prefix_ix: array = field(default_factory=_column)
+    lead: array = field(default_factory=_column)
+    tail_ix: array = field(default_factory=_column)
+    line_no: Sequence[int] = field(default_factory=_column)
 
     def __len__(self) -> int:
-        return len(self.route_ix)
+        return len(self.lead)
 
     def __getitem__(self, row: int) -> PathRecord:
         return PathRecord(
             self.monitors[self.monitor_ix[row]],
             self.prefixes[self.prefix_ix[row]],
-            self.routes[self.route_ix[row]],
+            (self.lead[row], *self.tails[self.tail_ix[row]]),
         )
 
     def __iter__(self) -> Iterator[PathRecord]:

@@ -5,6 +5,12 @@ poisoned paths rejected), filtered to inbound-eligible monitors, and
 truncated at the topological peak: the farthest provider-to-customer link
 when scanning from the origin outward. Everything above the peak, including
 peers of the peak provider, is discarded.
+
+Both stages read a ``Corpus`` by its columns, with no record per row and no
+table of routes: sanitizing judges each distinct tail once, picks out in C
+the rows whose lead AS or host AS that verdict cannot speak for, and judges
+each of their routes once; retention judges each tail, or each route that
+its host AS does not lead, once per distinct hops value.
 """
 from __future__ import annotations
 
@@ -16,7 +22,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .geo import GeoTable
 from .ingest import FILE_NAMES
-from .model import Corpus, Prefix, Rejection, RelationshipTable, Route, RouteTails
+from .model import Corpus, Prefix, Rejection, RelationshipTable, Route
 from .model import collapse_prepending, intern
 
 # The categories of a path's Rejection
@@ -123,74 +129,103 @@ def prepare_paths(
     reserved: frozenset[int],
 ) -> tuple[Corpus, list[Rejection]]:
     """Sanitize a corpus: the kept rows with their collapsed routes, and one
-    rejection per other row, both in input order. A collapsed route takes its
-    raw route's place, and the tails are always carried. The result shares
-    the monitor and prefix tables, the route and tail tables when no route
-    collapsed, and each column that no rejection changed."""
-    routes, route_col, monitor_col = corpus.routes, corpus.route_ix, corpus.monitor_ix
-    table, tail_of = corpus.tails
+    rejection per other row, both in input order. A collapsed tail takes its
+    raw tail's place. The result shares the monitor and prefix tables, the
+    tail table when no route collapsed, and each column that no rejection
+    changed."""
+    tails, lead_col, tail_col = corpus.tails, corpus.lead, corpus.tail_ix
+    monitor_col = corpus.monitor_ix
+    host_asns = [monitor.host_asn for monitor in corpus.monitors]
     # A route is judged as its tail is, with the lead AS in front, unless the
     # lead is reserved, reappears in the tail, or is a clique AS that wedges
     # the tail's first hop, a non-clique AS, between itself and a later clique
-    # AS. Those routes, the misses, are judged whole. Only a miss or a route
-    # whose tail did not stay as it is can change.
-    tail_verdicts = [sanitize_route(NO_HOST, tail, clique, reserved) for tail in table]
-    # From the first collapse on, sanitized.routes is a copy of the raw routes
-    # with each collapsed route in its raw route's place, and sanitized.tails
-    # a copy of the raw tails with each kept tail's verdict in its place (a
-    # rejected tail's routes lose their rows). A miss that collapses appends
-    # its own tail, which its lead AS can change: 3 3 5 6 over the tail 3 5 6.
-    sanitized = Corpus(corpus.monitors, corpus.prefixes, routes, tails=corpus.tails)
-    rejected: dict[int, RouteRejection] = {}  # route index -> why its rows go
-    for route_ix, (route, tail_ix) in enumerate(zip(routes, tail_of)):
-        lead, tail, verdict = route[0], table[tail_ix], tail_verdicts[tail_ix]
-        if verdict is tail and lead not in clique and lead not in reserved and lead not in tail:
-            continue  # kept as it is, as its tail is
-        miss = lead in reserved or lead in tail or (
-            lead in clique and not clique.isdisjoint(tail) and tail[0] not in clique
-        )
-        if miss:
-            verdict = sanitize_route(NO_HOST, route, clique, reserved)
-        elif verdict is tail:
-            continue
-        elif not isinstance(verdict, RouteRejection):
-            verdict = (lead, *verdict)
+    # AS. Those routes, the misses, are judged whole, once per (lead, tail).
+    tail_verdicts = [sanitize_route(NO_HOST, tail, clique, reserved) for tail in tails]
+    # From the first collapse on, kept_tails is a copy of the raw tails with
+    # each kept tail's verdict in its place (a rejected tail's routes lose
+    # their rows). A miss that collapses appends its own tail, which its lead
+    # AS can change: 3 3 5 6 over the tail 3 5 6.
+    verdicts = list(zip(tail_verdicts, tails))
+    kept_tails = tails
+    if any(v is not tail and not isinstance(v, RouteRejection) for v, tail in verdicts):
+        kept_tails = [tail if isinstance(v, RouteRejection) else v for v, tail in verdicts]
+    # The lead ASes under which a tail's verdict does not hold: a route
+    # whose lead is one of them, a miss, is judged whole. They are the
+    # tail's ASes (a row its host AS leads is a Loop, or collapses, exactly
+    # when its lead reappears), the reserved ASes, and the clique when the
+    # tail's first hop could be wedged. Most tails need only themselves.
+    reserved_asns, clique_asns = tuple(reserved), tuple(clique)
+
+    def miss_leads_of(tail: Route) -> Route:
+        if tail and tail[0] not in clique and not clique.isdisjoint(tail):
+            return tail + reserved_asns + clique_asns
+        return tail + reserved_asns if reserved_asns else tail
+
+    miss_leads = list(map(miss_leads_of, tails))
+    # The rows that may change, picked out in C: the misses, the rows of a
+    # rejected tail, and a row whose host AS follows the first hop. That
+    # host AS is in a row's tail when its host leads the row only if the
+    # row is a miss, so it is tested apart only for rows led by another AS.
+    hosts = array("I", map(host_asns.__getitem__, monitor_col))
+    flags = map(contains, map(miss_leads.__getitem__, tail_col), lead_col)
+    if hosts != lead_col:
+        flags = map(or_, flags, map(contains, map(tails.__getitem__, tail_col), hosts))
+    rejected_tails = [isinstance(verdict, RouteRejection) for verdict in tail_verdicts]
+    if any(rejected_tails):
+        flags = map(or_, flags, map(rejected_tails.__getitem__, tail_col))
+    misses: dict[tuple[int, int], RouteRejection | int] = {}  # (lead, tail) -> verdict
+    changed: dict[int, RouteRejection | int] = {}  # row -> why it goes, or its moved tail
+    for row in compress(range(len(corpus)), flags):
+        host, lead, tail_ix = hosts[row], lead_col[row], tail_col[row]
+        verdict, kept_ix = tail_verdicts[tail_ix], tail_ix
+        if lead in miss_leads[tail_ix]:
+            miss = misses.get((lead, tail_ix))
+            if miss is None:
+                route = (lead, *tails[tail_ix])
+                miss = sanitize_route(NO_HOST, route, clique, reserved)
+                if not isinstance(miss, RouteRejection):
+                    if miss is route:
+                        miss = tail_ix
+                    else:
+                        if kept_tails is tails:
+                            kept_tails = list(tails)
+                        kept_tails.append(miss[1:])
+                        miss = len(kept_tails) - 1
+                misses[(lead, tail_ix)] = miss
+            verdict = kept_ix = miss
         if isinstance(verdict, RouteRejection):
-            rejected[route_ix] = verdict
-        elif verdict is not route:
-            if sanitized.routes is routes:  # the first collapse
-                verdicts = zip(tail_verdicts, table)
-                kept_tails = [raw if isinstance(v, RouteRejection) else v for v, raw in verdicts]
-                sanitized.routes = list(routes)
-                sanitized.tails = RouteTails(kept_tails, list(tail_of))
-            sanitized.routes[route_ix] = verdict
-            if miss:
-                sanitized.tails.ix[route_ix] = len(sanitized.tails.table)
-                sanitized.tails.table.append(verdict[1:])
-    # a row is rejected with its route, or for its host AS after the first hop
-    host_asns = [monitor.host_asn for monitor in corpus.monitors]
-    route_tails = list(map(sanitized.tails.table.__getitem__, sanitized.tails.ix))
-    row_tails = map(route_tails.__getitem__, route_col)
-    flags = map(contains, row_tails, map(host_asns.__getitem__, monitor_col))
-    if rejected:
-        flags = map(or_, flags, map(rejected.__contains__, route_col))
-    rejected_rows = list(compress(range(len(corpus)), flags))
+            changed[row] = verdict
+        elif host in kept_tails[kept_ix]:  # the host AS after the first hop
+            reason = f"monitor host ASN {host} after the first hop"
+            changed[row] = RouteRejection(LOOP, reason)
+        elif kept_ix != tail_ix:
+            changed[row] = kept_ix
+    sanitized = Corpus(
+        corpus.monitors,
+        corpus.prefixes,
+        kept_tails,
+        monitor_col,
+        corpus.prefix_ix,
+        lead_col,
+        tail_col,
+        corpus.line_no,
+    )
     rejections: list[Rejection] = []
-    columns = (monitor_col, corpus.prefix_ix, route_col)
-    line_col = corpus.line_no
+    moved = [(row, ix) for row, ix in changed.items() if not isinstance(ix, RouteRejection)]
+    if moved:
+        sanitized.tail_ix = tail_col = array("I", tail_col)
+        for row, ix in moved:
+            tail_col[row] = ix
+    rejected_rows = [row for row, why in changed.items() if isinstance(why, RouteRejection)]
     if rejected_rows:
-        file = FILE_NAMES["paths"]
-        for row in rejected_rows:
-            host_asn = host_asns[monitor_col[row]]
-            reason = f"monitor host ASN {host_asn} after the first hop"
-            verdict = rejected.get(route_col[row]) or RouteRejection(LOOP, reason)
-            rejections.append(Rejection(file, line_col[row], *verdict))
-        kept_rows = list(filterfalse(set(rejected_rows).__contains__, range(len(corpus))))
-        columns = tuple(list(map(column.__getitem__, kept_rows)) for column in columns)
-        # a 4-byte line number per kept row, as the parser keeps them
-        line_col = array("I", map(line_col.__getitem__, kept_rows))
-    sanitized.monitor_ix, sanitized.prefix_ix, sanitized.route_ix = columns
-    sanitized.line_no = line_col
+        file, line_col = FILE_NAMES["paths"], corpus.line_no
+        rejections = [Rejection(file, line_col[row], *changed[row]) for row in rejected_rows]
+        kept_rows = array("I", filterfalse(set(rejected_rows).__contains__, range(len(corpus))))
+        # 4-byte columns, as the parser keeps them
+        columns = (monitor_col, corpus.prefix_ix, lead_col, tail_col, line_col)
+        kept = [array("I", map(column.__getitem__, kept_rows)) for column in columns]
+        sanitized.monitor_ix, sanitized.prefix_ix, sanitized.lead, sanitized.tail_ix = kept[:4]
+        sanitized.line_no = kept[4]
     return sanitized, rejections
 
 
@@ -203,20 +238,22 @@ def retain_for_country(
     """Peak truncation of the inbound paths toward one country: those seen
     from outside it, toward prefixes with address mass in it. Rows and
     rejections keep the order of ``sanitized``."""
-    routes, (table, tail_of) = sanitized.routes, sanitized.tails
+    tails = sanitized.tails
     outside = [monitor.country != dest_country for monitor in sanitized.monitors]
     has_mass = [bool(geo.mass.get((prefix, dest_country))) for prefix in sanitized.prefixes]
     host_index: dict[int, int] = {}
     hosts: list[int] = []
     host_of = [intern(monitor.host_asn, host_index, hosts) for monitor in sanitized.monitors]
+    host_asn_of = [monitor.host_asn for monitor in sanitized.monitors]
     n_hosts = len(hosts)
     outside_monitors = [0] * n_hosts
     for host_ix, is_outside in zip(host_of, outside):
         outside_monitors[host_ix] += is_outside
     # A verdict is coded segment index * n_hosts, or ~k for the k-th distinct
-    # rejection, once per judge key (a tail index k, or a route index r as
-    # ~r) and, on a key's first sight, once per distinct hops value: after a
-    # collapse the tails table can hold one value at several indexes.
+    # rejection, once per judge key (a tail index t, or a route (lead l, tail
+    # t) as ~(t << 32 | l)) and, on a key's first sight, once per distinct
+    # hops value: after a collapse the tails table can hold one value at
+    # several indexes.
     segments: list[Route] = []
     segment_index: dict[Route, int] = {}
     rejected: list[RouteRejection] = []
@@ -227,16 +264,15 @@ def retain_for_country(
     prefix_ixs = array("I")
     rejections: list[Rejection] = []
     file = FILE_NAMES["paths"]
-    rows = zip(sanitized.monitor_ix, sanitized.prefix_ix, sanitized.route_ix, sanitized.line_no)
-    for monitor_ix, prefix_ix, route_ix, line in rows:
+    columns = (sanitized.monitor_ix, sanitized.prefix_ix, sanitized.lead, sanitized.tail_ix)
+    for monitor_ix, prefix_ix, lead, tail_ix, line in zip(*columns, sanitized.line_no):
         if not (outside[monitor_ix] and has_mass[prefix_ix]):
             continue
-        host_ix = host_of[monitor_ix]
         # a row led by its own host AS takes its tail's segment, any other row its route's
-        key = tail_of[route_ix] if routes[route_ix][0] == hosts[host_ix] else ~route_ix
+        key = tail_ix if lead == host_asn_of[monitor_ix] else ~(tail_ix << 32 | lead)
         code = code_of_key.get(key)
         if code is None:
-            hops = table[key] if key >= 0 else routes[route_ix]
+            hops = tails[tail_ix] if key >= 0 else (lead, *tails[tail_ix])
             code = code_of_hops.get(hops)
             if code is None:
                 verdict = peak_segment(NO_HOST, hops, rels)
@@ -250,7 +286,7 @@ def retain_for_country(
         if code < 0:
             rejections.append(Rejection(file, line, *rejected[~code]))
         else:
-            groups.append(code + host_ix)
+            groups.append(code + host_of[monitor_ix])
             prefix_ixs.append(prefix_ix)
     retained = Retained(sanitized.prefixes, hosts, segments, groups, prefix_ixs, outside_monitors)
     return retained, rejections

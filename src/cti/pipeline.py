@@ -20,12 +20,12 @@ from .model import ComputationError, Corpus, MetricReport, Prefix, Rejection, Re
 def derive_origins(sanitized: Corpus) -> dict[Prefix, int]:
     """Origin map from the sanitized corpus; multi-origin prefixes must have
     been excluded upstream, so disagreement here is a hard error."""
-    route_origin = [route[-1] for route in sanitized.routes]
+    # a row's origin is its tail's last hop, or its lead AS when the tail is empty
+    tail_origin = {tail_ix: tail[-1] for tail_ix, tail in enumerate(sanitized.tails) if tail}
+    origins = map(tail_origin.get, sanitized.tail_ix, sanitized.lead)
     origin_of: dict[int, int] = {}  # prefix index -> origin AS
     # each distinct (prefix, origin) pair in the order of its first row
-    for prefix_ix, origin in dict.fromkeys(
-        zip(sanitized.prefix_ix, map(route_origin.__getitem__, sanitized.route_ix))
-    ):
+    for prefix_ix, origin in dict.fromkeys(zip(sanitized.prefix_ix, origins)):
         existing = origin_of.setdefault(prefix_ix, origin)
         if existing != origin:
             raise ComputationError(

@@ -22,6 +22,7 @@ import functools
 import heapq
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -373,46 +374,69 @@ def propagate_routes(topo: SynthTopology) -> Corpus:
     in prefix order, then monitor order.
 
     Only the routes of the monitor host ASes and their providers are
-    computed. The corpus's route table holds each (host AS, origin) route
-    once: every monitor of a host AS, toward every prefix of an origin,
-    shares it."""
+    computed. A host AS leads each of its routes, and each (host AS, origin)
+    route's tail is interned into the corpus's tails by value once: every
+    monitor of a host AS, toward every prefix of an origin, shares it, and
+    host ASes that share a neighbour's route share its tail."""
     hosts = [monitor.host_asn for monitor in topo.monitors]
     distinct_hosts = list(dict.fromkeys(hosts))
     plan = RoutePlan.of(topo, distinct_hosts)
-    corpus = Corpus(monitors=list(topo.monitors), prefixes=sorted(topo.origin_of), routes=[])
-    # origin -> the monitor-index and route-index columns of each of its prefixes
-    columns: dict[int, tuple[list[int], list[int]]] = {}
-    for prefix_row, prefix in enumerate(corpus.prefixes):
+    prefixes = sorted(topo.origin_of)
+    # each tail value -> its index, in the order of first sight: the tails
+    tail_index: dict[Route, int] = {}
+    intern_tail = tail_index.setdefault
+    every_monitor, every_host = array("I", range(len(hosts))), array("I", hosts)
+    # origin -> the monitor-index, lead and tail-index columns of each of its prefixes
+    columns: dict[int, tuple[array, array, array]] = {}
+    monitor_rows, lead_rows, tail_rows = array("I"), array("I"), array("I")
+    prefix_rows: list[int] = []
+    for prefix_row, prefix in enumerate(prefixes):
         origin = topo.origin_of[prefix]
         if origin not in columns:
             routes = routes_for_prefix(topo, origin, plan)
-            route_row: dict[int, int] = {}  # host AS -> its route's row in the table
+            tail_of = {}  # host AS -> its route's tail index
             for host in distinct_hosts:
                 if host in routes:
-                    route_row[host] = len(corpus.routes)
-                    corpus.routes.append(routes[host])
-            monitor_column = [row for row, host in enumerate(hosts) if host in route_row]
-            columns[origin] = monitor_column, [route_row[hosts[row]] for row in monitor_column]
-        monitor_column, route_column = columns[origin]
-        corpus.monitor_ix += monitor_column
-        corpus.prefix_ix += [prefix_row] * len(monitor_column)
-        corpus.route_ix += route_column
-    corpus.line_no = range(1, len(corpus) + 1)  # the lines emit_files writes the rows on
-    return corpus
+                    tail_of[host] = intern_tail(routes[host][1:], len(tail_index))
+            if len(tail_of) == len(distinct_hosts):  # a row per monitor, as for most origins
+                monitor_column, lead_column = every_monitor, every_host
+            else:
+                rows = [row for row, host in enumerate(hosts) if host in tail_of]
+                monitor_column = array("I", rows)
+                lead_column = array("I", map(hosts.__getitem__, rows))
+            tail_column = array("I", map(tail_of.__getitem__, lead_column))
+            columns[origin] = monitor_column, lead_column, tail_column
+        monitor_column, lead_column, tail_column = columns[origin]
+        monitor_rows.extend(monitor_column)
+        prefix_rows += [prefix_row] * len(monitor_column)
+        lead_rows.extend(lead_column)
+        tail_rows.extend(tail_column)
+    return Corpus(
+        monitors=list(topo.monitors),
+        prefixes=prefixes,
+        tails=list(tail_index),
+        monitor_ix=monitor_rows,
+        prefix_ix=array("I", prefix_rows),
+        lead=lead_rows,
+        tail_ix=tail_rows,
+        line_no=range(1, len(lead_rows) + 1),  # the lines emit_files writes the rows on
+    )
 
 
 def emit_files(topo: SynthTopology, paths: Corpus) -> dict[str, str]:
     """Render the instance in the standard input file formats."""
-    # Each ASN, route, prefix and monitor text is rendered once, and a path
-    # line joins the texts of its row's three table entries.
+    # Each ASN, tail, prefix and monitor text is rendered once, and a path
+    # line joins the texts of its row's monitor, prefix, lead AS and tail.
     asn_text = functools.cache(str)
     monitor_text = [f"{monitor.id}|" for monitor in paths.monitors]
     prefix_text = [f"{prefix}|" for prefix in paths.prefixes]
-    route_text = [" ".join(map(asn_text, hops)) + "\n" for hops in paths.routes]
+    lead_text = {lead: str(lead) for lead in set(paths.lead)}
+    tail_text = [" ".join(("", *map(asn_text, tail))) + "\n" for tail in paths.tails]
+    rows = zip(paths.monitor_ix, paths.prefix_ix, paths.lead, paths.tail_ix)
     paths_text = "".join(
         [
-            monitor_text[m] + prefix_text[p] + route_text[r]
-            for m, p, r in zip(paths.monitor_ix, paths.prefix_ix, paths.route_ix)
+            monitor_text[m] + prefix_text[p] + lead_text[lead] + tail_text[t]
+            for m, p, lead, t in rows
         ]
     )
     rel_lines = sorted(
@@ -462,15 +486,14 @@ def inject_path_anomalies(
     Loops repeat the first hop non-consecutively, prepending duplicates a hop
     consecutively (harmless after collapse), and poisoning wedges a
     non-clique AS between two clique ASes. Each path is mutated at most once.
-    The copy shares the input's monitor and prefix tables; each mutated path
-    gets its own new entry in the copy's route table, and the input is left
-    as it was.
+    The copy shares the input's monitor and prefix tables and copies its
+    tails; each mutated path gets its own new entry in the copy's tails,
+    which are then not interned by value, and the input is left as it was.
     """
     rng = random.Random(seed)
-    routes = list(paths.routes)
-    route_ix = list(paths.route_ix)
-    mutable = [len(set(hops)) >= 2 for hops in routes]
-    eligible = [row for row, ix in enumerate(route_ix) if mutable[ix]]
+    tails, leads, tail_col = list(paths.tails), array("I", paths.lead), array("I", paths.tail_ix)
+    rows = enumerate(zip(leads, tail_col))
+    eligible = [row for row, (lead, t) in rows if len({lead, *tails[t]}) >= 2]  # two distinct ASes
     needed = n_loops + n_prepends + n_poisons
     if len(eligible) < needed:
         raise ComputationError(
@@ -483,20 +506,24 @@ def inject_path_anomalies(
     prepend_targets = set(targets[n_loops : n_loops + n_prepends])
     poison_targets = set(targets[n_loops + n_prepends :])
 
+    def route(row: int) -> Route:
+        return (leads[row], *tails[tail_col[row]])
+
     def mutate(row: int, hops: Route) -> None:
-        route_ix[row] = len(routes)
-        routes.append(hops)
+        leads[row] = hops[0]
+        tail_col[row] = len(tails)
+        tails.append(hops[1:])
 
     for row in sorted(loop_targets):
-        hops = routes[route_ix[row]]
+        hops = route(row)
         mutate(row, hops + (hops[0],))
     for row in sorted(prepend_targets):
-        hops = routes[route_ix[row]]
+        hops = route(row)
         at = rng.randrange(len(hops))
         mutate(row, hops[: at + 1] + (hops[at],) + hops[at + 1 :])
     clique_sorted = sorted(clique)
     for row in sorted(poison_targets):
-        hops = routes[route_ix[row]]
+        hops = route(row)
         ca, cb = rng.sample(clique_sorted, 2)
         wedge = next(h for h in hops if h not in clique)
         tail = tuple(h for h in hops if h not in (ca, cb, wedge))
@@ -505,10 +532,11 @@ def inject_path_anomalies(
     mutated = Corpus(
         monitors=paths.monitors,
         prefixes=paths.prefixes,
-        routes=routes,
-        monitor_ix=list(paths.monitor_ix),
-        prefix_ix=list(paths.prefix_ix),
-        route_ix=route_ix,
+        tails=tails,
+        monitor_ix=array("I", paths.monitor_ix),
+        prefix_ix=array("I", paths.prefix_ix),
+        lead=leads,
+        tail_ix=tail_col,
         line_no=paths.line_no,
     )
     manifest = {"Loop": n_loops, "Prepending": n_prepends, "Poisoned": n_poisons}

@@ -23,7 +23,6 @@ from cti.model import (
 )
 from cti.pathprep import prepare_paths, retain_for_country
 from cti.synth_oracle import SynthParams
-from test_ingest import _reference_route_tails
 from test_pathprep import retained_of
 
 ORACLE_SEEDS = range(1, 501)
@@ -313,7 +312,6 @@ def test_criterion_8_path_hygiene_matches_injection_manifest(tmp_path):
             mutated, manifest = synth_oracle.inject_path_anomalies(
                 paths, topo.clique, seed=seed, n_loops=3, n_prepends=4, n_poisons=2
             )
-            mutated.tails = _reference_route_tails(mutated.routes)  # as the parser would
             accepted, rejections = prepare_paths(mutated, topo.clique, frozenset())
             injected = _injected_rows([p.hops for p in paths], [p.hops for p in mutated])
             _check_hygiene(rejections, injected, manifest)

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cti import ingest, pipeline, synth_oracle, transit_dominance
-from cti.model import MonitorId, ParseError, PathRecord, Prefix, Rejection, RelKind, RouteTails
+from cti.model import MonitorId, ParseError, PathRecord, Prefix, Rejection, RelKind
 
 MONITORS = {
     "m1": MonitorId("m1", 10, "US"),
@@ -572,6 +572,31 @@ def test_load_bundle_streams_its_files(tmp_path):
     assert peak - end < (end - start) / 2
 
 
+# Bytes per path row that the corpus of parse_paths may keep. On the 6,784-path
+# generated instance a route table with list columns kept 91 bytes per row,
+# and five array("I") columns over the interned tails keep 38.
+CORPUS_BYTES_PER_ROW = 45
+
+
+def test_parse_paths_keeps_five_4_byte_columns_per_row(tmp_path):
+    _generated_instance(tmp_path)
+    monitors = ingest.parse_monitors(ingest.split_lines((tmp_path / "monitors.csv").read_text()))
+    lines = ingest.split_lines((tmp_path / "paths.txt").read_text(encoding="utf-8"))
+    ingest.parse_paths(lines, monitors)  # first-call caches are not the corpus's
+    gc.collect()
+    if tracing := not tracemalloc.is_tracing():
+        tracemalloc.start()
+    try:
+        start, _peak = tracemalloc.get_traced_memory()
+        corpus, rejections = ingest.parse_paths(lines, monitors)
+        end, _peak = tracemalloc.get_traced_memory()
+    finally:
+        if tracing:
+            tracemalloc.stop()
+    assert len(corpus) == 6784 and not rejections
+    assert end - start < CORPUS_BYTES_PER_ROW * len(corpus)
+
+
 # Bytes per trace row that parse_traceroutes may peak above its start. On the
 # 6,784-path generated instance it peaked 122 bytes per row with a memo per
 # distinct hop text, and 79 bytes with a memo per distinct tail text only.
@@ -599,44 +624,62 @@ def test_parse_traceroutes_keeps_no_memo_per_hop_text(tmp_path):
     assert peak - start < TRACE_BYTES_PER_ROW * rows
 
 
-def _reference_route_tails(routes):
-    """Each route's tail (its hops after the first) interned by value, in the
-    order of their first routes, as ``parse_paths`` interns them."""
-    index = {}
-    tail_ix = [index.setdefault(route[1:], len(index)) for route in routes]
-    return RouteTails(list(index), tail_ix)
+def _reference_tails(hop_texts):
+    """The tails (the hops after the first) of the hop texts that parse whole,
+    each value once, in the order of its first text, as ``parse_paths``
+    interns them: a text with a bad token interns none."""
+    tails = {}
+    for text in hop_texts:
+        try:
+            hops = tuple(map(ingest.parse_asn_token, text.split()))
+        except ValueError:
+            continue
+        if hops:
+            tails.setdefault(hops[1:])
+    return list(tails)
+
+
+def _hop_texts(lines):
+    """The hop text of each data line with three fields."""
+    splits = (line.split("|") for _line_no, line in _data_lines(lines))
+    return [fields[2] for fields in splits if len(fields) == 3]
 
 
 def test_the_parsed_tails_of_a_generated_instance_are_the_interned_tails(tmp_path):
     _generated_instance(tmp_path)
     corpus = ingest.load_bundle(str(tmp_path)).paths
-    assert corpus.tails == _reference_route_tails(corpus.routes)
-    assert len(corpus.tails.table) < len(corpus.routes)
+    lines = ingest.split_lines((tmp_path / "paths.txt").read_text(encoding="utf-8"))
+    assert corpus.tails == _reference_tails(_hop_texts(lines))
+    assert len(corpus.tails) < len({path.hops for path in corpus})
 
 
 @pytest.mark.parametrize(
     "hop_texts,tails",
     [
         # a malformed lead over a good tail: the tail of no kept route
-        (["x 20", "10 30", "5 20"], RouteTails([(30,), (20,)], [0, 1])),
-        (["{5} 20", "5 x", "20"], RouteTails([()], [0])),
+        (["x 20", "10 30", "5 20"], ([(30,), (20,)], [0, 1])),
+        (["{5} 20", "5 x", "20"], ([()], [0])),
         # three texts of one tail value
-        (["5 6", "5  06", "5\t6"], RouteTails([(6,)], [0, 0, 0])),
-        (["5", "07"], RouteTails([()], [0, 0])),  # single-hop routes
+        (["5 6", "5  06", "5\t6"], ([(6,)], [0, 0, 0])),
+        (["5", "07"], ([()], [0, 0])),  # single-hop routes
     ],
 )
 def test_the_parsed_tails_are_interned_by_value_for_the_kept_routes(hop_texts, tails):
     lines = [f"m1|10.0.{p}.0/24|{text}" for p, text in enumerate(hop_texts)]
     corpus, _rejections = ingest.parse_paths(lines, MONITORS)
-    assert corpus.tails == tails == _reference_route_tails(corpus.routes)
+    assert (corpus.tails, list(corpus.tail_ix)) == tails
+    assert corpus.tails == _reference_tails(hop_texts)
+    routes = [(lead, *corpus.tails[t]) for lead, t in zip(corpus.lead, corpus.tail_ix)]
+    assert routes == [path.hops for path in corpus]
 
 
 def test_a_clean_corpus_keeps_its_route_column(tmp_path):
     _generated_instance(tmp_path)
     bundle = ingest.load_bundle(str(tmp_path))
     sanitized = pipeline.build_substrate(bundle).sanitized
-    assert sanitized.route_ix is bundle.paths.route_ix
-    assert sanitized.routes is bundle.paths.routes
+    assert sanitized.lead is bundle.paths.lead
+    assert sanitized.tail_ix is bundle.paths.tail_ix
+    assert sanitized.tails is bundle.paths.tails
 
 
 def _data_lines(lines):
@@ -743,7 +786,16 @@ _ASN_TOKEN = st.one_of(
     st.sampled_from(["0", "4294967296", "x", "{10,20}", "²", "١٠", "007"]),
     st.text(alphabet="0123456789 x", max_size=6),
 )
-_HOPS_TEXT = st.lists(_ASN_TOKEN, min_size=1, max_size=3).map(" ".join) | st.just("")
+# tokens joined mostly by one space, the split parse_paths reads at once,
+# and at times by a run of spaces or a tab, or after a leading space, which
+# it reads by str.split
+_SEPARATOR = st.sampled_from([" ", " ", " ", "  ", "\t"])
+_HOPS_TEXT = st.builds(
+    lambda pad, first, rest: pad + first + "".join(sep + token for sep, token in rest),
+    st.sampled_from(["", "", " "]),
+    _ASN_TOKEN,
+    st.lists(st.tuples(_SEPARATOR, _ASN_TOKEN), max_size=2),
+) | st.just("")
 _ROW = st.tuples(st.sampled_from(["m1", "m2", "mX"]), _PREFIX_TEXT, _HOPS_TEXT).map("|".join)
 # whitespace that str.strip removes from the ends of a line
 _PAD = st.text(alphabet=" \t\x0b\x0c\x1c\u3000", min_size=1, max_size=2)
@@ -757,8 +809,28 @@ _LINE = st.one_of(
 _FUZZ = settings(max_examples=300, deadline=None)
 
 
+def _path_examples(test):
+    """``test`` with the rows that split a hop text at its first space at the
+    edges: a lead at the ``array("I")`` ceiling, a single hop, a rejected lead
+    over a good tail (which must intern no tail), one route in two texts (an
+    identical duplicate), two routes of one cell (a conflict), and a tab
+    inside the text before the first space, over a tail text already seen."""
+    cases = [
+        ["m1|10.0.0.0/24|4294967295 20", "m2|10.0.0.0/24|4294967295"],
+        ["m1|10.0.0.0/24|20", "m2|10.0.0.0/24|20"],
+        ["m1|10.0.0.0/24|x 20", "m1|10.0.1.0/24|10 30", "m2|10.0.1.0/24|5 20"],
+        ["m1|10.0.0.0/24|5 6", "m1|10.0.0.0/24|5  6"],
+        ["m1|10.0.0.0/24|5 6", "m1|10.0.0.0/24|5 7"],
+        ["m1|10.0.0.0/24|5 7", "m1|10.0.1.0/24|5\t6 7"],
+    ]
+    for lines in reversed(cases):
+        test = example(lines, False)(test)
+    return test
+
+
 @_FUZZ
 @given(st.lists(_LINE, max_size=16), st.booleans())
+@_path_examples
 def test_parse_paths_matches_row_by_row_reference(lines, exclude):
     multi_origin = frozenset({Prefix.parse("10.0.1.0/24")}) if exclude else frozenset()
     expected = _outcome(_reference_parse_paths, lines, MONITORS, multi_origin)
@@ -767,12 +839,13 @@ def test_parse_paths_matches_row_by_row_reference(lines, exclude):
 
 @_FUZZ
 @given(st.lists(_LINE, max_size=16), st.booleans())
+@_path_examples
 def test_the_parsed_tails_are_the_interned_tails(lines, exclude):
     multi_origin = frozenset({Prefix.parse("10.0.1.0/24")}) if exclude else frozenset()
     parsed = _outcome(ingest.parse_paths, lines, MONITORS, multi_origin)
     if not isinstance(parsed, str):
         corpus, _rejections = parsed
-        assert corpus.tails == _reference_route_tails(corpus.routes)
+        assert corpus.tails == _reference_tails(_hop_texts(lines))
 
 
 @_FUZZ

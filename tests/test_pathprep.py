@@ -2,11 +2,11 @@ from array import array
 from collections import Counter
 
 import pytest
-from test_ingest import _reference_route_tails
 
-from cti import ingest, pathprep
+from cti import ingest, pathprep, pipeline
 from cti.geo import build_geo_table
 from cti.model import (
+    ComputationError,
     Corpus,
     MonitorId,
     PathRecord,
@@ -32,15 +32,15 @@ def line_of(row):
 
 def corpus_of(paths):
     """The paths as a corpus, rows in the given order on lines 2, 4, 6, ...,
-    with its routes' tails interned as the parser interns them."""
-    corpus = Corpus(monitors=[], prefixes=[], routes=[])
-    monitor_index, prefix_index, route_index = {}, {}, {}
+    with its routes' tails interned by value as the parser interns them."""
+    corpus = Corpus(monitors=[], prefixes=[], tails=[])
+    monitor_index, prefix_index, tail_index = {}, {}, {}
     for path in paths:
         corpus.monitor_ix.append(intern(path.monitor, monitor_index, corpus.monitors))
         corpus.prefix_ix.append(intern(path.prefix, prefix_index, corpus.prefixes))
-        corpus.route_ix.append(intern(path.hops, route_index, corpus.routes))
+        corpus.lead.append(path.hops[0])
+        corpus.tail_ix.append(intern(path.hops[1:], tail_index, corpus.tails))
     corpus.line_no = [line_of(row) for row in range(len(corpus))]
-    corpus.tails = _reference_route_tails(corpus.routes)
     return corpus
 
 
@@ -223,6 +223,16 @@ def test_prepare_paths_keeps_input_order_and_splits():
     assert rejections == [Rejection("paths.txt", 4, LOOP, "ASN repeats non-consecutively")]
 
 
+def test_derive_origins_takes_the_lead_of_a_single_hop_route_as_its_origin():
+    p2 = Prefix.parse("10.0.1.0/24")
+    paths = [PathRecord(M_US, P, (20,)), PathRecord(M_CU, P, (10, 20))]
+    paths.append(PathRecord(M_US, p2, (10, 30)))
+    assert pipeline.derive_origins(corpus_of(paths)) == {P: 20, p2: 30}
+    conflicting = corpus_of([PathRecord(M_US, P, (30, 20)), PathRecord(M_CU, P, (30,))])
+    with pytest.raises(ComputationError, match="announced by AS 20 and AS 30;"):
+        pipeline.derive_origins(conflicting)
+
+
 def test_prepare_paths_keeps_4_byte_line_numbers_when_it_rejects_a_row():
     monitors = {M_US.id: M_US}
     lines = ["m1|10.0.1.0/24|10 20 30", "# a comment", "m1|10.0.0.0/24|10 20 30 20"]
@@ -236,18 +246,17 @@ def test_prepare_paths_keeps_4_byte_line_numbers_when_it_rejects_a_row():
 def test_prepare_paths_copies_the_route_table_only_to_add_a_collapsed_route():
     clean = corpus_of([PathRecord(M_US, P, (10, 20, 30))])
     sanitized, _ = pathprep.prepare_paths(clean, CLIQUE, frozenset())
-    assert sanitized.routes is clean.routes and sanitized.route_ix is clean.route_ix
+    assert sanitized.lead is clean.lead and sanitized.tail_ix is clean.tail_ix
     assert sanitized.line_no is clean.line_no and sanitized.tails is clean.tails
     prepended = corpus_of([PathRecord(M_US, P, (10, 20, 20, 30)), PathRecord(M_CU, P, (10, 30))])
     sanitized, _ = pathprep.prepare_paths(prepended, CLIQUE, frozenset())
-    assert prepended.routes == [(10, 20, 20, 30), (10, 30)]
+    assert [path.hops for path in prepended] == [(10, 20, 20, 30), (10, 30)]
     assert list(sanitized) == [PathRecord(M_US, P, (10, 20, 30)), PathRecord(M_CU, P, (10, 30))]
-    # the collapsed route takes its raw route's place: no row is rejected, so
-    # the route column is shared, and the tails follow the routes
-    assert sanitized.routes == [(10, 20, 30), (10, 30)]
-    assert sanitized.route_ix is prepended.route_ix
-    assert prepended.tails.table == [(20, 20, 30), (30,)]
-    assert sanitized.tails.table == [(20, 30), (30,)]
+    # the collapsed tail takes its raw tail's place: no row is rejected, so
+    # the lead and tail columns are shared
+    assert sanitized.lead is prepended.lead and sanitized.tail_ix is prepended.tail_ix
+    assert prepended.tails == [(20, 20, 30), (30,)]
+    assert sanitized.tails == [(20, 30), (30,)]
 
 
 def test_retain_for_country_end_to_end():

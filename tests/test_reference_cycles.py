@@ -90,7 +90,7 @@ def test_collapsing_prepended_routes_makes_no_reference_cycles(collector_paused)
         )
         bundle = ingest.load_bundle_from_texts(synth_oracle.emit_files(topo, paths))
         sub = pipeline.build_substrate(bundle)
-        assert sub.sanitized.routes is not bundle.paths.routes  # a route collapsed
+        assert sub.sanitized.tails is not bundle.paths.tails  # a route collapsed
         for country in COUNTRIES:
             pipeline.build_country_substrate(sub, country)
 

@@ -310,14 +310,15 @@ def test_prepare_paths_matches_per_path_sanitize(corpus):
         sanitized, rejections = pathprep.prepare_paths(raw, CLIQUE, RESERVED)
         kept = list(zip(sanitized.line_no, sanitized))
         assert (kept, rejections) == _reference_prepare(paths)
-        # a kept row keeps its parsed route index, and its route's tail
-        rows = dict(zip(raw.line_no, raw.route_ix))
-        assert sanitized.route_ix == [rows[line] for line in sanitized.line_no]
-        tails = sanitized.tails
-        for route_ix in set(sanitized.route_ix):
-            assert tails.table[tails.ix[route_ix]] == sanitized.routes[route_ix][1:]
+        # a kept row keeps its lead AS, and its tail index unless its route
+        # collapsed as a whole, onto a tail appended after the parsed ones
+        rows = dict(zip(raw.line_no, zip(raw.lead, raw.tail_ix)))
+        for line, lead, tail_ix in zip(sanitized.line_no, sanitized.lead, sanitized.tail_ix):
+            raw_lead, raw_tail_ix = rows[line]
+            assert lead == raw_lead
+            assert tail_ix == raw_tail_ix or tail_ix >= len(raw.tails)
         # a parsed tail's entry is the tail, collapsed or not
-        for tail, entry in zip(raw.tails.table, tails.table):
+        for tail, entry in zip(raw.tails, sanitized.tails):
             assert entry in (tail, collapse_prepending(tail))
 
 
@@ -409,9 +410,9 @@ def test_each_verdict_is_judged_once_per_tail_or_per_route_off_the_tail_rule(mon
 
         monkeypatch.setattr(pathprep, name, counted)
 
-    def keys(corpus):  # the distinct (route, host AS) pairs of the rows
-        rows = zip(corpus.monitor_ix, corpus.route_ix)
-        return {(route_ix, corpus.monitors[m].host_asn) for m, route_ix in rows}
+    def keys(corpus):  # the distinct (lead AS, tail, host AS) triples of the rows
+        rows = zip(corpus.monitor_ix, corpus.lead, corpus.tail_ix)
+        return {(lead, tail_ix, corpus.monitors[m].host_asn) for m, lead, tail_ix in rows}
 
     def is_miss(route):  # a lead AS that the tail's verdict cannot speak for
         lead, tail = route[0], route[1:]
@@ -427,7 +428,8 @@ def test_each_verdict_is_judged_once_per_tail_or_per_route_off_the_tail_rule(mon
     for paths in (clean, prepended):
         calls.clear()
         bundle = ingest.load_bundle_from_texts(so.emit_files(topo, paths))
-        routes, clique = bundle.paths.routes, bundle.aux.clique
+        parsed, clique = bundle.paths, bundle.aux.clique
+        routes = {(lead, *parsed.tails[t]) for lead, t in set(zip(parsed.lead, parsed.tail_ix))}
         tails = {route[1:] for route in routes}
         misses = [route for route in routes if is_miss(route)]
         assert any(route[0] in clique for route in routes)  # clique leads take the tail rule
@@ -439,12 +441,12 @@ def test_each_verdict_is_judged_once_per_tail_or_per_route_off_the_tail_rule(mon
             assert sanitized.tails is bundle.paths.tails  # interned once, kept for retention
 
         led_elsewhere = {
-            route_ix
-            for m, route_ix in zip(sanitized.monitor_ix, sanitized.route_ix)
-            if sanitized.routes[route_ix][0] != sanitized.monitors[m].host_asn
+            (lead, tail_ix)
+            for m, lead, tail_ix in zip(sanitized.monitor_ix, sanitized.lead, sanitized.tail_ix)
+            if lead != sanitized.monitors[m].host_asn
         }
-        entries = {sanitized.tails.ix[route_ix] for route_ix in set(sanitized.route_ix)}
-        tails = set(map(sanitized.tails.table.__getitem__, entries))  # by value
+        entries = set(sanitized.tail_ix)
+        tails = set(map(sanitized.tails.__getitem__, entries))  # by value
         if paths is prepended:
             assert len(tails) < len(entries)
         for country in ("AA", "BB"):

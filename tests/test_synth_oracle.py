@@ -180,16 +180,17 @@ def test_injection_leaves_its_input_as_it_was_and_shares_its_tables():
     topo = so.generate_topology(11)
     paths = so.propagate_routes(topo)
     before = list(paths)
-    columns = (list(paths.routes), paths.monitor_ix[:], paths.prefix_ix[:], paths.route_ix[:])
+    columns = (list(paths.tails), paths.monitor_ix[:], paths.prefix_ix[:])
+    columns += (paths.lead[:], paths.tail_ix[:])
     mutated, _manifest = so.inject_path_anomalies(
         paths, topo.clique, seed=5, n_loops=2, n_prepends=3, n_poisons=1
     )
     assert list(paths) == before
-    assert (paths.routes, paths.monitor_ix, paths.prefix_ix, paths.route_ix) == columns
+    assert (paths.tails, paths.monitor_ix, paths.prefix_ix, paths.lead, paths.tail_ix) == columns
     assert mutated.monitors is paths.monitors
     assert mutated.prefixes is paths.prefixes
-    assert mutated.routes[: len(paths.routes)] == paths.routes
-    assert len(mutated.routes) == len(paths.routes) + 6
+    assert mutated.tails[: len(paths.tails)] == paths.tails
+    assert len(mutated.tails) == len(paths.tails) + 6
 
 
 def test_injection_needs_two_clique_ases_for_poisoning():
@@ -376,9 +377,14 @@ def test_the_route_table_holds_one_route_per_host_and_origin():
             expected |= {
                 (monitor.host_asn, origin) for monitor in topo.monitors if monitor.host_asn in routes
             }
-        pairs = [(route[0], route[-1]) for route in corpus.routes]
+        # each (host AS, origin) route is one lead AS over one interned tail
+        routes = set(zip(corpus.lead, corpus.tail_ix))
+        pairs = [(lead, (lead, *corpus.tails[tail_ix])[-1]) for lead, tail_ix in routes]
         assert len(pairs) == len(set(pairs)), topo.seed
         assert set(pairs) == expected, topo.seed
+        # and each tail value is interned once, for some row
+        tails = corpus.tails
+        assert len(set(tails)) == len(tails) == len({tail_ix for _lead, tail_ix in routes})
 
 
 def test_a_monitor_whose_host_has_no_route_gets_no_rows():
@@ -750,7 +756,7 @@ def test_the_pipeline_equals_the_oracle_on_prepended_instances():
         files = so.emit_files(topo, paths)
         bundle = ingest.load_bundle_from_texts(files, ingest.METRIC_FILES)
         sub = pipeline.build_substrate(bundle)
-        assert sub.sanitized.routes is not bundle.paths.routes, seed  # a route collapsed
+        assert sub.sanitized.tails is not bundle.paths.tails, seed  # a route collapsed
         view = so.OracleView(topo, paths)
         traceroutes = [(f"t-{p.monitor.id}", p.prefix, p.hops) for p in view.records]
         members = frozenset(asn for asn, _c in topo.state_owned)

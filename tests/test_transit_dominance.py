@@ -78,6 +78,18 @@ def test_toy_candidate_verdicts():
     ]
 
 
+def test_the_origination_floor_keeps_an_origin_at_it_and_leaves_one_below_it_out():
+    # the toy's domestic origins hold 3/8 (AS 101), 1/8 (102) and 1/4 (103, 104) of CU
+    topo = synth_oracle.preset_topology("toy-fig1")
+    files = synth_oracle.emit_files(topo, synth_oracle.propagate_routes(topo))
+    sub = pipeline.build_substrate(ingest.load_bundle_from_texts(files))
+    just_above = Fraction(1, 8) + Fraction(1, 2**40)  # AS 102 holds just below it
+    floors = {Fraction(1, 8): [101, 102, 103, 104], just_above: [101, 103, 104]}
+    floors[Fraction(3, 8)] = [101]
+    for floor, kept in floors.items():
+        assert [r.asn for r in pipeline.candidate_results(sub, "CU", floor)] == kept, floor
+
+
 def test_candidate_passes_when_fully_domestic():
     nationality = Nationality({900: "CU", 901: "CU"})
     rels = _rels((901, 900, RelKind.P2P))
