@@ -19,8 +19,12 @@ texts, so each distinct lead token and tail text is judged once, by
 whole by it, so that its first reason wins. Neither parser keeps a memo of
 whole hop texts. ``parse_paths`` keeps each row as its lead AS and the index
 of its tail in ``Corpus.tails``, where the tails of the routes it keeps are
-interned by value. ``parse_traceroutes`` collapses prepending once per tail
-text and counts each row under its tail and lead AS.
+interned by value. ``parse_traceroutes`` does the same into ``Traces``, with
+prepending collapsed once per tail text.
+
+``parse_relationships`` packs each pair into one int: the p2c pairs are the
+keys of a dict, and the p2p pairs an ``array("Q")`` in file order, so the
+table keeps no Python object per peer link.
 """
 from __future__ import annotations
 
@@ -28,10 +32,9 @@ import contextlib
 import functools
 import os
 from array import array
-from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Generator, Iterable, Iterator, Mapping, TextIO
+from typing import Callable, Generator, Iterable, Iterator, Mapping, Sequence, TextIO
 
 from .model import (
     Corpus,
@@ -42,6 +45,7 @@ from .model import (
     RelKind,
     RelationshipTable,
     Route,
+    Traces,
     collapse_prepending,
     intern,
     parse_decimal,
@@ -166,6 +170,39 @@ def _judge_hop_text(text: str, parse_asn: Callable[[str], int]) -> Route | int:
     return hops or EMPTY_PATH
 
 
+def _judge_lead(text: str, parse_asn: Callable[[str], int]) -> int:
+    """The AS of the lead token ``text`` of a hop text, or its code."""
+    hops = _judge_hop_text(text, parse_asn)
+    return hops if isinstance(hops, int) else hops[0]
+
+
+def _judge_split(
+    hops_text: str,
+    lead_code: dict[str, int],
+    tail_code: dict[str, int],
+    parse_asn: Callable[[str], int],
+    judge_tail: Callable[[str], int],
+) -> tuple[int, int]:
+    """The lead AS and tail index of ``hops_text``, split at its first run of
+    whitespace, each a code if rejected. A lead token or tail text seen for
+    the first time is judged and recorded in ``lead_code`` or ``tail_code``;
+    a rejected lead judges no tail, and an empty text is ``EMPTY_PATH``."""
+    lead_tail = hops_text.split(None, 1)
+    if not lead_tail:
+        return EMPTY_PATH, EMPTY_PATH
+    lead_text = lead_tail[0]
+    lead = lead_code.get(lead_text)
+    if lead is None:
+        lead = lead_code[lead_text] = _judge_lead(lead_text, parse_asn)
+    if lead < 0:
+        return lead, EMPTY_PATH
+    tail_text = lead_tail[1] if len(lead_tail) > 1 else ""
+    tail_ix = tail_code.get(tail_text)
+    if tail_ix is None:
+        tail_ix = tail_code[tail_text] = judge_tail(tail_text)
+    return lead, tail_ix
+
+
 def parse_paths(
     reader: Iterable[str],
     monitors: Mapping[str, MonitorId],
@@ -213,10 +250,6 @@ def parse_paths(
         kept.append(0)
         return len(corpus.prefixes) - 1
 
-    def judge_lead(text: str) -> int:
-        hops = _judge_hop_text(text, parse_asn)
-        return hops if isinstance(hops, int) else hops[0]
-
     def judge_tail(text: str) -> int:
         hops = _judge_hop_text(text, parse_asn) if text else ()
         return hops if isinstance(hops, int) else intern(hops, tail_index, tails)
@@ -243,23 +276,13 @@ def parse_paths(
             # whitespace, and no tail key starts with any, so a hit on both
             # means the text is one token, one space and a tail text, which
             # is what split(None, 1) reads; a tab, a run of spaces or a
-            # leading space misses, and is read by it.
+            # leading space misses, and is read by _judge_split. A hit takes
+            # no Python frame.
             lead_text, _space, tail_text = hops_text.partition(" ")
             lead = lead_code.get(lead_text)
             tail_ix = tail_code.get(tail_text)
-            if lead is None or tail_ix is None:  # judged inline: no Python frame per row
-                lead_tail = hops_text.split(None, 1)
-                lead = tail_ix = EMPTY_PATH
-                if lead_tail:
-                    lead_text = lead_tail[0]
-                    lead = lead_code.get(lead_text)
-                    if lead is None:
-                        lead = lead_code[lead_text] = judge_lead(lead_text)
-                if lead > 0:  # a rejected lead interns no tail
-                    tail_text = lead_tail[1] if len(lead_tail) > 1 else ""
-                    tail_ix = tail_code.get(tail_text)
-                    if tail_ix is None:
-                        tail_ix = tail_code[tail_text] = judge_tail(tail_text)
+            if lead is None or tail_ix is None:
+                lead, tail_ix = _judge_split(hops_text, lead_code, tail_code, parse_asn, judge_tail)
             if monitor_ix < 0 or prefix_ix < 0 or lead < 0 or tail_ix < 0:
                 route_code = 0  # judged whole, so that its first reason wins
                 if lead < 0 or tail_ix < 0:
@@ -303,29 +326,28 @@ def _reason(prefix_code: int, route_code: int) -> str:
     return REJECT_REASONS[~(prefix_code if prefix_code < 0 else route_code)]
 
 
-def parse_traceroutes(
-    reader: Iterable[str],
-) -> tuple[Counter[Route], list[Rejection]]:
-    """Count the ``probe_id|prefix|asn asn ...`` rows (probe-first hop order)
-    of each route, with consecutive duplicate ASNs collapsed.
+def parse_traceroutes(reader: Iterable[str]) -> tuple[Traces, list[Rejection]]:
+    """Parse the ``probe_id|prefix|asn asn ...`` rows (probe-first hop order)
+    into ``Traces``: each kept row is its lead AS over the index of its tail,
+    with consecutive duplicate ASNs collapsed.
 
     A row with AS-set braces, an unparsable prefix, a malformed ASN token or
     no hop is rejected with a log entry, for the first of these in that order,
     as a ``paths.txt`` row is.
 
-    No memo holds a whole hop text: a row is its lead AS over a tail, and
-    each distinct tail text is judged and collapsed once, to its collapsed
-    tail with a count of traces per lead, or to a rejection code. The whole
-    text is judged only for a row whose lead or tail is rejected.
+    No memo holds a whole hop text: a row is its lead token over a tail text,
+    each distinct one judged once, a tail text to the index of its collapsed
+    tail (interned by value) or to a rejection code. The whole text is judged
+    only for a row whose lead or tail is rejected.
     """
+    traces = Traces()
     rejections: list[Rejection] = []
-    # each distinct prefix text is checked once, to 0 or a negative code, and
-    # each distinct lead token to its AS or a code
+    # each distinct prefix text is checked once, to 0 or a negative code
     prefix_code: dict[str, int] = {}
-    lead_of: dict[str, Route | int] = {}
-    # tail text -> (collapsed tail, traces per lead AS), or a code
-    tail_of: dict[str, tuple[Route, dict[Route, int]] | int] = {}
+    lead_code: dict[str, int] = {}
+    tail_code: dict[str, int] = {}
     parse_asn = functools.cache(parse_asn_token)
+    tail_index: dict[Route, int] = {}
 
     def judge_prefix(text: str) -> int:
         try:
@@ -334,9 +356,16 @@ def parse_traceroutes(
             return UNPARSABLE_PREFIX
         return 0
 
+    def judge_tail(text: str) -> int:
+        hops = _judge_hop_text(text, parse_asn) if text else ()
+        if isinstance(hops, int):
+            return hops
+        return intern(collapse_prepending(hops), tail_index, traces.tails)
+
+    lead_col, tail_col = traces.lead, traces.tail_ix
     file = FILE_NAMES["traceroutes"]
     rows = RowReader("traceroutes", reader, "probe_id|prefix|hops")
-    # one loop over the lines, as in parse_paths
+    # one loop over the lines, with the hop text split as in parse_paths
     for line_no, line in rows.numbered():
         if not line or line[0] == "#":
             continue
@@ -344,74 +373,89 @@ def parse_traceroutes(
             _probe_id, prefix_text, hops_text = line.split("|")
         except ValueError:
             raise rows.malformed(line_no, line) from None
-        try:
-            prefix_verdict = prefix_code.get(prefix_text)
-            if prefix_verdict is None:
-                prefix_verdict = prefix_code[prefix_text] = judge_prefix(prefix_text)
-            try:
-                lead_text, tail_text = hops_text.split(None, 1)
-            except ValueError:  # one hop, or none
-                lead_text, tail_text = hops_text.strip(), ""
-            lead = lead_of.get(lead_text)
-            if lead is None:
-                lead = lead_of[lead_text] = _judge_hop_text(lead_text, parse_asn)
-            tail = tail_of.get(tail_text)
-            if tail is None:
-                hops = _judge_hop_text(tail_text, parse_asn) if tail_text else ()
-                tail = tail_of[tail_text] = (
-                    hops if isinstance(hops, int) else (collapse_prepending(hops), {})
-                )
-            bad_route = isinstance(lead, int) or isinstance(tail, int)
-            if bad_route or prefix_verdict < 0:
-                # a bad hop text is judged whole, so that its first reason wins
-                route_code = _judge_hop_text(hops_text, parse_asn) if bad_route else 0
-                rejections.append(Rejection(file, line_no, _reason(prefix_verdict, route_code), line))
-                continue
-            leads = tail[1]
-            leads[lead] = leads.get(lead, 0) + 1
-        except ValueError as exc:
-            raise rows.at_line(line_no, exc) from None
-    prefix_code.clear()
-    lead_of.clear()
-    counts: Counter[Route] = Counter()
-    # one tail at a time, so the memo shrinks as the counts grow
-    while tail_of:
-        _text, tail = tail_of.popitem()
-        if isinstance(tail, int):
+        prefix_verdict = prefix_code.get(prefix_text)
+        if prefix_verdict is None:
+            prefix_verdict = prefix_code[prefix_text] = judge_prefix(prefix_text)
+        lead_text, _space, tail_text = hops_text.partition(" ")
+        lead = lead_code.get(lead_text)
+        tail_ix = tail_code.get(tail_text)
+        if lead is None or tail_ix is None:
+            lead, tail_ix = _judge_split(hops_text, lead_code, tail_code, parse_asn, judge_tail)
+        if prefix_verdict < 0 or lead < 0 or tail_ix < 0:
+            # a bad hop text is judged whole, so that its first reason wins
+            route_code = _judge_hop_text(hops_text, parse_asn) if lead < 0 or tail_ix < 0 else 0
+            rejections.append(Rejection(file, line_no, _reason(prefix_verdict, route_code), line))
             continue
-        hops, leads = tail
-        for lead, n in leads.items():
-            # a lead that the tail repeats collapses into it
-            route = hops if hops and hops[0] == lead[0] else lead + hops
-            counts[route] = counts.get(route, 0) + n
-    return counts, rejections
-
-
-_RELATIONSHIP_CODES = {"-1": RelKind.P2C, "0": RelKind.P2P}
+        lead_col.append(lead)
+        tail_col.append(tail_ix)
+    return traces, rejections
 
 
 def parse_relationships(reader: Iterable[str]) -> RelationshipTable:
-    """Parse ``a|b|-1`` (a provider of b) and ``a|b|0`` (peers) rows."""
+    """Parse ``a|b|-1`` (a provider of b) and ``a|b|0`` (peers) rows.
+
+    The row loop fills the table's columns itself, as ``RelationshipTable.add``
+    would, with no method call per row: a call per row made the parse about
+    a fifth slower. Each row is checked as it is read, but for one conflict: a p2c row
+    whose pair an earlier p2p row gave. ``RelationshipTable.p2c_after_p2p``
+    finds that in one scan, after the last row and before the error of any
+    other row is raised, so the error raised is always the first bad row's.
+    """
     table = RelationshipTable()
+    p2c, p2p = table.p2c, table.p2p
+    add_peering, add_p2p_before = p2p.append, table.p2p_before.append
+    p2c_lines = array("I")  # the line of each p2c pair, in the order of p2c
     parse_asn = functools.cache(parse_asn_token)
     rows = RowReader("relationships", reader, "a|b|code")
-    # one loop over the lines, as in parse_paths
-    for line_no, line in rows.numbered():
-        if not line or line[0] == "#":
-            continue
-        try:
-            a_text, b_text, code = line.split("|")
-        except ValueError:
-            raise rows.malformed(line_no, line) from None
-        try:
-            a, b = parse_asn(a_text), parse_asn(b_text)
-            kind = _RELATIONSHIP_CODES.get(code)
-            if kind is None:
-                raise ValueError(f"unknown relationship code {code!r}")
-            table.add(a, b, kind)
-        except ValueError as exc:
-            raise rows.at_line(line_no, exc) from None
+    try:
+        # one loop over the lines, as in parse_paths, with no tuple per row
+        for line_no, line in rows.numbered():
+            if not line or line[0] == "#":
+                continue
+            try:
+                a_text, b_text, code = line.split("|")
+            except ValueError:
+                raise rows.malformed(line_no, line) from None
+            try:
+                a, b = parse_asn(a_text), parse_asn(b_text)
+                key, reverse = a << 32 | b, b << 32 | a  # the key layout of the table
+                if code == "0" and a != b:
+                    if key in p2c or reverse in p2c:
+                        table.add(a, b, RelKind.P2P)  # raises the conflict
+                    add_peering(key)
+                elif code == "-1" and a != b:
+                    if key not in p2c:
+                        if reverse in p2c:
+                            table.add(a, b, RelKind.P2C)  # raises the conflict
+                        p2c[key] = None
+                        add_p2p_before(len(p2p))
+                        p2c_lines.append(line_no)
+                elif code in ("0", "-1"):
+                    table.add(a, b, RelKind.P2P)  # raises the self-relationship
+                else:
+                    raise ValueError(f"unknown relationship code {code!r}")
+            except ValueError as exc:
+                raise rows.at_line(line_no, exc) from None
+    except ParseError as error:
+        raise _p2c_after_p2p(rows, table, p2c_lines) or error from None
+    conflict = _p2c_after_p2p(rows, table, p2c_lines)
+    if conflict is not None:
+        raise conflict
     return table
+
+
+def _p2c_after_p2p(
+    rows: RowReader, table: RelationshipTable, p2c_lines: Sequence[int]
+) -> ParseError | None:
+    """The error, at its line, of the first p2c row of ``table`` whose pair
+    an earlier p2p row gave, or None; ``p2c_lines`` holds the line of each
+    p2c pair."""
+    conflict = table.p2c_after_p2p()
+    if conflict is None:
+        return None
+    pair, message = conflict
+    line_no = next(line for key, line in zip(table.p2c, p2c_lines) if key == pair)
+    return rows.at_line(line_no, ValueError(message))
 
 
 def parse_geo_and_delegations(
@@ -582,7 +626,7 @@ class DatasetBundle:
     reserved: frozenset[int] = frozenset()
     path_rejections: list[Rejection] = field(default_factory=list)
     geo_rejections: list[Rejection] = field(default_factory=list)
-    traceroutes: Counter[Route] | None = None  # traces per collapsed route
+    traceroutes: Traces | None = None
     traceroute_rejections: list[Rejection] = field(default_factory=list)
 
 

@@ -1,11 +1,11 @@
 """Shared domain types used across the transit-influence pipeline.
 
 The records (``Prefix``, ``PathRecord``, ``Rejection``, ``MonitorId``) are
-immutable. The containers are not, and take no lock: a ``Corpus``'s columns
-are appended in place while it is built, ``MetricReport.set`` and
-``RelationshipTable.add`` write, and a table builds its views when first
-asked. Scores are kept as exact rationals internally and converted to
-fixed-point decimals only at serialization time.
+immutable. The containers are not, and take no lock: the columns of a
+``Corpus`` and of ``Traces`` are appended in place while they are built,
+``MetricReport.set`` and ``RelationshipTable.add`` write, and a table builds
+its views when first asked. Scores are kept as exact rationals internally and
+converted to fixed-point decimals only at serialization time.
 
 The records ``Prefix`` and ``PathRecord`` are standard named tuples whose
 ``__new__`` validates the fields, so that hashing, equality and ordering run
@@ -13,9 +13,10 @@ in C: a ``Prefix`` is hashed at every address-mass lookup. Like tuples, a
 record equals any tuple of the same field values, a record of another type
 included; the program never mixes them in one container. The named tuple's
 ``_make`` and ``_replace`` skip that validation; nothing calls them. A path
-corpus is a ``Corpus`` of 4-byte integer columns, not one record per row, a
-traceroute corpus is a count per route, and a relationship is the stored
-``(a, b)`` pair with its kind.
+corpus is a ``Corpus`` of 4-byte integer columns, not one record per row, and
+so is a traceroute corpus (``Traces``). A ``RelationshipTable`` keeps its p2c
+pairs in a dict and its p2p pairs in an ``array("Q")``, each pair packed in one
+int.
 
 Every CSV report is written by ``csv_text``. Each kind of field is read by
 one strict parser: ``Prefix.parse``, ``parse_decimal`` and ``parse_fraction``.
@@ -238,6 +239,29 @@ class Corpus:
         return map(self.__getitem__, range(len(self)))
 
 
+@dataclass
+class Traces:
+    """A traceroute corpus as two ``array("I")`` columns over interned tails:
+    row i is one trace toward a prefix over the route ``lead[i]`` (its first
+    hop) followed by the collapsed tail ``tails[tail_ix[i]]``, where a lead
+    that the tail starts with collapses into it. Each distinct tail is stored
+    once by value, so a row is two 4-byte ints and no object. Iterating gives
+    each row's collapsed route, a new tuple each time."""
+
+    tails: list[Route] = field(default_factory=list)
+    lead: array = field(default_factory=_column)
+    tail_ix: array = field(default_factory=_column)
+
+    def __len__(self) -> int:
+        return len(self.lead)
+
+    def __iter__(self) -> Iterator[Route]:
+        tails = self.tails
+        for lead, tail_ix in zip(self.lead, self.tail_ix):
+            tail = tails[tail_ix]
+            yield tail if tail and tail[0] == lead else (lead, *tail)
+
+
 T = TypeVar("T")
 
 
@@ -255,73 +279,132 @@ class RelKind(Enum):
     P2P = "p2p"
 
 
+_P2C, _P2P = RelKind.P2C, RelKind.P2P  # an enum member is slow to look up by name
+_LOW = (1 << 32) - 1  # the mask of the second AS of a packed pair key
+
+
+def swapped_key(key: int) -> int:
+    """The packed key ``b << 32 | a`` of the pair whose key is ``a << 32 | b``."""
+    return (key & _LOW) << 32 | key >> 32
+
+
+def relationship_conflict(stored: int, stored_kind: RelKind, a: int, b: int, kind: RelKind) -> str:
+    """The message of the row ``a|b|kind`` that conflicts with the stored pair
+    of packed key ``stored`` and kind ``stored_kind``."""
+    return (
+        f"conflicting relationship for ASes {a} and {b}: "
+        f"{stored >> 32}|{stored & _LOW} {stored_kind.value} vs {a}|{b} {kind.value}"
+    )
+
+
 _Adjacency = dict[int, set[int]]  # AS -> its neighbours of one kind
 
 
 class RelationshipTable:
-    """Directed p2c and undirected p2p edges with O(1) pair lookup.
+    """Directed p2c and undirected p2p relationships, each kind stored in the
+    form its readers take, with at most one relationship per unordered ASN
+    pair.
 
-    At most one relationship per unordered ASN pair. Each pair is stored
-    as the ``(a, b)`` it was first given, with its kind: ``a`` provides
-    transit to ``b`` (p2c), or the two peer (p2p). The peers, providers and
-    customers per AS are three views, each built on the first request of
-    its own kind, and so is the set of p2c pairs.
+    A pair is packed as the key ``a << 32 | b`` of its ``(a, b)`` as first
+    given. ``p2c`` holds the keys of the pairs where ``a`` provides transit to
+    ``b``, as a dict in the order given; ``is_p2c`` reads it, and so do
+    ``p2c_links`` and the providers and customers per AS, each built on its
+    first request. ``p2p``, the peer links, is an ``array("Q")`` of keys in
+    the order given; a link may be given again, either way round, and every
+    reader takes it once. ``peers_among`` reads the peers of the ASes it is
+    asked about in one pass over the keys. ``p2p_before`` holds, for each p2c
+    pair, the number of p2p keys given before it, so that iterating gives
+    every pair in the order of its first row with no line number stored per
+    pair.
     """
 
     def __init__(self) -> None:
-        self._kinds: dict[tuple[int, int], RelKind] = {}
+        self.p2c: dict[int, None] = {}
+        self.p2p = array("Q")
+        self.p2p_before = array("I")
         self._views: dict[str, _Adjacency] = {}
-        self._p2c: frozenset[tuple[int, int]] | None = None
+        self._p2c_links: frozenset[tuple[int, int]] | None = None
 
     def add(self, a: int, b: int, kind: RelKind) -> None:
         """Add ``a|b|kind``; a repeat of a stored relationship is ignored, a
-        peer link included whichever way round it is given."""
+        peer link included whichever way round it is given. A
+        self-relationship, or a pair that a stored p2c pair names with
+        another relationship, raises ``ParseError``. A p2c pair that a stored
+        p2p pair names is stored: ``p2c_after_p2p`` finds it, in one scan
+        after the adds."""
         if a == b:
             raise ParseError(f"self-relationship for AS {a}")
-        kinds = self._kinds
-        key = (a, b)
-        existing = kinds.get(key)
-        if existing is None and (b, a) in kinds:
-            key = (b, a)
-            existing = kinds[key]
-        if existing is None:
-            kinds[key] = kind
-            if self._views:
-                self._views.clear()
-            self._p2c = None
-        elif existing is not kind or (kind is RelKind.P2C and key != (a, b)):
-            raise ParseError(
-                f"conflicting relationship for ASes {a} and {b}: "
-                f"{key[0]}|{key[1]} {existing.value} vs {a}|{b} {kind.value}"
-            )
+        key, p2c = a << 32 | b, self.p2c
+        if key in p2c:
+            if kind is _P2C:
+                return
+            raise ParseError(relationship_conflict(key, _P2C, a, b, kind))
+        reverse = b << 32 | a
+        if reverse in p2c:
+            raise ParseError(relationship_conflict(reverse, _P2C, a, b, kind))
+        if kind is _P2P:
+            self.p2p.append(key)
+            return
+        p2c[key] = None
+        self.p2p_before.append(len(self.p2p))
+        self._views.clear()
+        self._p2c_links = None
+
+    def p2c_after_p2p(self) -> tuple[int, str] | None:
+        """The first p2c key, in the order given, whose pair a p2p key given
+        before it names, with the conflict's message; None if there is none.
+        ``add`` finds every other conflict at once, so a p2p key that names a
+        p2c pair was given before it."""
+        p2c, low = self.p2c, _LOW
+        named = {(key & low) << 32 | key >> 32 for key in p2c}  # swapped_key, inline
+        named.update(p2c)
+        if named.isdisjoint(self.p2p):
+            return None
+        first_peering: dict[int, int] = {}  # p2c key -> the first p2p key naming it
+        for key in self.p2p:
+            if key in named:
+                first_peering.setdefault(key if key in p2c else swapped_key(key), key)
+        pair = next(pair for pair in p2c if pair in first_peering)
+        message = relationship_conflict(first_peering[pair], _P2P, pair >> 32, pair & _LOW, _P2C)
+        return pair, message
 
     def is_p2c(self, provider: int, customer: int) -> bool:
-        return self._kinds.get((provider, customer)) is RelKind.P2C
+        return (provider << 32 | customer) in self.p2c
 
     def p2c_links(self) -> frozenset[tuple[int, int]]:
         """Every stored ``(provider, customer)`` pair, built on first request."""
-        if self._p2c is None:
-            kinds = self._kinds
-            self._p2c = frozenset(pair for pair, kind in kinds.items() if kind is RelKind.P2C)
-        return self._p2c
+        if self._p2c_links is None:
+            self._p2c_links = frozenset((key >> 32, key & _LOW) for key in self.p2c)
+        return self._p2c_links
 
     def _view(self, name: str) -> _Adjacency:
-        """The neighbour sets per AS of ``name``: peers, providers or
-        customers."""
+        """The neighbour sets per AS of ``name``: providers or customers."""
         view = self._views.get(name)
         if view is None:
             view = self._views[name] = {}
-            wanted = RelKind.P2P if name == "peers" else RelKind.P2C
-            for (a, b), kind in self._kinds.items():
-                if kind is wanted:
-                    if name != "customers":  # a is a peer or a provider of b
-                        view.setdefault(b, set()).add(a)
-                    if name != "providers":  # b is a peer or a customer of a
-                        view.setdefault(a, set()).add(b)
+            for key in self.p2c:
+                provider, customer = key >> 32, key & _LOW
+                if name == "providers":
+                    view.setdefault(customer, set()).add(provider)
+                else:
+                    view.setdefault(provider, set()).add(customer)
         return view
 
+    def peers_among(self, ases: Iterable[int]) -> dict[int, set[int]]:
+        """The peers of each AS of ``ases`` that has one, from one pass over
+        the p2p keys; no AS outside ``ases`` gets an entry."""
+        wanted = frozenset(ases)
+        peers: dict[int, set[int]] = {}
+        for key in self.p2p:
+            a, b = key >> 32, key & _LOW
+            if a in wanted:
+                peers.setdefault(a, set()).add(b)
+            if b in wanted:
+                peers.setdefault(b, set()).add(a)
+        return peers
+
     def peers_of(self, asn: int) -> frozenset[int]:
-        return frozenset(self._view("peers").get(asn, ()))
+        return frozenset(self.peers_among((asn,)).get(asn, ()))
 
     def providers_of(self, asn: int) -> frozenset[int]:
         return frozenset(self._view("providers").get(asn, ()))
@@ -330,11 +413,26 @@ class RelationshipTable:
         return frozenset(self._view("customers").get(asn, ()))
 
     def __len__(self) -> int:
-        return len(self._kinds)
+        """The number of stored pairs, a peer link given twice counted once."""
+        return len(self.p2c) + len({min(key, swapped_key(key)) for key in self.p2p})
 
     def __iter__(self) -> Iterator[tuple[int, int, RelKind]]:
-        """Each stored pair as ``(a, b, kind)``."""
-        return ((a, b, kind) for (a, b), kind in self._kinds.items())
+        """Each stored pair once as ``(a, b, kind)``, in the order of its
+        first row."""
+        p2p, low = self.p2p, _LOW
+        seen: set[int] = set()  # each peer link given so far, as its smaller key
+        start = 0
+        for pair, given_before in [*zip(self.p2c, self.p2p_before), (None, len(p2p))]:
+            if start < given_before:
+                for key in p2p[start:given_before]:
+                    a, b = key >> 32, key & low
+                    link = key if a < b else b << 32 | a
+                    if link not in seen:
+                        seen.add(link)
+                        yield a, b, _P2P
+                start = given_before
+            if pair is not None:
+                yield pair >> 32, pair & low, _P2C
 
 
 def _cell(value: object) -> str:

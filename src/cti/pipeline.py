@@ -137,16 +137,17 @@ def candidate_results(
     nationality = transit_nationality(sub)
     total = sub.geo.country_total(country)
     facilities = transit_dominance.FacilityIndex(sub.bundle.aux.memberships, nationality)
-    results = []
-    for origin in sorted({asn for (asn, c) in sub.geo.originated if c == country}):
-        if not nationality.is_domestic(origin, country):
-            continue
-        if Fraction(sub.geo.originated[(origin, country)], total) < origination_floor:
-            continue
-        results.append(
-            transit_dominance.classify_candidate(origin, sub.rels, facilities, nationality)
-        )
-    return results
+    tested = [
+        origin
+        for origin in sorted({asn for (asn, c) in sub.geo.originated if c == country})
+        if nationality.is_domestic(origin, country)
+        and Fraction(sub.geo.originated[(origin, country)], total) >= origination_floor
+    ]
+    peers = sub.rels.peers_among(tested)  # one pass over the p2p keys
+    return [
+        transit_dominance.classify_candidate(origin, peers.get(origin, ()), facilities, nationality)
+        for origin in tested
+    ]
 
 
 def clh_report(sub: Substrate, country: str) -> MetricReport:

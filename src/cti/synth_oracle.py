@@ -121,6 +121,9 @@ def generate_topology(seed: int, params: SynthParams | None = None) -> SynthTopo
         for b in stubs[i + 1 :]:
             if rng.random() < 0.1:
                 rels.add(a, b, RelKind.P2P)
+    conflict = rels.p2c_after_p2p()  # the one conflict add does not raise
+    if conflict is not None:
+        raise ComputationError(conflict[1])
 
     origin_ases = list(stubs) + [mid for mid in mids if rng.random() < 0.4]
     geo_rows: list[GeoRow] = []
@@ -275,11 +278,12 @@ class RoutePlan:
         order = _customer_first_order(ases, rels)
         providers = {asn: tuple(sorted(rels.providers_of(asn) & members)) for asn in ases}
         covered = _with_provider_ancestors(wanted, providers) & members if wanted else members
+        peers = rels.peers_among(ases)
         return cls(
             position={asn: index for index, asn in enumerate(order)},
             pull_order=[asn for asn in reversed(order) if asn in covered],
             providers=providers,
-            peers={asn: tuple(sorted(rels.peers_of(asn) & covered)) for asn in ases},
+            peers={asn: tuple(sorted(peers.get(asn, set()) & covered)) for asn in ases},
         )
 
 

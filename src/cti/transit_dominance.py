@@ -2,23 +2,25 @@
 transit fraction.
 
 Traceroute-derived AS-level paths arrive pre-resolved (interface-to-AS
-mapping is upstream), and are kept as the number of traces per collapsed
-route: the transit fraction reads nothing else of a trace. The national
-border on a route is the link between the last foreign AS and its
-successor; the transit fraction weighs, per origin AS, the share of its
-traceroutes whose border crossing is a foreign-provider p2c link by the
-origin's share of the country's address space.
+mapping is upstream), and are kept as ``Traces``: each trace is its lead AS
+over a collapsed tail, stored once per distinct value. The transit fraction
+reads nothing else of a trace. The national border on a route is the link
+between the last foreign AS and its successor; the transit fraction weighs,
+per origin AS, the share of its traceroutes whose border crossing is a
+foreign-provider p2c link by the origin's share of the country's address
+space.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Collection, Iterable
 
 from .geo import GeoTable, Nationality
 # parse_traceroutes is not called here; the benchmark traces it under this module's name.
 from .ingest import parse_traceroutes  # noqa: F401
-from .model import RelationshipTable, Route
+from .model import RelationshipTable, Route, Traces
 
 DEFAULT_DOMINANCE_THRESHOLD = Fraction(12, 25)  # 0.48
 DEFAULT_ORIGINATION_FLOOR = Fraction(1, 2000)  # 0.05% of the country's addresses
@@ -56,19 +58,20 @@ class FacilityIndex:
 
 def classify_candidate(
     origin: int,
-    rels: RelationshipTable,
+    peers: Collection[int],
     facilities: FacilityIndex,
     nationality: Nationality,
 ) -> CandidateResult:
-    """An origin AS is a candidate when it has no foreign BGP peers, belongs
-    to no foreign-based IXP/colo, and belongs to no facility with any
-    foreign member; ``facilities`` is indexed with ``nationality``."""
+    """An origin AS is a candidate when none of its BGP ``peers`` is
+    foreign, it belongs to no foreign-based IXP/colo, and it belongs to no
+    facility with any foreign member; ``facilities`` is indexed with
+    ``nationality``."""
     home = nationality.domestic_country(origin)
     if home is None:
         return CandidateResult(origin, False, (TEST_NO_NATIONALITY,))
 
     failed: list[str] = []
-    for peer in rels.peers_of(origin):
+    for peer in peers:
         if nationality.domestic_country(peer) != home:
             failed.append(TEST_FOREIGN_PEER)
             break
@@ -95,27 +98,50 @@ def find_border(hops: Route, nationality: Nationality, country: str) -> tuple[in
 
 
 def compute_transit_fraction(
-    counts: Mapping[Route, int],
+    traces: Traces,
     rels: RelationshipTable,
     nationality: Nationality,
     geo: GeoTable,
     country: str,
 ) -> Fraction:
     """Address-weighted share of inbound traceroutes whose border crossing is
-    a p2c link from a foreign provider to a domestic customer; ``counts``
-    gives the number of traces per route."""
+    a p2c link from a foreign provider to a domestic customer.
+
+    The origin and the border of a trace are its tail's, judged once per
+    tail, unless every hop of the tail is domestic: then the border is the
+    link into the tail from a foreign lead AS, and the origin of an empty
+    tail is the lead itself."""
     total_addresses = geo.country_total(country)
+    label = nationality.label
+    tails = traces.tails
 
     reached: dict[int, int] = {}
     crossed: dict[int, int] = {}
-    for hops, n in counts.items():
-        origin = hops[-1]
-        if not nationality.is_domestic(origin, country):
+    domestic_tails: dict[int, Route] = {}  # tail index -> a tail of domestic hops only
+    for tail_ix, n in Counter(traces.tail_ix).items():
+        tail = tails[tail_ix]
+        if not tail:  # a one-hop route, whose lead is its origin
+            domestic_tails[tail_ix] = tail
+            continue
+        origin = tail[-1]
+        if label.get(origin) != country:
             continue
         reached[origin] = reached.get(origin, 0) + n
-        border = find_border(hops, nationality, country)
-        if border is not None and rels.is_p2c(*border):
+        border = find_border(tail, nationality, country)
+        if border is None:  # every hop of the tail is domestic: each lead decides
+            domestic_tails[tail_ix] = tail
+        elif rels.is_p2c(*border):
             crossed[origin] = crossed.get(origin, 0) + n
+    if domestic_tails:
+        for lead, tail_ix in zip(traces.lead, traces.tail_ix):
+            tail = domestic_tails.get(tail_ix)
+            if tail is None:
+                continue
+            if label.get(lead) == country:
+                if not tail:  # the one hop is a domestic origin
+                    reached[lead] = reached.get(lead, 0) + 1
+            elif tail and rels.is_p2c(lead, tail[0]):
+                crossed[tail[-1]] = crossed.get(tail[-1], 0) + 1
 
     fraction = Fraction(0)
     for origin, total in reached.items():

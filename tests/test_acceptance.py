@@ -24,6 +24,7 @@ from cti.model import (
 from cti.pathprep import prepare_paths, retain_for_country
 from cti.synth_oracle import SynthParams
 from test_pathprep import retained_of
+from test_transit_dominance import traces_of
 
 ORACLE_SEEDS = range(1, 501)
 
@@ -97,7 +98,7 @@ def test_criterion_4_transit_fraction_contribution():
         rels.add(50, 900, RelKind.P2C)
         rels.add(60, 900, RelKind.P2P)
         nationality = Nationality({900: "CU", 901: "CU"})
-        traces = {(50, 900): 1, (60, 900): 1}  # traces per route toward p1
+        traces = traces_of([(50, 900), (60, 900)])  # one trace per route toward p1
         value = transit_dominance.compute_transit_fraction(traces, rels, nationality, geo, "CU")
         # origin owns 1/2 the addresses, 1/2 of its traces cross a foreign p2c border
         assert value == Fraction(1, 4)

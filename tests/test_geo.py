@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cti.geo import DelegationIndex, build_geo_table, classify_nationality
+from cti.geo import DelegationIndex, GeoTable, build_geo_table, classify_nationality
 from cti.model import ComputationError, Prefix, Rejection, RelKind, RelationshipTable
 
 P1 = Prefix.parse("10.0.0.0/24")
@@ -186,6 +186,17 @@ def test_nationality_below_boundary_is_foreign():
     # CU share 512/772 < 2/3
     nationality = classify_nationality(table)
     assert nationality.domestic_country(100) is None
+
+
+def test_an_as_with_no_address_mass_is_foreign():
+    # build_geo_table rounds every kept count up to 256, so only a table built
+    # by hand originates zero addresses
+    rels = RelationshipTable()
+    rels.add(300, 100, RelKind.P2C)
+    table = GeoTable(mass={}, total={"CU": 256}, originated={(100, "CU"): 0, (200, "CU"): 256})
+    assert classify_nationality(table).label == {100: None, 200: "CU"}
+    # the provider of an AS of zero mass is credited with zero addresses
+    assert classify_nationality(table, rels).label == {100: None, 200: "CU", 300: None}
 
 
 def test_nationality_direct_customer_mode():

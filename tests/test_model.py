@@ -241,6 +241,22 @@ def test_relationship_views_are_built_per_kind_and_rebuilt_after_add():
     assert list(table) == [(1, 2, RelKind.P2C), (2, 3, RelKind.P2P), (4, 2, RelKind.P2C)]
 
 
+@given(
+    st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)).filter(lambda l: l[0] != l[1])),
+    st.frozensets(st.integers(1, 7)),
+)
+def test_peers_among_gives_the_peers_of_each_as_asked_for(links, ases):
+    table = RelationshipTable()
+    for a, b in links:  # a link may repeat, either way round
+        table.add(a, b, RelKind.P2P)
+    expected = {}
+    for a, b in links:
+        for asn, peer in ((a, b), (b, a)):
+            if asn in ases:
+                expected.setdefault(asn, set()).add(peer)
+    assert table.peers_among(ases) == expected
+
+
 def test_relationship_table_conflict():
     table = RelationshipTable()
     table.add(1, 2, RelKind.P2C)
@@ -249,6 +265,27 @@ def test_relationship_table_conflict():
         table.add(1, 2, RelKind.P2P)
     with pytest.raises(ParseError, match="conflicting"):
         table.add(2, 1, RelKind.P2C)
+    assert table.p2c_after_p2p() is None
+
+
+@pytest.mark.parametrize(
+    "rows, pair, message",
+    [
+        ([(1, 2, "p2p"), (1, 2, "p2c")], (1, 2), "1|2 p2p vs 1|2 p2c"),
+        ([(1, 2, "p2p"), (2, 1, "p2c")], (2, 1), "1|2 p2p vs 2|1 p2c"),
+        # a p2c pair before the p2p add, and the same link given twice
+        ([(5, 6, "p2c"), (1, 2, "p2p"), (2, 1, "p2p"), (2, 1, "p2c")], (2, 1), "1|2 p2p vs 2|1 p2c"),
+        # the first p2c pair named wins, with the first p2p key naming it
+        ([(3, 4, "p2p"), (2, 1, "p2p"), (1, 2, "p2c"), (4, 3, "p2c")], (1, 2), "2|1 p2p vs 1|2 p2c"),
+    ],
+)
+def test_p2c_after_p2p_finds_the_first_p2c_pair_an_earlier_p2p_pair_names(rows, pair, message):
+    table = RelationshipTable()
+    for a, b, kind in rows:
+        table.add(a, b, RelKind(kind))  # add stores it: the scan finds it
+    key, found = table.p2c_after_p2p()
+    assert key == pair[0] << 32 | pair[1]
+    assert found == f"conflicting relationship for ASes {pair[0]} and {pair[1]}: {message}"
 
 
 def test_path_record_needs_hops():

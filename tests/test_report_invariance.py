@@ -1,10 +1,11 @@
 """Every report is the same bytes whatever the row order and the line endings
-of the input files.
+of the input files, and whichever way round a peer link is written.
 
 One small instance with looped, prepended and poisoned paths is read as
-generated, with the data rows of every input file shuffled, and with every
-file in CRLF line endings. Manifests differ by the input file hashes, so only
-the reports are compared.
+generated, with the data rows of every input file shuffled, with every file
+in CRLF line endings, and with every p2p row of ``relationships.txt`` written
+the other way round and its rows shuffled. Manifests differ by the input file
+hashes, so only the reports are compared.
 """
 import random
 
@@ -20,6 +21,7 @@ COMMANDS = [
     (("cti", "--no-outlier", "--format", "json"), "cti_{}.json"),
     (("ctin",), "ctin_{}.csv"),
     (("transit-fraction",), "transit_fraction_{}.csv"),
+    (("candidates",), "candidates_{}.csv"),
 ]
 
 
@@ -47,6 +49,17 @@ def _crlf(text, _name):
     return text.replace("\n", "\r\n")
 
 
+def _peers_reversed(text, name):
+    """``relationships.txt`` with each ``a|b|0`` row written ``b|a|0`` and the
+    rows shuffled; a p2c row keeps its orientation, and other files are
+    unchanged."""
+    if name != "relationships.txt":
+        return text
+    rows = [line.split("|") for line in text.splitlines()]
+    lines = [f"{b}|{a}|0" if code == "0" else f"{a}|{b}|{code}" for a, b, code in rows]
+    return _shuffled("\n".join(lines), name)
+
+
 @pytest.fixture(scope="module")
 def instance(tmp_path_factory):
     directory = tmp_path_factory.mktemp("instance")
@@ -57,7 +70,9 @@ def instance(tmp_path_factory):
     return directory, reports
 
 
-@pytest.mark.parametrize("transform", [_shuffled, _crlf], ids=["shuffled-rows", "crlf"])
+@pytest.mark.parametrize(
+    "transform", [_shuffled, _crlf, _peers_reversed], ids=["shuffled-rows", "crlf", "peers-reversed"]
+)
 def test_reports_ignore_row_order_and_line_endings(instance, transform, tmp_path):
     directory, expected = instance
     changed = tmp_path / "input"

@@ -24,10 +24,12 @@ from hypothesis import strategies as st
 from test_ingest import (
     _outcome,
     _parse_path_rows,
+    _parse_trace_counts,
     _reference_parse_paths,
     _reference_parse_traceroutes,
 )
 from test_pathprep import corpus_of, line_of, sanitize
+from test_transit_dominance import traces_of
 
 from cti import cti_core, ingest, pathprep, pipeline
 from cti import synth_oracle as so
@@ -287,7 +289,7 @@ def test_parsers_match_row_by_row(corpus, data):
     assert _outcome(_parse_path_rows, path_lines, monitors) == _outcome(
         _reference_parse_paths, path_lines, monitors
     )
-    assert _outcome(td.parse_traceroutes, trace_lines) == _outcome(
+    assert _outcome(_parse_trace_counts, trace_lines) == _outcome(
         _reference_parse_traceroutes, trace_lines
     )
 
@@ -365,8 +367,7 @@ def test_transit_fraction_matches_per_path_borders(corpus, rels, geo, labels):
     nationality = Nationality(dict(zip(ASNS, labels)))
     traces = [p.hops for p in corpus]
     expected = _reference_transit_fraction(traces, rels, nationality, geo, "AA")
-    counts = Counter(traces)
-    assert td.compute_transit_fraction(counts, rels, nationality, geo, "AA") == expected
+    assert td.compute_transit_fraction(traces_of(traces), rels, nationality, geo, "AA") == expected
 
 
 def test_special_routes_reach_every_verdict():

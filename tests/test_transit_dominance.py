@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from cti import ingest, pipeline, synth_oracle
 from cti import transit_dominance as td
 from cti.geo import Nationality, build_geo_table
-from cti.model import ParseError, Prefix, RelKind, RelationshipTable
+from cti.model import ParseError, Prefix, RelKind, RelationshipTable, Traces, collapse_prepending
 
 P1 = Prefix.parse("10.0.0.0/24")
 P2 = Prefix.parse("10.0.1.0/24")
@@ -21,8 +21,19 @@ def _rels(*edges):
     return table
 
 
+def traces_of(routes):
+    """``Traces`` of one row per route, each collapsed and stored as its
+    lead AS over its tail, the tails interned by value."""
+    traces, index = Traces(), {}
+    for route in map(collapse_prepending, routes):
+        traces.lead.append(route[0])
+        traces.tail_ix.append(index.setdefault(route[1:], len(index)))
+    traces.tails.extend(index)
+    return traces
+
+
 def test_parse_traceroutes():
-    counts, rejections = td.parse_traceroutes(
+    traces, rejections = td.parse_traceroutes(
         [
             "# header",
             "probe-1|10.0.0.0/24|50 50 60 900",
@@ -31,7 +42,7 @@ def test_parse_traceroutes():
             "probe-4|10.0.0.0/24|50 {60,70}",
         ]
     )
-    assert counts == Counter({(50, 60, 900): 1})  # consecutive duplicates collapsed
+    assert Counter(traces) == Counter({(50, 60, 900): 1})  # consecutive duplicates collapsed
     assert [(r.file, r.line, r.category) for r in rejections] == [
         ("traceroutes.txt", 3, "unparsable prefix"),
         ("traceroutes.txt", 4, "unparsable prefix"),
@@ -42,7 +53,7 @@ def test_parse_traceroutes():
 
 
 def test_parse_traceroutes_rejects_each_repeated_bad_row():
-    counts, rejections = td.parse_traceroutes(
+    traces, rejections = td.parse_traceroutes(
         [
             "probe-1|bogus|50 60",
             "probe-2|bogus|50 60",
@@ -59,7 +70,7 @@ def test_parse_traceroutes_rejects_each_repeated_bad_row():
         (3, "malformed ASN"),
         (4, "malformed ASN"),
     ]
-    assert counts == Counter({(50, 60): 2, (60,): 1})  # rows of one route, counted
+    assert Counter(traces) == Counter({(50, 60): 2, (60,): 1})  # rows of one route, counted
     with pytest.raises(ParseError, match="^traceroutes.txt line 2: "):
         td.parse_traceroutes(["probe-1|bogus|50", "only|two"])
 
@@ -94,7 +105,7 @@ def test_candidate_passes_when_fully_domestic():
     nationality = Nationality({900: "CU", 901: "CU"})
     rels = _rels((901, 900, RelKind.P2P))
     facilities = td.FacilityIndex([("fac-1", "CU", 900), ("fac-1", "CU", 901)], nationality)
-    result = td.classify_candidate(900, rels, facilities, nationality)
+    result = td.classify_candidate(900, rels.peers_of(900), facilities, nationality)
     assert result.candidate
     assert result.failed_tests == ()
 
@@ -102,7 +113,8 @@ def test_candidate_passes_when_fully_domestic():
 def test_candidate_fails_on_foreign_peer():
     nationality = Nationality({900: "CU"})
     rels = _rels((50, 900, RelKind.P2P))
-    result = td.classify_candidate(900, rels, td.FacilityIndex([], nationality), nationality)
+    facilities = td.FacilityIndex([], nationality)
+    result = td.classify_candidate(900, rels.peers_of(900), facilities, nationality)
     assert not result.candidate
     assert td.TEST_FOREIGN_PEER in result.failed_tests
 
@@ -110,20 +122,20 @@ def test_candidate_fails_on_foreign_peer():
 def test_candidate_fails_on_foreign_facility():
     nationality = Nationality({900: "CU"})
     facilities = td.FacilityIndex([("fac-1", "US", 900)], nationality)
-    result = td.classify_candidate(900, _rels(), facilities, nationality)
+    result = td.classify_candidate(900, (), facilities, nationality)
     assert result.failed_tests == (td.TEST_FOREIGN_FACILITY,)
 
 
 def test_candidate_fails_on_foreign_facility_member():
     nationality = Nationality({900: "CU"})
     facilities = td.FacilityIndex([("fac-1", "CU", 900), ("fac-1", "CU", 77)], nationality)
-    result = td.classify_candidate(900, _rels(), facilities, nationality)
+    result = td.classify_candidate(900, (), facilities, nationality)
     assert result.failed_tests == (td.TEST_FOREIGN_FACILITY_MEMBER,)
 
 
 def test_candidate_requires_domestic_nationality():
     nationality = Nationality({})
-    result = td.classify_candidate(900, _rels(), td.FacilityIndex([], nationality), nationality)
+    result = td.classify_candidate(900, (), td.FacilityIndex([], nationality), nationality)
     assert result.failed_tests == (td.TEST_NO_NATIONALITY,)
 
 
@@ -162,7 +174,8 @@ def test_candidate_index_equals_the_row_scans(memberships, labels, peerings):
     facilities = td.FacilityIndex(memberships, nationality)
     for origin in range(1, 8):
         expected = _scanned_candidate(origin, rels, memberships, nationality)
-        assert td.classify_candidate(origin, rels, facilities, nationality) == expected
+        peers = rels.peers_of(origin)
+        assert td.classify_candidate(origin, peers, facilities, nationality) == expected
 
 
 def test_find_border():
@@ -192,11 +205,11 @@ def test_transit_fraction_worked_example():
     geo, _ = build_geo_table([(P1, "CU", 256), (P2, "CU", 256)], [], {P1: 900, P2: 901})
     nationality = Nationality({900: "CU", 901: "CU"})
     rels = _rels((50, 900, RelKind.P2C), (60, 900, RelKind.P2P))
-    traces = Counter(
-        {
-            (50, 900): 1,  # p2c crossing
-            (60, 900): 1,  # peer crossing: not counted
-        }
+    traces = traces_of(
+        [
+            (50, 900),  # p2c crossing
+            (60, 900),  # peer crossing: not counted
+        ]
     )
     assert td.compute_transit_fraction(traces, rels, nationality, geo, "CU") == Fraction(1, 4)
 
@@ -205,7 +218,7 @@ def test_transit_fraction_ignores_foreign_destinations():
     geo, _ = build_geo_table([(P1, "CU", 256)], [], {P1: 900})
     nationality = Nationality({900: "CU"})
     rels = _rels((50, 77, RelKind.P2C))
-    traces = Counter({(50, 77): 1})
+    traces = traces_of([(50, 77)])
     assert td.compute_transit_fraction(traces, rels, nationality, geo, "CU") == 0
 
 
