@@ -74,9 +74,7 @@ def aggregate_org(
     report the top member's share; sums under the threshold are marginal."""
     grouped: dict[tuple[str, str], dict[int, Fraction]] = {}
     for (country, subject), value in cti_report.entries.items():
-        if not isinstance(subject, int):
-            continue
-        org = org_of.get(subject)
+        org = org_of.get(subject)  # a label subject is no ASN, so no org maps it
         if org is None or value == 0:
             continue
         grouped.setdefault((org, country), {})[subject] = value

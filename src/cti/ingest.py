@@ -24,7 +24,8 @@ prepending collapsed once per tail text.
 
 ``parse_relationships`` packs each pair into one int: the p2c pairs are the
 keys of a dict, and the p2p pairs an ``array("Q")`` in file order, so the
-table keeps no Python object per peer link.
+table keeps no Python object per peer link. It is the one place that checks
+relationship rows; a ``RelationshipTable`` checks nothing.
 """
 from __future__ import annotations
 
@@ -51,6 +52,7 @@ from .model import (
     parse_decimal,
     parse_dotted_quad,
     parse_fraction,
+    swapped_key,
     validate_asn,
     validate_country,
 )
@@ -392,18 +394,22 @@ def parse_traceroutes(reader: Iterable[str]) -> tuple[Traces, list[Rejection]]:
 
 
 def parse_relationships(reader: Iterable[str]) -> RelationshipTable:
-    """Parse ``a|b|-1`` (a provider of b) and ``a|b|0`` (peers) rows.
+    """Parse ``a|b|-1`` (a provider of b) and ``a|b|0`` (peers) rows: the
+    one check of relationship rows.
 
-    The row loop fills the table's columns itself, as ``RelationshipTable.add``
-    would, with no method call per row: a call per row made the parse about
-    a fifth slower. Each row is checked as it is read, but for one conflict: a p2c row
-    whose pair an earlier p2p row gave. ``RelationshipTable.p2c_after_p2p``
-    finds that in one scan, after the last row and before the error of any
-    other row is raised, so the error raised is always the first bad row's.
+    A row that repeats a stored relationship is ignored, a peer link included
+    whichever way round it is given. A self-relationship, and a pair given
+    two kinds or a p2c pair given both ways round, raises ``ParseError``.
+    The row loop fills the packed p2c dict and p2p array of the table itself,
+    with no method call per row: a call per row made the parse about a fifth
+    slower. Each row is checked as it is read, but for one conflict: a p2c
+    row whose pair an earlier p2p row gave. ``_p2c_after_p2p`` finds that in
+    one scan, after the last row and before the error of any other row is
+    raised, so the error raised is always the first bad row's.
     """
-    table = RelationshipTable()
-    p2c, p2p = table.p2c, table.p2p
-    add_peering, add_p2p_before = p2p.append, table.p2p_before.append
+    p2c: dict[int, None] = {}
+    p2p = array("Q")
+    add_peering = p2p.append
     p2c_lines = array("I")  # the line of each p2c pair, in the order of p2c
     parse_asn = functools.cache(parse_asn_token)
     rows = RowReader("relationships", reader, "a|b|code")
@@ -421,40 +427,56 @@ def parse_relationships(reader: Iterable[str]) -> RelationshipTable:
                 key, reverse = a << 32 | b, b << 32 | a  # the key layout of the table
                 if code == "0" and a != b:
                     if key in p2c or reverse in p2c:
-                        table.add(a, b, RelKind.P2P)  # raises the conflict
+                        stored = key if key in p2c else reverse
+                        raise ValueError(_conflict(stored, RelKind.P2C, a, b, RelKind.P2P))
                     add_peering(key)
                 elif code == "-1" and a != b:
                     if key not in p2c:
                         if reverse in p2c:
-                            table.add(a, b, RelKind.P2C)  # raises the conflict
+                            raise ValueError(_conflict(reverse, RelKind.P2C, a, b, RelKind.P2C))
                         p2c[key] = None
-                        add_p2p_before(len(p2p))
                         p2c_lines.append(line_no)
                 elif code in ("0", "-1"):
-                    table.add(a, b, RelKind.P2P)  # raises the self-relationship
+                    raise ValueError(f"self-relationship for AS {a}")
                 else:
                     raise ValueError(f"unknown relationship code {code!r}")
             except ValueError as exc:
                 raise rows.at_line(line_no, exc) from None
     except ParseError as error:
-        raise _p2c_after_p2p(rows, table, p2c_lines) or error from None
-    conflict = _p2c_after_p2p(rows, table, p2c_lines)
+        raise _p2c_after_p2p(rows, p2c, p2p, p2c_lines) or error from None
+    conflict = _p2c_after_p2p(rows, p2c, p2p, p2c_lines)
     if conflict is not None:
         raise conflict
-    return table
+    return RelationshipTable(p2c, p2p)
+
+
+def _conflict(stored: int, stored_kind: RelKind, a: int, b: int, kind: RelKind) -> str:
+    """The message of the row ``a|b|kind`` that conflicts with the stored pair
+    of packed key ``stored`` and kind ``stored_kind``."""
+    stored_a, stored_b = divmod(stored, 1 << 32)
+    return (
+        f"conflicting relationship for ASes {a} and {b}: "
+        f"{stored_a}|{stored_b} {stored_kind.value} vs {a}|{b} {kind.value}"
+    )
 
 
 def _p2c_after_p2p(
-    rows: RowReader, table: RelationshipTable, p2c_lines: Sequence[int]
+    rows: RowReader, p2c: dict[int, None], p2p: Sequence[int], p2c_lines: Sequence[int]
 ) -> ParseError | None:
-    """The error, at its line, of the first p2c row of ``table`` whose pair
-    an earlier p2p row gave, or None; ``p2c_lines`` holds the line of each
-    p2c pair."""
-    conflict = table.p2c_after_p2p()
-    if conflict is None:
+    """The error, at its line, of the first p2c row whose pair an earlier p2p
+    row gave, or None; ``p2c_lines`` holds the line of each key of ``p2c``.
+    The row loop raises every other conflict at its row, so a p2p key that
+    names a p2c pair was given before it."""
+    named = set(map(swapped_key, p2c))
+    named.update(p2c)
+    if named.isdisjoint(p2p):
         return None
-    pair, message = conflict
-    line_no = next(line for key, line in zip(table.p2c, p2c_lines) if key == pair)
+    first_peering: dict[int, int] = {}  # p2c key -> the first p2p key naming it
+    for key in p2p:
+        if key in named:
+            first_peering.setdefault(key if key in p2c else swapped_key(key), key)
+    pair, line_no = next(item for item in zip(p2c, p2c_lines) if item[0] in first_peering)
+    message = _conflict(first_peering[pair], RelKind.P2P, *divmod(pair, 1 << 32), RelKind.P2C)
     return rows.at_line(line_no, ValueError(message))
 
 

@@ -3,9 +3,10 @@
 The records (``Prefix``, ``PathRecord``, ``Rejection``, ``MonitorId``) are
 immutable. The containers are not, and take no lock: the columns of a
 ``Corpus`` and of ``Traces`` are appended in place while they are built,
-``MetricReport.set`` and ``RelationshipTable.add`` write, and a table builds
-its views when first asked. Scores are kept as exact rationals internally and
-converted to fixed-point decimals only at serialization time.
+``MetricReport.set`` writes, and a ``RelationshipTable``, built whole and
+never written, builds its views when first asked. Scores are kept as exact
+rationals internally and converted to fixed-point decimals only at
+serialization time.
 
 The records ``Prefix`` and ``PathRecord`` are standard named tuples whose
 ``__new__`` validates the fields, so that hashing, equality and ordering run
@@ -23,6 +24,7 @@ one strict parser: ``Prefix.parse``, ``parse_decimal`` and ``parse_fraction``.
 """
 from __future__ import annotations
 
+import functools
 import json
 import re
 from array import array
@@ -288,107 +290,61 @@ def swapped_key(key: int) -> int:
     return (key & _LOW) << 32 | key >> 32
 
 
-def relationship_conflict(stored: int, stored_kind: RelKind, a: int, b: int, kind: RelKind) -> str:
-    """The message of the row ``a|b|kind`` that conflicts with the stored pair
-    of packed key ``stored`` and kind ``stored_kind``."""
-    return (
-        f"conflicting relationship for ASes {a} and {b}: "
-        f"{stored >> 32}|{stored & _LOW} {stored_kind.value} vs {a}|{b} {kind.value}"
-    )
-
-
 _Adjacency = dict[int, set[int]]  # AS -> its neighbours of one kind
 
 
 class RelationshipTable:
     """Directed p2c and undirected p2p relationships, each kind stored in the
-    form its readers take, with at most one relationship per unordered ASN
-    pair.
+    form its readers take. A table is built whole and never written: it
+    checks nothing, and ``ingest.parse_relationships`` is the one place that
+    checks relationship rows.
 
-    A pair is packed as the key ``a << 32 | b`` of its ``(a, b)`` as first
-    given. ``p2c`` holds the keys of the pairs where ``a`` provides transit to
-    ``b``, as a dict in the order given; ``is_p2c`` reads it, and so do
-    ``p2c_links`` and the providers and customers per AS, each built on its
-    first request. ``p2p``, the peer links, is an ``array("Q")`` of keys in
-    the order given; a link may be given again, either way round, and every
-    reader takes it once. ``peers_among`` reads the peers of the ASes it is
-    asked about in one pass over the keys. ``p2p_before`` holds, for each p2c
-    pair, the number of p2p keys given before it, so that iterating gives
-    every pair in the order of its first row with no line number stored per
-    pair.
+    A pair is packed as the key ``a << 32 | b`` of its ``(a, b)`` as given.
+    ``p2c`` holds the keys of the pairs where ``a`` provides transit to
+    ``b``, as a dict; ``is_p2c`` reads it, and so do ``p2c_links`` and the
+    ``providers`` and ``customers`` per AS, each built on its first request.
+    ``p2p``, the peer links, is an ``array("Q")`` of keys; a link may be
+    given again, either way round, and every reader takes it once.
+    ``peers_among`` reads the peers of the ASes it is asked about in one pass
+    over the keys.
     """
 
-    def __init__(self) -> None:
-        self.p2c: dict[int, None] = {}
-        self.p2p = array("Q")
-        self.p2p_before = array("I")
-        self._views: dict[str, _Adjacency] = {}
-        self._p2c_links: frozenset[tuple[int, int]] | None = None
+    def __init__(self, p2c: dict[int, None], p2p: array) -> None:
+        self.p2c = p2c
+        self.p2p = p2p
 
-    def add(self, a: int, b: int, kind: RelKind) -> None:
-        """Add ``a|b|kind``; a repeat of a stored relationship is ignored, a
-        peer link included whichever way round it is given. A
-        self-relationship, or a pair that a stored p2c pair names with
-        another relationship, raises ``ParseError``. A p2c pair that a stored
-        p2p pair names is stored: ``p2c_after_p2p`` finds it, in one scan
-        after the adds."""
-        if a == b:
-            raise ParseError(f"self-relationship for AS {a}")
-        key, p2c = a << 32 | b, self.p2c
-        if key in p2c:
-            if kind is _P2C:
-                return
-            raise ParseError(relationship_conflict(key, _P2C, a, b, kind))
-        reverse = b << 32 | a
-        if reverse in p2c:
-            raise ParseError(relationship_conflict(reverse, _P2C, a, b, kind))
-        if kind is _P2P:
-            self.p2p.append(key)
-            return
-        p2c[key] = None
-        self.p2p_before.append(len(self.p2p))
-        self._views.clear()
-        self._p2c_links = None
-
-    def p2c_after_p2p(self) -> tuple[int, str] | None:
-        """The first p2c key, in the order given, whose pair a p2p key given
-        before it names, with the conflict's message; None if there is none.
-        ``add`` finds every other conflict at once, so a p2p key that names a
-        p2c pair was given before it."""
-        p2c, low = self.p2c, _LOW
-        named = {(key & low) << 32 | key >> 32 for key in p2c}  # swapped_key, inline
-        named.update(p2c)
-        if named.isdisjoint(self.p2p):
-            return None
-        first_peering: dict[int, int] = {}  # p2c key -> the first p2p key naming it
-        for key in self.p2p:
-            if key in named:
-                first_peering.setdefault(key if key in p2c else swapped_key(key), key)
-        pair = next(pair for pair in p2c if pair in first_peering)
-        message = relationship_conflict(first_peering[pair], _P2P, pair >> 32, pair & _LOW, _P2C)
-        return pair, message
+    @classmethod
+    def of(
+        cls, p2c: Iterable[tuple[int, int]] = (), p2p: Iterable[tuple[int, int]] = ()
+    ) -> "RelationshipTable":
+        """The table of the ``(provider, customer)`` pairs ``p2c`` and the
+        peer links ``p2p``, each packed into its key."""
+        p2p_keys = array("Q", [a << 32 | b for a, b in p2p])
+        return cls(dict.fromkeys(a << 32 | b for a, b in p2c), p2p_keys)
 
     def is_p2c(self, provider: int, customer: int) -> bool:
         return (provider << 32 | customer) in self.p2c
 
+    @functools.cached_property
     def p2c_links(self) -> frozenset[tuple[int, int]]:
-        """Every stored ``(provider, customer)`` pair, built on first request."""
-        if self._p2c_links is None:
-            self._p2c_links = frozenset((key >> 32, key & _LOW) for key in self.p2c)
-        return self._p2c_links
+        """Every ``(provider, customer)`` pair."""
+        return frozenset((key >> 32, key & _LOW) for key in self.p2c)
 
-    def _view(self, name: str) -> _Adjacency:
-        """The neighbour sets per AS of ``name``: providers or customers."""
-        view = self._views.get(name)
-        if view is None:
-            view = self._views[name] = {}
-            for key in self.p2c:
-                provider, customer = key >> 32, key & _LOW
-                if name == "providers":
-                    view.setdefault(customer, set()).add(provider)
-                else:
-                    view.setdefault(provider, set()).add(customer)
-        return view
+    @functools.cached_property
+    def providers(self) -> _Adjacency:
+        """The providers of each AS that has one."""
+        providers: _Adjacency = {}
+        for key in self.p2c:
+            providers.setdefault(key & _LOW, set()).add(key >> 32)
+        return providers
+
+    @functools.cached_property
+    def customers(self) -> _Adjacency:
+        """The customers of each AS that has one."""
+        customers: _Adjacency = {}
+        for key in self.p2c:
+            customers.setdefault(key >> 32, set()).add(key & _LOW)
+        return customers
 
     def peers_among(self, ases: Iterable[int]) -> dict[int, set[int]]:
         """The peers of each AS of ``ases`` that has one, from one pass over
@@ -407,32 +363,24 @@ class RelationshipTable:
         return frozenset(self.peers_among((asn,)).get(asn, ()))
 
     def providers_of(self, asn: int) -> frozenset[int]:
-        return frozenset(self._view("providers").get(asn, ()))
+        return frozenset(self.providers.get(asn, ()))
 
     def customers_of(self, asn: int) -> frozenset[int]:
-        return frozenset(self._view("customers").get(asn, ()))
-
-    def __len__(self) -> int:
-        """The number of stored pairs, a peer link given twice counted once."""
-        return len(self.p2c) + len({min(key, swapped_key(key)) for key in self.p2p})
+        return frozenset(self.customers.get(asn, ()))
 
     def __iter__(self) -> Iterator[tuple[int, int, RelKind]]:
-        """Each stored pair once as ``(a, b, kind)``, in the order of its
-        first row."""
-        p2p, low = self.p2p, _LOW
+        """Each pair once as ``(a, b, kind)``: the p2c pairs, then the peer
+        links, each as first given."""
+        low = _LOW
+        for key in self.p2c:
+            yield key >> 32, key & low, _P2C
         seen: set[int] = set()  # each peer link given so far, as its smaller key
-        start = 0
-        for pair, given_before in [*zip(self.p2c, self.p2p_before), (None, len(p2p))]:
-            if start < given_before:
-                for key in p2p[start:given_before]:
-                    a, b = key >> 32, key & low
-                    link = key if a < b else b << 32 | a
-                    if link not in seen:
-                        seen.add(link)
-                        yield a, b, _P2P
-                start = given_before
-            if pair is not None:
-                yield pair >> 32, pair & low, _P2C
+        for key in self.p2p:
+            a, b = key >> 32, key & low
+            link = key if a < b else b << 32 | a
+            if link not in seen:
+                seen.add(link)
+                yield a, b, _P2P
 
 
 def _cell(value: object) -> str:

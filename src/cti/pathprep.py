@@ -78,7 +78,7 @@ def peak_segment(host_asn: int, hops: Route, rels: RelationshipTable) -> Route |
     start = 1 if hops and hops[0] == host_asn else 0
     if len(hops) - start < 2:
         return RouteRejection(NO_PEAK, "no transit AS on path")
-    p2c = rels.p2c_links()
+    p2c = rels.p2c_links
     # the link farthest from the origin is the first one from the monitor
     for i in range(start, len(hops) - 1):
         if (hops[i], hops[i + 1]) in p2c:

@@ -101,29 +101,25 @@ def generate_topology(seed: int, params: SynthParams | None = None) -> SynthTopo
     mids = tuple(range(101, 101 + params.n_mid))
     stubs = tuple(range(1001, 1001 + params.n_stub))
 
-    rels = RelationshipTable()
-    for i, a in enumerate(clique):
-        for b in clique[i + 1 :]:
-            rels.add(a, b, RelKind.P2P)
+    p2c: list[tuple[int, int]] = []
+    p2p = [(a, b) for i, a in enumerate(clique) for b in clique[i + 1 :]]
     for mid in mids:
         for provider in rng.sample(clique, rng.randint(1, len(clique))):
-            rels.add(provider, mid, RelKind.P2C)
+            p2c.append((provider, mid))
     for i, a in enumerate(mids):
         for b in mids[i + 1 :]:
             if rng.random() < 0.25:
-                rels.add(a, b, RelKind.P2P)
+                p2p.append((a, b))
     for stub in stubs:
         for provider in rng.sample(mids, rng.randint(1, min(2, len(mids)))):
-            rels.add(provider, stub, RelKind.P2C)
+            p2c.append((provider, stub))
         if rng.random() < 0.2:
-            rels.add(rng.choice(clique), stub, RelKind.P2C)
+            p2c.append((rng.choice(clique), stub))
     for i, a in enumerate(stubs):
         for b in stubs[i + 1 :]:
             if rng.random() < 0.1:
-                rels.add(a, b, RelKind.P2P)
-    conflict = rels.p2c_after_p2p()  # the one conflict add does not raise
-    if conflict is not None:
-        raise ComputationError(conflict[1])
+                p2p.append((a, b))
+    rels = RelationshipTable.of(p2c=p2c, p2p=p2p)
 
     origin_ases = list(stubs) + [mid for mid in mids if rng.random() < 0.4]
     geo_rows: list[GeoRow] = []
@@ -191,13 +187,8 @@ def preset_topology(name: str) -> SynthTopology:
 
     top, left, center, right = 10, 20, 30, 40
     origins = (101, 102, 103, 104)
-    rels = RelationshipTable()
-    for transit in (left, center, right):
-        rels.add(top, transit, RelKind.P2C)
-    rels.add(left, 101, RelKind.P2C)
-    rels.add(center, 102, RelKind.P2C)
-    rels.add(right, 103, RelKind.P2C)
-    rels.add(right, 104, RelKind.P2C)
+    p2c = [(top, left), (top, center), (top, right)]
+    p2c += [(left, 101), (center, 102), (right, 103), (right, 104)]
 
     owner_by_block = [101, 101, 101, 102, 103, 103, 104, 104]
     geo_rows: list[GeoRow] = []
@@ -213,7 +204,7 @@ def preset_topology(name: str) -> SynthTopology:
         monitor_host = top
     else:
         grand = 5
-        rels.add(grand, top, RelKind.P2C)
+        p2c.append((grand, top))
         clique = frozenset({grand})
         mids = (top, left, center, right)
         monitor_host = grand
@@ -224,7 +215,7 @@ def preset_topology(name: str) -> SynthTopology:
         clique=clique,
         mids=mids,
         stubs=origins,
-        rels=rels,
+        rels=RelationshipTable.of(p2c=p2c),
         geo_rows=geo_rows,
         delegations=[],
         origin_of=origin_of,

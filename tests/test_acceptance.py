@@ -17,7 +17,6 @@ from cti.model import (
     MetricReport,
     MonitorId,
     Prefix,
-    RelKind,
     RelationshipTable,
     collapse_prepending,
 )
@@ -94,9 +93,7 @@ def test_criterion_4_transit_fraction_contribution():
         geo, _ = build_geo_table(
             [(p1, "CU", 256), (p2, "CU", 256)], [], {p1: 900, p2: 901}
         )
-        rels = RelationshipTable()
-        rels.add(50, 900, RelKind.P2C)
-        rels.add(60, 900, RelKind.P2P)
+        rels = RelationshipTable.of(p2c=[(50, 900)], p2p=[(60, 900)])
         nationality = Nationality({900: "CU", 901: "CU"})
         traces = traces_of([(50, 900), (60, 900)])  # one trace per route toward p1
         value = transit_dominance.compute_transit_fraction(traces, rels, nationality, geo, "CU")

@@ -72,6 +72,7 @@ def test_org_aggregation_ignores_unmapped_and_zero_entries():
     report.set("CU", 100, Fraction(1, 10))
     report.set("CU", 999, Fraction(1, 10))  # no org mapping
     report.set("CU", 101, Fraction(0))
+    report.set("CU", "CU", Fraction(1, 10))  # a label subject, which org_of never maps
     aggregates = conglomerate.aggregate_org({100: "org-a", 101: "org-a"}, report)
     assert len(aggregates) == 1
     assert aggregates[0].cti_sum == Fraction(1, 10)

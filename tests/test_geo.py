@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cti.geo import DelegationIndex, GeoTable, build_geo_table, classify_nationality
-from cti.model import ComputationError, Prefix, Rejection, RelKind, RelationshipTable
+from cti.model import ComputationError, Prefix, Rejection, RelationshipTable
 
 P1 = Prefix.parse("10.0.0.0/24")
 P2 = Prefix.parse("10.0.1.0/24")
@@ -191,8 +191,7 @@ def test_nationality_below_boundary_is_foreign():
 def test_an_as_with_no_address_mass_is_foreign():
     # build_geo_table rounds every kept count up to 256, so only a table built
     # by hand originates zero addresses
-    rels = RelationshipTable()
-    rels.add(300, 100, RelKind.P2C)
+    rels = RelationshipTable.of(p2c=[(300, 100)])
     table = GeoTable(mass={}, total={"CU": 256}, originated={(100, "CU"): 0, (200, "CU"): 256})
     assert classify_nationality(table).label == {100: None, 200: "CU"}
     # the provider of an AS of zero mass is credited with zero addresses
@@ -200,10 +199,7 @@ def test_an_as_with_no_address_mass_is_foreign():
 
 
 def test_nationality_direct_customer_mode():
-    rels = RelationshipTable()
-    rels.add(300, 100, RelKind.P2C)
-    rels.add(300, 200, RelKind.P2C)
-    rels.add(100, 400, RelKind.P2P)
+    rels = RelationshipTable.of(p2c=[(300, 100), (300, 200)], p2p=[(100, 400)])
     table, _ = build_geo_table(
         [(P1, "CU", 256), (P2, "CU", 256), (P3, "AR", 256)],
         [],

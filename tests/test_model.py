@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cti import ingest
 from cti.model import (
     MetricReport,
     MonitorId,
@@ -83,14 +84,12 @@ def test_validate_country():
 
 
 def test_relationship_rejects_self():
-    with pytest.raises(ValueError):
-        RelationshipTable().add(7, 7, RelKind.P2P)
+    with pytest.raises(ParseError, match="line 1: self-relationship for AS 7$"):
+        ingest.parse_relationships(["7|7|0"])
 
 
 def test_relationship_table_lookup_is_symmetric():
-    table = RelationshipTable()
-    table.add(1, 2, RelKind.P2C)
-    table.add(2, 3, RelKind.P2P)
+    table = RelationshipTable.of(p2c=[(1, 2)], p2p=[(2, 3)])
     assert table.is_p2c(1, 2)
     assert not table.is_p2c(2, 1)
     assert not table.is_p2c(2, 3) and not table.is_p2c(3, 2)
@@ -227,18 +226,14 @@ def test_parse_fraction_reads_exactly_the_documented_forms(text):
             parse_fraction(text)
 
 
-def test_relationship_views_are_built_per_kind_and_rebuilt_after_add():
-    table = RelationshipTable()
-    table.add(1, 2, RelKind.P2C)
-    table.add(2, 3, RelKind.P2P)
-    assert table.providers_of(2) == frozenset({1})
-    assert set(table._views) == {"providers"}
-    table.add(4, 2, RelKind.P2C)
+def test_relationship_views_are_built_per_kind_on_first_request():
+    table = RelationshipTable.of(p2c=[(1, 2), (4, 2)], p2p=[(2, 3)])
     assert table.providers_of(2) == frozenset({1, 4})
+    assert "providers" in vars(table) and "customers" not in vars(table)
     assert table.peers_of(2) == frozenset({3})
     assert table.peers_of(3) == frozenset({2})
     assert table.customers_of(4) == frozenset({2})
-    assert list(table) == [(1, 2, RelKind.P2C), (2, 3, RelKind.P2P), (4, 2, RelKind.P2C)]
+    assert sorted(table) == [(1, 2, RelKind.P2C), (2, 3, RelKind.P2P), (4, 2, RelKind.P2C)]
 
 
 @given(
@@ -246,9 +241,7 @@ def test_relationship_views_are_built_per_kind_and_rebuilt_after_add():
     st.frozensets(st.integers(1, 7)),
 )
 def test_peers_among_gives_the_peers_of_each_as_asked_for(links, ases):
-    table = RelationshipTable()
-    for a, b in links:  # a link may repeat, either way round
-        table.add(a, b, RelKind.P2P)
+    table = RelationshipTable.of(p2p=links)  # a link may repeat, either way round
     expected = {}
     for a, b in links:
         for asn, peer in ((a, b), (b, a)):
@@ -258,14 +251,15 @@ def test_peers_among_gives_the_peers_of_each_as_asked_for(links, ases):
 
 
 def test_relationship_table_conflict():
-    table = RelationshipTable()
-    table.add(1, 2, RelKind.P2C)
-    table.add(1, 2, RelKind.P2C)  # identical duplicate is fine
-    with pytest.raises(ParseError, match="conflicting"):
-        table.add(1, 2, RelKind.P2P)
-    with pytest.raises(ParseError, match="conflicting"):
-        table.add(2, 1, RelKind.P2C)
-    assert table.p2c_after_p2p() is None
+    rows = ["1|2|-1", "1|2|-1"]  # identical duplicate is fine
+    assert list(ingest.parse_relationships(rows)) == [(1, 2, RelKind.P2C)]
+    for row, message in (("1|2|0", "1|2 p2c vs 1|2 p2p"), ("2|1|-1", "1|2 p2c vs 2|1 p2c")):
+        with pytest.raises(ParseError) as error:
+            ingest.parse_relationships([*rows, row])
+        a, b = row.split("|")[:2]
+        assert str(error.value) == (
+            f"relationships.txt line 3: conflicting relationship for ASes {a} and {b}: {message}"
+        )
 
 
 @pytest.mark.parametrize(
@@ -273,19 +267,21 @@ def test_relationship_table_conflict():
     [
         ([(1, 2, "p2p"), (1, 2, "p2c")], (1, 2), "1|2 p2p vs 1|2 p2c"),
         ([(1, 2, "p2p"), (2, 1, "p2c")], (2, 1), "1|2 p2p vs 2|1 p2c"),
-        # a p2c pair before the p2p add, and the same link given twice
+        # a p2c row before the p2p row, and the same link given twice
         ([(5, 6, "p2c"), (1, 2, "p2p"), (2, 1, "p2p"), (2, 1, "p2c")], (2, 1), "1|2 p2p vs 2|1 p2c"),
-        # the first p2c pair named wins, with the first p2p key naming it
+        # the first p2c row named wins, with the first p2p row naming it
         ([(3, 4, "p2p"), (2, 1, "p2p"), (1, 2, "p2c"), (4, 3, "p2c")], (1, 2), "2|1 p2p vs 1|2 p2c"),
     ],
 )
 def test_p2c_after_p2p_finds_the_first_p2c_pair_an_earlier_p2p_pair_names(rows, pair, message):
-    table = RelationshipTable()
-    for a, b, kind in rows:
-        table.add(a, b, RelKind(kind))  # add stores it: the scan finds it
-    key, found = table.p2c_after_p2p()
-    assert key == pair[0] << 32 | pair[1]
-    assert found == f"conflicting relationship for ASes {pair[0]} and {pair[1]}: {message}"
+    lines = [f"{a}|{b}|{'-1' if kind == 'p2c' else '0'}" for a, b, kind in rows]
+    line_no = rows.index((*pair, "p2c")) + 1  # the error names the p2c row's line
+    with pytest.raises(ParseError) as error:
+        ingest.parse_relationships(lines)
+    assert str(error.value) == (
+        f"relationships.txt line {line_no}: "
+        f"conflicting relationship for ASes {pair[0]} and {pair[1]}: {message}"
+    )
 
 
 def test_path_record_needs_hops():

@@ -11,7 +11,6 @@ from cti.model import (
     MonitorId,
     PathRecord,
     Prefix,
-    RelKind,
     Rejection,
     RelationshipTable,
     intern,
@@ -93,10 +92,7 @@ def truncate_to_peak(path, rels):
 
 
 def _rels(*pairs):
-    table = RelationshipTable()
-    for a, b in pairs:
-        table.add(a, b, RelKind.P2C)
-    return table
+    return RelationshipTable.of(p2c=pairs)
 
 
 def test_sanitize_collapses_prepending():
@@ -173,16 +169,13 @@ def test_truncate_retains_up_to_farthest_p2c():
 def test_truncate_discards_peers_above_peak():
     # origin 30, provider 20, then a peer hop 40 toward the monitor
     monitor = MonitorId("m9", 77, "US")
-    rels = RelationshipTable()
-    rels.add(20, 30, RelKind.P2C)
-    rels.add(40, 20, RelKind.P2P)
+    rels = RelationshipTable.of(p2c=[(20, 30)], p2p=[(40, 20)])
     result = truncate_to_peak(PathRecord(monitor, P, (40, 20, 30)), rels)
     assert result[1] == (30, 20)
 
 
 def test_truncate_rejects_without_p2c_link():
-    rels = RelationshipTable()
-    rels.add(20, 30, RelKind.P2P)
+    rels = RelationshipTable.of(p2p=[(20, 30)])
     result = truncate_to_peak(PathRecord(MonitorId("m9", 77, "US"), P, (20, 30)), rels)
     assert isinstance(result, Rejection)
     assert result.category == NO_PEAK

@@ -29,7 +29,7 @@ from test_ingest import (
     _reference_parse_traceroutes,
 )
 from test_pathprep import corpus_of, line_of, sanitize
-from test_transit_dominance import traces_of
+from test_transit_dominance import rels_of, traces_of
 
 from cti import cti_core, ingest, pathprep, pipeline
 from cti import synth_oracle as so
@@ -42,7 +42,6 @@ from cti.model import (
     Prefix,
     Rejection,
     RelKind,
-    RelationshipTable,
     collapse_prepending,
 )
 
@@ -119,14 +118,11 @@ def corpora(draw):
 
 @st.composite
 def relationships(draw):
-    table = RelationshipTable()
-    for a, b, kind in BASE_EDGES:
-        table.add(a, b, kind)
+    edges = {frozenset((a, b)): (a, b, kind) for a, b, kind in BASE_EDGES}
     pairs = st.tuples(st.sampled_from(ASNS), st.sampled_from(ASNS)).filter(lambda p: p[0] != p[1])
     for (a, b), kind in draw(st.dictionaries(pairs, st.sampled_from(RelKind), max_size=8)).items():
-        if b not in table.peers_of(a) | table.providers_of(a) | table.customers_of(a):
-            table.add(a, b, kind)
-    return table
+        edges.setdefault(frozenset((a, b)), (a, b, kind))  # at most one relationship per pair
+    return rels_of(*edges.values())
 
 
 @st.composite
@@ -376,9 +372,7 @@ def test_special_routes_reach_every_verdict():
         for monitor in MONITORS[2:4]  # hosts 3 and 4, both outside AA
         for hops in SPECIAL_ROUTES
     ]
-    rels = RelationshipTable()
-    for a, b, kind in BASE_EDGES:
-        rels.add(a, b, kind)
+    rels = rels_of(*BASE_EDGES)
     geo, _rejections = build_geo_table([(PREFIXES[0], "AA", 256)], [], {})
     sanitized, rejections = pathprep.prepare_paths(corpus_of(corpus), CLIQUE, RESERVED)
     retained, no_peak = pathprep.retain_for_country(sanitized, "AA", geo, rels)

@@ -83,11 +83,7 @@ def test_equal_length_tie_breaks_on_lowest_next_hop():
     # two providers (20 and 30) both reach origin 101 in one hop; 20 wins at 10
     from cti.model import RelationshipTable
 
-    rels = RelationshipTable()
-    rels.add(10, 30, RelKind.P2C)
-    rels.add(10, 20, RelKind.P2C)
-    rels.add(20, 101, RelKind.P2C)
-    rels.add(30, 101, RelKind.P2C)
+    rels = RelationshipTable.of(p2c=[(10, 30), (10, 20), (20, 101), (30, 101)])
     topo = so.preset_topology("toy-fig1")
     topo = so.SynthTopology(
         seed=0,
@@ -118,9 +114,12 @@ def test_emit_files_round_trips_through_parsers():
     bundle = ingest.load_bundle_from_texts(so.emit_files(topo, paths))
     assert len(bundle.paths) == len(paths)
     assert bundle.path_rejections == []
-    assert len(bundle.relationships) == len(topo.rels)
     assert bundle.aux.clique == topo.clique
     assert {m.id for m in bundle.monitors.values()} == {m.id for m in topo.monitors}
+    # the generator checks no relationship: every table it gives passes the parser's checks whole
+    for topo in [*map(so.generate_topology, range(1, 201)), *map(so.preset_topology, so.PRESETS)]:
+        text = so.emit_files(topo, so.propagate_routes(topo))["relationships.txt"]
+        assert set(ingest.parse_relationships(ingest.split_lines(text))) == set(topo.rels)
 
 
 def test_the_generated_line_column_is_the_line_emit_files_writes_each_row_on():
@@ -708,10 +707,8 @@ def _provider_chain(depth):
 
     top, deep, shallow = 1, 1001, 1002
     chain = tuple(range(101, 101 + depth))  # chain[0] is the clique AS's customer
-    rels = RelationshipTable()
-    for provider, customer in zip((top,) + chain, chain + (deep,)):
-        rels.add(provider, customer, RelKind.P2C)
-    rels.add(chain[-2], shallow, RelKind.P2C)
+    p2c = [*zip((top,) + chain, chain + (deep,)), (chain[-2], shallow)]
+    rels = RelationshipTable.of(p2c=p2c)
     origin_of = {Prefix(10 << 24, 24): deep, Prefix((10 << 24) | 256, 24): shallow}
     params = so.SynthParams(n_clique=1, n_mid=depth, n_stub=2, n_monitors=1, countries=("AA",))
     return so.SynthTopology(

@@ -14,11 +14,12 @@ P1 = Prefix.parse("10.0.0.0/24")
 P2 = Prefix.parse("10.0.1.0/24")
 
 
-def _rels(*edges):
-    table = RelationshipTable()
-    for a, b, kind in edges:
-        table.add(a, b, kind)
-    return table
+def rels_of(*edges):
+    """The table of the ``(a, b, kind)`` edges."""
+    return RelationshipTable.of(
+        p2c=[(a, b) for a, b, kind in edges if kind is RelKind.P2C],
+        p2p=[(a, b) for a, b, kind in edges if kind is RelKind.P2P],
+    )
 
 
 def traces_of(routes):
@@ -103,7 +104,7 @@ def test_the_origination_floor_keeps_an_origin_at_it_and_leaves_one_below_it_out
 
 def test_candidate_passes_when_fully_domestic():
     nationality = Nationality({900: "CU", 901: "CU"})
-    rels = _rels((901, 900, RelKind.P2P))
+    rels = rels_of((901, 900, RelKind.P2P))
     facilities = td.FacilityIndex([("fac-1", "CU", 900), ("fac-1", "CU", 901)], nationality)
     result = td.classify_candidate(900, rels.peers_of(900), facilities, nationality)
     assert result.candidate
@@ -112,7 +113,7 @@ def test_candidate_passes_when_fully_domestic():
 
 def test_candidate_fails_on_foreign_peer():
     nationality = Nationality({900: "CU"})
-    rels = _rels((50, 900, RelKind.P2P))
+    rels = rels_of((50, 900, RelKind.P2P))
     facilities = td.FacilityIndex([], nationality)
     result = td.classify_candidate(900, rels.peers_of(900), facilities, nationality)
     assert not result.candidate
@@ -170,7 +171,7 @@ _LABELS = st.sampled_from(["AA", "BB", None])
 )
 def test_candidate_index_equals_the_row_scans(memberships, labels, peerings):
     nationality = Nationality(labels)
-    rels = _rels(*((a, b, RelKind.P2P) for a, b in peerings if a != b))
+    rels = rels_of(*((a, b, RelKind.P2P) for a, b in peerings if a != b))
     facilities = td.FacilityIndex(memberships, nationality)
     for origin in range(1, 8):
         expected = _scanned_candidate(origin, rels, memberships, nationality)
@@ -180,7 +181,7 @@ def test_candidate_index_equals_the_row_scans(memberships, labels, peerings):
 
 def test_find_border():
     nationality = Nationality({900: "CU", 800: "CU"})
-    rels = _rels((50, 800, RelKind.P2C))
+    rels = rels_of((50, 800, RelKind.P2C))
     border = td.find_border((60, 50, 800, 900), nationality, "CU")
     assert border == (50, 800)
     assert rels.is_p2c(*border)
@@ -204,7 +205,7 @@ def test_transit_fraction_worked_example():
     # a foreign p2c crossing -> contribution 1/4
     geo, _ = build_geo_table([(P1, "CU", 256), (P2, "CU", 256)], [], {P1: 900, P2: 901})
     nationality = Nationality({900: "CU", 901: "CU"})
-    rels = _rels((50, 900, RelKind.P2C), (60, 900, RelKind.P2P))
+    rels = rels_of((50, 900, RelKind.P2C), (60, 900, RelKind.P2P))
     traces = traces_of(
         [
             (50, 900),  # p2c crossing
@@ -217,7 +218,7 @@ def test_transit_fraction_worked_example():
 def test_transit_fraction_ignores_foreign_destinations():
     geo, _ = build_geo_table([(P1, "CU", 256)], [], {P1: 900})
     nationality = Nationality({900: "CU"})
-    rels = _rels((50, 77, RelKind.P2C))
+    rels = rels_of((50, 77, RelKind.P2C))
     traces = traces_of([(50, 77)])
     assert td.compute_transit_fraction(traces, rels, nationality, geo, "CU") == 0
 
