@@ -6,7 +6,9 @@ Every score is a sum of one term per retained path and transit AS on it,
 
 with w = 1/n (n: the host AS's monitors observing prefix p), d the transit
 AS's hop distance from the origin, A(C) the country's address total and M
-the active monitor set, blind monitors included. With L a common multiple of
+the monitors outside the country, blind ones included, as retention counts
+them (``Retained.outside_monitors``). Retention keeps only the inbound paths,
+so the kernel counts every path it is given. With L a common multiple of
 every n*d in the country, S[t][h] = sum of mass * L/(n*d) over host AS h's
 paths crossing t, and each metric divides a sum of numerators by
 L*A*|monitors|:
@@ -40,7 +42,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .geo import GeoTable
-from .model import MetricReport, MonitorId, Route
+from .model import MetricReport, Route
 from .pathprep import Retained
 
 
@@ -52,9 +54,9 @@ class HostTable:
     country: str
     lcm: int  # L, a common multiple of every n*d
     denominator: int  # L * A
-    n_monitors: int  # |M|
-    host_monitors: Counter[int]  # |M_h| per host AS in M
-    n_paths: int  # counted paths
+    n_monitors: int  # |M|: retention's monitors outside the country, blind ones included
+    host_monitors: Counter[int]  # |M_h| per host AS with a monitor in M
+    n_paths: int  # the retained paths, every one counted
     segments: Sequence[Route]  # the retained segments, by index
     groups: dict[int, dict[int, int]]  # W per (host AS, segment): segment index -> host AS -> W
 
@@ -105,27 +107,15 @@ def compute_weights(retained: Retained) -> Counter[int]:
     )
 
 
-def extract_observations(
-    retained: Retained,
-    geo: GeoTable,
-    monitors: Sequence[MonitorId],
-    country: str,
-) -> HostTable:
-    """Build the kernel from the retained paths toward one country.
-
-    Only paths of host ASes with a monitor in ``monitors``, toward prefixes
-    with mass in the country, count; ``len()`` of the result is the number
-    of those paths.
-    """
+def extract_observations(retained: Retained, geo: GeoTable, country: str) -> HostTable:
+    """Build the kernel from the retained paths toward one country. Every
+    retained path counts, and |M| and |M_h| are retention's counts of the
+    monitors outside the country."""
     total = geo.country_total(country)
-    host_monitors = Counter(m.host_asn for m in monitors)
     hosts, segments = retained.hosts, retained.segments
     n_hosts = len(hosts)
-    active = [host in host_monitors for host in hosts]
     mass = [geo.mass.get((prefix, country), 0) for prefix in retained.prefixes]
-    # Whether a path counts depends on its host AS and prefix alone, so n
-    # over every retained path is n over the counted ones. L is fixed before
-    # the rows are read: the lcm of every n times lcm(1..D).
+    # L is fixed before the rows are read: the lcm of every n times lcm(1..D)
     observers = compute_weights(retained)
     top = max(map(len, segments), default=1) - 1
     lcm = math.lcm(*observers.values()) * math.lcm(*range(1, top + 1))
@@ -133,24 +123,23 @@ def extract_observations(
         observers[key] = lcm // n
     # W per (host AS, segment), in the order of the segment's and host's first rows
     groups: dict[int, dict[int, int]] = {}
-    n_paths = 0
     for group, prefix_ix in zip(retained.group, retained.prefix_ix):
+        weights = groups.get(segment_ix := group // n_hosts)
+        if weights is None:
+            weights = groups[segment_ix] = {}
         host_ix = group % n_hosts
-        if active[host_ix] and mass[prefix_ix]:
-            weights = groups.get(segment_ix := group // n_hosts)
-            if weights is None:
-                weights = groups[segment_ix] = {}
-            host = hosts[host_ix]
-            term = mass[prefix_ix] * observers.get(prefix_ix * n_hosts + host_ix, lcm)
-            weights[host] = weights.get(host, 0) + term
-            n_paths += 1
+        host = hosts[host_ix]
+        term = mass[prefix_ix] * observers.get(prefix_ix * n_hosts + host_ix, lcm)
+        weights[host] = weights.get(host, 0) + term
+    outside = zip(hosts, retained.outside_monitors)
+    host_monitors = Counter({host: count for host, count in outside if count})
     return HostTable(
         country=country,
         lcm=lcm,
         denominator=lcm * total,
-        n_monitors=len(monitors),
+        n_monitors=sum(retained.outside_monitors),
         host_monitors=host_monitors,
-        n_paths=n_paths,
+        n_paths=len(retained),
         segments=segments,
         groups=groups,
     )

@@ -643,7 +643,6 @@ class DatasetBundle:
     relationships: RelationshipTable | None
     geo_rows: list[GeoRow]
     delegations: list[DelegationRow]
-    monitors: dict[str, MonitorId]
     aux: AuxBundle
     reserved: frozenset[int] = frozenset()
     path_rejections: list[Rejection] = field(default_factory=list)
@@ -730,7 +729,6 @@ def load_bundle_from_texts(
         relationships=relationships,
         geo_rows=geo_rows,
         delegations=delegations,
-        monitors=monitors,
         aux=aux,
         reserved=reserved,
         path_rejections=path_rejections,

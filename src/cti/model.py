@@ -208,7 +208,9 @@ class Corpus:
     """A path corpus as five ``array("I")`` columns over interned tables: row
     i is monitor ``monitors[monitor_ix[i]]``'s route toward
     ``prefixes[prefix_ix[i]]``, read from ``paths.txt`` line ``line_no[i]``.
-    A route is its first hop, ``lead[i]``, over the tail ``tails[tail_ix[i]]``
+    The parser's ``monitors`` is every monitor of ``monitors.csv``, blind
+    ones included: the one monitor table, from which retention counts a
+    country's outside monitors. A route is its first hop, ``lead[i]``, over the tail ``tails[tail_ix[i]]``
     (the hops after the first): a monitor's route is its host AS followed by
     the route its neighbour chose, so monitors that share a neighbour share a
     tail. Each distinct prefix is stored once, and each tail once by value

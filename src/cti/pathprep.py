@@ -4,7 +4,10 @@ Raw paths are sanitized (prepending collapsed, loops / unallocated ASes /
 poisoned paths rejected), filtered to inbound-eligible monitors, and
 truncated at the topological peak: the farthest provider-to-customer link
 when scanning from the origin outward. Everything above the peak, including
-peers of the peak provider, is discarded.
+peers of the peak provider, is discarded. ``retain_for_country`` is the one
+place that applies the inbound rules (a monitor outside the country, a
+prefix with mass in it), and it and ``prepare_paths`` the only places that
+read a row's host AS.
 
 Both stages read a ``Corpus`` by its columns, with no record per row and no
 table of routes: sanitizing judges each distinct tail once, picks out in C
@@ -38,13 +41,11 @@ class RouteRejection(NamedTuple):
 
 
 def sanitize_route(
-    host_asn: int,
     hops: Route,
     clique: frozenset[int],
     reserved: frozenset[int],
 ) -> Route | RouteRejection:
-    """Collapse prepending, then reject reserved ASes, loops and poisoned paths;
-    a return to the monitor's host AS after the first hop is a loop too.
+    """Collapse prepending, then reject reserved ASes, loops and poisoned paths.
 
     Returns the collapsed hops: ``hops`` itself when nothing collapsed, so a
     route kept its hops exactly when its length did not change.
@@ -55,32 +56,28 @@ def sanitize_route(
     collapsed = collapse_prepending(hops)
     if collapsed is not hops and len(set(collapsed)) != len(collapsed):
         return RouteRejection(LOOP, "ASN repeats non-consecutively")
-    # from here on no AS repeats, so one clique AS cannot wedge anything and
-    # the host AS after the first hop is the host AS anywhere but first
+    # from here on no AS repeats, so one clique AS cannot wedge anything
     if len(clique.intersection(collapsed)) > 1:
         clique_positions = [i for i, asn in enumerate(collapsed) if asn in clique]
         for i in range(clique_positions[0] + 1, clique_positions[-1]):
             if collapsed[i] not in clique:
                 reason = f"non-clique ASN {collapsed[i]} between clique ASes"
                 return RouteRejection(POISONED, reason)
-    if host_asn in collapsed and collapsed[0] != host_asn:
-        return RouteRejection(LOOP, f"monitor host ASN {host_asn} after the first hop")
     return collapsed
 
 
-def peak_segment(host_asn: int, hops: Route, rels: RelationshipTable) -> Route | RouteRejection:
+def peak_segment(hops: Route, rels: RelationshipTable) -> Route | RouteRejection:
     """The origin-first segment capped by the topological peak.
 
-    The monitor host AS is removed when it is the monitor-nearest hop. The
-    peak is the largest index k (origin = index 0) such that segment[k] is an
-    inferred provider of segment[k-1]; routes with no such link are rejected.
+    The peak is the largest index k (origin = index 0) such that segment[k]
+    is an inferred provider of segment[k-1]; routes with no such link are
+    rejected.
     """
-    start = 1 if hops and hops[0] == host_asn else 0
-    if len(hops) - start < 2:
+    if len(hops) < 2:
         return RouteRejection(NO_PEAK, "no transit AS on path")
     p2c = rels.p2c_links
     # the link farthest from the origin is the first one from the monitor
-    for i in range(start, len(hops) - 1):
+    for i in range(len(hops) - 1):
         if (hops[i], hops[i + 1]) in p2c:
             return hops[i:][::-1]
     return RouteRejection(NO_PEAK, "no provider-customer link")
@@ -91,9 +88,9 @@ def peak_segment(host_asn: int, hops: Route, rels: RelationshipTable) -> Route |
 # across prefixes, and each tail (the hops after the first) across monitors.
 # A row's host AS changes its route's verdicts only as a Loop when it follows
 # the first hop of a route that is not rejected anyway, and as the hop that
-# peak truncation strips when it leads. Routes and tails are therefore judged
-# for NO_HOST, which no route holds, and each row's host AS is tested apart.
-NO_HOST = -1
+# peak truncation strips when it leads. The route judges above therefore take
+# no host AS: ``prepare_paths`` tests each row's host AS apart for the Loop,
+# and ``retain_for_country`` judges a row its host AS leads by its tail.
 
 
 @dataclass
@@ -101,9 +98,11 @@ class Retained:
     """The retained paths toward one country as int columns. Row i is the
     path of host AS ``hosts[h]`` toward ``prefixes[prefix_ix[i]]``, cut at its
     topological peak to the origin-first segment ``segments[s]``, where
-    ``group[i] = s * len(hosts) + h``. ``outside_monitors[h]`` counts host
-    AS ``hosts[h]``'s monitors outside the country, an upper bound on the
-    rows it has toward one prefix. ``len()`` counts the rows, and iterating
+    ``group[i] = s * len(hosts) + h``. ``hosts`` holds the host AS of every
+    monitor in the corpus, and ``outside_monitors[h]`` counts host AS
+    ``hosts[h]``'s monitors outside the country, blind ones included: the
+    kernel's |M_h|, summing to its |M|, and an upper bound on the rows the
+    host AS has toward one prefix. ``len()`` counts the rows, and iterating
     gives them as (host AS, segment, prefix) tuples."""
 
     prefixes: Sequence[Prefix]
@@ -140,7 +139,7 @@ def prepare_paths(
     # lead is reserved, reappears in the tail, or is a clique AS that wedges
     # the tail's first hop, a non-clique AS, between itself and a later clique
     # AS. Those routes, the misses, are judged whole, once per (lead, tail).
-    tail_verdicts = [sanitize_route(NO_HOST, tail, clique, reserved) for tail in tails]
+    tail_verdicts = [sanitize_route(tail, clique, reserved) for tail in tails]
     # From the first collapse on, kept_tails is a copy of the raw tails with
     # each kept tail's verdict in its place (a rejected tail's routes lose
     # their rows). A miss that collapses appends its own tail, which its lead
@@ -182,7 +181,7 @@ def prepare_paths(
             miss = misses.get((lead, tail_ix))
             if miss is None:
                 route = (lead, *tails[tail_ix])
-                miss = sanitize_route(NO_HOST, route, clique, reserved)
+                miss = sanitize_route(route, clique, reserved)
                 if not isinstance(miss, RouteRejection):
                     if miss is route:
                         miss = tail_ix
@@ -236,8 +235,9 @@ def retain_for_country(
     rels: RelationshipTable,
 ) -> tuple[Retained, list[Rejection]]:
     """Peak truncation of the inbound paths toward one country: those seen
-    from outside it, toward prefixes with address mass in it. Rows and
-    rejections keep the order of ``sanitized``."""
+    from outside it, toward prefixes with address mass in it. No other row
+    is kept or rejected, so the kernel counts every row it is given. Rows
+    and rejections keep the order of ``sanitized``."""
     tails = sanitized.tails
     outside = [monitor.country != dest_country for monitor in sanitized.monitors]
     has_mass = [bool(geo.mass.get((prefix, dest_country))) for prefix in sanitized.prefixes]
@@ -275,7 +275,7 @@ def retain_for_country(
             hops = tails[tail_ix] if key >= 0 else (lead, *tails[tail_ix])
             code = code_of_hops.get(hops)
             if code is None:
-                verdict = peak_segment(NO_HOST, hops, rels)
+                verdict = peak_segment(hops, rels)
                 if isinstance(verdict, RouteRejection):
                     code = ~len(rejected)
                     rejected.append(verdict)

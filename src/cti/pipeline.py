@@ -66,11 +66,10 @@ def build_substrate(bundle: DatasetBundle) -> Substrate:
 
 
 def build_country_substrate(sub: Substrate, country: str) -> cti_core.HostTable:
-    """The country's kernel over its active monitor set: every monitor
-    outside the country, blind ones included."""
-    monitors = [m for m in sub.bundle.monitors.values() if m.country != country]
+    """The country's kernel over the paths that retention keeps, normalized
+    by the monitors it counts outside the country, blind ones included."""
     retained, _no_peak = pathprep.retain_for_country(sub.sanitized, country, sub.geo, sub.rels)
-    return cti_core.extract_observations(retained, sub.geo, monitors, country)
+    return cti_core.extract_observations(retained, sub.geo, country)
 
 
 def cti_report(

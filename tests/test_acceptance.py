@@ -198,7 +198,7 @@ def test_criterion_6_filter_properties():
                 # a (host AS, prefix) is counted exactly when its host AS has
                 # two or more monitors outside the country; else n = 1
                 outside = Counter(
-                    m.host_asn for m in sub.bundle.monitors.values() if m.country != country
+                    m.host_asn for m in sub.bundle.paths.monitors if m.country != country
                 )
                 assert weights.keys() == {key for key in observers if outside[key[0]] > 1}
                 for key, ids in observers.items():
@@ -239,8 +239,9 @@ def test_criterion_6_filter_properties():
         prefix = Prefix.parse("10.0.0.0/24")
         geo, _ = build_geo_table([(prefix, "CU", 256)], [], {})
         monitors = [MonitorId(f"m{i}", 1000 + i, "US") for i in range(10)]
-        retained = retained_of([(m.host_asn, (900, 500), prefix) for m in monitors])
-        table = cti_core.extract_observations(retained, geo, monitors, "CU")
+        rows = [(m.host_asn, (900, 500), prefix) for m in monitors]
+        retained = retained_of(rows, monitors)
+        table = cti_core.extract_observations(retained, geo, "CU")
         result = outlier.apply_outlier_filter(table, 500)
         assert result.value == cti_core.compute_cti(table).get("CU", 500)
         assert len(result.excluded) == 2

@@ -25,8 +25,8 @@ def test_state_conglomerates_filter_by_nationality():
 def test_ctin_uses_minimum_member_distance():
     geo, _ = build_geo_table([(P1, "CU", 256)], [], {P1: 900})
     # second member 15 farther on the same path
-    retained = retained_of([(M1.host_asn, (900, 20, 15), P1)])
-    table = cti_core.extract_observations(retained, geo, [M1], "CU")
+    retained = retained_of([(M1.host_asn, (900, 20, 15), P1)], [M1])
+    table = cti_core.extract_observations(retained, geo, "CU")
     ctin = conglomerate.compute_ctin(frozenset({20, 15}), table)
     assert ctin == Fraction(1)  # one term at distance 1, not two
 
@@ -37,7 +37,7 @@ def test_ctin_skips_prefixes_originated_by_members():
         (M1.host_asn, (100, 20), P1),  # toward a member-originated prefix: skipped
         (M1.host_asn, (900, 20), P2),
     ]
-    table = cti_core.extract_observations(retained_of(retained), geo, [M1], "CU")
+    table = cti_core.extract_observations(retained_of(retained, [M1]), geo, "CU")
     ctin = conglomerate.compute_ctin(frozenset({100, 20}), table)
     assert ctin == Fraction(1, 2)
 

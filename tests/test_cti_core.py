@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 
 from hypothesis import given
@@ -18,7 +19,8 @@ M3 = MonitorId("m3", 77, "DE")
 
 
 def _cti(rows, geo, monitors, country="CU"):
-    table = cti_core.extract_observations(retained_of(rows), geo, monitors, country)
+    """The cti report of the rows, with ``monitors`` outside the country."""
+    table = cti_core.extract_observations(retained_of(rows, monitors), geo, country)
     return cti_core.compute_cti(table)
 
 
@@ -39,7 +41,7 @@ def _weights(rows):
 def test_extract_observations_skips_origin():
     geo, _ = build_geo_table([(P1, "CU", 256)], [], {})
     retained = [(M1.host_asn, (30, 20, 15), P1)]
-    table = cti_core.extract_observations(retained_of(retained), geo, [M1], "CU")
+    table = cti_core.extract_observations(retained_of(retained, [M1]), geo, "CU")
     assert len(table) == 1
     assert table.lcm == 2  # n = 1, d in {1, 2}
     # origin 30 gets no entry; 20 at distance 1, 15 at distance 2
@@ -52,7 +54,7 @@ def test_the_common_denominator_holds_every_observer_count():
     geo, _ = build_geo_table([(P1, "CU", 256)], [], {})
     monitors = [MonitorId(f"m{i}", 10, "US") for i in range(3)]
     table = cti_core.extract_observations(
-        retained_of([(10, (30, 20, 15), P1)] * 3), geo, monitors, "CU"
+        retained_of([(10, (30, 20, 15), P1)] * 3, monitors), geo, "CU"
     )
     assert table.lcm % 6 == 0
     # each path: w/|M| * mass/A * 1/d = 1/3 * 1/3 * 1 * 1/d
@@ -101,12 +103,22 @@ def test_compute_cti_distance_discount():
     assert report.get("CU", 11) == Fraction(1, 4)
 
 
-def test_compute_cti_ignores_inactive_monitors_and_foreign_mass():
-    geo, _ = build_geo_table([(P1, "CU", 256), (P2, "AR", 256)], [], {})
-    retained = [(M1.host_asn, (30, 20), P1), (M3.host_asn, (30, 20), P2)]
-    report = _cti(retained, geo, [M1])
-    # only m1's path counts; P2 has no CU mass anyway
-    assert report.get("CU", 20) == Fraction(1)
+def test_the_kernel_counts_what_retention_keeps_over_the_monitors_outside():
+    # m2 is inside CU, P2 has mass only in AR, and m3 and m4 observe nothing:
+    # only m1's path toward P1 counts, over |M| = 3, the monitors outside CU
+    files = {
+        "monitors.csv": "m1,10,US\nm2,10,CU\nm3,10,DE\nm4,77,DE\n",
+        "paths.txt": "m1|10.0.0.0/24|10 20 30\nm1|10.0.1.0/24|10 20 40\nm2|10.0.0.0/24|10 20 30\n",
+        "relationships.txt": "20|30|-1\n20|40|-1\n",
+        "geo.csv": "10.0.0.0/24,CU,256\n10.0.1.0/24,AR,256\n",
+    }
+    sub = pipeline.build_substrate(ingest.load_bundle_from_texts(files))
+    table = pipeline.build_country_substrate(sub, "CU")
+    assert len(table) == 1
+    outside = [m for m in sub.bundle.paths.monitors if m.country != "CU"]
+    assert table.n_monitors == len(outside) == 3
+    assert table.host_monitors == Counter(m.host_asn for m in outside) == {10: 2, 77: 1}
+    assert pipeline.cti_report(sub, "CU").entries == {("CU", 20): Fraction(1, 3)}
 
 
 @given(st.lists(st.integers(min_value=1, max_value=4), min_size=1, max_size=6))

@@ -39,7 +39,7 @@ def test_blind_monitor_scales_every_score(seed, host):
     blind = dict(files, **{"monitors.csv": files["monitors.csv"] + f"blind,{host},MM\n"})
     blind_sub = _substrate(blind)
     for country in _countries(sub):
-        size = len([m for m in sub.bundle.monitors.values() if m.country != country])
+        size = len([m for m in sub.bundle.paths.monitors if m.country != country])
         scale = Fraction(size, size + 1)
         before = pipeline.cti_report(sub, country, apply_outlier=False)
         after = pipeline.cti_report(blind_sub, country, apply_outlier=False)

@@ -16,8 +16,7 @@ def _setup(host_count, distances=None):
     for i, m in enumerate(monitors):
         distance = (distances or {}).get(i, 1)
         retained.append((m.host_asn, tuple(range(900, 900 + distance)) + (500,), P1))
-    retained = retained_of(retained)
-    table = cti_core.extract_observations(retained, geo, monitors, "CU")
+    table = cti_core.extract_observations(retained_of(retained, monitors), geo, "CU")
     return geo, monitors, retained, table
 
 
@@ -53,7 +52,10 @@ def test_filter_excludes_extreme_hosts():
     assert excluded_hosts == {1009, 1008}
     # recomputed over the 8 surviving monitors with |M'| = 8
     survivors = [m for m in monitors if m.host_asn not in excluded_hosts]
-    survivor_table = cti_core.extract_observations(retained, geo, survivors, "CU")
+    survivor_rows = [row for row in retained if row[0] not in excluded_hosts]
+    survivor_table = cti_core.extract_observations(
+        retained_of(survivor_rows, survivors), geo, "CU"
+    )
     expected = cti_core.compute_cti(survivor_table).get("CU", 500)
     assert result.value == expected == Fraction(15, 16)
 

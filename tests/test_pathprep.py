@@ -29,11 +29,15 @@ def line_of(row):
     return 2 * row + 2
 
 
-def corpus_of(paths):
+def corpus_of(paths, monitors=()):
     """The paths as a corpus, rows in the given order on lines 2, 4, 6, ...,
-    with its routes' tails interned by value as the parser interns them."""
+    with its routes' tails interned by value as the parser interns them. Its
+    monitor table starts with ``monitors``, as the parser's holds every
+    monitor, blind ones included, and then has each other path's monitor."""
     corpus = Corpus(monitors=[], prefixes=[], tails=[])
     monitor_index, prefix_index, tail_index = {}, {}, {}
+    for monitor in monitors:
+        intern(monitor, monitor_index, corpus.monitors)
     for path in paths:
         corpus.monitor_ix.append(intern(path.monitor, monitor_index, corpus.monitors))
         corpus.prefix_ix.append(intern(path.prefix, prefix_index, corpus.prefixes))
@@ -43,12 +47,16 @@ def corpus_of(paths):
     return corpus
 
 
-def retained_of(rows):
+def retained_of(rows, monitors=None):
     """(host AS, segment, prefix) rows as a ``Retained``, in the given order.
-    Each host AS gets as many monitors outside the country as it has rows
-    toward one prefix, the fewest its rows need."""
+    Given ``monitors``, the monitors outside the country, each host AS counts
+    its monitors among them, blind ones included, as retention counts them.
+    Otherwise each host AS gets as many monitors outside the country as it
+    has rows toward one prefix, the fewest its rows need."""
     hosts, segments, prefixes = [], [], []
     host_index, segment_index, prefix_index = {}, {}, {}
+    for monitor in monitors or ():
+        intern(monitor.host_asn, host_index, hosts)
     cells = [
         (
             intern(host, host_index, hosts),
@@ -59,36 +67,41 @@ def retained_of(rows):
     ]
     groups = array("Q", [segment_ix * len(hosts) + host_ix for host_ix, segment_ix, _p in cells])
     prefix_ixs = array("I", [prefix_ix for _h, _s, prefix_ix in cells])
-    rows_per_cell = Counter((host_ix, prefix_ix) for host_ix, _s, prefix_ix in cells)
     outside_monitors = [0] * len(hosts)
-    for (host_ix, _p), n in rows_per_cell.items():
-        outside_monitors[host_ix] = max(outside_monitors[host_ix], n)
+    if monitors is not None:
+        for monitor in monitors:
+            outside_monitors[host_index[monitor.host_asn]] += 1
+    else:
+        rows_per_cell = Counter((host_ix, prefix_ix) for host_ix, _s, prefix_ix in cells)
+        for (host_ix, _p), n in rows_per_cell.items():
+            outside_monitors[host_ix] = max(outside_monitors[host_ix], n)
     return Retained(prefixes, hosts, segments, groups, prefix_ixs, outside_monitors)
 
 
-# The route verdicts applied to one path, for the example tests below. The
+# The route verdicts applied to one path, for the example tests below: the
+# path as a one-row corpus, passed through the stage that judges it. The
 # property tests of the per-route memos compare against the oracle's per-path
 # literals instead.
 
 
 def sanitize(path, clique, reserved, line=1):
-    """``sanitize_route`` applied to one path read from ``line``: the path
-    itself when its hops are kept as they are."""
-    route = pathprep.sanitize_route(path.monitor.host_asn, path.hops, clique, reserved)
-    if isinstance(route, RouteRejection):
-        return Rejection("paths.txt", line, route.category, route.reason)
-    if len(route) == len(path.hops):
-        return path
-    return PathRecord(path.monitor, path.prefix, route)
+    """``prepare_paths`` applied to one path read from ``line``: the kept
+    path, its hops collapsed, or its rejection."""
+    corpus = corpus_of([path])
+    corpus.line_no = [line]
+    sanitized, rejections = pathprep.prepare_paths(corpus, clique, reserved)
+    return rejections[0] if rejections else sanitized[0]
 
 
 def truncate_to_peak(path, rels):
-    """``peak_segment`` applied to one path read from line 1: its (host AS,
-    segment, prefix) row."""
-    segment = pathprep.peak_segment(path.monitor.host_asn, path.hops, rels)
-    if isinstance(segment, RouteRejection):
-        return Rejection("paths.txt", 1, segment.category, segment.reason)
-    return (path.monitor.host_asn, segment, path.prefix)
+    """``retain_for_country`` applied to one inbound path read from line 1:
+    its (host AS, segment, prefix) row, or its rejection."""
+    assert path.monitor.country != "CU"
+    geo, _ = build_geo_table([(path.prefix, "CU", 256)], [], {})
+    corpus = corpus_of([path])
+    corpus.line_no = [1]
+    retained, rejections = pathprep.retain_for_country(corpus, "CU", geo, rels)
+    return rejections[0] if rejections else next(iter(retained))
 
 
 def _rels(*pairs):
@@ -124,7 +137,7 @@ def test_sanitize_rejects_poisoned():
 
 def test_sanitize_allows_adjacent_clique_members():
     path = PathRecord(M_US, P, (10, 11, 30))
-    assert sanitize(path, CLIQUE, frozenset()) is path
+    assert sanitize(path, CLIQUE, frozenset()) == path
 
 
 def test_loop_precedes_poison_classification():

@@ -173,18 +173,18 @@ def _reference_retain(sanitized, country, geo, rels):
     return retained, rejections
 
 
-def _reference_kernel(sanitized, rels, geo, country, monitors):
+def _reference_kernel(sanitized, rels, geo, country):
     """The kernel, term by term per path as it was before the (host AS,
-    segment) groups, over ``monitors`` (monitors outside the country): its
-    fields as a dict, each W and S as a fraction of L, the products n*d of its
-    counted paths, and the ctin of a member set."""
-    active_ids = {m.id for m in monitors}
+    segment) groups, over every monitor of ``MONITORS`` outside the country,
+    blind ones included: its fields as a dict, each W and S as a fraction of
+    L, the products n*d of its counted paths, and the ctin of a member set."""
+    monitors = [m for m in MONITORS if m.country != country]
     counted = []
     for path in sanitized:
         if geo.mass.get((path.prefix, country), 0) == 0 or path.monitor.country == country:
             continue
         segment = so._oracle_retained_segment(path.hops, path.monitor.host_asn, rels)
-        if not isinstance(segment, str) and path.monitor.id in active_ids:
+        if not isinstance(segment, str):
             counted.append((path, segment))
     observers = Counter((path.monitor.host_asn, path.prefix) for path, _segment in counted)
     rows = [
@@ -333,23 +333,19 @@ def test_retain_for_country_matches_per_path_truncation(corpus, rels, geo):
 @_SETTINGS
 @given(corpora(), relationships(), geo_tables())
 def test_grouped_kernel_matches_per_path_terms(corpus, rels, geo):
-    sanitized, _rejections = pathprep.prepare_paths(corpus_of(corpus), CLIQUE, RESERVED)
+    # every monitor is in the corpus's table, as the parser puts it there
+    sanitized, _rejections = pathprep.prepare_paths(corpus_of(corpus, MONITORS), CLIQUE, RESERVED)
     for country in ("AA", "BB"):
         if not geo.total.get(country):
             continue
         retained, _no_peak = pathprep.retain_for_country(sanitized, country, geo, rels)
-        active = [m for m in MONITORS if m.country != country]
-        # every active monitor, as in the pipeline, and those of one host AS
-        for monitors in (active, [m for m in active if m.host_asn != 4]):
-            table = cti_core.extract_observations(retained, geo, monitors, country)
-            fields, products, ctin = _reference_kernel(
-                list(sanitized), rels, geo, country, monitors
-            )
-            assert _kernel_fields(table) == fields
-            # L is a common multiple of every counted n*d, not always the least
-            assert all(table.lcm % product == 0 for product in products)
-            for members in ({5}, {1, 5}, {3}, {2, 7}, set(ASNS)):
-                assert compute_ctin(frozenset(members), table) == ctin(members)
+        table = cti_core.extract_observations(retained, geo, country)
+        fields, products, ctin = _reference_kernel(list(sanitized), rels, geo, country)
+        assert _kernel_fields(table) == fields
+        # L is a common multiple of every counted n*d, not always the least
+        assert all(table.lcm % product == 0 for product in products)
+        for members in ({5}, {1, 5}, {3}, {2, 7}, set(ASNS)):
+            assert compute_ctin(frozenset(members), table) == ctin(members)
 
 
 @_SETTINGS
@@ -358,6 +354,14 @@ def test_grouped_kernel_matches_per_path_terms(corpus, rels, geo):
     relationships(),
     geo_tables(),
     st.lists(st.sampled_from(["AA", "BB", None]), min_size=len(ASNS), max_size=len(ASNS)),
+)
+# the tail 5 6 7 goes domestic, foreign, domestic: its border is (6, 7), no
+# p2c link, and not the lead's link (3, 5), which is one
+@example(
+    [PathRecord(MONITORS[0], PREFIXES[0], (3, 5, 6, 7))],
+    rels_of(*BASE_EDGES),
+    build_geo_table([(PREFIXES[0], "AA", 256)], [], {PREFIXES[0]: 7})[0],
+    [None, None, None, None, "AA", "BB", "AA"],
 )
 def test_transit_fraction_matches_per_path_borders(corpus, rels, geo, labels):
     nationality = Nationality(dict(zip(ASNS, labels)))

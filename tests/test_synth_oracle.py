@@ -115,7 +115,7 @@ def test_emit_files_round_trips_through_parsers():
     assert len(bundle.paths) == len(paths)
     assert bundle.path_rejections == []
     assert bundle.aux.clique == topo.clique
-    assert {m.id for m in bundle.monitors.values()} == {m.id for m in topo.monitors}
+    assert {m.id for m in bundle.paths.monitors} == {m.id for m in topo.monitors}
     # the generator checks no relationship: every table it gives passes the parser's checks whole
     for topo in [*map(so.generate_topology, range(1, 201)), *map(so.preset_topology, so.PRESETS)]:
         text = so.emit_files(topo, so.propagate_routes(topo))["relationships.txt"]
